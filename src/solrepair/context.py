@@ -69,10 +69,6 @@ def get_counter(name: str) -> TokenCounter:
         raise ValueError(f"unknown token counter {name!r} (known: {known})") from None
 
 
-def count_tokens(text: str, counter: TokenCounter = DEFAULT_COUNTER) -> int:
-    return counter.count(text)
-
-
 @dataclass(frozen=True)
 class ContextWindow:
     """Context text handed to the model, plus its measured size."""

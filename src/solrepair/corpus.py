@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -68,13 +70,43 @@ def lex_identifiers(text: str) -> list[str]:
 
     Comments and string literals are blanked before lexing.
     """
+    return _identifiers(scrub(text))
+
+
+def _identifiers(scrubbed: str) -> list[str]:
     seen: list[str] = []
-    for ident in _IDENT_RE.findall(scrub(text)):
+    for ident in _IDENT_RE.findall(scrubbed):
         if ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
             continue
         if ident not in seen:
             seen.append(ident)
     return seen
+
+
+# Comments and string literals. Each runs to its terminator or, when
+# unterminated, to the end of the text; a backslash escapes any one character
+# inside a string, a trailing one included.
+_SCRUB_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*(?:.*?\*/|.*)"
+    r'|"[^"\\]*(?:\\.?[^"\\]*)*"?'
+    r"|'[^'\\]*(?:\\.?[^'\\]*)*'?",
+    re.S,
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+_NEWLINE_RE = re.compile(r"\n")
+_BRACE_RE = re.compile(r"[{}]")
+# A named declaration up to its parameter list; unnamed fallback/receive
+# style declarations and function types never match.
+_FUNCTION_DECL_RE = re.compile(r"\bfunction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
+_SIGNATURE_STOP_RE = re.compile(r"[();{]")
+
+
+def _blank(match: re.Match) -> str:
+    token = match.group()
+    if "\n" not in token:
+        return " " * len(token)
+    return _NOT_NEWLINE_RE.sub(" ", token)
 
 
 def scrub(text: str) -> str:
@@ -83,150 +115,154 @@ def scrub(text: str) -> str:
     Brace matching and identifier lexing run on the scrubbed text so literals
     cannot confuse them.
     """
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            for k in range(i, j):
-                out[k] = " "
-            i = j
-        elif ch == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n if j == -1 else j + 2
-            for k in range(i, j):
-                if text[k] != "\n":
-                    out[k] = " "
-            i = j
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            for k in range(i, j):
-                if text[k] != "\n":
-                    out[k] = " "
-            i = j
-        else:
-            i += 1
-    return "".join(out)
+    return _SCRUB_RE.sub(_blank, text)
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    last_nl = text.rfind("\n", 0, offset)
-    return line, offset - last_nl
-
-
-def check_balanced(text: str, path: str = "<source>") -> None:
-    """Raise MalformedSourceError naming the first unmatched brace."""
-    scrubbed = scrub(text)
-    stack: list[int] = []
-    for idx, ch in enumerate(scrubbed):
-        if ch == "{":
-            stack.append(idx)
-        elif ch == "}":
-            if not stack:
-                line, col = _line_col(text, idx)
-                raise MalformedSourceError(
-                    f"{path}: unmatched '}}' at line {line}, column {col}"
-                )
-            stack.pop()
-    if stack:
-        line, col = _line_col(text, stack[0])
-        raise MalformedSourceError(
-            f"{path}: unmatched '{{' at line {line}, column {col}"
-        )
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    """A Solidity source file plus the type names it declares."""
-
-    path: str
-    text: str
-    contract_names: tuple[str, ...] = ()
-
-    @classmethod
-    def from_text(cls, path: str, text: str) -> "SourceFile":
-        names = tuple(m.group(1) for m in _TYPE_DECL_RE.finditer(scrub(text)))
-        return cls(path=path, text=text, contract_names=names)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SourceFile":
-        p = Path(path)
-        return cls.from_text(str(p), p.read_text(encoding="utf-8"))
-
-
-@dataclass(frozen=True)
-class _RawFunction:
+@dataclass(frozen=True, slots=True)
+class IndexedFunction:
     """Char-offset view of one function declaration in a source text."""
 
     name: str
     kw_offset: int        # offset of the 'function' keyword
+    sig_end: int          # offset of the '{' or ';' ending the header (len(text) if neither)
     body_start: int       # offset of '{' (-1 when the declaration has no body)
     body_end: int         # offset of matching '}' (-1 when no body)
+    depth: int            # number of function bodies around the declaration
 
     @property
     def has_body(self) -> bool:
         return self.body_start != -1
 
+    @property
+    def end(self) -> int:
+        """Offset of the declaration's last character."""
+        return self.body_end if self.has_body else self.sig_end
 
-def _scan_functions(text: str, path: str = "<source>") -> list[_RawFunction]:
-    """Locate every named function declaration, in source order.
 
-    Raises MalformedSourceError on unbalanced braces. Operates on scrubbed
-    text so braces inside strings or comments are ignored.
+class SourceIndex:
+    """One parse of a source text, shared by build, splice and verify.
+
+    Holds the scrubbed text, line starts and every named function
+    declaration, keyed by location; one brace-matching pass finds the bodies
+    and is also the balance check. Unbalanced text is indexed without
+    functions; asking for them raises MalformedSourceError naming the first
+    unmatched brace.
     """
-    check_balanced(text, path)
-    scrubbed = scrub(text)
-    raws: list[_RawFunction] = []
-    for kw in _FUNCTION_KW_RE.finditer(scrubbed):
-        pos = kw.end()
-        while pos < len(scrubbed) and scrubbed[pos].isspace():
-            pos += 1
-        name_match = _IDENT_RE.match(scrubbed, pos)
-        if name_match is None:
-            continue  # unnamed fallback/receive style declarations
-        pos = name_match.end()
-        while pos < len(scrubbed) and scrubbed[pos] != "(":
-            if not scrubbed[pos].isspace():
+
+    def __init__(self, text: str, path: str = "<source>") -> None:
+        self.text = text
+        self.path = path
+        self.scrubbed = scrub(text)
+        self.line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(text)]
+        self.error: str | None = None
+        closing: dict[int, int] = {}  # offset of each '{' -> offset of its '}'
+        stack: list[int] = []
+        for m in _BRACE_RE.finditer(self.scrubbed):
+            if m.group() == "{":
+                stack.append(m.start())
+            elif stack:
+                closing[stack.pop()] = m.start()
+            else:
+                self.error = self._unmatched("}", m.start())
                 break
-            pos += 1
-        if pos >= len(scrubbed) or scrubbed[pos] != "(":
-            continue
-        depth = 0
-        body_start = -1
-        while pos < len(scrubbed):
-            ch = scrubbed[pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and ch == "{":
-                body_start = pos
-                break
-            elif depth == 0 and ch == ";":
-                break
-            pos += 1
-        if body_start == -1:
-            raws.append(_RawFunction(name_match.group(0), kw.start(), -1, -1))
-            continue
-        depth = 0
-        body_end = -1
-        for idx in range(body_start, len(scrubbed)):
-            if scrubbed[idx] == "{":
-                depth += 1
-            elif scrubbed[idx] == "}":
-                depth -= 1
-                if depth == 0:
-                    body_end = idx
+        if stack and self.error is None:
+            self.error = self._unmatched("{", stack[0])
+        self._functions = () if self.error else self._scan_functions(closing)
+        self._by_end_line: dict[int, list[IndexedFunction]] = {}
+        for fn in self._functions:
+            if fn.has_body:
+                self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
+
+    def line_of(self, offset: int) -> int:
+        """1-based line holding offset."""
+        return bisect_right(self.line_starts, offset)
+
+    def _unmatched(self, brace: str, offset: int) -> str:
+        line = self.line_of(offset)
+        col = offset - self.line_starts[line - 1] + 1
+        return f"{self.path}: unmatched '{brace}' at line {line}, column {col}"
+
+    def check(self) -> None:
+        """Raise MalformedSourceError naming the first unmatched brace."""
+        if self.error is not None:
+            raise MalformedSourceError(self.error)
+
+    @property
+    def functions(self) -> tuple[IndexedFunction, ...]:
+        """Every named function declaration, in source order."""
+        self.check()
+        return self._functions
+
+    def _scan_functions(self, closing: dict[int, int]) -> tuple[IndexedFunction, ...]:
+        scrubbed = self.scrubbed
+        found: list[IndexedFunction] = []
+        open_bodies: list[int] = []  # body ends of the function bodies around the scan point
+        for decl in _FUNCTION_DECL_RE.finditer(scrubbed):
+            kw = decl.start()
+            while open_bodies and open_bodies[-1] < kw:
+                open_bodies.pop()
+            parens = 0
+            sig_end = len(scrubbed)
+            for stop in _SIGNATURE_STOP_RE.finditer(scrubbed, decl.end() - 1):
+                ch = stop.group()
+                if ch == "(":
+                    parens += 1
+                elif ch == ")":
+                    parens -= 1
+                elif parens == 0:
+                    sig_end = stop.start()
                     break
-        raws.append(_RawFunction(name_match.group(0), kw.start(), body_start, body_end))
-    return raws
+            if sig_end < len(scrubbed) and scrubbed[sig_end] == "{":
+                body = (sig_end, closing[sig_end])
+            else:
+                body = (-1, -1)
+            found.append(IndexedFunction(decl.group(1), kw, sig_end, *body, len(open_bodies)))
+            if body[1] != -1:
+                open_bodies.append(body[1])
+        return tuple(found)
+
+    def find(self, name: str, first_line: int, last_line: int) -> IndexedFunction | None:
+        """The body-bearing function `name` declared within, and ending on the
+        last of, the given 1-based lines; the first in source order."""
+        for fn in self._by_end_line.get(last_line, ()):
+            if fn.name == name and self.line_of(fn.kw_offset) >= first_line:
+                return fn
+        return None
+
+    @cached_property
+    def by_name(self) -> dict[str, IndexedFunction]:
+        """Body-bearing functions by name; the last declaration of a name wins."""
+        return {fn.name: fn for fn in self.functions if fn.has_body}
+
+
+def check_balanced(text: str, path: str = "<source>") -> None:
+    """Raise MalformedSourceError naming the first unmatched brace."""
+    SourceIndex(text, path).check()
+
+
+@dataclass(frozen=True)
+class SourceFile:
+    """A Solidity source file, the type names it declares, and its index."""
+
+    path: str
+    text: str
+    contract_names: tuple[str, ...] = ()
+    index: SourceIndex = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            object.__setattr__(self, "index", SourceIndex(self.text, self.path))
+
+    @classmethod
+    def from_text(cls, path: str, text: str) -> "SourceFile":
+        index = SourceIndex(text, path)
+        names = tuple(m.group(1) for m in _TYPE_DECL_RE.finditer(index.scrubbed))
+        return cls(path=path, text=text, contract_names=names, index=index)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "SourceFile":
+        p = Path(path)
+        return cls.from_text(str(p), p.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -308,29 +344,28 @@ def extract_functions(file: SourceFile) -> list[FunctionRecord]:
     """Extract every commented, body-bearing function from a source file.
 
     Deterministic and order-stable. Functions without a directly preceding
-    comment block are omitted; unbalanced sources raise MalformedSourceError.
+    comment block are omitted, and so are functions nested in another
+    function's body (Yul functions inside `assembly`); unbalanced sources
+    raise MalformedSourceError.
     """
-    raws = _scan_functions(file.text, file.path)
+    index = file.index
     lines = file.text.splitlines(keepends=True)
     offsets = [0]
     for ln in lines:
         offsets.append(offsets[-1] + len(ln))
 
-    def line_of(offset: int) -> int:
-        return file.text.count("\n", 0, offset) + 1
-
     records: list[FunctionRecord] = []
-    for raw in raws:
-        if not raw.has_body:
+    for fn in index.functions:
+        if not fn.has_body or fn.depth:
             continue
-        sig_line = line_of(raw.kw_offset)
+        sig_line = index.line_of(fn.kw_offset)
         top = _comment_block_top(lines, sig_line)
         if top == sig_line:
             continue
         comment = file.text[offsets[top - 1] : offsets[sig_line - 1]]
-        signature = file.text[raw.kw_offset : raw.body_start]
-        body = file.text[raw.body_start : raw.body_end + 1]
-        span = (top, line_of(raw.body_end))
+        signature = file.text[fn.kw_offset : fn.body_start]
+        body = file.text[fn.body_start : fn.body_end + 1]
+        span = (top, index.line_of(fn.body_end))
         records.append(
             FunctionRecord(
                 source_id=file.path,
@@ -344,8 +379,8 @@ def extract_functions(file: SourceFile) -> list[FunctionRecord]:
 
 
 def count_function_declarations(file: SourceFile) -> int:
-    """Number of body-bearing function declarations, commented or not."""
-    return sum(1 for raw in _scan_functions(file.text, file.path) if raw.has_body)
+    """Number of body-bearing, non-nested function declarations, commented or not."""
+    return sum(1 for fn in file.index.functions if fn.has_body and not fn.depth)
 
 
 def inject_verification_statement(record: FunctionRecord) -> FunctionRecord:
@@ -390,20 +425,23 @@ class FilterDecision:
 def _match_deny_list(
     signature: str, body: str, config: FilterConfig
 ) -> tuple[str, str] | None:
-    """Return (reason, detail) when the function trips the deny-list."""
-    idents = set(lex_identifiers(body))
+    """Return (reason, detail) when the function trips the deny-list.
+
+    Both texts come scrubbed.
+    """
+    idents = set(_identifiers(body))
     for mint in config.mint_identifiers:
         if mint in idents:
             return "mint", mint
-    sig_idents = set(_IDENT_RE.findall(scrub(signature)))
+    sig_idents = set(_IDENT_RE.findall(signature))
     for modifier in config.owner_modifiers:
         if modifier in sig_idents:
             return "owner-modifier", modifier
-    m = re.search(config.owner_check_pattern, scrub(body))
+    m = re.search(config.owner_check_pattern, body)
     if m:
         return "owner-check", m.group(0)
     for deny in config.deny_identifiers:
-        if deny in _IDENT_RE.findall(scrub(body)):
+        if deny in _IDENT_RE.findall(body):
             return "constructor", deny
     return None
 
@@ -419,26 +457,30 @@ def filter_state_dependent(
     references, against the deny-list. Matches report a reason so exclusion
     counts can be bucketed.
     """
-    hit = _match_deny_list(record.signature, record.body, config)
+    body = scrub(record.body)
+    hit = _match_deny_list(scrub(record.signature), body, config)
     if hit:
         return FilterDecision(keep=False, reason=hit[0], detail=hit[1])
 
-    raws = {raw.name: raw for raw in _scan_functions(file.text, file.path) if raw.has_body}
+    index = file.index
+    functions = index.by_name
     visited = {record.name}
-    frontier = [i for i in lex_identifiers(record.body) if i in raws and i not in visited]
+    frontier = [i for i in _identifiers(body) if i in functions and i not in visited]
     while frontier:
         name = frontier.pop(0)
         if name in visited:
             continue
         visited.add(name)
-        raw = raws[name]
-        signature = file.text[raw.kw_offset : raw.body_start]
-        body = file.text[raw.body_start : raw.body_end + 1]
+        fn = functions[name]
+        # Slices of the scrubbed file: a signature and a body both start and
+        # end outside any comment or string.
+        signature = index.scrubbed[fn.kw_offset : fn.body_start]
+        body = index.scrubbed[fn.body_start : fn.body_end + 1]
         hit = _match_deny_list(signature, body, config)
         if hit:
             return FilterDecision(keep=False, reason=hit[0], detail=f"via {name}: {hit[1]}")
         frontier.extend(
-            i for i in lex_identifiers(body) if i in raws and i not in visited
+            i for i in _identifiers(body) if i in functions and i not in visited
         )
     return FilterDecision(keep=True)
 

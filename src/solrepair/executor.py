@@ -17,20 +17,26 @@ import json
 import random
 import re
 import subprocess
+import threading
 import time
 import zlib
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
     FunctionRecord,
+    IndexedFunction,
     MalformedRecordError,
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
+    SourceIndex,
+    _BRACE_RE,
+    _FUNCTION_KW_RE,
     _IDENT_RE,
     _SIZED_TYPE_RE,
-    _scan_functions,
     lex_identifiers,
     scrub,
 )
@@ -164,44 +170,28 @@ def classify_error(
     return Diagnostic(kind=kind, message=message, line=line, identifier=identifier)
 
 
-def _function_map(text: str, path: str = "<source>") -> dict[str, tuple[str, str, int]]:
-    """name -> (signature, body, body_start_offset) for body-bearing functions."""
-    out: dict[str, tuple[str, str, int]] = {}
-    for raw in _scan_functions(text, path):
-        if raw.has_body:
-            out[raw.name] = (
-                text[raw.kw_offset : raw.body_start],
-                text[raw.body_start : raw.body_end + 1],
-                raw.body_start,
-            )
-    return out
-
-
 def substitute_function(
-    oracle_source: str, target: FunctionRecord, completed_body: str
+    oracle_source: str,
+    target: FunctionRecord,
+    completed_body: str,
+    index: SourceIndex | None = None,
 ) -> str:
     """Replace the target function's body in the oracle source.
 
     Everything outside the body is byte-identical to the oracle source. The
-    target is located by name within its span; a record that cannot be found
-    raises MalformedRecordError.
+    target is located by name and span in the oracle's index, which is built
+    here unless one for oracle_source is given; a record that cannot be
+    found raises MalformedRecordError.
     """
-    for raw in _scan_functions(oracle_source, target.source_id):
-        if not raw.has_body:
-            continue
-        if raw.name != target.name:
-            continue
-        body_line = oracle_source.count("\n", 0, raw.body_start) + 1
-        if not (target.span[0] <= body_line <= target.span[1]):
-            continue
-        return (
-            oracle_source[: raw.body_start]
-            + completed_body
-            + oracle_source[raw.body_end + 1 :]
+    if index is None or index.text != oracle_source:
+        index = SourceIndex(oracle_source, target.source_id)
+    index.check()
+    fn = index.find(target.name, target.span[0], target.span[1])
+    if fn is None:
+        raise MalformedRecordError(
+            f"{target.source_id}: function {target.name!r} not found within span {target.span}"
         )
-    raise MalformedRecordError(
-        f"{target.source_id}: function {target.name!r} not found within span {target.span}"
-    )
+    return oracle_source[: fn.body_start] + completed_body + oracle_source[fn.body_end + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +372,22 @@ _DECLARED_PATTERNS = (
 )
 
 
-def declared_names(text: str) -> set[str]:
-    """Identifiers a source text visibly declares (heuristic, desk scale)."""
-    scrubbed = scrub(text)
-    names: set[str] = set()
+def _declarations(scrubbed: str) -> Iterator[re.Match]:
+    """Declarations a scrubbed text visibly makes (heuristic, desk scale).
+
+    No match spans a brace, so a body's matches are the same whether it is
+    searched alone or inside its source.
+    """
     for pattern in _DECLARED_PATTERNS:
-        names.update(m.group(1) for m in re.finditer(pattern, scrubbed))
-    return names
+        yield from re.finditer(pattern, scrubbed)
 
 
-def _checkable_idents(body: str) -> list[tuple[str, int]]:
+def _declared_in(scrubbed: str) -> set[str]:
+    return {m.group(1) for m in _declarations(scrubbed)}
+
+
+def _checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
     """Identifiers needing declarations, with offsets; member access skipped."""
-    scrubbed = scrub(body)
     out = []
     for m in _IDENT_RE.finditer(scrubbed):
         ident = m.group(0)
@@ -406,8 +400,7 @@ def _checkable_idents(body: str) -> list[tuple[str, int]]:
     return out
 
 
-def _local_decl_names(body: str) -> set[str]:
-    scrubbed = scrub(body)
+def _local_decl_names(scrubbed: str) -> set[str]:
     names = set()
     pattern = (
         r"\b(?:u?int\d*|bytes\d*|bool|address|string)"
@@ -421,17 +414,171 @@ def _normalized(body: str) -> str:
     return " ".join(body.split())
 
 
-def modified_function(
-    oracle_source: str, completed_source: str
-) -> list[str]:
-    """Names of functions whose bodies differ between the two sources."""
-    oracle = _function_map(oracle_source)
-    completed = _function_map(completed_source)
-    names = []
-    for name, (_, body, _) in completed.items():
-        if name not in oracle or oracle[name][1] != body:
-            names.append(name)
-    return names
+class _Body(NamedTuple):
+    """One top-level function as verify compares it."""
+
+    name: str
+    signature: str
+    text: str  # the body, braces included
+    scrubbed: str  # the body with comments and strings blanked
+    start: int  # offset of the body's '{' in its source
+
+
+def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
+    text, scrubbed = index.text, index.scrubbed
+    return _Body(
+        fn.name,
+        text[fn.kw_offset : fn.body_start],
+        text[fn.body_start : fn.body_end + 1],
+        scrubbed[fn.body_start : fn.body_end + 1],
+        fn.body_start,
+    )
+
+
+def _top_level(index: SourceIndex) -> list[IndexedFunction]:
+    """Body-bearing functions outside any other function's body, in source order."""
+    return [fn for fn in index.functions if fn.has_body and not fn.depth]
+
+
+def _well_nested(functions: Sequence[IndexedFunction]) -> bool:
+    """True when every declaration lies strictly inside another's body or
+    apart from all the others, so that one body can be swapped without
+    changing how the rest of the source parses."""
+    around: list[IndexedFunction] = []
+    for fn in functions:
+        while around and around[-1].end < fn.kw_offset:
+            around.pop()
+        if around:
+            outer = around[-1]
+            if not (outer.has_body and outer.body_start < fn.kw_offset and fn.end < outer.body_end):
+                return False
+        around.append(fn)
+    return True
+
+
+@dataclass(frozen=True)
+class _SplicedNames:
+    """Names a spliced source declares: the oracle's, less those declared
+    only in the replaced body, plus those the new body declares."""
+
+    oracle: Counter
+    old_body: Counter
+    new_body: set[str]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.new_body or self.oracle[name] > self.old_body[name]
+
+
+@dataclass(frozen=True)
+class _Change:
+    """The top-level functions a completed source changes, aligned with the
+    oracle's by location, and the names the completed source declares."""
+
+    old: tuple[_Body, ...]
+    new: tuple[_Body, ...]
+    declared: Container[str]
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix; compares in C, copies O(len)."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _is_single_block(scrubbed: str) -> bool:
+    """True when the text is one balanced {...}: its first brace opens at
+    offset 0 and closes on the last character."""
+    if not (scrubbed.startswith("{") and scrubbed.endswith("}")):
+        return False
+    depth = 0
+    for m in _BRACE_RE.finditer(scrubbed):
+        depth += 1 if m.group() == "{" else -1
+        if depth == 0:
+            return m.start() == len(scrubbed) - 1
+    return False
+
+
+def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
+    """Index the whole completed source and align its top-level functions
+    with the oracle's in source order.
+
+    Raises MalformedSourceError when the completed source is unbalanced.
+    """
+    completed = SourceIndex(completed_source, "<completed>")
+    old = [_body(oracle, fn) for fn in _top_level(oracle)]
+    new = [_body(completed, fn) for fn in _top_level(completed)]
+
+    def same(a: _Body, b: _Body) -> bool:
+        return (a.name, a.signature, a.text) == (b.name, b.signature, b.text)
+
+    shorter = min(len(old), len(new))
+    head = 0
+    while head < shorter and same(old[head], new[head]):
+        head += 1
+    tail = 0
+    while tail < shorter - head and same(old[-1 - tail], new[-1 - tail]):
+        tail += 1
+    return _Change(
+        tuple(old[head : len(old) - tail]),
+        tuple(new[head : len(new) - tail]),
+        _declared_in(completed.scrubbed),
+    )
+
+
+class _Oracle:
+    """One oracle text as verify sees it: its index, the top-level functions
+    whose bodies a splice may replace, and the names it declares.
+
+    Raises MalformedSourceError when the text is unbalanced.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.index = SourceIndex(text)
+        top = _top_level(self.index)
+        # In a well-nested source, top-level bodies come in offset order.
+        self._spliceable = top if _well_nested(self.index.functions) else []
+        self._starts = [fn.body_start for fn in self._spliceable]
+        self._declared = Counter(m.group(1) for m in _declarations(self.index.scrubbed))
+
+    def splice(self, completed_source: str) -> _Change | None:
+        """The change, found by scanning only the new body, when
+        completed_source is the oracle with one top-level body replaced by
+        a self-contained one: a single balanced {...} that ends outside any
+        comment or string and declares no function. Otherwise None, and only
+        a whole-source parse can tell.
+        """
+        text = self.index.text
+        prefix = _common_prefix(text, completed_source)
+        i = bisect_right(self._starts, prefix) - 1
+        if i < 0:
+            return None
+        fn = self._spliceable[i]
+        end = fn.body_end + 1
+        new_end = len(completed_source) - (len(text) - end)
+        if prefix >= end or new_end <= fn.body_start or not completed_source.endswith(text[end:]):
+            return None
+        new_text = completed_source[fn.body_start : new_end]
+        scrubbed = scrub(new_text)
+        if not _is_single_block(scrubbed) or _FUNCTION_KW_RE.search(scrubbed):
+            return None
+        old = _body(self.index, fn)
+        names = _SplicedNames(
+            self._declared,
+            Counter(m.group(1) for m in _declarations(old.scrubbed)),
+            _declared_in(scrubbed),
+        )
+        return _Change((old,), (old._replace(text=new_text, scrubbed=scrubbed),), names)
+
+    def change(self, completed_source: str) -> _Change:
+        """What completed_source changes; raises MalformedSourceError when it
+        is unbalanced."""
+        return self.splice(completed_source) or _whole_source_change(self.index, completed_source)
 
 
 class ScriptedDifferentialBackend:
@@ -442,6 +589,11 @@ class ScriptedDifferentialBackend:
     whitespace-insensitive text comparison. A lightweight declaration check
     models the compiler: identifiers used by a modified body and declared
     nowhere in the source produce a compile_error verdict.
+
+    Functions are compared by location, so overloads never stand in for
+    each other, and a function nested in another's body counts as part of
+    that body. The backend indexes each oracle text once, on first use, and
+    keeps the index for its own lifetime.
     """
 
     name = "mock-diff"
@@ -455,6 +607,8 @@ class ScriptedDifferentialBackend:
         if declared != MOCK_EXECUTOR_SCHEMA:
             raise ValueError(f"unsupported executor fixture schema {declared!r}")
         self.seed = seed
+        self._oracles: dict[str, _Oracle] = {}
+        self._lock = threading.Lock()
 
     def _verdict(
         self, t0: float, status: str, diagnostics: Iterable[Diagnostic] = ()
@@ -468,34 +622,48 @@ class ScriptedDifferentialBackend:
             backend_seed=self.seed,
         )
 
+    def _oracle(self, text: str) -> _Oracle:
+        with self._lock:
+            oracle = self._oracles.get(text)
+            if oracle is None:
+                oracle = self._oracles[text] = _Oracle(text)
+            return oracle
+
     def verify(
         self, oracle_source: str, completed_source: str, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
         try:
-            oracle_fns = _function_map(oracle_source)
-            completed_fns = _function_map(completed_source, "<completed>")
+            oracle = self._oracle(oracle_source)
+            if completed_source == oracle_source:
+                return self._verdict(t0, STATUS_PASS)
+            change = oracle.change(completed_source)
         except MalformedSourceError as exc:
             return self._verdict(
                 t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))]
             )
 
-        modified = [
-            name
-            for name, (_, body, _) in completed_fns.items()
-            if name not in oracle_fns or oracle_fns[name][1] != body
-        ]
-        if not modified:
-            return self._verdict(t0, STATUS_PASS)
+        if not change.new:
+            if not change.old:
+                return self._verdict(t0, STATUS_PASS)
+            return self._verdict(
+                t0,
+                STATUS_FUNCTIONAL_MISMATCH,
+                [
+                    Diagnostic(
+                        "Other",
+                        "oracle functions missing from the completed source: "
+                        f"{sorted(b.name for b in change.old)}",
+                    )
+                ],
+            )
 
-        declared = declared_names(completed_source)
-        for name in modified:
-            signature, body, _ = completed_fns[name]
-            local = set(_param_names(signature)) | _local_decl_names(body) | {name}
-            for ident, offset in _checkable_idents(body):
-                if ident in declared or ident in local:
+        for body in change.new:
+            local = set(_param_names(body.signature)) | _local_decl_names(body.scrubbed) | {body.name}
+            for ident, offset in _checkable_idents(body.scrubbed):
+                if ident in change.declared or ident in local:
                     continue
-                line = body.count("\n", 0, offset) + 1
+                line = body.text.count("\n", 0, offset) + 1
                 return self._verdict(
                     t0,
                     STATUS_COMPILE_ERROR,
@@ -509,21 +677,26 @@ class ScriptedDifferentialBackend:
                     ],
                 )
 
-        if len(modified) > 1:
+        if len(change.new) > 1:
             return self._verdict(
                 t0,
                 STATUS_FUNCTIONAL_MISMATCH,
-                [Diagnostic("Other", f"multiple functions differ from oracle: {sorted(modified)}")],
+                [
+                    Diagnostic(
+                        "Other",
+                        f"multiple functions differ from oracle: {sorted(b.name for b in change.new)}",
+                    )
+                ],
             )
-        name = modified[0]
-        if name not in oracle_fns:
+        name = change.new[0].name
+        if len(change.old) != 1 or change.old[0].name != name:
             return self._verdict(
                 t0,
                 STATUS_FUNCTIONAL_MISMATCH,
                 [Diagnostic("Other", f"function {name!r} has no oracle counterpart")],
             )
-        signature, oracle_body, _ = oracle_fns[name]
-        _, completed_body, _ = completed_fns[name]
+        signature, oracle_body = change.old[0].signature, change.old[0].text
+        completed_body = change.new[0].text
 
         table = self.fixture.get("functions", {}).get(target_function_id)
         oracle_steps = interpret_body(oracle_body)
@@ -696,14 +869,14 @@ class SolcCompileBackend:
         if diagnostic.line is None:
             return diagnostic
         try:
-            names = modified_function(oracle_source, completed_source)
-            if len(names) != 1:
-                return diagnostic
-            _, body, body_start = _function_map(completed_source)[names[0]]
-        except (MalformedSourceError, KeyError):
+            change = _Oracle(oracle_source).change(completed_source)
+        except MalformedSourceError:
             return diagnostic
-        body_line = completed_source.count("\n", 0, body_start) + 1
-        body_end_line = body_line + body.count("\n")
+        if len(change.new) != 1:
+            return diagnostic
+        body = change.new[0]
+        body_line = completed_source.count("\n", 0, body.start) + 1
+        body_end_line = body_line + body.text.count("\n")
         if body_line <= diagnostic.line <= body_end_line:
             return replace(diagnostic, line=diagnostic.line - body_line + 1)
         return diagnostic

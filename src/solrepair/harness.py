@@ -228,6 +228,7 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
                 record=record,
                 context=window,
                 oracle_source=file.text,
+                oracle_index=file.index,
             )
         )
     return tasks

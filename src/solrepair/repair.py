@@ -15,13 +15,19 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 from .context import DEFAULT_COUNTER, ContextWindow, TokenCounter
-from .corpus import FunctionRecord, MalformedRecordError, MalformedSourceError, scrub
+from .corpus import (
+    FunctionRecord,
+    MalformedRecordError,
+    MalformedSourceError,
+    SourceIndex,
+    scrub,
+)
 from .executor import (
     Diagnostic,
     ExecutionVerdict,
@@ -262,12 +268,21 @@ def feedback_block(verdict: ExecutionVerdict) -> str:
 
 @dataclass(frozen=True)
 class CompletionTask:
-    """Everything needed to complete and verify one function."""
+    """Everything needed to complete and verify one function.
+
+    oracle_index is the index of oracle_source, built here unless given.
+    """
 
     task_id: str
     record: FunctionRecord
     context: ContextWindow
     oracle_source: str
+    oracle_index: SourceIndex = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.oracle_index is None:
+            index = SourceIndex(self.oracle_source, self.record.source_id)
+            object.__setattr__(self, "oracle_index", index)
 
 
 def build_completion_prompt(task: CompletionTask) -> str:
@@ -460,7 +475,9 @@ def build_repair_prompt(
 
 def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
     try:
-        completed_source = substitute_function(task.oracle_source, task.record, body)
+        completed_source = substitute_function(
+            task.oracle_source, task.record, body, task.oracle_index
+        )
     except (MalformedSourceError, MalformedRecordError) as exc:
         return ExecutionVerdict(
             status=STATUS_COMPILE_ERROR,

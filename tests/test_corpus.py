@@ -14,6 +14,7 @@ from solrepair.corpus import (
     FunctionRecord,
     MalformedSourceError,
     SourceFile,
+    SourceIndex,
     build_corpus,
     check_balanced,
     count_function_declarations,
@@ -88,6 +89,66 @@ class TestScrub:
         check_balanced('contract C { function f() public { s = "}"; } }')
 
 
+def reference_scrub(text: str) -> str:
+    """The per-character scrub that the regex tokenizer replaced."""
+    out = list(text)
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if ch == "/" and nxt == "/":
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            for k in range(i, j):
+                out[k] = " "
+            i = j
+        elif ch == "/" and nxt == "*":
+            j = text.find("*/", i + 2)
+            j = n if j == -1 else j + 2
+            for k in range(i, j):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = j
+        elif ch in "\"'":
+            j = i + 1
+            while j < n and text[j] != ch:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            for k in range(i, j):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = j
+        else:
+            i += 1
+    return "".join(out)
+
+
+SCRUB_ALPHABET = st.sampled_from(
+    ["/", "*", "//", "/*", "*/", '"', "'", "\\", "\n", "{", "}", "a", " ", "\t", "\u00e9", "\r"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(SCRUB_ALPHABET, max_size=40).map("".join))
+def test_property_scrub_matches_reference(text):
+    """The regex tokenizer blanks exactly what the per-character loop did,
+    unterminated comments and strings and a trailing backslash included."""
+    cleaned = scrub(text)
+    assert cleaned == reference_scrub(text)
+    assert len(cleaned) == len(text)
+    assert [i for i, ch in enumerate(cleaned) if ch == "\n"] == [
+        i for i, ch in enumerate(text) if ch == "\n"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['x "abc', "x 'a\\", "/* open\n{", "// tail", 'a "b\\"c" d', "/*/ x */ y", "s = '\\'; t"],
+)
+def test_scrub_edge_cases_match_reference(text):
+    assert scrub(text) == reference_scrub(text)
+
+
 class TestBalance:
     def test_unmatched_open_names_position(self):
         src = "contract C {\n    function f() public { }\n"
@@ -103,6 +164,12 @@ class TestBalance:
             check_balanced("contract C { }\n}\n", "bad.sol")
         assert "line 2" in str(exc.value)
         assert "'}'" in str(exc.value)
+
+    def test_index_defers_the_error_to_its_functions(self):
+        index = SourceIndex("contract C {\n", "bad.sol")
+        assert index.error == "bad.sol: unmatched '{' at line 1, column 12"
+        with pytest.raises(MalformedSourceError, match="column 12"):
+            index.functions
 
     def test_extraction_raises_on_unbalanced(self):
         file = SourceFile.from_text("bad.sol", "contract C {\n /// d\n function f() public {\n")
@@ -132,6 +199,24 @@ class TestExtraction:
         file = SourceFile.from_text("i.sol", src)
         assert count_function_declarations(file) == 0
         assert extract_functions(file) == []
+
+    def test_nested_yul_function_skipped(self):
+        src = (
+            "contract C {\n"
+            "    /// Doubles y.\n"
+            "    function outer(uint256 y) public pure returns (uint256 r) {\n"
+            "        assembly {\n"
+            "            /// Yul helper.\n"
+            "            function helper(v) -> z { z := add(v, v) }\n"
+            "            r := helper(y)\n"
+            "        }\n"
+            "    }\n"
+            "}\n"
+        )
+        file = SourceFile.from_text("c.sol", src)
+        assert [r.name for r in extract_functions(file)] == ["outer"]
+        assert count_function_declarations(file) == 1
+        assert [(fn.name, fn.depth) for fn in file.index.functions] == [("outer", 0), ("helper", 1)]
 
     def test_unnamed_functions_skipped(self):
         src = "contract C {\n    /// doc\n    fallback() external {}\n}\n"

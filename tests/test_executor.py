@@ -5,8 +5,13 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solrepair.corpus import (
     MalformedRecordError,
@@ -29,6 +34,7 @@ from solrepair.executor import (
     queries_for_method,
     substitute_function,
 )
+from solrepair.executor import _Oracle
 from solrepair.retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
 
 ORACLE = """pragma solidity ^0.8.0;
@@ -313,6 +319,189 @@ class TestScriptedBackend:
     def test_foreign_fixture_schema_rejected(self):
         with pytest.raises(ValueError, match="unsupported executor fixture schema"):
             ScriptedDifferentialBackend(fixture={"schema": "mock-executor@9"})
+
+
+OVERLOADS = """contract O {
+    /// One argument.
+    function f(uint256 a) public pure returns (uint256) {
+        return a;
+    }
+
+    /// Two arguments.
+    function f(uint256 a, uint256 b) public pure returns (uint256) {
+        return a + b;
+    }
+}
+"""
+F1, F2 = extract_functions(SourceFile.from_text("o.sol", OVERLOADS))
+
+NESTED = """contract N {
+    /// Doubles y.
+    function outer(uint256 y) public pure returns (uint256 r) {
+        assembly {
+            function helper(y) -> r { r := y }
+            r := helper(y)
+        }
+    }
+}
+"""
+(OUTER,) = extract_functions(SourceFile.from_text("n.sol", NESTED))
+
+
+class TestLocationKeyed:
+    def test_overload_wrong_body_is_mismatch(self):
+        completed = substitute_function(OVERLOADS, F1, "{ return 12345; }")
+        v = ScriptedDifferentialBackend().verify(OVERLOADS, completed, F1.task_id())
+        assert v.status == "functional_mismatch"
+        assert "output mismatch" in v.diagnostics[0].message
+
+    def test_overload_equivalent_body_passes(self):
+        for record, body in ((F1, "{ return a * 1; }"), (F2, "{ return b + a; }")):
+            completed = substitute_function(OVERLOADS, record, body)
+            v = ScriptedDifferentialBackend().verify(OVERLOADS, completed, record.task_id())
+            assert v.status == "pass"
+
+    def test_rebase_with_overloads(self):
+        completed = substitute_function(OVERLOADS, F1, "{\n        return helperX(a);\n    }")
+        body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
+        diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
+        assert SolcCompileBackend._rebase(diag, OVERLOADS, completed).line == 2
+
+    def test_nested_function_is_part_of_its_parent(self):
+        backend = ScriptedDifferentialBackend()
+        changed = substitute_function(NESTED, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
+        v = backend.verify(NESTED, changed, OUTER.task_id())
+        assert v.status == "functional_mismatch"
+        assert "cannot be evaluated" in v.diagnostics[0].message
+        reformatted = substitute_function(NESTED, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
+        assert backend.verify(NESTED, reformatted, OUTER.task_id()).status == "pass"
+
+    def test_dropped_or_added_function_is_mismatch(self):
+        backend = ScriptedDifferentialBackend()
+        avg_text = AVG.comment + "    " + AVG.signature + AVG.body + "\n\n"
+        dropped = ORACLE.replace(avg_text, "")
+        v = backend.verify(ORACLE, dropped, ADD.task_id())
+        assert v.status == "functional_mismatch"
+        assert v.diagnostics[0].message == "oracle functions missing from the completed source: ['avg']"
+        added = ORACLE.replace(avg_text, avg_text + "    function extra() public pure { }\n\n")
+        v = backend.verify(ORACLE, added, ADD.task_id())
+        assert v.status == "functional_mismatch"
+        assert v.diagnostics[0].message == "function 'extra' has no oracle counterpart"
+
+    def test_straddling_declaration_forces_whole_source_parse(self):
+        # g's unterminated header runs across f's body, so a new body for f
+        # can change how g parses: only a whole-source parse is exact.
+        oracle = (
+            "contract S {\n"
+            "    function g(uint256 a\n"
+            "    /// d\n"
+            "    function f(uint256 a, uint256 b) public pure returns (uint256) { return a + b; }\n"
+            "    ;\n"
+            "}\n"
+        )
+        (f,) = extract_functions(SourceFile.from_text("s.sol", oracle))
+        completed = substitute_function(oracle, f, "{ ) { } }")
+        assert _Oracle(oracle).splice(completed) is None
+        v = ScriptedDifferentialBackend().verify(oracle, completed, f.task_id())
+        assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
+
+    def test_self_contained_bodies_take_the_body_only_path(self):
+        oracle = _Oracle(ORACLE)
+        assert oracle.splice(completed_with(ADD, "{ return b + a; }")) is not None
+        for body in ("{ return 1; } // x", "{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }"):
+            assert oracle.splice(completed_with(ADD, body)) is None, body
+
+
+def test_oracle_cache_shared_across_threads():
+    """Workers share one backend: each oracle is indexed once, and every
+    verdict equals the one a fresh backend gives."""
+    jobs = [
+        (ORACLE, ADD, "{ return b + a; }"),
+        (ORACLE, AVG, "{ return a - b; }"),
+        (OVERLOADS, F1, "{ return 12345; }"),
+        (OVERLOADS, F2, "{ return helperX(a); }"),
+        (NESTED, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }")),
+    ] * 40
+
+    def run(backend, job):
+        oracle, record, body = job
+        verdict = backend.verify(oracle, substitute_function(oracle, record, body), record.task_id())
+        return verdict.status, verdict.diagnostics
+
+    expected = [run(ScriptedDifferentialBackend(), job) for job in jobs]
+    backend = ScriptedDifferentialBackend()
+    built: list[str] = []
+    real_init = _Oracle.__init__
+
+    def counting_init(self, text):
+        built.append(text)
+        real_init(self, text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(_Oracle, "__init__", counting_init):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == sorted({ORACLE, OVERLOADS, NESTED})
+    assert got == expected
+
+
+def verify_both_ways(oracle: str, completed: str, task_id: str) -> tuple[ExecutionVerdict, ExecutionVerdict]:
+    """The verdict from the body-only path, where it applies, and the verdict
+    from indexing the whole completed source."""
+    body_only = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
+    with mock.patch.object(_Oracle, "splice", return_value=None):
+        whole = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
+    return body_only, whole
+
+
+BODY_PARTS = st.sampled_from(
+    [
+        "{", "}", "/*", "*/", "//", "\n", '"', "'", "\\", " ", ";", "(", ")",
+        "return a + b;", "return b + a;", "return 12345;", "uint256 t = a;", "return t;", "return s;", "acc",
+        "helperX(a)", "avg(a, b)", "msg.sender", "function", "function g() public {}",
+        "assembly { function h(x) -> y { y := x } }",
+    ]
+)
+TARGETS = ((ORACLE, ADD), (ORACLE, AVG), (ORACLE, LOOP), (OVERLOADS, F1), (OVERLOADS, F2), (NESTED, OUTER))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(BODY_PARTS, max_size=10),
+    wrap=st.booleans(),
+    target=st.sampled_from(TARGETS),
+)
+def test_property_body_only_verify_matches_whole_source(parts, wrap, target):
+    oracle, record = target
+    body = "".join(parts)
+    if wrap:
+        body = "{ " + body + " }"
+    completed = substitute_function(oracle, record, body)
+    body_only, whole = verify_both_ways(oracle, completed, record.task_id())
+    assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+
+
+FIXTURE_SOURCES = sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol"))
+
+
+@pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
+def test_fixture_records_splice_back_exactly(path):
+    file = SourceFile.load(path)
+    backend = ScriptedDifferentialBackend()
+    records = extract_functions(file)
+    assert records
+    for record in records:
+        completed = substitute_function(file.text, record, record.body, file.index)
+        assert completed == file.text
+        assert backend.verify(file.text, completed, record.task_id()).status == "pass"
+        reindented = substitute_function(file.text, record, "{ " + record.body[1:].replace("\n", "\n  "))
+        assert backend._oracle(file.text).splice(reindented) is not None
+        body_only, whole = verify_both_ways(file.text, reindented, record.task_id())
+        assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
 
 class TestSolcBackend:
