@@ -92,18 +92,19 @@ def build_context(
     """
     if budget < 0:
         raise ValueError(f"context budget must be non-negative, got {budget}")
-    total_lines = file.text.count("\n") + (0 if file.text.endswith("\n") or not file.text else 1)
+    text = file.text
+    # Lines end at "\n" only, as spans do; a final newline ends the last line.
+    line_starts = file.index.line_starts
+    total_lines = len(line_starts) - (text.endswith("\n") or not text)
     if target.span[0] < 1 or target.span[1] > max(1, total_lines):
         raise ValueError(
             f"target span {target.span} outside {file.path} ({total_lines} lines)"
         )
 
-    lines = file.text.splitlines(keepends=True)
-    preceding = "".join(lines[: target.span[0] - 1])
-
-    starts = [0]
-    for line in preceding.splitlines(keepends=True):
-        starts.append(starts[-1] + len(line))
+    # The starts of the lines before the target, then the target's own start,
+    # where the empty suffix begins.
+    starts = line_starts[: target.span[0]]
+    preceding = text[: starts[-1]]
 
     # count(suffix) shrinks as the start moves right (monotone counters), so
     # the first start index whose suffix fits can be found by bisection.
@@ -114,5 +115,5 @@ def build_context(
             hi = mid
         else:
             lo = mid + 1
-    text = preceding[starts[lo] :]
-    return ContextWindow(text=text, budget=budget, actual_tokens=counter.count(text))
+    window = preceding[starts[lo] :]
+    return ContextWindow(text=window, budget=budget, actual_tokens=counter.count(window))

@@ -305,17 +305,22 @@ class FunctionRecord:
         return f"{self.source_id}#L{self.span[0]}-{self.span[1]}"
 
 
-def _comment_block_top(lines: list[str], sig_line: int) -> int:
+def _comment_block_top(index: SourceIndex, sig_line: int) -> int:
     """First line of the comment block directly above sig_line, else sig_line.
 
     A block is a maximal run of `//`/`///` lines or a `/* .. */` block with
     no blank line between it and the signature. Anything else (blank line,
-    code) terminates the walk upward.
+    code) terminates the walk upward. Lines end at "\n" only, as spans do.
     """
+    text, starts = index.text, index.line_starts
+
+    def line(n: int) -> str:  # 1-based, above sig_line
+        return text[starts[n - 1] : starts[n]]
+
     top = sig_line
     i = sig_line - 1
     while i >= 1:
-        stripped = lines[i - 1].strip()
+        stripped = line(i).strip()
         if not stripped:
             break
         if stripped.startswith("//"):
@@ -325,14 +330,14 @@ def _comment_block_top(lines: list[str], sig_line: int) -> int:
         if stripped.endswith("*/"):
             j = i
             while j >= 1:
-                lead = lines[j - 1].lstrip()
+                lead = line(j).lstrip()
                 if lead.startswith("/*"):
                     break
                 if not lead:
                     j = 0
                     break
                 j -= 1
-            if j >= 1 and lines[j - 1].lstrip().startswith("/*"):
+            if j >= 1 and line(j).lstrip().startswith("/*"):
                 top = j
                 i = j - 1
                 continue
@@ -349,20 +354,15 @@ def extract_functions(file: SourceFile) -> list[FunctionRecord]:
     raise MalformedSourceError.
     """
     index = file.index
-    lines = file.text.splitlines(keepends=True)
-    offsets = [0]
-    for ln in lines:
-        offsets.append(offsets[-1] + len(ln))
-
     records: list[FunctionRecord] = []
     for fn in index.functions:
         if not fn.has_body or fn.depth:
             continue
         sig_line = index.line_of(fn.kw_offset)
-        top = _comment_block_top(lines, sig_line)
+        top = _comment_block_top(index, sig_line)
         if top == sig_line:
             continue
-        comment = file.text[offsets[top - 1] : offsets[sig_line - 1]]
+        comment = file.text[index.line_starts[top - 1] : index.line_starts[sig_line - 1]]
         signature = file.text[fn.kw_offset : fn.body_start]
         body = file.text[fn.body_start : fn.body_end + 1]
         span = (top, index.line_of(fn.body_end))

@@ -297,14 +297,27 @@ def _eval_node(node: ast.AST, env: dict) -> int | bool:
     raise _EvalError(f"unsupported expression node {type(node).__name__}")
 
 
-def _eval_expr(expr: str, env: dict) -> int | bool:
+# CPython 3.11's ast.parse is not safe to call from several threads at once:
+# if another thread parses while a finalizer, run by a garbage collection
+# during the conversion to Python objects, holds the interpreter, the
+# conversion fails with SystemError "AST constructor recursion depth
+# mismatch". Workers sharing a backend parse one at a time.
+_PARSE_LOCK = threading.Lock()
+
+
+def _compile_expr(expr: str) -> ast.expr | Exception:
+    """The expression's tree, or the exception evaluating it must raise."""
     # Operator translation can leave leading whitespace, which eval-mode
     # parsing treats as an indent error.
     try:
-        tree = ast.parse(_translate_expr(expr).strip(), mode="eval")
+        with _PARSE_LOCK:
+            return ast.parse(_translate_expr(expr).strip(), mode="eval").body
     except SyntaxError as exc:
-        raise _EvalError(f"cannot parse expression {expr!r}: {exc}") from exc
-    return _eval_node(tree.body, env)
+        return _EvalError(f"cannot parse expression {expr!r}: {exc}")
+    except (MemoryError, RecursionError) as exc:
+        # Nesting beyond the parser's limits: raised where evaluation
+        # reaches the statement, as it was when each case parsed it.
+        return exc
 
 
 _DECL_STMT_RE = re.compile(
@@ -313,33 +326,48 @@ _DECL_STMT_RE = re.compile(
 _RETURN_STMT_RE = re.compile(r"^return\s+(.+)$", re.S)
 
 
-def interpret_body(body: str) -> list[tuple] | None:
-    """Parse a body into (kind, ...) steps, or None when uninterpretable."""
+class _Step(NamedTuple):
+    """One statement: a declaration of `name`, or `return` when name is None.
+
+    expr is the parsed expression, None for a declaration without an
+    initializer (value 0), or the exception its parse raised, which is
+    raised again each time evaluation reaches the step.
+    """
+
+    name: str | None
+    expr: ast.expr | Exception | None
+
+
+def interpret_body(body: str) -> list[_Step] | None:
+    """Parse a body into steps, each expression once, or None when
+    uninterpretable."""
     inner = body.strip()
     if not (inner.startswith("{") and inner.endswith("}")):
         return None
     statements = [s.strip() for s in inner[1:-1].split(";") if s.strip()]
-    steps: list[tuple] = []
+    parsed: list[tuple[str | None, str | None]] = []
     for stmt in statements:
         decl = _DECL_STMT_RE.match(stmt)
         if decl:
-            steps.append(("let", decl.group(1), decl.group(2)))
+            parsed.append((decl.group(1), decl.group(2)))
             continue
         ret = _RETURN_STMT_RE.match(stmt)
         if ret:
-            steps.append(("return", ret.group(1)))
+            parsed.append((None, ret.group(1)))
             continue
         return None
-    return steps
+    return [_Step(name, None if expr is None else _compile_expr(expr)) for name, expr in parsed]
 
 
-def evaluate_body(steps: list[tuple], inputs: dict) -> int | bool | None:
+def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
-    for step in steps:
-        if step[0] == "let":
-            env[step[1]] = _eval_expr(step[2], env) if step[2] is not None else 0
-        else:
-            return _eval_expr(step[1], env)
+    for name, expr in steps:
+        if isinstance(expr, Exception):
+            raise type(expr)(*expr.args)
+        value = 0 if expr is None else _eval_node(expr, env)
+        if name is None:
+            return value
+        env[name] = value
     return None
 
 
@@ -362,13 +390,20 @@ def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8)
     return [{p: rng.randrange(1, 100) for p in param_names} for _ in range(count)]
 
 
-_DECLARED_PATTERNS = (
-    r"\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)",
-    r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)",
-    r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
-    r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
-    r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)",
-    r"\)\s*(?:public\s+|private\s+|internal\s+)*([A-Za-z_$][A-Za-z0-9_$]*)\s*;",
+_DECLARED_RES = tuple(
+    re.compile(pattern)
+    for pattern in (
+        r"\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)",
+        r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)",
+        r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
+        r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
+        r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)",
+        r"\)\s*(?:public\s+|private\s+|internal\s+)*([A-Za-z_$][A-Za-z0-9_$]*)\s*;",
+    )
+)
+_LOCAL_DECL_RE = re.compile(
+    r"\b(?:u?int\d*|bytes\d*|bool|address|string)"
+    r"(?:\s+memory|\s+storage|\s+calldata)?\s+([A-Za-z_$][A-Za-z0-9_$]*)"
 )
 
 
@@ -378,8 +413,8 @@ def _declarations(scrubbed: str) -> Iterator[re.Match]:
     No match spans a brace, so a body's matches are the same whether it is
     searched alone or inside its source.
     """
-    for pattern in _DECLARED_PATTERNS:
-        yield from re.finditer(pattern, scrubbed)
+    for pattern in _DECLARED_RES:
+        yield from pattern.finditer(scrubbed)
 
 
 def _declared_in(scrubbed: str) -> set[str]:
@@ -393,21 +428,17 @@ def _checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
         ident = m.group(0)
         if ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
             continue
-        before = scrubbed[: m.start()].rstrip()
-        if before.endswith("."):
+        before = m.start() - 1
+        while before >= 0 and scrubbed[before].isspace():
+            before -= 1
+        if before >= 0 and scrubbed[before] == ".":
             continue
         out.append((ident, m.start()))
     return out
 
 
 def _local_decl_names(scrubbed: str) -> set[str]:
-    names = set()
-    pattern = (
-        r"\b(?:u?int\d*|bytes\d*|bool|address|string)"
-        r"(?:\s+memory|\s+storage|\s+calldata)?\s+([A-Za-z_$][A-Za-z0-9_$]*)"
-    )
-    names.update(m.group(1) for m in re.finditer(pattern, scrubbed))
-    return names
+    return {m.group(1) for m in _LOCAL_DECL_RE.finditer(scrubbed)}
 
 
 def _normalized(body: str) -> str:
@@ -531,15 +562,23 @@ def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
     )
 
 
+def _usable_index(text: str, index: SourceIndex | None) -> SourceIndex:
+    """index when it is a balanced index of text; otherwise a new index of
+    text, whose errors name `<source>` as verify has always reported them."""
+    if index is not None and index.error is None and index.text == text:
+        return index
+    return SourceIndex(text)
+
+
 class _Oracle:
     """One oracle text as verify sees it: its index, the top-level functions
     whose bodies a splice may replace, and the names it declares.
 
-    Raises MalformedSourceError when the text is unbalanced.
+    Raises MalformedSourceError when the index is unbalanced.
     """
 
-    def __init__(self, text: str) -> None:
-        self.index = SourceIndex(text)
+    def __init__(self, index: SourceIndex) -> None:
+        self.index = index
         top = _top_level(self.index)
         # In a well-nested source, top-level bodies come in offset order.
         self._spliceable = top if _well_nested(self.index.functions) else []
@@ -592,8 +631,9 @@ class ScriptedDifferentialBackend:
 
     Functions are compared by location, so overloads never stand in for
     each other, and a function nested in another's body counts as part of
-    that body. The backend indexes each oracle text once, on first use, and
-    keeps the index for its own lifetime.
+    that body. The backend prepares each oracle text once, on first use, from
+    the index verify is handed (indexing the text itself only when none
+    fits), and keeps it for its own lifetime.
     """
 
     name = "mock-diff"
@@ -622,19 +662,23 @@ class ScriptedDifferentialBackend:
             backend_seed=self.seed,
         )
 
-    def _oracle(self, text: str) -> _Oracle:
+    def _oracle(self, text: str, index: SourceIndex | None = None) -> _Oracle:
         with self._lock:
             oracle = self._oracles.get(text)
             if oracle is None:
-                oracle = self._oracles[text] = _Oracle(text)
+                oracle = self._oracles[text] = _Oracle(_usable_index(text, index))
             return oracle
 
     def verify(
-        self, oracle_source: str, completed_source: str, target_function_id: str
+        self,
+        oracle_source: str,
+        completed_source: str,
+        target_function_id: str,
+        oracle_index: SourceIndex | None = None,
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
         try:
-            oracle = self._oracle(oracle_source)
+            oracle = self._oracle(oracle_source, oracle_index)
             if completed_source == oracle_source:
                 return self._verdict(t0, STATUS_PASS)
             change = oracle.change(completed_source)
@@ -699,8 +743,10 @@ class ScriptedDifferentialBackend:
         completed_body = change.new[0].text
 
         table = self.fixture.get("functions", {}).get(target_function_id)
-        oracle_steps = interpret_body(oracle_body)
         completed_steps = interpret_body(completed_body)
+        oracle_steps = None
+        if completed_steps is not None and table is None:
+            oracle_steps = interpret_body(oracle_body)
         if completed_steps is None or (oracle_steps is None and table is None):
             if _normalized(oracle_body) == _normalized(completed_body):
                 return self._verdict(t0, STATUS_PASS)
@@ -851,35 +897,46 @@ class SolcCompileBackend:
         )
 
     def verify(
-        self, oracle_source: str, completed_source: str, target_function_id: str
+        self,
+        oracle_source: str,
+        completed_source: str,
+        target_function_id: str,
+        oracle_index: SourceIndex | None = None,
     ) -> ExecutionVerdict:
         verdict = self.compile(completed_source)
         if verdict.status != STATUS_COMPILE_ERROR:
             return verdict
-        rebased = tuple(
-            self._rebase(d, oracle_source, completed_source) for d in verdict.diagnostics
-        )
+        rebased = self._rebase(verdict.diagnostics, oracle_source, completed_source, oracle_index)
         return replace(verdict, diagnostics=rebased)
 
     @staticmethod
     def _rebase(
-        diagnostic: Diagnostic, oracle_source: str, completed_source: str
-    ) -> Diagnostic:
-        """Rebase an absolute source line onto the modified function's body."""
-        if diagnostic.line is None:
-            return diagnostic
+        diagnostics: Sequence[Diagnostic],
+        oracle_source: str,
+        completed_source: str,
+        oracle_index: SourceIndex | None = None,
+    ) -> tuple[Diagnostic, ...]:
+        """Rebase absolute source lines onto the modified function's body,
+        found once for all the diagnostics, through oracle_index when it
+        indexes oracle_source."""
+        diagnostics = tuple(diagnostics)
+        if all(d.line is None for d in diagnostics):
+            return diagnostics
         try:
-            change = _Oracle(oracle_source).change(completed_source)
+            change = _Oracle(_usable_index(oracle_source, oracle_index)).change(completed_source)
         except MalformedSourceError:
-            return diagnostic
+            return diagnostics
         if len(change.new) != 1:
-            return diagnostic
+            return diagnostics
         body = change.new[0]
-        body_line = completed_source.count("\n", 0, body.start) + 1
-        body_end_line = body_line + body.text.count("\n")
-        if body_line <= diagnostic.line <= body_end_line:
-            return replace(diagnostic, line=diagnostic.line - body_line + 1)
-        return diagnostic
+        first = completed_source.count("\n", 0, body.start) + 1
+        last = first + body.text.count("\n")
+        return tuple(
+            replace(d, line=d.line - first + 1)
+            if d.line is not None and first <= d.line <= last
+            else d
+            for d in diagnostics
+        )
 
 
 class SubprocessFuzzBackend:
@@ -900,8 +957,13 @@ class SubprocessFuzzBackend:
         self.version = " ".join(self.command)
 
     def verify(
-        self, oracle_source: str, completed_source: str, target_function_id: str
+        self,
+        oracle_source: str,
+        completed_source: str,
+        target_function_id: str,
+        oracle_index: SourceIndex | None = None,
     ) -> ExecutionVerdict:
+        """oracle_index goes unused: the fuzzer is sent the texts."""
         t0 = time.perf_counter()
         request = {
             "schema": "fuzz-request@1",
@@ -961,18 +1023,36 @@ def compile_check(source: str, backend) -> ExecutionVerdict:
     return backend.verify(source, source, "")
 
 
+def _takes_oracle_index(verify) -> bool:
+    """True when verify, a function or bound method, has an `oracle_index`
+    parameter; reads the code object, which costs far less than
+    inspect.signature on every attempt."""
+    code = getattr(getattr(verify, "__func__", verify), "__code__", None)
+    if code is None:
+        return False
+    return "oracle_index" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 def differential_verify(
     oracle_source: str,
     completed_source: str,
     target: FunctionRecord,
     backend,
+    oracle_index: SourceIndex | None = None,
 ) -> ExecutionVerdict:
     """Behavioural equivalence through a differential backend.
 
+    oracle_index, an index of oracle_source, is handed on to a backend whose
+    verify takes an `oracle_index` keyword, as the in-tree backends' do;
+    any other backend gets the three arguments of the adapter contract.
     Backend crashes are infrastructure failures (executor_unavailable), not
     model failures.
     """
     try:
+        if oracle_index is not None and _takes_oracle_index(backend.verify):
+            return backend.verify(
+                oracle_source, completed_source, target.task_id(), oracle_index=oracle_index
+            )
         return backend.verify(oracle_source, completed_source, target.task_id())
     except Exception as exc:  # adapter bugs must not be charged to the model
         return ExecutionVerdict(
@@ -986,7 +1066,8 @@ def differential_verify(
 
 
 def _faulty_line_text(verdict: ExecutionVerdict, completed_body: str) -> str | None:
-    lines = completed_body.splitlines()
+    # Diagnostic lines count "\n" only, as spans do.
+    lines = completed_body.split("\n")
     for diagnostic in verdict.diagnostics:
         if diagnostic.line is not None and 1 <= diagnostic.line <= len(lines):
             text = lines[diagnostic.line - 1].strip()

@@ -51,6 +51,7 @@ from .repair import (
     RepairSession,
     RepairStrategy,
     ScriptedModelClient,
+    _verify,
     run_rar,
 )
 from .retrieval import HashEmbeddingProvider, HttpEmbeddingProvider, RetrievalConfig
@@ -474,6 +475,33 @@ def cmd_report(
     return report
 
 
+def _read_completions(path: str | Path) -> list[tuple[int, str, str]]:
+    """(line number, task id, body) per row of a completions file.
+
+    A row that is not a JSON object with a string task_id and a string body
+    raises ConfigError naming its line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read completions file {path}: {exc}") from exc
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}, line {lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ConfigError(f"{path}, line {lineno}: expected a JSON object")
+        for key in ("task_id", "body"):
+            if not isinstance(row.get(key), str):
+                raise ConfigError(f"{path}, line {lineno}: {key!r} missing or not a string")
+        rows.append((lineno, row["task_id"], row["body"]))
+    return rows
+
+
 def cmd_verify(
     task_file: str | Path,
     completions_path: str | Path,
@@ -482,25 +510,22 @@ def cmd_verify(
 ) -> tuple[list[dict], int]:
     """Verify externally produced bodies against their oracles.
 
-    Completions file: JSONL rows {"task_id": ..., "body": ...}.
+    Completions file: JSONL rows {"task_id": ..., "body": ...}; every row is
+    checked before any is verified.
     """
     backend = build_backend(config)
     tasks = {t.task_id: t for t in load_tasks(config)}
+    rows = _read_completions(completions_path)
+    for lineno, task_id, _ in rows:
+        if task_id not in tasks:
+            raise ConfigError(f"{completions_path}, line {lineno}: unknown task id {task_id!r}")
     results = []
     exit_code = EXIT_OK
-    for line in Path(completions_path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        task = tasks.get(row["task_id"])
-        if task is None:
-            raise ConfigError(f"unknown task id {row['task_id']!r}")
-        from .repair import _verify
-
-        verdict = _verify(task, row["body"], backend)
+    for _, task_id, body in rows:
+        verdict = _verify(tasks[task_id], body, backend)
         if verdict.status == STATUS_EXECUTOR_UNAVAILABLE:
             exit_code = EXIT_INFRA
-        results.append({"task_id": row["task_id"], "verdict": verdict.to_json()})
+        results.append({"task_id": task_id, "verdict": verdict.to_json()})
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             for row in results:

@@ -484,7 +484,9 @@ def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
             diagnostics=(Diagnostic("Other", f"body cannot be spliced: {exc}"),),
             backend="splice",
         )
-    return differential_verify(task.oracle_source, completed_source, task.record, backend)
+    return differential_verify(
+        task.oracle_source, completed_source, task.record, backend, task.oracle_index
+    )
 
 
 def _retrieve_for_repair(
@@ -495,7 +497,11 @@ def _retrieve_for_repair(
     provider: EmbeddingProvider | None,
 ) -> list[RetrievedSnippet]:
     queries = queries_for_method(config.method, verdict, completed_body)
-    lines = context.text.splitlines()
+    # Lines count "\n" only, as spans and diagnostics do; a final newline
+    # ends the last line rather than starting an empty one.
+    lines = context.text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not queries or not lines:
         return []
     if config.method == "lcs":

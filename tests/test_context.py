@@ -117,6 +117,15 @@ class TestBuildContext:
         # Two words fit, but "aaaa bbbb\ncc\n" is 3; only the whole last line fits.
         assert window.text == "cc\n"
 
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, brk):
+        # str.splitlines() also breaks at these; spans count "\n" only.
+        file, rec = file_with_target([f"uint256 x; // a{brk}b", "uint256 y;"])
+        window = build_context(file, rec, budget=10_000, counter=WordCounter())
+        assert window.text == f"uint256 x; // a{brk}b\nuint256 y;\n"
+        window = build_context(file, rec, budget=2, counter=WordCounter())
+        assert window.text == "uint256 y;\n"
+
     def test_deterministic(self):
         file, rec = file_with_target([f"word{i} filler" for i in range(30)])
         a = build_context(file, rec, budget=7, counter=WordCounter())

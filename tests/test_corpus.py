@@ -265,6 +265,20 @@ class TestExtraction:
         )
         assert extract_functions(SourceFile.from_text("c.sol", src)) == []
 
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, brk):
+        # str.splitlines() also breaks at these; spans count "\n" only.
+        src = (
+            "contract C {\n"
+            f"    // note {brk} page break\n"
+            "    /// Adds.\n"
+            "    function f() public { }\n"
+            "}\n"
+        )
+        (rec,) = extract_functions(SourceFile.from_text("c.sol", src))
+        assert rec.span == (2, 4)
+        assert rec.comment == f"    // note {brk} page break\n    /// Adds.\n"
+
     def test_rendered_re_extracts_identically(self):
         file = SourceFile.from_text("adder.sol", SIMPLE)
         rec = extract_functions(file)[0]

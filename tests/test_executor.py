@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from solrepair.corpus import (
     MalformedRecordError,
     SourceFile,
+    SourceIndex,
     extract_functions,
     inject_verification_statement,
 )
@@ -34,7 +36,8 @@ from solrepair.executor import (
     queries_for_method,
     substitute_function,
 )
-from solrepair.executor import _Oracle
+from solrepair import executor
+from solrepair.executor import _EvalError, _Oracle, _eval_node, _translate_expr
 from solrepair.retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
 
 ORACLE = """pragma solidity ^0.8.0;
@@ -214,6 +217,139 @@ class TestEvaluator:
         steps = interpret_body("{ uint256 x; return x + a; }")
         assert evaluate_body(steps, {"a": 5}) == 5
 
+    def test_unparsable_statement_fails_only_when_reached(self):
+        before = interpret_body("{ uint256 x = a +; return a; }")
+        for _ in range(2):
+            with pytest.raises(_EvalError, match=r"cannot parse expression 'a \+'"):
+                evaluate_body(before, {"a": 1})
+        after = interpret_body("{ return a; uint256 x = a +; }")
+        assert evaluate_body(after, {"a": 1}) == 1
+
+    @pytest.mark.parametrize("deep", ["-" * 20000 + "a", "a" + " + a" * 200000])
+    def test_parser_limit_fails_only_when_reached(self, deep):
+        before = f"{{ uint256 x = {deep}; return a; }}"
+        with pytest.raises(Exception) as want:
+            reference_evaluate_body(reference_interpret_body(before), {"a": 1})
+        with pytest.raises(type(want.value)) as got:
+            evaluate_body(interpret_body(before), {"a": 1})
+        assert str(got.value) == str(want.value)
+        assert evaluate_body(interpret_body(f"{{ return a; uint256 x = {deep}; }}"), {"a": 1}) == 1
+
+    def test_each_expression_parsed_once_per_attempt(self):
+        completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
+        real_parse = ast.parse
+        with mock.patch.object(executor.ast, "parse", side_effect=real_parse) as parse:
+            v = ScriptedDifferentialBackend().verify(ORACLE, completed, AVG.task_id())
+        assert v.status == "pass"
+        assert parse.call_count == 4  # two statements each in the oracle and the completion
+
+
+# The per-case evaluation that verify used before it parsed each body once:
+# every step's expression is translated and parsed again for every case. It
+# is the reference the parse-once evaluator must agree with.
+def reference_eval_expr(expr: str, env: dict):
+    try:
+        tree = ast.parse(_translate_expr(expr).strip(), mode="eval")
+    except SyntaxError as exc:
+        raise _EvalError(f"cannot parse expression {expr!r}: {exc}") from exc
+    return _eval_node(tree.body, env)
+
+
+def reference_interpret_body(body: str):
+    inner = body.strip()
+    if not (inner.startswith("{") and inner.endswith("}")):
+        return None
+    steps = []
+    for stmt in (s.strip() for s in inner[1:-1].split(";")):
+        if not stmt:
+            continue
+        decl = executor._DECL_STMT_RE.match(stmt)
+        ret = executor._RETURN_STMT_RE.match(stmt)
+        if decl:
+            steps.append(("let", decl.group(1), decl.group(2)))
+        elif ret:
+            steps.append(("return", ret.group(1)))
+        else:
+            return None
+    return steps
+
+
+def reference_evaluate_body(steps, inputs: dict):
+    env = dict(inputs)
+    for step in steps:
+        if step[0] == "let":
+            env[step[1]] = reference_eval_expr(step[2], env) if step[2] is not None else 0
+        else:
+            return reference_eval_expr(step[1], env)
+    return None
+
+
+# Operands repeat to weight them: "(a - a)" and "0" divide by zero, t0 and t1
+# may be read before they are bound, and zz is bound nowhere.
+ATOMS = st.sampled_from(
+    ["a", "a", "b", "b", "1", "2", "7", "0", "(a - a)", "(b - b)", "true", "false", "t0", "t1", "zz"]
+)
+EXPRS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "%", "==", "!=", "<", ">=", "&&", "||"]), inner).map(
+            " ".join
+        ),
+        inner.map(lambda e: f"!{e}"),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(inner, inner, inner).map(lambda t: f"{t[0]} ? {t[1]} : {t[2]}"),
+    ),
+    max_leaves=6,
+)
+DECLARATIONS = st.tuples(st.sampled_from(["uint256", "bool", "int8"]), st.sampled_from(["t0", "t1"]), EXPRS).map(
+    lambda t: f"{t[0]} {t[1]} = {t[2]}"
+)
+RETURNS = EXPRS.map(lambda e: f"return {e}")
+# Branches repeat to weight them, as operands do.
+STATEMENTS = st.one_of(
+    DECLARATIONS,
+    DECLARATIONS,
+    RETURNS,
+    RETURNS,
+    st.sampled_from(["uint256 t0", "bool t1"]),
+    st.sampled_from(["uint256 t1 = a +", "return (a", "return a b", "bool t0 = ? a", "t0 = 1"]),
+    st.sampled_from(["return b / (a - a)", "uint256 t0 = a % 0", "return t1 % (b - b)"]),
+)
+STRAIGHT_LINE_BODIES = st.lists(STATEMENTS, min_size=1, max_size=4).map(
+    lambda stmts: "{\n        " + ";\n        ".join(stmts) + ";\n    }"
+)
+
+
+def straight_line_source(body: str) -> str:
+    return (
+        "contract P {\n"
+        "    /// Computes.\n"
+        f"    function f(uint256 a, uint256 b) public pure returns (uint256) {body}\n"
+        "}\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oracle_body=st.one_of(st.just("{ return a + b; }"), STRAIGHT_LINE_BODIES),
+    completed_body=STRAIGHT_LINE_BODIES,
+    table=st.booleans(),
+)
+def test_property_parse_once_verify_matches_per_case_reference(oracle_body, completed_body, table):
+    oracle = straight_line_source(oracle_body)
+    (record,) = extract_functions(SourceFile.from_text("p.sol", oracle))
+    completed = substitute_function(oracle, record, completed_body)
+    fixture = None
+    if table:
+        cases = [{"inputs": {"a": 3, "b": b}, "output": 3 + b} for b in (0, 1, 5)]
+        fixture = {"functions": {record.task_id(): {"cases": cases}}}
+    got = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
+    with mock.patch.multiple(
+        executor, interpret_body=reference_interpret_body, evaluate_body=reference_evaluate_body
+    ):
+        want = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
+    assert (got.status, got.diagnostics) == (want.status, want.diagnostics)
+
 
 class TestScriptedBackend:
     def backend(self, fixture=None, seed=0):
@@ -365,7 +501,7 @@ class TestLocationKeyed:
         completed = substitute_function(OVERLOADS, F1, "{\n        return helperX(a);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        assert SolcCompileBackend._rebase(diag, OVERLOADS, completed).line == 2
+        assert SolcCompileBackend._rebase((diag,), OVERLOADS, completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
@@ -401,20 +537,22 @@ class TestLocationKeyed:
         )
         (f,) = extract_functions(SourceFile.from_text("s.sol", oracle))
         completed = substitute_function(oracle, f, "{ ) { } }")
-        assert _Oracle(oracle).splice(completed) is None
+        assert _Oracle(SourceIndex(oracle)).splice(completed) is None
         v = ScriptedDifferentialBackend().verify(oracle, completed, f.task_id())
         assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
 
     def test_self_contained_bodies_take_the_body_only_path(self):
-        oracle = _Oracle(ORACLE)
+        oracle = _Oracle(SourceIndex(ORACLE))
         assert oracle.splice(completed_with(ADD, "{ return b + a; }")) is not None
         for body in ("{ return 1; } // x", "{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }"):
             assert oracle.splice(completed_with(ADD, body)) is None, body
 
 
 def test_oracle_cache_shared_across_threads():
-    """Workers share one backend: each oracle is indexed once, and every
-    verdict equals the one a fresh backend gives."""
+    """Workers share one backend: each oracle is prepared once, from the
+    index verify is handed, which is never rebuilt, and every verdict equals
+    the one a fresh backend that indexes the oracles itself gives."""
+    indexes = {text: SourceIndex(text) for text in (ORACLE, OVERLOADS, NESTED)}
     jobs = [
         (ORACLE, ADD, "{ return b + a; }"),
         (ORACLE, AVG, "{ return a - b; }"),
@@ -423,30 +561,84 @@ def test_oracle_cache_shared_across_threads():
         (NESTED, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }")),
     ] * 40
 
-    def run(backend, job):
+    def run(backend, job, index=None):
         oracle, record, body = job
-        verdict = backend.verify(oracle, substitute_function(oracle, record, body), record.task_id())
+        completed = substitute_function(oracle, record, body, index)
+        verdict = backend.verify(oracle, completed, record.task_id(), oracle_index=index)
         return verdict.status, verdict.diagnostics
 
     expected = [run(ScriptedDifferentialBackend(), job) for job in jobs]
     backend = ScriptedDifferentialBackend()
-    built: list[str] = []
-    real_init = _Oracle.__init__
+    prepared: list[SourceIndex] = []
+    indexed: list[str] = []
+    real_init, real_index_init = _Oracle.__init__, SourceIndex.__init__
 
-    def counting_init(self, text):
-        built.append(text)
-        real_init(self, text)
+    def counting_init(self, index):
+        prepared.append(index)
+        real_init(self, index)
+
+    def counting_index_init(self, text, path="<source>"):
+        indexed.append(text)
+        real_index_init(self, text, path)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(_Oracle, "__init__", counting_init):
+        with mock.patch.object(_Oracle, "__init__", counting_init), mock.patch.object(
+            SourceIndex, "__init__", counting_index_init
+        ):
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
+                got = list(pool.map(lambda job: run(backend, job, indexes[job[0]]), jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(built) == sorted({ORACLE, OVERLOADS, NESTED})
+    assert sorted(map(id, prepared)) == sorted(map(id, indexes.values()))
+    assert not set(indexed) & set(indexes)  # only whole-source parses of completed sources
     assert got == expected
+
+
+class TestHandedIndex:
+    def test_index_of_other_text_or_unbalanced_is_not_used(self):
+        completed = completed_with(ADD, "{ return b + a; }")
+        backend = ScriptedDifferentialBackend()
+        assert backend.verify(ORACLE, completed, ADD.task_id(), oracle_index=SourceIndex(NESTED)).status == "pass"
+        assert backend._oracle(ORACLE).index.text == ORACLE
+        unbalanced = "contract C {\n"
+        v = ScriptedDifferentialBackend().verify(
+            unbalanced, unbalanced + "}", "t", oracle_index=SourceIndex(unbalanced, "bad.sol")
+        )
+        assert v.status == "compile_error"
+        assert v.diagnostics[0].message == "<source>: unmatched '{' at line 1, column 12"
+
+    def test_rebase_with_given_index_builds_no_index(self):
+        completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
+        body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
+        diags = (
+            Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX"),
+            Diagnostic("Other", "m", line=1),
+            Diagnostic("Other", "m"),
+        )
+        with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")):
+            rebased = SolcCompileBackend._rebase(diags, ORACLE, completed, FILE.index)
+        assert [d.line for d in rebased] == [2, 1, None]
+        assert rebased == SolcCompileBackend._rebase(diags, ORACLE, completed)
+
+    def test_differential_verify_hands_index_only_to_backends_taking_it(self):
+        calls = []
+
+        class Plain:
+            def verify(self, oracle, completed, target):
+                calls.append("plain")
+                return ExecutionVerdict(status="pass")
+
+        class Indexed:
+            def verify(self, oracle, completed, target, oracle_index=None):
+                calls.append(oracle_index)
+                return ExecutionVerdict(status="pass")
+
+        for backend in (Plain(), Indexed()):
+            assert differential_verify(ORACLE, ORACLE, ADD, backend, FILE.index).status == "pass"
+        assert differential_verify(ORACLE, ORACLE, ADD, Indexed()).status == "pass"
+        assert calls == ["plain", FILE.index, None]
 
 
 def verify_both_ways(oracle: str, completed: str, task_id: str) -> tuple[ExecutionVerdict, ExecutionVerdict]:
@@ -519,13 +711,13 @@ class TestSolcBackend:
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        rebased = SolcCompileBackend._rebase(diag, ORACLE, completed)
+        (rebased,) = SolcCompileBackend._rebase((diag,), ORACLE, completed)
         assert rebased.line == 2
 
     def test_rebase_leaves_outside_lines_alone(self):
         completed = completed_with(ADD, "{ return 1; }")
         diag = Diagnostic("Other", "m", line=1)
-        assert SolcCompileBackend._rebase(diag, ORACLE, completed).line == 1
+        assert SolcCompileBackend._rebase((diag,), ORACLE, completed)[0].line == 1
 
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_pass(self):
@@ -658,6 +850,12 @@ class TestQueryBuilding:
         v = fail_verdict(Diagnostic("Other", "m", line=2))
         queries = build_queries(v, "{\n    total = a;\n}")
         assert queries == [Query(QUERY_LINE, "total = a;")]
+
+    def test_faulty_line_counts_newlines_only(self):
+        body = "{\n        // step\x0cone\n        return a + missingThing;\n    }"
+        v = ScriptedDifferentialBackend().verify(ORACLE, completed_with(ADD, body), ADD.task_id())
+        assert (v.status, v.diagnostics[0].line) == ("compile_error", 3)
+        assert queries_for_method("bm25", v, body) == [Query(QUERY_LINE, "return a + missingThing;")]
 
     def test_lexed_body_fallback(self):
         v = fail_verdict(Diagnostic("Other", "m"))

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from solrepair.cli import main
+from solrepair.corpus import SourceIndex
 from solrepair.executor import (
     STATUS_COMPILE_ERROR,
     STATUS_EXECUTOR_UNAVAILABLE,
@@ -342,6 +344,22 @@ class TestCmdRun:
         assert report["overall"]["pass@1"] == 80.0
         assert report["overall"]["compilation@1"] == 100.0
 
+    def test_each_source_indexed_once(self, e2e_config_factory, e2e_dir, tmp_path):
+        indexed: list[str] = []
+        real_init = SourceIndex.__init__
+
+        def counting_init(self, text, path="<source>"):
+            indexed.append(path)
+            real_init(self, text, path)
+
+        config = e2e_config_factory(str(tmp_path / "out"), **RAR_OVERRIDES)
+        with mock.patch.object(SourceIndex, "__init__", counting_init):
+            _, code = cmd_run(config)
+        assert code == EXIT_OK
+        sources = sorted(p.name for p in (e2e_dir / "sources").glob("*.sol"))
+        assert len(sources) == 5
+        assert sorted(indexed) == sources
+
     def test_repair_session_shapes(self, rar_run):
         _, _, _, out = rar_run
         sessions = read_sessions(out / "sessions.jsonl")
@@ -658,6 +676,51 @@ class TestCli:
         assert "total cost (USD):" in table
         payload = json.loads(report_json.read_text(encoding="utf-8"))
         assert payload["overall"]["pass@1"] == 40.0
+
+    @pytest.mark.parametrize(
+        "rows,complaint",
+        [
+            (['{"task_id": "x", "body": "{}"', "{not json"], "line 1: malformed JSON"),
+            (["", '{"body": "{ }"}'], "line 2: 'task_id' missing or not a string"),
+            (['{"task_id": "x"}'], "line 1: 'body' missing or not a string"),
+            (['{"task_id": "x", "body": 5}'], "line 1: 'body' missing or not a string"),
+            (['["x", "{ }"]'], "line 1: expected a JSON object"),
+        ],
+        ids=["malformed", "no-task-id", "no-body", "non-string-body", "not-an-object"],
+    )
+    def test_verify_bad_completions_row_exits_config(self, e2e_dir, tmp_path, capsys, rows, complaint):
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "verify",
+                "--tasks", str(e2e_dir / "tasks.jsonl"),
+                "--source-root", str(e2e_dir / "sources"),
+                "--executor", "mock",
+                "--completions", str(completions),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {completions}, {complaint}")
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\n"], ids=["missing", "not-utf8"])
+    def test_verify_unreadable_completions_exits_config(self, e2e_dir, tmp_path, capsys, content):
+        completions = tmp_path / "completions.jsonl"
+        if content is not None:
+            completions.write_bytes(content)
+        code = main(
+            [
+                "verify",
+                "--tasks", str(e2e_dir / "tasks.jsonl"),
+                "--source-root", str(e2e_dir / "sources"),
+                "--executor", "mock",
+                "--completions", str(completions),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot read completions file {completions}")
 
     def test_cli_run_matches_library_run(self, e2e_dir, rar_run, tmp_path):
         _, _, _, reference = rar_run

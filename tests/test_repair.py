@@ -6,11 +6,14 @@ import json
 import math
 import time
 
+from unittest import mock
+
 import pytest
 
 from solrepair.context import ContextWindow
 from solrepair.corpus import SourceFile, extract_functions
 from solrepair.executor import Diagnostic, ExecutionVerdict
+from solrepair import repair
 from solrepair.repair import (
     Attempt,
     CompletionTask,
@@ -294,6 +297,22 @@ class TestRepairPrompt:
             build_repair_prompt(
                 RepairStrategy("self_edit"), make_task(), self.attempt_with(None), []
             )
+
+
+class TestRetrieveForRepair:
+    def test_only_newline_ends_a_context_line(self):
+        # A form feed is a line break to str.splitlines(), not to spans or
+        # diagnostics; a final newline adds no empty line.
+        body = "{\n    // step\x0cone\n    return a + missingThing;\n}"
+        verdict = ce(line=3, message="boom")
+        context = ContextWindow(
+            text="uint256 a; // x\x0cy\nuint256 missingThing;\n", budget=512, actual_tokens=5
+        )
+        with mock.patch.object(repair, "retrieve", return_value=[]) as retrieve:
+            repair._retrieve_for_repair(RetrievalConfig(method="bm25"), verdict, body, context, None)
+        query, lines = retrieve.call_args.args[:2]
+        assert query.text == "return a + missingThing;"
+        assert lines == ["uint256 a; // x\x0cy", "uint256 missingThing;"]
 
 
 class TestRunRar:
