@@ -65,7 +65,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> RunConfig:
     payload: dict = {}
     if args.config:
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config file {args.config}: expected a JSON object")
     overrides = {
         "task_file": args.tasks,
         "out_dir": args.out,

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 TASKS_SCHEMA = "tasks@1"
 STATS_SCHEMA = "corpus-stats@1"
@@ -24,10 +24,41 @@ VERIFICATION_STATEMENT = "uint256 this_is_a_test_variable;"
 # surface metrics so scores are comparable across modules.
 _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+
+
+class AnchoredPattern:
+    r"""A pattern led by `\b`, searched from the literal that follows it.
+
+    A leading `\b` stops `re` from jumping ahead on the literal after it, so
+    `finditer` tries the pattern at every offset. Here `prefix`, which has
+    no `\b` and must match wherever the pattern does, finds the candidate
+    offsets, and the pattern is matched at each: the scan resumes at the
+    end of a match and one past a candidate that fails, which yields
+    exactly the matches of `pattern.finditer`. The pattern must not match
+    the empty string.
+    """
+
+    def __init__(self, pattern: str, prefix: str) -> None:
+        self.pattern = re.compile(pattern)
+        self.prefix = re.compile(prefix)
+
+    def finditer(self, text: str) -> Iterator[re.Match]:
+        search, match = self.prefix.search, self.pattern.match
+        pos = 0
+        while (candidate := search(text, pos)) is not None:
+            m = match(text, candidate.start())
+            if m is None:
+                pos = candidate.start() + 1
+            else:
+                yield m
+                pos = m.end()
+
+
 # Safe to match anywhere: these are reserved words, and the text is scrubbed
 # of comments and strings before matching.
-_TYPE_DECL_RE = re.compile(
-    r"\b(?:abstract\s+)?(?:contract|interface|library)\s+([A-Za-z_$][A-Za-z0-9_$]*)"
+_TYPE_DECL_RE = AnchoredPattern(
+    r"\b(?:abstract\s+)?(?:contract|interface|library)\s+([A-Za-z_$][A-Za-z0-9_$]*)",
+    r"abstract|contract|interface|library",
 )
 _FUNCTION_KW_RE = re.compile(r"\bfunction\b")
 
@@ -98,7 +129,9 @@ _NEWLINE_RE = re.compile(r"\n")
 _BRACE_RE = re.compile(r"[{}]")
 # A named declaration up to its parameter list; unnamed fallback/receive
 # style declarations and function types never match.
-_FUNCTION_DECL_RE = re.compile(r"\bfunction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
+_FUNCTION_DECL_RE = AnchoredPattern(
+    r"\bfunction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(", "function"
+)
 _SIGNATURE_STOP_RE = re.compile(r"[();{]")
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
+    AnchoredPattern,
     FunctionRecord,
     IndexedFunction,
     MalformedRecordError,
@@ -390,16 +391,19 @@ def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8)
     return [{p: rng.randrange(1, 100) for p in param_names} for _ in range(count)]
 
 
-_DECLARED_RES = tuple(
-    re.compile(pattern)
-    for pattern in (
-        r"\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)",
-        r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)",
+_DECLARING_KEYWORDS = "contract|interface|library|struct|enum|event|error|modifier"
+_DECLARED_RES = (
+    AnchoredPattern(
+        rf"\b(?:{_DECLARING_KEYWORDS})\s+([A-Za-z_$][A-Za-z0-9_$]*)", _DECLARING_KEYWORDS
+    ),
+    AnchoredPattern(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)", "function"),
+    # Anchored on its type names this one scans slower, so it stays plain.
+    re.compile(
         r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
         r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
-        r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)",
-        r"\)\s*(?:public\s+|private\s+|internal\s+)*([A-Za-z_$][A-Za-z0-9_$]*)\s*;",
-    )
+        r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
+    ),
+    re.compile(r"\)\s*(?:public\s+|private\s+|internal\s+)*([A-Za-z_$][A-Za-z0-9_$]*)\s*;"),
 )
 _LOCAL_DECL_RE = re.compile(
     r"\b(?:u?int\d*|bytes\d*|bool|address|string)"
@@ -421,8 +425,34 @@ def _declared_in(scrubbed: str) -> set[str]:
     return {m.group(1) for m in _declarations(scrubbed)}
 
 
+_ASSEMBLY_RE = re.compile(r"\bassembly\b[^{};]*\{")
+
+
+def _without_assembly(scrubbed: str) -> str:
+    """scrubbed with each `assembly { ... }` block blanked, offsets kept.
+
+    Yul declares names (function parameters and returns, `let`) and calls
+    builtins in ways the declaration check does not model.
+    """
+    pieces, pos = [], 0
+    for m in _ASSEMBLY_RE.finditer(scrubbed):
+        if m.start() < pos:
+            continue
+        end, depth = len(scrubbed), 0
+        for brace in _BRACE_RE.finditer(scrubbed, m.end() - 1):
+            depth += 1 if brace.group() == "{" else -1
+            if depth == 0:
+                end = brace.end()
+                break
+        pieces += (scrubbed[pos : m.start()], " " * (end - m.start()))
+        pos = end
+    return "".join(pieces) + scrubbed[pos:]
+
+
 def _checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
-    """Identifiers needing declarations, with offsets; member access skipped."""
+    """Identifiers needing declarations, with offsets; member access and
+    inline assembly skipped."""
+    scrubbed = _without_assembly(scrubbed)
     out = []
     for m in _IDENT_RE.finditer(scrubbed):
         ident = m.group(0)
@@ -1015,14 +1045,6 @@ class SubprocessFuzzBackend:
             return unavailable(f"fuzz report malformed: {exc}")
 
 
-def compile_check(source: str, backend) -> ExecutionVerdict:
-    """Compile-only verification through a compiler adapter."""
-    compile_fn = getattr(backend, "compile", None)
-    if compile_fn is not None:
-        return compile_fn(source)
-    return backend.verify(source, source, "")
-
-
 def _takes_oracle_index(verify) -> bool:
     """True when verify, a function or bound method, has an `oracle_index`
     parameter; reads the code object, which costs far less than
@@ -1074,26 +1096,6 @@ def _faulty_line_text(verdict: ExecutionVerdict, completed_body: str) -> str | N
             if text:
                 return text
     return None
-
-
-def build_queries(verdict: ExecutionVerdict, completed_body: str) -> list[Query]:
-    """Retrieval queries from a failing verdict.
-
-    Precedence: diagnostic identifiers, then the faulty line's text, then
-    identifiers lexed from the completed body.
-    """
-    if verdict.status == STATUS_PASS:
-        raise ValueError("a passing verdict yields no repair queries")
-    identifiers: list[str] = []
-    for diagnostic in verdict.diagnostics:
-        if diagnostic.identifier and diagnostic.identifier not in identifiers:
-            identifiers.append(diagnostic.identifier)
-    if identifiers:
-        return [Query(QUERY_IDENTIFIER, ident) for ident in identifiers]
-    line_text = _faulty_line_text(verdict, completed_body)
-    if line_text:
-        return [Query(QUERY_LINE, line_text)]
-    return [Query(QUERY_IDENTIFIER, i) for i in lex_identifiers(completed_body)]
 
 
 def queries_for_method(

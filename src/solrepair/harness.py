@@ -205,6 +205,13 @@ def build_provider(config: RunConfig):
     return HashEmbeddingProvider(dimension)
 
 
+def _read_source(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"source file {path} is not UTF-8: {exc}") from exc
+
+
 def load_tasks(config: RunConfig) -> list[CompletionTask]:
     """Materialize tasks: read sources, build context windows."""
     counter = get_counter(config.counter)
@@ -220,7 +227,7 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
             full = Path(config.source_root) / path if config.source_root else Path(path)
             if not full.is_file():
                 raise ConfigError(f"source file not found: {full}")
-            sources[path] = SourceFile.from_text(path, full.read_text(encoding="utf-8"))
+            sources[path] = SourceFile.from_text(path, _read_source(full))
         file = sources[path]
         window = build_context(file, record, config.context_budget, counter)
         tasks.append(
@@ -250,12 +257,7 @@ def cmd_build(
     if not source_dir.is_dir():
         raise ConfigError(f"source directory not found: {source_dir}")
     paths = sorted(source_dir.rglob("*.sol"))
-    files = [
-        SourceFile.from_text(
-            str(p.relative_to(source_dir)), p.read_text(encoding="utf-8")
-        )
-        for p in paths
-    ]
+    files = [SourceFile.from_text(str(p.relative_to(source_dir)), _read_source(p)) for p in paths]
     records, report = build_corpus(files, filter_config)
     write_task_file(records, tasks_out)
     if stats_out is not None:

@@ -16,6 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
@@ -233,14 +234,10 @@ class HttpModelClient:
 # Prompt construction
 # ---------------------------------------------------------------------------
 
-_TEMPLATE_CACHE: dict[str, str] = {}
-
-
+@cache
 def load_template(name: str) -> str:
-    if name not in _TEMPLATE_CACHE:
-        path = resources.files("solrepair").joinpath(f"prompts/{name}.txt")
-        _TEMPLATE_CACHE[name] = path.read_text(encoding="utf-8")
-    return _TEMPLATE_CACHE[name]
+    path = resources.files("solrepair").joinpath(f"prompts/{name}.txt")
+    return path.read_text(encoding="utf-8")
 
 
 SNIPPETS_HEADER = "Retrieved Code Snippets"

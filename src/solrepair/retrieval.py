@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from itertools import accumulate, count
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .corpus import tokenize_terms
 
@@ -118,34 +120,75 @@ def _ranked(
     return scored[:max_snippets]
 
 
+class _JoinedLines:
+    """Context lines joined once by a character no query contains.
+
+    A query fragment then occurs in the joined text exactly where it occurs
+    inside one line, so each search over all lines is one search in C.
+    """
+
+    def __init__(self, lines: Sequence[str], queries: Iterable[str]) -> None:
+        used = set().union(*queries)
+        separator = next(c for c in map(chr, count()) if c not in used)
+        self.lines = lines
+        self.text = separator.join(lines)
+        # starts[i] is where line i begins; starts[len(lines)] is past the end.
+        self.starts = list(accumulate(map(len, lines), lambda a, n: a + n + 1, initial=0))
+
+    def lcs(self, q: str, max_snippets: int) -> list[RetrievedSnippet]:
+        text = self.text
+
+        def any_hit(length: int) -> bool:
+            return any(q[j : j + length] in text for j in range(len(q) - length + 1))
+
+        # A hit at some length implies one at every shorter length, so the
+        # longest matching length can be found by binary search.
+        lo, hi = MIN_LCS_LENGTH - 1, len(q)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if any_hit(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo < MIN_LCS_LENGTH:
+            return []
+        starts = self.starts
+        first: dict[int, int] = {}  # line index -> lowest query offset found in it
+        for j in range(len(q) - lo + 1):
+            frag = q[j : j + lo]
+            pos = text.find(frag)
+            while pos != -1:
+                idx = bisect_right(starts, pos) - 1
+                first.setdefault(idx, j)
+                pos = text.find(frag, starts[idx + 1])
+        return [
+            RetrievedSnippet(
+                line_index=idx,
+                text=self.lines[idx],
+                score=float(lo),
+                matched_fragment=q[first[idx] : first[idx] + lo],
+            )
+            for idx in sorted(first)[:max_snippets]
+        ]
+
+
 def lcs_retrieve(
     query: Query, context_lines: Sequence[str], config: RetrievalConfig
 ) -> list[RetrievedSnippet]:
     """Longest-common-substring retrieval.
 
-    Try query substrings from longest to shortest; the first length with at
-    least one matching context line defines the match set. Ties rank by line
-    index. Matches below MIN_LCS_LENGTH characters are discarded.
+    The longest query substring found in any context line sets the score;
+    every line holding a substring of that length matches, with the one
+    that starts first in the query as its matched fragment. Ties rank by
+    line index. Matches below MIN_LCS_LENGTH characters are discarded.
+
+    Cost: the lines are joined once (O(T) for T context characters); a
+    binary search over the match length makes O(log |q|) probes of at most
+    |q| substring searches each, O(|q| · T · log |q|) character work done
+    in C; collecting the matches at the chosen length takes at most |q|
+    more searches plus O(log n) per matching line for n lines.
     """
-    q = query.text
-    for length in range(len(q), MIN_LCS_LENGTH - 1, -1):
-        fragments = [q[j : j + length] for j in range(len(q) - length + 1)]
-        hits: list[RetrievedSnippet] = []
-        for idx, line in enumerate(context_lines):
-            for frag in fragments:
-                if frag in line:
-                    hits.append(
-                        RetrievedSnippet(
-                            line_index=idx,
-                            text=line,
-                            score=float(length),
-                            matched_fragment=frag,
-                        )
-                    )
-                    break
-        if hits:
-            return _ranked(hits, config.max_snippets)
-    return []
+    return _JoinedLines(context_lines, [query.text]).lcs(query.text, config.max_snippets)
 
 
 def lcs_retrieve_multi(
@@ -156,11 +199,13 @@ def lcs_retrieve_multi(
     """Run lcs_retrieve per query and merge, deduplicating by line index.
 
     A line keeps its best score across queries; the merged list is re-ranked
-    and capped like a single-query result.
+    and capped like a single-query result. The context is joined once for
+    all the queries.
     """
+    joined = _JoinedLines(context_lines, [q.text for q in queries])
     best: dict[int, RetrievedSnippet] = {}
     for query in queries:
-        for snippet in lcs_retrieve(query, context_lines, config):
+        for snippet in joined.lcs(query.text, config.max_snippets):
             prior = best.get(snippet.line_index)
             if prior is None or snippet.score > prior.score:
                 best[snippet.line_index] = snippet

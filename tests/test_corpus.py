@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
+    AnchoredPattern,
     FilterConfig,
     FunctionRecord,
     MalformedSourceError,
@@ -28,7 +29,10 @@ from solrepair.corpus import (
     scrub,
     tokenize_terms,
     write_task_file,
+    _FUNCTION_DECL_RE,
+    _TYPE_DECL_RE,
 )
+from solrepair.executor import _DECLARED_RES
 
 SIMPLE = """\
 pragma solidity ^0.8.0;
@@ -139,6 +143,43 @@ def test_property_scrub_matches_reference(text):
     assert [i for i, ch in enumerate(cleaned) if ch == "\n"] == [
         i for i, ch in enumerate(text) if ch == "\n"
     ]
+
+
+ANCHORED = {
+    "_FUNCTION_DECL_RE": _FUNCTION_DECL_RE,
+    "_TYPE_DECL_RE": _TYPE_DECL_RE,
+    "_DECLARED_RES[0]": _DECLARED_RES[0],
+    "_DECLARED_RES[1]": _DECLARED_RES[1],
+}
+DECL_SOUP = st.sampled_from(
+    [
+        "function", "contract", "abstract", "interface", "library", "struct", "enum", "event",
+        "error", "modifier", "x", "bar", "_", "$", "1", "é", " ", "\n", "\t", "(", ")", "{", ";",
+    ]
+)
+
+
+def matches(found) -> list[tuple[tuple[int, int], tuple]]:
+    return [(m.span(), m.groups()) for m in found]
+
+
+def test_anchored_scan_resumes_after_a_failed_candidate():
+    # Dropping the `\b` and filtering afterwards would lose the real match:
+    # the unanchored match at "xfunction" swallows "function bar".
+    for pattern in ANCHORED.values():
+        assert isinstance(pattern, AnchoredPattern)
+        for text in ("xfunction function bar(", "xcontract contract bar abstract contract baz"):
+            assert matches(pattern.finditer(text)) == matches(pattern.pattern.finditer(text))
+    assert [m.group(1) for m in ANCHORED["_DECLARED_RES[1]"].finditer("xfunction function bar")] == ["bar"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(ANCHORED)), text=st.lists(DECL_SOUP, max_size=30).map("".join))
+def test_property_anchored_scan_equals_finditer(name, text):
+    r"""Each literal-anchored scan finds exactly what `finditer` of its
+    `\b`-led pattern finds."""
+    pattern = ANCHORED[name]
+    assert matches(pattern.finditer(text)) == matches(pattern.pattern.finditer(text))
 
 
 @pytest.mark.parametrize(

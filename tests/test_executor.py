@@ -27,9 +27,7 @@ from solrepair.executor import (
     ScriptedDifferentialBackend,
     SolcCompileBackend,
     SubprocessFuzzBackend,
-    build_queries,
     classify_error,
-    compile_check,
     differential_verify,
     evaluate_body,
     interpret_body,
@@ -512,6 +510,25 @@ class TestLocationKeyed:
         reformatted = substitute_function(NESTED, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
         assert backend.verify(NESTED, reformatted, OUTER.task_id()).status == "pass"
 
+    def test_yul_names_are_not_undeclared_identifiers(self):
+        oracle = (
+            "contract Y {\n"
+            "    /// Returns a.\n"
+            "    function f(uint256 a) public pure returns (uint256) {\n"
+            "        assembly { function helper(v) -> z { z := add(v, 1) } }\n"
+            "        return a;\n"
+            "    }\n"
+            "}\n"
+        )
+        (f,) = extract_functions(SourceFile.from_text("y.sol", oracle))
+        completed = substitute_function(oracle, f, f.body.replace("return a;", "return a + 0;"))
+        v = ScriptedDifferentialBackend().verify(oracle, completed, f.task_id())
+        assert v.status == "functional_mismatch"
+        assert "cannot be evaluated" in v.diagnostics[0].message
+        outside = substitute_function(oracle, f, f.body.replace("return a;", "return v;"))
+        v = ScriptedDifferentialBackend().verify(oracle, outside, f.task_id())
+        assert (v.status, v.diagnostics[0].identifier) == ("compile_error", "v")
+
     def test_dropped_or_added_function_is_mismatch(self):
         backend = ScriptedDifferentialBackend()
         avg_text = AVG.comment + "    " + AVG.signature + AVG.body + "\n\n"
@@ -791,29 +808,6 @@ class TestFuzzAdapter:
 
 
 class TestDispatchHelpers:
-    def test_compile_check_prefers_compile_method(self):
-        calls = []
-
-        class Spy:
-            def compile(self, source):
-                calls.append(("compile", source))
-                return ExecutionVerdict(status="pass")
-
-            def verify(self, *a):
-                calls.append(("verify", a))
-                return ExecutionVerdict(status="pass")
-
-        assert compile_check("src", Spy()).status == "pass"
-        assert calls == [("compile", "src")]
-
-    def test_compile_check_falls_back_to_verify(self):
-        class OnlyVerify:
-            def verify(self, oracle, completed, target):
-                assert oracle == completed == "src"
-                return ExecutionVerdict(status="pass")
-
-        assert compile_check("src", OnlyVerify()).status == "pass"
-
     def test_differential_verify_wraps_backend_crash(self):
         class Broken:
             name = "broken"
@@ -835,7 +829,7 @@ def fail_verdict(*diags) -> ExecutionVerdict:
 class TestQueryBuilding:
     def test_identifier_precedence(self):
         v = fail_verdict(Diagnostic("UndeclaredIdentifier", "m", line=1, identifier="helperX"))
-        queries = build_queries(v, "{ return helperX(a); }")
+        queries = queries_for_method("lcs", v, "{ return helperX(a); }")
         assert [(q.kind, q.text) for q in queries] == [(QUERY_IDENTIFIER, "helperX")]
 
     def test_identifiers_deduplicated(self):
@@ -844,27 +838,13 @@ class TestQueryBuilding:
             Diagnostic("Member", "m", identifier="x"),
             Diagnostic("Member", "m", identifier="y"),
         )
-        assert [q.text for q in build_queries(v, "{}")] == ["x", "y"]
-
-    def test_faulty_line_fallback(self):
-        v = fail_verdict(Diagnostic("Other", "m", line=2))
-        queries = build_queries(v, "{\n    total = a;\n}")
-        assert queries == [Query(QUERY_LINE, "total = a;")]
+        assert [q.text for q in queries_for_method("lcs", v, "{}")] == ["x", "y"]
 
     def test_faulty_line_counts_newlines_only(self):
         body = "{\n        // step\x0cone\n        return a + missingThing;\n    }"
         v = ScriptedDifferentialBackend().verify(ORACLE, completed_with(ADD, body), ADD.task_id())
         assert (v.status, v.diagnostics[0].line) == ("compile_error", 3)
         assert queries_for_method("bm25", v, body) == [Query(QUERY_LINE, "return a + missingThing;")]
-
-    def test_lexed_body_fallback(self):
-        v = fail_verdict(Diagnostic("Other", "m"))
-        queries = build_queries(v, "{ return alpha + beta; }")
-        assert [q.text for q in queries] == ["alpha", "beta"]
-
-    def test_pass_verdict_rejected(self):
-        with pytest.raises(ValueError, match="passing verdict"):
-            build_queries(ExecutionVerdict(status="pass"), "{}")
 
     def test_method_lcs_uses_identifiers(self):
         v = fail_verdict(Diagnostic("UndeclaredIdentifier", "m", identifier="helperX"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -653,6 +654,42 @@ class TestCli:
         assert payload["retained"] == 2
         assert (tmp_path / "tasks.jsonl").is_file()
         assert (tmp_path / "stats.json").is_file()
+
+    def test_build_non_utf8_source_exits_config(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "one.sol").write_text(ONE_SOL, encoding="utf-8")
+        bad = src / "two.sol"
+        bad.write_bytes(b"contract C {\xff}\n")
+        code = main(["build", "--sources", str(src), "--tasks", str(tmp_path / "tasks.jsonl")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: source file {bad} is not UTF-8")
+
+    def test_run_non_utf8_source_exits_config(self, e2e_dir, tmp_path, capsys):
+        sources = tmp_path / "sources"
+        shutil.copytree(e2e_dir / "sources", sources)
+        bad = sources / "bank0.sol"
+        bad.write_bytes(bad.read_bytes() + b"// \xff\n")
+        flags = self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "0")
+        flags[flags.index("--source-root") + 1] = str(sources)
+        assert main(flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: source file {bad} is not UTF-8")
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
+    )
+    def test_bad_config_file_exits_config(self, tmp_path, capsys, content):
+        config_path = tmp_path / "run.json"
+        if content is not None:
+            config_path.write_text(content, encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(config_path) in err
 
     def test_run_then_report(self, e2e_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -61,6 +61,42 @@ def lcs_oracle(query_text: str, lines: list[str], max_snippets: int):
     return []
 
 
+def enumerating_lcs_retrieve(query: Query, context_lines: list[str], config: RetrievalConfig):
+    """The enumerating lcs_retrieve that the binary search replaced: every
+    query substring, longest first, against every line."""
+    q = query.text
+    for length in range(len(q), MIN_LCS_LENGTH - 1, -1):
+        fragments = [q[j : j + length] for j in range(len(q) - length + 1)]
+        hits: list[RetrievedSnippet] = []
+        for idx, line in enumerate(context_lines):
+            for frag in fragments:
+                if frag in line:
+                    hits.append(
+                        RetrievedSnippet(
+                            line_index=idx,
+                            text=line,
+                            score=float(length),
+                            matched_fragment=frag,
+                        )
+                    )
+                    break
+        if hits:
+            hits.sort(key=lambda s: (-s.score, s.line_index))
+            return hits[: config.max_snippets]
+    return []
+
+
+def enumerating_lcs_retrieve_multi(queries, context_lines, config):
+    best: dict[int, RetrievedSnippet] = {}
+    for query in queries:
+        for snippet in enumerating_lcs_retrieve(query, context_lines, config):
+            prior = best.get(snippet.line_index)
+            if prior is None or snippet.score > prior.score:
+                best[snippet.line_index] = snippet
+    ranked = sorted(best.values(), key=lambda s: (-s.score, s.line_index))
+    return ranked[: config.max_snippets]
+
+
 class TestConfigAndQuery:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown retrieval method"):
@@ -177,6 +213,42 @@ class TestLCS:
             ]
             assert got == lcs_oracle(q, lines, cap)
         assert time.perf_counter() - start < 10.0
+
+
+# Few characters, so that lines and queries share long substrings; "\n", the
+# first separator candidates and non-ASCII text included.
+LCS_CHARS = st.sampled_from(list("ab_(\n\x00\x01é€ "))
+LCS_LINES = st.lists(st.text(LCS_CHARS, max_size=24), max_size=8)
+
+
+@st.composite
+def lcs_queries(draw, lines):
+    """Query text up to about 40 characters, often holding a line's slice."""
+    text = draw(st.text(LCS_CHARS, max_size=12))
+    if lines and draw(st.booleans()):
+        source = draw(st.sampled_from(lines))
+        i = draw(st.integers(0, len(source)))
+        j = draw(st.integers(i, len(source)))
+        text += source[i:j] + draw(st.text(LCS_CHARS, max_size=12))
+    return line(text or "a")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), lines=LCS_LINES, cap=st.integers(1, 5))
+def test_property_lcs_equals_enumerating_reference(data, lines, cap):
+    config = RetrievalConfig(max_snippets=cap)
+    query = data.draw(lcs_queries(lines))
+    assert lcs_retrieve(query, lines, config) == enumerating_lcs_retrieve(query, lines, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lines=LCS_LINES, cap=st.integers(1, 5))
+def test_property_lcs_multi_equals_enumerating_reference(data, lines, cap):
+    config = RetrievalConfig(max_snippets=cap)
+    queries = data.draw(st.lists(lcs_queries(lines), min_size=1, max_size=4))
+    assert lcs_retrieve_multi(queries, lines, config) == enumerating_lcs_retrieve_multi(
+        queries, lines, config
+    )
 
 
 class TestBM25:
