@@ -7,6 +7,7 @@ failure (missing executor, failed model calls, incomplete run).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -28,11 +29,12 @@ from .metrics import CostModel, GPT_4O_MINI_PRICES, format_report_table
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tasks", required=False, help="task JSONL file")
-    parser.add_argument("--out", required=False, help="output directory")
+    """Flags whose dest is a RunConfig field override that field."""
+    parser.add_argument("--tasks", dest="task_file", help="task JSONL file")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--config", help="JSON file with RunConfig fields")
     parser.add_argument("--source-root", help="base directory for task source paths")
-    parser.add_argument("--budget", type=int, help="context token budget")
+    parser.add_argument("--budget", dest="context_budget", type=int, help="context token budget")
     parser.add_argument("--counter", help="token counter name (bytes4, words)")
     parser.add_argument(
         "--strategy",
@@ -41,11 +43,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-rounds", type=int, help="repair rounds (0 = no repair)")
     parser.add_argument("--max-tokens", type=int, help="max completion tokens")
-    parser.add_argument("--samples", type=int, help="samples per task")
+    parser.add_argument("--samples", dest="n_samples", type=int, help="samples per task")
     parser.add_argument("--workers", type=int, help="worker threads")
     parser.add_argument("--seed", type=int, help="seed for mock executors")
     parser.add_argument(
         "--retrieval",
+        dest="retrieval_method",
         choices=["lcs", "bm25", "tfidf", "jaccard", "dense"],
         help="retrieval method for repair prompts (omit to repair without snippets)",
     )
@@ -59,7 +62,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", help="chat-completions HTTP endpoint")
     parser.add_argument("--model", help="model name for HTTP clients")
     parser.add_argument("--api-key-env", help="env var holding the API key")
-    parser.add_argument("--rate-limit", type=int, help="global requests per minute")
+    parser.add_argument(
+        "--rate-limit", dest="rate_limit_per_minute", type=int, help="global requests per minute"
+    )
 
 
 def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> RunConfig:
@@ -71,33 +76,13 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
-    overrides = {
-        "task_file": args.tasks,
-        "out_dir": args.out,
-        "source_root": args.source_root,
-        "context_budget": args.budget,
-        "counter": args.counter,
-        "strategy": args.strategy,
-        "max_rounds": args.max_rounds,
-        "max_tokens": args.max_tokens,
-        "n_samples": args.samples,
-        "workers": args.workers,
-        "seed": args.seed,
-        "mock_client": args.mock_client,
-        "mock_executor": args.mock_executor,
-        "executor": args.executor,
-        "solc_path": args.solc_path,
-        "endpoint": args.endpoint,
-        "model": args.model,
-        "api_key_env": args.api_key_env,
-        "rate_limit_per_minute": args.rate_limit,
-    }
-    for key, value in overrides.items():
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            payload[key] = value
-    if args.retrieval is not None:
+            payload[f.name] = value
+    if args.retrieval_method is not None:
         retrieval = payload.get("retrieval") or {}
-        retrieval["method"] = args.retrieval
+        retrieval["method"] = args.retrieval_method
         payload["retrieval"] = retrieval
     if payload.get("retrieval") is not None:
         for key, flag in (

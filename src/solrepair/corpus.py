@@ -7,13 +7,14 @@ duplicates, and writes the retained records to a JSONL task file.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .rows import ConfigError, Record, dump_row, read_rows
 
 TASKS_SCHEMA = "tasks@1"
 STATS_SCHEMA = "corpus-stats@1"
@@ -519,12 +520,14 @@ def filter_state_dependent(
 
 
 @dataclass
-class FilterReport:
+class FilterReport(Record):
     """Bookkeeping for one corpus build.
 
     Invariant: retained + excluded_* + dedup_removed == total_extracted, and
     duplication_rate == dedup_removed / max(1, total_extracted - exclusions).
     """
+
+    SCHEMA = STATS_SCHEMA
 
     total_extracted: int = 0
     excluded_no_comment: int = 0
@@ -540,23 +543,6 @@ class FilterReport:
             + self.excluded_state_dependent
             + self.excluded_mint
         )
-
-    def to_json(self) -> dict:
-        return {
-            "schema": STATS_SCHEMA,
-            "total_extracted": self.total_extracted,
-            "excluded_no_comment": self.excluded_no_comment,
-            "excluded_state_dependent": self.excluded_state_dependent,
-            "excluded_mint": self.excluded_mint,
-            "retained": self.retained,
-            "dedup_removed": self.dedup_removed,
-            "duplication_rate": self.duplication_rate,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FilterReport":
-        fields = {k: v for k, v in payload.items() if k != "schema"}
-        return cls(**fields)
 
 
 def dedup_exact(
@@ -633,20 +619,19 @@ def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
                 "span": list(record.span),
                 "contract_type": record.contract_type,
             }
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(dump_row(row))
             count += 1
     return count
 
 
 def read_task_file(path: str | Path) -> list[tuple[str, FunctionRecord]]:
-    """Load (task_id, record) pairs from a JSONL task file."""
+    """Load (task_id, record) pairs from a JSONL task file.
+
+    A row that does not make a record raises ConfigError naming its line.
+    """
     out: list[tuple[str, FunctionRecord]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
+    for lineno, row in read_rows(path, "task"):
+        try:
             record = FunctionRecord(
                 source_id=row["source_path"],
                 comment=row["comment"],
@@ -656,4 +641,6 @@ def read_task_file(path: str | Path) -> list[tuple[str, FunctionRecord]]:
                 contract_type=row.get("contract_type"),
             )
             out.append((row["id"], record))
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}, line {lineno}: bad task row: {exc!r}") from exc
     return out

@@ -42,6 +42,7 @@ from .corpus import (
     scrub,
 )
 from .retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
+from .rows import Record
 
 STATUS_PASS = "pass"
 STATUS_COMPILE_ERROR = "compile_error"
@@ -79,7 +80,7 @@ DEFAULT_ERROR_PATTERNS: tuple[tuple[str, str], ...] = (
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One executor finding, classified into the error taxonomy."""
 
     kind: str
@@ -91,26 +92,9 @@ class Diagnostic:
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown diagnostic kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "message": self.message,
-            "line": self.line,
-            "identifier": self.identifier,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Diagnostic":
-        return cls(
-            kind=payload["kind"],
-            message=payload["message"],
-            line=payload.get("line"),
-            identifier=payload.get("identifier"),
-        )
-
 
 @dataclass(frozen=True)
-class ExecutionVerdict:
+class ExecutionVerdict(Record):
     """Backend judgement on one completed source."""
 
     status: str
@@ -127,27 +111,6 @@ class ExecutionVerdict:
             raise ValueError("pass verdicts carry no diagnostics")
         if self.status == STATUS_COMPILE_ERROR and not self.diagnostics:
             raise ValueError("compile_error verdicts need at least one diagnostic")
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-            "elapsed": self.elapsed,
-            "backend": self.backend,
-            "backend_version": self.backend_version,
-            "backend_seed": self.backend_seed,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExecutionVerdict":
-        return cls(
-            status=payload["status"],
-            diagnostics=tuple(Diagnostic.from_json(d) for d in payload["diagnostics"]),
-            elapsed=payload.get("elapsed", 0.0),
-            backend=payload.get("backend", ""),
-            backend_version=payload.get("backend_version", ""),
-            backend_seed=payload.get("backend_seed"),
-        )
 
 
 def classify_error(
@@ -1041,7 +1004,7 @@ class SubprocessFuzzBackend:
                 backend_version=str(report.get("version", self.version)),
                 backend_seed=report.get("seed"),
             )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             return unavailable(f"fuzz report malformed: {exc}")
 
 

@@ -14,7 +14,7 @@ import concurrent.futures
 import datetime as _dt
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +54,13 @@ from .repair import (
     _verify,
     run_rar,
 )
-from .retrieval import HashEmbeddingProvider, HttpEmbeddingProvider, RetrievalConfig
+from .retrieval import (
+    HashEmbeddingProvider,
+    HttpEmbeddingProvider,
+    RetrievalConfig,
+    RetrievalUnavailableError,
+)
+from .rows import ConfigError, Record, dump_row, read_records, read_rows, write_json
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -65,12 +71,8 @@ EXIT_INFRA = 3
 log = logging.getLogger("solrepair")
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration or unusable input files (exit code 2)."""
-
-
 @dataclass
-class RunConfig:
+class RunConfig(Record):
     """Everything a benchmark run needs; serialized into the manifest."""
 
     task_file: str
@@ -121,25 +123,30 @@ class RunConfig:
         try:
             get_counter(self.counter)
             RepairStrategy(self.strategy)
-            if self.retrieval is not None:
-                RetrievalConfig(**self.retrieval)
+            self.retrieval_config()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+
+    def retrieval_config(self) -> RetrievalConfig | None:
+        """The retriever settings in `retrieval`; its `endpoint` and
+        `dimension` keys configure the embedding provider instead."""
+        if self.retrieval is None:
+            return None
+        if not isinstance(self.retrieval, dict):
+            raise TypeError(f"retrieval must be a JSON object, not {self.retrieval!r}")
+        return RetrievalConfig(
+            **{k: v for k, v in self.retrieval.items() if k not in ("endpoint", "dimension")}
+        )
 
     def cost_model(self) -> CostModel:
         return CostModel(self.prompt_usd_per_million, self.completion_usd_per_million)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "RunConfig":
-        return cls(**payload)
-
 
 @dataclass
-class RunManifest:
+class RunManifest(Record):
     """Summary of one run: config snapshot, versions, completion status."""
+
+    SCHEMA = MANIFEST_SCHEMA
 
     config: dict
     started_at: str
@@ -153,18 +160,9 @@ class RunManifest:
     incomplete_task_ids: list[str]
     status: str  # "complete" | "partial"
 
-    def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["schema"] = MANIFEST_SCHEMA
-        return payload
-
 
 def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
-
-
-def _dump_row(row: dict) -> str:
-    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def build_client(config: RunConfig, rate_limiter: RateLimiter | None = None):
@@ -215,10 +213,7 @@ def _read_source(path: Path) -> str:
 def load_tasks(config: RunConfig) -> list[CompletionTask]:
     """Materialize tasks: read sources, build context windows."""
     counter = get_counter(config.counter)
-    try:
-        rows = read_task_file(config.task_file)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot read task file {config.task_file}: {exc}") from exc
+    rows = read_task_file(config.task_file)
     sources: dict[str, SourceFile] = {}
     tasks: list[CompletionTask] = []
     for task_id, record in rows:
@@ -261,10 +256,7 @@ def cmd_build(
     records, report = build_corpus(files, filter_config)
     write_task_file(records, tasks_out)
     if stats_out is not None:
-        Path(stats_out).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(stats_out, report.to_json())
     log.info(
         "built %d tasks from %d files (%d extracted, %d dupes removed)",
         report.retained,
@@ -318,13 +310,7 @@ def run_task(
 ) -> tuple[TaskOutcome, list[RepairSession]]:
     """All samples for one task; pure with respect to shared state."""
     strategy = RepairStrategy(config.strategy)
-    retriever_cfg = (
-        RetrievalConfig(
-            **{k: v for k, v in config.retrieval.items() if k not in ("endpoint", "dimension")}
-        )
-        if config.retrieval is not None
-        else None
-    )
+    retriever_cfg = config.retrieval_config()
     sessions = [
         run_rar(
             task,
@@ -335,7 +321,7 @@ def run_task(
             max_rounds=config.max_rounds,
             max_tokens=config.max_tokens,
             provider=provider,
-            sample_index=i,
+            sample=i,
         )
         for i in range(config.n_samples)
     ]
@@ -389,7 +375,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
     def worker(task: CompletionTask):
         try:
             return run_task(task, config, client, backend, provider)
-        except ModelClientError as exc:
+        except (ModelClientError, RetrievalUnavailableError) as exc:
             return (task.task_id, str(exc))
 
     with open(outcomes_path, "a", encoding="utf-8") as out_fh, open(
@@ -406,9 +392,9 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
                     continue
                 outcome, sessions = result
                 for session in sessions:
-                    sess_fh.write(_dump_row(session.to_json()))
+                    sess_fh.write(dump_row(session.to_json()))
                 sess_fh.flush()
-                out_fh.write(_dump_row(outcome.to_json()))
+                out_fh.write(dump_row(outcome.to_json()))
                 out_fh.flush()
                 if outcome.unavailable:
                     unavailable_seen = True
@@ -428,9 +414,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         incomplete_task_ids=incomplete,
         status="complete" if not incomplete else "partial",
     )
-    manifest_path.write_text(
-        json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest_path, manifest.to_json())
     exit_code = EXIT_OK
     if incomplete or unavailable_seen:
         exit_code = EXIT_INFRA
@@ -438,19 +422,11 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
 
 
 def read_outcomes(path: str | Path) -> list[TaskOutcome]:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append(TaskOutcome.from_json(json.loads(line)))
-    return rows
+    return read_records(TaskOutcome, path, "outcomes")
 
 
 def read_sessions(path: str | Path) -> list[RepairSession]:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append(RepairSession.from_json(json.loads(line)))
-    return rows
+    return read_records(RepairSession, path, "sessions")
 
 
 def cmd_report(
@@ -471,9 +447,7 @@ def cmd_report(
         sessions.extend(read_sessions(path))
     report = build_report(outcomes, sessions or None, k_values, cost_model)
     if out_json is not None:
-        Path(out_json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out_json, report)
     return report
 
 
@@ -483,20 +457,8 @@ def _read_completions(path: str | Path) -> list[tuple[int, str, str]]:
     A row that is not a JSON object with a string task_id and a string body
     raises ConfigError naming its line.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read completions file {path}: {exc}") from exc
     rows = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}, line {lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise ConfigError(f"{path}, line {lineno}: expected a JSON object")
+    for lineno, row in read_rows(path, "completions"):
         for key in ("task_id", "body"):
             if not isinstance(row.get(key), str):
                 raise ConfigError(f"{path}, line {lineno}: {key!r} missing or not a string")
@@ -530,6 +492,5 @@ def cmd_verify(
         results.append({"task_id": task_id, "verdict": verdict.to_json()})
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for row in results:
-                fh.write(_dump_row(row))
+            fh.writelines(map(dump_row, results))
     return results, exit_code

@@ -20,6 +20,7 @@ from .executor import (
     STATUS_PASS,
 )
 from .repair import RepairSession
+from .rows import Record
 
 OUTCOMES_SCHEMA = "outcomes@1"
 REPORT_SCHEMA = "report@1"
@@ -38,7 +39,7 @@ class UndefinedCorrelationError(ValueError):
 
 
 @dataclass(frozen=True)
-class TaskOutcome:
+class TaskOutcome(Record):
     """Per-task sample counts feeding pass@k and compilation@1."""
 
     task_id: str
@@ -59,31 +60,6 @@ class TaskOutcome:
             raise ValueError(
                 f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, {self.n}]"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "n": self.n,
-            "c": self.c,
-            "c_compile": self.c_compile,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "unavailable": self.unavailable,
-            "context_budget": self.context_budget,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TaskOutcome":
-        return cls(
-            task_id=payload["task_id"],
-            n=payload["n"],
-            c=payload["c"],
-            c_compile=payload["c_compile"],
-            prompt_tokens=payload.get("prompt_tokens", 0),
-            completion_tokens=payload.get("completion_tokens", 0),
-            unavailable=payload.get("unavailable", False),
-            context_budget=payload.get("context_budget"),
-        )
 
 
 def outcome_from_sessions(
@@ -268,21 +244,13 @@ def usage_cost(prompt_tokens: int, completion_tokens: int, model: CostModel) -> 
 
 
 @dataclass
-class CostBreakdown:
+class CostBreakdown(Record):
     """Token and dollar totals, split by pipeline stage."""
 
     prompt_tokens: dict[str, int]
     completion_tokens: dict[str, int]
     cost_usd: dict[str, float]
     total_usd: float
-
-    def to_json(self) -> dict:
-        return {
-            "prompt_tokens": dict(self.prompt_tokens),
-            "completion_tokens": dict(self.completion_tokens),
-            "cost_usd": dict(self.cost_usd),
-            "total_usd": self.total_usd,
-        }
 
 
 def cost_of(

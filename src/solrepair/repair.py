@@ -46,6 +46,7 @@ from .retrieval import (
     lcs_retrieve_multi,
     retrieve,
 )
+from .rows import Record
 
 DEFAULT_MAX_TOKENS = 1024
 DEFAULT_MAX_ROUNDS = 1
@@ -316,7 +317,7 @@ def extract_code_block(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class Attempt:
+class Attempt(Record):
     """One model call and its verification outcome."""
 
     stage: str  # "completion" or "repair"
@@ -335,52 +336,16 @@ class Attempt:
     def with_verdict(self, verdict: ExecutionVerdict) -> "Attempt":
         return replace(self, verdict=verdict)
 
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "body": self.body,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "verdict": self.verdict.to_json() if self.verdict else None,
-            "snippets": [s.to_json() for s in self.snippets],
-            "explanation_prompt": self.explanation_prompt,
-            "explanation": self.explanation,
-            "explanation_prompt_tokens": self.explanation_prompt_tokens,
-            "explanation_completion_tokens": self.explanation_completion_tokens,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Attempt":
-        verdict = payload.get("verdict")
-        return cls(
-            stage=payload["stage"],
-            prompt=payload["prompt"],
-            completion=payload["completion"],
-            body=payload["body"],
-            prompt_tokens=payload["prompt_tokens"],
-            completion_tokens=payload["completion_tokens"],
-            verdict=ExecutionVerdict.from_json(verdict) if verdict else None,
-            snippets=tuple(
-                RetrievedSnippet.from_json(s) for s in payload.get("snippets", [])
-            ),
-            explanation_prompt=payload.get("explanation_prompt", ""),
-            explanation=payload.get("explanation", ""),
-            explanation_prompt_tokens=payload.get("explanation_prompt_tokens", 0),
-            explanation_completion_tokens=payload.get("explanation_completion_tokens", 0),
-        )
-
 
 @dataclass(frozen=True)
-class RepairSession:
+class RepairSession(Record):
     """All attempts for one task sample, in order."""
 
     task_id: str
     strategy: str
     max_rounds: int
     attempts: tuple[Attempt, ...]
-    sample_index: int = 0
+    sample: int = 0
 
     def __post_init__(self) -> None:
         if not self.attempts:
@@ -394,24 +359,13 @@ class RepairSession:
         return last.status if last else STATUS_EXECUTOR_UNAVAILABLE
 
     def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "sample": self.sample_index,
-            "strategy": self.strategy,
-            "max_rounds": self.max_rounds,
-            "final_status": self.final_status,
-            "attempts": [a.to_json() for a in self.attempts],
-        }
+        return super().to_json() | {"final_status": self.final_status}
 
     @classmethod
     def from_json(cls, payload: dict) -> "RepairSession":
-        return cls(
-            task_id=payload["task_id"],
-            strategy=payload["strategy"],
-            max_rounds=payload["max_rounds"],
-            attempts=tuple(Attempt.from_json(a) for a in payload["attempts"]),
-            sample_index=payload.get("sample", 0),
-        )
+        row = dict(payload)
+        row.pop("final_status", None)
+        return super().from_json(row)
 
 
 def complete_function(
@@ -515,7 +469,7 @@ def run_rar(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     provider: EmbeddingProvider | None = None,
-    sample_index: int = 0,
+    sample: int = 0,
 ) -> RepairSession:
     """Retrieval-augmented repair for one task.
 
@@ -569,5 +523,5 @@ def run_rar(
         strategy=strategy.kind,
         max_rounds=max_rounds,
         attempts=tuple(attempts),
-        sample_index=sample_index,
+        sample=sample,
     )

@@ -17,6 +17,7 @@ from itertools import accumulate, count
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .corpus import tokenize_terms
+from .rows import Record
 
 METHODS = ("lcs", "bm25", "tfidf", "jaccard", "dense")
 
@@ -66,30 +67,13 @@ class Query:
 
 
 @dataclass(frozen=True)
-class RetrievedSnippet:
+class RetrievedSnippet(Record):
     """One scored context window; line_index is 0-based into the context."""
 
     line_index: int
     text: str
     score: float
     matched_fragment: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "line_index": self.line_index,
-            "text": self.text,
-            "score": self.score,
-            "matched_fragment": self.matched_fragment,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "RetrievedSnippet":
-        return cls(
-            line_index=payload["line_index"],
-            text=payload["text"],
-            score=payload["score"],
-            matched_fragment=payload.get("matched_fragment"),
-        )
 
 
 @runtime_checkable

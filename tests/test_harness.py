@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -30,6 +32,7 @@ from solrepair.harness import (
     EXIT_OK,
     ConfigError,
     RunConfig,
+    build_provider,
     cmd_build,
     cmd_report,
     cmd_run,
@@ -39,6 +42,12 @@ from solrepair.harness import (
     read_sessions,
 )
 from solrepair.metrics import build_report
+from solrepair.retrieval import (
+    HashEmbeddingProvider,
+    HttpEmbeddingProvider,
+    RetrievalConfig,
+    RetrievalUnavailableError,
+)
 
 E2E_TASKS = 50
 
@@ -171,9 +180,25 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             config.validate()
 
+    def test_retrieval_config_not_an_object(self, e2e_config_factory, tmp_path):
+        config = e2e_config_factory(str(tmp_path), retrieval="lcs")
+        with pytest.raises(ConfigError, match="retrieval must be a JSON object"):
+            config.validate()
+
     def test_json_round_trip(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(str(tmp_path), **RAR_OVERRIDES)
         assert RunConfig.from_json(config.to_json()) == config
+
+    def test_dense_endpoint_and_dimension_configure_the_provider(self, e2e_config_factory, tmp_path):
+        retrieval = {"method": "dense", "endpoint": "http://localhost:9/embed", "dimension": 8}
+        config = e2e_config_factory(str(tmp_path), retrieval=retrieval)
+        with mock.patch("requests.post") as post:
+            config.validate()
+            provider = build_provider(config)
+        post.assert_not_called()
+        assert isinstance(provider, HttpEmbeddingProvider)
+        assert provider.dimension == 8
+        assert config.retrieval_config() == RetrievalConfig(method="dense")
 
 
 class TestLoadTasks:
@@ -214,7 +239,7 @@ class TestLoadTasks:
             out_dir=str(tmp_path),
             mock_client=str(e2e_dir / "mock_client.json"),
         )
-        with pytest.raises(ConfigError, match="cannot read task file"):
+        with pytest.raises(ConfigError, match=r"tasks\.jsonl, line 1: malformed JSON"):
             load_tasks(config)
 
 
@@ -477,6 +502,20 @@ class TestCmdRun:
         outcomes = read_outcomes(tmp_path / "out" / "outcomes.jsonl")
         assert len(outcomes) == 20
         assert all(o.c == 1 for o in outcomes)
+
+    def test_retrieval_failure_leaves_run_partial(self, e2e_config_factory, tmp_path):
+        config = e2e_config_factory(
+            str(tmp_path / "out"), max_rounds=1, retrieval={"method": "dense"}
+        )
+        down = RetrievalUnavailableError("embedding endpoint failed")
+        with mock.patch.object(HashEmbeddingProvider, "embed", side_effect=down):
+            manifest, code = cmd_run(config)
+        assert code == EXIT_INFRA
+        written = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert written["status"] == manifest.status == "partial"
+        # The 20 tasks whose first completion passes never retrieve.
+        assert written["tasks_completed"] == 20
+        assert len(written["incomplete_task_ids"]) == E2E_TASKS - 20
 
 
 class TestResume:
@@ -804,10 +843,109 @@ class TestCli:
         assert main(flags) == EXIT_INFRA
         capsys.readouterr()
 
-    def test_report_on_missing_file_exits_infra(self, tmp_path, capsys):
-        code = main(["report", "--outcomes", str(tmp_path / "ghost.jsonl")])
-        assert code == EXIT_INFRA
-        assert "error:" in capsys.readouterr().err
+    def test_report_on_missing_file_exits_config(self, baseline_run, tmp_path, capsys):
+        _, _, _, out = baseline_run
+        for argv in (
+            ["report", "--outcomes", str(tmp_path / "ghost.jsonl")],
+            ["report", "--outcomes", str(out / "outcomes.jsonl"), "--sessions", str(tmp_path / "ghost.jsonl")],
+        ):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: cannot read {argv[-2][2:]} file {tmp_path / 'ghost.jsonl'}")
+
+    @pytest.mark.parametrize(
+        "kind,edit,complaint",
+        [
+            ("outcomes", lambda row: json.dumps(row)[:-1], "malformed JSON"),
+            ("outcomes", lambda row: json.dumps([row]), "expected a JSON object"),
+            ("outcomes", lambda row: json.dumps({**row, "n": 1, "c": 2}), "bank0.sol#L12-15: c=2 outside"),
+            ("outcomes", lambda row: json.dumps({k: v for k, v in row.items() if k != "n"}), "TaskOutcome.__init__.. missing 1 required positional argument: 'n'"),
+            ("outcomes", lambda row: json.dumps({**row, "extra": 1}), "TaskOutcome.__init__.. got an unexpected keyword argument 'extra'"),
+            ("sessions", lambda row: json.dumps(row)[:-1], "malformed JSON"),
+            ("sessions", lambda row: json.dumps({k: v for k, v in row.items() if k != "strategy"}), "RepairSession.__init__.. missing 1 required positional argument: 'strategy'"),
+            ("sessions", lambda row: json.dumps({**row, "sample_index": 0}), "RepairSession.__init__.. got an unexpected keyword argument 'sample_index'"),
+            ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "extra": 1}]}), "Attempt.__init__.. got an unexpected keyword argument 'extra'"),
+            ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "verdict": "pass"}]}), "ExecutionVerdict: expected a JSON object, got str"),
+            ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "'int' object is not iterable"),
+        ],
+        ids=[
+            "outcome-malformed", "outcome-not-an-object", "outcome-bad-count", "outcome-missing-key",
+            "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
+            "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list",
+        ],
+    )
+    def test_report_on_malformed_row_exits_config(self, baseline_run, tmp_path, capsys, kind, edit, complaint):
+        _, _, _, out = baseline_run
+        paths = {k: out / f"{k}.jsonl" for k in ("outcomes", "sessions")}
+        lines = paths[kind].read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / f"{kind}.jsonl"
+        bad.write_text(f"{lines[1]}\n{edit(json.loads(lines[0]))}\n", encoding="utf-8")
+        paths[kind] = bad
+        code = main(["report", "--outcomes", str(paths["outcomes"]), "--sessions", str(paths["sessions"])])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(f"error: {re.escape(str(bad))}, line 2: {complaint}", err), err
+
+    def test_config_file_with_unknown_key_exits_config(self, e2e_config_factory, tmp_path, capsys):
+        payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {"budget": 64}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unexpected keyword argument 'budget'" in err
+
+    def test_config_file_dense_endpoint_runs_without_requests(self, e2e_dir, baseline_run, tmp_path):
+        _, _, _, reference = baseline_run
+        config_path = tmp_path / "run.json"
+        retrieval = {"method": "dense", "endpoint": "http://localhost:9/embed", "dimension": 8}
+        config_path.write_text(json.dumps({"retrieval": retrieval}), encoding="utf-8")
+        out = tmp_path / "out"
+        with mock.patch("requests.post") as post:
+            code = main(self.run_flags(e2e_dir, out, "--config", str(config_path), "--max-rounds", "0"))
+        assert code == EXIT_OK
+        post.assert_not_called()
+        assert outcome_bytes(out) == outcome_bytes(reference)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["retrieval"] == retrieval
+
+    @pytest.mark.parametrize(
+        "flag,value,field,expected",
+        [
+            ("--tasks", "t.jsonl", "task_file", "t.jsonl"),
+            ("--out", "o", "out_dir", "o"),
+            ("--source-root", "src", "source_root", "src"),
+            ("--budget", "64", "context_budget", 64),
+            ("--counter", "words", "counter", "words"),
+            ("--strategy", "self_debug", "strategy", "self_debug"),
+            ("--max-rounds", "3", "max_rounds", 3),
+            ("--max-tokens", "99", "max_tokens", 99),
+            ("--samples", "4", "n_samples", 4),
+            ("--workers", "2", "workers", 2),
+            ("--seed", "7", "seed", 7),
+            ("--retrieval", "bm25", "retrieval", {"method": "bm25"}),
+            ("--mock-client", "c.json", "mock_client", "c.json"),
+            ("--mock-executor", "e.json", "mock_executor", "e.json"),
+            ("--executor", "solc", "executor", "solc"),
+            ("--solc", "bin/solc", "solc_path", "bin/solc"),
+            ("--endpoint", "http://localhost:9/v1", "endpoint", "http://localhost:9/v1"),
+            ("--model", "m", "model", "m"),
+            ("--api-key-env", "KEY", "api_key_env", "KEY"),
+            ("--rate-limit", "30", "rate_limit_per_minute", 30),
+        ],
+    )
+    def test_run_flag_sets_its_config_field(self, flag, value, field, expected):
+        captured = []
+
+        def fake_run(config):
+            captured.append(config)
+            return SimpleNamespace(status="complete", tasks_completed=0, tasks_total=0), EXIT_OK
+
+        with mock.patch("solrepair.cli.cmd_run", fake_run):
+            assert main(["run", "--tasks", "base.jsonl", "--out", "base", flag, value]) == EXIT_OK
+        assert getattr(captured[0], field) == expected
 
     def test_verify_command(self, e2e_config_factory, e2e_dir, tmp_path, capsys):
         config = e2e_config_factory(str(tmp_path / "out"))

@@ -1,0 +1,277 @@
+"""The record codec and the JSONL reader and writer in solrepair.rows."""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from solrepair import rows
+from solrepair.corpus import FilterReport
+from solrepair.executor import (
+    ERROR_KINDS,
+    STATUS_COMPILE_ERROR,
+    STATUS_PASS,
+    STATUSES,
+    Diagnostic,
+    ExecutionVerdict,
+)
+from solrepair.harness import RunConfig, RunManifest
+from solrepair.metrics import CostBreakdown, TaskOutcome
+from solrepair.repair import Attempt, RepairSession
+from solrepair.retrieval import RetrievedSnippet
+from solrepair.rows import ConfigError, Record, dump_row, read_records, read_rows
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+text = st.text(max_size=12)
+ints = st.integers(-(2**53), 2**53)
+counts = st.integers(0, 10**6)
+floats = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.none() | st.booleans() | ints | floats | text
+json_objects = st.dictionaries(text, scalars, max_size=4)
+
+diagnostics = st.builds(
+    Diagnostic,
+    kind=st.sampled_from(ERROR_KINDS),
+    message=text,
+    line=st.none() | counts,
+    identifier=st.none() | text,
+)
+
+
+@st.composite
+def verdicts(draw) -> ExecutionVerdict:
+    status = draw(st.sampled_from(STATUSES))
+    low = 1 if status == STATUS_COMPILE_ERROR else 0
+    high = 0 if status == STATUS_PASS else 3
+    return ExecutionVerdict(
+        status=status,
+        diagnostics=tuple(draw(st.lists(diagnostics, min_size=low, max_size=high))),
+        elapsed=draw(floats),
+        backend=draw(text),
+        backend_version=draw(text),
+        backend_seed=draw(st.none() | ints),
+    )
+
+
+snippets = st.builds(
+    RetrievedSnippet,
+    line_index=counts,
+    text=text,
+    score=floats,
+    matched_fragment=st.none() | text,
+)
+
+attempts = st.builds(
+    Attempt,
+    stage=text,
+    prompt=text,
+    completion=text,
+    body=text,
+    prompt_tokens=counts,
+    completion_tokens=counts,
+    verdict=st.none() | verdicts(),
+    snippets=st.lists(snippets, max_size=3).map(tuple),
+    explanation_prompt=text,
+    explanation=text,
+    explanation_prompt_tokens=counts,
+    explanation_completion_tokens=counts,
+)
+
+
+@st.composite
+def sessions(draw) -> RepairSession:
+    tried = tuple(draw(st.lists(attempts, min_size=1, max_size=3)))
+    return RepairSession(
+        task_id=draw(text),
+        strategy=draw(text),
+        max_rounds=draw(st.integers(len(tried) - 1, len(tried) + 2)),
+        attempts=tried,
+        sample=draw(counts),
+    )
+
+
+@st.composite
+def outcomes(draw) -> TaskOutcome:
+    n = draw(st.integers(1, 50))
+    c = draw(st.integers(0, n))
+    return TaskOutcome(
+        task_id=draw(text),
+        n=n,
+        c=c,
+        c_compile=draw(st.integers(c, n)),
+        prompt_tokens=draw(counts),
+        completion_tokens=draw(counts),
+        unavailable=draw(st.booleans()),
+        context_budget=draw(st.none() | counts),
+    )
+
+
+STRATEGIES = {
+    Diagnostic: diagnostics,
+    ExecutionVerdict: verdicts(),
+    RetrievedSnippet: snippets,
+    Attempt: attempts,
+    RepairSession: sessions(),
+    TaskOutcome: outcomes(),
+    CostBreakdown: st.builds(
+        CostBreakdown,
+        prompt_tokens=st.dictionaries(text, counts, max_size=3),
+        completion_tokens=st.dictionaries(text, counts, max_size=3),
+        cost_usd=st.dictionaries(text, floats, max_size=3),
+        total_usd=floats,
+    ),
+    FilterReport: st.builds(
+        FilterReport,
+        **{name: counts for name in (
+            "total_extracted", "excluded_no_comment", "excluded_state_dependent",
+            "excluded_mint", "retained", "dedup_removed",
+        )},
+        duplication_rate=floats,
+    ),
+    RunConfig: st.builds(
+        RunConfig,
+        task_file=text, out_dir=text, source_root=text, context_budget=ints, counter=text,
+        strategy=text, max_rounds=ints, max_tokens=ints, n_samples=ints, workers=ints,
+        seed=ints, retrieval=st.none() | json_objects, executor=text,
+        mock_executor=st.none() | text, solc_path=text, fuzz_command=st.lists(text, max_size=3),
+        executor_timeout=floats, mock_client=st.none() | text, endpoint=st.none() | text,
+        model=text, api_key_env=text, rate_limit_per_minute=ints,
+        k_values=st.lists(ints, max_size=3), prompt_usd_per_million=floats,
+        completion_usd_per_million=floats,
+    ),
+    RunManifest: st.builds(
+        RunManifest,
+        config=json_objects, started_at=text, finished_at=text, harness_version=text,
+        backend_name=text, backend_version=text, client_name=text, tasks_total=counts,
+        tasks_completed=counts, incomplete_task_ids=st.lists(text, max_size=3), status=text,
+    ),
+}
+
+
+def test_every_record_class_has_a_strategy():
+    ours = {c for c in Record.__subclasses__() if c.__module__.startswith("solrepair.")}
+    assert ours == set(STRATEGIES)
+
+
+@pytest.mark.parametrize("cls", list(STRATEGIES), ids=lambda c: c.__name__)
+def test_round_trip_through_json_text(cls):
+    @settings(max_examples=60, deadline=None)
+    @given(STRATEGIES[cls])
+    def check(record):
+        assert cls.from_json(json.loads(json.dumps(record.to_json()))) == record
+
+    check()
+
+
+def _doc_fields(section: str, label: str) -> set[str]:
+    """Backticked names after `label` in a docs section, up to the next
+    blank line or list item, outside parentheses."""
+    body = DOCS.read_text(encoding="utf-8").split(f"\n## {section}", 1)[1].split("\n## ", 1)[0]
+    start = body.index(label) + len(label)
+    end = re.compile(r"\n\s*\n|\n- ").search(body, start)
+    listed = re.sub(r"\([^()]*\)", "", body[start : end.start() if end else None])
+    return set(re.findall(r"`([a-z_]+)`", listed))
+
+
+@pytest.mark.parametrize(
+    "cls,section,label",
+    [
+        (FilterReport, "Corpus stats", "Fields:"),
+        (RepairSession, "Session log", "Row:"),
+        (Attempt, "Session log", "Attempt:"),
+        (RetrievedSnippet, "Session log", "Snippet:"),
+        (ExecutionVerdict, "Session log", "Verdict:"),
+        (Diagnostic, "Session log", "Diagnostic:"),
+        (TaskOutcome, "Outcome log", "Row:"),
+        (RunManifest, "Run manifest", "Fields:"),
+        (RunConfig, "Run config", "Fields:"),
+        (CostBreakdown, "Report", "- `cost`:"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_json_keys_match_docs(cls, section, label):
+    documented = _doc_fields(section, label)
+
+    @settings(max_examples=5, deadline=None)
+    @given(STRATEGIES[cls])
+    def check(record):
+        assert set(record.to_json()) == documented
+
+    check()
+
+
+def test_plan_is_built_once_per_class(tmp_path):
+    @settings(max_examples=5, deadline=None)
+    @given(sessions())
+    def check(session):
+        path = tmp_path / "sessions.jsonl"
+        path.write_text(dump_row(session.to_json()) * 20, encoding="utf-8")
+        rows._plan.cache_clear()
+        assert read_records(RepairSession, path, "sessions") == [session] * 20
+        # The session and the records nested in it, however many rows.
+        assert rows._plan.cache_info().misses <= 5
+
+    check()
+
+
+def test_missing_optional_key_takes_the_default():
+    assert TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0}) == TaskOutcome("t", 1, 0, 0)
+    assert ExecutionVerdict.from_json({"status": "pass"}) == ExecutionVerdict(STATUS_PASS)
+
+
+def test_schema_written_and_ignored_on_read():
+    report = FilterReport(total_extracted=3, retained=3)
+    payload = report.to_json()
+    assert payload["schema"] == "corpus-stats@1"
+    assert FilterReport.from_json(payload) == report
+    assert FilterReport.from_json({k: v for k, v in payload.items() if k != "schema"}) == report
+    with pytest.raises(TypeError, match="'schema'"):
+        TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0, "schema": "x"})
+
+
+def test_plain_field_types_pass_through():
+    @dataclass(frozen=True)
+    class Plain(Record):
+        names: tuple[str, ...]
+        tags: list[str]
+        maybe: int | None = None
+
+    assert Plain(("a",), ["b"]).to_json() == {"names": ["a"], "tags": ["b"], "maybe": None}
+    assert Plain.from_json({"names": ["a"], "tags": ["b"]}) == Plain(("a",), ["b"])
+
+
+def test_dump_row_is_sorted_compact_and_ends_the_line():
+    assert dump_row({"b": 1, "a": [1, "é"]}) == '{"a":[1,"\\u00e9"],"b":1}\n'
+
+
+@pytest.mark.parametrize(
+    "content,complaint",
+    [
+        (None, "cannot read outcomes file {path}: "),
+        (b"\xff\n", "cannot read outcomes file {path}: "),
+        (b'{"a": 1}\n\n{"a"\n', "{path}, line 3: malformed JSON: "),
+        (b'{"a": 1}\n' + b"[" * 100_000 + b"\n", "{path}, line 2: malformed JSON: "),
+        (b'"row"\n', "{path}, line 1: expected a JSON object"),
+    ],
+    ids=["missing", "not-utf8", "malformed", "too-deep", "not-an-object"],
+)
+def test_read_rows_errors_name_file_and_line(tmp_path, content, complaint):
+    path = tmp_path / "outcomes.jsonl"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        list(read_rows(path, "outcomes"))
+    assert str(info.value).startswith(complaint.format(path=path))
+
+
+def test_read_rows_numbers_lines_and_skips_blank_ones(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\r\n', encoding="utf-8")
+    assert list(read_rows(path, "rows")) == [(1, {"a": 1}), (4, {"b": 2})]
