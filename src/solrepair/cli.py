@@ -76,6 +76,11 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
+        retrieval = payload.get("retrieval")
+        if retrieval is not None and not isinstance(retrieval, dict):
+            raise ConfigError(
+                f"config file {args.config}: retrieval must be a JSON object, not {retrieval!r}"
+            )
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import ast
 import json
+import operator
 import random
 import re
 import subprocess
 import threading
 import time
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
     AnchoredPattern,
@@ -183,82 +184,121 @@ def _translate_expr(expr: str) -> str:
     return expr
 
 
-def _eval_node(node: ast.AST, env: dict) -> int | bool:
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: operator.pow}
+_DIVISIONS = {
+    ast.Div: (operator.floordiv, "division by zero"),
+    ast.FloorDiv: (operator.floordiv, "division by zero"),
+    ast.Mod: (operator.mod, "modulo by zero"),
+}
+_COMPARISONS = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+}
+
+_Evaluator = Callable[[dict], "int | bool"]
+
+
+def _raising(exc: Exception) -> _Evaluator:
+    """An evaluator that raises a fresh copy of exc (not exc itself, whose
+    traceback would keep its frames alive)."""
+    kind, args = type(exc), exc.args
+
+    def fail(env: dict):
+        raise kind(*args)
+
+    return fail
+
+
+def _unsupported(message: str, operands: Sequence[_Evaluator]) -> _Evaluator:
+    """An evaluator that evaluates operands, then raises _EvalError(message)."""
+
+    def fail(env: dict):
+        for operand in operands:
+            operand(env)
+        raise _EvalError(message)
+
+    return fail
+
+
+def _compile_node(node: ast.AST) -> _Evaluator:
+    """The node as a tree of closures over an environment.
+
+    Each closure evaluates its operands in the order, and raises the
+    errors, of a walk of the tree: `and`/`or` evaluate every operand, a
+    conditional one branch, and a comparison chain stops at its first false
+    link. An error the walk would raise on reaching a node is raised when
+    its closure is called, never here.
+    """
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, bool)):
-        return node.value
+        value = node.value
+        return lambda env: value
     if isinstance(node, ast.Name):
-        if node.id == "True":
-            return True
-        if node.id == "False":
-            return False
-        if node.id not in env:
-            raise _EvalError(f"unbound name {node.id!r}")
-        return env[node.id]
+        name = node.id
+
+        def load(env: dict):
+            try:
+                return env[name]
+            except KeyError:
+                raise _EvalError(f"unbound name {name!r}") from None
+
+        return load
     if isinstance(node, ast.UnaryOp):
-        value = _eval_node(node.operand, env)
+        operand = _compile_node(node.operand)
         if isinstance(node.op, ast.USub):
-            return -value
+            return lambda env: -operand(env)
         if isinstance(node.op, ast.UAdd):
-            return value
+            return operand
         if isinstance(node.op, ast.Not):
-            return not value
-        raise _EvalError("unsupported unary operator")
+            return lambda env: not operand(env)
+        return _unsupported("unsupported unary operator", (operand,))
     if isinstance(node, ast.BinOp):
-        left = _eval_node(node.left, env)
-        right = _eval_node(node.right, env)
-        op = node.op
-        if isinstance(op, ast.Add):
-            return left + right
-        if isinstance(op, ast.Sub):
-            return left - right
-        if isinstance(op, ast.Mult):
-            return left * right
-        if isinstance(op, (ast.Div, ast.FloorDiv)):
-            if right == 0:
-                raise _EvalError("division by zero")
-            return left // right
-        if isinstance(op, ast.Mod):
-            if right == 0:
-                raise _EvalError("modulo by zero")
-            return left % right
-        if isinstance(op, ast.Pow):
-            return left**right
-        raise _EvalError("unsupported binary operator")
+        left, right = _compile_node(node.left), _compile_node(node.right)
+        op = _ARITHMETIC.get(type(node.op))
+        if op is not None:
+            return lambda env: op(left(env), right(env))
+        if type(node.op) in _DIVISIONS:
+            divide, message = _DIVISIONS[type(node.op)]
+
+            def checked(env: dict):
+                a, b = left(env), right(env)
+                if b == 0:
+                    raise _EvalError(message)
+                return divide(a, b)
+
+            return checked
+        return _unsupported("unsupported binary operator", (left, right))
     if isinstance(node, ast.BoolOp):
-        values = [_eval_node(v, env) for v in node.values]
-        return all(values) if isinstance(node.op, ast.And) else any(values)
+        operands = tuple(map(_compile_node, node.values))
+        if isinstance(node.op, ast.And):
+            return lambda env: all([operand(env) for operand in operands])
+        return lambda env: any([operand(env) for operand in operands])
     if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, env)
-        for op, comparator in zip(node.ops, node.comparators):
-            right = _eval_node(comparator, env)
-            ok = (
-                left == right
-                if isinstance(op, ast.Eq)
-                else left != right
-                if isinstance(op, ast.NotEq)
-                else left < right
-                if isinstance(op, ast.Lt)
-                else left <= right
-                if isinstance(op, ast.LtE)
-                else left > right
-                if isinstance(op, ast.Gt)
-                else left >= right
-                if isinstance(op, ast.GtE)
-                else None
-            )
-            if ok is None:
-                raise _EvalError("unsupported comparison")
-            if not ok:
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.IfExp):
-        return (
-            _eval_node(node.body, env)
-            if _eval_node(node.test, env)
-            else _eval_node(node.orelse, env)
+        first = _compile_node(node.left)
+        links = tuple(
+            (_COMPARISONS.get(type(op)), _compile_node(comparator))
+            for op, comparator in zip(node.ops, node.comparators)
         )
-    raise _EvalError(f"unsupported expression node {type(node).__name__}")
+
+        def compare(env: dict) -> bool:
+            left = first(env)
+            for op, comparator in links:
+                right = comparator(env)
+                if op is None:
+                    raise _EvalError("unsupported comparison")
+                if not op(left, right):
+                    return False
+                left = right
+            return True
+
+        return compare
+    if isinstance(node, ast.IfExp):
+        test, body, orelse = map(_compile_node, (node.test, node.body, node.orelse))
+        return lambda env: body(env) if test(env) else orelse(env)
+    return _raising(_EvalError(f"unsupported expression node {type(node).__name__}"))
 
 
 # CPython 3.11's ast.parse is not safe to call from several threads at once:
@@ -269,19 +309,21 @@ def _eval_node(node: ast.AST, env: dict) -> int | bool:
 _PARSE_LOCK = threading.Lock()
 
 
-def _compile_expr(expr: str) -> ast.expr | Exception:
-    """The expression's tree, or the exception evaluating it must raise."""
+def _compile_expr(expr: str) -> _Evaluator:
+    """The expression's evaluator; one that raises when it cannot be parsed."""
     # Operator translation can leave leading whitespace, which eval-mode
     # parsing treats as an indent error.
     try:
         with _PARSE_LOCK:
-            return ast.parse(_translate_expr(expr).strip(), mode="eval").body
+            tree = ast.parse(_translate_expr(expr).strip(), mode="eval").body
+        return _compile_node(tree)
     except SyntaxError as exc:
-        return _EvalError(f"cannot parse expression {expr!r}: {exc}")
+        return _raising(_EvalError(f"cannot parse expression {expr!r}: {exc}"))
     except (MemoryError, RecursionError) as exc:
-        # Nesting beyond the parser's limits: raised where evaluation
-        # reaches the statement, as it was when each case parsed it.
-        return exc
+        # Nesting beyond the parser's or the interpreter's limits: raised
+        # where evaluation reaches the statement, as it was when each case
+        # parsed it.
+        return _raising(exc)
 
 
 _DECL_STMT_RE = re.compile(
@@ -290,45 +332,53 @@ _DECL_STMT_RE = re.compile(
 _RETURN_STMT_RE = re.compile(r"^return\s+(.+)$", re.S)
 
 
+def _zero(env: dict) -> int:
+    return 0
+
+
 class _Step(NamedTuple):
     """One statement: a declaration of `name`, or `return` when name is None.
 
-    expr is the parsed expression, None for a declaration without an
-    initializer (value 0), or the exception its parse raised, which is
-    raised again each time evaluation reaches the step.
+    evaluate gives the statement's value (0 for a declaration without an
+    initializer) or raises what evaluating it raises, parse errors included.
     """
 
     name: str | None
-    expr: ast.expr | Exception | None
+    evaluate: _Evaluator
 
 
-def interpret_body(body: str) -> list[_Step] | None:
-    """Parse a body into steps, each expression once, or None when
-    uninterpretable."""
+def interpret_body(body: str, known: dict[str, _Step] | None = None) -> list[_Step] | None:
+    """Parse a body into steps, or None when uninterpretable.
+
+    known maps statement texts to their steps: a statement found there is
+    not parsed again, and one parsed here is added to it.
+    """
     inner = body.strip()
     if not (inner.startswith("{") and inner.endswith("}")):
         return None
+    if known is None:
+        known = {}
     statements = [s.strip() for s in inner[1:-1].split(";") if s.strip()]
-    parsed: list[tuple[str | None, str | None]] = []
+    new: dict[str, tuple[str | None, str | None]] = {}
     for stmt in statements:
+        if stmt in known or stmt in new:
+            continue
         decl = _DECL_STMT_RE.match(stmt)
         if decl:
-            parsed.append((decl.group(1), decl.group(2)))
-            continue
-        ret = _RETURN_STMT_RE.match(stmt)
-        if ret:
-            parsed.append((None, ret.group(1)))
-            continue
-        return None
-    return [_Step(name, None if expr is None else _compile_expr(expr)) for name, expr in parsed]
+            new[stmt] = (decl.group(1), decl.group(2))
+        elif ret := _RETURN_STMT_RE.match(stmt):
+            new[stmt] = (None, ret.group(1))
+        else:
+            return None
+    for stmt, (name, expr) in new.items():
+        known.setdefault(stmt, _Step(name, _zero if expr is None else _compile_expr(expr)))
+    return [known[stmt] for stmt in statements]
 
 
 def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
-    for name, expr in steps:
-        if isinstance(expr, Exception):
-            raise type(expr)(*expr.args)
-        value = 0 if expr is None else _eval_node(expr, env)
+    for name, evaluate in steps:
+        value = evaluate(env)
         if name is None:
             return value
         env[name] = value
@@ -360,9 +410,11 @@ _DECLARED_RES = (
         rf"\b(?:{_DECLARING_KEYWORDS})\s+([A-Za-z_$][A-Za-z0-9_$]*)", _DECLARING_KEYWORDS
     ),
     AnchoredPattern(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)", "function"),
-    # Anchored on its type names this one scans slower, so it stays plain.
+    # `\b(?:u?int\d*|bytes\d*|bool|address|string)` with each name's first
+    # letter moved before its `\b`, as a lookbehind: every alternative then
+    # starts with a literal, which lets `re` skip ahead to candidates.
     re.compile(
-        r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
+        r"(?:u(?<!\wu)int\d*|i(?<!\wi)nt\d*|b(?<!\wb)(?:ytes\d*|ool)|a(?<!\wa)ddress|s(?<!\ws)tring)\s+"
         r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
         r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
     ),
@@ -563,9 +615,22 @@ def _usable_index(text: str, index: SourceIndex | None) -> SourceIndex:
     return SourceIndex(text)
 
 
+class _Expected(NamedTuple):
+    """The oracle's side of one function's generated cases."""
+
+    steps: list[_Step] | None  # the oracle body's steps; None when uninterpretable
+    cases: list[tuple[dict, int | bool | None]]  # generated inputs, the oracle's outputs
+    failure: str | None  # why evaluating the oracle failed, when it did
+
+
 class _Oracle:
     """One oracle text as verify sees it: its index, the top-level functions
     whose bodies a splice may replace, and the names it declares.
+
+    It also keeps what verify learns about the oracle, once per run: the
+    steps of each statement text parsed so far (completions' statements
+    included) and each function's expected outputs. Every entry is a pure
+    function of its key, so threads racing to fill one only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
@@ -576,7 +641,40 @@ class _Oracle:
         # In a well-nested source, top-level bodies come in offset order.
         self._spliceable = top if _well_nested(self.index.functions) else []
         self._starts = [fn.body_start for fn in self._spliceable]
-        self._declared = Counter(m.group(1) for m in _declarations(self.index.scrubbed))
+        found = sorted(_declarations(self.index.scrubbed), key=re.Match.start)
+        self._declaration_starts = [m.start() for m in found]
+        self._declaration_names = [m.group(1) for m in found]
+        self._declared = Counter(self._declaration_names)
+        self.steps: dict[str, _Step] = {}
+        self._expected: dict[tuple[int, int], _Expected] = {}
+
+    def _declared_within(self, start: int, end: int) -> Counter:
+        """Names declared in scrubbed[start:end], which holds one body: no
+        declaration match spans a brace, so a body's matches are those of
+        the whole source that start inside it."""
+        lo = bisect_left(self._declaration_starts, start)
+        hi = bisect_left(self._declaration_starts, end, lo)
+        return Counter(self._declaration_names[lo:hi])
+
+    def expected(self, body: _Body, seed: int) -> _Expected:
+        """The oracle function `body` evaluated on its generated cases."""
+        key = (body.start, seed)
+        found = self._expected.get(key)
+        if found is None:
+            found = self._expected.setdefault(key, self._evaluate(body, seed))
+        return found
+
+    def _evaluate(self, body: _Body, seed: int) -> _Expected:
+        steps = interpret_body(body.text, self.steps)
+        if steps is None:
+            return _Expected(None, [], None)
+        cases = []
+        for inputs in _generated_cases(_param_names(body.signature), f"{seed}:{body.name}"):
+            try:
+                cases.append((inputs, evaluate_body(steps, inputs)))
+            except _EvalError as exc:
+                return _Expected(steps, [], f"oracle evaluation failed: {exc}")
+        return _Expected(steps, cases, None)
 
     def splice(self, completed_source: str) -> _Change | None:
         """The change, found by scanning only the new body, when
@@ -601,9 +699,7 @@ class _Oracle:
             return None
         old = _body(self.index, fn)
         names = _SplicedNames(
-            self._declared,
-            Counter(m.group(1) for m in _declarations(old.scrubbed)),
-            _declared_in(scrubbed),
+            self._declared, self._declared_within(fn.body_start, end), _declared_in(scrubbed)
         )
         return _Change((old,), (old._replace(text=new_text, scrubbed=scrubbed),), names)
 
@@ -626,7 +722,8 @@ class ScriptedDifferentialBackend:
     each other, and a function nested in another's body counts as part of
     that body. The backend prepares each oracle text once, on first use, from
     the index verify is handed (indexing the text itself only when none
-    fits), and keeps it for its own lifetime.
+    fits), and keeps it for its own lifetime: each function's expected
+    outputs are computed once, and each distinct statement is parsed once.
     """
 
     name = "mock-diff"
@@ -732,15 +829,14 @@ class ScriptedDifferentialBackend:
                 STATUS_FUNCTIONAL_MISMATCH,
                 [Diagnostic("Other", f"function {name!r} has no oracle counterpart")],
             )
-        signature, oracle_body = change.old[0].signature, change.old[0].text
-        completed_body = change.new[0].text
+        oracle_body, completed_body = change.old[0].text, change.new[0].text
 
         table = self.fixture.get("functions", {}).get(target_function_id)
-        completed_steps = interpret_body(completed_body)
-        oracle_steps = None
+        completed_steps = interpret_body(completed_body, oracle.steps)
+        oracle_run = None
         if completed_steps is not None and table is None:
-            oracle_steps = interpret_body(oracle_body)
-        if completed_steps is None or (oracle_steps is None and table is None):
+            oracle_run = oracle.expected(change.old[0], self.seed)
+        if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
             if _normalized(oracle_body) == _normalized(completed_body):
                 return self._verdict(t0, STATUS_PASS)
             return self._verdict(
@@ -756,18 +852,15 @@ class ScriptedDifferentialBackend:
 
         if table is not None:
             cases = [(case["inputs"], case["output"]) for case in table["cases"]]
+        elif oracle_run.failure is not None:
+            return self._verdict(
+                t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", oracle_run.failure)]
+            )
+        elif completed_steps == oracle_run.steps:
+            # The oracle's own steps, on inputs it evaluated cleanly.
+            return self._verdict(t0, STATUS_PASS)
         else:
-            generated = _generated_cases(_param_names(signature), f"{self.seed}:{name}")
-            cases = []
-            for inputs in generated:
-                try:
-                    cases.append((inputs, evaluate_body(oracle_steps, inputs)))
-                except _EvalError as exc:
-                    return self._verdict(
-                        t0,
-                        STATUS_EXECUTOR_UNAVAILABLE,
-                        [Diagnostic("Other", f"oracle evaluation failed: {exc}")],
-                    )
+            cases = oracle_run.cases
         for inputs, expected in cases:
             try:
                 got = evaluate_body(completed_steps, inputs)

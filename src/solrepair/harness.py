@@ -369,14 +369,13 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
     backend = build_backend(config)
     provider = build_provider(config)
 
-    failures: list[tuple[str, str]] = []
     unavailable_seen = False
 
     def worker(task: CompletionTask):
         try:
             return run_task(task, config, client, backend, provider)
-        except (ModelClientError, RetrievalUnavailableError) as exc:
-            return (task.task_id, str(exc))
+        except Exception as exc:  # one task's failure leaves the run partial, never ends it
+            return task.task_id, exc
 
     with open(outcomes_path, "a", encoding="utf-8") as out_fh, open(
         sessions_path, "a", encoding="utf-8"
@@ -386,9 +385,14 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
             # regardless of worker count.
             for result in pool.map(worker, pending):
                 if isinstance(result[0], str):
-                    task_id, message = result
-                    failures.append((task_id, message))
-                    log.error("task %s failed: %s", task_id, message)
+                    task_id, exc = result
+                    # A model or retrieval outage needs no traceback; anything
+                    # else is a fault whose traceback is wanted.
+                    expected = isinstance(exc, (ModelClientError, RetrievalUnavailableError))
+                    log.error(
+                        "task %s failed: %s: %s", task_id, type(exc).__name__, exc,
+                        exc_info=None if expected else exc,
+                    )
                     continue
                 outcome, sessions = result
                 for session in sessions:

@@ -102,22 +102,23 @@ def outcome_from_sessions(
 
 
 def _pass_at_k_fraction(outcomes: Sequence[TaskOutcome], k: int, compiled: bool) -> Fraction:
+    """The exact mean of 1 - C(n-c, k)/C(n, k) over usable tasks, summed
+    once per distinct (n, c) pair and weighted by how many tasks share it."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    included = [o for o in outcomes if not o.unavailable]
-    if not included:
+    counts = Counter(
+        (o.n, o.c_compile if compiled else o.c) for o in outcomes if not o.unavailable
+    )
+    if not counts:
         raise ValueError("no usable outcomes (all executor_unavailable or empty)")
-    total = Fraction(0)
-    for outcome in included:
-        if k > outcome.n:
-            raise ValueError(
-                f"k={k} exceeds n={outcome.n} samples for task {outcome.task_id}"
-            )
-        successes = outcome.c_compile if compiled else outcome.c
-        total += 1 - Fraction(
-            math.comb(outcome.n - successes, k), math.comb(outcome.n, k)
-        )
-    return total / len(included)
+    if any(n < k for n, _ in counts):
+        first = next(o for o in outcomes if not o.unavailable and o.n < k)
+        raise ValueError(f"k={k} exceeds n={first.n} samples for task {first.task_id}")
+    total = sum(
+        count * (1 - Fraction(math.comb(n - c, k), math.comb(n, k)))
+        for (n, c), count in counts.items()
+    )
+    return total / counts.total()
 
 
 def pass_at_k(outcomes: Sequence[TaskOutcome], k: int) -> float:

@@ -4,8 +4,10 @@ A record's dataclass fields are its JSON format: `to_json` writes each field
 under its own name and `from_json` reads them back with `cls(**row)`, so a
 missing key takes the field's default, and a missing required key or an
 unknown key raises. Fields that hold records nest as objects, `X | None` as
-an object or null, and `tuple[X, ...]` as a list. Input errors are
-`ConfigError`s naming the file and, for a bad row, its line (exit code 2).
+an object or null, and `tuple[X, ...]` as a list. `from_json` checks each
+value against its field's type (a float field takes an int, an int field no
+bool). Input errors are `ConfigError`s naming the file and, for a bad row,
+its line (exit code 2).
 """
 
 from __future__ import annotations
@@ -25,31 +27,119 @@ class ConfigError(ValueError):
     """Invalid run configuration or unusable input files (exit code 2)."""
 
 
-def _codec(tp):
-    """(encode, decode) for one field type, or None when the value is plain JSON."""
-    if isinstance(tp, type) and issubclass(tp, Record):
-        return tp.to_json, tp.from_json
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = _codec(args[0] if args[1] is type(None) else args[1])
-        if inner is None:
-            return None
-        enc, dec = inner
-        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        enc, dec = _codec(args[0]) or (None, None)
-        if enc is None:
-            return list, tuple
-        return (lambda v: list(map(enc, v))), (lambda v: tuple(map(dec, v)))
+class _WrongType(TypeError):
+    """A value whose type its field does not allow. `path` locates it in the
+    row: each enclosing value prepends its key or index as the error leaves it."""
+
+    def __init__(self, message: str, path: str = "") -> None:
+        super().__init__(message)
+        self.path = path
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{message} at key {self.path.lstrip('.')!r}" if self.path else message
+
+
+# The JSON types each scalar field type takes: type(), not isinstance(), so
+# a bool is no int; a float field takes an int. Bare dict and list fields
+# are checked as containers only.
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,), dict: (dict,), list: (list,)}
+
+
+def _optional(tp):
+    """X when tp is `X | None`, else None."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
     return None
 
 
+def _scalar(tp) -> tuple[tuple[type, ...], str] | None:
+    """(the types a JSON value may have, their name) for a field type that
+    its value's type alone checks; None for any other."""
+    if tp in _SCALARS:
+        return _SCALARS[tp], tp.__name__
+    inner = _optional(tp)
+    if inner in _SCALARS:
+        return _SCALARS[inner] + (type(None),), f"{inner.__name__} or None"
+    return None
+
+
+def _each(items, decode, step: str) -> list:
+    """decode applied to each (key, item); a _WrongType names the item's key."""
+    out = []
+    for key, item in items:
+        try:
+            out.append(decode(item))
+        except _WrongType as exc:
+            exc.path = step.format(key) + exc.path
+            raise
+    return out
+
+
+def _codec(tp):
+    """(encode, decode) for a field type that is not a scalar: encode is None
+    when the value is plain JSON; decode checks a JSON value and returns the
+    field's value."""
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return tp.to_json, tp.from_json
+    scalar = _scalar(tp)
+    if scalar is not None:
+        allowed, expected = scalar
+
+        def check(v):
+            if type(v) not in allowed:
+                raise _WrongType(f"expected {expected}, got {type(v).__name__}")
+            return v
+
+        return None, check
+    inner = _optional(tp)
+    if inner is not None:
+        enc, dec = _codec(inner)
+        return (None if enc is None else lambda v: None if v is None else enc(v)), (
+            lambda v: None if v is None else dec(v)
+        )
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list or (origin is tuple and len(args) == 2 and args[1] is Ellipsis):
+        enc, dec = _codec(args[0])
+
+        def decode(v):
+            if type(v) is not list:
+                raise _WrongType(f"expected list, got {type(v).__name__}")
+            return origin(_each(enumerate(v), dec, "[{}]"))
+
+        if enc is None:
+            return (list if origin is tuple else None), decode
+        return (lambda v: list(map(enc, v))), decode
+    if origin is dict:
+        dec = _codec(args[1])[1]
+
+        def decode(v):
+            if type(v) is not dict:
+                raise _WrongType(f"expected dict, got {type(v).__name__}")
+            return dict(zip(v, _each(v.items(), dec, ".{}")))
+
+        return None, decode
+    raise TypeError(f"no JSON form for field type {tp!r}")
+
+
 @cache
-def _plan(cls: type) -> tuple:
-    """Per class, once: (name, encode, decode) for each field that is not plain JSON."""
+def _plan(cls: type) -> tuple[tuple, dict, tuple]:
+    """Per class, once: (name, encode) for each field that is not plain JSON;
+    (allowed types, their name) by name for each scalar field; and (name,
+    decode) for each other field."""
     hints = typing.get_type_hints(cls)
-    fields = (f.name for f in dataclasses.fields(cls))
-    return tuple((n, *codec) for n in fields if (codec := _codec(hints[n])))
+    encoders, scalars, nested = [], {}, []
+    for f in dataclasses.fields(cls):
+        scalar = _scalar(hints[f.name])
+        if scalar is not None:
+            scalars[f.name] = scalar
+            continue
+        enc, dec = _codec(hints[f.name])
+        if enc is not None:
+            encoders.append((f.name, enc))
+        nested.append((f.name, dec))
+    return tuple(encoders), scalars, tuple(nested)
 
 
 class Record:
@@ -65,7 +155,7 @@ class Record:
         # A record's instance dict holds exactly its fields, and copying it
         # is the fastest way to read them.
         row = vars(self).copy()
-        for name, enc, _ in _plan(type(self)):
+        for name, enc in _plan(type(self))[0]:
             row[name] = enc(row[name])
         if self.SCHEMA is not None:
             row["schema"] = self.SCHEMA
@@ -73,16 +163,27 @@ class Record:
 
     @classmethod
     def from_json(cls: type[R], payload: dict) -> R:
+        """The record a JSON object holds. A value of the wrong type raises a
+        TypeError naming its key; a missing or unknown key, the TypeError of
+        the constructor."""
         if not isinstance(payload, dict):
-            raise TypeError(f"{cls.__name__}: expected a JSON object, got {type(payload).__name__}")
-        nested = _plan(cls)
+            raise _WrongType(f"{cls.__name__}: expected a JSON object, got {type(payload).__name__}")
+        _, scalars, nested = _plan(cls)
+        for key, value in payload.items():
+            scalar = scalars.get(key)
+            if scalar is not None and type(value) not in scalar[0]:
+                raise _WrongType(f"expected {scalar[1]}, got {type(value).__name__}", f".{key}")
         if nested or cls.SCHEMA is not None:
             payload = dict(payload)
             if cls.SCHEMA is not None:
                 payload.pop("schema", None)
-            for name, _, dec in nested:
+            for name, dec in nested:
                 if name in payload:
-                    payload[name] = dec(payload[name])
+                    try:
+                        payload[name] = dec(payload[name])
+                    except _WrongType as exc:
+                        exc.path = f".{name}{exc.path}"
+                        raise
         return cls(**payload)
 
 

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import shutil
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
@@ -35,7 +37,7 @@ from solrepair.executor import (
     substitute_function,
 )
 from solrepair import executor
-from solrepair.executor import _EvalError, _Oracle, _eval_node, _translate_expr
+from solrepair.executor import _EvalError, _Oracle, _translate_expr
 from solrepair.retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
 
 ORACLE = """pragma solidity ^0.8.0;
@@ -242,6 +244,86 @@ class TestEvaluator:
         assert parse.call_count == 4  # two statements each in the oracle and the completion
 
 
+# The tree walk that evaluated expressions before they were compiled into
+# closures. It is the reference the closures must agree with.
+def _eval_node(node: ast.AST, env: dict) -> int | bool:
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, bool)):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id == "True":
+            return True
+        if node.id == "False":
+            return False
+        if node.id not in env:
+            raise _EvalError(f"unbound name {node.id!r}")
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        value = _eval_node(node.operand, env)
+        if isinstance(node.op, ast.USub):
+            return -value
+        if isinstance(node.op, ast.UAdd):
+            return value
+        if isinstance(node.op, ast.Not):
+            return not value
+        raise _EvalError("unsupported unary operator")
+    if isinstance(node, ast.BinOp):
+        left = _eval_node(node.left, env)
+        right = _eval_node(node.right, env)
+        op = node.op
+        if isinstance(op, ast.Add):
+            return left + right
+        if isinstance(op, ast.Sub):
+            return left - right
+        if isinstance(op, ast.Mult):
+            return left * right
+        if isinstance(op, (ast.Div, ast.FloorDiv)):
+            if right == 0:
+                raise _EvalError("division by zero")
+            return left // right
+        if isinstance(op, ast.Mod):
+            if right == 0:
+                raise _EvalError("modulo by zero")
+            return left % right
+        if isinstance(op, ast.Pow):
+            return left**right
+        raise _EvalError("unsupported binary operator")
+    if isinstance(node, ast.BoolOp):
+        values = [_eval_node(v, env) for v in node.values]
+        return all(values) if isinstance(node.op, ast.And) else any(values)
+    if isinstance(node, ast.Compare):
+        left = _eval_node(node.left, env)
+        for op, comparator in zip(node.ops, node.comparators):
+            right = _eval_node(comparator, env)
+            ok = (
+                left == right
+                if isinstance(op, ast.Eq)
+                else left != right
+                if isinstance(op, ast.NotEq)
+                else left < right
+                if isinstance(op, ast.Lt)
+                else left <= right
+                if isinstance(op, ast.LtE)
+                else left > right
+                if isinstance(op, ast.Gt)
+                else left >= right
+                if isinstance(op, ast.GtE)
+                else None
+            )
+            if ok is None:
+                raise _EvalError("unsupported comparison")
+            if not ok:
+                return False
+            left = right
+        return True
+    if isinstance(node, ast.IfExp):
+        return (
+            _eval_node(node.body, env)
+            if _eval_node(node.test, env)
+            else _eval_node(node.orelse, env)
+        )
+    raise _EvalError(f"unsupported expression node {type(node).__name__}")
+
+
 # The per-case evaluation that verify used before it parsed each body once:
 # every step's expression is translated and parsed again for every case. It
 # is the reference the parse-once evaluator must agree with.
@@ -343,10 +425,206 @@ def test_property_parse_once_verify_matches_per_case_reference(oracle_body, comp
         fixture = {"functions": {record.task_id(): {"cases": cases}}}
     got = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
     with mock.patch.multiple(
-        executor, interpret_body=reference_interpret_body, evaluate_body=reference_evaluate_body
+        executor,
+        interpret_body=lambda body, known=None: reference_interpret_body(body),
+        evaluate_body=reference_evaluate_body,
     ):
         want = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
     assert (got.status, got.diagnostics) == (want.status, want.diagnostics)
+
+
+ENVS = st.fixed_dictionaries(
+    {"a": st.integers(0, 99), "b": st.integers(0, 99)},
+    optional={"t0": st.integers(0, 9) | st.booleans(), "t1": st.integers(0, 9) | st.booleans()},
+)
+
+
+def outcome_of(evaluate, env: dict):
+    """What evaluating gives: ("value", type, value) or ("raise", type, message)."""
+    try:
+        value = evaluate(env)
+    except Exception as exc:
+        return "raise", type(exc), str(exc)
+    return "value", type(value), value
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr=EXPRS | st.sampled_from(["a << b", "~a", "a is b", "a in b", "f(a)", "a.b", "1.5", "'s'", "a < b < 7 < zz"]), env=ENVS)
+# Evaluation order: `&&` and `||` evaluate every operand, a conditional one
+# branch, and a comparison chain stops at its first false link.
+@example(expr="false && zz", env={"a": 1, "b": 2})
+@example(expr="true || zz", env={"a": 1, "b": 2})
+@example(expr="a > b ? zz : 1", env={"a": 1, "b": 2})
+@example(expr="b > a > zz", env={"a": 1, "b": 2})
+@example(expr="a > b > zz", env={"a": 1, "b": 2})
+@example(expr="zz << (a - a) / 0", env={"a": 1, "b": 2})
+def test_property_closures_match_tree_walk(expr, env):
+    try:
+        tree = ast.parse(_translate_expr(expr).strip(), mode="eval").body
+    except SyntaxError:
+        return
+    want = outcome_of(lambda e: _eval_node(tree, e), env)
+    assert outcome_of(executor._compile_node(tree), env) == want
+    assert outcome_of(executor._compile_expr(expr), env) == want
+
+
+# The declaration pattern with its leading `\b`, as it was before each type
+# name's first letter moved ahead of the boundary check.
+WORD_BOUNDARY_DECL_RE = re.compile(
+    r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
+    r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
+    r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
+)
+# Words that may precede a type name's first letter, with `$`, `_`, digits
+# and non-ASCII letters among them, then a type name, modifier or name.
+TYPE_SOUP = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", "$", "_", "9", "x", "é", "Ж", "\u00b2", "(", " "]),
+        st.sampled_from(
+            ["uint", "uint256", "int", "int8", "bytes", "bytes32", "bool", "address", "string", "u", "in", "boo",
+             "public", "memory", "constant", "x", "$y", "_z"]
+        ),
+        st.sampled_from([" ", " ", "\n", "", "(", ";", ",", "{"]),
+    ).map("".join),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=TYPE_SOUP)
+def test_property_literal_led_declaration_pattern_equals_word_boundary_form(text):
+    found = [(m.span(), m.groups()) for m in executor._DECLARED_RES[2].finditer(text)]
+    assert found == [(m.span(), m.groups()) for m in WORD_BOUNDARY_DECL_RE.finditer(text)]
+
+
+def test_literal_led_declaration_pattern_boundaries():
+    # `$` and non-ASCII letters: `$` is no word character, `é` and `²` are.
+    for text, names in [
+        ("$uint x;", ["x"]), ("_uint x;", []), ("9int x;", []), ("éstring s;", []), ("\u00b2bool b;", []),
+        ("(address a, bytes32 b)", ["a", "b"]), ("uint", []), ("mapping(uint => bool) public flags;", []),
+    ]:
+        assert [m.group(1) for m in executor._DECLARED_RES[2].finditer(text)] == names, text
+        assert [m.group(1) for m in WORD_BOUNDARY_DECL_RE.finditer(text)] == names, text
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")), ids=lambda p: p.name)
+def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
+    oracle = _Oracle(SourceFile.load(path).index)
+    for fn in oracle._spliceable:
+        body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
+        want = Counter(m.group(1) for m in executor._declarations(body))
+        assert oracle._declared_within(fn.body_start, fn.body_end + 1) == want
+
+
+MULTI = """contract M {
+    /// Sums.
+    function add(uint256 a, uint256 b) public pure returns (uint256) {
+        uint256 s = a + b;
+        return s;
+    }
+
+    /// Divides by a difference.
+    function div(uint256 a, uint256 b) public pure returns (uint256) {
+        return a / (b - b);
+    }
+
+    /// Halves.
+    function half(uint256 a) public pure returns (uint256) {
+        return a / 2;
+    }
+}
+"""
+MULTI_FILE = SourceFile.from_text("m.sol", MULTI)
+M_ADD, M_DIV, M_HALF = extract_functions(MULTI_FILE)
+
+
+class TestOracleMemo:
+    def test_reverifying_parses_the_oracle_and_generates_cases_once(self):
+        backend = ScriptedDifferentialBackend()
+        oracle_exprs = ["a + b", "s"]
+        parsed = []
+        real_parse = ast.parse
+
+        def parse(text, *args, **kwargs):
+            parsed.append(text)
+            return real_parse(text, *args, **kwargs)
+
+        bodies = ["{ uint256 s = b + a; return s; }", "{ return a - b; }", "{ return a * 1 + b; }", "{ uint256 s = a + b; return s + 0; }"]
+        with mock.patch.object(executor.ast, "parse", side_effect=parse), mock.patch.object(
+            executor, "_generated_cases", wraps=executor._generated_cases
+        ) as generated:
+            statuses = [
+                backend.verify(MULTI, substitute_function(MULTI, M_ADD, body), M_ADD.task_id()).status
+                for body in bodies * 2
+            ]
+            assert generated.call_count == 1
+            # Each distinct statement is parsed once, however often it recurs.
+            assert len(parsed) == len(set(parsed))
+            for expr in oracle_exprs:
+                assert parsed.count(_translate_expr(expr).strip()) == 1, expr
+            # Nothing is shared between backends.
+            ScriptedDifferentialBackend().verify(MULTI, substitute_function(MULTI, M_ADD, bodies[1]), M_ADD.task_id())
+            assert generated.call_count == 2
+            assert parsed.count(_translate_expr("a + b").strip()) == 2
+        assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
+
+    def test_failing_oracle_gives_the_same_message_on_every_attempt(self):
+        backend = ScriptedDifferentialBackend()
+        messages = set()
+        with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
+            for body in ("{ return a; }", "{ return b; }", "{ return a; }", "{ return a / (b - b); }"):
+                v = backend.verify(MULTI, substitute_function(MULTI, M_DIV, body), M_DIV.task_id())
+                assert v.status == "executor_unavailable"
+                messages.add(v.diagnostics)
+        assert messages == {(Diagnostic("Other", "oracle evaluation failed: division by zero"),)}
+        assert generated.call_count == 1
+
+    def test_oracle_steps_pass_without_a_second_evaluation(self):
+        backend = ScriptedDifferentialBackend()
+        completed = substitute_function(MULTI, M_HALF, "{\n        return a / 2;   }")
+        assert completed != MULTI
+        backend.verify(MULTI, completed, M_HALF.task_id())
+        with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
+            assert backend.verify(MULTI, completed, M_HALF.task_id()).status == "pass"
+
+    def test_fixture_table_judges_even_the_oracle_own_steps(self):
+        # The table disagrees with the oracle: it, not the oracle, decides.
+        table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
+        backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
+        completed = substitute_function(MULTI, M_HALF, "{ return a / 2; }")
+        assert completed != MULTI
+        for _ in range(2):
+            v = backend.verify(MULTI, completed, M_HALF.task_id())
+            assert v.status == "functional_mismatch"
+            assert v.diagnostics[0].message == 'output mismatch for inputs {"a": 4}: expected 3, got 2'
+
+    def test_shared_memo_under_threads_gives_serial_verdicts(self):
+        jobs = [
+            (record, body)
+            for record, bodies in (
+                (M_ADD, ["{ uint256 s = a + b; return s; }", "{ return b + a; }", "{ return a - b; }", "{ return zz; }"]),
+                (M_DIV, ["{ return a; }", "{ return a / (b - b); }"]),
+                (M_HALF, ["{ return a / 2; }", "{ return a >> 1; }", "{ return a / 3; }", "{ uint256 q = a / 2; return q; }"]),
+            )
+            for body in bodies
+        ] * 25
+
+        def run(backend, job):
+            record, body = job
+            v = backend.verify(MULTI, substitute_function(MULTI, record, body, MULTI_FILE.index), record.task_id(), MULTI_FILE.index)
+            return v.status, v.diagnostics
+
+        expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
+        backend = ScriptedDifferentialBackend(seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len({status for status, _ in got}) == 4
 
 
 class TestScriptedBackend:

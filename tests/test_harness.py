@@ -867,12 +867,15 @@ class TestCli:
             ("sessions", lambda row: json.dumps({**row, "sample_index": 0}), "RepairSession.__init__.. got an unexpected keyword argument 'sample_index'"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "extra": 1}]}), "Attempt.__init__.. got an unexpected keyword argument 'extra'"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "verdict": "pass"}]}), "ExecutionVerdict: expected a JSON object, got str"),
-            ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "'int' object is not iterable"),
+            ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "expected list, got int at key 'attempts'"),
+            ("outcomes", lambda row: json.dumps({**row, "unavailable": 0}), "expected bool, got int at key 'unavailable'"),
+            ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "prompt_tokens": "x"}]}), r"expected int, got str at key 'attempts\[0\]\.prompt_tokens'"),
         ],
         ids=[
             "outcome-malformed", "outcome-not-an-object", "outcome-bad-count", "outcome-missing-key",
             "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
-            "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list",
+            "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
+            "attempt-str-for-int",
         ],
     )
     def test_report_on_malformed_row_exits_config(self, baseline_run, tmp_path, capsys, kind, edit, complaint):
@@ -887,6 +890,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert re.match(f"error: {re.escape(str(bad))}, line 2: {complaint}", err), err
+
+    def test_config_file_non_object_retrieval_with_retrieval_flag_exits_config(
+        self, e2e_config_factory, tmp_path, capsys
+    ):
+        payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {"retrieval": "lcs"}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        for flags in ([], ["--retrieval", "bm25"], ["--max-snippets", "2"]):
+            assert main(["run", "--config", str(config_path), *flags]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: config file {config_path}: retrieval must be a JSON object, not 'lcs'")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_wrong_typed_value_exits_config(self, e2e_config_factory, tmp_path, capsys):
+        payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {"workers": "2"}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bad config: expected int, got str at key 'workers'\n"
+
+    def test_task_that_raises_leaves_run_partial(self, e2e_dir, tmp_path, capsys, caplog):
+        import solrepair.repair as repair
+
+        real = repair.extract_code_block
+        calls = []
+
+        def seventh_call_raises(text):
+            calls.append(text)
+            if len(calls) == 7:
+                raise RuntimeError("injected fault")
+            return real(text)
+
+        out = tmp_path / "out"
+        with mock.patch.object(repair, "extract_code_block", side_effect=seventh_call_raises):
+            with caplog.at_level(logging.ERROR, logger="solrepair"):
+                code = main(self.run_flags(e2e_dir, out, "--max-rounds", "0"))
+        assert code == EXIT_INFRA
+        assert f"run partial: {E2E_TASKS - 1}/{E2E_TASKS} tasks" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        (failed,) = manifest["incomplete_task_ids"]
+        assert manifest["status"] == "partial"
+        assert failed == load_tasks(RunConfig(str(e2e_dir / "tasks.jsonl"), str(out), str(e2e_dir / "sources")))[6].task_id
+        (record,) = [r for r in caplog.records if "failed" in r.getMessage()]
+        assert record.getMessage() == f"task {failed} failed: RuntimeError: injected fault"
+        assert record.exc_info is not None
 
     def test_config_file_with_unknown_key_exits_config(self, e2e_config_factory, tmp_path, capsys):
         payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {"budget": 64}

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from solrepair.metrics import (
     trivially_shared_ngrams,
     usage_cost,
 )
+from solrepair.metrics import _pass_at_k_fraction
 from solrepair.repair import Attempt, RepairSession
 
 
@@ -86,6 +88,32 @@ class TestPassAtK:
     def test_k_above_n_names_task(self):
         with pytest.raises(ValueError, match="task offender"):
             pass_at_k([outcome("offender", n=2, c=1)], 3)
+
+    def test_k_above_n_names_the_first_offending_task(self):
+        rows = [outcome("fine", n=3), outcome("gone", n=1, unavailable=True), outcome("first", n=2), outcome("later", n=1)]
+        with pytest.raises(ValueError, match="k=3 exceeds n=2 samples for task first$"):
+            pass_at_k(rows, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6), st.booleans()), min_size=1, max_size=30
+        ),
+        k=st.integers(1, 3),
+        compiled=st.booleans(),
+    )
+    def test_property_grouped_sum_equals_per_task_sum(self, counts, k, compiled):
+        rows = [
+            outcome(f"t{i}", n=max(n, k), c=min(c, cc, max(n, k)), c_compile=min(max(c, cc), max(n, k)), unavailable=u)
+            for i, (n, c, cc, u) in enumerate(counts)
+        ]
+        included = [o for o in rows if not o.unavailable]
+        if not included:
+            return
+        per_task = sum(
+            1 - Fraction(math.comb(o.n - (o.c_compile if compiled else o.c), k), math.comb(o.n, k)) for o in included
+        ) / len(included)
+        assert _pass_at_k_fraction(rows, k, compiled) == per_task
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):

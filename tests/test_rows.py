@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -168,6 +169,68 @@ def test_round_trip_through_json_text(cls):
         assert cls.from_json(json.loads(json.dumps(record.to_json()))) == record
 
     check()
+
+
+JSON_VALUES = st.sampled_from([None, True, False, 0, 7, 1.5, "x", "", [], [1], {}, {"a": 1}])
+KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "dict": (dict,), "list": (list,), "tuple": (list,)}
+
+
+def allowed(annotation: str, value) -> bool:
+    """Whether a JSON value has a type a field so annotated takes, its
+    elements aside; a record field takes an object."""
+    base = annotation.removesuffix(" | None")
+    if value is None:
+        return base != annotation
+    return type(value) in KINDS.get(base.split("[")[0], (dict,))
+
+
+@pytest.mark.parametrize("cls", list(STRATEGIES), ids=lambda c: c.__name__)
+def test_wrong_typed_value_is_rejected_naming_its_key(cls):
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(STRATEGIES[cls], st.sampled_from(sorted(fields)), JSON_VALUES)
+    def check(record, key, value):
+        row = json.loads(json.dumps(record.to_json()))
+        row[key] = value
+        if allowed(fields[key], value):
+            return
+        with pytest.raises(TypeError, match=rf"got {type(value).__name__} at key '{key}'$"):
+            cls.from_json(row)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "edit,complaint",
+    [
+        (lambda row: row["attempts"][0].update(prompt_tokens="x"), "expected int, got str at key 'attempts[0].prompt_tokens'"),
+        (lambda row: row["attempts"][0].update(prompt_tokens=True), "expected int, got bool at key 'attempts[0].prompt_tokens'"),
+        (lambda row: row["attempts"][0]["verdict"].update(elapsed="1"), "expected float, got str at key 'attempts[0].verdict.elapsed'"),
+        (
+            lambda row: row["attempts"][0]["verdict"]["diagnostics"].append({"kind": "Other", "message": 3}),
+            "expected str, got int at key 'attempts[0].verdict.diagnostics[0].message'",
+        ),
+        (lambda row: row["attempts"][0].update(snippets=[None]), "RetrievedSnippet: expected a JSON object, got NoneType at key 'attempts[0].snippets[0]'"),
+        (lambda row: row.update(attempts={}), "expected list, got dict at key 'attempts'"),
+    ],
+    ids=["str-for-int", "bool-for-int", "str-for-float", "nested-diagnostic", "null-snippet", "object-for-list"],
+)
+def test_nested_wrong_type_names_its_path(edit, complaint):
+    verdict = ExecutionVerdict("functional_mismatch")
+    row = json.loads(json.dumps(RepairSession("t", "self_edit", 0, (Attempt("completion", "p", "c", "b", 1, 2, verdict),)).to_json()))
+    edit(row)
+    with pytest.raises(TypeError) as info:
+        RepairSession.from_json(row)
+    assert str(info.value) == complaint
+
+
+def test_float_fields_take_ints_and_containers_check_their_elements():
+    assert RetrievedSnippet.from_json({"line_index": 0, "text": "t", "score": 1}).score == 1
+    with pytest.raises(TypeError, match=r"expected int, got float at key 'k_values\[1\]'"):
+        RunConfig.from_json({"task_file": "t", "out_dir": "o", "k_values": [1, 2.0]})
+    with pytest.raises(TypeError, match=r"expected float, got str at key 'cost_usd.repair'"):
+        CostBreakdown.from_json({"prompt_tokens": {}, "completion_tokens": {}, "cost_usd": {"repair": "1"}, "total_usd": 0})
 
 
 def _doc_fields(section: str, label: str) -> set[str]:
