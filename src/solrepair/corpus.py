@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rows import ConfigError, Record, dump_row, read_rows
 
@@ -27,40 +27,6 @@ _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-class AnchoredPattern:
-    r"""A pattern led by `\b`, searched from the literal that follows it.
-
-    A leading `\b` stops `re` from jumping ahead on the literal after it, so
-    `finditer` tries the pattern at every offset. Here `prefix`, which has
-    no `\b` and must match wherever the pattern does, finds the candidate
-    offsets, and the pattern is matched at each: the scan resumes at the
-    end of a match and one past a candidate that fails, which yields
-    exactly the matches of `pattern.finditer`. The pattern must not match
-    the empty string.
-    """
-
-    def __init__(self, pattern: str, prefix: str) -> None:
-        self.pattern = re.compile(pattern)
-        self.prefix = re.compile(prefix)
-
-    def finditer(self, text: str) -> Iterator[re.Match]:
-        search, match = self.prefix.search, self.pattern.match
-        pos = 0
-        while (candidate := search(text, pos)) is not None:
-            m = match(text, candidate.start())
-            if m is None:
-                pos = candidate.start() + 1
-            else:
-                yield m
-                pos = m.end()
-
-
-# Safe to match anywhere: these are reserved words, and the text is scrubbed
-# of comments and strings before matching.
-_TYPE_DECL_RE = AnchoredPattern(
-    r"\b(?:abstract\s+)?(?:contract|interface|library)\s+([A-Za-z_$][A-Za-z0-9_$]*)",
-    r"abstract|contract|interface|library",
-)
 _FUNCTION_KW_RE = re.compile(r"\bfunction\b")
 
 # Reserved words and built-in globals that never count as user identifiers.
@@ -129,11 +95,11 @@ _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 _NEWLINE_RE = re.compile(r"\n")
 _BRACE_RE = re.compile(r"[{}]")
 # A named declaration up to its parameter list; unnamed fallback/receive
-# style declarations and function types never match.
-_FUNCTION_DECL_RE = AnchoredPattern(
-    r"\bfunction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(", "function"
-)
-_SIGNATURE_STOP_RE = re.compile(r"[();{]")
+# style declarations and function types never match. `\bfunction` with the
+# `f` moved before the word-boundary check, a lookbehind on `\w` as Unicode
+# as `\b` is: led by a literal, the pattern lets `re` skip to candidates.
+_FUNCTION_DECL_RE = re.compile(r"f(?<!\wf)unction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
+_SIGNATURE_END_RE = re.compile(r"[;{]")
 
 
 def _blank(match: re.Match) -> str:
@@ -235,17 +201,18 @@ class SourceIndex:
             kw = decl.start()
             while open_bodies and open_bodies[-1] < kw:
                 open_bodies.pop()
-            parens = 0
+            # The header ends at the first ';' or '{' outside its parentheses:
+            # the first stop with as many '(' as ')' since the parameter
+            # list's '('. Counts run on from one candidate stop to the next.
             sig_end = len(scrubbed)
-            for stop in _SIGNATURE_STOP_RE.finditer(scrubbed, decl.end() - 1):
-                ch = stop.group()
-                if ch == "(":
-                    parens += 1
-                elif ch == ")":
-                    parens -= 1
-                elif parens == 0:
-                    sig_end = stop.start()
+            pos, depth = decl.end() - 1, 0
+            for stop in _SIGNATURE_END_RE.finditer(scrubbed, pos):
+                end = stop.start()
+                depth += scrubbed.count("(", pos, end) - scrubbed.count(")", pos, end)
+                if depth == 0:
+                    sig_end = end
                     break
+                pos = end
             if sig_end < len(scrubbed) and scrubbed[sig_end] == "{":
                 body = (sig_end, closing[sig_end])
             else:
@@ -276,11 +243,10 @@ def check_balanced(text: str, path: str = "<source>") -> None:
 
 @dataclass(frozen=True)
 class SourceFile:
-    """A Solidity source file, the type names it declares, and its index."""
+    """A Solidity source file and its index."""
 
     path: str
     text: str
-    contract_names: tuple[str, ...] = ()
     index: SourceIndex = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -289,9 +255,7 @@ class SourceFile:
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
-        index = SourceIndex(text, path)
-        names = tuple(m.group(1) for m in _TYPE_DECL_RE.finditer(index.scrubbed))
-        return cls(path=path, text=text, contract_names=names, index=index)
+        return cls(path=path, text=text, index=SourceIndex(text, path))
 
     @classmethod
     def load(cls, path: str | Path) -> "SourceFile":
@@ -605,21 +569,35 @@ def build_corpus(
     return kept, report
 
 
+@dataclass
+class _TaskRow(Record):
+    """One row of a task file, as written and read; the codec checks each
+    value's type, and span must hold two integers."""
+
+    id: str
+    source_path: str
+    comment: str
+    signature: str
+    body: str
+    span: tuple[int, ...]
+    contract_type: str | None = None
+
+
 def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
     """Write records as JSONL task rows; returns the number written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            row = {
-                "id": record.task_id(),
-                "source_path": record.source_id,
-                "comment": record.comment,
-                "signature": record.signature,
-                "body": record.body,
-                "span": list(record.span),
-                "contract_type": record.contract_type,
-            }
-            fh.write(dump_row(row))
+            row = _TaskRow(
+                record.task_id(),
+                record.source_id,
+                record.comment,
+                record.signature,
+                record.body,
+                record.span,
+                record.contract_type,
+            )
+            fh.write(dump_row(row.to_json()))
             count += 1
     return count
 
@@ -627,20 +605,24 @@ def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
 def read_task_file(path: str | Path) -> list[tuple[str, FunctionRecord]]:
     """Load (task_id, record) pairs from a JSONL task file.
 
-    A row that does not make a record raises ConfigError naming its line.
+    A row that does not make a record raises ConfigError naming its line
+    and, for a value of the wrong type, its key.
     """
     out: list[tuple[str, FunctionRecord]] = []
     for lineno, row in read_rows(path, "task"):
         try:
+            task = _TaskRow.from_json(row)
+            if len(task.span) != 2:
+                raise ValueError(f"expected 2 items, got {len(task.span)} at key 'span'")
             record = FunctionRecord(
-                source_id=row["source_path"],
-                comment=row["comment"],
-                signature=row["signature"],
-                body=row["body"],
-                span=(row["span"][0], row["span"][1]),
-                contract_type=row.get("contract_type"),
+                source_id=task.source_path,
+                comment=task.comment,
+                signature=task.signature,
+                body=task.body,
+                span=task.span,
+                contract_type=task.contract_type,
             )
-            out.append((row["id"], record))
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}, line {lineno}: bad task row: {exc!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}, line {lineno}: bad task row: {exc}") from exc
+        out.append((task.id, record))
     return out

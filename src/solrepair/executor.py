@@ -18,17 +18,17 @@ import operator
 import random
 import re
 import subprocess
+import sys
 import threading
 import time
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .corpus import (
-    AnchoredPattern,
     FunctionRecord,
     IndexedFunction,
     MalformedRecordError,
@@ -309,6 +309,11 @@ def _compile_node(node: ast.AST) -> _Evaluator:
 _PARSE_LOCK = threading.Lock()
 
 
+# A body nested past the interpreter's recursion limit fails to evaluate,
+# as a body dividing by zero does: the body's failure, not the backend's.
+_TOO_DEEP = "expression nested too deeply to evaluate"
+
+
 def _compile_expr(expr: str) -> _Evaluator:
     """The expression's evaluator; one that raises when it cannot be parsed."""
     # Operator translation can leave leading whitespace, which eval-mode
@@ -319,10 +324,11 @@ def _compile_expr(expr: str) -> _Evaluator:
         return _compile_node(tree)
     except SyntaxError as exc:
         return _raising(_EvalError(f"cannot parse expression {expr!r}: {exc}"))
-    except (MemoryError, RecursionError) as exc:
-        # Nesting beyond the parser's or the interpreter's limits: raised
-        # where evaluation reaches the statement, as it was when each case
-        # parsed it.
+    except RecursionError:
+        return _raising(_EvalError(_TOO_DEEP))
+    except MemoryError as exc:
+        # Nesting beyond the parser's limits: raised where evaluation
+        # reaches the statement, as it was when each case parsed it.
         return _raising(exc)
 
 
@@ -377,11 +383,14 @@ def interpret_body(body: str, known: dict[str, _Step] | None = None) -> list[_St
 
 def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
-    for name, evaluate in steps:
-        value = evaluate(env)
-        if name is None:
-            return value
-        env[name] = value
+    try:
+        for name, evaluate in steps:
+            value = evaluate(env)
+            if name is None:
+                return value
+            env[name] = value
+    except RecursionError:
+        raise _EvalError(_TOO_DEEP) from None
     return None
 
 
@@ -400,19 +409,34 @@ def _param_names(signature: str) -> list[str]:
 def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8) -> list[dict]:
     # Positive operands keep integer division and subtraction semantics
     # aligned between the evaluator and unsigned Solidity arithmetic.
-    rng = random.Random(zlib.crc32(seed_text.encode("utf-8")))
-    return [{p: rng.randrange(1, 100) for p in param_names} for _ in range(count)]
+    # Each value is `rng.randrange(1, 100)`, drawn as CPython draws it: 7
+    # random bits, drawn again while they are 99 or more.
+    bits = random.Random(zlib.crc32(seed_text.encode("utf-8"))).getrandbits
+    cases = []
+    for _ in range(count):
+        case = {}
+        for p in param_names:
+            value = bits(7)
+            while value >= 99:
+                value = bits(7)
+            case[p] = value + 1
+        cases.append(case)
+    return cases
 
 
-_DECLARING_KEYWORDS = "contract|interface|library|struct|enum|event|error|modifier"
+# Each pattern is the `\b`-led form with each alternative's first letter
+# moved before the word-boundary check, as a lookbehind on `\w` (as Unicode
+# as `\b` is): every alternative then starts with a literal, which lets `re`
+# skip ahead to candidates. Each has one group, the declared name.
 _DECLARED_RES = (
-    AnchoredPattern(
-        rf"\b(?:{_DECLARING_KEYWORDS})\s+([A-Za-z_$][A-Za-z0-9_$]*)", _DECLARING_KEYWORDS
+    # `\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+name`
+    re.compile(
+        r"(?:c(?<!\wc)ontract|i(?<!\wi)nterface|l(?<!\wl)ibrary|s(?<!\ws)truct"
+        r"|e(?<!\we)(?:num|vent|rror)|m(?<!\wm)odifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)"
     ),
-    AnchoredPattern(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)", "function"),
-    # `\b(?:u?int\d*|bytes\d*|bool|address|string)` with each name's first
-    # letter moved before its `\b`, as a lookbehind: every alternative then
-    # starts with a literal, which lets `re` skip ahead to candidates.
+    # `\bfunction\s+name`
+    re.compile(r"f(?<!\wf)unction\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
+    # `\b(?:u?int\d*|bytes\d*|bool|address|string)\s+(modifiers)*name`
     re.compile(
         r"(?:u(?<!\wu)int\d*|i(?<!\wi)nt\d*|b(?<!\wb)(?:ytes\d*|ool)|a(?<!\wa)ddress|s(?<!\ws)tring)\s+"
         r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
@@ -426,18 +450,30 @@ _LOCAL_DECL_RE = re.compile(
 )
 
 
-def _declarations(scrubbed: str) -> Iterator[re.Match]:
-    """Declarations a scrubbed text visibly makes (heuristic, desk scale).
+def _declaration_counts(scrubbed: str, start: int = 0, end: int = sys.maxsize) -> Counter:
+    """How often each name is declared in scrubbed[start:end] (heuristic,
+    desk scale).
 
-    No match spans a brace, so a body's matches are the same whether it is
-    searched alone or inside its source.
+    No match spans a brace, so a body's counts are the same whether it is
+    searched alone or as its range of the source.
     """
+    counts: Counter = Counter()
     for pattern in _DECLARED_RES:
-        yield from pattern.finditer(scrubbed)
+        counts.update(pattern.findall(scrubbed, start, end))
+    return counts
 
 
-def _declared_in(scrubbed: str) -> set[str]:
-    return {m.group(1) for m in _declarations(scrubbed)}
+class _DeclaredIn:
+    """Names a scrubbed text declares, scanned on the first lookup."""
+
+    def __init__(self, scrubbed: str) -> None:
+        self._scrubbed = scrubbed
+        self._names: set[str] | None = None
+
+    def __contains__(self, name: object) -> bool:
+        if self._names is None:
+            self._names = set(_declaration_counts(self._scrubbed))
+        return name in self._names
 
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\b[^{};]*\{")
@@ -535,14 +571,19 @@ def _well_nested(functions: Sequence[IndexedFunction]) -> bool:
 @dataclass(frozen=True)
 class _SplicedNames:
     """Names a spliced source declares: the oracle's, less those declared
-    only in the replaced body, plus those the new body declares."""
+    only in the replaced body, plus those the new body declares. The oracle's
+    counts are looked up only for a name the new body does not declare."""
 
-    oracle: Counter
-    old_body: Counter
-    new_body: set[str]
+    oracle: _Oracle
+    replaced: IndexedFunction
+    new_body: _DeclaredIn
 
     def __contains__(self, name: object) -> bool:
-        return name in self.new_body or self.oracle[name] > self.old_body[name]
+        if name in self.new_body:
+            return True
+        declared = self.oracle.declared()[name]
+        # A name the oracle never declares needs no scan of the replaced body.
+        return declared > 0 and declared > self.oracle.declared_in_body(self.replaced)[name]
 
 
 @dataclass(frozen=True)
@@ -603,7 +644,7 @@ def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
     return _Change(
         tuple(old[head : len(old) - tail]),
         tuple(new[head : len(new) - tail]),
-        _declared_in(completed.scrubbed),
+        _DeclaredIn(completed.scrubbed),
     )
 
 
@@ -629,8 +670,11 @@ class _Oracle:
 
     It also keeps what verify learns about the oracle, once per run: the
     steps of each statement text parsed so far (completions' statements
-    included) and each function's expected outputs. Every entry is a pure
-    function of its key, so threads racing to fill one only repeat work.
+    included), each function's expected outputs, and the declaration counts
+    of the whole oracle and of each replaced body, which are scanned only
+    when an identifier is neither local to a completion nor declared by it.
+    Every entry is a pure function of its key, so threads racing to fill one
+    only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
@@ -641,20 +685,26 @@ class _Oracle:
         # In a well-nested source, top-level bodies come in offset order.
         self._spliceable = top if _well_nested(self.index.functions) else []
         self._starts = [fn.body_start for fn in self._spliceable]
-        found = sorted(_declarations(self.index.scrubbed), key=re.Match.start)
-        self._declaration_starts = [m.start() for m in found]
-        self._declaration_names = [m.group(1) for m in found]
-        self._declared = Counter(self._declaration_names)
+        self._declared: Counter | None = None
+        self._declared_in_body: dict[int, Counter] = {}
         self.steps: dict[str, _Step] = {}
         self._expected: dict[tuple[int, int], _Expected] = {}
 
-    def _declared_within(self, start: int, end: int) -> Counter:
-        """Names declared in scrubbed[start:end], which holds one body: no
-        declaration match spans a brace, so a body's matches are those of
-        the whole source that start inside it."""
-        lo = bisect_left(self._declaration_starts, start)
-        hi = bisect_left(self._declaration_starts, end, lo)
-        return Counter(self._declaration_names[lo:hi])
+    def declared(self) -> Counter:
+        """How often each name is declared in the oracle."""
+        declared = self._declared
+        if declared is None:
+            declared = self._declared = _declaration_counts(self.index.scrubbed)
+        return declared
+
+    def declared_in_body(self, fn: IndexedFunction) -> Counter:
+        """How often each name is declared in fn's body."""
+        found = self._declared_in_body.get(fn.body_start)
+        if found is None:
+            found = self._declared_in_body.setdefault(
+                fn.body_start, _declaration_counts(self.index.scrubbed, fn.body_start, fn.body_end + 1)
+            )
+        return found
 
     def expected(self, body: _Body, seed: int) -> _Expected:
         """The oracle function `body` evaluated on its generated cases."""
@@ -698,9 +748,7 @@ class _Oracle:
         if not _is_single_block(scrubbed) or _FUNCTION_KW_RE.search(scrubbed):
             return None
         old = _body(self.index, fn)
-        names = _SplicedNames(
-            self._declared, self._declared_within(fn.body_start, end), _declared_in(scrubbed)
-        )
+        names = _SplicedNames(self, fn, _DeclaredIn(scrubbed))
         return _Change((old,), (old._replace(text=new_text, scrubbed=scrubbed),), names)
 
     def change(self, completed_source: str) -> _Change:
@@ -795,7 +843,7 @@ class ScriptedDifferentialBackend:
         for body in change.new:
             local = set(_param_names(body.signature)) | _local_decl_names(body.scrubbed) | {body.name}
             for ident, offset in _checkable_idents(body.scrubbed):
-                if ident in change.declared or ident in local:
+                if ident in local or ident in change.declared:
                     continue
                 line = body.text.count("\n", 0, offset) + 1
                 return self._verdict(

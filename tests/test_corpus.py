@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
-    AnchoredPattern,
     FilterConfig,
     FunctionRecord,
     MalformedSourceError,
@@ -30,9 +30,7 @@ from solrepair.corpus import (
     tokenize_terms,
     write_task_file,
     _FUNCTION_DECL_RE,
-    _TYPE_DECL_RE,
 )
-from solrepair.executor import _DECLARED_RES
 
 SIMPLE = """\
 pragma solidity ^0.8.0;
@@ -145,16 +143,15 @@ def test_property_scrub_matches_reference(text):
     ]
 
 
-ANCHORED = {
-    "_FUNCTION_DECL_RE": _FUNCTION_DECL_RE,
-    "_TYPE_DECL_RE": _TYPE_DECL_RE,
-    "_DECLARED_RES[0]": _DECLARED_RES[0],
-    "_DECLARED_RES[1]": _DECLARED_RES[1],
-}
+# The declaration pattern with its leading `\b`, as it was before the `f`
+# moved ahead of the word-boundary check.
+WORD_BOUNDARY_FUNCTION_DECL_RE = re.compile(r"\bfunction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
+# Keywords, names and what may precede a keyword's first letter: `$`, `_`,
+# digits and non-ASCII letters (`$` is no word character; `é`, `Ж` and `²`
+# are, for `\b` as for `\w`).
 DECL_SOUP = st.sampled_from(
     [
-        "function", "contract", "abstract", "interface", "library", "struct", "enum", "event",
-        "error", "modifier", "x", "bar", "_", "$", "1", "é", " ", "\n", "\t", "(", ")", "{", ";",
+        "function", "fun", "x", "bar", "_", "$", "1", "é", "Ж", "²", " ", "\n", "\t", "(", ")", "{", ";",
     ]
 )
 
@@ -163,23 +160,87 @@ def matches(found) -> list[tuple[tuple[int, int], tuple]]:
     return [(m.span(), m.groups()) for m in found]
 
 
-def test_anchored_scan_resumes_after_a_failed_candidate():
-    # Dropping the `\b` and filtering afterwards would lose the real match:
-    # the unanchored match at "xfunction" swallows "function bar".
-    for pattern in ANCHORED.values():
-        assert isinstance(pattern, AnchoredPattern)
-        for text in ("xfunction function bar(", "xcontract contract bar abstract contract baz"):
-            assert matches(pattern.finditer(text)) == matches(pattern.pattern.finditer(text))
-    assert [m.group(1) for m in ANCHORED["_DECLARED_RES[1]"].finditer("xfunction function bar")] == ["bar"]
+def test_literal_led_pattern_finds_a_match_after_a_failed_candidate():
+    # A candidate that fails its boundary check must not swallow the real
+    # match after it.
+    for text, names in [
+        ("xfunction function bar(", ["bar"]), ("$function f(", ["f"]), ("éfunction f(", []), ("_function f( function g (", ["g"]),
+    ]:
+        assert [m.group(1) for m in _FUNCTION_DECL_RE.finditer(text)] == names, text
+        assert matches(_FUNCTION_DECL_RE.finditer(text)) == matches(WORD_BOUNDARY_FUNCTION_DECL_RE.finditer(text))
 
 
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(ANCHORED)), text=st.lists(DECL_SOUP, max_size=30).map("".join))
-def test_property_anchored_scan_equals_finditer(name, text):
-    r"""Each literal-anchored scan finds exactly what `finditer` of its
-    `\b`-led pattern finds."""
-    pattern = ANCHORED[name]
-    assert matches(pattern.finditer(text)) == matches(pattern.pattern.finditer(text))
+@given(text=st.lists(DECL_SOUP, max_size=30).map("".join))
+@example(text="éfunction f( Жfunction g( ²function h(")
+def test_property_literal_led_function_pattern_equals_word_boundary_form(text):
+    assert matches(_FUNCTION_DECL_RE.finditer(text)) == matches(WORD_BOUNDARY_FUNCTION_DECL_RE.finditer(text))
+
+
+def reference_scan_functions(index: SourceIndex, closing: dict[int, int]) -> tuple:
+    """The header scan that walked every '(', ')', ';' and '{' after the
+    parameter list's '(' and stopped at the first ';' or '{' at depth 0."""
+    scrubbed = index.scrubbed
+    found, open_bodies = [], []
+    for decl in WORD_BOUNDARY_FUNCTION_DECL_RE.finditer(scrubbed):
+        kw = decl.start()
+        while open_bodies and open_bodies[-1] < kw:
+            open_bodies.pop()
+        parens, sig_end = 0, len(scrubbed)
+        for stop in re.finditer(r"[();{]", scrubbed[decl.end() - 1 :]):
+            ch = stop.group()
+            if ch == "(":
+                parens += 1
+            elif ch == ")":
+                parens -= 1
+            elif parens == 0:
+                sig_end = decl.end() - 1 + stop.start()
+                break
+        body = (sig_end, closing[sig_end]) if scrubbed[sig_end : sig_end + 1] == "{" else (-1, -1)
+        found.append((decl.group(1), kw, sig_end, *body, len(open_bodies)))
+        if body[1] != -1:
+            open_bodies.append(body[1])
+    return tuple(found)
+
+
+def scan_outcome(scan):
+    try:
+        return "value", scan()
+    except KeyError as exc:  # a body-opening '{' without its '}'
+        return "raise", exc.args
+
+
+HEADER_PARTS = st.sampled_from(
+    [
+        "function f(", "function g (", "function", "uint a", ", ", "(", "(", ")", ")", ";", "{", "}", "{ }",
+        " returns ", "/* ( */", "// ) ;\n", '"(;{"', "'", "\n", "x",
+    ]
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.lists(HEADER_PARTS, max_size=24).map("".join))
+@example(text="function f(uint a; uint b) { }")
+@example(text="function f(a { b) ; x")
+@example(text="function f(g()) { function g( ) ;")
+@example(text="function f() ) ; { }")
+def test_property_signature_search_equals_token_walk(text):
+    """The one-search header scan finds the functions the token walk found,
+    parentheses nested or unbalanced, stops inside them, headers unterminated,
+    comments and strings included."""
+    index = SourceIndex(text)
+    closing, stack = {}, []
+    for m in re.finditer(r"[{}]", index.scrubbed):
+        if m.group() == "{":
+            stack.append(m.start())
+        elif stack:
+            closing[stack.pop()] = m.start()
+    got = scan_outcome(
+        lambda: tuple(
+            (f.name, f.kw_offset, f.sig_end, f.body_start, f.body_end, f.depth) for f in index._scan_functions(closing)
+        )
+    )
+    assert got == scan_outcome(lambda: reference_scan_functions(index, closing))
 
 
 @pytest.mark.parametrize(
@@ -331,10 +392,6 @@ class TestExtraction:
     def test_deterministic_and_order_stable(self):
         file = SourceFile.from_text("adder.sol", SIMPLE)
         assert extract_functions(file) == extract_functions(file)
-
-    def test_contract_names(self):
-        src = "abstract contract A {} interface B {} library C {} contract D {}"
-        assert SourceFile.from_text("x.sol", src).contract_names == ("A", "B", "C", "D")
 
     def test_corpus20_round_trip(self, corpus20_dir):
         for path in sorted(corpus20_dir.glob("*.sol")):

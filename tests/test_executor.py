@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import ast
 import json
+import random
 import re
 import shutil
 import sys
+import threading
+import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -228,12 +231,41 @@ class TestEvaluator:
     @pytest.mark.parametrize("deep", ["-" * 20000 + "a", "a" + " + a" * 200000])
     def test_parser_limit_fails_only_when_reached(self, deep):
         before = f"{{ uint256 x = {deep}; return a; }}"
-        with pytest.raises(Exception) as want:
+        with pytest.raises((MemoryError, RecursionError)) as want:
             reference_evaluate_body(reference_interpret_body(before), {"a": 1})
-        with pytest.raises(type(want.value)) as got:
+        # The parser's own limit is raised as it was; the recursion limit is
+        # the body's evaluation failure.
+        if isinstance(want.value, RecursionError):
+            want_type, want_message = _EvalError, executor._TOO_DEEP
+        else:
+            want_type, want_message = type(want.value), str(want.value)
+        with pytest.raises(want_type) as got:
             evaluate_body(interpret_body(before), {"a": 1})
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == want_message
         assert evaluate_body(interpret_body(f"{{ return a; uint256 x = {deep}; }}"), {"a": 1}) == 1
+
+    def test_recursion_limit_while_evaluating_is_an_evaluation_failure(self):
+        steps = interpret_body("{ return a" + " + a" * 700 + "; }")
+        assert evaluate_body(steps, {"a": 1}) == 701
+
+        def nested(depth: int):
+            return nested(depth - 1) if depth else evaluate_body(steps, {"a": 1})
+
+        with pytest.raises(_EvalError, match=executor._TOO_DEEP):
+            nested(sys.getrecursionlimit() - 300)
+
+    def test_too_deep_completion_is_a_functional_mismatch(self):
+        completed = completed_with(ADD, "{ return a" + " + a" * 1500 + "; }")
+        v = differential_verify(ORACLE, completed, ADD, ScriptedDifferentialBackend())
+        assert v.status == "functional_mismatch"
+        assert v.diagnostics[0].message.endswith(": expression nested too deeply to evaluate")
+
+    def test_too_deep_oracle_fails_as_oracle_evaluation(self):
+        oracle = straight_line_source("{ return a" + " + b" * 1500 + "; }")
+        (record,) = extract_functions(SourceFile.from_text("p.sol", oracle))
+        v = differential_verify(oracle, substitute_function(oracle, record, "{ return a; }"), record, ScriptedDifferentialBackend())
+        assert v.status == "executor_unavailable"
+        assert v.diagnostics == (Diagnostic("Other", "oracle evaluation failed: expression nested too deeply to evaluate"),)
 
     def test_each_expression_parsed_once_per_attempt(self):
         completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
@@ -475,6 +507,43 @@ WORD_BOUNDARY_DECL_RE = re.compile(
     r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
     r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
 )
+# The four declaration patterns in their `\b`-led forms, as they were before
+# each alternative's first letter moved ahead of the boundary check; the
+# last never had one.
+WORD_BOUNDARY_DECLARED_RES = (
+    re.compile(r"\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
+    re.compile(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
+    WORD_BOUNDARY_DECL_RE,
+    executor._DECLARED_RES[3],
+)
+
+
+def reference_declaration_counts(scrubbed: str) -> Counter:
+    return Counter(m.group(1) for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed))
+
+
+# Keywords and names, after what may precede a keyword's first letter: `$`,
+# `_`, digits and non-ASCII letters.
+KEYWORD_SOUP = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", "$", "_", "9", "x", "é", "Ж", "\u00b2", "(", " "]),
+        st.sampled_from(
+            ["contract", "interface", "library", "struct", "enum", "event", "error", "modifier", "function",
+             "con", "e", "x", "$y", "_z", "S"]
+        ),
+        st.sampled_from([" ", " ", "\n", "", "(", ";", "{"]),
+    ).map("".join),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=KEYWORD_SOUP)
+@example(text="écontract C; Жfunction f; \u00b2event E; $struct S; _enum E; 9error X; modifier m")
+def test_property_literal_led_keyword_patterns_equal_word_boundary_forms(text):
+    for literal_led, word_boundary in zip(executor._DECLARED_RES[:2], WORD_BOUNDARY_DECLARED_RES[:2]):
+        found = [(m.span(), m.groups()) for m in literal_led.finditer(text)]
+        assert found == [(m.span(), m.groups()) for m in word_boundary.finditer(text)]
 # Words that may precede a type name's first letter, with `$`, `_`, digits
 # and non-ASCII letters among them, then a type name, modifier or name.
 TYPE_SOUP = st.lists(
@@ -512,8 +581,7 @@ def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
     oracle = _Oracle(SourceFile.load(path).index)
     for fn in oracle._spliceable:
         body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
-        want = Counter(m.group(1) for m in executor._declarations(body))
-        assert oracle._declared_within(fn.body_start, fn.body_end + 1) == want
+        assert oracle.declared_in_body(fn) == reference_declaration_counts(body)
 
 
 MULTI = """contract M {
@@ -536,6 +604,25 @@ MULTI = """contract M {
 """
 MULTI_FILE = SourceFile.from_text("m.sol", MULTI)
 M_ADD, M_DIV, M_HALF = extract_functions(MULTI_FILE)
+
+
+# The case generator before it drew 7 random bits itself: the reference its
+# draws must equal.
+def reference_generated_cases(param_names, seed_text: str, count: int = 8) -> list[dict]:
+    rng = random.Random(zlib.crc32(seed_text.encode("utf-8")))
+    return [{p: rng.randrange(1, 100) for p in param_names} for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed_text=st.text(max_size=16),
+    param_names=st.lists(st.sampled_from(["a", "b", "c", "amount", "x_1", "é"]), max_size=6),
+    count=st.integers(0, 12),
+)
+def test_property_generated_cases_equal_randrange_draws(seed_text, param_names, count):
+    assert executor._generated_cases(param_names, seed_text, count) == reference_generated_cases(
+        param_names, seed_text, count
+    )
 
 
 class TestOracleMemo:
@@ -989,6 +1076,111 @@ def test_fixture_records_splice_back_exactly(path):
         assert backend._oracle(file.text).splice(reindented) is not None
         body_only, whole = verify_both_ways(file.text, reindented, record.task_id())
         assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+
+
+class TestDeclarationTable:
+    """The oracle's declaration counts are scanned only for an identifier
+    that is neither local to a completion nor declared by it."""
+
+    @staticmethod
+    def scans(counts, text: str) -> list[tuple]:
+        """The ranges of text that the calls recorded by counts scanned."""
+        return [call.args[1:] for call in counts.call_args_list if call.args[0] == text]
+
+    def test_completions_using_only_locals_build_no_table(self):
+        backend = ScriptedDifferentialBackend()
+        bodies = [
+            "{ uint256 s = a + b; return s; }",
+            "{ return b + a; }",
+            "{ uint256 t; return add(t, a); }",
+            "{ return a - b; } // the whole source is parsed",
+        ]
+        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+            statuses = [
+                backend.verify(MULTI, substitute_function(MULTI, M_ADD, body), M_ADD.task_id()).status
+                for body in bodies
+            ]
+        assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
+        assert backend._oracle(MULTI).splice(substitute_function(MULTI, M_ADD, bodies[-1])) is None
+        assert counts.call_count == 0
+
+    def test_non_local_identifier_builds_the_table_once_per_oracle(self):
+        backend = ScriptedDifferentialBackend()
+        jobs = [
+            (ORACLE, ADD, "{ return total + a; }", "functional_mismatch"),
+            (ORACLE, AVG, "{ return helperX(a); }", "compile_error"),
+            (ORACLE, AVG, "{ return total; }", "functional_mismatch"),
+            (MULTI, M_ADD, "{ return zz; }", "compile_error"),
+            (MULTI, M_HALF, "{ return a / 2; } // x", "pass"),
+            (MULTI, M_HALF, "{ return zz; } // x", "compile_error"),
+        ] * 3
+        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+            for oracle, record, body, status in jobs:
+                assert backend.verify(oracle, substitute_function(oracle, record, body), record.task_id()).status == status
+        assert sorted(self.scans(counts, FILE.index.scrubbed)) == sorted([(), *(
+            (fn.body_start, fn.body_end + 1) for fn in FILE.index.functions if fn.name in ("add", "avg")
+        )])
+        # `zz` is declared nowhere in the oracle: no body of it is scanned.
+        assert self.scans(counts, MULTI_FILE.index.scrubbed) == [()]
+        # The whole-source path scans each completed source it needs once.
+        completed = substitute_function(MULTI, M_HALF, "{ return zz; } // x")
+        assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
+
+    @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
+    def test_answers_equal_the_eager_counter(self, path):
+        oracle = _Oracle(SourceFile.load(path).index)
+        scrubbed = oracle.index.scrubbed
+        found = sorted(
+            (m for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed)), key=re.Match.start
+        )
+        eager = Counter(m.group(1) for m in found)
+        names = set(re.findall(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed)) | {"fresh", "nowhere"}
+        for fn in oracle._spliceable:
+            within = Counter(m.group(1) for m in found if fn.body_start <= m.start() <= fn.body_end)
+            spliced = executor._SplicedNames(oracle, fn, executor._DeclaredIn("{ uint256 fresh; }"))
+            assert {n for n in names if n in spliced} == {n for n in names if n == "fresh" or eager[n] > within[n]}
+
+    def test_tables_under_threads_give_serial_verdicts(self):
+        jobs = [
+            (ORACLE, FILE.index, ADD, "{ return total + a; }"),
+            (ORACLE, FILE.index, AVG, "{ return helperX(a); }"),
+            (ORACLE, FILE.index, AVG, "{ return total; }"),
+            (ORACLE, FILE.index, ADD, "{ return b + a; }"),
+            (MULTI, MULTI_FILE.index, M_ADD, "{ return zz; }"),
+            (MULTI, MULTI_FILE.index, M_HALF, "{ uint256 q = a / 2; return q; }"),
+            (MULTI, MULTI_FILE.index, M_DIV, "{ return add(a, b); }"),
+        ] * 25
+
+        def run(backend, job):
+            oracle, index, record, body = job
+            v = backend.verify(oracle, substitute_function(oracle, record, body, index), record.task_id(), index)
+            return v.status, v.diagnostics
+
+        expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
+        assert len({status for status, _ in expected}) == 4
+        backend = ScriptedDifferentialBackend(seed=3)
+        scans: Counter = Counter()
+        lock = threading.Lock()
+        real = executor._declaration_counts
+
+        def counting(scrubbed, *span):
+            with lock:
+                scans[scrubbed, span] += 1
+            return real(scrubbed, *span)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(executor, "_declaration_counts", counting):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        oracle_scans = {key: n for key, n in scans.items() if key[0] in (FILE.index.scrubbed, MULTI_FILE.index.scrubbed)}
+        assert (FILE.index.scrubbed, ()) in oracle_scans and (MULTI_FILE.index.scrubbed, ()) in oracle_scans
+        # Each table is built at most once per racing thread.
+        assert all(1 <= n <= 8 for n in oracle_scans.values()), oracle_scans
 
 
 class TestSolcBackend:

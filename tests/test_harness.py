@@ -719,6 +719,35 @@ class TestCli:
         assert err.startswith(f"error: source file {bad} is not UTF-8")
 
     @pytest.mark.parametrize(
+        "key,value,complaint",
+        [
+            ("span", [1.5, 9], "expected int, got float at key 'span[0]'"),
+            ("span", [12, 13, 15], "expected 2 items, got 3 at key 'span'"),
+            ("span", [12], "expected 2 items, got 1 at key 'span'"),
+            ("span", "12-15", "expected list, got str at key 'span'"),
+            ("body", 5, "expected str, got int at key 'body'"),
+            ("comment", None, "expected str, got NoneType at key 'comment'"),
+            ("signature", ["function f()"], "expected str, got list at key 'signature'"),
+            ("id", 7, "expected str, got int at key 'id'"),
+            ("source_path", {"path": "bank0.sol"}, "expected str, got dict at key 'source_path'"),
+            ("contract_type", 0, "expected str or None, got int at key 'contract_type'"),
+        ],
+        ids=["float-span", "long-span", "short-span", "string-span", "body", "comment", "signature", "id",
+             "source_path", "contract_type"],
+    )
+    def test_run_on_wrongly_typed_task_row_exits_config(self, e2e_dir, tmp_path, capsys, key, value, complaint):
+        lines = (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row[key] = value
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n", encoding="utf-8")
+        flags = self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "0")
+        flags[flags.index("--tasks") + 1] = str(tasks)
+        assert main(flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {tasks}, line 2: bad task row: {complaint}\n"
+
+    @pytest.mark.parametrize(
         "content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
     )
     def test_bad_config_file_exits_config(self, tmp_path, capsys, content):

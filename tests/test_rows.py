@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solrepair import rows
-from solrepair.corpus import FilterReport
+from solrepair.corpus import FilterReport, _TaskRow
 from solrepair.executor import (
     ERROR_KINDS,
     STATUS_COMPILE_ERROR,
@@ -135,6 +135,11 @@ STRATEGIES = {
             "excluded_mint", "retained", "dedup_removed",
         )},
         duplication_rate=floats,
+    ),
+    _TaskRow: st.builds(
+        _TaskRow,
+        id=text, source_path=text, comment=text, signature=text, body=text,
+        span=st.tuples(counts, counts), contract_type=st.none() | text,
     ),
     RunConfig: st.builds(
         RunConfig,
