@@ -11,6 +11,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 from .corpus import MalformedSourceError
@@ -26,45 +27,60 @@ from .harness import (
     cmd_verify,
 )
 from .metrics import CostModel, GPT_4O_MINI_PRICES, format_report_table
+from .retrieval import RetrievalConfig
+
+
+# Each flag of `run` and `verify` that sets a config field: (flag, dest,
+# help). A dest names a RunConfig field, or a RetrievalConfig field as
+# `retrieval.<field>`; the flag takes its field's type and declared choices.
+_RUN_FLAGS = (
+    ("--tasks", "task_file", "task JSONL file"),
+    ("--out", "out_dir", "output directory"),
+    ("--source-root", "source_root", "base directory for task source paths"),
+    ("--budget", "context_budget", "context token budget"),
+    ("--counter", "counter", "token counter name (bytes4, words)"),
+    ("--strategy", "strategy", "repair prompt strategy"),
+    ("--max-rounds", "max_rounds", "repair rounds (0 = no repair)"),
+    ("--max-tokens", "max_tokens", "max completion tokens"),
+    ("--samples", "n_samples", "samples per task"),
+    ("--workers", "workers", "worker threads"),
+    ("--seed", "seed", "seed for mock executors"),
+    (
+        "--retrieval",
+        "retrieval.method",
+        "retrieval method for repair prompts (omit to repair without snippets)",
+    ),
+    ("--max-snippets", "retrieval.max_snippets", "snippets per repair prompt"),
+    ("--window-lines", "retrieval.window_lines", "retrieval window size"),
+    ("--step-lines", "retrieval.step_lines", "retrieval window step"),
+    ("--mock-client", "mock_client", "scripted model client fixture (JSON)"),
+    ("--mock-executor", "mock_executor", "scripted executor fixture (JSON)"),
+    ("--executor", "executor", "backend kind"),
+    ("--solc", "solc_path", "solc binary path"),
+    ("--endpoint", "endpoint", "chat-completions HTTP endpoint"),
+    ("--model", "model", "model name for HTTP clients"),
+    ("--api-key-env", "api_key_env", "env var holding the API key"),
+    ("--rate-limit", "rate_limit_per_minute", "global requests per minute"),
+)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags whose dest is a RunConfig field override that field."""
-    parser.add_argument("--tasks", dest="task_file", help="task JSONL file")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    parser.add_argument("--source-root", help="base directory for task source paths")
-    parser.add_argument("--budget", dest="context_budget", type=int, help="context token budget")
-    parser.add_argument("--counter", help="token counter name (bytes4, words)")
-    parser.add_argument(
-        "--strategy",
-        choices=["self_edit", "self_debug", "self_refine", "self_repair"],
-        help="repair prompt strategy",
-    )
-    parser.add_argument("--max-rounds", type=int, help="repair rounds (0 = no repair)")
-    parser.add_argument("--max-tokens", type=int, help="max completion tokens")
-    parser.add_argument("--samples", dest="n_samples", type=int, help="samples per task")
-    parser.add_argument("--workers", type=int, help="worker threads")
-    parser.add_argument("--seed", type=int, help="seed for mock executors")
-    parser.add_argument(
-        "--retrieval",
-        dest="retrieval_method",
-        choices=["lcs", "bm25", "tfidf", "jaccard", "dense"],
-        help="retrieval method for repair prompts (omit to repair without snippets)",
-    )
-    parser.add_argument("--max-snippets", type=int, help="snippets per repair prompt")
-    parser.add_argument("--window-lines", type=int, help="retrieval window size")
-    parser.add_argument("--step-lines", type=int, help="retrieval window step")
-    parser.add_argument("--mock-client", help="scripted model client fixture (JSON)")
-    parser.add_argument("--mock-executor", help="scripted executor fixture (JSON)")
-    parser.add_argument("--executor", choices=["mock", "solc", "fuzz"], help="backend kind")
-    parser.add_argument("--solc", dest="solc_path", help="solc binary path")
-    parser.add_argument("--endpoint", help="chat-completions HTTP endpoint")
-    parser.add_argument("--model", help="model name for HTTP clients")
-    parser.add_argument("--api-key-env", help="env var holding the API key")
-    parser.add_argument(
-        "--rate-limit", dest="rate_limit_per_minute", type=int, help="global requests per minute"
-    )
+    declared = {}  # dest -> (type, choices)
+    for prefix, cls in (("", RunConfig), ("retrieval.", RetrievalConfig)):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            declared[prefix + f.name] = hints[f.name], f.metadata.get("choices")
+    for flag, dest, text in _RUN_FLAGS:
+        kind, choices = declared[dest]
+        parser.add_argument(
+            flag,
+            dest=dest,
+            type=kind if kind in (int, float) else None,
+            choices=choices,
+            metavar=None if choices else dest.rpartition(".")[2].upper(),
+            help=text,
+        )
 
 
 def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> RunConfig:
@@ -81,22 +97,20 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
             raise ConfigError(
                 f"config file {args.config}: retrieval must be a JSON object, not {retrieval!r}"
             )
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            payload[f.name] = value
-    if args.retrieval_method is not None:
-        retrieval = payload.get("retrieval") or {}
-        retrieval["method"] = args.retrieval_method
-        payload["retrieval"] = retrieval
-    if payload.get("retrieval") is not None:
-        for key, flag in (
-            ("max_snippets", args.max_snippets),
-            ("window_lines", args.window_lines),
-            ("step_lines", args.step_lines),
-        ):
-            if flag is not None:
-                payload["retrieval"][key] = flag
+    retrieval_flags: dict = {}
+    for flag, dest, _ in _RUN_FLAGS:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        record, _, name = dest.rpartition(".")
+        if not record:
+            payload[name] = value
+        elif payload.get("retrieval") is None and getattr(args, "retrieval.method") is None:
+            raise ConfigError(f"{flag} needs --retrieval or a retrieval object in --config")
+        else:
+            retrieval_flags[name] = value
+    if retrieval_flags:
+        payload["retrieval"] = {**(payload.get("retrieval") or {}), **retrieval_flags}
     if not need_out:
         payload.setdefault("out_dir", ".")
     if "task_file" not in payload or "out_dir" not in payload:
@@ -107,7 +121,7 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solrepair",
         description="Function-completion benchmark with retrieval-augmented repair",
@@ -135,8 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_run_flags(p_verify)
     p_verify.add_argument("--completions", required=True, help="JSONL of {task_id, body}")
     p_verify.add_argument("--verdicts", help="output verdict JSONL")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

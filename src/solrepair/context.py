@@ -56,11 +56,6 @@ _COUNTERS: dict[str, TokenCounter] = {
 }
 
 
-def register_counter(counter: TokenCounter) -> None:
-    """Make a counter available by name to configs and the CLI."""
-    _COUNTERS[counter.name] = counter
-
-
 def get_counter(name: str) -> TokenCounter:
     try:
         return _COUNTERS[name]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -18,8 +18,6 @@ from .rows import ConfigError, Record, dump_row, read_rows
 
 TASKS_SCHEMA = "tasks@1"
 STATS_SCHEMA = "corpus-stats@1"
-
-VERIFICATION_STATEMENT = "uint256 this_is_a_test_variable;"
 
 # Identifier runs and single punctuation marks; shared by retrieval and
 # surface metrics so scores are comparable across modules.
@@ -236,11 +234,6 @@ class SourceIndex:
         return {fn.name: fn for fn in self.functions if fn.has_body}
 
 
-def check_balanced(text: str, path: str = "<source>") -> None:
-    """Raise MalformedSourceError naming the first unmatched brace."""
-    SourceIndex(text, path).check()
-
-
 @dataclass(frozen=True)
 class SourceFile:
     """A Solidity source file and its index."""
@@ -381,22 +374,6 @@ def count_function_declarations(file: SourceFile) -> int:
     return sum(1 for fn in file.index.functions if fn.has_body and not fn.depth)
 
 
-def inject_verification_statement(record: FunctionRecord) -> FunctionRecord:
-    """Insert the sentinel declaration as the first statement of the body.
-
-    The sentinel gives a differential tester a guaranteed textual difference
-    to notice while leaving behaviour unchanged.
-    """
-    brace = record.body.find("{")
-    if brace == -1:
-        raise MalformedRecordError(f"{record.source_id}: body has no opening brace")
-    rest = record.body[brace + 1 :]
-    insert = " " + VERIFICATION_STATEMENT
-    if rest[:1] and not rest[0].isspace():
-        insert += " "
-    return replace(record, body=record.body[: brace + 1] + insert + rest)
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     """Heuristic deny-list for state- or privilege-dependent functions."""
@@ -530,16 +507,6 @@ def dedup_exact(
         duplication_rate=removed / max(1, len(records)),
     )
     return kept, report
-
-
-def jaccard_overlap(a: FunctionRecord, b: FunctionRecord) -> float:
-    """Jaccard similarity of the records' token sets (1.0 when both empty)."""
-    ta = set(tokenize_terms(a.rendered()))
-    tb = set(tokenize_terms(b.rendered()))
-    union = ta | tb
-    if not union:
-        return 1.0
-    return len(ta & tb) / len(union)
 
 
 def build_corpus(

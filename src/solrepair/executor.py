@@ -313,23 +313,48 @@ _PARSE_LOCK = threading.Lock()
 # as a body dividing by zero does: the body's failure, not the backend's.
 _TOO_DEEP = "expression nested too deeply to evaluate"
 
+# The most expression nodes on a path from an expression's root to a leaf,
+# the leaf included, that is compiled and evaluated: 127 nested operators
+# over a name. A deeper expression fails as _TOO_DEEP. Compiling and
+# evaluating take at most two frames per node, so these stay clear of the
+# default recursion limit from a caller at half of it, and whether a body
+# evaluates does not depend on the stack it is verified from.
+_MAX_NESTING = 128
+
+
+def _nested_too_deep(tree: ast.expr) -> bool:
+    """True when a path from tree's root to a leaf has more than
+    _MAX_NESTING expression nodes; walked without recursion."""
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_NESTING:
+            return True
+        stack.extend(
+            (child, depth + 1) for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)
+        )
+    return False
+
 
 def _compile_expr(expr: str) -> _Evaluator:
-    """The expression's evaluator; one that raises when it cannot be parsed."""
+    """The expression's evaluator; one that raises when it cannot be parsed
+    or nests too deeply."""
     # Operator translation can leave leading whitespace, which eval-mode
     # parsing treats as an indent error.
+    text = _translate_expr(expr).strip()
     try:
         with _PARSE_LOCK:
-            tree = ast.parse(_translate_expr(expr).strip(), mode="eval").body
+            tree = ast.parse(text, mode="eval").body
+        # Each node on a path adds a character of its own, so a text no
+        # longer than the bound cannot nest past it.
+        if len(text) > _MAX_NESTING and _nested_too_deep(tree):
+            return _raising(_EvalError(_TOO_DEEP))
         return _compile_node(tree)
     except SyntaxError as exc:
         return _raising(_EvalError(f"cannot parse expression {expr!r}: {exc}"))
-    except RecursionError:
+    except (RecursionError, MemoryError):
+        # The parser's own limits on nesting (MemoryError: its stack).
         return _raising(_EvalError(_TOO_DEEP))
-    except MemoryError as exc:
-        # Nesting beyond the parser's limits: raised where evaluation
-        # reaches the statement, as it was when each case parsed it.
-        return _raising(exc)
 
 
 _DECL_STMT_RE = re.compile(

@@ -24,7 +24,6 @@ from .corpus import (
     DEFAULT_FILTER_CONFIG,
     FilterConfig,
     FilterReport,
-    FunctionRecord,
     SourceFile,
     build_corpus,
     read_task_file,
@@ -41,9 +40,9 @@ from .metrics import (
     GPT_4O_MINI_PRICES,
     TaskOutcome,
     build_report,
-    format_report_table,
 )
 from .repair import (
+    STRATEGY_KINDS,
     CompletionTask,
     HttpModelClient,
     ModelClientError,
@@ -60,7 +59,7 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalUnavailableError,
 )
-from .rows import ConfigError, Record, dump_row, read_records, read_rows, write_json
+from .rows import ConfigError, Record, dump_row, from_json_at, read_records, read_rows, write_json
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -71,23 +70,55 @@ EXIT_INFRA = 3
 log = logging.getLogger("solrepair")
 
 
+def _mock_backend(config: RunConfig) -> ScriptedDifferentialBackend:
+    try:
+        return ScriptedDifferentialBackend(config.mock_executor, seed=config.seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad executor fixture {config.mock_executor}: {exc}") from exc
+
+
+# Each executor kind and how a run config builds its backend.
+EXECUTORS = {
+    "mock": _mock_backend,
+    "solc": lambda config: SolcCompileBackend(config.solc_path, timeout=config.executor_timeout),
+    "fuzz": lambda config: SubprocessFuzzBackend(config.fuzz_command, timeout=config.executor_timeout),
+}
+
+# Each integer setting with a lower bound, and the bound.
+_AT_LEAST = (
+    ("context_budget", 0),
+    ("max_rounds", 0),
+    ("max_tokens", 1),
+    ("n_samples", 1),
+    ("workers", 1),
+    ("rate_limit_per_minute", 0),
+)
+
+
 @dataclass
 class RunConfig(Record):
-    """Everything a benchmark run needs; serialized into the manifest."""
+    """Everything a benchmark run needs; serialized into the manifest.
+
+    A field's type is the type its `--config` value must have, and a
+    field's `choices` metadata lists the values it takes; the command line
+    flags derive from both.
+    """
 
     task_file: str
     out_dir: str
     source_root: str = ""
     context_budget: int = 2048
     counter: str = "bytes4"
-    strategy: str = "self_edit"
+    strategy: str = field(default="self_edit", metadata={"choices": STRATEGY_KINDS})
     max_rounds: int = 1
     max_tokens: int = 1024
     n_samples: int = 1
     workers: int = 1
     seed: int = 0
+    # The RetrievalConfig fields as given, or None when repair retrieves
+    # nothing; kept as an object so the manifest repeats it as given.
     retrieval: dict | None = None
-    executor: str = "mock"  # "mock" | "solc" | "fuzz"
+    executor: str = field(default="mock", metadata={"choices": EXECUTORS})
     mock_executor: str | None = None
     solc_path: str = "solc"
     fuzz_command: list[str] = field(default_factory=list)
@@ -102,21 +133,21 @@ class RunConfig(Record):
     completion_usd_per_million: float = GPT_4O_MINI_PRICES.completion_usd_per_million
 
     def validate(self) -> None:
+        """Raise ConfigError for a setting that `run` and `verify` cannot
+        use. The model client, which `verify` does not need, is checked by
+        build_client."""
         if not Path(self.task_file).is_file():
             raise ConfigError(f"task file not found: {self.task_file}")
-        if self.context_budget < 0:
-            raise ConfigError("context_budget must be non-negative")
-        if self.max_rounds < 0:
-            raise ConfigError("max_rounds must be non-negative")
-        if self.n_samples < 1 or self.workers < 1:
-            raise ConfigError("n_samples and workers must be >= 1")
-        if self.mock_client is None and self.endpoint is None:
-            raise ConfigError("need --mock-client FILE or an HTTP endpoint")
+        for name, least in _AT_LEAST:
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if self.executor_timeout <= 0:
+            raise ConfigError("executor_timeout must be > 0")
         if self.mock_client is not None and not Path(self.mock_client).is_file():
             raise ConfigError(f"mock client fixture not found: {self.mock_client}")
         if self.mock_executor is not None and not Path(self.mock_executor).is_file():
             raise ConfigError(f"mock executor fixture not found: {self.mock_executor}")
-        if self.executor not in ("mock", "solc", "fuzz"):
+        if self.executor not in EXECUTORS:
             raise ConfigError(f"unknown executor kind {self.executor!r}")
         if self.executor == "fuzz" and not self.fuzz_command:
             raise ConfigError("fuzz executor needs a command")
@@ -124,19 +155,17 @@ class RunConfig(Record):
             get_counter(self.counter)
             RepairStrategy(self.strategy)
             self.retrieval_config()
-        except (ValueError, TypeError) as exc:
+        except TypeError as exc:
+            raise ConfigError(f"bad config: {exc}") from exc
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def retrieval_config(self) -> RetrievalConfig | None:
-        """The retriever settings in `retrieval`; its `endpoint` and
-        `dimension` keys configure the embedding provider instead."""
+        """`retrieval` decoded, or None when retrieval is off. A wrongly
+        typed value raises a TypeError naming `retrieval.<key>`."""
         if self.retrieval is None:
             return None
-        if not isinstance(self.retrieval, dict):
-            raise TypeError(f"retrieval must be a JSON object, not {self.retrieval!r}")
-        return RetrievalConfig(
-            **{k: v for k, v in self.retrieval.items() if k not in ("endpoint", "dimension")}
-        )
+        return from_json_at("retrieval", RetrievalConfig, self.retrieval)
 
     def cost_model(self) -> CostModel:
         return CostModel(self.prompt_usd_per_million, self.completion_usd_per_million)
@@ -173,6 +202,8 @@ def build_client(config: RunConfig, rate_limiter: RateLimiter | None = None):
             )
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad client fixture {config.mock_client}: {exc}") from exc
+    if config.endpoint is None:
+        raise ConfigError("need --mock-client FILE or an HTTP endpoint")
     return HttpModelClient(
         endpoint=config.endpoint,
         model=config.model,
@@ -183,24 +214,16 @@ def build_client(config: RunConfig, rate_limiter: RateLimiter | None = None):
 
 
 def build_backend(config: RunConfig):
-    if config.executor == "solc":
-        return SolcCompileBackend(config.solc_path, timeout=config.executor_timeout)
-    if config.executor == "fuzz":
-        return SubprocessFuzzBackend(config.fuzz_command, timeout=config.executor_timeout)
-    try:
-        return ScriptedDifferentialBackend(config.mock_executor, seed=config.seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad executor fixture {config.mock_executor}: {exc}") from exc
+    return EXECUTORS[config.executor](config)
 
 
 def build_provider(config: RunConfig):
-    if config.retrieval is None or config.retrieval.get("method") != "dense":
+    retrieval = config.retrieval_config()
+    if retrieval is None or retrieval.method != "dense":
         return None
-    endpoint = config.retrieval.get("endpoint")
-    dimension = config.retrieval.get("dimension", 16)
-    if endpoint:
-        return HttpEmbeddingProvider(endpoint, dimension)
-    return HashEmbeddingProvider(dimension)
+    if retrieval.endpoint:
+        return HttpEmbeddingProvider(retrieval.endpoint, retrieval.dimension)
+    return HashEmbeddingProvider(retrieval.dimension)
 
 
 def _read_source(path: Path) -> str:
@@ -304,13 +327,13 @@ def _truncate_orphan_sessions(sessions_path: Path, done: set[str]) -> None:
 def run_task(
     task: CompletionTask,
     config: RunConfig,
+    strategy: RepairStrategy,
+    retriever_cfg: RetrievalConfig | None,
     client,
     backend,
     provider,
 ) -> tuple[TaskOutcome, list[RepairSession]]:
     """All samples for one task; pure with respect to shared state."""
-    strategy = RepairStrategy(config.strategy)
-    retriever_cfg = config.retrieval_config()
     sessions = [
         run_rar(
             task,
@@ -332,8 +355,20 @@ def run_task(
 
 
 def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
-    """Execute a run with resume support; returns (manifest, exit_code)."""
+    """Execute a run with resume support; returns (manifest, exit_code).
+
+    Every setting is checked, and the client, backend and embedding
+    provider built, before anything in the output directory is touched.
+    """
     config.validate()
+    strategy = RepairStrategy(config.strategy)
+    retriever_cfg = config.retrieval_config()
+    rate_limiter = (
+        RateLimiter(config.rate_limit_per_minute) if config.rate_limit_per_minute else None
+    )
+    client = build_client(config, rate_limiter)
+    backend = build_backend(config)
+    provider = build_provider(config)
     tasks = load_tasks(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,18 +397,11 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
     pending = [t for t in tasks if t.task_id not in done]
     log.info("run: %d tasks total, %d already done, %d pending", len(tasks), len(done), len(pending))
 
-    rate_limiter = (
-        RateLimiter(config.rate_limit_per_minute) if config.rate_limit_per_minute else None
-    )
-    client = build_client(config, rate_limiter)
-    backend = build_backend(config)
-    provider = build_provider(config)
-
     unavailable_seen = False
 
     def worker(task: CompletionTask):
         try:
-            return run_task(task, config, client, backend, provider)
+            return run_task(task, config, strategy, retriever_cfg, client, backend, provider)
         except Exception as exc:  # one task's failure leaves the run partial, never ends it
             return task.task_id, exc
 
@@ -479,8 +507,9 @@ def cmd_verify(
     """Verify externally produced bodies against their oracles.
 
     Completions file: JSONL rows {"task_id": ..., "body": ...}; every row is
-    checked before any is verified.
+    checked before any is verified; the config is checked as `run` checks it.
     """
+    config.validate()
     backend = build_backend(config)
     tasks = {t.task_id: t for t in load_tasks(config)}
     rows = _read_completions(completions_path)

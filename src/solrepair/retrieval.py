@@ -12,7 +12,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, count
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
@@ -33,13 +33,19 @@ class RetrievalUnavailableError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RetrievalConfig:
-    method: str = "lcs"
+class RetrievalConfig(Record):
+    """The `retrieval` object of a run config. `endpoint` and `dimension`
+    configure the embedding provider of the dense method: without an
+    endpoint, embeddings are hashed locally."""
+
+    method: str = field(default="lcs", metadata={"choices": METHODS})
     window_lines: int = 1
     step_lines: int = 1
     max_snippets: int = 2
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
+    endpoint: str | None = None
+    dimension: int = 16
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -48,6 +54,8 @@ class RetrievalConfig:
             raise ValueError("window_lines and step_lines must be >= 1")
         if self.max_snippets < 1:
             raise ValueError("max_snippets must be >= 1")
+        if self.dimension < 1:
+            raise ValueError("dimension must be >= 1")
         if self.bm25_k1 < 0 or not 0 <= self.bm25_b <= 1:
             raise ValueError("bm25_k1 must be >= 0 and bm25_b within [0, 1]")
 

@@ -187,6 +187,17 @@ class Record:
         return cls(**payload)
 
 
+def from_json_at(key: str, cls: type[R], payload: dict) -> R:
+    """`cls.from_json(payload)` for the object held under `key` of an
+    enclosing one: a wrongly typed value is named by its key path from
+    there, as `key.<field>`."""
+    try:
+        return cls.from_json(payload)
+    except _WrongType as exc:
+        exc.path = f".{key}{exc.path}"
+        raise
+
+
 def dump_row(row: dict) -> str:
     """One JSONL line: sorted keys, compact separators, `\\n`; the sorted keys
     make outcome files byte-reproducible."""

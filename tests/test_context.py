@@ -12,7 +12,6 @@ from solrepair.context import (
     WordCounter,
     build_context,
     get_counter,
-    register_counter,
 )
 from solrepair.corpus import FunctionRecord, SourceFile
 
@@ -57,16 +56,6 @@ class TestCounters:
     def test_registry_unknown(self):
         with pytest.raises(ValueError, match="unknown token counter"):
             get_counter("no-such-counter")
-
-    def test_register_custom(self):
-        class CharCounter:
-            name = "chars-test"
-
-            def count(self, text: str) -> int:
-                return len(text)
-
-        register_counter(CharCounter())
-        assert get_counter("chars-test").count("abc") == 3
 
 
 class TestBuildContext:

@@ -17,13 +17,10 @@ from solrepair.corpus import (
     SourceFile,
     SourceIndex,
     build_corpus,
-    check_balanced,
     count_function_declarations,
     dedup_exact,
     extract_functions,
     filter_state_dependent,
-    inject_verification_statement,
-    jaccard_overlap,
     lex_identifiers,
     read_task_file,
     scrub,
@@ -88,7 +85,7 @@ class TestScrub:
         assert cleaned.endswith("y;")
 
     def test_balanced_ignores_braces_in_strings(self):
-        check_balanced('contract C { function f() public { s = "}"; } }')
+        SourceIndex('contract C { function f() public { s = "}"; } }').check()
 
 
 def reference_scrub(text: str) -> str:
@@ -255,7 +252,7 @@ class TestBalance:
     def test_unmatched_open_names_position(self):
         src = "contract C {\n    function f() public { }\n"
         with pytest.raises(MalformedSourceError) as exc:
-            check_balanced(src, "bad.sol")
+            SourceIndex(src, "bad.sol").check()
         msg = str(exc.value)
         assert "bad.sol" in msg
         assert "line 1" in msg
@@ -263,7 +260,7 @@ class TestBalance:
 
     def test_unmatched_close_names_position(self):
         with pytest.raises(MalformedSourceError) as exc:
-            check_balanced("contract C { }\n}\n", "bad.sol")
+            SourceIndex("contract C { }\n}\n", "bad.sol").check()
         assert "line 2" in str(exc.value)
         assert "'}'" in str(exc.value)
 
@@ -405,28 +402,6 @@ class TestExtraction:
                 assert norm(slice_text) == norm(rendered)
 
 
-class TestInjection:
-    def test_one_liner(self):
-        rec = make_record("{ return a + b; }")
-        out = inject_verification_statement(rec)
-        assert out.body == "{ uint256 this_is_a_test_variable; return a + b; }"
-
-    def test_empty_body(self):
-        rec = make_record("{}")
-        out = inject_verification_statement(rec)
-        assert out.body == "{ uint256 this_is_a_test_variable; }"
-
-    def test_multiline_keeps_newline(self):
-        rec = make_record("{\n        return a + b;\n    }")
-        out = inject_verification_statement(rec)
-        assert out.body == "{ uint256 this_is_a_test_variable;\n        return a + b;\n    }"
-
-    def test_other_fields_untouched(self):
-        rec = make_record("{ return a; }")
-        out = inject_verification_statement(rec)
-        assert (out.comment, out.signature, out.span) == (rec.comment, rec.signature, rec.span)
-
-
 class TestFilter:
     def wrap(self, fn_text: str, extra: str = "") -> tuple[FunctionRecord, SourceFile]:
         src = "contract C {\n" + fn_text + extra + "}\n"
@@ -524,26 +499,6 @@ class TestDedup:
         kept, report = dedup_exact([])
         assert kept == []
         assert report.duplication_rate == 0.0
-
-
-class TestJaccard:
-    def test_identical(self):
-        a = make_record("{ return a + b; }")
-        assert jaccard_overlap(a, a) == 1.0
-
-    def test_symmetric(self):
-        a = make_record("{ return a + b; }")
-        b = make_record("{ return a * c; }")
-        assert jaccard_overlap(a, b) == jaccard_overlap(b, a)
-
-    def test_bounds_and_known_value(self):
-        a = make_record("{ return a + b; }")
-        b = make_record("{ return a * c; }")
-        ta, tb = set(tokenize_terms(a.rendered())), set(tokenize_terms(b.rendered()))
-        expected = len(ta & tb) / len(ta | tb)
-        got = jaccard_overlap(a, b)
-        assert 0.0 < got < 1.0
-        assert got == pytest.approx(expected)
 
 
 class TestBuildCorpus:

@@ -24,7 +24,6 @@ from solrepair.corpus import (
     SourceFile,
     SourceIndex,
     extract_functions,
-    inject_verification_statement,
 )
 from solrepair.executor import (
     Diagnostic,
@@ -230,29 +229,62 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("deep", ["-" * 20000 + "a", "a" + " + a" * 200000])
     def test_parser_limit_fails_only_when_reached(self, deep):
-        before = f"{{ uint256 x = {deep}; return a; }}"
-        with pytest.raises((MemoryError, RecursionError)) as want:
-            reference_evaluate_body(reference_interpret_body(before), {"a": 1})
-        # The parser's own limit is raised as it was; the recursion limit is
-        # the body's evaluation failure.
-        if isinstance(want.value, RecursionError):
-            want_type, want_message = _EvalError, executor._TOO_DEEP
-        else:
-            want_type, want_message = type(want.value), str(want.value)
-        with pytest.raises(want_type) as got:
-            evaluate_body(interpret_body(before), {"a": 1})
-        assert str(got.value) == want_message
+        # Past the parser's own limits (its stack, the recursion limit) the
+        # statement fails to evaluate, as past the nesting bound; a body that
+        # returns before the statement is unaffected.
+        before = interpret_body(f"{{ uint256 x = {deep}; return a; }}")
+        for _ in range(2):
+            with pytest.raises(_EvalError, match=executor._TOO_DEEP):
+                evaluate_body(before, {"a": 1})
         assert evaluate_body(interpret_body(f"{{ return a; uint256 x = {deep}; }}"), {"a": 1}) == 1
 
     def test_recursion_limit_while_evaluating_is_an_evaluation_failure(self):
+        # 701 terms nest past the bound: too deep from any caller, not only
+        # from one near the recursion limit.
         steps = interpret_body("{ return a" + " + a" * 700 + "; }")
-        assert evaluate_body(steps, {"a": 1}) == 701
 
         def nested(depth: int):
             return nested(depth - 1) if depth else evaluate_body(steps, {"a": 1})
 
-        with pytest.raises(_EvalError, match=executor._TOO_DEEP):
-            nested(sys.getrecursionlimit() - 300)
+        for depth in (0, sys.getrecursionlimit() - 300):
+            with pytest.raises(_EvalError, match=executor._TOO_DEEP):
+                nested(depth)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "-" * n + "a",
+            lambda n: "!" * (n - 1) + "(a > 0)",
+            lambda n: "a" + " + a" * n,
+            lambda n: "(a * " * n + "a" + ")" * n,
+            lambda n: "(a / " * n + "1" + ")" * n,
+            lambda n: "(a > 0 && " * (n - 1) + "a > 0" + ")" * (n - 1),
+            lambda n: "(a > 0 || " * (n - 1) + "a > 0" + ")" * (n - 1),
+            lambda n: "(a < " * n + "a" + ")" * n,
+        ],
+        ids=["neg", "not", "add-chain", "mul-nested", "div-nested", "and", "or", "compare"],
+    )
+    def test_nesting_bound_holds_from_a_deep_caller(self, shape):
+        # n operators nest n + 1 expression nodes deep, the leaf included.
+        shallow, inside, outside = (
+            interpret_body(f"{{ return {shape(n)}; }}")
+            for n in (100, executor._MAX_NESTING - 1, executor._MAX_NESTING)
+        )
+
+        def nested(depth: int, steps):
+            return nested(depth - 1, steps) if depth else evaluate_body(steps, {"a": 1})
+
+        for depth in (0, sys.getrecursionlimit() // 2):
+            nested(depth, shallow)
+            nested(depth, inside)
+            with pytest.raises(_EvalError, match=executor._TOO_DEEP):
+                nested(depth, outside)
+
+    def test_deep_completion_is_the_bodys_failure_not_the_backends(self):
+        completed = completed_with(ADD, "{ return " + "-" * 20000 + "a; }")
+        v = differential_verify(ORACLE, completed, ADD, ScriptedDifferentialBackend())
+        assert v.status == "functional_mismatch"
+        assert v.diagnostics[0].message.endswith(": expression nested too deeply to evaluate")
 
     def test_too_deep_completion_is_a_functional_mismatch(self):
         completed = completed_with(ADD, "{ return a" + " + a" * 1500 + "; }")
@@ -801,8 +833,7 @@ class TestScriptedBackend:
         assert "multiple functions differ" in v.diagnostics[0].message
 
     def test_verification_statement_is_behaviour_preserving(self):
-        injected = inject_verification_statement(ADD)
-        completed = completed_with(ADD, injected.body)
+        completed = completed_with(ADD, "{ uint256 this_is_a_test_variable; return a + b; }")
         assert self.backend().verify(ORACLE, completed, ADD.task_id()).status == "pass"
 
     def test_seed_recorded(self):

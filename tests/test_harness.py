@@ -8,17 +8,25 @@ self_edit repair passes 40/50 (pass@1 = 80.00).
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import logging
 import re
 import shutil
+import tempfile
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solrepair.cli import main
+from solrepair.cli import build_parser, main
 from solrepair.corpus import SourceIndex
 from solrepair.executor import (
     STATUS_COMPILE_ERROR,
@@ -27,11 +35,13 @@ from solrepair.executor import (
     STATUS_PASS,
 )
 from solrepair.harness import (
+    EXECUTORS,
     EXIT_CONFIG,
     EXIT_INFRA,
     EXIT_OK,
     ConfigError,
     RunConfig,
+    build_client,
     build_provider,
     cmd_build,
     cmd_report,
@@ -42,7 +52,9 @@ from solrepair.harness import (
     read_sessions,
 )
 from solrepair.metrics import build_report
+from solrepair.repair import STRATEGY_KINDS
 from solrepair.retrieval import (
+    METHODS,
     HashEmbeddingProvider,
     HttpEmbeddingProvider,
     RetrievalConfig,
@@ -141,9 +153,11 @@ class TestRunConfigValidation:
             config.validate()
 
     def test_needs_some_client(self, e2e_config_factory, tmp_path):
+        # Only run calls a model: the client is checked where it is built.
         config = e2e_config_factory(str(tmp_path), mock_client=None, endpoint=None)
+        config.validate()
         with pytest.raises(ConfigError, match="mock-client|endpoint"):
-            config.validate()
+            build_client(config)
 
     def test_missing_mock_client_file(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(str(tmp_path), mock_client=str(tmp_path / "x.json"))
@@ -182,7 +196,7 @@ class TestRunConfigValidation:
 
     def test_retrieval_config_not_an_object(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(str(tmp_path), retrieval="lcs")
-        with pytest.raises(ConfigError, match="retrieval must be a JSON object"):
+        with pytest.raises(ConfigError, match="expected a JSON object, got str at key 'retrieval'"):
             config.validate()
 
     def test_json_round_trip(self, e2e_config_factory, tmp_path):
@@ -198,7 +212,9 @@ class TestRunConfigValidation:
         post.assert_not_called()
         assert isinstance(provider, HttpEmbeddingProvider)
         assert provider.dimension == 8
-        assert config.retrieval_config() == RetrievalConfig(method="dense")
+        assert config.retrieval_config() == RetrievalConfig(
+            method="dense", endpoint="http://localhost:9/embed", dimension=8
+        )
 
 
 class TestLoadTasks:
@@ -453,6 +469,7 @@ class TestCmdRun:
         config = e2e_config_factory(str(tmp_path / "out"), mock_client=str(bad))
         with pytest.raises(ConfigError, match="bad client fixture"):
             cmd_run(config)
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_executor_fixture_schema_is_config_error(self, e2e_config_factory, tmp_path):
         bad = tmp_path / "executor.json"
@@ -460,6 +477,7 @@ class TestCmdRun:
         config = e2e_config_factory(str(tmp_path / "out"), mock_executor=str(bad))
         with pytest.raises(ConfigError, match="bad executor fixture"):
             cmd_run(config)
+        assert not (tmp_path / "out").exists()
 
     def test_foreign_outcomes_rejected(self, e2e_config_factory, tmp_path):
         out = tmp_path / "out"
@@ -1048,3 +1066,147 @@ class TestCli:
         assert code == EXIT_OK
         row = json.loads(verdicts.read_text(encoding="utf-8").splitlines()[0])
         assert row["verdict"]["status"] == STATUS_PASS
+
+    def config_flags(self, e2e_dir, out_dir: Path, command: str, config_path: Path) -> list[str]:
+        """`run` or `verify` on the fixture with settings from config_path."""
+        flags = [
+            command,
+            "--tasks", str(e2e_dir / "tasks.jsonl"),
+            "--source-root", str(e2e_dir / "sources"),
+            "--mock-executor", str(e2e_dir / "mock_executor.json"),
+            "--config", str(config_path),
+        ]
+        if command == "run":
+            return flags + ["--out", str(out_dir), "--mock-client", str(e2e_dir / "mock_client.json")]
+        completions = out_dir.parent / "completions.jsonl"
+        completions.write_text(json.dumps({"task_id": "bank0.sol#L12-15", "body": "{ }"}) + "\n", encoding="utf-8")
+        return flags + ["--completions", str(completions), "--verdicts", str(out_dir)]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "settings,complaint",
+        [
+            ({"retrieval": {"method": "lcs", "max_snippets": 2.5}}, "bad config: expected int, got float at key 'retrieval.max_snippets'"),
+            ({"retrieval": {"method": "dense", "dimension": "16"}}, "bad config: expected int, got str at key 'retrieval.dimension'"),
+            ({"retrieval": {"method": "dense", "dimension": 0}}, "dimension must be >= 1"),
+            ({"retrieval": {"method": "lcs", "max_snippets": True}}, "bad config: expected int, got bool at key 'retrieval.max_snippets'"),
+            ({"retrieval": {"method": "lcs", "window_lines": 1.0}}, "bad config: expected int, got float at key 'retrieval.window_lines'"),
+            ({"retrieval": {"method": 3}}, "bad config: expected str, got int at key 'retrieval.method'"),
+            ({"workers": True}, "bad config: expected int, got bool at key 'workers'"),
+            ({"max_tokens": -5}, "max_tokens must be >= 1"),
+            ({"max_tokens": 0}, "max_tokens must be >= 1"),
+            ({"rate_limit_per_minute": -1}, "rate_limit_per_minute must be >= 0"),
+            ({"executor_timeout": -1}, "executor_timeout must be > 0"),
+            ({"executor": "fuzz", "fuzz_command": ["true"], "executor_timeout": 0}, "executor_timeout must be > 0"),
+            ({"executor": "bogus"}, "unknown executor kind 'bogus'"),
+            ({"counter": "nope"}, "unknown token counter 'nope' (known: bytes4, words)"),
+        ],
+        ids=[
+            "float-snippets", "str-dimension", "zero-dimension", "bool-snippets", "float-window", "int-method",
+            "bool-workers", "negative-max-tokens", "zero-max-tokens", "negative-rate-limit", "negative-timeout",
+            "fuzz-zero-timeout", "unknown-executor", "unknown-counter",
+        ],
+    )
+    def test_bad_setting_exits_config_before_any_output(self, e2e_dir, tmp_path, capsys, command, settings, complaint):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(self.config_flags(e2e_dir, out, command, config_path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not out.exists()
+
+    def test_verify_unknown_counter_flag_exits_config(self, e2e_dir, tmp_path, capsys):
+        flags = self.config_flags(e2e_dir, tmp_path / "verdicts.jsonl", "verify", tmp_path / "run.json")
+        (tmp_path / "run.json").write_text("{}", encoding="utf-8")
+        assert main(flags + ["--counter", "nope"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: unknown token counter 'nope' (known: bytes4, words)\n"
+
+    @pytest.mark.parametrize("flag", ["--max-snippets", "--window-lines", "--step-lines"])
+    def test_retrieval_sub_flag_while_retrieval_is_off_exits_config(self, e2e_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(self.run_flags(e2e_dir, out, flag, "2")) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {flag} needs --retrieval or a retrieval object in --config\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "in_file,flags,expected",
+        [
+            (None, ["--retrieval", "bm25", "--max-snippets", "3"], {"method": "bm25", "max_snippets": 3}),
+            ({"method": "tfidf"}, ["--window-lines", "4", "--step-lines", "2"], {"method": "tfidf", "window_lines": 4, "step_lines": 2}),
+            ({"method": "dense", "dimension": 8}, ["--retrieval", "lcs"], {"method": "lcs", "dimension": 8}),
+        ],
+        ids=["flag-turns-retrieval-on", "file-turns-retrieval-on", "flag-overrides-file"],
+    )
+    def test_retrieval_flags_merge_into_the_retrieval_object(self, tmp_path, in_file, flags, expected):
+        captured = []
+
+        def fake_run(config):
+            captured.append(config)
+            return SimpleNamespace(status="complete", tasks_completed=0, tasks_total=0), EXIT_OK
+
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"retrieval": in_file}), encoding="utf-8")
+        with mock.patch("solrepair.cli.cmd_run", fake_run):
+            argv = ["run", "--tasks", "t.jsonl", "--out", "o", "--config", str(config_path), *flags]
+            assert main(argv) == EXIT_OK
+        assert captured[0].retrieval == expected
+
+    def test_every_run_flag_sets_a_declared_field_and_takes_its_declared_choices(self):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        fields |= {f"retrieval.{f.name}" for f in dataclasses.fields(RetrievalConfig)}
+        declared = {"strategy": STRATEGY_KINDS, "executor": EXECUTORS, "retrieval.method": METHODS}
+        for command in ("run", "verify"):
+            with_choices = set()
+            for action in subparsers.choices[command]._actions:
+                if action.dest in ("help", "config", "completions", "verdicts"):
+                    continue
+                assert action.dest in fields, action.option_strings
+                if action.choices is not None:
+                    assert action.choices is declared[action.dest], action.option_strings
+                    with_choices.add(action.dest)
+            assert with_choices == set(declared)
+
+    def test_run_decodes_strategy_and_retrieval_once(self, e2e_dir, tmp_path):
+        import solrepair.harness as harness
+
+        with mock.patch.object(harness, "from_json_at", wraps=harness.from_json_at) as decode, mock.patch.object(
+            harness, "RepairStrategy", wraps=harness.RepairStrategy
+        ) as strategy:
+            assert main(self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "1", "--retrieval", "lcs")) == EXIT_OK
+        # validate, run and build_provider each decode once, not once per task.
+        assert decode.call_count == 3
+        assert strategy.call_count == 2
+
+
+RETRIEVAL_TYPES = {f.name: typing.get_type_hints(RetrievalConfig)[f.name] for f in dataclasses.fields(RetrievalConfig)}
+# The JSON types each RetrievalConfig field type takes.
+TAKES = {int: (int,), float: (int, float), str: (str,), str | None: (str, type(None))}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_wrongly_typed_retrieval_value_exits_config(e2e_dir, data):
+    key = data.draw(st.sampled_from(sorted(RETRIEVAL_TYPES)))
+    value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in TAKES[RETRIEVAL_TYPES[key]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "run.json"
+        config_path.write_text(json.dumps({"retrieval": {"method": "lcs", key: value}}), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(TestCli().config_flags(e2e_dir, out, "run", config_path))
+        assert code == EXIT_CONFIG
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("error: bad config: expected ")
+        assert err.getvalue().endswith(f" at key 'retrieval.{key}'\n")
+        assert not out.exists()

@@ -25,7 +25,7 @@ from solrepair.executor import (
 from solrepair.harness import RunConfig, RunManifest
 from solrepair.metrics import CostBreakdown, TaskOutcome
 from solrepair.repair import Attempt, RepairSession
-from solrepair.retrieval import RetrievedSnippet
+from solrepair.retrieval import METHODS, RetrievalConfig, RetrievedSnippet
 from solrepair.rows import ConfigError, Record, dump_row, read_records, read_rows
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
@@ -152,6 +152,13 @@ STRATEGIES = {
         k_values=st.lists(ints, max_size=3), prompt_usd_per_million=floats,
         completion_usd_per_million=floats,
     ),
+    RetrievalConfig: st.builds(
+        RetrievalConfig,
+        method=st.sampled_from(METHODS), window_lines=st.integers(1, 10**6),
+        step_lines=st.integers(1, 10**6), max_snippets=st.integers(1, 10**6),
+        bm25_k1=st.floats(0, 1e6), bm25_b=st.floats(0, 1), endpoint=st.none() | text,
+        dimension=st.integers(1, 10**6),
+    ),
     RunManifest: st.builds(
         RunManifest,
         config=json_objects, started_at=text, finished_at=text, harness_version=text,
@@ -245,7 +252,7 @@ def _doc_fields(section: str, label: str) -> set[str]:
     start = body.index(label) + len(label)
     end = re.compile(r"\n\s*\n|\n- ").search(body, start)
     listed = re.sub(r"\([^()]*\)", "", body[start : end.start() if end else None])
-    return set(re.findall(r"`([a-z_]+)`", listed))
+    return set(re.findall(r"`([a-z_][a-z0-9_]*)`", listed))
 
 
 @pytest.mark.parametrize(
@@ -260,6 +267,7 @@ def _doc_fields(section: str, label: str) -> set[str]:
         (TaskOutcome, "Outcome log", "Row:"),
         (RunManifest, "Run manifest", "Fields:"),
         (RunConfig, "Run config", "Fields:"),
+        (RetrievalConfig, "Run config", "`retrieval` keys:"),
         (CostBreakdown, "Report", "- `cost`:"),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
