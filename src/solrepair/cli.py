@@ -62,9 +62,15 @@ _RUN_FLAGS = (
     ("--api-key-env", "api_key_env", "env var holding the API key"),
     ("--rate-limit", "rate_limit_per_minute", "global requests per minute"),
 )
+# The flags of the settings `verify` reads: it loads the tasks and builds
+# their context windows, then verifies through the executor.
+_VERIFY_FLAGS = frozenset(
+    "--tasks --source-root --budget --counter --seed --executor --mock-executor --solc".split()
+)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, only: frozenset[str] | None = None) -> None:
+    """Add --config and the _RUN_FLAGS rows, or those of them in only."""
     parser.add_argument("--config", help="JSON file with RunConfig fields")
     declared = {}  # dest -> (type, choices)
     for prefix, cls in (("", RunConfig), ("retrieval.", RetrievalConfig)):
@@ -72,6 +78,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         for f in dataclasses.fields(cls):
             declared[prefix + f.name] = hints[f.name], f.metadata.get("choices")
     for flag, dest, text in _RUN_FLAGS:
+        if only is not None and flag not in only:
+            continue
         kind, choices = declared[dest]
         parser.add_argument(
             flag,
@@ -99,7 +107,7 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
             )
     retrieval_flags: dict = {}
     for flag, dest, _ in _RUN_FLAGS:
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)
         if value is None:
             continue
         record, _, name = dest.rpartition(".")
@@ -113,6 +121,8 @@ def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> Ru
         payload["retrieval"] = {**(payload.get("retrieval") or {}), **retrieval_flags}
     if not need_out:
         payload.setdefault("out_dir", ".")
+        if "task_file" not in payload:
+            raise ConfigError("verify needs --tasks (or a --config providing task_file)")
     if "task_file" not in payload or "out_dir" not in payload:
         raise ConfigError("run needs --tasks and --out (or a --config providing them)")
     try:
@@ -146,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--completion-price", type=float, default=GPT_4O_MINI_PRICES.completion_usd_per_million)
 
     p_verify = sub.add_parser("verify", help="verify external completions")
-    _add_run_flags(p_verify)
+    _add_run_flags(p_verify, _VERIFY_FLAGS)
     p_verify.add_argument("--completions", required=True, help="JSONL of {task_id, body}")
     p_verify.add_argument("--verdicts", help="output verdict JSONL")
     return parser
@@ -183,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "verify":
             config = _run_config_from_args(args, need_out=False)
-            _, exit_code = cmd_verify(config.task_file, args.completions, config, args.verdicts)
+            _, exit_code = cmd_verify(args.completions, config, args.verdicts)
             return exit_code
     except (ConfigError, MalformedSourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,19 +96,30 @@ def build_context(
             f"target span {target.span} outside {file.path} ({total_lines} lines)"
         )
 
-    # The starts of the lines before the target, then the target's own start,
-    # where the empty suffix begins.
-    starts = line_starts[: target.span[0]]
-    preceding = text[: starts[-1]]
-
-    # count(suffix) shrinks as the start moves right (monotone counters), so
-    # the first start index whose suffix fits can be found by bisection.
-    lo, hi = 0, len(starts) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if counter.count(preceding[starts[mid] :]) <= budget:
-            hi = mid
+    # A window starts at a line start and ends where the target's line
+    # starts. count(window) shrinks as the start moves right (monotone
+    # counters), so the first start that fits is found by stepping back 1,
+    # 8, 64, ... lines from the target until a start does not fit, then
+    # bisecting between the last start that fit and that one. No counted
+    # text spans more than eight times the window's lines (or one line), so
+    # a window costs O(window), not O(file); steps of 8 rather than 2 take
+    # fewer counts when the file is not much longer than its windows.
+    count = counter.count
+    fit = end_line = target.span[0] - 1
+    end = line_starts[end_line]
+    tokens, miss, step = 0, -1, 1  # count(window from fit); the nearest start known not to fit
+    while fit > 0:
+        line = max(0, end_line - step)
+        n = count(text[line_starts[line] : end])
+        if n > budget:
+            miss = line
+            break
+        fit, tokens, step = line, n, step * 8
+    while fit - miss > 1:
+        line = (fit + miss) // 2
+        n = count(text[line_starts[line] : end])
+        if n > budget:
+            miss = line
         else:
-            lo = mid + 1
-    window = preceding[starts[lo] :]
-    return ContextWindow(text=window, budget=budget, actual_tokens=counter.count(window))
+            fit, tokens = line, n
+    return ContextWindow(text=text[line_starts[fit] : end], budget=budget, actual_tokens=tokens)

@@ -11,8 +11,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import add
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rows import ConfigError, Record, dump_row, read_rows
 
@@ -90,14 +92,11 @@ _SCRUB_RE = re.compile(
     re.S,
 )
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
-_NEWLINE_RE = re.compile(r"\n")
-_BRACE_RE = re.compile(r"[{}]")
 # A named declaration up to its parameter list; unnamed fallback/receive
 # style declarations and function types never match. `\bfunction` with the
 # `f` moved before the word-boundary check, a lookbehind on `\w` as Unicode
 # as `\b` is: led by a literal, the pattern lets `re` skip to candidates.
 _FUNCTION_DECL_RE = re.compile(r"f(?<!\wf)unction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
-_SIGNATURE_END_RE = re.compile(r"[;{]")
 
 
 def _blank(match: re.Match) -> str:
@@ -116,8 +115,7 @@ def scrub(text: str) -> str:
     return _SCRUB_RE.sub(_blank, text)
 
 
-@dataclass(frozen=True, slots=True)
-class IndexedFunction:
+class IndexedFunction(NamedTuple):
     """Char-offset view of one function declaration in a source text."""
 
     name: str
@@ -137,6 +135,11 @@ class IndexedFunction:
         return self.body_end if self.has_body else self.sig_end
 
 
+# Builds an IndexedFunction from a tuple of its fields without the Python
+# frame of the NamedTuple's __new__.
+_new_function = tuple.__new__
+
+
 class SourceIndex:
     """One parse of a source text, shared by build, splice and verify.
 
@@ -145,31 +148,43 @@ class SourceIndex:
     and is also the balance check. Unbalanced text is indexed without
     functions; asking for them raises MalformedSourceError naming the first
     unmatched brace.
+
+    Every character-level search runs in a `str` method or a regex (scrub,
+    declarations); Python steps once per brace and once per declaration.
     """
 
     def __init__(self, text: str, path: str = "<source>") -> None:
         self.text = text
         self.path = path
         self.scrubbed = scrub(text)
-        self.line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(text)]
-        self.error: str | None = None
-        closing: dict[int, int] = {}  # offset of each '{' -> offset of its '}'
-        stack: list[int] = []
-        for m in _BRACE_RE.finditer(self.scrubbed):
-            if m.group() == "{":
-                stack.append(m.start())
-            elif stack:
-                closing[stack.pop()] = m.start()
-            else:
-                self.error = self._unmatched("}", m.start())
-                break
-        if stack and self.error is None:
-            self.error = self._unmatched("{", stack[0])
+        # Line k starts after the k pieces before it and their k newlines.
+        pieces = text.split("\n")
+        self.line_starts = list(map(add, accumulate(map(len, pieces), initial=0), range(len(pieces))))
+        closing, self.error = self._pair_braces()
         self._functions = () if self.error else self._scan_functions(closing)
         self._by_end_line: dict[int, list[IndexedFunction]] = {}
         for fn in self._functions:
             if fn.has_body:
                 self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
+
+    def _pair_braces(self) -> tuple[dict[int, int], str | None]:
+        """The offset of each '{' -> the offset of its '}', paired in order,
+        and the error naming the first unmatched brace, if any."""
+        find = self.scrubbed.find
+        closing: dict[int, int] = {}
+        stack: list[int] = []
+        pos = 0
+        while (close := find("}", pos)) != -1:
+            opening = find("{", pos, close)
+            while opening != -1:
+                stack.append(opening)
+                opening = find("{", opening + 1, close)
+            if not stack:
+                return closing, self._unmatched("}", close)
+            closing[stack.pop()] = close
+            pos = close + 1
+        first_open = stack[0] if stack else find("{", pos)
+        return closing, None if first_open == -1 else self._unmatched("{", first_open)
 
     def line_of(self, offset: int) -> int:
         """1-based line holding offset."""
@@ -193,8 +208,12 @@ class SourceIndex:
 
     def _scan_functions(self, closing: dict[int, int]) -> tuple[IndexedFunction, ...]:
         scrubbed = self.scrubbed
+        find, count, size = scrubbed.find, scrubbed.count, len(scrubbed)
         found: list[IndexedFunction] = []
         open_bodies: list[int] = []  # body ends of the function bodies around the scan point
+        # The first ';' at or after `searched` (size if none): the answer for
+        # any search point from `searched` up to it.
+        searched = semi = -1
         for decl in _FUNCTION_DECL_RE.finditer(scrubbed):
             kw = decl.start()
             while open_bodies and open_bodies[-1] < kw:
@@ -202,22 +221,33 @@ class SourceIndex:
             # The header ends at the first ';' or '{' outside its parentheses:
             # the first stop with as many '(' as ')' since the parameter
             # list's '('. Counts run on from one candidate stop to the next.
-            sig_end = len(scrubbed)
-            pos, depth = decl.end() - 1, 0
-            for stop in _SIGNATURE_END_RE.finditer(scrubbed, pos):
-                end = stop.start()
-                depth += scrubbed.count("(", pos, end) - scrubbed.count(")", pos, end)
-                if depth == 0:
-                    sig_end = end
+            # A '{' is looked for only up to the next ';', so a run of
+            # bodiless declarations is scanned once.
+            sig_end = size
+            pos = start = decl.end() - 1
+            depth = 0
+            while True:
+                if not searched <= start <= semi:
+                    searched, semi = start, find(";", start)
+                    if semi == -1:
+                        semi = size
+                stop = find("{", start, semi)
+                if stop == -1:
+                    stop = semi
+                if stop == size:
                     break
-                pos = end
-            if sig_end < len(scrubbed) and scrubbed[sig_end] == "{":
+                depth += count("(", pos, stop) - count(")", pos, stop)
+                if depth == 0:
+                    sig_end = stop
+                    break
+                pos, start = stop, stop + 1
+            nesting = len(open_bodies)
+            if sig_end < size and scrubbed[sig_end] == "{":
                 body = (sig_end, closing[sig_end])
+                open_bodies.append(body[1])
             else:
                 body = (-1, -1)
-            found.append(IndexedFunction(decl.group(1), kw, sig_end, *body, len(open_bodies)))
-            if body[1] != -1:
-                open_bodies.append(body[1])
+            found.append(_new_function(IndexedFunction, (decl[1], kw, sig_end, *body, nesting)))
         return tuple(found)
 
     def find(self, name: str, first_line: int, last_line: int) -> IndexedFunction | None:

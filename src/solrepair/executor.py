@@ -35,7 +35,6 @@ from .corpus import (
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
-    _BRACE_RE,
     _FUNCTION_KW_RE,
     _IDENT_RE,
     _SIZED_TYPE_RE,
@@ -502,6 +501,7 @@ class _DeclaredIn:
 
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\b[^{};]*\{")
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def _without_assembly(scrubbed: str) -> str:

@@ -305,6 +305,12 @@ def _read_completed(outcomes_path: Path) -> list[str]:
     return done
 
 
+def _incomplete(task_ids: Sequence[str], completed: Sequence[str]) -> list[str]:
+    """The task ids without a committed outcome, in task order."""
+    done = set(completed)
+    return [t for t in task_ids if t not in done]
+
+
 def _truncate_orphan_sessions(sessions_path: Path, done: set[str]) -> None:
     """Drop session lines whose task never committed an outcome row."""
     if not sessions_path.is_file():
@@ -432,7 +438,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
                     unavailable_seen = True
 
     completed = _read_completed(outcomes_path)
-    incomplete = [t for t in task_ids if t not in set(completed)]
+    incomplete = _incomplete(task_ids, completed)
     manifest = RunManifest(
         config=config.to_json(),
         started_at=started,
@@ -499,12 +505,12 @@ def _read_completions(path: str | Path) -> list[tuple[int, str, str]]:
 
 
 def cmd_verify(
-    task_file: str | Path,
     completions_path: str | Path,
     config: RunConfig,
     out_path: str | Path | None = None,
 ) -> tuple[list[dict], int]:
-    """Verify externally produced bodies against their oracles.
+    """Verify externally produced bodies against the oracles of the tasks in
+    config.task_file.
 
     Completions file: JSONL rows {"task_id": ..., "body": ...}; every row is
     checked before any is verified; the config is checked as `run` checks it.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,14 @@ from hypothesis import strategies as st
 from solrepair.context import (
     CONTEXT_BUDGETS,
     ApproxBytesCounter,
+    ContextWindow,
     WordCounter,
     build_context,
     get_counter,
 )
-from solrepair.corpus import FunctionRecord, SourceFile
+from solrepair.corpus import FunctionRecord, SourceFile, extract_functions
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def file_with_target(preceding_lines: list[str]) -> tuple[SourceFile, FunctionRecord]:
@@ -170,3 +176,81 @@ def test_property_window_is_maximal(lines, budget):
     if start > 0:
         prev_start = preceding.rfind("\n", 0, start - 1) + 1
         assert counter.count(preceding[prev_start:]) > budget
+
+
+def reference_build_context(file: SourceFile, target: FunctionRecord, budget: int, counter) -> ContextWindow:
+    """build_context as it was: a bisection over every line start before the
+    target, each probe counting a suffix of all the preceding text."""
+    starts = file.index.line_starts[: target.span[0]]
+    preceding = file.text[: starts[-1]]
+    lo, hi = 0, len(starts) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if counter.count(preceding[starts[mid] :]) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    window = preceding[starts[lo] :]
+    return ContextWindow(text=window, budget=budget, actual_tokens=counter.count(window))
+
+
+COUNTERS = (ApproxBytesCounter(), WordCounter())
+
+
+def test_windows_match_reference_on_every_fixture_target():
+    paths = sorted(FIXTURES.rglob("*.sol"))
+    targets = 0
+    for path in paths:
+        file = SourceFile.load(path)
+        for record in extract_functions(file):
+            targets += 1
+            for budget in (0, 1, 7, 64, 256, 1000, 2048, 32768):
+                for counter in COUNTERS:
+                    got = build_context(file, record, budget, counter)
+                    assert got == reference_build_context(file, record, budget, counter), (path, record.span, budget)
+    assert targets >= 50
+
+
+def target_at(lines: list[str], line: int) -> tuple[SourceFile, FunctionRecord]:
+    file = SourceFile.from_text("ctx.sol", "".join(l + "\n" for l in lines))
+    record = FunctionRecord(source_id="ctx.sol", comment="/// doc\n", signature="function f() ", body="{ }", span=(line, line))
+    return file, record
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.text(alphabet="ab c\té€", max_size=90), min_size=1, max_size=60),
+    data=st.data(),
+    budget=st.integers(min_value=0, max_value=512),
+    counter=st.sampled_from(COUNTERS),
+)
+def test_property_window_equals_reference(lines, data, budget, counter):
+    """For any monotone counter the first fitting start is unique, so the
+    windows are byte-identical however the search probes."""
+    line = data.draw(st.integers(min_value=1, max_value=len(lines)))
+    file, record = target_at(lines, line)
+    assert build_context(file, record, budget, counter) == reference_build_context(file, record, budget, counter)
+
+
+@dataclass
+class TallyCounter:
+    """Counts words, and tallies the characters it was asked to count."""
+
+    name: str = "tally"
+    chars: list[int] = field(default_factory=list)
+
+    def count(self, text: str) -> int:
+        self.chars.append(len(text))
+        return len(text.split())
+
+
+def test_window_cost_follows_the_window_not_the_file():
+    lines = [f"uint256 constant C{i} = {i};" for i in range(20_000)]
+    file, record = target_at(lines, len(lines))
+    counter = TallyCounter()
+    window = build_context(file, record, 40, counter)
+    assert window.actual_tokens <= 40
+    # Each probe counts at most eight times the window's lines, or one line.
+    lines_in_window = window.text.count("\n")
+    assert max(counter.chars) <= max(8 * lines_in_window, 1) * max(len(l) + 1 for l in lines)
+    assert sum(counter.chars) < 100 * len(window.text)

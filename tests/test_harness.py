@@ -17,6 +17,7 @@ import logging
 import re
 import shutil
 import tempfile
+import time
 import typing
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,6 +51,7 @@ from solrepair.harness import (
     load_tasks,
     read_outcomes,
     read_sessions,
+    _incomplete,
 )
 from solrepair.metrics import build_report
 from solrepair.repair import STRATEGY_KINDS
@@ -351,9 +353,21 @@ class TestCmdBuild:
             ),
             encoding="utf-8",
         )
-        results, code = cmd_verify(tasks_path, completions, config)
+        results, code = cmd_verify(completions, config)
         assert code == EXIT_OK
         assert all(r["verdict"]["status"] == STATUS_PASS for r in results)
+
+
+def test_incomplete_ids_are_found_in_one_pass():
+    task_ids = [f"c{i // 7}.sol#L{i}-{i + 3}" for i in range(30_000)]
+    completed = task_ids[::3]
+    started = time.perf_counter()
+    incomplete = _incomplete(task_ids, completed)
+    assert time.perf_counter() - started < 0.5
+    assert incomplete == [t for i, t in enumerate(task_ids) if i % 3]
+    # The same ids, in the same order, as the per-task set rebuild it replaces.
+    head, done = task_ids[:600], completed[:150]
+    assert _incomplete(head, done) == [t for t in head if t not in set(done)]
 
 
 class TestCmdRun:
@@ -640,9 +654,7 @@ class TestCmdVerify:
         completions.write_text(
             "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
         )
-        results, code = cmd_verify(
-            verify_config.task_file, completions, verify_config, tmp_path / "v.jsonl"
-        )
+        results, code = cmd_verify(completions, verify_config, tmp_path / "v.jsonl")
         assert code == EXIT_OK
         assert [r["task_id"] for r in results] == [t.task_id for t in tasks]
         assert results[0]["verdict"]["status"] == STATUS_PASS
@@ -659,7 +671,7 @@ class TestCmdVerify:
             json.dumps({"task_id": "nope#L1-2", "body": "{}"}) + "\n", encoding="utf-8"
         )
         with pytest.raises(ConfigError, match="unknown task id"):
-            cmd_verify(verify_config.task_file, completions, verify_config)
+            cmd_verify(completions, verify_config)
 
     def test_unavailable_backend_returns_infra(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(
@@ -674,7 +686,7 @@ class TestCmdVerify:
             json.dumps({"task_id": task.task_id, "body": task.record.body}) + "\n",
             encoding="utf-8",
         )
-        results, code = cmd_verify(config.task_file, completions, config)
+        results, code = cmd_verify(completions, config)
         assert code == EXIT_INFRA
         assert results[0]["verdict"]["status"] == STATUS_EXECUTOR_UNAVAILABLE
 
@@ -1156,7 +1168,7 @@ class TestCli:
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         fields |= {f"retrieval.{f.name}" for f in dataclasses.fields(RetrievalConfig)}
         declared = {"strategy": STRATEGY_KINDS, "executor": EXECUTORS, "retrieval.method": METHODS}
-        for command in ("run", "verify"):
+        for command, expected in (("run", set(declared)), ("verify", {"executor"})):
             with_choices = set()
             for action in subparsers.choices[command]._actions:
                 if action.dest in ("help", "config", "completions", "verdicts"):
@@ -1165,7 +1177,63 @@ class TestCli:
                 if action.choices is not None:
                     assert action.choices is declared[action.dest], action.option_strings
                     with_choices.add(action.dest)
-            assert with_choices == set(declared)
+            assert with_choices == expected
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            (
+                "run",
+                [
+                    "--config", "--tasks", "--out", "--source-root", "--budget", "--counter", "--strategy",
+                    "--max-rounds", "--max-tokens", "--samples", "--workers", "--seed", "--retrieval",
+                    "--max-snippets", "--window-lines", "--step-lines", "--mock-client", "--mock-executor",
+                    "--executor", "--solc", "--endpoint", "--model", "--api-key-env", "--rate-limit",
+                ],
+            ),
+            (
+                "verify",
+                [
+                    "--config", "--tasks", "--source-root", "--budget", "--counter", "--seed", "--mock-executor",
+                    "--executor", "--solc", "--completions", "--verdicts",
+                ],
+            ),
+        ],
+    )
+    def test_subcommand_takes_exactly_its_flags(self, command, flags):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        assert taken == set(flags)
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["run", "--tasks", "t.jsonl"], "run needs --tasks and --out (or a --config providing them)"),
+            (["verify", "--completions", "c.jsonl"], "verify needs --tasks (or a --config providing task_file)"),
+        ],
+    )
+    def test_missing_task_file_names_the_command(self, capsys, argv, complaint):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--out", "--strategy", "--max-rounds", "--max-tokens", "--samples", "--workers", "--retrieval",
+            "--max-snippets", "--window-lines", "--step-lines", "--mock-client", "--endpoint", "--model",
+            "--api-key-env", "--rate-limit",
+        ],
+    )
+    def test_run_only_flag_on_verify_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tasks", "t.jsonl", "--completions", "c.jsonl", flag, "0"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
     def test_run_decodes_strategy_and_retrieval_once(self, e2e_dir, tmp_path):
         import solrepair.harness as harness

@@ -1,0 +1,264 @@
+"""SourceIndex against the implementation it replaced, and splice-back on
+generated sources."""
+
+from __future__ import annotations
+
+import re
+import time
+from bisect import bisect_right
+from dataclasses import dataclass
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from solrepair.corpus import (
+    SourceFile,
+    SourceIndex,
+    build_corpus,
+    scrub,
+    _FUNCTION_DECL_RE,
+)
+from solrepair.executor import STATUS_PASS, ScriptedDifferentialBackend, substitute_function
+
+FIXTURES = Path(__file__).parent / "fixtures"
+_SIGNATURE_END_RE = re.compile(r"[;{]")
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceFunction:
+    name: str
+    kw_offset: int
+    sig_end: int
+    body_start: int
+    body_end: int
+    depth: int
+
+    @property
+    def has_body(self) -> bool:
+        return self.body_start != -1
+
+
+class ReferenceIndex:
+    """SourceIndex as it was before its scans moved into `str` methods: a
+    regex match per newline and per brace, a regex walk over the header
+    stops, and a dataclass per declaration."""
+
+    def __init__(self, text: str, path: str = "<source>") -> None:
+        self.text = text
+        self.path = path
+        self.scrubbed = scrub(text)
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        self.error: str | None = None
+        closing: dict[int, int] = {}
+        stack: list[int] = []
+        for m in re.finditer(r"[{}]", self.scrubbed):
+            if m.group() == "{":
+                stack.append(m.start())
+            elif stack:
+                closing[stack.pop()] = m.start()
+            else:
+                self.error = self._unmatched("}", m.start())
+                break
+        if stack and self.error is None:
+            self.error = self._unmatched("{", stack[0])
+        self._functions = () if self.error else self._scan_functions(closing)
+        self._by_end_line: dict[int, list[ReferenceFunction]] = {}
+        for fn in self._functions:
+            if fn.has_body:
+                self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
+
+    def line_of(self, offset: int) -> int:
+        return bisect_right(self.line_starts, offset)
+
+    def _unmatched(self, brace: str, offset: int) -> str:
+        line = self.line_of(offset)
+        col = offset - self.line_starts[line - 1] + 1
+        return f"{self.path}: unmatched '{brace}' at line {line}, column {col}"
+
+    def _scan_functions(self, closing: dict[int, int]) -> tuple[ReferenceFunction, ...]:
+        scrubbed = self.scrubbed
+        found: list[ReferenceFunction] = []
+        open_bodies: list[int] = []
+        for decl in _FUNCTION_DECL_RE.finditer(scrubbed):
+            kw = decl.start()
+            while open_bodies and open_bodies[-1] < kw:
+                open_bodies.pop()
+            sig_end = len(scrubbed)
+            pos, depth = decl.end() - 1, 0
+            for stop in _SIGNATURE_END_RE.finditer(scrubbed, pos):
+                end = stop.start()
+                depth += scrubbed.count("(", pos, end) - scrubbed.count(")", pos, end)
+                if depth == 0:
+                    sig_end = end
+                    break
+                pos = end
+            if sig_end < len(scrubbed) and scrubbed[sig_end] == "{":
+                body = (sig_end, closing[sig_end])
+            else:
+                body = (-1, -1)
+            found.append(ReferenceFunction(decl.group(1), kw, sig_end, *body, len(open_bodies)))
+            if body[1] != -1:
+                open_bodies.append(body[1])
+        return tuple(found)
+
+
+def fields(index) -> dict:
+    """Every field of an index, functions as plain tuples."""
+    as_tuple = lambda fn: (fn.name, fn.kw_offset, fn.sig_end, fn.body_start, fn.body_end, fn.depth)
+    return {
+        "text": index.text,
+        "path": index.path,
+        "scrubbed": index.scrubbed,
+        "line_starts": index.line_starts,
+        "error": index.error,
+        "functions": [as_tuple(fn) for fn in index._functions],
+        "by_end_line": {line: [as_tuple(fn) for fn in fns] for line, fns in index._by_end_line.items()},
+    }
+
+
+def assert_same_index(text: str, path: str = "<source>") -> SourceIndex:
+    index = SourceIndex(text, path)
+    assert fields(index) == fields(ReferenceIndex(text, path))
+    return index
+
+
+INDEX_SOUP = st.sampled_from(
+    [
+        "{", "}", "(", ")", ";", '"', "'", "\\", "//", "/*", "*/", "function f(", "function g (", "function",
+        "\n", "\r", "\r\n", " ", "x", "é", "Ж", "\u2028", "€", " returns ", "assembly",
+    ]
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=st.lists(INDEX_SOUP, max_size=40).map("".join))
+@example(text="function f(( ; function g() ; x ;")
+@example(text="function f() { } function g() { ; }")
+@example(text="}{")
+@example(text="{ } } {")
+@example(text="{\n{ }")
+@example(text="{ }\n  {")
+@example(text="a\rb\r\nc\n")
+@example(text='function f() { "}" } function g(;)')
+def test_property_index_equals_reference(text):
+    """Every field, the error string for unbalanced text included."""
+    assert_same_index(text, "p.sol")
+
+
+def test_fixture_sources_index_as_before():
+    paths = sorted(FIXTURES.rglob("*.sol"))
+    assert len(paths) >= 20
+    for path in paths:
+        assert_same_index(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_bodiless_declarations_index_in_linear_time():
+    def seconds(n: int) -> float:
+        text = "interface I {\n" + "".join(
+            f"    function f{i}(uint256 a, bytes calldata b) external returns (uint256);\n" for i in range(n)
+        ) + "}\n"
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            index = SourceIndex(text)
+            best = min(best, time.perf_counter() - started)
+        assert len(index.functions) == n
+        return best
+
+    assert seconds(50_000) < 3 * seconds(25_000)
+
+
+# Pieces of generated sources: doc comments (some holding braces and
+# parentheses), and the function shapes that tell declarations apart.
+DOCS = st.sampled_from(
+    [
+        "    /// Returns the result.\n",
+        "    // note: } { ( ;\n    /// Computes.\n",
+        "    /* function ghost( { */\n",
+        "    /**\n     * @dev closes } early; opens ( late\n     */\n",
+        "",
+    ]
+)
+NAMES = st.sampled_from(["total", "scale", "mix"])
+PARAMS = st.sampled_from(["uint256 a", "uint256 a, uint256 b", "uint256 a, uint256 b, uint256 c"])
+
+
+def pure_function(name: str, params: str, op: str) -> str:
+    used = [p.split()[1] for p in params.split(", ")]
+    return (
+        f"    function {name}({params}) public pure returns (uint256) {{\n"
+        f"        return {f' {op} '.join(used)};\n"
+        "    }\n"
+    )
+
+
+def string_function(name: str, params: str, literal: str) -> str:
+    return (
+        f"    function {name}({params}) public pure returns (uint256) {{\n"
+        f"        string memory s = {literal}; // {{ unmatched in a comment\n"
+        "        return bytes(s).length + a;\n"
+        "    }\n"
+    )
+
+
+def yul_function(name: str, params: str, _: str) -> str:
+    return (
+        f"    function {name}({params}) public pure returns (uint256 r) {{\n"
+        "        assembly {\n"
+        "            function helper(v) -> z { z := add(v, v) }\n"
+        "            r := helper(a)\n"
+        "        }\n"
+        "    }\n"
+    )
+
+
+def bodiless_function(name: str, params: str, _: str) -> str:
+    return f"    function {name}({params}) public virtual returns (uint256);\n"
+
+
+SHAPES = st.sampled_from(
+    [
+        (pure_function, st.sampled_from(["+", "*", "-"])),
+        (string_function, st.sampled_from(['"}{"', "'{'", '"a\\"}"', '"/* {"'])),
+        (yul_function, st.just("")),
+        (bodiless_function, st.just("")),
+    ]
+)
+
+
+@st.composite
+def generated_sources(draw) -> str:
+    parts = ["// SPDX-License-Identifier: MIT\npragma solidity ^0.8.0;\n\n"]
+    if draw(st.booleans()):
+        parts.append("interface IThing {\n")
+        for name in draw(st.lists(NAMES, min_size=1, max_size=4)):
+            parts.append(draw(DOCS) + f"    function {name}({draw(PARAMS)}) external returns (uint256);\n")
+        parts.append("}\n\n")
+    parts.append('abstract contract Gen {\n    string constant OPEN = "{ (";\n\n')
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        shape, extra = draw(SHAPES)
+        parts.append(draw(DOCS) + shape(draw(NAMES), draw(PARAMS), draw(extra)) + "\n")
+    parts.append("}\n")
+    return "".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=generated_sources())
+def test_property_oracle_bodies_splice_back_and_pass(source):
+    """Each built task's oracle body, spliced back into its source, gives
+    the source byte for byte, and the mock executor passes it; so it does
+    the body with a space added before its closing brace, which it must
+    locate and compare in a source that differs from the oracle."""
+    file = SourceFile.from_text("gen.sol", source)
+    assert fields(file.index) == fields(ReferenceIndex(source, "gen.sol"))
+    records, _ = build_corpus([file])
+    backend = ScriptedDifferentialBackend()
+    for record in records:
+        spliced = substitute_function(source, record, record.body, file.index)
+        assert spliced == source
+        verdict = backend.verify(source, spliced, record.task_id(), oracle_index=file.index)
+        assert verdict.status == STATUS_PASS, verdict
+        spaced = substitute_function(source, record, record.body[:-1] + " }", file.index)
+        verdict = backend.verify(source, spaced, record.task_id(), oracle_index=file.index)
+        assert verdict.status == STATUS_PASS, verdict
