@@ -35,7 +35,9 @@ class ApproxBytesCounter:
     name: str = "bytes4"
 
     def count(self, text: str) -> int:
-        return math.ceil(len(text.encode("utf-8")) / 4)
+        # An ASCII text has one byte per character; isascii() is O(1).
+        size = len(text) if text.isascii() else len(text.encode("utf-8"))
+        return math.ceil(size / 4)
 
 
 @dataclass(frozen=True)

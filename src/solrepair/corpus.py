@@ -115,6 +115,31 @@ def scrub(text: str) -> str:
     return _SCRUB_RE.sub(_blank, text)
 
 
+def pair_braces(scrubbed: str, start: int) -> tuple[dict[int, int], int]:
+    """The offset of each '{' from start on -> the offset of its '}', paired
+    in order, and the offset of the first unmatched brace (-1 if none).
+
+    Pairing stops at an unmatched '}', so the map then holds only the
+    braces before it. Every search runs in `str.find`; Python steps once
+    per brace. SourceIndex, the executor's block checks and the reply
+    parser all pair braces here, on scrubbed text.
+    """
+    find = scrubbed.find
+    closing: dict[int, int] = {}
+    stack: list[int] = []
+    pos = start
+    while (close := find("}", pos)) != -1:
+        opening = find("{", pos, close)
+        while opening != -1:
+            stack.append(opening)
+            opening = find("{", opening + 1, close)
+        if not stack:
+            return closing, close
+        closing[stack.pop()] = close
+        pos = close + 1
+    return closing, stack[0] if stack else find("{", pos)
+
+
 class IndexedFunction(NamedTuple):
     """Char-offset view of one function declaration in a source text."""
 
@@ -160,31 +185,13 @@ class SourceIndex:
         # Line k starts after the k pieces before it and their k newlines.
         pieces = text.split("\n")
         self.line_starts = list(map(add, accumulate(map(len, pieces), initial=0), range(len(pieces))))
-        closing, self.error = self._pair_braces()
+        closing, unmatched = pair_braces(self.scrubbed, 0)
+        self.error = None if unmatched == -1 else self._unmatched(self.scrubbed[unmatched], unmatched)
         self._functions = () if self.error else self._scan_functions(closing)
         self._by_end_line: dict[int, list[IndexedFunction]] = {}
         for fn in self._functions:
             if fn.has_body:
                 self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
-
-    def _pair_braces(self) -> tuple[dict[int, int], str | None]:
-        """The offset of each '{' -> the offset of its '}', paired in order,
-        and the error naming the first unmatched brace, if any."""
-        find = self.scrubbed.find
-        closing: dict[int, int] = {}
-        stack: list[int] = []
-        pos = 0
-        while (close := find("}", pos)) != -1:
-            opening = find("{", pos, close)
-            while opening != -1:
-                stack.append(opening)
-                opening = find("{", opening + 1, close)
-            if not stack:
-                return closing, self._unmatched("}", close)
-            closing[stack.pop()] = close
-            pos = close + 1
-        first_open = stack[0] if stack else find("{", pos)
-        return closing, None if first_open == -1 else self._unmatched("{", first_open)
 
     def line_of(self, offset: int) -> int:
         """1-based line holding offset."""

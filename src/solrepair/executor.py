@@ -38,10 +38,9 @@ from .corpus import (
     _FUNCTION_KW_RE,
     _IDENT_RE,
     _SIZED_TYPE_RE,
-    lex_identifiers,
+    pair_braces,
     scrub,
 )
-from .retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
 from .rows import Record
 
 STATUS_PASS = "pass"
@@ -501,7 +500,6 @@ class _DeclaredIn:
 
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\b[^{};]*\{")
-_BRACE_RE = re.compile(r"[{}]")
 
 
 def _without_assembly(scrubbed: str) -> str:
@@ -511,15 +509,16 @@ def _without_assembly(scrubbed: str) -> str:
     builtins in ways the declaration check does not model.
     """
     pieces, pos = [], 0
+    closing: dict[int, int] = {}
     for m in _ASSEMBLY_RE.finditer(scrubbed):
         if m.start() < pos:
             continue
-        end, depth = len(scrubbed), 0
-        for brace in _BRACE_RE.finditer(scrubbed, m.end() - 1):
-            depth += 1 if brace.group() == "{" else -1
-            if depth == 0:
-                end = brace.end()
-                break
+        opening = m.end() - 1
+        if opening not in closing:
+            # Pairs every brace from this block on; only an unmatched '}'
+            # before a later block makes that block pair again.
+            closing = pair_braces(scrubbed, opening)[0]
+        end = closing.get(opening, len(scrubbed) - 1) + 1
         pieces += (scrubbed[pos : m.start()], " " * (end - m.start()))
         pos = end
     return "".join(pieces) + scrubbed[pos:]
@@ -636,14 +635,7 @@ def _common_prefix(a: str, b: str) -> int:
 def _is_single_block(scrubbed: str) -> bool:
     """True when the text is one balanced {...}: its first brace opens at
     offset 0 and closes on the last character."""
-    if not (scrubbed.startswith("{") and scrubbed.endswith("}")):
-        return False
-    depth = 0
-    for m in _BRACE_RE.finditer(scrubbed):
-        depth += 1 if m.group() == "{" else -1
-        if depth == 0:
-            return m.start() == len(scrubbed) - 1
-    return False
+    return pair_braces(scrubbed, 0)[0].get(0) == len(scrubbed) - 1
 
 
 def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
@@ -1214,43 +1206,3 @@ def differential_verify(
             backend=getattr(backend, "name", "?"),
             backend_version=getattr(backend, "version", ""),
         )
-
-
-def _faulty_line_text(verdict: ExecutionVerdict, completed_body: str) -> str | None:
-    # Diagnostic lines count "\n" only, as spans do.
-    lines = completed_body.split("\n")
-    for diagnostic in verdict.diagnostics:
-        if diagnostic.line is not None and 1 <= diagnostic.line <= len(lines):
-            text = lines[diagnostic.line - 1].strip()
-            if text:
-                return text
-    return None
-
-
-def queries_for_method(
-    method: str, verdict: ExecutionVerdict, completed_body: str
-) -> list[Query]:
-    """Method-aware query selection for the repair loop.
-
-    Substring matching wants identifiers; bag-of-words and dense methods
-    want the whole faulty line.
-    """
-    if method == "lcs":
-        identifiers: list[str] = []
-        for diagnostic in verdict.diagnostics:
-            if diagnostic.identifier and diagnostic.identifier not in identifiers:
-                identifiers.append(diagnostic.identifier)
-        if not identifiers:
-            line_text = _faulty_line_text(verdict, completed_body)
-            if line_text:
-                identifiers = lex_identifiers(line_text)
-        if not identifiers:
-            identifiers = lex_identifiers(completed_body)
-        return [Query(QUERY_IDENTIFIER, ident) for ident in identifiers]
-    line_text = _faulty_line_text(verdict, completed_body)
-    if line_text:
-        return [Query(QUERY_LINE, line_text)]
-    for diagnostic in verdict.diagnostics:
-        if diagnostic.message.strip():
-            return [Query(QUERY_LINE, diagnostic.message.strip())]
-    return []

@@ -40,6 +40,7 @@ from .metrics import (
     GPT_4O_MINI_PRICES,
     TaskOutcome,
     build_report,
+    outcome_from_sessions,
 )
 from .repair import (
     STRATEGY_KINDS,
@@ -226,11 +227,11 @@ def build_provider(config: RunConfig):
     return HashEmbeddingProvider(retrieval.dimension)
 
 
-def _read_source(path: Path) -> str:
+def _read_text(path: Path, kind: str) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"source file {path} is not UTF-8: {exc}") from exc
+        raise ConfigError(f"{kind} file {path} is not UTF-8: {exc}") from exc
 
 
 def load_tasks(config: RunConfig) -> list[CompletionTask]:
@@ -245,7 +246,7 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
             full = Path(config.source_root) / path if config.source_root else Path(path)
             if not full.is_file():
                 raise ConfigError(f"source file not found: {full}")
-            sources[path] = SourceFile.from_text(path, _read_source(full))
+            sources[path] = SourceFile.from_text(path, _read_text(full, "source"))
         file = sources[path]
         window = build_context(file, record, config.context_budget, counter)
         tasks.append(
@@ -275,7 +276,7 @@ def cmd_build(
     if not source_dir.is_dir():
         raise ConfigError(f"source directory not found: {source_dir}")
     paths = sorted(source_dir.rglob("*.sol"))
-    files = [SourceFile.from_text(str(p.relative_to(source_dir)), _read_source(p)) for p in paths]
+    files = [SourceFile.from_text(str(p.relative_to(source_dir)), _read_text(p, "source")) for p in paths]
     records, report = build_corpus(files, filter_config)
     write_task_file(records, tasks_out)
     if stats_out is not None:
@@ -290,18 +291,31 @@ def cmd_build(
     return report
 
 
+def _row_task_id(path: Path, lineno: int, line: str) -> str | None:
+    """The task id of an outcome or session row: None when the row does not
+    parse, as a torn write leaves it; ConfigError naming the line when it
+    parses but holds no string task_id."""
+    try:
+        row = json.loads(line)
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
+        raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
+    return row["task_id"]
+
+
 def _read_completed(outcomes_path: Path) -> list[str]:
     """Task ids with committed outcome rows, in file order."""
     done: list[str] = []
     if not outcomes_path.is_file():
         return done
-    for line in outcomes_path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(_read_text(outcomes_path, "outcomes").splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            done.append(json.loads(line)["task_id"])
-        except (json.JSONDecodeError, KeyError):
+        task_id = _row_task_id(outcomes_path, lineno, line)
+        if task_id is None:
             break  # torn trailing write; everything after is uncommitted
+        done.append(task_id)
     return done
 
 
@@ -312,18 +326,13 @@ def _incomplete(task_ids: Sequence[str], completed: Sequence[str]) -> list[str]:
 
 
 def _truncate_orphan_sessions(sessions_path: Path, done: set[str]) -> None:
-    """Drop session lines whose task never committed an outcome row."""
+    """Drop session lines whose task never committed an outcome row, and
+    torn ones."""
     if not sessions_path.is_file():
         return
     kept: list[str] = []
-    for line in sessions_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if row.get("task_id") in done:
+    for lineno, line in enumerate(_read_text(sessions_path, "sessions").splitlines(), 1):
+        if line.strip() and _row_task_id(sessions_path, lineno, line) in done:
             kept.append(line)
     sessions_path.write_text(
         "".join(k + "\n" for k in kept), encoding="utf-8"
@@ -354,8 +363,6 @@ def run_task(
         )
         for i in range(config.n_samples)
     ]
-    from .metrics import outcome_from_sessions
-
     outcome = outcome_from_sessions(task.task_id, sessions, config.context_budget)
     return outcome, sessions
 
@@ -393,9 +400,10 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
             "wrong output directory?"
         )
     done = set(done_list)
-    if done:
-        # Rewrite outcomes to exactly the committed rows (drops a torn tail).
-        rows = outcomes_path.read_text(encoding="utf-8").splitlines()
+    if outcomes_path.is_file():
+        # Rewrite outcomes to exactly the committed rows: a torn tail, even
+        # a torn first row, is dropped, so new rows start on a line of their own.
+        rows = [r for r in outcomes_path.read_text(encoding="utf-8").splitlines() if r.strip()]
         outcomes_path.write_text(
             "".join(r + "\n" for r in rows[: len(done_list)]), encoding="utf-8"
         )

@@ -27,6 +27,7 @@ from .corpus import (
     MalformedRecordError,
     MalformedSourceError,
     SourceIndex,
+    pair_braces,
     scrub,
 )
 from .executor import (
@@ -36,7 +37,6 @@ from .executor import (
     STATUS_EXECUTOR_UNAVAILABLE,
     STATUS_PASS,
     differential_verify,
-    queries_for_method,
     substitute_function,
 )
 from .retrieval import (
@@ -44,6 +44,7 @@ from .retrieval import (
     RetrievalConfig,
     RetrievedSnippet,
     lcs_retrieve_multi,
+    queries_for_method,
     retrieve,
 )
 from .rows import Record
@@ -305,14 +306,9 @@ def extract_code_block(text: str) -> str:
     scrubbed = scrub(candidate)
     start = scrubbed.find("{")
     if start != -1:
-        depth = 0
-        for idx in range(start, len(scrubbed)):
-            if scrubbed[idx] == "{":
-                depth += 1
-            elif scrubbed[idx] == "}":
-                depth -= 1
-                if depth == 0:
-                    return candidate[start : idx + 1]
+        end = pair_braces(scrubbed, start)[0].get(start)
+        if end is not None:
+            return candidate[start : end + 1]
     return candidate.strip()
 
 
@@ -447,7 +443,7 @@ def _retrieve_for_repair(
     context: ContextWindow,
     provider: EmbeddingProvider | None,
 ) -> list[RetrievedSnippet]:
-    queries = queries_for_method(config.method, verdict, completed_body)
+    queries = queries_for_method(config.method, verdict.diagnostics, completed_body)
     # Lines count "\n" only, as spans and diagnostics do; a final newline
     # ends the last line rather than starting an empty one.
     lines = context.text.split("\n")

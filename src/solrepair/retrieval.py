@@ -4,6 +4,8 @@ Sparse methods (longest-common-substring, BM25, TF-IDF, Jaccard) work on a
 shared tokenizer; dense retrieval delegates embedding to a provider behind a
 small JSON-over-HTTP contract. Every method returns at most max_snippets
 results sorted by score descending, line index ascending.
+queries_for_method is the repair loop's query policy: what each method
+searches for, given a failed body's diagnostics.
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, count
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
-from .corpus import tokenize_terms
+from .corpus import lex_identifiers, tokenize_terms
 from .rows import Record
+
+if TYPE_CHECKING:
+    from .executor import Diagnostic
 
 METHODS = ("lcs", "bm25", "tfidf", "jaccard", "dense")
 
 # A single-character match carries no signal; shorter fragments are noise.
 MIN_LCS_LENGTH = 2
-
-QUERY_IDENTIFIER = "identifier-query"
-QUERY_LINE = "line-query"
 
 
 class RetrievalUnavailableError(RuntimeError):
@@ -62,14 +64,11 @@ class RetrievalConfig(Record):
 
 @dataclass(frozen=True)
 class Query:
-    """What to search for: an identifier or a whole faulty line."""
+    """What to search for; queries_for_method decides what that is."""
 
-    kind: str
     text: str
 
     def __post_init__(self) -> None:
-        if self.kind not in (QUERY_IDENTIFIER, QUERY_LINE):
-            raise ValueError(f"unknown query kind {self.kind!r}")
         if not self.text:
             raise ValueError("query text must be non-empty")
 
@@ -164,35 +163,25 @@ class _JoinedLines:
         ]
 
 
-def lcs_retrieve(
-    query: Query, context_lines: Sequence[str], config: RetrievalConfig
-) -> list[RetrievedSnippet]:
-    """Longest-common-substring retrieval.
-
-    The longest query substring found in any context line sets the score;
-    every line holding a substring of that length matches, with the one
-    that starts first in the query as its matched fragment. Ties rank by
-    line index. Matches below MIN_LCS_LENGTH characters are discarded.
-
-    Cost: the lines are joined once (O(T) for T context characters); a
-    binary search over the match length makes O(log |q|) probes of at most
-    |q| substring searches each, O(|q| · T · log |q|) character work done
-    in C; collecting the matches at the chosen length takes at most |q|
-    more searches plus O(log n) per matching line for n lines.
-    """
-    return _JoinedLines(context_lines, [query.text]).lcs(query.text, config.max_snippets)
-
-
 def lcs_retrieve_multi(
     queries: Sequence[Query],
     context_lines: Sequence[str],
     config: RetrievalConfig,
 ) -> list[RetrievedSnippet]:
-    """Run lcs_retrieve per query and merge, deduplicating by line index.
+    """Longest-common-substring retrieval, merged over the queries.
 
-    A line keeps its best score across queries; the merged list is re-ranked
-    and capped like a single-query result. The context is joined once for
-    all the queries.
+    Per query, the longest query substring found in any context line sets
+    the score; every line holding a substring of that length matches, with
+    the one that starts first in the query as its matched fragment.
+    Matches below MIN_LCS_LENGTH characters are discarded. A line keeps its
+    best score across queries; ties rank by line index.
+
+    Cost: the lines are joined once for all the queries (O(T) for T context
+    characters); per query q, a binary search over the match length makes
+    O(log |q|) probes of at most |q| substring searches each,
+    O(|q| · T · log |q|) character work done in C; collecting the matches
+    at the chosen length takes at most |q| more searches plus O(log n) per
+    matching line for n lines.
     """
     joined = _JoinedLines(context_lines, [q.text for q in queries])
     best: dict[int, RetrievedSnippet] = {}
@@ -340,7 +329,7 @@ def retrieve(
 ) -> list[RetrievedSnippet]:
     """Dispatch to the configured method, windowing the context as needed."""
     if config.method == "lcs":
-        return lcs_retrieve(query, context_lines, config)
+        return lcs_retrieve_multi([query], context_lines, config)
     windows = sliding_windows(context_lines, config)
     if config.method == "bm25":
         return bm25_retrieve(query, windows, config)
@@ -353,6 +342,35 @@ def retrieve(
             raise RetrievalUnavailableError("dense retrieval needs an embedding provider")
         return dense_retrieve(query, windows, provider, config)
     raise ValueError(f"unknown retrieval method {config.method!r}")
+
+
+def _faulty_line_text(diagnostics: Sequence[Diagnostic], completed_body: str) -> str | None:
+    """The first non-blank body line a diagnostic points at, stripped."""
+    # Diagnostic lines count "\n" only, as spans do.
+    lines = completed_body.split("\n")
+    pointed = (d.line for d in diagnostics if d.line is not None and 1 <= d.line <= len(lines))
+    texts = (lines[line - 1].strip() for line in pointed)
+    return next(filter(None, texts), None)
+
+
+def queries_for_method(
+    method: str, diagnostics: Sequence[Diagnostic], completed_body: str
+) -> list[Query]:
+    """The repair loop's queries for a failed body and its diagnostics.
+
+    Substring matching (lcs) wants identifiers: those the diagnostics name,
+    else those on the first faulty line, else those of the whole body.
+    Bag-of-words and dense methods want one query: the first faulty line,
+    else the first non-blank diagnostic message.
+    """
+    line_text = _faulty_line_text(diagnostics, completed_body)
+    if method == "lcs":
+        identifiers = list(dict.fromkeys(d.identifier for d in diagnostics if d.identifier))
+        if not identifiers and line_text:
+            identifiers = lex_identifiers(line_text)
+        return [Query(ident) for ident in identifiers or lex_identifiers(completed_body)]
+    text = line_text or next(filter(None, (d.message.strip() for d in diagnostics)), None)
+    return [Query(text)] if text else []
 
 
 @dataclass(frozen=True)

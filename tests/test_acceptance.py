@@ -52,11 +52,10 @@ from solrepair.metrics import (
 )
 from solrepair.retrieval import (
     MIN_LCS_LENGTH,
-    QUERY_LINE,
     HashEmbeddingProvider,
     Query,
     RetrievalConfig,
-    lcs_retrieve,
+    lcs_retrieve_multi,
     retrieve,
 )
 
@@ -165,8 +164,8 @@ def test_lcs_retrieval_matches_bruteforce_oracle(capsys):
             cap = rng.randrange(1, 6)
             got = [
                 (s.line_index, s.score, s.matched_fragment, s.text)
-                for s in lcs_retrieve(
-                    Query(kind=QUERY_LINE, text=query_text),
+                for s in lcs_retrieve_multi(
+                    [Query(query_text)],
                     lines,
                     RetrievalConfig(max_snippets=cap),
                 )
@@ -185,10 +184,7 @@ def test_retrieval_contract_and_scoring_fixtures(capsys):
                 " ".join(rng.choice(words) for _ in range(rng.randrange(1, 5)))
                 for _ in range(rng.randrange(1, 30))
             ]
-            query = Query(
-                kind=QUERY_LINE,
-                text=" ".join(rng.choice(words) for _ in range(rng.randrange(1, 4))),
-            )
+            query = Query(" ".join(rng.choice(words) for _ in range(rng.randrange(1, 4))))
             cap = rng.randrange(1, 5)
             for method in ("lcs", "bm25", "tfidf", "jaccard", "dense"):
                 config = RetrievalConfig(method=method, max_snippets=cap)
@@ -199,7 +195,7 @@ def test_retrieval_contract_and_scoring_fixtures(capsys):
 
         # BM25 (Lucene idf, k1=1.2, b=0.75) on three one-line windows.
         config = RetrievalConfig(method="bm25", max_snippets=10)
-        out = retrieve(Query(kind=QUERY_LINE, text="a"), ["a b", "a a b", "c"], config)
+        out = retrieve(Query("a"), ["a b", "a a b", "c"], config)
         idf = math.log(1.0 + (3 - 2 + 0.5) / (2 + 0.5))
         w0 = idf * 2.2 / (1 + 1.2 * (0.25 + 0.75 * (2 / 2)))
         w1 = idf * 4.4 / (2 + 1.2 * (0.25 + 0.75 * (3 / 2)))
@@ -210,7 +206,7 @@ def test_retrieval_contract_and_scoring_fixtures(capsys):
         # TF-IDF cosine with ln(N/df) weights.
         config = RetrievalConfig(method="tfidf", max_snippets=10)
         out = retrieve(
-            Query(kind=QUERY_LINE, text="transfer amount"),
+            Query("transfer amount"),
             ["transfer amount", "approve spender", "transfer fee"],
             config,
         )

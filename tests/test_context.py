@@ -50,6 +50,19 @@ class TestCounters:
     def test_bytes4_counts_utf8_bytes(self):
         assert ApproxBytesCounter().count("ééé") == 2  # 6 bytes
 
+    @pytest.mark.parametrize(
+        "text,count",
+        [("a" * 1024, 256), ("a" * 1025, 257), ("\x7f" * 5, 2), ("é" * 3 + "a", 2), ("€", 1),
+         ("€" * 4, 3), ("𝄞" * 3, 3), ("a𝄞", 2), ("\x80", 1)],
+    )
+    def test_bytes4_counts_ascii_and_multibyte_texts(self, text, count):
+        assert ApproxBytesCounter().count(text) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=40) | st.text(st.characters(max_codepoint=127), max_size=40))
+    def test_property_bytes4_is_a_quarter_of_the_utf8_bytes_rounded_up(self, text):
+        assert ApproxBytesCounter().count(text) == -(-len(text.encode("utf-8")) // 4)
+
     def test_words(self):
         c = WordCounter()
         assert c.count("") == 0

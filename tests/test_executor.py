@@ -35,12 +35,11 @@ from solrepair.executor import (
     differential_verify,
     evaluate_body,
     interpret_body,
-    queries_for_method,
     substitute_function,
 )
 from solrepair import executor
 from solrepair.executor import _EvalError, _Oracle, _translate_expr
-from solrepair.retrieval import QUERY_IDENTIFIER, QUERY_LINE, Query
+from solrepair.retrieval import Query, queries_for_method
 
 ORACLE = """pragma solidity ^0.8.0;
 
@@ -1323,51 +1322,47 @@ class TestDispatchHelpers:
         assert v.backend == "broken"
 
 
-def fail_verdict(*diags) -> ExecutionVerdict:
-    return ExecutionVerdict(status="compile_error", diagnostics=tuple(diags))
-
-
 class TestQueryBuilding:
     def test_identifier_precedence(self):
-        v = fail_verdict(Diagnostic("UndeclaredIdentifier", "m", line=1, identifier="helperX"))
-        queries = queries_for_method("lcs", v, "{ return helperX(a); }")
-        assert [(q.kind, q.text) for q in queries] == [(QUERY_IDENTIFIER, "helperX")]
+        diagnostics = (Diagnostic("UndeclaredIdentifier", "m", line=1, identifier="helperX"),)
+        queries = queries_for_method("lcs", diagnostics, "{ return helperX(a); }")
+        assert [q.text for q in queries] == ["helperX"]
 
     def test_identifiers_deduplicated(self):
-        v = fail_verdict(
+        diagnostics = (
             Diagnostic("UndeclaredIdentifier", "m", identifier="x"),
             Diagnostic("Member", "m", identifier="x"),
             Diagnostic("Member", "m", identifier="y"),
         )
-        assert [q.text for q in queries_for_method("lcs", v, "{}")] == ["x", "y"]
+        assert [q.text for q in queries_for_method("lcs", diagnostics, "{}")] == ["x", "y"]
 
     def test_faulty_line_counts_newlines_only(self):
         body = "{\n        // step\x0cone\n        return a + missingThing;\n    }"
         v = ScriptedDifferentialBackend().verify(ORACLE, completed_with(ADD, body), ADD.task_id())
         assert (v.status, v.diagnostics[0].line) == ("compile_error", 3)
-        assert queries_for_method("bm25", v, body) == [Query(QUERY_LINE, "return a + missingThing;")]
+        assert queries_for_method("bm25", v.diagnostics, body) == [Query("return a + missingThing;")]
 
     def test_method_lcs_uses_identifiers(self):
-        v = fail_verdict(Diagnostic("UndeclaredIdentifier", "m", identifier="helperX"))
-        queries = queries_for_method("lcs", v, "{}")
-        assert [(q.kind, q.text) for q in queries] == [(QUERY_IDENTIFIER, "helperX")]
+        diagnostics = (Diagnostic("UndeclaredIdentifier", "m", identifier="helperX"),)
+        queries = queries_for_method("lcs", diagnostics, "{}")
+        assert [q.text for q in queries] == ["helperX"]
 
     def test_method_lcs_falls_back_to_line_identifiers(self):
-        v = fail_verdict(Diagnostic("Other", "m", line=2))
-        queries = queries_for_method("lcs", v, "{\n    total = alpha;\n}")
+        diagnostics = (Diagnostic("Other", "m", line=2),)
+        queries = queries_for_method("lcs", diagnostics, "{\n    total = alpha;\n}")
         assert [q.text for q in queries] == ["total", "alpha"]
 
     def test_method_lcs_falls_back_to_body_identifiers(self):
-        v = fail_verdict(Diagnostic("Other", "m"))
-        queries = queries_for_method("lcs", v, "{ return alpha; }")
+        diagnostics = (Diagnostic("Other", "m"),)
+        queries = queries_for_method("lcs", diagnostics, "{ return alpha; }")
         assert [q.text for q in queries] == ["alpha"]
 
     def test_method_bm25_uses_faulty_line(self):
-        v = fail_verdict(Diagnostic("Other", "boom", line=2))
-        queries = queries_for_method("bm25", v, "{\n    total = a;\n}")
-        assert [(q.kind, q.text) for q in queries] == [(QUERY_LINE, "total = a;")]
+        diagnostics = (Diagnostic("Other", "boom", line=2),)
+        queries = queries_for_method("bm25", diagnostics, "{\n    total = a;\n}")
+        assert [q.text for q in queries] == ["total = a;"]
 
     def test_method_bm25_falls_back_to_message(self):
-        v = fail_verdict(Diagnostic("Other", "parser exploded"))
-        queries = queries_for_method("dense", v, "{}")
-        assert [(q.kind, q.text) for q in queries] == [(QUERY_LINE, "parser exploded")]
+        diagnostics = (Diagnostic("Other", "parser exploded"),)
+        queries = queries_for_method("dense", diagnostics, "{}")
+        assert [q.text for q in queries] == ["parser exploded"]

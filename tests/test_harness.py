@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solrepair.cli import build_parser, main
@@ -603,6 +603,44 @@ class TestResume:
         assert normalized_sessions(out) == normalized_sessions(reference)
         assert any("40 already done, 10 pending" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("damage", ["torn-first-row", "blank-line"])
+    def test_resume_after_damage_before_the_last_row_matches_uninterrupted_run(
+        self, e2e_config_factory, rar_run, tmp_path, damage
+    ):
+        _, _, _, reference = rar_run
+        want = outcome_bytes(reference)
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(reference / "sessions.jsonl", out / "sessions.jsonl")
+        first, rest = want.split(b"\n", 1)
+        damaged = first[:9] if damage == "torn-first-row" else first + b"\n\n" + rest
+        (out / "outcomes.jsonl").write_bytes(damaged)
+        manifest, code = cmd_run(e2e_config_factory(str(out), **RAR_OVERRIDES))
+        assert (code, manifest.status) == (EXIT_OK, "complete")
+        assert outcome_bytes(out) == want
+
+    # e2e_config_factory only builds a RunConfig, so sharing it across
+    # examples shares no state.
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_property_resume_after_a_cut_at_any_byte_matches_uninterrupted_run(
+        self, e2e_config_factory, rar_run, data
+    ):
+        _, _, _, reference = rar_run
+        name = data.draw(st.sampled_from(["outcomes.jsonl", "sessions.jsonl"]))
+        whole = (reference / name).read_bytes()
+        cut = data.draw(st.integers(0, len(whole)))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for copied in ("outcomes.jsonl", "sessions.jsonl"):
+                shutil.copyfile(reference / copied, out / copied)
+            (out / name).write_bytes(whole[:cut])
+            manifest, code = cmd_run(e2e_config_factory(tmp, **RAR_OVERRIDES))
+            assert (code, manifest.status) == (EXIT_OK, "complete")
+            assert outcome_bytes(out) == outcome_bytes(reference)
+            if name == "outcomes.jsonl":
+                assert normalized_sessions(out) == normalized_sessions(reference)
+
 
 class TestCmdReport:
     def test_merges_outcome_files(self, baseline_run, rar_run):
@@ -788,6 +826,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(config_path) in err
+
+    @pytest.mark.parametrize(
+        "name,row",
+        [("outcomes.jsonl", "[]"), ("outcomes.jsonl", '{"task_id": ["x"]}'), ("sessions.jsonl", "[]"),
+         ("sessions.jsonl", '{"task_id": {"x": 1}}'), ("outcomes.jsonl", '{"n": 1}')],
+        ids=["outcome-list", "outcome-list-id", "session-list", "session-object-id", "outcome-no-id"],
+    )
+    def test_resume_on_a_hostile_row_exits_config(self, e2e_dir, rar_run, tmp_path, capsys, name, row):
+        _, _, _, reference = rar_run
+        out = tmp_path / "out"
+        out.mkdir()
+        for copied in ("outcomes.jsonl", "sessions.jsonl"):
+            shutil.copyfile(reference / copied, out / copied)
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        lines[1] = row
+        (out / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(self.run_flags(e2e_dir, out, "--max-rounds", "1", "--retrieval", "lcs")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {out / name}, line 2: expected a JSON object with a string 'task_id'\n"
+
+    def test_resume_on_non_utf8_outcomes_exits_config(self, e2e_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "outcomes.jsonl").write_bytes(b'{"task_id": "\xff"}\n')
+        assert main(self.run_flags(e2e_dir, out, "--max-rounds", "0")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: outcomes file {out / 'outcomes.jsonl'} is not UTF-8")
 
     def test_run_then_report(self, e2e_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ perfbench/tracing.py wraps module-level names of solrepair (for example
 corpus.filter_state_dependent, repair.substitute_function, harness.run_task
 and scrub in corpus, executor and repair), and its correctness gate checks
 every verdict against the generated plan. A refactor that renames one of
-those names, or changes a verdict, fails here.
+those names, calls around it, or changes a verdict, fails here.
 """
 
 from __future__ import annotations
@@ -29,6 +29,17 @@ def test_perfbench_smoke_run_is_correct():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
-    assert len(results) == 3
-    assert all(result["correct"] is True for result in results)
+    results: dict[str, dict] = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("## workload "):
+            workload = line.split()[-1]
+        elif line.startswith("{"):
+            results[workload] = json.loads(line)
+    assert sorted(results) == ["build-flat", "complete-small", "repair-lcs"]
+    assert all(result["correct"] is True for result in results.values())
+    # Retrieval and verify are counted where repair calls
+    # repair.lcs_retrieve_multi and repair.differential_verify; a call routed
+    # around either name would read zero here.
+    layers = results["repair-lcs"]["metrics"]
+    assert layers["retrieval.calls"]["value"] > 0
+    assert layers["executor.verify_calls"]["value"] > 0

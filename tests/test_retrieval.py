@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from solrepair.retrieval import (
     MIN_LCS_LENGTH,
-    QUERY_IDENTIFIER,
-    QUERY_LINE,
     HashEmbeddingProvider,
     HttpEmbeddingProvider,
     Query,
@@ -24,7 +22,6 @@ from solrepair.retrieval import (
     bm25_retrieve,
     dense_retrieve,
     jaccard_retrieve,
-    lcs_retrieve,
     lcs_retrieve_multi,
     retrieve,
     sliding_windows,
@@ -32,14 +29,6 @@ from solrepair.retrieval import (
 )
 
 CFG = RetrievalConfig(max_snippets=10)
-
-
-def ident(text: str) -> Query:
-    return Query(kind=QUERY_IDENTIFIER, text=text)
-
-
-def line(text: str) -> Query:
-    return Query(kind=QUERY_LINE, text=text)
 
 
 def lcs_oracle(query_text: str, lines: list[str], max_snippets: int):
@@ -62,8 +51,8 @@ def lcs_oracle(query_text: str, lines: list[str], max_snippets: int):
 
 
 def enumerating_lcs_retrieve(query: Query, context_lines: list[str], config: RetrievalConfig):
-    """The enumerating lcs_retrieve that the binary search replaced: every
-    query substring, longest first, against every line."""
+    """The enumerating single-query LCS retrieval that the binary search
+    replaced: every query substring, longest first, against every line."""
     q = query.text
     for length in range(len(q), MIN_LCS_LENGTH - 1, -1):
         fragments = [q[j : j + length] for j in range(len(q) - length + 1)]
@@ -116,13 +105,9 @@ class TestConfigAndQuery:
         with pytest.raises(ValueError):
             RetrievalConfig(**kwargs)
 
-    def test_query_kind_validated(self):
-        with pytest.raises(ValueError, match="query kind"):
-            Query(kind="regex", text="x")
-
     def test_query_text_nonempty(self):
         with pytest.raises(ValueError, match="non-empty"):
-            Query(kind=QUERY_LINE, text="")
+            Query("")
 
     def test_snippet_json_round_trip(self):
         s = RetrievedSnippet(line_index=3, text="uint256 x;", score=4.0, matched_fragment="uint")
@@ -158,37 +143,37 @@ class TestLCS:
             "uint256 balanceOf;",
             "mapping(address => uint256) balances;",
         ]
-        out = lcs_retrieve(ident("balanceOf"), lines, CFG)
+        out = lcs_retrieve_multi([Query("balanceOf")], lines, CFG)
         assert [(s.line_index, s.score, s.matched_fragment) for s in out] == [
             (1, 9.0, "balanceOf")
         ]
         assert out[0].text == "uint256 balanceOf;"
 
     def test_ties_rank_by_line_index(self):
-        out = lcs_retrieve(ident("ab"), ["xxab", "abyy"], CFG)
+        out = lcs_retrieve_multi([Query("ab")], ["xxab", "abyy"], CFG)
         assert [s.line_index for s in out] == [0, 1]
         assert all(s.score == 2.0 for s in out)
 
     def test_shorter_fragments_tried_in_order(self):
-        out = lcs_retrieve(ident("abcd"), ["xbcdx"], CFG)
+        out = lcs_retrieve_multi([Query("abcd")], ["xbcdx"], CFG)
         assert out[0].matched_fragment == "bcd"
         assert out[0].score == 3.0
 
     def test_below_minimum_length_no_match(self):
-        assert lcs_retrieve(ident("ab"), ["a b"], CFG) == []
+        assert lcs_retrieve_multi([Query("ab")], ["a b"], CFG) == []
 
     def test_max_snippets_cap(self):
         lines = [f"ab{i}" for i in range(5)]
         cfg = RetrievalConfig(max_snippets=2)
-        out = lcs_retrieve(ident("ab"), lines, cfg)
+        out = lcs_retrieve_multi([Query("ab")], lines, cfg)
         assert [s.line_index for s in out] == [0, 1]
 
     def test_empty_context(self):
-        assert lcs_retrieve(ident("abc"), [], CFG) == []
+        assert lcs_retrieve_multi([Query("abc")], [], CFG) == []
 
     def test_multi_merges_best_score_per_line(self):
         lines = ["holder registry", "registry"]
-        out = lcs_retrieve_multi([ident("holder"), ident("registry")], lines, CFG)
+        out = lcs_retrieve_multi([Query("holder"), Query("registry")], lines, CFG)
         by_line = {s.line_index: s for s in out}
         # Line 0 matches both queries; the longer fragment wins.
         assert by_line[0].score == 8.0
@@ -209,7 +194,7 @@ class TestLCS:
             cfg = RetrievalConfig(max_snippets=cap)
             got = [
                 (s.line_index, s.score, s.matched_fragment, s.text)
-                for s in lcs_retrieve(line(q), lines, cfg)
+                for s in lcs_retrieve_multi([Query(q)], lines, cfg)
             ]
             assert got == lcs_oracle(q, lines, cap)
         assert time.perf_counter() - start < 10.0
@@ -230,7 +215,7 @@ def lcs_queries(draw, lines):
         i = draw(st.integers(0, len(source)))
         j = draw(st.integers(i, len(source)))
         text += source[i:j] + draw(st.text(LCS_CHARS, max_size=12))
-    return line(text or "a")
+    return Query(text or "a")
 
 
 @settings(max_examples=400, deadline=None)
@@ -238,7 +223,7 @@ def lcs_queries(draw, lines):
 def test_property_lcs_equals_enumerating_reference(data, lines, cap):
     config = RetrievalConfig(max_snippets=cap)
     query = data.draw(lcs_queries(lines))
-    assert lcs_retrieve(query, lines, config) == enumerating_lcs_retrieve(query, lines, config)
+    assert lcs_retrieve_multi([query], lines, config) == enumerating_lcs_retrieve(query, lines, config)
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,7 +239,7 @@ def test_property_lcs_multi_equals_enumerating_reference(data, lines, cap):
 class TestBM25:
     def test_hand_computed_three_windows(self):
         windows = [(0, "a b"), (1, "a a b"), (2, "c")]
-        out = bm25_retrieve(line("a"), windows, CFG)
+        out = bm25_retrieve(Query("a"), windows, CFG)
         idf = math.log(1.0 + (3 - 2 + 0.5) / (2 + 0.5))  # df(a)=2, N=3
         # avgdl = 2; w0: tf=1, dl=2; w1: tf=2, dl=3; w2 has no query term.
         w0 = idf * 1 * 2.2 / (1 + 1.2 * (0.25 + 0.75 * (2 / 2)))
@@ -265,27 +250,27 @@ class TestBM25:
         assert w1 == pytest.approx(idf * 4.4 / 3.65, abs=1e-12)
 
     def test_single_window_positive(self):
-        out = bm25_retrieve(line("transfer"), [(0, "transfer amount")], CFG)
+        out = bm25_retrieve(Query("transfer"), [(0, "transfer amount")], CFG)
         assert len(out) == 1
         assert out[0].score > 0.0
 
     def test_no_shared_terms_empty(self):
-        assert bm25_retrieve(line("zzz"), [(0, "a b"), (1, "c")], CFG) == []
+        assert bm25_retrieve(Query("zzz"), [(0, "a b"), (1, "c")], CFG) == []
 
     def test_term_in_every_window_still_positive(self):
         # ln(1 + 0.5/(N+0.5)) stays positive even at df == N.
-        out = bm25_retrieve(line("x"), [(0, "x a"), (1, "x b"), (2, "x c")], CFG)
+        out = bm25_retrieve(Query("x"), [(0, "x a"), (1, "x b"), (2, "x c")], CFG)
         assert len(out) == 3
         assert all(s.score > 0.0 for s in out)
 
     def test_empty_windows(self):
-        assert bm25_retrieve(line("a"), [], CFG) == []
+        assert bm25_retrieve(Query("a"), [], CFG) == []
 
 
 class TestTFIDF:
     def test_hand_computed_three_windows(self):
         windows = [(0, "transfer amount"), (1, "approve spender"), (2, "transfer fee")]
-        out = tfidf_retrieve(line("transfer amount"), windows, CFG)
+        out = tfidf_retrieve(Query("transfer amount"), windows, CFG)
         l15, l3 = math.log(3 / 2), math.log(3)
         expected_w2 = l15 * l15 / (l15 * l15 + l3 * l3)
         assert [s.line_index for s in out] == [0, 2]
@@ -293,29 +278,29 @@ class TestTFIDF:
         assert out[1].score == pytest.approx(expected_w2, abs=1e-9)
 
     def test_identical_window_scores_one(self):
-        out = tfidf_retrieve(line("a b"), [(0, "a b"), (1, "b c")], CFG)
+        out = tfidf_retrieve(Query("a b"), [(0, "a b"), (1, "b c")], CFG)
         assert [(s.line_index,) for s in out] == [(0,)]
         assert out[0].score == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_idf_query_vector_empty(self):
         # "b" appears in both windows so idf(b) = ln(2/2) = 0.
-        assert tfidf_retrieve(line("b"), [(0, "a b"), (1, "b c")], CFG) == []
+        assert tfidf_retrieve(Query("b"), [(0, "a b"), (1, "b c")], CFG) == []
 
     def test_query_term_absent_everywhere_empty(self):
-        assert tfidf_retrieve(line("z"), [(0, "x"), (1, "y")], CFG) == []
+        assert tfidf_retrieve(Query("z"), [(0, "x"), (1, "y")], CFG) == []
 
     def test_single_window_corpus_idf_is_zero(self):
-        assert tfidf_retrieve(line("a"), [(0, "a")], CFG) == []
+        assert tfidf_retrieve(Query("a"), [(0, "a")], CFG) == []
 
 
 class TestJaccard:
     def test_hand_computed(self):
         windows = [(0, "a b"), (1, "a c"), (2, "d")]
-        out = jaccard_retrieve(line("a b"), windows, CFG)
+        out = jaccard_retrieve(Query("a b"), windows, CFG)
         assert [(s.line_index, s.score) for s in out] == [(0, 1.0), (1, pytest.approx(1 / 3))]
 
     def test_zero_overlap_excluded(self):
-        assert jaccard_retrieve(line("x"), [(0, "y z")], CFG) == []
+        assert jaccard_retrieve(Query("x"), [(0, "y z")], CFG) == []
 
 
 class ConstantProvider:
@@ -350,41 +335,41 @@ class TestDense:
 
     def test_constant_vectors_tie_break_by_index(self):
         windows = [(i, f"w{i}") for i in range(4)]
-        out = dense_retrieve(line("q"), windows, ConstantProvider(), RetrievalConfig(max_snippets=3))
+        out = dense_retrieve(Query("q"), windows, ConstantProvider(), RetrievalConfig(max_snippets=3))
         assert [s.line_index for s in out] == [0, 1, 2]
         assert all(s.score == pytest.approx(1.0) for s in out)
 
     def test_orthogonal_scores_zero_but_ranked(self):
         table = {"q": [1.0, 0.0], "match": [1.0, 0.0], "ortho": [0.0, 1.0]}
-        out = dense_retrieve(line("q"), [(0, "ortho"), (1, "match")], TableProvider(table), CFG)
+        out = dense_retrieve(Query("q"), [(0, "ortho"), (1, "match")], TableProvider(table), CFG)
         assert [(s.line_index, s.score) for s in out] == [(1, pytest.approx(1.0)), (0, 0.0)]
 
     def test_zero_vector_scores_zero(self):
         table = {"q": [1.0, 0.0], "empty": [0.0, 0.0]}
-        out = dense_retrieve(line("q"), [(0, "empty")], TableProvider(table), CFG)
+        out = dense_retrieve(Query("q"), [(0, "empty")], TableProvider(table), CFG)
         assert out[0].score == 0.0
 
     def test_provider_failure_raises_unavailable(self):
         with pytest.raises(RetrievalUnavailableError, match="embedding provider failed"):
-            dense_retrieve(line("q"), [(0, "w")], FailingProvider(), CFG)
+            dense_retrieve(Query("q"), [(0, "w")], FailingProvider(), CFG)
 
     def test_dispatch_requires_provider(self):
         cfg = RetrievalConfig(method="dense")
         with pytest.raises(RetrievalUnavailableError, match="needs an embedding provider"):
-            retrieve(line("q"), ["w"], cfg)
+            retrieve(Query("q"), ["w"], cfg)
 
 
 class TestDispatch:
     @pytest.mark.parametrize("method", ["lcs", "bm25", "tfidf", "jaccard"])
     def test_sparse_methods_route(self, method):
         cfg = RetrievalConfig(method=method, max_snippets=5)
-        out = retrieve(line("transfer"), ["transfer amount", "unrelated"], cfg)
+        out = retrieve(Query("transfer"), ["transfer amount", "unrelated"], cfg)
         assert out
         assert out[0].line_index == 0
 
     def test_dense_routes_with_provider(self):
         cfg = RetrievalConfig(method="dense", max_snippets=2)
-        out = retrieve(line("transfer"), ["transfer", "other"], cfg, provider=HashEmbeddingProvider())
+        out = retrieve(Query("transfer"), ["transfer", "other"], cfg, provider=HashEmbeddingProvider())
         assert len(out) == 2
 
 
@@ -446,7 +431,7 @@ def test_property_sparse_contract(texts, query_words, cap, method):
     when a window sharing no terms with the query is appended."""
     fn = {"bm25": bm25_retrieve, "tfidf": tfidf_retrieve, "jaccard": jaccard_retrieve}[method]
     windows = list(enumerate(texts))
-    q = line(" ".join(query_words))
+    q = Query(" ".join(query_words))
     cfg = RetrievalConfig(max_snippets=cap)
     out = fn(q, windows, cfg)
 
@@ -478,7 +463,7 @@ def test_property_sparse_contract(texts, query_words, cap, method):
 def test_tfidf_saturated_term_gains_members_when_corpus_grows():
     """df == N terms have zero idf; a disjoint window revives them."""
     windows = [(0, "a b"), (1, "b c")]
-    assert tfidf_retrieve(line("b"), windows, CFG) == []
+    assert tfidf_retrieve(Query("b"), windows, CFG) == []
     grown = windows + [(2, "zq9")]
-    out = tfidf_retrieve(line("b"), grown, CFG)
+    out = tfidf_retrieve(Query("b"), grown, CFG)
     assert {s.line_index for s in out} == {0, 1}
