@@ -135,12 +135,11 @@ def main() -> None:
     # Scripted executor tables: deterministic inputs, outputs from the oracle.
     functions = {}
     for task in tasks:
-        steps = interpret_body(task.record.body)
+        params = _param_names(task.record.signature)
+        steps = interpret_body(task.record.body, params=params)
         assert steps is not None, task.task_id
         cases = []
-        for inputs in _generated_cases(
-            _param_names(task.record.signature), f"table:{task.task_id}", count=6
-        ):
+        for inputs in _generated_cases(params, f"table:{task.task_id}", count=6):
             cases.append({"inputs": inputs, "output": evaluate_body(steps, inputs)})
         functions[task.task_id] = {"cases": cases}
     executor_fixture = {"schema": "mock-executor@1", "seed": 0, "functions": functions}

@@ -12,7 +12,6 @@ Diagnostic line numbers are 1-based within the completed function body
 
 from __future__ import annotations
 
-import ast
 import json
 import operator
 import random
@@ -159,8 +158,9 @@ def substitute_function(
 
 # ---------------------------------------------------------------------------
 # Mini expression evaluator for the scripted differential backend. Supports
-# straight-line bodies: local declarations followed by `return <expr>;` with
-# integer/boolean arithmetic. Anything richer falls back to text comparison.
+# straight-line bodies: local declarations followed by `return <expr>;` over
+# Solidity's integer and boolean operators. A body it cannot model is
+# compared as text.
 # ---------------------------------------------------------------------------
 
 
@@ -168,191 +168,159 @@ class _EvalError(ValueError):
     pass
 
 
-_TERNARY_RE = re.compile(r"^(.+?)\?(.+):(.+)$", re.S)
-
-
-def _translate_expr(expr: str) -> str:
-    m = _TERNARY_RE.match(expr)
-    if m and "?" not in m.group(2) and "?" not in m.group(3):
-        expr = f"(({m.group(2)}) if ({m.group(1)}) else ({m.group(3)}))"
-    expr = expr.replace("&&", " and ").replace("||", " or ")
-    expr = re.sub(r"!(?![=])", " not ", expr)
-    expr = re.sub(r"\btrue\b", " True ", expr)
-    expr = re.sub(r"\bfalse\b", " False ", expr)
-    return expr
-
-
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: operator.pow}
-_DIVISIONS = {
-    ast.Div: (operator.floordiv, "division by zero"),
-    ast.FloorDiv: (operator.floordiv, "division by zero"),
-    ast.Mod: (operator.mod, "modulo by zero"),
-}
-_COMPARISONS = {
-    ast.Eq: operator.eq,
-    ast.NotEq: operator.ne,
-    ast.Lt: operator.lt,
-    ast.LtE: operator.le,
-    ast.Gt: operator.gt,
-    ast.GtE: operator.ge,
-}
-
 _Evaluator = Callable[[dict], "int | bool"]
-
-
-def _raising(exc: Exception) -> _Evaluator:
-    """An evaluator that raises a fresh copy of exc (not exc itself, whose
-    traceback would keep its frames alive)."""
-    kind, args = type(exc), exc.args
-
-    def fail(env: dict):
-        raise kind(*args)
-
-    return fail
-
-
-def _unsupported(message: str, operands: Sequence[_Evaluator]) -> _Evaluator:
-    """An evaluator that evaluates operands, then raises _EvalError(message)."""
-
-    def fail(env: dict):
-        for operand in operands:
-            operand(env)
-        raise _EvalError(message)
-
-    return fail
-
-
-def _compile_node(node: ast.AST) -> _Evaluator:
-    """The node as a tree of closures over an environment.
-
-    Each closure evaluates its operands in the order, and raises the
-    errors, of a walk of the tree: `and`/`or` evaluate every operand, a
-    conditional one branch, and a comparison chain stops at its first false
-    link. An error the walk would raise on reaching a node is raised when
-    its closure is called, never here.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, bool)):
-        value = node.value
-        return lambda env: value
-    if isinstance(node, ast.Name):
-        name = node.id
-
-        def load(env: dict):
-            try:
-                return env[name]
-            except KeyError:
-                raise _EvalError(f"unbound name {name!r}") from None
-
-        return load
-    if isinstance(node, ast.UnaryOp):
-        operand = _compile_node(node.operand)
-        if isinstance(node.op, ast.USub):
-            return lambda env: -operand(env)
-        if isinstance(node.op, ast.UAdd):
-            return operand
-        if isinstance(node.op, ast.Not):
-            return lambda env: not operand(env)
-        return _unsupported("unsupported unary operator", (operand,))
-    if isinstance(node, ast.BinOp):
-        left, right = _compile_node(node.left), _compile_node(node.right)
-        op = _ARITHMETIC.get(type(node.op))
-        if op is not None:
-            return lambda env: op(left(env), right(env))
-        if type(node.op) in _DIVISIONS:
-            divide, message = _DIVISIONS[type(node.op)]
-
-            def checked(env: dict):
-                a, b = left(env), right(env)
-                if b == 0:
-                    raise _EvalError(message)
-                return divide(a, b)
-
-            return checked
-        return _unsupported("unsupported binary operator", (left, right))
-    if isinstance(node, ast.BoolOp):
-        operands = tuple(map(_compile_node, node.values))
-        if isinstance(node.op, ast.And):
-            return lambda env: all([operand(env) for operand in operands])
-        return lambda env: any([operand(env) for operand in operands])
-    if isinstance(node, ast.Compare):
-        first = _compile_node(node.left)
-        links = tuple(
-            (_COMPARISONS.get(type(op)), _compile_node(comparator))
-            for op, comparator in zip(node.ops, node.comparators)
-        )
-
-        def compare(env: dict) -> bool:
-            left = first(env)
-            for op, comparator in links:
-                right = comparator(env)
-                if op is None:
-                    raise _EvalError("unsupported comparison")
-                if not op(left, right):
-                    return False
-                left = right
-            return True
-
-        return compare
-    if isinstance(node, ast.IfExp):
-        test, body, orelse = map(_compile_node, (node.test, node.body, node.orelse))
-        return lambda env: body(env) if test(env) else orelse(env)
-    return _raising(_EvalError(f"unsupported expression node {type(node).__name__}"))
-
-
-# CPython 3.11's ast.parse is not safe to call from several threads at once:
-# if another thread parses while a finalizer, run by a garbage collection
-# during the conversion to Python objects, holds the interpreter, the
-# conversion fails with SystemError "AST constructor recursion depth
-# mismatch". Workers sharing a backend parse one at a time.
-_PARSE_LOCK = threading.Lock()
-
 
 # A body nested past the interpreter's recursion limit fails to evaluate,
 # as a body dividing by zero does: the body's failure, not the backend's.
 _TOO_DEEP = "expression nested too deeply to evaluate"
 
 # The most expression nodes on a path from an expression's root to a leaf,
-# the leaf included, that is compiled and evaluated: 127 nested operators
-# over a name. A deeper expression fails as _TOO_DEEP. Compiling and
-# evaluating take at most two frames per node, so these stay clear of the
-# default recursion limit from a caller at half of it, and whether a body
-# evaluates does not depend on the stack it is verified from.
+# the leaf included, that is modelled: 127 nested operators over a name.
+# Evaluating takes one frame per node, so it stays clear of the default
+# recursion limit from a caller at half of it. Parentheses deepen the
+# parser's recursion but not the tree, so they count only towards
+# _MAX_PARSE_DEPTH.
 _MAX_NESTING = 128
+_MAX_PARSE_DEPTH = 2 * _MAX_NESTING
+
+# Decimal (no leading zero) and hex literals with `_` between digits, names,
+# operators, and any other single character, which no rule accepts.
+_TOKEN_RE = re.compile(
+    r"\s*(0x[0-9a-fA-F]+(?:_[0-9a-fA-F]+)*(?![\w$.])|(?:0|[1-9](?:_?[0-9])*)(?![\w$.])"
+    r"|[A-Za-z_$][A-Za-z0-9_$]*|\*\*|<<|>>|<=|>=|==|!=|&&|\|\||\S)"
+)
 
 
-def _nested_too_deep(tree: ast.expr) -> bool:
-    """True when a path from tree's root to a leaf has more than
-    _MAX_NESTING expression nodes; walked without recursion."""
-    stack = [(tree, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > _MAX_NESTING:
-            return True
-        stack.extend(
-            (child, depth + 1) for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)
-        )
-    return False
+def _checked(op: Callable, message: str) -> Callable:
+    def apply(a, b):
+        if b == 0:
+            raise _EvalError(message)
+        return op(a, b)
+
+    return apply
 
 
-def _compile_expr(expr: str) -> _Evaluator:
-    """The expression's evaluator; one that raises when it cannot be parsed
-    or nests too deeply."""
-    # Operator translation can leave leading whitespace, which eval-mode
-    # parsing treats as an indent error.
-    text = _translate_expr(expr).strip()
+def _power(base, exponent):
+    # A result sure to need more than 1024 bits, far wider than Solidity's
+    # 256, fails before it is computed: |base| >= 2**(bit_length - 1).
+    sized = isinstance(base, int) and isinstance(exponent, int) and exponent > 0
+    if sized and (abs(base).bit_length() - 1) * exponent >= 1024:
+        raise _EvalError("power too large to evaluate")
+    return base**exponent
+
+
+def _shift(op: Callable, limit: float) -> Callable:
+    def apply(value, amount):
+        if not 0 <= amount <= limit:
+            raise _EvalError(f"shift amount {amount} out of range")
+        return op(value, amount)
+
+    return apply
+
+
+# Solidity's binary operators, loosest first, each with its function of the
+# two values (`&&` and `||` take both); each row binds tighter than the one
+# before it, and unary operators tighter than all: `-a ** 2` is (-a) ** 2.
+_LEVELS: tuple[dict[str, Callable], ...] = (
+    {"||": lambda a, b: bool(a or b)},
+    {"&&": lambda a, b: bool(a and b)},
+    {"==": operator.eq, "!=": operator.ne},
+    {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge},
+    {"|": operator.or_},
+    {"^": operator.xor},
+    {"&": operator.and_},
+    {"<<": _shift(operator.lshift, 256), ">>": _shift(operator.rshift, float("inf"))},
+    {"+": operator.add, "-": operator.sub},
+    {
+        "*": operator.mul,
+        "/": _checked(operator.floordiv, "division by zero"),
+        "%": _checked(operator.mod, "modulo by zero"),
+    },
+    {"**": _power},
+)
+_BINARY = {token: (power, op) for power, level in enumerate(_LEVELS, 1) for token, op in level.items()}
+_RELATIONAL = _LEVELS[3].keys()
+_UNARY: dict[str, Callable[[_Evaluator], _Evaluator]] = {
+    "-": lambda operand: lambda env: -operand(env),
+    "!": lambda operand: lambda env: not operand(env),
+}
+_UNARY_POWER = len(_LEVELS) + 1
+
+
+def _constant(value: int | bool) -> _Evaluator:
+    return lambda env: value
+
+
+def _parse_expression(text: str) -> tuple[_Evaluator, frozenset[str]] | None:
+    """The evaluator of a Solidity expression and the names it reads, or None
+    when the mock cannot model it: text outside the grammar, a relational
+    comparison whose operand is an unparenthesized one (`a < b < 5`), or more
+    than _MAX_NESTING nodes on some path. The one parse entry point: top-down
+    operator precedence (Pratt, POPL 1973), emitting the evaluator directly.
+    """
+    tokens = _TOKEN_RE.findall(text)[::-1]
+    reads: set[str] = set()
+
+    def take(expected: str | None = None) -> str:
+        if not tokens or expected is not None and tokens[-1] != expected:
+            raise SyntaxError
+        return tokens.pop()
+
+    def expression(power: int, level: int) -> tuple[_Evaluator, int]:
+        """The longest expression from here whose operators bind at least
+        `power` (`?:` binds at 0), and its depth in nodes."""
+        if level > _MAX_PARSE_DEPTH:
+            raise SyntaxError
+        token = take()
+        if "0" <= token[0] <= "9":
+            left, depth = _constant(int(token, 0)), 1
+        elif token in ("true", "false"):
+            left, depth = _constant(token == "true"), 1
+        elif token[0].isascii() and (token[0].isalpha() or token[0] in "_$"):
+            reads.add(token)
+            left, depth = operator.itemgetter(token), 1
+        elif token == "(":
+            left, depth = expression(0, level + 1)
+            take(")")
+        elif token in _UNARY:
+            operand, depth = expression(_UNARY_POWER, level + 1)
+            left, depth = _UNARY[token](operand), depth + 1
+        else:
+            raise SyntaxError
+        relational = False  # left is an unparenthesized relational comparison
+        while depth <= _MAX_NESTING:
+            token = tokens[-1] if tokens else None
+            if token == "?" and power == 0:
+                tokens.pop()
+                then, then_depth = expression(0, level + 1)
+                take(":")
+                orelse, else_depth = expression(0, level + 1)
+                left, depth = _conditional(left, then, orelse), 1 + max(depth, then_depth, else_depth)
+            elif token in _BINARY and _BINARY[token][0] >= power:
+                if relational and token in _RELATIONAL:
+                    raise SyntaxError
+                bind, op = _BINARY[tokens.pop()]
+                # `**` is right-associative, every other operator left.
+                right, right_depth = expression(bind if token == "**" else bind + 1, level + 1)
+                left, depth = _binary(op, left, right), 1 + max(depth, right_depth)
+                relational = token in _RELATIONAL
+            else:
+                return left, depth
+        raise SyntaxError
+
     try:
-        with _PARSE_LOCK:
-            tree = ast.parse(text, mode="eval").body
-        # Each node on a path adds a character of its own, so a text no
-        # longer than the bound cannot nest past it.
-        if len(text) > _MAX_NESTING and _nested_too_deep(tree):
-            return _raising(_EvalError(_TOO_DEEP))
-        return _compile_node(tree)
-    except SyntaxError as exc:
-        return _raising(_EvalError(f"cannot parse expression {expr!r}: {exc}"))
-    except (RecursionError, MemoryError):
-        # The parser's own limits on nesting (MemoryError: its stack).
-        return _raising(_EvalError(_TOO_DEEP))
+        evaluate, _ = expression(0, 0)
+    except SyntaxError:
+        return None
+    return None if tokens else (evaluate, frozenset(reads))
+
+
+def _binary(op: Callable, left: _Evaluator, right: _Evaluator) -> _Evaluator:
+    return lambda env: op(left(env), right(env))
+
+
+def _conditional(test: _Evaluator, then: _Evaluator, orelse: _Evaluator) -> _Evaluator:
+    return lambda env: then(env) if test(env) else orelse(env)
 
 
 _DECL_STMT_RE = re.compile(
@@ -361,57 +329,71 @@ _DECL_STMT_RE = re.compile(
 _RETURN_STMT_RE = re.compile(r"^return\s+(.+)$", re.S)
 
 
-def _zero(env: dict) -> int:
-    return 0
-
-
 class _Step(NamedTuple):
     """One statement: a declaration of `name`, or `return` when name is None.
 
     evaluate gives the statement's value (0 for a declaration without an
-    initializer) or raises what evaluating it raises, parse errors included.
+    initializer) or raises what evaluating it raises; reads holds the names
+    it reads.
     """
 
     name: str | None
     evaluate: _Evaluator
+    reads: frozenset[str]
 
 
-def interpret_body(body: str, known: dict[str, _Step] | None = None) -> list[_Step] | None:
-    """Parse a body into steps, or None when uninterpretable.
+def _parse_statement(stmt: str) -> _Step | None:
+    if decl := _DECL_STMT_RE.match(stmt):
+        name, expr = decl.groups()
+    elif ret := _RETURN_STMT_RE.match(stmt):
+        name, expr = None, ret.group(1)
+    else:
+        return None
+    if expr is None:
+        return _Step(name, _constant(0), frozenset())
+    parsed = _parse_expression(expr)
+    return None if parsed is None else _Step(name, *parsed)
 
-    known maps statement texts to their steps: a statement found there is
-    not parsed again, and one parsed here is added to it.
+
+def interpret_body(
+    body: str, known: dict[str, _Step | None] | None = None, params: Iterable[str] = ()
+) -> list[_Step] | None:
+    """Parse a body into steps, or None when the mock cannot model it and
+    compares it as text: a statement outside the grammar or nested past
+    _MAX_NESTING, or one reading a name that is neither in params nor
+    declared by an earlier statement.
+
+    known maps statement texts to their steps, None for a statement outside
+    the grammar: a statement found there is not parsed again, and one parsed
+    here is added to it.
     """
     inner = body.strip()
     if not (inner.startswith("{") and inner.endswith("}")):
         return None
     if known is None:
         known = {}
-    statements = [s.strip() for s in inner[1:-1].split(";") if s.strip()]
-    new: dict[str, tuple[str | None, str | None]] = {}
-    for stmt in statements:
-        if stmt in known or stmt in new:
-            continue
-        decl = _DECL_STMT_RE.match(stmt)
-        if decl:
-            new[stmt] = (decl.group(1), decl.group(2))
-        elif ret := _RETURN_STMT_RE.match(stmt):
-            new[stmt] = (None, ret.group(1))
-        else:
+    bound = set(params)
+    steps = []
+    for stmt in filter(None, map(str.strip, inner[1:-1].split(";"))):
+        step = known[stmt] if stmt in known else known.setdefault(stmt, _parse_statement(stmt))
+        if step is None or not step.reads <= bound:
             return None
-    for stmt, (name, expr) in new.items():
-        known.setdefault(stmt, _Step(name, _zero if expr is None else _compile_expr(expr)))
-    return [known[stmt] for stmt in statements]
+        if step.name is not None:
+            bound.add(step.name)
+        steps.append(step)
+    return steps
 
 
 def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
     try:
-        for name, evaluate in steps:
+        for name, evaluate, _ in steps:
             value = evaluate(env)
             if name is None:
                 return value
             env[name] = value
+    except KeyError as exc:  # an input the caller left out
+        raise _EvalError(f"unbound name {exc.args[0]!r}") from None
     except RecursionError:
         raise _EvalError(_TOO_DEEP) from None
     return None
@@ -704,7 +686,7 @@ class _Oracle:
         self._starts = [fn.body_start for fn in self._spliceable]
         self._declared: Counter | None = None
         self._declared_in_body: dict[int, Counter] = {}
-        self.steps: dict[str, _Step] = {}
+        self.steps: dict[str, _Step | None] = {}
         self._expected: dict[tuple[int, int], _Expected] = {}
 
     def declared(self) -> Counter:
@@ -732,11 +714,12 @@ class _Oracle:
         return found
 
     def _evaluate(self, body: _Body, seed: int) -> _Expected:
-        steps = interpret_body(body.text, self.steps)
+        params = _param_names(body.signature)
+        steps = interpret_body(body.text, self.steps, params)
         if steps is None:
             return _Expected(None, [], None)
         cases = []
-        for inputs in _generated_cases(_param_names(body.signature), f"{seed}:{body.name}"):
+        for inputs in _generated_cases(params, f"{seed}:{body.name}"):
             try:
                 cases.append((inputs, evaluate_body(steps, inputs)))
             except _EvalError as exc:
@@ -777,9 +760,11 @@ class _Oracle:
 class ScriptedDifferentialBackend:
     """Differential verification against scripted or generated input tables.
 
-    Simple straight-line bodies are evaluated on the fixture's input/output
-    cases (or deterministic generated inputs); richer bodies fall back to
-    whitespace-insensitive text comparison. A lightweight declaration check
+    Straight-line bodies (declarations, then `return`) over Solidity's
+    integer and boolean expressions are evaluated on the fixture's
+    input/output cases (or deterministic generated inputs); any body outside
+    that subset, or reading a name that is neither a parameter nor a local,
+    is compared as whitespace-insensitive text. A lightweight declaration check
     models the compiler: identifiers used by a modified body and declared
     nowhere in the source produce a compile_error verdict.
 
@@ -792,7 +777,7 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
-    version = "mock-diff@1"
+    version = "mock-diff@2"
 
     def __init__(self, fixture: dict | str | Path | None = None, seed: int = 0) -> None:
         if isinstance(fixture, (str, Path)):
@@ -897,7 +882,8 @@ class ScriptedDifferentialBackend:
         oracle_body, completed_body = change.old[0].text, change.new[0].text
 
         table = self.fixture.get("functions", {}).get(target_function_id)
-        completed_steps = interpret_body(completed_body, oracle.steps)
+        params = _param_names(change.new[0].signature)
+        completed_steps = interpret_body(completed_body, oracle.steps, params)
         oracle_run = None
         if completed_steps is not None and table is None:
             oracle_run = oracle.expected(change.old[0], self.seed)

@@ -2,8 +2,9 @@
 
 Runs persist to an output directory as JSONL: sessions.jsonl (every model
 attempt) and outcomes.jsonl (one committed row per task, written in task
-order). The outcome row is the commit marker; on resume, session lines for
-tasks without an outcome row are dropped and those tasks re-run, so a killed
+order). A task is committed when its outcome row and all its session rows
+are present; on resume, the first task that is not ends the committed
+prefix, every row after it is dropped and those tasks re-run, so a killed
 and resumed run produces byte-identical outcomes. Worker threads never
 write: results are drained in submission order from the pool.
 """
@@ -14,7 +15,9 @@ import concurrent.futures
 import datetime as _dt
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -325,18 +328,15 @@ def _incomplete(task_ids: Sequence[str], completed: Sequence[str]) -> list[str]:
     return [t for t in task_ids if t not in done]
 
 
-def _truncate_orphan_sessions(sessions_path: Path, done: set[str]) -> None:
-    """Drop session lines whose task never committed an outcome row, and
-    torn ones."""
+def _session_rows(sessions_path: Path) -> list[tuple[str, str]]:
+    """Each session row with its task id, torn rows left out."""
     if not sessions_path.is_file():
-        return
-    kept: list[str] = []
+        return []
+    rows = []
     for lineno, line in enumerate(_read_text(sessions_path, "sessions").splitlines(), 1):
-        if line.strip() and _row_task_id(sessions_path, lineno, line) in done:
-            kept.append(line)
-    sessions_path.write_text(
-        "".join(k + "\n" for k in kept), encoding="utf-8"
-    )
+        if line.strip() and (task_id := _row_task_id(sessions_path, lineno, line)) is not None:
+            rows.append((task_id, line))
+    return rows
 
 
 def run_task(
@@ -399,6 +399,11 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
             f"{outcomes_path} holds outcomes for foreign tasks (e.g. {unknown[0]}); "
             "wrong output directory?"
         )
+    # A task commits only with all its session rows: the first that lacks
+    # some ends the committed prefix, and the tasks from it on run again.
+    sessions = _session_rows(sessions_path)
+    per_task = Counter(task_id for task_id, _ in sessions)
+    done_list = list(takewhile(lambda t: per_task[t] >= config.n_samples, done_list))
     done = set(done_list)
     if outcomes_path.is_file():
         # Rewrite outcomes to exactly the committed rows: a torn tail, even
@@ -407,7 +412,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         outcomes_path.write_text(
             "".join(r + "\n" for r in rows[: len(done_list)]), encoding="utf-8"
         )
-    _truncate_orphan_sessions(sessions_path, done)
+    sessions_path.write_text("".join(line + "\n" for t, line in sessions if t in done), encoding="utf-8")
     pending = [t for t in tasks if t.task_id not in done]
     log.info("run: %d tasks total, %d already done, %d pending", len(tasks), len(done), len(pending))
 

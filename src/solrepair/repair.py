@@ -167,7 +167,8 @@ class HttpModelClient:
 
     The API key is read from an environment variable and never logged.
     Transient failures (429, 5xx, network) retry with backoff before raising
-    ModelClientError.
+    ModelClientError; any other error response or a malformed reply raises
+    it at once.
     """
 
     def __init__(
@@ -212,24 +213,30 @@ class HttpModelClient:
                 response = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
-                if response.status_code in (429,) or response.status_code >= 500:
-                    raise ModelClientError(f"HTTP {response.status_code}")
-                response.raise_for_status()
-                data = response.json()
-                text = data["choices"][0]["message"]["content"]
-                usage = data.get("usage", {})
-                return ModelReply(
-                    text=text,
-                    prompt_tokens=usage.get("prompt_tokens", self.counter.count(prompt)),
-                    completion_tokens=usage.get(
-                        "completion_tokens", self.counter.count(text)
-                    ),
-                )
-            except Exception as exc:
+            except (requests.RequestException, OSError) as exc:
                 last_error = exc
-                if attempt < self.max_retries:
-                    time.sleep(min(2.0**attempt, 8.0))
+            else:
+                if response.status_code != 429 and response.status_code < 500:
+                    return self._reply(response, prompt)
+                last_error = ModelClientError(f"HTTP {response.status_code}")
+            if attempt < self.max_retries:
+                time.sleep(min(2.0**attempt, 8.0))
         raise ModelClientError(f"model call failed: {last_error}") from last_error
+
+    def _reply(self, response, prompt: str) -> ModelReply:
+        if response.status_code >= 400:
+            raise ModelClientError(f"model call failed: HTTP {response.status_code}")
+        try:
+            data = response.json()
+            text = data["choices"][0]["message"]["content"]
+            usage = data.get("usage", {})
+            return ModelReply(
+                text=text,
+                prompt_tokens=usage.get("prompt_tokens", self.counter.count(prompt)),
+                completion_tokens=usage.get("completion_tokens", self.counter.count(text)),
+            )
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ModelClientError(f"model call failed: malformed reply: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -638,8 +638,23 @@ class TestResume:
             manifest, code = cmd_run(e2e_config_factory(tmp, **RAR_OVERRIDES))
             assert (code, manifest.status) == (EXIT_OK, "complete")
             assert outcome_bytes(out) == outcome_bytes(reference)
-            if name == "outcomes.jsonl":
-                assert normalized_sessions(out) == normalized_sessions(reference)
+            assert normalized_sessions(out) == normalized_sessions(reference)
+
+    def test_resume_after_a_sessions_cut_reruns_the_tasks_it_lost(
+        self, e2e_config_factory, rar_run, tmp_path, caplog
+    ):
+        _, _, _, reference = rar_run
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(reference / "outcomes.jsonl", out / "outcomes.jsonl")
+        sessions = self.cut((reference / "sessions.jsonl").read_text(encoding="utf-8"), 13)
+        (out / "sessions.jsonl").write_text("".join(line + "\n" for line in sessions), encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="solrepair"):
+            manifest, code = cmd_run(e2e_config_factory(str(out), **RAR_OVERRIDES))
+        assert (code, manifest.status) == (EXIT_OK, "complete")
+        assert any("13 already done, 37 pending" in m for m in caplog.messages)
+        assert outcome_bytes(out) == outcome_bytes(reference)
+        assert normalized_sessions(out) == normalized_sessions(reference)
 
 
 class TestCmdReport:

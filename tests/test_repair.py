@@ -558,6 +558,43 @@ class TestHttpClient:
         with pytest.raises(ModelClientError, match="model call failed"):
             self.make_client(max_retries=1).complete("p", 8)
 
+    @pytest.mark.parametrize(
+        "status,payload",
+        [(401, {"error": "bad key"}), (404, None), (200, {"error": "no choices"}), (200, {"choices": []}), (200, ["x"])],
+    )
+    def test_non_transient_failure_raises_without_retry(self, monkeypatch, status, payload):
+        import requests
+
+        calls, sleeps = [], []
+
+        def post(*a, **k):
+            calls.append(1)
+            return self.fake_response(status=status, payload=payload)
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with pytest.raises(ModelClientError, match="model call failed"):
+            self.make_client(max_retries=2).complete("p", 8)
+        assert (len(calls), sleeps) == (1, [])
+
+    def test_retries_429_and_network_errors_then_raises(self, monkeypatch):
+        import requests
+
+        replies = iter([self.fake_response(status=429), requests.ConnectionError("reset"), self.fake_response(status=503)])
+
+        def post(*a, **k):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        sleeps = []
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with pytest.raises(ModelClientError, match="HTTP 503"):
+            self.make_client(max_retries=2).complete("p", 8)
+        assert sleeps == [1.0, 2.0]
+
     def test_api_key_header_from_env(self, monkeypatch):
         import requests
 
