@@ -242,7 +242,7 @@ class TestEvaluator:
         ],
         ids=["unparsable", "deep-neg", "long-add-chain", "deep-parens", "unbound", "self-read", "assignment"],
     )
-    def test_unmodelled_statement_sends_the_body_to_text_wherever_it_stands(self, stmt):
+    def test_unmodelled_statement_goes_to_text(self, stmt):
         known = {}
         assert interpret_body(f"{{ {stmt}; return a; }}", known, AB) is None
         assert interpret_body(f"{{ return a; {stmt}; }}", known, AB) is None
