@@ -40,6 +40,7 @@ from solrepair.repair import (  # noqa: E402
     run_rar,
 )
 from solrepair.retrieval import RetrievalConfig  # noqa: E402
+from solrepair.rows import read_json  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "fixtures" / "e2e"
@@ -149,7 +150,7 @@ def main() -> None:
 
     # Drive the real loop with planned completions, recording every prompt.
     recorded: dict[str, str] = {}
-    backend = ScriptedDifferentialBackend(OUT / "mock_executor.json", seed=0)
+    backend = ScriptedDifferentialBackend(read_json(OUT / "mock_executor.json", "executor fixture"), seed=0)
     strategy = RepairStrategy("self_edit")
     retriever = RetrievalConfig(method="lcs")
     for index, task in enumerate(tasks):

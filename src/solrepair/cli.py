@@ -12,7 +12,6 @@ import json
 import logging
 import sys
 import typing
-from pathlib import Path
 
 from .corpus import MalformedSourceError
 from .harness import (
@@ -28,6 +27,7 @@ from .harness import (
 )
 from .metrics import CostModel, GPT_4O_MINI_PRICES, format_report_table
 from .retrieval import RetrievalConfig
+from .rows import read_json
 
 
 # Each flag of `run` and `verify` that sets a config field: (flag, dest,
@@ -94,12 +94,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, only: frozenset[str] | None 
 def _run_config_from_args(args: argparse.Namespace, need_out: bool = True) -> RunConfig:
     payload: dict = {}
     if args.config:
-        try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config file {args.config}: expected a JSON object")
+        payload = read_json(args.config, "config")
         retrieval = payload.get("retrieval")
         if retrieval is not None and not isinstance(retrieval, dict):
             raise ConfigError(

@@ -23,8 +23,7 @@ import time
 import zlib
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .corpus import (
@@ -200,11 +199,20 @@ def _checked(op: Callable, message: str) -> Callable:
     return apply
 
 
+# A product or power sure to need more than 1024 bits, far wider than
+# Solidity's 256, fails before it is computed: |x| >= 2**(bit_length - 1).
+# Values stay integers: a negative exponent, which has no integer result,
+# fails too.
+def _product(a, b):
+    if a and b and a.bit_length() + b.bit_length() - 2 >= 1024:
+        raise _EvalError("product too large to evaluate")
+    return a * b
+
+
 def _power(base, exponent):
-    # A result sure to need more than 1024 bits, far wider than Solidity's
-    # 256, fails before it is computed: |base| >= 2**(bit_length - 1).
-    sized = isinstance(base, int) and isinstance(exponent, int) and exponent > 0
-    if sized and (abs(base).bit_length() - 1) * exponent >= 1024:
+    if exponent < 0:
+        raise _EvalError(f"negative exponent {exponent}")
+    if (base.bit_length() - 1) * exponent >= 1024:
         raise _EvalError("power too large to evaluate")
     return base**exponent
 
@@ -232,7 +240,7 @@ _LEVELS: tuple[dict[str, Callable], ...] = (
     {"<<": _shift(operator.lshift, 256), ">>": _shift(operator.rshift, float("inf"))},
     {"+": operator.add, "-": operator.sub},
     {
-        "*": operator.mul,
+        "*": _product,
         "/": _checked(operator.floordiv, "division by zero"),
         "%": _checked(operator.mod, "modulo by zero"),
     },
@@ -757,6 +765,28 @@ class _Oracle:
         return self.splice(completed_source) or _whole_source_change(self.index, completed_source)
 
 
+@dataclass(frozen=True)
+class ExecutorCase(Record):
+    inputs: dict[str, int]
+    output: int | bool | None
+
+
+@dataclass(frozen=True)
+class ExecutorTable(Record):
+    cases: tuple[ExecutorCase, ...]
+
+
+@dataclass(frozen=True)
+class ExecutorFixture(Record):
+    """A scripted-executor fixture (mock-executor@1): the input/output cases
+    of each function, by task id."""
+
+    SCHEMA = MOCK_EXECUTOR_SCHEMA
+
+    seed: int = 0
+    functions: dict[str, ExecutorTable] = field(default_factory=dict)
+
+
 class ScriptedDifferentialBackend:
     """Differential verification against scripted or generated input tables.
 
@@ -777,15 +807,14 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
-    version = "mock-diff@2"
+    version = "mock-diff@3"
 
-    def __init__(self, fixture: dict | str | Path | None = None, seed: int = 0) -> None:
-        if isinstance(fixture, (str, Path)):
-            fixture = json.loads(Path(fixture).read_text(encoding="utf-8"))
-        self.fixture = fixture or {}
-        declared = self.fixture.get("schema", MOCK_EXECUTOR_SCHEMA)
+    def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
+        fixture = fixture or {}
+        declared = fixture.get("schema", MOCK_EXECUTOR_SCHEMA)
         if declared != MOCK_EXECUTOR_SCHEMA:
             raise ValueError(f"unsupported executor fixture schema {declared!r}")
+        self.fixture = ExecutorFixture.from_json(fixture)
         self.seed = seed
         self._oracles: dict[str, _Oracle] = {}
         self._lock = threading.Lock()
@@ -881,7 +910,7 @@ class ScriptedDifferentialBackend:
             )
         oracle_body, completed_body = change.old[0].text, change.new[0].text
 
-        table = self.fixture.get("functions", {}).get(target_function_id)
+        table = self.fixture.functions.get(target_function_id)
         params = _param_names(change.new[0].signature)
         completed_steps = interpret_body(completed_body, oracle.steps, params)
         oracle_run = None
@@ -902,7 +931,7 @@ class ScriptedDifferentialBackend:
             )
 
         if table is not None:
-            cases = [(case["inputs"], case["output"]) for case in table["cases"]]
+            cases = [(case.inputs, case.output) for case in table.cases]
         elif oracle_run.failure is not None:
             return self._verdict(
                 t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", oracle_run.failure)]

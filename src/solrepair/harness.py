@@ -63,7 +63,7 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalUnavailableError,
 )
-from .rows import ConfigError, Record, dump_row, from_json_at, read_records, read_rows, write_json
+from .rows import ConfigError, Record, dump_row, from_json_at, read_json, read_records, read_rows, write_json
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -75,10 +75,12 @@ log = logging.getLogger("solrepair")
 
 
 def _mock_backend(config: RunConfig) -> ScriptedDifferentialBackend:
+    path = config.mock_executor
+    fixture = None if path is None else read_json(path, "executor fixture")
     try:
-        return ScriptedDifferentialBackend(config.mock_executor, seed=config.seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad executor fixture {config.mock_executor}: {exc}") from exc
+        return ScriptedDifferentialBackend(fixture, seed=config.seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad executor fixture {path}: {exc}") from exc
 
 
 # Each executor kind and how a run config builds its backend.
@@ -200,11 +202,10 @@ def _now() -> str:
 
 def build_client(config: RunConfig, rate_limiter: RateLimiter | None = None):
     if config.mock_client is not None:
+        fixture = read_json(config.mock_client, "client fixture")
         try:
-            return ScriptedModelClient(
-                config.mock_client, counter=get_counter(config.counter)
-            )
-        except (ValueError, KeyError) as exc:
+            return ScriptedModelClient(fixture, counter=get_counter(config.counter))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad client fixture {config.mock_client}: {exc}") from exc
     if config.endpoint is None:
         raise ConfigError("need --mock-client FILE or an HTTP endpoint")
@@ -294,48 +295,24 @@ def cmd_build(
     return report
 
 
-def _row_task_id(path: Path, lineno: int, line: str) -> str | None:
-    """The task id of an outcome or session row: None when the row does not
-    parse, as a torn write leaves it; ConfigError naming the line when it
-    parses but holds no string task_id."""
-    try:
-        row = json.loads(line)
-    except (json.JSONDecodeError, RecursionError):
-        return None
-    if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
-        raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
-    return row["task_id"]
-
-
-def _read_completed(outcomes_path: Path) -> list[str]:
-    """Task ids with committed outcome rows, in file order."""
-    done: list[str] = []
-    if not outcomes_path.is_file():
-        return done
-    for lineno, line in enumerate(_read_text(outcomes_path, "outcomes").splitlines(), 1):
-        if not line.strip():
-            continue
-        task_id = _row_task_id(outcomes_path, lineno, line)
-        if task_id is None:
-            break  # torn trailing write; everything after is uncommitted
-        done.append(task_id)
-    return done
-
-
-def _incomplete(task_ids: Sequence[str], completed: Sequence[str]) -> list[str]:
-    """The task ids without a committed outcome, in task order."""
-    done = set(completed)
-    return [t for t in task_ids if t not in done]
-
-
-def _session_rows(sessions_path: Path) -> list[tuple[str, str]]:
-    """Each session row with its task id, torn rows left out."""
-    if not sessions_path.is_file():
+def _log_rows(path: Path, kind: str) -> list[tuple[str, str]]:
+    """(task id, line) for each row of a run log, up to the first row that
+    does not parse, as a torn write leaves it: nothing after it was
+    committed. A row that parses but holds no string task_id raises
+    ConfigError naming its line."""
+    if not path.is_file():
         return []
     rows = []
-    for lineno, line in enumerate(_read_text(sessions_path, "sessions").splitlines(), 1):
-        if line.strip() and (task_id := _row_task_id(sessions_path, lineno, line)) is not None:
-            rows.append((task_id, line))
+    for lineno, line in enumerate(_read_text(path, kind).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except (json.JSONDecodeError, RecursionError):
+            break
+        if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
+            raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
+        rows.append((row["task_id"], line))
     return rows
 
 
@@ -390,10 +367,9 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
     manifest_path = out / "manifest.json"
 
     started = _now()
-    done_list = _read_completed(outcomes_path)
-    task_ids = [t.task_id for t in tasks]
-    known = set(task_ids)
-    unknown = [d for d in done_list if d not in known]
+    outcome_rows = _log_rows(outcomes_path, "outcomes")
+    known = {t.task_id for t in tasks}
+    unknown = [task_id for task_id, _ in outcome_rows if task_id not in known]
     if unknown:
         raise ConfigError(
             f"{outcomes_path} holds outcomes for foreign tasks (e.g. {unknown[0]}); "
@@ -401,18 +377,14 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         )
     # A task commits only with all its session rows: the first that lacks
     # some ends the committed prefix, and the tasks from it on run again.
-    sessions = _session_rows(sessions_path)
-    per_task = Counter(task_id for task_id, _ in sessions)
-    done_list = list(takewhile(lambda t: per_task[t] >= config.n_samples, done_list))
-    done = set(done_list)
-    if outcomes_path.is_file():
-        # Rewrite outcomes to exactly the committed rows: a torn tail, even
-        # a torn first row, is dropped, so new rows start on a line of their own.
-        rows = [r for r in outcomes_path.read_text(encoding="utf-8").splitlines() if r.strip()]
-        outcomes_path.write_text(
-            "".join(r + "\n" for r in rows[: len(done_list)]), encoding="utf-8"
-        )
-    sessions_path.write_text("".join(line + "\n" for t, line in sessions if t in done), encoding="utf-8")
+    session_rows = _log_rows(sessions_path, "sessions")
+    per_task = Counter(task_id for task_id, _ in session_rows)
+    committed = list(takewhile(lambda row: per_task[row[0]] >= config.n_samples, outcome_rows))
+    done = {task_id for task_id, _ in committed}
+    # Rewrite both logs to exactly the committed rows: a torn tail, even a
+    # torn first row, is dropped, so new rows start on a line of their own.
+    outcomes_path.write_text("".join(line + "\n" for _, line in committed), encoding="utf-8")
+    sessions_path.write_text("".join(line + "\n" for t, line in session_rows if t in done), encoding="utf-8")
     pending = [t for t in tasks if t.task_id not in done]
     log.info("run: %d tasks total, %d already done, %d pending", len(tasks), len(done), len(pending))
 
@@ -447,11 +419,11 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
                 sess_fh.flush()
                 out_fh.write(dump_row(outcome.to_json()))
                 out_fh.flush()
+                done.add(outcome.task_id)
                 if outcome.unavailable:
                     unavailable_seen = True
 
-    completed = _read_completed(outcomes_path)
-    incomplete = _incomplete(task_ids, completed)
+    incomplete = [t.task_id for t in tasks if t.task_id not in done]
     manifest = RunManifest(
         config=config.to_json(),
         started_at=started,
@@ -461,7 +433,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         backend_version=str(getattr(backend, "version", "")),
         client_name=getattr(client, "name", "?"),
         tasks_total=len(tasks),
-        tasks_completed=len(completed),
+        tasks_completed=len(done),
         incomplete_task_ids=incomplete,
         status="complete" if not incomplete else "partial",
     )

@@ -18,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
-from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
+from . import rows
 from .context import DEFAULT_COUNTER, ContextWindow, TokenCounter
 from .corpus import (
     FunctionRecord,
@@ -99,28 +99,32 @@ def prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-class ScriptedModelClient:
-    """Replays completions from a fixture keyed by prompt hash.
+@dataclass(frozen=True)
+class ClientFixture(Record):
+    """A scripted-client fixture (mock-client@1): each completion by the
+    sha256 of its prompt."""
 
-    Fixture schema mock-client@1: {"schema", "strict", "completions":
-    {sha256(prompt): completion_text}}. Strict fixtures raise on unknown
-    prompts, which catches silent prompt drift in tests.
+    SCHEMA = MOCK_CLIENT_SCHEMA
+
+    completions: dict[str, str]
+    strict: bool = True
+
+
+class ScriptedModelClient:
+    """Replays completions from a decoded ClientFixture object, keyed by
+    prompt hash. Strict fixtures raise on unknown prompts, which catches
+    silent prompt drift in tests. A wrongly typed fixture raises TypeError
+    naming its key; a foreign schema, ValueError.
     """
 
     name = "scripted"
 
-    def __init__(
-        self,
-        fixture: dict | str | Path,
-        counter: TokenCounter = DEFAULT_COUNTER,
-    ) -> None:
-        if isinstance(fixture, (str, Path)):
-            fixture = json.loads(Path(fixture).read_text(encoding="utf-8"))
+    def __init__(self, fixture: dict, counter: TokenCounter = DEFAULT_COUNTER) -> None:
         declared = fixture.get("schema", MOCK_CLIENT_SCHEMA)
         if declared != MOCK_CLIENT_SCHEMA:
             raise ValueError(f"unsupported client fixture schema {declared!r}")
-        self.completions: dict[str, str] = fixture["completions"]
-        self.strict: bool = fixture.get("strict", True)
+        decoded = ClientFixture.from_json(fixture)
+        self.completions, self.strict = decoded.completions, decoded.strict
         self.counter = counter
 
     def complete(self, prompt: str, max_tokens: int) -> ModelReply:
@@ -193,12 +197,8 @@ class HttpModelClient:
         self.counter = counter
 
     def complete(self, prompt: str, max_tokens: int) -> ModelReply:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -210,33 +210,37 @@ class HttpModelClient:
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
             try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except (requests.RequestException, OSError) as exc:
+                status, body = rows.post_json(self.endpoint, payload, self.timeout, headers)
+            except OSError as exc:
                 last_error = exc
             else:
-                if response.status_code != 429 and response.status_code < 500:
-                    return self._reply(response, prompt)
-                last_error = ModelClientError(f"HTTP {response.status_code}")
+                if status != 429 and status < 500:
+                    return self._reply(status, body, prompt)
+                last_error = ModelClientError(f"HTTP {status}")
             if attempt < self.max_retries:
                 time.sleep(min(2.0**attempt, 8.0))
         raise ModelClientError(f"model call failed: {last_error}") from last_error
 
-    def _reply(self, response, prompt: str) -> ModelReply:
-        if response.status_code >= 400:
-            raise ModelClientError(f"model call failed: HTTP {response.status_code}")
+    def _reply(self, status: int, body: bytes, prompt: str) -> ModelReply:
+        """The reply a final HTTP answer holds: a string `content`, and usage
+        counts that are non-negative ints where they are given."""
+        if status >= 400:
+            raise ModelClientError(f"model call failed: HTTP {status}")
         try:
-            data = response.json()
+            data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
+            if type(text) is not str:
+                raise TypeError(f"content is {type(text).__name__}, not str")
             usage = data.get("usage", {})
-            return ModelReply(
-                text=text,
-                prompt_tokens=usage.get("prompt_tokens", self.counter.count(prompt)),
-                completion_tokens=usage.get("completion_tokens", self.counter.count(text)),
+            counts = (
+                usage.get("prompt_tokens", self.counter.count(prompt)),
+                usage.get("completion_tokens", self.counter.count(text)),
             )
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            if not all(type(n) is int and n >= 0 for n in counts):
+                raise TypeError(f"usage counts {counts!r} are not non-negative ints")
+        except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
             raise ModelClientError(f"model call failed: malformed reply: {exc!r}") from exc
+        return ModelReply(text, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ searches for, given a failed body's diagnostics.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
+from . import rows
 from .corpus import lex_identifiers, tokenize_terms
 from .rows import Record
 
@@ -401,14 +403,13 @@ class HttpEmbeddingProvider:
         self.timeout = timeout
 
     def embed(self, text: str) -> list[float]:
-        import requests
-
         try:
-            response = requests.post(
-                self.endpoint, json={"texts": [text]}, timeout=self.timeout
-            )
-            response.raise_for_status()
-            vector = response.json()["vectors"][0]
+            status, body = rows.post_json(self.endpoint, {"texts": [text]}, self.timeout)
+            if status >= 400:
+                raise ConnectionError(f"HTTP {status}")
+            vector = json.loads(body)["vectors"][0]
+            if type(vector) is not list or not all(type(x) in (int, float) for x in vector):
+                raise TypeError("vector is not a list of numbers")
         except Exception as exc:
             raise RetrievalUnavailableError(f"embedding endpoint failed: {exc}") from exc
         if len(vector) != self.dimension:

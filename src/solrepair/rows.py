@@ -7,7 +7,8 @@ unknown key raises. Fields that hold records nest as objects, `X | None` as
 an object or null, and `tuple[X, ...]` as a list. `from_json` checks each
 value against its field's type (a float field takes an int, an int field no
 bool). Input errors are `ConfigError`s naming the file and, for a bad row,
-its line (exit code 2).
+its line (exit code 2). `read_json` reads every standalone JSON input file,
+and `post_json` is the one HTTP call.
 """
 
 from __future__ import annotations
@@ -56,12 +57,14 @@ def _optional(tp):
 
 def _scalar(tp) -> tuple[tuple[type, ...], str] | None:
     """(the types a JSON value may have, their name) for a field type that
-    its value's type alone checks; None for any other."""
+    its value's type alone checks, a union of scalars and None included;
+    None for any other."""
     if tp in _SCALARS:
         return _SCALARS[tp], tp.__name__
-    inner = _optional(tp)
-    if inner in _SCALARS:
-        return _SCALARS[inner] + (type(None),), f"{inner.__name__} or None"
+    members = typing.get_args(tp) if typing.get_origin(tp) in (typing.Union, types.UnionType) else ()
+    if members and all(m in _SCALARS or m is type(None) for m in members):
+        allowed = tuple(t for m in members for t in _SCALARS.get(m, (m,)))
+        return allowed, " or ".join("None" if m is type(None) else m.__name__ for m in members)
     return None
 
 
@@ -112,14 +115,14 @@ def _codec(tp):
             return (list if origin is tuple else None), decode
         return (lambda v: list(map(enc, v))), decode
     if origin is dict:
-        dec = _codec(args[1])[1]
+        enc, dec = _codec(args[1])
 
         def decode(v):
             if type(v) is not dict:
                 raise _WrongType(f"expected dict, got {type(v).__name__}")
             return dict(zip(v, _each(v.items(), dec, ".{}")))
 
-        return None, decode
+        return (None if enc is None else lambda v: {k: enc(x) for k, x in v.items()}), decode
     raise TypeError(f"no JSON form for field type {tp!r}")
 
 
@@ -184,7 +187,10 @@ class Record:
                     except _WrongType as exc:
                         exc.path = f".{name}{exc.path}"
                         raise
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a missing or unknown key, named by where it sits
+            raise _WrongType(str(exc)) from exc
 
 
 def from_json_at(key: str, cls: type[R], payload: dict) -> R:
@@ -207,6 +213,42 @@ def dump_row(row: dict) -> str:
 def write_json(path: str | Path, payload: dict) -> None:
     """A standalone JSON file: sorted keys, two-space indent, final newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path, kind: str) -> dict:
+    """The JSON object a standalone input file holds. An unreadable file,
+    text that is not UTF-8 or not JSON, or a value that is not an object
+    raises ConfigError naming the file ("cannot read config file …")."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{kind} file {path}: expected a JSON object")
+    return payload
+
+
+def post_json(url: str, payload, timeout: float, headers: dict | None = None) -> tuple[int, bytes]:
+    """POST `payload` as JSON; (status, body) of any reply, 4xx and 5xx
+    included. A request that gets no reply (refused, reset, timed out, or a
+    garbled status line) raises OSError. The HTTP stack is imported on first
+    use, so that a run that calls no endpoint does not load it."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
+    try:
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+    except (http.client.HTTPException, ValueError) as exc:
+        raise ConnectionError(f"no usable HTTP reply from {url}: {exc!r}") from exc
 
 
 def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, dict]]:

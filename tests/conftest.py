@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import json
+import socket
+import struct
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,57 @@ def e2e_config_factory(e2e_dir):
         return RunConfig(**base)
 
     return make
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted reply: (status, JSON value),
+    "reset" (a reply cut off by a connection reset) or "garbled" (no valid
+    status line)."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((dict(self.headers), json.loads(body)))
+        reply = self.server.replies.pop(0)
+        if reply == "garbled":
+            self.wfile.write(b"garbage\r\n\r\n")
+        elif reply == "reset":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choi")
+            # A zero linger time makes the close send a reset, not a FIN.
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.connection.close()
+        else:
+            status, payload = reply
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server():
+    """A loopback HTTP server on an ephemeral port. Append replies to
+    `server.replies`; `server.received` holds each request's (headers,
+    JSON body); `server.url` is its address."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.received = [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+@pytest.fixture
+def refused_url():
+    """The address of a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"

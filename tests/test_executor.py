@@ -41,8 +41,9 @@ from solrepair.executor import (
     substitute_function,
 )
 from solrepair import executor
-from solrepair.executor import _EvalError, _Oracle
+from solrepair.executor import ExecutorCase, ExecutorFixture, ExecutorTable, _EvalError, _Oracle
 from solrepair.retrieval import Query, queries_for_method
+from solrepair.rows import read_json
 
 ORACLE = """pragma solidity ^0.8.0;
 
@@ -371,6 +372,43 @@ class TestEvaluator:
         assert len(verdicts) == len(bodies)
         for (status, message), want in zip(verdicts, ["power too large to evaluate"] * 2 + ["out of range"]):
             assert (status, message.endswith(want)) == ("functional_mismatch", True), message
+
+    def test_repeated_squaring_fails_without_hanging(self):
+        # Each declaration squares the one before it, so t30 would hold about
+        # 2**30 times the bits of a * b; unbounded, this verify takes hours.
+        squares = "".join(f"uint256 t{k} = t{k - 1} * t{k - 1}; " for k in range(1, 31))
+        body = f"{{ uint256 t0 = a * b; {squares}return t30 - t30; }}"
+        script = (
+            "import sys\n"
+            "from solrepair.corpus import SourceFile, extract_functions\n"
+            "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
+            "oracle, body = sys.argv[1], sys.argv[2]\n"
+            "(record,) = extract_functions(SourceFile.from_text('p.sol', oracle))\n"
+            "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle, record, body), record.task_id())\n"
+            "print(v.status, v.diagnostics[0].message)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(executor.__file__).parents[1]))
+        oracle = straight_line_source("{ return a + b; }")
+        child = subprocess.run([sys.executable, "-c", script, oracle, body], capture_output=True, text=True, env=env, timeout=20)
+        status, message = child.stdout.split(" ", 1)
+        assert status == "functional_mismatch"
+        assert message.rstrip().endswith("product too large to evaluate"), message
+
+    @pytest.mark.parametrize(
+        "expr,value",
+        [("2 ** 511 * 2 ** 512", 2**1023), ("(0 - 2 ** 600) * 2 ** 423", -(2**1023)), ("0 * 2 ** 1023 * 2 ** 1023", 0)],
+    )
+    def test_products_within_bounds_evaluate(self, expr, value):
+        assert evaluate_body(interpret_body(f"{{ return {expr}; }}"), {}) == value
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [("2 ** 512 * 2 ** 512", "product too large to evaluate"), ("a ** (b - a)", "negative exponent -3"),
+         ("(a ** (b - a)) & 1", "negative exponent -3")],
+    )
+    def test_product_too_wide_or_negative_exponent_fails(self, expr, message):
+        with pytest.raises(_EvalError, match=message):
+            evaluate_body(interpret_body(f"{{ return {expr}; }}", params=["a", "b"]), {"a": 5, "b": 2})
 
     @pytest.mark.parametrize(
         "expr,value",
@@ -1002,7 +1040,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@2"
+        assert v.backend_version == "mock-diff@3"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1089,9 +1127,26 @@ class TestScriptedBackend:
 
     def test_fixture_loaded_from_path(self, tmp_path):
         path = tmp_path / "fixture.json"
-        path.write_text(json.dumps({"functions": {}}))
-        backend = ScriptedDifferentialBackend(fixture=str(path))
-        assert backend.fixture == {"functions": {}}
+        case = {"inputs": {"a": 1}, "output": None}
+        path.write_text(json.dumps({"seed": 3, "functions": {"f": {"cases": [case]}}}))
+        backend = ScriptedDifferentialBackend(read_json(path, "executor fixture"))
+        assert backend.fixture == ExecutorFixture(3, {"f": ExecutorTable((ExecutorCase({"a": 1}, None),))})
+
+    @pytest.mark.parametrize(
+        "fixture,complaint",
+        [
+            ({"functions": {"f": 5}}, "ExecutorTable: expected a JSON object, got int at key 'functions.f'"),
+            ({"functions": {"f": {"cases": [{"inputs": {}}]}}}, "missing 1 required positional argument: 'output' at key 'functions.f.cases[0]'"),
+            ({"functions": {"f": {"cases": [{"inputs": {"a": 1.5}, "output": 1}]}}}, "expected int, got float at key 'functions.f.cases[0].inputs.a'"),
+            ({"functions": {"f": {"cases": [{"inputs": {}, "output": "1"}]}}}, "expected int or bool or None, got str at key 'functions.f.cases[0].output'"),
+            ({"seed": "0"}, "expected int, got str at key 'seed'"),
+        ],
+        ids=["table-not-object", "case-without-output", "float-input", "str-output", "str-seed"],
+    )
+    def test_fixture_decoded_strictly(self, fixture, complaint):
+        with pytest.raises(TypeError) as info:
+            ScriptedDifferentialBackend(fixture)
+        assert str(info.value).endswith(complaint)
 
     def test_foreign_fixture_schema_rejected(self):
         with pytest.raises(ValueError, match="unsupported executor fixture schema"):

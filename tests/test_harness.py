@@ -17,7 +17,6 @@ import logging
 import re
 import shutil
 import tempfile
-import time
 import typing
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,7 +50,6 @@ from solrepair.harness import (
     load_tasks,
     read_outcomes,
     read_sessions,
-    _incomplete,
 )
 from solrepair.metrics import build_report
 from solrepair.repair import STRATEGY_KINDS
@@ -208,7 +206,7 @@ class TestRunConfigValidation:
     def test_dense_endpoint_and_dimension_configure_the_provider(self, e2e_config_factory, tmp_path):
         retrieval = {"method": "dense", "endpoint": "http://localhost:9/embed", "dimension": 8}
         config = e2e_config_factory(str(tmp_path), retrieval=retrieval)
-        with mock.patch("requests.post") as post:
+        with mock.patch("solrepair.rows.post_json") as post:
             config.validate()
             provider = build_provider(config)
         post.assert_not_called()
@@ -358,18 +356,6 @@ class TestCmdBuild:
         assert all(r["verdict"]["status"] == STATUS_PASS for r in results)
 
 
-def test_incomplete_ids_are_found_in_one_pass():
-    task_ids = [f"c{i // 7}.sol#L{i}-{i + 3}" for i in range(30_000)]
-    completed = task_ids[::3]
-    started = time.perf_counter()
-    incomplete = _incomplete(task_ids, completed)
-    assert time.perf_counter() - started < 0.5
-    assert incomplete == [t for i, t in enumerate(task_ids) if i % 3]
-    # The same ids, in the same order, as the per-task set rebuild it replaces.
-    head, done = task_ids[:600], completed[:150]
-    assert _incomplete(head, done) == [t for t in head if t not in set(done)]
-
-
 class TestCmdRun:
     def test_baseline_pass_rates(self, baseline_run):
         config, manifest, code, out = baseline_run
@@ -481,7 +467,7 @@ class TestCmdRun:
         bad = tmp_path / "client.json"
         bad.write_text("{truncated", encoding="utf-8")
         config = e2e_config_factory(str(tmp_path / "out"), mock_client=str(bad))
-        with pytest.raises(ConfigError, match="bad client fixture"):
+        with pytest.raises(ConfigError, match="cannot read client fixture file"):
             cmd_run(config)
         assert not (tmp_path / "out").exists()
 
@@ -530,10 +516,12 @@ class TestCmdRun:
         assert code == EXIT_INFRA
         assert manifest.status == "partial"
         assert manifest.tasks_completed == 20
-        assert len(manifest.incomplete_task_ids) == 30
         outcomes = read_outcomes(tmp_path / "out" / "outcomes.jsonl")
         assert len(outcomes) == 20
         assert all(o.c == 1 for o in outcomes)
+        # Exactly the tasks without an outcome row, in task order.
+        passed = {o.task_id for o in outcomes}
+        assert manifest.incomplete_task_ids == [t.task_id for t in load_tasks(config) if t.task_id not in passed]
 
     def test_retrieval_failure_leaves_run_partial(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(
@@ -603,7 +591,7 @@ class TestResume:
         assert normalized_sessions(out) == normalized_sessions(reference)
         assert any("40 already done, 10 pending" in m for m in caplog.messages)
 
-    @pytest.mark.parametrize("damage", ["torn-first-row", "blank-line"])
+    @pytest.mark.parametrize("damage", ["torn-first-row", "blank-line", "torn-row-before-intact-ones"])
     def test_resume_after_damage_before_the_last_row_matches_uninterrupted_run(
         self, e2e_config_factory, rar_run, tmp_path, damage
     ):
@@ -614,6 +602,10 @@ class TestResume:
         shutil.copyfile(reference / "sessions.jsonl", out / "sessions.jsonl")
         first, rest = want.split(b"\n", 1)
         damaged = first[:9] if damage == "torn-first-row" else first + b"\n\n" + rest
+        if damage == "torn-row-before-intact-ones":
+            # Nothing after a torn row was committed, however whole it looks.
+            lines = want.split(b"\n")
+            damaged = b"\n".join(lines[:10] + [lines[10][:20]] + lines[11:])
         (out / "outcomes.jsonl").write_bytes(damaged)
         manifest, code = cmd_run(e2e_config_factory(str(out), **RAR_OVERRIDES))
         assert (code, manifest.status) == (EXIT_OK, "complete")
@@ -870,6 +862,40 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith(f"error: outcomes file {out / 'outcomes.jsonl'} is not UTF-8")
 
+    @pytest.mark.parametrize(
+        "flag,edit,complaint",
+        [
+            ("--mock-client", lambda fixture: [], "client fixture file {path}: expected a JSON object"),
+            (
+                "--mock-client",
+                lambda fixture: fixture | {"completions": []},
+                "bad client fixture {path}: expected dict, got list at key 'completions'",
+            ),
+            ("--mock-executor", lambda fixture: [], "executor fixture file {path}: expected a JSON object"),
+            (
+                "--mock-executor",
+                lambda fixture: fixture | {"functions": {"bank0.sol#L12-15": {"cases": [{"inputs": {"a": 1}}]}}},
+                "bad executor fixture {path}: ExecutorCase.__init__() missing 1 required positional argument: "
+                "'output' at key 'functions.bank0.sol#L12-15.cases[0]'",
+            ),
+            (
+                "--mock-executor",
+                lambda fixture: fixture | {"functions": {"bank0.sol#L12-15": 5}},
+                "bad executor fixture {path}: ExecutorTable: expected a JSON object, got int "
+                "at key 'functions.bank0.sol#L12-15'",
+            ),
+        ],
+        ids=["client-list", "client-completions-list", "executor-list", "case-without-output", "table-int"],
+    )
+    def test_malformed_fixture_exits_config_before_any_output(self, e2e_dir, tmp_path, capsys, flag, edit, complaint):
+        name = "mock_client.json" if flag == "--mock-client" else "mock_executor.json"
+        path = tmp_path / name
+        path.write_text(json.dumps(edit(json.loads((e2e_dir / name).read_text(encoding="utf-8")))), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(self.run_flags(e2e_dir, out, flag, str(path))) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {complaint.format(path=path)}\n"
+        assert not out.exists()
+
     def test_run_then_report(self, e2e_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(self.run_flags(e2e_dir, out, "--max-rounds", "0"))
@@ -1092,7 +1118,7 @@ class TestCli:
         retrieval = {"method": "dense", "endpoint": "http://localhost:9/embed", "dimension": 8}
         config_path.write_text(json.dumps({"retrieval": retrieval}), encoding="utf-8")
         out = tmp_path / "out"
-        with mock.patch("requests.post") as post:
+        with mock.patch("solrepair.rows.post_json") as post:
             code = main(self.run_flags(e2e_dir, out, "--config", str(config_path), "--max-rounds", "0"))
         assert code == EXIT_OK
         post.assert_not_called()

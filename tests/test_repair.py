@@ -33,6 +33,7 @@ from solrepair.repair import (
     run_rar,
 )
 from solrepair.retrieval import RetrievalConfig, RetrievedSnippet
+from solrepair.rows import read_json
 
 ORACLE = """contract Vault {
     uint256 public stored;
@@ -178,7 +179,22 @@ class TestScriptedClient:
     def test_loads_from_path(self, tmp_path):
         path = tmp_path / "client.json"
         path.write_text(json.dumps(self.fixture_for("p", "c")))
-        assert ScriptedModelClient(str(path)).complete("p", 8).text == "c"
+        assert ScriptedModelClient(read_json(path, "client fixture")).complete("p", 8).text == "c"
+
+    @pytest.mark.parametrize(
+        "edit,complaint",
+        [
+            ({"completions": []}, "expected dict, got list at key 'completions'"),
+            ({"completions": {"h": 1}}, "expected str, got int at key 'completions.h'"),
+            ({"strict": "yes"}, "expected bool, got str at key 'strict'"),
+            ({"extra": 1}, "unexpected keyword argument 'extra'"),
+        ],
+        ids=["list-completions", "int-completion", "str-strict", "unknown-key"],
+    )
+    def test_fixture_decoded_strictly(self, edit, complaint):
+        with pytest.raises(TypeError) as info:
+            ScriptedModelClient(self.fixture_for("p", "c") | edit)
+        assert str(info.value).endswith(complaint)
 
     def test_rejects_foreign_fixture_schema(self):
         fixture = self.fixture_for("p", "c")
@@ -492,119 +508,99 @@ class TestRateLimiter:
 
 
 class TestHttpClient:
-    def make_client(self, **kwargs):
+    """HttpModelClient against a loopback server that replays scripted
+    replies; time.sleep is patched, so no test waits out a backoff."""
+
+    OK = (200, {"choices": [{"message": {"content": "ok"}}]})
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        return sleeps
+
+    def make_client(self, url, **kwargs):
         from solrepair.repair import HttpModelClient
 
-        return HttpModelClient("http://localhost:9/v1/chat", "test-model", **kwargs)
+        return HttpModelClient(url, "test-model", timeout=5.0, **kwargs)
 
-    def fake_response(self, status=200, payload=None):
-        class FakeResponse:
-            status_code = status
-
-            def raise_for_status(self):
-                if status >= 400:
-                    raise RuntimeError(f"HTTP {status}")
-
-            def json(self):
-                return payload
-
-        return FakeResponse()
-
-    def test_success_uses_reported_usage(self, monkeypatch):
-        import requests
-
+    def test_success_uses_reported_usage(self, http_server):
         payload = {
             "choices": [{"message": {"content": "{ return 1; }"}}],
             "usage": {"prompt_tokens": 42, "completion_tokens": 7},
         }
-        monkeypatch.setattr(requests, "post", lambda *a, **k: self.fake_response(payload=payload))
-        reply = self.make_client().complete("p", 64)
+        http_server.replies.append((200, payload))
+        reply = self.make_client(http_server.url).complete("p", 64)
         assert reply == ModelReply(text="{ return 1; }", prompt_tokens=42, completion_tokens=7)
+        ((headers, body),) = http_server.received
+        assert headers["Content-Type"] == "application/json"
+        assert body == {"model": "test-model", "messages": [{"role": "user", "content": "p"}], "max_tokens": 64, "temperature": 0.0}
 
-    def test_missing_usage_falls_back_to_counter(self, monkeypatch):
-        import requests
-
-        payload = {"choices": [{"message": {"content": "abcd"}}]}
-        monkeypatch.setattr(requests, "post", lambda *a, **k: self.fake_response(payload=payload))
-        reply = self.make_client().complete("abcdefgh", 64)
+    def test_missing_usage_falls_back_to_counter(self, http_server):
+        http_server.replies.append((200, {"choices": [{"message": {"content": "abcd"}}]}))
+        reply = self.make_client(http_server.url).complete("abcdefgh", 64)
         assert reply.prompt_tokens == 2
         assert reply.completion_tokens == 1
 
-    def test_retries_transient_500_then_succeeds(self, monkeypatch):
-        import requests
-
-        calls = {"n": 0}
-
-        def flaky(*a, **k):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return self.fake_response(status=500)
-            return self.fake_response(payload={"choices": [{"message": {"content": "ok"}}]})
-
-        monkeypatch.setattr(requests, "post", flaky)
-        monkeypatch.setattr(time, "sleep", lambda s: None)
-        reply = self.make_client(max_retries=1).complete("p", 8)
+    def test_retries_transient_500_then_succeeds(self, http_server, sleeps):
+        http_server.replies += [(500, {}), self.OK]
+        reply = self.make_client(http_server.url, max_retries=1).complete("p", 8)
         assert reply.text == "ok"
-        assert calls["n"] == 2
+        assert (len(http_server.received), sleeps) == (2, [1.0])
 
-    def test_persistent_failure_raises_client_error(self, monkeypatch):
-        import requests
-
-        def down(*a, **k):
-            raise OSError("connection refused")
-
-        monkeypatch.setattr(requests, "post", down)
-        monkeypatch.setattr(time, "sleep", lambda s: None)
-        with pytest.raises(ModelClientError, match="model call failed"):
-            self.make_client(max_retries=1).complete("p", 8)
+    def test_persistent_failure_raises_client_error(self, http_server, sleeps):
+        http_server.replies += [(502, {}), (503, {})]
+        with pytest.raises(ModelClientError, match="model call failed: HTTP 503"):
+            self.make_client(http_server.url, max_retries=1).complete("p", 8)
+        assert (len(http_server.received), sleeps) == (2, [1.0])
 
     @pytest.mark.parametrize(
         "status,payload",
         [(401, {"error": "bad key"}), (404, None), (200, {"error": "no choices"}), (200, {"choices": []}), (200, ["x"])],
     )
-    def test_non_transient_failure_raises_without_retry(self, monkeypatch, status, payload):
-        import requests
-
-        calls, sleeps = [], []
-
-        def post(*a, **k):
-            calls.append(1)
-            return self.fake_response(status=status, payload=payload)
-
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setattr(time, "sleep", sleeps.append)
+    def test_non_transient_failure_raises_without_retry(self, http_server, sleeps, status, payload):
+        http_server.replies += [(status, payload), self.OK, self.OK]
         with pytest.raises(ModelClientError, match="model call failed"):
-            self.make_client(max_retries=2).complete("p", 8)
-        assert (len(calls), sleeps) == (1, [])
+            self.make_client(http_server.url, max_retries=2).complete("p", 8)
+        assert (len(http_server.received), sleeps) == (1, [])
 
-    def test_retries_429_and_network_errors_then_raises(self, monkeypatch):
-        import requests
+    @pytest.mark.parametrize(
+        "message,usage",
+        [
+            ({"content": "x"}, {"prompt_tokens": "many"}),
+            ({"content": "x"}, {"completion_tokens": -1}),
+            ({"content": "x"}, {"prompt_tokens": True}),
+            ({"content": 5}, {}),
+            ({"content": None}, {}),
+        ],
+        ids=["str-count", "negative-count", "bool-count", "int-content", "null-content"],
+    )
+    def test_malformed_reply_raises_without_retry(self, http_server, sleeps, message, usage):
+        http_server.replies += [(200, {"choices": [{"message": message}], "usage": usage}), self.OK]
+        with pytest.raises(ModelClientError, match="model call failed: malformed reply"):
+            self.make_client(http_server.url, max_retries=1).complete("p", 8)
+        assert (len(http_server.received), sleeps) == (1, [])
 
-        replies = iter([self.fake_response(status=429), requests.ConnectionError("reset"), self.fake_response(status=503)])
-
-        def post(*a, **k):
-            reply = next(replies)
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-
-        sleeps = []
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setattr(time, "sleep", sleeps.append)
+    def test_retries_429_and_network_errors_then_raises(self, http_server, sleeps):
+        http_server.replies += [(429, {}), "reset", (503, {})]
         with pytest.raises(ModelClientError, match="HTTP 503"):
-            self.make_client(max_retries=2).complete("p", 8)
+            self.make_client(http_server.url, max_retries=2).complete("p", 8)
         assert sleeps == [1.0, 2.0]
 
-    def test_api_key_header_from_env(self, monkeypatch):
-        import requests
+    @pytest.mark.parametrize("failure", ["reset", "garbled"])
+    def test_reply_cut_off_or_garbled_is_retried(self, http_server, sleeps, failure):
+        http_server.replies += [failure, self.OK]
+        assert self.make_client(http_server.url, max_retries=1).complete("p", 8).text == "ok"
+        assert (len(http_server.received), sleeps) == (2, [1.0])
 
-        seen = {}
+    def test_refused_port_is_retried_then_raises(self, refused_url, sleeps):
+        with pytest.raises(ModelClientError, match="model call failed: .*refused"):
+            self.make_client(refused_url, max_retries=2).complete("p", 8)
+        assert sleeps == [1.0, 2.0]
 
-        def capture(url, json=None, headers=None, timeout=None):
-            seen["headers"] = headers
-            return self.fake_response(payload={"choices": [{"message": {"content": "x"}}]})
-
-        monkeypatch.setattr(requests, "post", capture)
+    def test_api_key_header_from_env(self, http_server, monkeypatch):
+        http_server.replies.append(self.OK)
         monkeypatch.setenv("TEST_MODEL_KEY", "sk-secret")
-        self.make_client(api_key_env="TEST_MODEL_KEY").complete("p", 8)
-        assert seen["headers"]["Authorization"] == "Bearer sk-secret"
+        self.make_client(http_server.url, api_key_env="TEST_MODEL_KEY").complete("p", 8)
+        ((headers, _),) = http_server.received
+        assert headers["Authorization"] == "Bearer sk-secret"

@@ -374,44 +374,36 @@ class TestDispatch:
 
 
 class TestHttpProvider:
-    def test_dimension_mismatch(self, monkeypatch):
-        import requests
+    """HttpEmbeddingProvider against a loopback server: every failure is a
+    RetrievalUnavailableError."""
 
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"vectors": [[1.0, 2.0]]}
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        provider = HttpEmbeddingProvider("http://localhost:9", dimension=3)
+    def test_dimension_mismatch(self, http_server):
+        http_server.replies.append((200, {"vectors": [[1.0, 2.0]]}))
+        provider = HttpEmbeddingProvider(http_server.url, dimension=3)
         with pytest.raises(RetrievalUnavailableError, match="dimension"):
             provider.embed("text")
 
-    def test_success_path(self, monkeypatch):
-        import requests
+    def test_success_path(self, http_server):
+        http_server.replies.append((200, {"vectors": [[0.5, 1]]}))
+        provider = HttpEmbeddingProvider(http_server.url, dimension=2)
+        assert provider.embed("text") == [0.5, 1.0]
+        assert http_server.received[0][1] == {"texts": ["text"]}
 
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
+    def test_network_error_maps_to_unavailable(self, refused_url):
+        provider = HttpEmbeddingProvider(refused_url, dimension=2)
+        with pytest.raises(RetrievalUnavailableError, match="refused"):
+            provider.embed("text")
 
-            def json(self):
-                return {"vectors": [[0.5, 1.5]]}
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-        provider = HttpEmbeddingProvider("http://localhost:9", dimension=2)
-        assert provider.embed("text") == [0.5, 1.5]
-
-    def test_network_error_maps_to_unavailable(self, monkeypatch):
-        import requests
-
-        def boom(*a, **k):
-            raise OSError("no route to host")
-
-        monkeypatch.setattr(requests, "post", boom)
-        provider = HttpEmbeddingProvider("http://localhost:9", dimension=2)
-        with pytest.raises(RetrievalUnavailableError):
+    @pytest.mark.parametrize(
+        "reply",
+        [(404, {}), (500, {}), (200, {"vectors": [["a", "b"]]}), (200, {"vectors": [5]}), (200, {"vectors": [[1, True]]}),
+         (200, {"vectors": []}), (200, ["x"]), "reset", "garbled"],
+        ids=["404", "500", "str-vector", "int-vector", "bool-element", "no-vector", "list-body", "reset", "garbled"],
+    )
+    def test_failed_or_malformed_reply_maps_to_unavailable(self, http_server, reply):
+        http_server.replies.append(reply)
+        provider = HttpEmbeddingProvider(http_server.url, dimension=2)
+        with pytest.raises(RetrievalUnavailableError, match="embedding endpoint failed"):
             provider.embed("text")
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,12 +25,15 @@ from solrepair.executor import (
     STATUSES,
     Diagnostic,
     ExecutionVerdict,
+    ExecutorCase,
+    ExecutorFixture,
+    ExecutorTable,
 )
 from solrepair.harness import RunConfig, RunManifest
 from solrepair.metrics import CostBreakdown, TaskOutcome
-from solrepair.repair import Attempt, RepairSession
+from solrepair.repair import Attempt, ClientFixture, RepairSession
 from solrepair.retrieval import METHODS, RetrievalConfig, RetrievedSnippet
-from solrepair.rows import ConfigError, Record, dump_row, read_records, read_rows
+from solrepair.rows import ConfigError, Record, dump_row, read_json, read_records, read_rows
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -114,6 +121,13 @@ def outcomes(draw) -> TaskOutcome:
     )
 
 
+executor_cases = st.builds(
+    ExecutorCase,
+    inputs=st.dictionaries(text, ints, max_size=3),
+    output=st.none() | st.booleans() | ints,
+)
+executor_tables = st.builds(ExecutorTable, cases=st.lists(executor_cases, max_size=3).map(tuple))
+
 STRATEGIES = {
     Diagnostic: diagnostics,
     ExecutionVerdict: verdicts(),
@@ -159,6 +173,12 @@ STRATEGIES = {
         bm25_k1=st.floats(0, 1e6), bm25_b=st.floats(0, 1), endpoint=st.none() | text,
         dimension=st.integers(1, 10**6),
     ),
+    ClientFixture: st.builds(ClientFixture, completions=st.dictionaries(text, text, max_size=3), strict=st.booleans()),
+    ExecutorCase: executor_cases,
+    ExecutorTable: executor_tables,
+    ExecutorFixture: st.builds(
+        ExecutorFixture, seed=ints, functions=st.dictionaries(text, executor_tables, max_size=2)
+    ),
     RunManifest: st.builds(
         RunManifest,
         config=json_objects, started_at=text, finished_at=text, harness_version=text,
@@ -190,10 +210,10 @@ KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "
 def allowed(annotation: str, value) -> bool:
     """Whether a JSON value has a type a field so annotated takes, its
     elements aside; a record field takes an object."""
-    base = annotation.removesuffix(" | None")
+    members = annotation.split(" | ")
     if value is None:
-        return base != annotation
-    return type(value) in KINDS.get(base.split("[")[0], (dict,))
+        return "None" in members
+    return any(type(value) in KINDS.get(m.split("[")[0], (dict,)) for m in members)
 
 
 @pytest.mark.parametrize("cls", list(STRATEGIES), ids=lambda c: c.__name__)
@@ -345,6 +365,57 @@ def test_read_rows_errors_name_file_and_line(tmp_path, content, complaint):
     with pytest.raises(ConfigError) as info:
         list(read_rows(path, "outcomes"))
     assert str(info.value).startswith(complaint.format(path=path))
+
+
+@pytest.mark.parametrize(
+    "content,complaint",
+    [
+        (None, "cannot read config file {path}: "),
+        (b"\xff{}", "cannot read config file {path}: "),
+        (b"{not json", "cannot read config file {path}: "),
+        (b"[" * 100_000, "cannot read config file {path}: "),
+        (b"[]", "config file {path}: expected a JSON object"),
+    ],
+    ids=["missing", "not-utf8", "malformed", "too-deep", "not-an-object"],
+)
+def test_read_json_errors_name_the_file(tmp_path, content, complaint):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        read_json(path, "config")
+    assert str(info.value).startswith(complaint.format(path=path))
+
+
+def test_read_json_returns_the_object(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"a": [1, "é"]}', encoding="utf-8")
+    assert read_json(path, "config") == {"a": [1, "é"]}
+
+
+PACKAGE = Path(rows.__file__).parent
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    # In a child process: this one may have imported them already.
+    script = "import sys, solrepair.cli; print(sorted({'urllib.request', 'http.client', 'ssl', 'requests'} & set(sys.modules)))"
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M), "pyproject.toml declares runtime dependencies"
 
 
 def test_read_rows_numbers_lines_and_skips_blank_ones(tmp_path):
