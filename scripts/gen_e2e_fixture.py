@@ -15,7 +15,6 @@ every prompt it issues.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from solrepair.repair import (  # noqa: E402
     run_rar,
 )
 from solrepair.retrieval import RetrievalConfig  # noqa: E402
-from solrepair.rows import read_json  # noqa: E402
+from solrepair.rows import read_json, write_json  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "fixtures" / "e2e"
@@ -144,9 +143,7 @@ def main() -> None:
             cases.append({"inputs": inputs, "output": evaluate_body(steps, inputs)})
         functions[task.task_id] = {"cases": cases}
     executor_fixture = {"schema": "mock-executor@1", "seed": 0, "functions": functions}
-    (OUT / "mock_executor.json").write_text(
-        json.dumps(executor_fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(OUT / "mock_executor.json", executor_fixture)
 
     # Drive the real loop with planned completions, recording every prompt.
     recorded: dict[str, str] = {}
@@ -190,9 +187,7 @@ def main() -> None:
         "strict": True,
         "completions": dict(sorted(recorded.items())),
     }
-    (OUT / "mock_client.json").write_text(
-        json.dumps(client_fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(OUT / "mock_client.json", client_fixture)
     print(f"wrote {len(tasks)} tasks, {len(recorded)} scripted completions to {OUT}")
 
 

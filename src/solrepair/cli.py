@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import typing
 
@@ -177,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             return exit_code
         if args.command == "report":
+            for flag, price in (("--prompt-price", args.prompt_price), ("--completion-price", args.completion_price)):
+                if not 0 <= price < math.inf:
+                    raise ConfigError(f"{flag} must be a finite number >= 0, got {price}")
             report = cmd_report(
                 args.outcomes,
                 args.sessions,

@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple
 
 from .rows import ConfigError, Record, dump_row, read_rows
 
-TASKS_SCHEMA = "tasks@1"
 STATS_SCHEMA = "corpus-stats@1"
 
 # Identifier runs and single punctuation marks; shared by retrieval and
@@ -277,11 +276,7 @@ class SourceFile:
 
     path: str
     text: str
-    index: SourceIndex = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.index is None:
-            object.__setattr__(self, "index", SourceIndex(self.text, self.path))
+    index: SourceIndex = field(compare=False, repr=False)
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":

@@ -131,28 +131,21 @@ def classify_error(
     return Diagnostic(kind=kind, message=message, line=line, identifier=identifier)
 
 
-def substitute_function(
-    oracle_source: str,
-    target: FunctionRecord,
-    completed_body: str,
-    index: SourceIndex | None = None,
-) -> str:
+def substitute_function(oracle: SourceIndex, target: FunctionRecord, completed_body: str) -> str:
     """Replace the target function's body in the oracle source.
 
     Everything outside the body is byte-identical to the oracle source. The
-    target is located by name and span in the oracle's index, which is built
-    here unless one for oracle_source is given; a record that cannot be
-    found raises MalformedRecordError.
+    target is located by name and span in the oracle's index; an unbalanced
+    oracle raises MalformedSourceError, and a record that cannot be found
+    raises MalformedRecordError.
     """
-    if index is None or index.text != oracle_source:
-        index = SourceIndex(oracle_source, target.source_id)
-    index.check()
-    fn = index.find(target.name, target.span[0], target.span[1])
+    oracle.check()
+    fn = oracle.find(target.name, target.span[0], target.span[1])
     if fn is None:
         raise MalformedRecordError(
             f"{target.source_id}: function {target.name!r} not found within span {target.span}"
         )
-    return oracle_source[: fn.body_start] + completed_body + oracle_source[fn.body_end + 1 :]
+    return oracle.text[: fn.body_start] + completed_body + oracle.text[fn.body_end + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +648,6 @@ def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
     )
 
 
-def _usable_index(text: str, index: SourceIndex | None) -> SourceIndex:
-    """index when it is a balanced index of text; otherwise a new index of
-    text, whose errors name `<source>` as verify has always reported them."""
-    if index is not None and index.error is None and index.text == text:
-        return index
-    return SourceIndex(text)
-
-
 class _Expected(NamedTuple):
     """The oracle's side of one function's generated cases."""
 
@@ -801,9 +786,9 @@ class ScriptedDifferentialBackend:
     Functions are compared by location, so overloads never stand in for
     each other, and a function nested in another's body counts as part of
     that body. The backend prepares each oracle text once, on first use, from
-    the index verify is handed (indexing the text itself only when none
-    fits), and keeps it for its own lifetime: each function's expected
-    outputs are computed once, and each distinct statement is parsed once.
+    the index verify is handed, and keeps it for its own lifetime: each
+    function's expected outputs are computed once, and each distinct
+    statement is parsed once.
     """
 
     name = "mock-diff"
@@ -831,26 +816,22 @@ class ScriptedDifferentialBackend:
             backend_seed=self.seed,
         )
 
-    def _oracle(self, text: str, index: SourceIndex | None = None) -> _Oracle:
+    def _oracle(self, index: SourceIndex) -> _Oracle:
         with self._lock:
-            oracle = self._oracles.get(text)
+            oracle = self._oracles.get(index.text)
             if oracle is None:
-                oracle = self._oracles[text] = _Oracle(_usable_index(text, index))
+                oracle = self._oracles[index.text] = _Oracle(index)
             return oracle
 
     def verify(
-        self,
-        oracle_source: str,
-        completed_source: str,
-        target_function_id: str,
-        oracle_index: SourceIndex | None = None,
+        self, oracle: SourceIndex, completed_source: str, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
         try:
-            oracle = self._oracle(oracle_source, oracle_index)
-            if completed_source == oracle_source:
+            prepared = self._oracle(oracle)
+            if completed_source == oracle.text:
                 return self._verdict(t0, STATUS_PASS)
-            change = oracle.change(completed_source)
+            change = prepared.change(completed_source)
         except MalformedSourceError as exc:
             return self._verdict(
                 t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))]
@@ -912,10 +893,10 @@ class ScriptedDifferentialBackend:
 
         table = self.fixture.functions.get(target_function_id)
         params = _param_names(change.new[0].signature)
-        completed_steps = interpret_body(completed_body, oracle.steps, params)
+        completed_steps = interpret_body(completed_body, prepared.steps, params)
         oracle_run = None
         if completed_steps is not None and table is None:
-            oracle_run = oracle.expected(change.old[0], self.seed)
+            oracle_run = prepared.expected(change.old[0], self.seed)
         if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
             if _normalized(oracle_body) == _normalized(completed_body):
                 return self._verdict(t0, STATUS_PASS)
@@ -1063,33 +1044,25 @@ class SolcCompileBackend:
         )
 
     def verify(
-        self,
-        oracle_source: str,
-        completed_source: str,
-        target_function_id: str,
-        oracle_index: SourceIndex | None = None,
+        self, oracle: SourceIndex, completed_source: str, target_function_id: str
     ) -> ExecutionVerdict:
         verdict = self.compile(completed_source)
         if verdict.status != STATUS_COMPILE_ERROR:
             return verdict
-        rebased = self._rebase(verdict.diagnostics, oracle_source, completed_source, oracle_index)
+        rebased = self._rebase(verdict.diagnostics, oracle, completed_source)
         return replace(verdict, diagnostics=rebased)
 
     @staticmethod
     def _rebase(
-        diagnostics: Sequence[Diagnostic],
-        oracle_source: str,
-        completed_source: str,
-        oracle_index: SourceIndex | None = None,
+        diagnostics: Sequence[Diagnostic], oracle: SourceIndex, completed_source: str
     ) -> tuple[Diagnostic, ...]:
         """Rebase absolute source lines onto the modified function's body,
-        found once for all the diagnostics, through oracle_index when it
-        indexes oracle_source."""
+        found once for all the diagnostics."""
         diagnostics = tuple(diagnostics)
         if all(d.line is None for d in diagnostics):
             return diagnostics
         try:
-            change = _Oracle(_usable_index(oracle_source, oracle_index)).change(completed_source)
+            change = _Oracle(oracle).change(completed_source)
         except MalformedSourceError:
             return diagnostics
         if len(change.new) != 1:
@@ -1123,17 +1096,12 @@ class SubprocessFuzzBackend:
         self.version = " ".join(self.command)
 
     def verify(
-        self,
-        oracle_source: str,
-        completed_source: str,
-        target_function_id: str,
-        oracle_index: SourceIndex | None = None,
+        self, oracle: SourceIndex, completed_source: str, target_function_id: str
     ) -> ExecutionVerdict:
-        """oracle_index goes unused: the fuzzer is sent the texts."""
         t0 = time.perf_counter()
         request = {
             "schema": "fuzz-request@1",
-            "oracle_source": oracle_source,
+            "oracle_source": oracle.text,
             "completed_source": completed_source,
             "target_function_id": target_function_id,
         }
@@ -1181,37 +1149,17 @@ class SubprocessFuzzBackend:
             return unavailable(f"fuzz report malformed: {exc}")
 
 
-def _takes_oracle_index(verify) -> bool:
-    """True when verify, a function or bound method, has an `oracle_index`
-    parameter; reads the code object, which costs far less than
-    inspect.signature on every attempt."""
-    code = getattr(getattr(verify, "__func__", verify), "__code__", None)
-    if code is None:
-        return False
-    return "oracle_index" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
-
-
 def differential_verify(
-    oracle_source: str,
-    completed_source: str,
-    target: FunctionRecord,
-    backend,
-    oracle_index: SourceIndex | None = None,
+    oracle: SourceIndex, completed_source: str, target: FunctionRecord, backend
 ) -> ExecutionVerdict:
-    """Behavioural equivalence through a differential backend.
+    """Behavioural equivalence through a differential backend, whose verify
+    takes the oracle's index, the completed source and the target's task id.
 
-    oracle_index, an index of oracle_source, is handed on to a backend whose
-    verify takes an `oracle_index` keyword, as the in-tree backends' do;
-    any other backend gets the three arguments of the adapter contract.
     Backend crashes are infrastructure failures (executor_unavailable), not
     model failures.
     """
     try:
-        if oracle_index is not None and _takes_oracle_index(backend.verify):
-            return backend.verify(
-                oracle_source, completed_source, target.task_id(), oracle_index=oracle_index
-            )
-        return backend.verify(oracle_source, completed_source, target.task_id())
+        return backend.verify(oracle, completed_source, target.task_id())
     except Exception as exc:  # adapter bugs must not be charged to the model
         return ExecutionVerdict(
             status=STATUS_EXECUTOR_UNAVAILABLE,

@@ -173,9 +173,6 @@ class RunConfig(Record):
             return None
         return from_json_at("retrieval", RetrievalConfig, self.retrieval)
 
-    def cost_model(self) -> CostModel:
-        return CostModel(self.prompt_usd_per_million, self.completion_usd_per_million)
-
 
 @dataclass
 class RunManifest(Record):
@@ -258,8 +255,7 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
                 task_id=task_id,
                 record=record,
                 context=window,
-                oracle_source=file.text,
-                oracle_index=file.index,
+                oracle=file.index,
             )
         )
     return tasks
@@ -459,7 +455,11 @@ def cmd_report(
     cost_model: CostModel = GPT_4O_MINI_PRICES,
     out_json: str | Path | None = None,
 ) -> dict:
-    """Aggregate persisted logs into a report; pure given the input files."""
+    """Aggregate persisted logs into a report; pure given the input files.
+
+    A k that is below 1 or above a task's sample count, or outcomes of which
+    none is usable, raise ConfigError.
+    """
     outcomes: list[TaskOutcome] = []
     for path in outcome_paths:
         outcomes.extend(read_outcomes(path))
@@ -468,7 +468,10 @@ def cmd_report(
     sessions: list[RepairSession] = []
     for path in session_paths:
         sessions.extend(read_sessions(path))
-    report = build_report(outcomes, sessions or None, k_values, cost_model)
+    try:
+        report = build_report(outcomes, sessions or None, k_values, cost_model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if out_json is not None:
         write_json(out_json, report)
     return report

@@ -22,7 +22,6 @@ from .executor import (
 from .repair import RepairSession
 from .rows import Record
 
-OUTCOMES_SCHEMA = "outcomes@1"
 REPORT_SCHEMA = "report@1"
 
 BLEU_EPSILON = 1e-9

@@ -54,7 +54,6 @@ DEFAULT_MAX_ROUNDS = 1
 
 STRATEGY_KINDS = ("self_edit", "self_debug", "self_refine", "self_repair")
 
-SESSIONS_SCHEMA = "sessions@1"
 MOCK_CLIENT_SCHEMA = "mock-client@1"
 
 
@@ -278,21 +277,13 @@ def feedback_block(verdict: ExecutionVerdict) -> str:
 
 @dataclass(frozen=True)
 class CompletionTask:
-    """Everything needed to complete and verify one function.
-
-    oracle_index is the index of oracle_source, built here unless given.
-    """
+    """Everything needed to complete and verify one function; oracle is the
+    index of the source file the function was taken from."""
 
     task_id: str
     record: FunctionRecord
     context: ContextWindow
-    oracle_source: str
-    oracle_index: SourceIndex = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.oracle_index is None:
-            index = SourceIndex(self.oracle_source, self.record.source_id)
-            object.__setattr__(self, "oracle_index", index)
+    oracle: SourceIndex = field(compare=False, repr=False)
 
 
 def build_completion_prompt(task: CompletionTask) -> str:
@@ -433,18 +424,14 @@ def build_repair_prompt(
 
 def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
     try:
-        completed_source = substitute_function(
-            task.oracle_source, task.record, body, task.oracle_index
-        )
+        completed_source = substitute_function(task.oracle, task.record, body)
     except (MalformedSourceError, MalformedRecordError) as exc:
         return ExecutionVerdict(
             status=STATUS_COMPILE_ERROR,
             diagnostics=(Diagnostic("Other", f"body cannot be spliced: {exc}"),),
             backend="splice",
         )
-    return differential_verify(
-        task.oracle_source, completed_source, task.record, backend, task.oracle_index
-    )
+    return differential_verify(task.oracle, completed_source, task.record, backend)
 
 
 def _retrieve_for_repair(

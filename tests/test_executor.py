@@ -75,7 +75,7 @@ ADD, AVG, LOOP = extract_functions(FILE)
 
 
 def completed_with(record, body: str) -> str:
-    return substitute_function(ORACLE, record, body)
+    return substitute_function(FILE.index, record, body)
 
 
 class TestClassifyError:
@@ -166,7 +166,7 @@ class TestSubstitute:
             span=(7, 9),
         )
         with pytest.raises(MalformedRecordError, match="ghost"):
-            substitute_function(ORACLE, ghost, "{ }")
+            substitute_function(FILE.index, ghost, "{ }")
 
     def test_same_name_disambiguated_by_span(self):
         src = (
@@ -179,8 +179,9 @@ class TestSubstitute:
             "    function f() public pure returns (uint256) { return 2; }\n"
             "}\n"
         )
-        records = extract_functions(SourceFile.from_text("ab.sol", src))
-        completed = substitute_function(src, records[1], "{ return 9; }")
+        file = SourceFile.from_text("ab.sol", src)
+        records = extract_functions(file)
+        completed = substitute_function(file.index, records[1], "{ return 9; }")
         assert "return 1" in completed
         assert "return 2" not in completed
         assert "return 9" in completed
@@ -322,20 +323,21 @@ class TestEvaluator:
 
     def test_deep_completion_is_the_bodys_failure_not_the_backends(self):
         completed = completed_with(ADD, "{ return " + "-" * 20000 + "a; }")
-        v = differential_verify(ORACLE, completed, ADD, ScriptedDifferentialBackend())
+        v = differential_verify(FILE.index, completed, ADD, ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
     def test_too_deep_completion_is_a_functional_mismatch(self):
         completed = completed_with(ADD, "{ return a" + " + a" * 1500 + "; }")
-        v = differential_verify(ORACLE, completed, ADD, ScriptedDifferentialBackend())
+        v = differential_verify(FILE.index, completed, ADD, ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
     def test_too_deep_oracle_is_compared_as_text(self):
         body = "{ return a" + " + b" * 1500 + "; }"
-        oracle = straight_line_source(body)
-        (record,) = extract_functions(SourceFile.from_text("p.sol", oracle))
+        file = SourceFile.from_text("p.sol", straight_line_source(body))
+        (record,) = extract_functions(file)
+        oracle = file.index
         backend = ScriptedDifferentialBackend()
         v = differential_verify(oracle, substitute_function(oracle, record, "{ return a; }"), record, backend)
         assert v.status == "functional_mismatch"
@@ -345,7 +347,7 @@ class TestEvaluator:
     def test_each_expression_parsed_once_per_attempt(self):
         completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
-            v = ScriptedDifferentialBackend().verify(ORACLE, completed, AVG.task_id())
+            v = ScriptedDifferentialBackend().verify(FILE.index, completed, AVG.task_id())
         assert v.status == "pass"
         assert parse.call_count == 4  # two statements each in the oracle and the completion
 
@@ -356,8 +358,8 @@ class TestEvaluator:
             "import json, sys\n"
             "from solrepair.corpus import SourceFile, extract_functions\n"
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
-            "oracle, bodies = sys.argv[1], json.loads(sys.argv[2])\n"
-            "(record,) = extract_functions(SourceFile.from_text('p.sol', oracle))\n"
+            "file, bodies = SourceFile.from_text('p.sol', sys.argv[1]), json.loads(sys.argv[2])\n"
+            "(record,), oracle = extract_functions(file), file.index\n"
             "backend = ScriptedDifferentialBackend()\n"
             "verdicts = [backend.verify(oracle, substitute_function(oracle, record, b), record.task_id()) for b in bodies]\n"
             "print(json.dumps([[v.status, v.diagnostics[0].message] for v in verdicts]))\n"
@@ -382,8 +384,8 @@ class TestEvaluator:
             "import sys\n"
             "from solrepair.corpus import SourceFile, extract_functions\n"
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
-            "oracle, body = sys.argv[1], sys.argv[2]\n"
-            "(record,) = extract_functions(SourceFile.from_text('p.sol', oracle))\n"
+            "file, body = SourceFile.from_text('p.sol', sys.argv[1]), sys.argv[2]\n"
+            "(record,), oracle = extract_functions(file), file.index\n"
             "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle, record, body), record.task_id())\n"
             "print(v.status, v.diagnostics[0].message)\n"
         )
@@ -675,8 +677,9 @@ def straight_line_source(body: str) -> str:
     table=st.booleans(),
 )
 def test_property_parse_once_verify_matches_per_case_reference(oracle_body, completed_body, table):
-    oracle = straight_line_source(oracle_body)
-    (record,) = extract_functions(SourceFile.from_text("p.sol", oracle))
+    file = SourceFile.from_text("p.sol", straight_line_source(oracle_body))
+    (record,) = extract_functions(file)
+    oracle = file.index
     completed = substitute_function(oracle, record, completed_body)
     fixture = None
     if table:
@@ -895,7 +898,7 @@ class TestOracleMemo:
             executor, "_generated_cases", wraps=executor._generated_cases
         ) as generated:
             statuses = [
-                backend.verify(MULTI, substitute_function(MULTI, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies * 2
             ]
             assert generated.call_count == 1
@@ -904,7 +907,7 @@ class TestOracleMemo:
             for expr in oracle_exprs:
                 assert parsed.count(expr) == 1, expr
             # Nothing is shared between backends.
-            ScriptedDifferentialBackend().verify(MULTI, substitute_function(MULTI, M_ADD, bodies[1]), M_ADD.task_id())
+            ScriptedDifferentialBackend().verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, bodies[1]), M_ADD.task_id())
             assert generated.call_count == 2
             assert parsed.count("a + b") == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
@@ -914,7 +917,7 @@ class TestOracleMemo:
         messages = set()
         with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
             for body in ("{ return a; }", "{ return b; }", "{ return a; }", "{ return a / (b - b); }"):
-                v = backend.verify(MULTI, substitute_function(MULTI, M_DIV, body), M_DIV.task_id())
+                v = backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_DIV, body), M_DIV.task_id())
                 assert v.status == "executor_unavailable"
                 messages.add(v.diagnostics)
         assert messages == {(Diagnostic("Other", "oracle evaluation failed: division by zero"),)}
@@ -922,20 +925,20 @@ class TestOracleMemo:
 
     def test_oracle_steps_pass_without_a_second_evaluation(self):
         backend = ScriptedDifferentialBackend()
-        completed = substitute_function(MULTI, M_HALF, "{\n        return a / 2;   }")
+        completed = substitute_function(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
         assert completed != MULTI
-        backend.verify(MULTI, completed, M_HALF.task_id())
+        backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
         with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
-            assert backend.verify(MULTI, completed, M_HALF.task_id()).status == "pass"
+            assert backend.verify(MULTI_FILE.index, completed, M_HALF.task_id()).status == "pass"
 
     def test_fixture_table_judges_even_the_oracle_own_steps(self):
         # The table disagrees with the oracle: it, not the oracle, decides.
         table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
         backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
-        completed = substitute_function(MULTI, M_HALF, "{ return a / 2; }")
+        completed = substitute_function(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
         assert completed != MULTI
         for _ in range(2):
-            v = backend.verify(MULTI, completed, M_HALF.task_id())
+            v = backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
             assert v.status == "functional_mismatch"
             assert v.diagnostics[0].message == 'output mismatch for inputs {"a": 4}: expected 3, got 2'
 
@@ -955,7 +958,7 @@ class TestOracleMemo:
 
         def run(backend, job):
             record, body = job
-            v = backend.verify(MULTI, substitute_function(MULTI, record, body, MULTI_FILE.index), record.task_id(), MULTI_FILE.index)
+            v = backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, record, body), record.task_id())
             return v.status, v.diagnostics
 
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
@@ -991,7 +994,8 @@ PROBES = """contract Token {
     }
 }
 """
-PROBE_RECORDS = extract_functions(SourceFile.from_text("probes.sol", PROBES))
+PROBES_FILE = SourceFile.from_text("probes.sol", PROBES)
+PROBE_RECORDS = extract_functions(PROBES_FILE)
 
 
 # Oracles whose every differing completion used to be executor_unavailable,
@@ -1009,7 +1013,7 @@ class TestProbeOracles:
     def test_completions_get_verdicts_of_their_own(self, index, respaced, different):
         record, backend = PROBE_RECORDS[index], ScriptedDifferentialBackend()
         for body, status in ((respaced, "pass"), (different, "functional_mismatch"), ("{ }", "functional_mismatch")):
-            v = backend.verify(PROBES, substitute_function(PROBES, record, body), record.task_id())
+            v = backend.verify(PROBES_FILE.index, substitute_function(PROBES_FILE.index, record, body), record.task_id())
             assert v.status == status, body
 
     def test_run_over_the_task_exits_ok(self, index, respaced, different, tmp_path):
@@ -1036,7 +1040,7 @@ class TestScriptedBackend:
         return ScriptedDifferentialBackend(fixture=fixture, seed=seed)
 
     def test_identical_source_passes(self):
-        v = self.backend().verify(ORACLE, ORACLE, ADD.task_id())
+        v = self.backend().verify(FILE.index, ORACLE, ADD.task_id())
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
@@ -1045,17 +1049,17 @@ class TestScriptedBackend:
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
         completed = completed_with(ADD, "{ return b + a; }")
-        assert self.backend().verify(ORACLE, completed, ADD.task_id()).status == "pass"
+        assert self.backend().verify(FILE.index, completed, ADD.task_id()).status == "pass"
 
     def test_wrong_arithmetic_mismatch_names_inputs(self):
         completed = completed_with(ADD, "{ return a - b; }")
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "output mismatch for inputs" in v.diagnostics[0].message
 
     def test_undeclared_identifier_compile_error_with_body_line(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "compile_error"
         d = v.diagnostics[0]
         assert d.kind == "UndeclaredIdentifier"
@@ -1065,47 +1069,47 @@ class TestScriptedBackend:
 
     def test_declared_function_name_not_a_compile_error(self):
         completed = completed_with(ADD, "{ return avg(a, b); }")
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_member_access_identifiers_skipped(self):
         body = "{ if (msg.sender == tx.origin) { return a; } return b; }"
         completed = completed_with(ADD, body)
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_fixture_table_overrides_oracle(self):
         table = {"functions": {ADD.task_id(): {"cases": [{"inputs": {"a": 2, "b": 3}, "output": 6}]}}}
         completed = completed_with(ADD, "{ return a * b; }")
-        v = self.backend(fixture=table).verify(ORACLE, completed, ADD.task_id())
+        v = self.backend(fixture=table).verify(FILE.index, completed, ADD.task_id())
         assert v.status == "pass"
 
     def test_fixture_table_mismatch_message(self):
         table = {"functions": {ADD.task_id(): {"cases": [{"inputs": {"a": 2, "b": 3}, "output": 6}]}}}
         completed = completed_with(ADD, "{ return a + b; }")
-        v = self.backend(fixture=table).verify(ORACLE, completed, ADD.task_id())
+        v = self.backend(fixture=table).verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert 'inputs {"a": 2, "b": 3}' in v.diagnostics[0].message
         assert "expected 6, got 5" in v.diagnostics[0].message
 
     def test_unbalanced_completed_is_compile_error(self):
         completed = ORACLE.replace("return a + b;", "return a + b; {")
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "compile_error"
         assert v.diagnostics[0].kind == "Other"
 
     def test_uninterpretable_equal_modulo_whitespace_passes(self):
         reformatted = "{\n        uint256 acc = 0;\n        for (uint256 i = 0; i < n; i++) {   acc = acc + i; }\n        return acc;\n    }"
         completed = completed_with(LOOP, reformatted)
-        v = self.backend().verify(ORACLE, completed, LOOP.task_id())
+        v = self.backend().verify(FILE.index, completed, LOOP.task_id())
         assert v.status == "pass"
 
     def test_uninterpretable_difference_is_mismatch(self):
         changed = LOOP.body.replace("acc = acc + i", "acc = acc + i + 1")
         completed = completed_with(LOOP, changed)
-        v = self.backend().verify(ORACLE, completed, LOOP.task_id())
+        v = self.backend().verify(FILE.index, completed, LOOP.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
@@ -1113,16 +1117,16 @@ class TestScriptedBackend:
         completed = completed_with(ADD, "{ return b + a; }").replace(
             "return s / 2;", "return s / 3;"
         )
-        v = self.backend().verify(ORACLE, completed, ADD.task_id())
+        v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "multiple functions differ" in v.diagnostics[0].message
 
     def test_verification_statement_is_behaviour_preserving(self):
         completed = completed_with(ADD, "{ uint256 this_is_a_test_variable; return a + b; }")
-        assert self.backend().verify(ORACLE, completed, ADD.task_id()).status == "pass"
+        assert self.backend().verify(FILE.index, completed, ADD.task_id()).status == "pass"
 
     def test_seed_recorded(self):
-        v = self.backend(seed=41).verify(ORACLE, ORACLE, ADD.task_id())
+        v = self.backend(seed=41).verify(FILE.index, ORACLE, ADD.task_id())
         assert v.backend_seed == 41
 
     def test_fixture_loaded_from_path(self, tmp_path):
@@ -1165,7 +1169,8 @@ OVERLOADS = """contract O {
     }
 }
 """
-F1, F2 = extract_functions(SourceFile.from_text("o.sol", OVERLOADS))
+OVERLOADS_FILE = SourceFile.from_text("o.sol", OVERLOADS)
+F1, F2 = extract_functions(OVERLOADS_FILE)
 
 NESTED = """contract N {
     /// Doubles y.
@@ -1177,36 +1182,37 @@ NESTED = """contract N {
     }
 }
 """
-(OUTER,) = extract_functions(SourceFile.from_text("n.sol", NESTED))
+NESTED_FILE = SourceFile.from_text("n.sol", NESTED)
+(OUTER,) = extract_functions(NESTED_FILE)
 
 
 class TestLocationKeyed:
     def test_overload_wrong_body_is_mismatch(self):
-        completed = substitute_function(OVERLOADS, F1, "{ return 12345; }")
-        v = ScriptedDifferentialBackend().verify(OVERLOADS, completed, F1.task_id())
+        completed = substitute_function(OVERLOADS_FILE.index, F1, "{ return 12345; }")
+        v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, F1.task_id())
         assert v.status == "functional_mismatch"
         assert "output mismatch" in v.diagnostics[0].message
 
     def test_overload_equivalent_body_passes(self):
         for record, body in ((F1, "{ return a * 1; }"), (F2, "{ return b + a; }")):
-            completed = substitute_function(OVERLOADS, record, body)
-            v = ScriptedDifferentialBackend().verify(OVERLOADS, completed, record.task_id())
+            completed = substitute_function(OVERLOADS_FILE.index, record, body)
+            v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, record.task_id())
             assert v.status == "pass"
 
     def test_rebase_with_overloads(self):
-        completed = substitute_function(OVERLOADS, F1, "{\n        return helperX(a);\n    }")
+        completed = substitute_function(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        assert SolcCompileBackend._rebase((diag,), OVERLOADS, completed)[0].line == 2
+        assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE.index, completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
-        changed = substitute_function(NESTED, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
-        v = backend.verify(NESTED, changed, OUTER.task_id())
+        changed = substitute_function(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
+        v = backend.verify(NESTED_FILE.index, changed, OUTER.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        reformatted = substitute_function(NESTED, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
-        assert backend.verify(NESTED, reformatted, OUTER.task_id()).status == "pass"
+        reformatted = substitute_function(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
+        assert backend.verify(NESTED_FILE.index, reformatted, OUTER.task_id()).status == "pass"
 
     def test_yul_names_are_not_undeclared_identifiers(self):
         oracle = (
@@ -1218,24 +1224,25 @@ class TestLocationKeyed:
             "    }\n"
             "}\n"
         )
-        (f,) = extract_functions(SourceFile.from_text("y.sol", oracle))
-        completed = substitute_function(oracle, f, f.body.replace("return a;", "return a + 0;"))
-        v = ScriptedDifferentialBackend().verify(oracle, completed, f.task_id())
+        file = SourceFile.from_text("y.sol", oracle)
+        (f,) = extract_functions(file)
+        completed = substitute_function(file.index, f, f.body.replace("return a;", "return a + 0;"))
+        v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        outside = substitute_function(oracle, f, f.body.replace("return a;", "return v;"))
-        v = ScriptedDifferentialBackend().verify(oracle, outside, f.task_id())
+        outside = substitute_function(file.index, f, f.body.replace("return a;", "return v;"))
+        v = ScriptedDifferentialBackend().verify(file.index, outside, f.task_id())
         assert (v.status, v.diagnostics[0].identifier) == ("compile_error", "v")
 
     def test_dropped_or_added_function_is_mismatch(self):
         backend = ScriptedDifferentialBackend()
         avg_text = AVG.comment + "    " + AVG.signature + AVG.body + "\n\n"
         dropped = ORACLE.replace(avg_text, "")
-        v = backend.verify(ORACLE, dropped, ADD.task_id())
+        v = backend.verify(FILE.index, dropped, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "oracle functions missing from the completed source: ['avg']"
         added = ORACLE.replace(avg_text, avg_text + "    function extra() public pure { }\n\n")
-        v = backend.verify(ORACLE, added, ADD.task_id())
+        v = backend.verify(FILE.index, added, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "function 'extra' has no oracle counterpart"
 
@@ -1250,10 +1257,11 @@ class TestLocationKeyed:
             "    ;\n"
             "}\n"
         )
-        (f,) = extract_functions(SourceFile.from_text("s.sol", oracle))
-        completed = substitute_function(oracle, f, "{ ) { } }")
-        assert _Oracle(SourceIndex(oracle)).splice(completed) is None
-        v = ScriptedDifferentialBackend().verify(oracle, completed, f.task_id())
+        file = SourceFile.from_text("s.sol", oracle)
+        (f,) = extract_functions(file)
+        completed = substitute_function(file.index, f, "{ ) { } }")
+        assert _Oracle(file.index).splice(completed) is None
+        v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
         assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
 
     def test_self_contained_bodies_take_the_body_only_path(self):
@@ -1266,7 +1274,7 @@ class TestLocationKeyed:
 def test_oracle_cache_shared_across_threads():
     """Workers share one backend: each oracle is prepared once, from the
     index verify is handed, which is never rebuilt, and every verdict equals
-    the one a fresh backend that indexes the oracles itself gives."""
+    the one a fresh backend given a fresh index gives."""
     indexes = {text: SourceIndex(text) for text in (ORACLE, OVERLOADS, NESTED)}
     jobs = [
         (ORACLE, ADD, "{ return b + a; }"),
@@ -1276,13 +1284,13 @@ def test_oracle_cache_shared_across_threads():
         (NESTED, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }")),
     ] * 40
 
-    def run(backend, job, index=None):
-        oracle, record, body = job
-        completed = substitute_function(oracle, record, body, index)
-        verdict = backend.verify(oracle, completed, record.task_id(), oracle_index=index)
+    def run(backend, job, index):
+        _, record, body = job
+        completed = substitute_function(index, record, body)
+        verdict = backend.verify(index, completed, record.task_id())
         return verdict.status, verdict.diagnostics
 
-    expected = [run(ScriptedDifferentialBackend(), job) for job in jobs]
+    expected = [run(ScriptedDifferentialBackend(), job, SourceIndex(job[0])) for job in jobs]
     backend = ScriptedDifferentialBackend()
     prepared: list[SourceIndex] = []
     indexed: list[str] = []
@@ -1312,19 +1320,22 @@ def test_oracle_cache_shared_across_threads():
 
 
 class TestHandedIndex:
-    def test_index_of_other_text_or_unbalanced_is_not_used(self):
+    def test_backend_prepares_the_index_it_is_handed(self):
         completed = completed_with(ADD, "{ return b + a; }")
         backend = ScriptedDifferentialBackend()
-        assert backend.verify(ORACLE, completed, ADD.task_id(), oracle_index=SourceIndex(NESTED)).status == "pass"
-        assert backend._oracle(ORACLE).index.text == ORACLE
-        unbalanced = "contract C {\n"
-        v = ScriptedDifferentialBackend().verify(
-            unbalanced, unbalanced + "}", "t", oracle_index=SourceIndex(unbalanced, "bad.sol")
-        )
-        assert v.status == "compile_error"
-        assert v.diagnostics[0].message == "<source>: unmatched '{' at line 1, column 12"
+        with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")):
+            assert backend.verify(FILE.index, completed, ADD.task_id()).status == "pass"
+        assert backend._oracle(FILE.index).index is FILE.index
+        # Keyed by text: another index of the same text finds the first one's preparation.
+        assert backend._oracle(SourceIndex(ORACLE)).index is FILE.index
 
-    def test_rebase_with_given_index_builds_no_index(self):
+    def test_unbalanced_oracle_is_a_compile_error_naming_its_path(self):
+        unbalanced = "contract C {\n"
+        v = ScriptedDifferentialBackend().verify(SourceIndex(unbalanced, "bad.sol"), unbalanced + "}", "t")
+        assert v.status == "compile_error"
+        assert v.diagnostics[0].message == "bad.sol: unmatched '{' at line 1, column 12"
+
+    def test_rebase_builds_no_index(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diags = (
@@ -1333,30 +1344,24 @@ class TestHandedIndex:
             Diagnostic("Other", "m"),
         )
         with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")):
-            rebased = SolcCompileBackend._rebase(diags, ORACLE, completed, FILE.index)
+            rebased = SolcCompileBackend._rebase(diags, FILE.index, completed)
         assert [d.line for d in rebased] == [2, 1, None]
-        assert rebased == SolcCompileBackend._rebase(diags, ORACLE, completed)
+        assert rebased == SolcCompileBackend._rebase(diags, SourceIndex(ORACLE), completed)
 
-    def test_differential_verify_hands_index_only_to_backends_taking_it(self):
+    def test_three_parameter_backend_gets_the_index_positionally(self):
         calls = []
 
-        class Plain:
-            def verify(self, oracle, completed, target):
-                calls.append("plain")
+        class ThreeParameters:
+            def verify(self, oracle, completed, target, /):
+                calls.append((oracle, completed, target))
                 return ExecutionVerdict(status="pass")
 
-        class Indexed:
-            def verify(self, oracle, completed, target, oracle_index=None):
-                calls.append(oracle_index)
-                return ExecutionVerdict(status="pass")
-
-        for backend in (Plain(), Indexed()):
-            assert differential_verify(ORACLE, ORACLE, ADD, backend, FILE.index).status == "pass"
-        assert differential_verify(ORACLE, ORACLE, ADD, Indexed()).status == "pass"
-        assert calls == ["plain", FILE.index, None]
+        assert differential_verify(FILE.index, ORACLE, ADD, ThreeParameters()).status == "pass"
+        assert calls == [(FILE.index, ORACLE, ADD.task_id())]
+        assert calls[0][0] is FILE.index
 
 
-def verify_both_ways(oracle: str, completed: str, task_id: str) -> tuple[ExecutionVerdict, ExecutionVerdict]:
+def verify_both_ways(oracle: SourceIndex, completed: str, task_id: str) -> tuple[ExecutionVerdict, ExecutionVerdict]:
     """The verdict from the body-only path, where it applies, and the verdict
     from indexing the whole completed source."""
     body_only = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
@@ -1373,7 +1378,10 @@ BODY_PARTS = st.sampled_from(
         "assembly { function h(x) -> y { y := x } }",
     ]
 )
-TARGETS = ((ORACLE, ADD), (ORACLE, AVG), (ORACLE, LOOP), (OVERLOADS, F1), (OVERLOADS, F2), (NESTED, OUTER))
+TARGETS = (
+    (FILE.index, ADD), (FILE.index, AVG), (FILE.index, LOOP),
+    (OVERLOADS_FILE.index, F1), (OVERLOADS_FILE.index, F2), (NESTED_FILE.index, OUTER),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1402,12 +1410,12 @@ def test_fixture_records_splice_back_exactly(path):
     records = extract_functions(file)
     assert records
     for record in records:
-        completed = substitute_function(file.text, record, record.body, file.index)
+        completed = substitute_function(file.index, record, record.body)
         assert completed == file.text
-        assert backend.verify(file.text, completed, record.task_id()).status == "pass"
-        reindented = substitute_function(file.text, record, "{ " + record.body[1:].replace("\n", "\n  "))
-        assert backend._oracle(file.text).splice(reindented) is not None
-        body_only, whole = verify_both_ways(file.text, reindented, record.task_id())
+        assert backend.verify(file.index, completed, record.task_id()).status == "pass"
+        reindented = substitute_function(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
+        assert backend._oracle(file.index).splice(reindented) is not None
+        body_only, whole = verify_both_ways(file.index, reindented, record.task_id())
         assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
 
@@ -1430,22 +1438,22 @@ class TestDeclarationTable:
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
-                backend.verify(MULTI, substitute_function(MULTI, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
-        assert backend._oracle(MULTI).splice(substitute_function(MULTI, M_ADD, bodies[-1])) is None
+        assert backend._oracle(MULTI_FILE.index).splice(substitute_function(MULTI_FILE.index, M_ADD, bodies[-1])) is None
         assert counts.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
         backend = ScriptedDifferentialBackend()
         jobs = [
-            (ORACLE, ADD, "{ return total + a; }", "functional_mismatch"),
-            (ORACLE, AVG, "{ return helperX(a); }", "compile_error"),
-            (ORACLE, AVG, "{ return total; }", "functional_mismatch"),
-            (MULTI, M_ADD, "{ return zz; }", "compile_error"),
-            (MULTI, M_HALF, "{ return a / 2; } // x", "pass"),
-            (MULTI, M_HALF, "{ return zz; } // x", "compile_error"),
+            (FILE.index, ADD, "{ return total + a; }", "functional_mismatch"),
+            (FILE.index, AVG, "{ return helperX(a); }", "compile_error"),
+            (FILE.index, AVG, "{ return total; }", "functional_mismatch"),
+            (MULTI_FILE.index, M_ADD, "{ return zz; }", "compile_error"),
+            (MULTI_FILE.index, M_HALF, "{ return a / 2; } // x", "pass"),
+            (MULTI_FILE.index, M_HALF, "{ return zz; } // x", "compile_error"),
         ] * 3
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             for oracle, record, body, status in jobs:
@@ -1456,7 +1464,7 @@ class TestDeclarationTable:
         # `zz` is declared nowhere in the oracle: no body of it is scanned.
         assert self.scans(counts, MULTI_FILE.index.scrubbed) == [()]
         # The whole-source path scans each completed source it needs once.
-        completed = substitute_function(MULTI, M_HALF, "{ return zz; } // x")
+        completed = substitute_function(MULTI_FILE.index, M_HALF, "{ return zz; } // x")
         assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
@@ -1475,19 +1483,19 @@ class TestDeclarationTable:
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [
-            (ORACLE, FILE.index, ADD, "{ return total + a; }"),
-            (ORACLE, FILE.index, AVG, "{ return helperX(a); }"),
-            (ORACLE, FILE.index, AVG, "{ return total; }"),
-            (ORACLE, FILE.index, ADD, "{ return b + a; }"),
-            (MULTI, MULTI_FILE.index, M_ADD, "{ return zz; }"),
-            (MULTI, MULTI_FILE.index, M_HALF, "{ uint256 q = a / 2; return q; }"),
-            (MULTI, MULTI_FILE.index, M_DIV, "{ return add(a, b); }"),
-            (MULTI, MULTI_FILE.index, M_DIV, "{ return b - a; }"),
+            (FILE.index, ADD, "{ return total + a; }"),
+            (FILE.index, AVG, "{ return helperX(a); }"),
+            (FILE.index, AVG, "{ return total; }"),
+            (FILE.index, ADD, "{ return b + a; }"),
+            (MULTI_FILE.index, M_ADD, "{ return zz; }"),
+            (MULTI_FILE.index, M_HALF, "{ uint256 q = a / 2; return q; }"),
+            (MULTI_FILE.index, M_DIV, "{ return add(a, b); }"),
+            (MULTI_FILE.index, M_DIV, "{ return b - a; }"),
         ] * 25
 
         def run(backend, job):
-            oracle, index, record, body = job
-            v = backend.verify(oracle, substitute_function(oracle, record, body, index), record.task_id(), index)
+            oracle, record, body = job
+            v = backend.verify(oracle, substitute_function(oracle, record, body), record.task_id())
             return v.status, v.diagnostics
 
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
@@ -1532,13 +1540,13 @@ class TestSolcBackend:
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        (rebased,) = SolcCompileBackend._rebase((diag,), ORACLE, completed)
+        (rebased,) = SolcCompileBackend._rebase((diag,), FILE.index, completed)
         assert rebased.line == 2
 
     def test_rebase_leaves_outside_lines_alone(self):
         completed = completed_with(ADD, "{ return 1; }")
         diag = Diagnostic("Other", "m", line=1)
-        assert SolcCompileBackend._rebase((diag,), ORACLE, completed)[0].line == 1
+        assert SolcCompileBackend._rebase((diag,), FILE.index, completed)[0].line == 1
 
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_pass(self):
@@ -1548,7 +1556,7 @@ class TestSolcBackend:
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_undeclared(self):
         completed = completed_with(ADD, "{ return helperX(a, b); }")
-        v = SolcCompileBackend().verify(ORACLE, completed, ADD.task_id())
+        v = SolcCompileBackend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "compile_error"
         assert v.diagnostics[0].kind == "UndeclaredIdentifier"
 
@@ -1568,12 +1576,14 @@ class TestFuzzAdapter:
                 "import json, sys\n"
                 "req = json.load(sys.stdin)\n"
                 "assert req['schema'] == 'fuzz-request@1'\n"
-                "assert 'oracle_source' in req and 'completed_source' in req\n"
+                f"assert req['oracle_source'] == {ORACLE!r}\n"
+                f"assert req['completed_source'] == {ORACLE!r}\n"
+                f"assert req['target_function_id'] == {ADD.task_id()!r}\n"
                 "json.dump({'schema': 'fuzz-report@1', 'status': 'pass', 'seed': 7,"
                 " 'version': 'stub-1'}, sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(ORACLE, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
         assert v.status == "pass"
         assert v.backend_seed == 7
         assert v.backend_version == "stub-1"
@@ -1590,23 +1600,23 @@ class TestFuzzAdapter:
                 " sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(ORACLE, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "diverged at input 3"
 
     def test_nonzero_exit_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_crash.py", "import sys\nsys.exit(3)\n")
-        v = SubprocessFuzzBackend(cmd).verify(ORACLE, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
         assert v.status == "executor_unavailable"
         assert "exited 3" in v.diagnostics[0].message
 
     def test_garbage_stdout_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_garbage.py", "print('not json')\n")
-        v = SubprocessFuzzBackend(cmd).verify(ORACLE, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
         assert v.status == "executor_unavailable"
 
     def test_missing_command_is_unavailable(self):
-        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(ORACLE, ORACLE, "t")
+        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(FILE.index, ORACLE, "t")
         assert v.status == "executor_unavailable"
         assert "not found" in v.diagnostics[0].message
 
@@ -1620,7 +1630,7 @@ class TestDispatchHelpers:
             def verify(self, *a):
                 raise RuntimeError("segfault")
 
-        v = differential_verify(ORACLE, ORACLE, ADD, Broken())
+        v = differential_verify(FILE.index, ORACLE, ADD, Broken())
         assert v.status == "executor_unavailable"
         assert "raised" in v.diagnostics[0].message
         assert v.backend == "broken"
@@ -1642,7 +1652,7 @@ class TestQueryBuilding:
 
     def test_faulty_line_counts_newlines_only(self):
         body = "{\n        // step\x0cone\n        return a + missingThing;\n    }"
-        v = ScriptedDifferentialBackend().verify(ORACLE, completed_with(ADD, body), ADD.task_id())
+        v = ScriptedDifferentialBackend().verify(FILE.index, completed_with(ADD, body), ADD.task_id())
         assert (v.status, v.diagnostics[0].line) == ("compile_error", 3)
         assert queries_for_method("bm25", v.diagnostics, body) == [Query("return a + missingThing;")]
 

@@ -229,7 +229,7 @@ class TestLoadTasks:
             assert task.context.actual_tokens <= task.context.budget == 2048
             # Context stops before the function's own declaration.
             assert task.record.signature.strip() not in task.context.text
-            assert task.record.body in task.oracle_source
+            assert task.record.body in task.oracle.text
 
     def test_missing_source_file(self, e2e_dir, tmp_path):
         row = json.loads(
@@ -387,20 +387,23 @@ class TestCmdRun:
         assert report["overall"]["compilation@1"] == 100.0
 
     def test_each_source_indexed_once(self, e2e_config_factory, e2e_dir, tmp_path):
-        indexed: list[str] = []
+        """Load, splice and verify all read the one index load_tasks builds:
+        a repair run indexes each source text exactly once, and nothing else."""
+        indexed: list[tuple[str, str]] = []
         real_init = SourceIndex.__init__
 
         def counting_init(self, text, path="<source>"):
-            indexed.append(path)
+            indexed.append((path, text))
             real_init(self, text, path)
 
         config = e2e_config_factory(str(tmp_path / "out"), **RAR_OVERRIDES)
+        assert config.max_rounds == 1
         with mock.patch.object(SourceIndex, "__init__", counting_init):
             _, code = cmd_run(config)
         assert code == EXIT_OK
-        sources = sorted(p.name for p in (e2e_dir / "sources").glob("*.sol"))
+        sources = sorted((e2e_dir / "sources").glob("*.sol"))
         assert len(sources) == 5
-        assert sorted(indexed) == sources
+        assert sorted(indexed) == [(p.name, p.read_text(encoding="utf-8")) for p in sources]
 
     def test_repair_session_shapes(self, rar_run):
         _, _, _, out = rar_run
@@ -1019,6 +1022,41 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert err.startswith(f"error: cannot read {argv[-2][2:]} file {tmp_path / 'ghost.jsonl'}")
+
+    @pytest.mark.parametrize(
+        "flags,complaint",
+        [
+            (["--k", "0"], "k must be >= 1, got 0"),
+            (["--k", "1", "2"], "k=2 exceeds n=1 samples for task bank0.sol#L"),
+            (["--prompt-price", "nan"], "--prompt-price must be a finite number >= 0, got nan"),
+            (["--prompt-price", "-1"], "--prompt-price must be a finite number >= 0, got -1.0"),
+            (["--completion-price", "inf"], "--completion-price must be a finite number >= 0, got inf"),
+        ],
+        ids=["k-zero", "k-above-n", "price-nan", "price-negative", "price-infinite"],
+    )
+    def test_report_on_bad_k_or_price_exits_config(self, baseline_run, tmp_path, capsys, flags, complaint):
+        _, _, _, out = baseline_run
+        json_out = tmp_path / "report.json"
+        argv = ["report", "--outcomes", str(out / "outcomes.jsonl"), "--sessions", str(out / "sessions.jsonl")]
+        assert main([*argv, "--json", str(json_out), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {complaint}"), captured.err
+        assert not json_out.exists()
+
+    def test_report_on_only_unavailable_outcomes_exits_config(self, e2e_dir, tmp_path, capsys):
+        flags = self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "0")
+        flags[flags.index("--executor") + 1] = "solc"
+        flags += ["--solc", str(tmp_path / "no-such-solc")]
+        assert main(flags) == EXIT_INFRA
+        outcomes = read_outcomes(tmp_path / "out" / "outcomes.jsonl")
+        assert len(outcomes) == E2E_TASKS and all(o.unavailable for o in outcomes)
+        capsys.readouterr()
+        assert main(["report", "--outcomes", str(tmp_path / "out" / "outcomes.jsonl")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no usable outcomes (all executor_unavailable or empty)\n"
 
     @pytest.mark.parametrize(
         "kind,edit,complaint",

@@ -255,10 +255,10 @@ def test_property_oracle_bodies_splice_back_and_pass(source):
     records, _ = build_corpus([file])
     backend = ScriptedDifferentialBackend()
     for record in records:
-        spliced = substitute_function(source, record, record.body, file.index)
+        spliced = substitute_function(file.index, record, record.body)
         assert spliced == source
-        verdict = backend.verify(source, spliced, record.task_id(), oracle_index=file.index)
+        verdict = backend.verify(file.index, spliced, record.task_id())
         assert verdict.status == STATUS_PASS, verdict
-        spaced = substitute_function(source, record, record.body[:-1] + " }", file.index)
-        verdict = backend.verify(source, spaced, record.task_id(), oracle_index=file.index)
+        spaced = substitute_function(file.index, record, record.body[:-1] + " }")
+        verdict = backend.verify(file.index, spaced, record.task_id())
         assert verdict.status == STATUS_PASS, verdict

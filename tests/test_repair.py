@@ -46,14 +46,15 @@ ORACLE = """contract Vault {
 }
 """
 
-RECORD = extract_functions(SourceFile.from_text("vault.sol", ORACLE))[0]
+VAULT = SourceFile.from_text("vault.sol", ORACLE)
+RECORD = extract_functions(VAULT)[0]
 CONTEXT_TEXT = "uint256 public stored;\nuint256 internal cap;\n"
 
 
 def make_task(context_text: str = CONTEXT_TEXT) -> CompletionTask:
     ctx = ContextWindow(text=context_text, budget=512, actual_tokens=len(context_text.split()))
     return CompletionTask(
-        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle_source=ORACLE
+        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle=VAULT.index
     )
 
 
@@ -81,7 +82,7 @@ class SequenceBackend:
     def __init__(self, verdicts):
         self.verdicts = list(verdicts)
 
-    def verify(self, oracle_source, completed_source, target_function_id):
+    def verify(self, oracle, completed_source, target_function_id):
         return self.verdicts.pop(0)
 
 
@@ -445,7 +446,7 @@ class TestRunRar:
                 SourceFile.from_text("other.sol", "contract O {\n  /// d\n  function ghost() public { }\n}\n")
             )[0],
             context=bad_record_task.context,
-            oracle_source=ORACLE,
+            oracle=VAULT.index,
         )
         client = QueueClient(["{ return 1; }"])
         session = run_rar(bad_task, client, SequenceBackend([]), RepairStrategy("self_edit"), max_rounds=0)
