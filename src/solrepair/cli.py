@@ -1,7 +1,8 @@
 """Command line entry points: build, run, report, verify.
 
 Exit codes: 0 clean, 2 configuration or input error, 3 infrastructure
-failure (missing executor, failed model calls, incomplete run).
+failure (missing executor, failed model calls, incomplete run). A reader
+that closes stdout early changes no exit code.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import typing
 
@@ -146,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="aggregate persisted run logs")
     p_report.add_argument("--outcomes", nargs="+", required=True)
     p_report.add_argument("--sessions", nargs="*", default=[])
-    p_report.add_argument("--k", nargs="*", type=int, default=[1])
+    p_report.add_argument("--k", nargs="+", type=int, default=[1])
     p_report.add_argument("--json", dest="json_out", help="write the report JSON here")
     p_report.add_argument("--prompt-price", type=float, default=GPT_4O_MINI_PRICES.prompt_usd_per_million)
     p_report.add_argument("--completion-price", type=float, default=GPT_4O_MINI_PRICES.completion_usd_per_million)
@@ -165,19 +167,16 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
 
+    code, output = EXIT_OK, None
     try:
         if args.command == "build":
             report = cmd_build(args.sources, args.tasks, args.stats)
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-            return EXIT_OK
-        if args.command == "run":
+            output = json.dumps(report.to_json(), indent=2, sort_keys=True)
+        elif args.command == "run":
             config = _run_config_from_args(args)
-            manifest, exit_code = cmd_run(config)
-            print(
-                f"run {manifest.status}: {manifest.tasks_completed}/{manifest.tasks_total} tasks"
-            )
-            return exit_code
-        if args.command == "report":
+            manifest, code = cmd_run(config)
+            output = f"run {manifest.status}: {manifest.tasks_completed}/{manifest.tasks_total} tasks"
+        elif args.command == "report":
             for flag, price in (("--prompt-price", args.prompt_price), ("--completion-price", args.completion_price)):
                 if not 0 <= price < math.inf:
                     raise ConfigError(f"{flag} must be a finite number >= 0, got {price}")
@@ -188,19 +187,29 @@ def main(argv: list[str] | None = None) -> int:
                 cost_model=CostModel(args.prompt_price, args.completion_price),
                 out_json=args.json_out,
             )
-            print(format_report_table(report))
-            return EXIT_OK
-        if args.command == "verify":
+            output = format_report_table(report)
+        elif args.command == "verify":
             config = _run_config_from_args(args, need_out=False)
-            _, exit_code = cmd_verify(args.completions, config, args.verdicts)
-            return exit_code
+            _, code = cmd_verify(args.completions, config, args.verdicts)
     except (ConfigError, MalformedSourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFRA
-    return EXIT_OK
+    if output is not None:
+        try:
+            print(output)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What is left goes to devnull, so that the interpreter's own
+            # flush at exit does not fail again. A reader that closed stdout
+            # early (`report | head -1`) is no failure of the command.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INFRA
+    return code
 
 
 if __name__ == "__main__":

@@ -470,7 +470,11 @@ def _declaration_counts(scrubbed: str, start: int = 0, end: int = sys.maxsize) -
 
 
 class _DeclaredIn:
-    """Names a scrubbed text declares, scanned on the first lookup."""
+    """Names a scrubbed text declares, scanned on the first lookup.
+
+    Verify asks only about identifiers read from this very text, so a check
+    that the name occurs in it first would never spare the scan.
+    """
 
     def __init__(self, scrubbed: str) -> None:
         self._scrubbed = scrubbed
@@ -579,7 +583,10 @@ def _well_nested(functions: Sequence[IndexedFunction]) -> bool:
 class _SplicedNames:
     """Names a spliced source declares: the oracle's, less those declared
     only in the replaced body, plus those the new body declares. The oracle's
-    counts are looked up only for a name the new body does not declare."""
+    counts are looked up only for a name the new body does not declare and
+    the oracle's scrubbed text holds: every name the counts hold is a
+    substring of that text, so the table is never built for a name that
+    occurs nowhere in the oracle."""
 
     oracle: _Oracle
     replaced: IndexedFunction
@@ -588,6 +595,8 @@ class _SplicedNames:
     def __contains__(self, name: object) -> bool:
         if name in self.new_body:
             return True
+        if name not in self.oracle.index.scrubbed:
+            return False
         declared = self.oracle.declared()[name]
         # A name the oracle never declares needs no scan of the replaced body.
         return declared > 0 and declared > self.oracle.declared_in_body(self.replaced)[name]
@@ -663,8 +672,10 @@ class _Oracle:
     It also keeps what verify learns about the oracle, once per run: the
     steps of each statement text parsed so far (completions' statements
     included), each function's expected outputs, and the declaration counts
-    of the whole oracle and of each replaced body, which are scanned only
-    when an identifier is neither local to a completion nor declared by it.
+    of the whole oracle and of each replaced body. Those counts are scanned
+    only when a spliced body uses an identifier that is neither local to it
+    nor declared by it and that occurs somewhere in the oracle's scrubbed
+    text; a hallucinated name found nowhere in the oracle builds no table.
     Every entry is a pure function of its key, so threads racing to fill one
     only repeat work.
 

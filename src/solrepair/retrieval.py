@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, count
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 from . import rows
@@ -126,7 +127,7 @@ class _JoinedLines:
         self.lines = lines
         self.text = separator.join(lines)
         # starts[i] is where line i begins; starts[len(lines)] is past the end.
-        self.starts = list(accumulate(map(len, lines), lambda a, n: a + n + 1, initial=0))
+        self.starts = list(map(add, accumulate(map(len, lines), initial=0), range(len(lines) + 1)))
 
     def lcs(self, q: str, max_snippets: int) -> list[RetrievedSnippet]:
         text = self.text
@@ -178,17 +179,22 @@ def lcs_retrieve_multi(
     Matches below MIN_LCS_LENGTH characters are discarded. A line keeps its
     best score across queries; ties rank by line index.
 
-    Cost: the lines are joined once for all the queries (O(T) for T context
-    characters); per query q, a binary search over the match length makes
-    O(log |q|) probes of at most |q| substring searches each,
-    O(|q| · T · log |q|) character work done in C; collecting the matches
-    at the chosen length takes at most |q| more searches plus O(log n) per
-    matching line for n lines.
+    Cost: a query shorter than MIN_LCS_LENGTH can match nothing and is
+    dropped first; when none is left, nothing else is done. Otherwise the
+    lines are joined and their offsets tabulated once for the remaining
+    queries (O(T) for T context characters, in C); per query q, a binary
+    search over the match length makes O(log |q|) probes of at most |q|
+    substring searches each, O(|q| · T · log |q|) character work done in C;
+    collecting the matches at the chosen length takes at most |q| more
+    searches plus O(log n) per matching line for n lines.
     """
-    joined = _JoinedLines(context_lines, [q.text for q in queries])
+    texts = [q.text for q in queries if len(q.text) >= MIN_LCS_LENGTH]
+    if not texts:
+        return []
+    joined = _JoinedLines(context_lines, texts)
     best: dict[int, RetrievedSnippet] = {}
-    for query in queries:
-        for snippet in joined.lcs(query.text, config.max_snippets):
+    for text in texts:
+        for snippet in joined.lcs(text, config.max_snippets):
             prior = best.get(snippet.line_index)
             if prior is None or snippet.score > prior.score:
                 best[snippet.line_index] = snippet

@@ -1461,8 +1461,9 @@ class TestDeclarationTable:
         assert sorted(self.scans(counts, FILE.index.scrubbed)) == sorted([(), *(
             (fn.body_start, fn.body_end + 1) for fn in FILE.index.functions if fn.name in ("add", "avg")
         )])
-        # `zz` is declared nowhere in the oracle: no body of it is scanned.
-        assert self.scans(counts, MULTI_FILE.index.scrubbed) == [()]
+        # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
+        # for them, and no other identifier sends MULTI_FILE's to a scan.
+        assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
         # The whole-source path scans each completed source it needs once.
         completed = substitute_function(MULTI_FILE.index, M_HALF, "{ return zz; } // x")
         assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
@@ -1475,11 +1476,25 @@ class TestDeclarationTable:
             (m for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed)), key=re.Match.start
         )
         eager = Counter(m.group(1) for m in found)
-        names = set(re.findall(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed)) | {"fresh", "nowhere"}
+        names = set(re.findall(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed)) | {"fresh", "nowhere", "uniswapV2Router07"}
+        # Pieces of declared names occur in the oracle but are mostly not
+        # declared themselves.
+        names |= {piece for n in eager for piece in (n[:-1], n[1:], n[1:-1]) if piece}
         for fn in oracle._spliceable:
             within = Counter(m.group(1) for m in found if fn.body_start <= m.start() <= fn.body_end)
             spliced = executor._SplicedNames(oracle, fn, executor._DeclaredIn("{ uint256 fresh; }"))
             assert {n for n in names if n in spliced} == {n for n in names if n == "fresh" or eager[n] > within[n]}
+
+    @pytest.mark.parametrize("name", ["uniswapV2Router07", "accrueAaveRouter", "zz"])
+    @pytest.mark.parametrize("source,record", [(FILE, ADD), (MULTI_FILE, M_HALF)], ids=["math", "multi"])
+    def test_name_absent_from_the_oracle_scans_only_the_new_body(self, source, record, name):
+        body = f"{{ return {name}(a); }}"
+        completed = substitute_function(source.index, record, body)
+        backend = ScriptedDifferentialBackend()
+        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+            verdict = backend.verify(source.index, completed, record.task_id())
+        assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
+        assert [call.args for call in counts.call_args_list] == [(executor.scrub(body),)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [

@@ -11,11 +11,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import io
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -51,7 +55,7 @@ from solrepair.harness import (
     read_outcomes,
     read_sessions,
 )
-from solrepair.metrics import build_report
+from solrepair.metrics import TaskOutcome, build_report, format_report_table
 from solrepair.repair import STRATEGY_KINDS
 from solrepair.retrieval import (
     METHODS,
@@ -62,6 +66,7 @@ from solrepair.retrieval import (
 )
 
 E2E_TASKS = 50
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RAR_OVERRIDES = dict(max_rounds=1, retrieval={"method": "lcs"})
 
@@ -1057,6 +1062,58 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no usable outcomes (all executor_unavailable or empty)\n"
+
+    def test_report_k_without_values_is_a_usage_error(self, baseline_run, capsys):
+        _, _, _, out = baseline_run
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--k"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --k: expected at least one argument" in captured.err
+
+    @pytest.fixture(scope="class")
+    def wide_outcomes(self, tmp_path_factory):
+        """Outcomes with one context budget per task, so that the report
+        table has one column per task: far more than a pipe holds."""
+        path = tmp_path_factory.mktemp("wide") / "outcomes.jsonl"
+        outcomes = [TaskOutcome(f"t{i}", n=1, c=i % 2, c_compile=1, context_budget=10**5 + i) for i in range(6000)]
+        path.write_text("".join(json.dumps(o.to_json()) + "\n" for o in outcomes))
+        return path, len(format_report_table(build_report(outcomes)).encode())
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("reader", ["gone-at-start", "one-line", "full-disk"])
+    def test_report_to_a_closed_or_failing_stdout(self, wide_outcomes, reader, unbuffered):
+        outcomes, table_bytes = wide_outcomes
+        argv = [sys.executable, "-m", "solrepair.cli", "report", "--outcomes", str(outcomes)]
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        if reader == "one-line":
+            child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            # The child cannot have written the whole table before the close,
+            # so its write always meets the closed pipe.
+            pipe_bytes = fcntl.fcntl(child.stdout.fileno(), fcntl.F_GETPIPE_SZ) if hasattr(fcntl, "F_GETPIPE_SZ") else 2**16
+            assert table_bytes > 2 * pipe_bytes
+            assert child.stdout.readline().startswith(b"metric")
+            child.stdout.close()
+            err = child.stderr.read()
+            child.stderr.close()
+            code = child.wait(timeout=60)
+        else:
+            if reader == "gone-at-start":
+                read_end, stdout = os.pipe()
+                os.close(read_end)
+            else:
+                stdout = os.open("/dev/full", os.O_WRONLY)
+            try:
+                child = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+            finally:
+                os.close(stdout)
+            code, err = child.returncode, child.stderr
+        if reader == "full-disk":
+            assert code == EXIT_INFRA
+            assert err.startswith(b"error: [Errno 28]") and err.count(b"\n") == 1, err
+        else:
+            assert (code, err) == (EXIT_OK, b"")
 
     @pytest.mark.parametrize(
         "kind,edit,complaint",

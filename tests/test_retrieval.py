@@ -6,11 +6,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solrepair import retrieval
 from solrepair.retrieval import (
     MIN_LCS_LENGTH,
     HashEmbeddingProvider,
@@ -171,6 +173,15 @@ class TestLCS:
     def test_empty_context(self):
         assert lcs_retrieve_multi([Query("abc")], [], CFG) == []
 
+    def test_queries_below_minimum_length_search_nothing(self):
+        lines = ["a b", "ab"]
+        with mock.patch.object(retrieval, "_JoinedLines", wraps=retrieval._JoinedLines) as joined:
+            assert lcs_retrieve_multi([Query("a"), Query("b")], lines, CFG) == []
+            assert joined.call_count == 0
+            out = lcs_retrieve_multi([Query("a"), Query("ab")], lines, CFG)
+        assert [(s.line_index, s.matched_fragment) for s in out] == [(1, "ab")]
+        assert joined.call_args.args == (lines, ["ab"])
+
     def test_multi_merges_best_score_per_line(self):
         lines = ["holder registry", "registry"]
         out = lcs_retrieve_multi([Query("holder"), Query("registry")], lines, CFG)
@@ -226,11 +237,15 @@ def test_property_lcs_equals_enumerating_reference(data, lines, cap):
     assert lcs_retrieve_multi([query], lines, config) == enumerating_lcs_retrieve(query, lines, config)
 
 
+# Queries too short to match anything, mixed in among the others.
+SHORT_QUERIES = st.builds(Query, st.text(LCS_CHARS, min_size=1, max_size=MIN_LCS_LENGTH - 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), lines=LCS_LINES, cap=st.integers(1, 5))
 def test_property_lcs_multi_equals_enumerating_reference(data, lines, cap):
     config = RetrievalConfig(max_snippets=cap)
-    queries = data.draw(st.lists(lcs_queries(lines), min_size=1, max_size=4))
+    queries = data.draw(st.lists(st.one_of(SHORT_QUERIES, lcs_queries(lines)), min_size=1, max_size=4))
     assert lcs_retrieve_multi(queries, lines, config) == enumerating_lcs_retrieve_multi(
         queries, lines, config
     )
