@@ -27,6 +27,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
 _FUNCTION_KW_RE = re.compile(r"\bfunction\b")
+_FUNCTION_NAME_RE = re.compile(r"function\s+([A-Za-z_$][A-Za-z0-9_$]*)")
 
 # Reserved words and built-in globals that never count as user identifiers.
 SOLIDITY_KEYWORDS = frozenset(
@@ -51,7 +52,7 @@ class MalformedSourceError(ValueError):
 
 
 class MalformedRecordError(ValueError):
-    """Raised when a function record does not match its claimed source."""
+    """Raised when a function record is malformed: no comment, a bad span or no name."""
 
 
 def tokenize_terms(text: str) -> list[str]:
@@ -312,7 +313,7 @@ class FunctionRecord:
 
     @property
     def name(self) -> str:
-        m = re.search(r"function\s+([A-Za-z_$][A-Za-z0-9_$]*)", self.signature)
+        m = _FUNCTION_NAME_RE.search(self.signature)
         if m is None:
             raise MalformedRecordError(f"{self.source_id}: no function name in signature")
         return m.group(1)
@@ -601,13 +602,15 @@ def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
     return count
 
 
-def read_task_file(path: str | Path) -> list[tuple[str, FunctionRecord]]:
-    """Load (task_id, record) pairs from a JSONL task file.
+def read_task_file(path: str | Path) -> list[FunctionRecord]:
+    """Load the records of a JSONL task file, in row order.
 
-    A row that does not make a record raises ConfigError naming its line
-    and, for a value of the wrong type, its key.
+    A row that does not make a record, whose id is not its record's
+    `<source_path>#L<start>-<end>`, or whose id an earlier row holds raises
+    ConfigError naming its line and, for a value of the wrong type, its key.
     """
-    out: list[tuple[str, FunctionRecord]] = []
+    out: list[FunctionRecord] = []
+    lines: dict[str, int] = {}
     for lineno, row in read_rows(path, "task"):
         try:
             task = _TaskRow.from_json(row)
@@ -623,5 +626,11 @@ def read_task_file(path: str | Path) -> list[tuple[str, FunctionRecord]]:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}, line {lineno}: bad task row: {exc}") from exc
-        out.append((task.id, record))
+        if task.id != record.task_id():
+            raise ConfigError(
+                f"{path}, line {lineno}: id {task.id!r} should be {record.task_id()!r} (<source_path>#L<start>-<end>)"
+            )
+        if lines.setdefault(task.id, lineno) != lineno:
+            raise ConfigError(f"{path}, line {lineno}: id {task.id!r} repeats line {lines[task.id]}")
+        out.append(record)
     return out

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .corpus import (
-    FunctionRecord,
     IndexedFunction,
-    MalformedRecordError,
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
@@ -131,21 +129,10 @@ def classify_error(
     return Diagnostic(kind=kind, message=message, line=line, identifier=identifier)
 
 
-def substitute_function(oracle: SourceIndex, target: FunctionRecord, completed_body: str) -> str:
-    """Replace the target function's body in the oracle source.
-
-    Everything outside the body is byte-identical to the oracle source. The
-    target is located by name and span in the oracle's index; an unbalanced
-    oracle raises MalformedSourceError, and a record that cannot be found
-    raises MalformedRecordError.
-    """
-    oracle.check()
-    fn = oracle.find(target.name, target.span[0], target.span[1])
-    if fn is None:
-        raise MalformedRecordError(
-            f"{target.source_id}: function {target.name!r} not found within span {target.span}"
-        )
-    return oracle.text[: fn.body_start] + completed_body + oracle.text[fn.body_end + 1 :]
+def substitute_function(oracle: SourceIndex, target: IndexedFunction, completed_body: str) -> str:
+    """The oracle source with the target's body replaced by completed_body;
+    everything outside the body is byte-identical to the oracle source."""
+    return oracle.text[: target.body_start] + completed_body + oracle.text[target.body_end + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -1160,17 +1147,15 @@ class SubprocessFuzzBackend:
             return unavailable(f"fuzz report malformed: {exc}")
 
 
-def differential_verify(
-    oracle: SourceIndex, completed_source: str, target: FunctionRecord, backend
-) -> ExecutionVerdict:
+def differential_verify(oracle: SourceIndex, completed_source: str, task_id: str, backend) -> ExecutionVerdict:
     """Behavioural equivalence through a differential backend, whose verify
-    takes the oracle's index, the completed source and the target's task id.
+    takes the oracle's index, the completed source and the task id.
 
     Backend crashes are infrastructure failures (executor_unavailable), not
     model failures.
     """
     try:
-        return backend.verify(oracle, completed_source, target.task_id())
+        return backend.verify(oracle, completed_source, task_id)
     except Exception as exc:  # adapter bugs must not be charged to the model
         return ExecutionVerdict(
             status=STATUS_EXECUTOR_UNAVAILABLE,

@@ -236,12 +236,17 @@ def _read_text(path: Path, kind: str) -> str:
 
 
 def load_tasks(config: RunConfig) -> list[CompletionTask]:
-    """Materialize tasks: read sources, build context windows."""
+    """Materialize tasks: read sources, locate each task's function in its
+    source's index and build its context window.
+
+    A source that is unbalanced, a span outside its source and a function
+    not found within its span raise ConfigError naming the task file and
+    the task.
+    """
     counter = get_counter(config.counter)
-    rows = read_task_file(config.task_file)
     sources: dict[str, SourceFile] = {}
     tasks: list[CompletionTask] = []
-    for task_id, record in rows:
+    for record in read_task_file(config.task_file):
         path = record.source_id
         if path not in sources:
             full = Path(config.source_root) / path if config.source_root else Path(path)
@@ -249,15 +254,16 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
                 raise ConfigError(f"source file not found: {full}")
             sources[path] = SourceFile.from_text(path, _read_text(full, "source"))
         file = sources[path]
-        window = build_context(file, record, config.context_budget, counter)
-        tasks.append(
-            CompletionTask(
-                task_id=task_id,
-                record=record,
-                context=window,
-                oracle=file.index,
-            )
-        )
+        task_id = record.task_id()
+        try:
+            file.index.check()
+            window = build_context(file, record, config.context_budget, counter)
+            target = file.index.find(record.name, *record.span)
+            if target is None:
+                raise ValueError(f"function {record.name!r} not found within span {record.span}")
+        except ValueError as exc:
+            raise ConfigError(f"{config.task_file}: task {task_id}: {exc}") from exc
+        tasks.append(CompletionTask(task_id, record, window, file.index, target))
     return tasks
 
 

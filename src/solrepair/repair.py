@@ -22,18 +22,9 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from . import rows
 from .context import DEFAULT_COUNTER, ContextWindow, TokenCounter
-from .corpus import (
-    FunctionRecord,
-    MalformedRecordError,
-    MalformedSourceError,
-    SourceIndex,
-    pair_braces,
-    scrub,
-)
+from .corpus import FunctionRecord, IndexedFunction, SourceIndex, pair_braces, scrub
 from .executor import (
-    Diagnostic,
     ExecutionVerdict,
-    STATUS_COMPILE_ERROR,
     STATUS_EXECUTOR_UNAVAILABLE,
     STATUS_PASS,
     differential_verify,
@@ -278,12 +269,14 @@ def feedback_block(verdict: ExecutionVerdict) -> str:
 @dataclass(frozen=True)
 class CompletionTask:
     """Everything needed to complete and verify one function; oracle is the
-    index of the source file the function was taken from."""
+    index of the source file the function was taken from, and target the
+    function's declaration in it, located once when the task is loaded."""
 
     task_id: str
     record: FunctionRecord
     context: ContextWindow
     oracle: SourceIndex = field(compare=False, repr=False)
+    target: IndexedFunction = field(compare=False, repr=False)
 
 
 def build_completion_prompt(task: CompletionTask) -> str:
@@ -423,15 +416,8 @@ def build_repair_prompt(
 
 
 def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
-    try:
-        completed_source = substitute_function(task.oracle, task.record, body)
-    except (MalformedSourceError, MalformedRecordError) as exc:
-        return ExecutionVerdict(
-            status=STATUS_COMPILE_ERROR,
-            diagnostics=(Diagnostic("Other", f"body cannot be spliced: {exc}"),),
-            backend="splice",
-        )
-    return differential_verify(task.oracle, completed_source, task.record, backend)
+    completed_source = substitute_function(task.oracle, task.target, body)
+    return differential_verify(task.oracle, completed_source, task.task_id, backend)
 
 
 def _retrieve_for_repair(

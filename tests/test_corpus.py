@@ -28,6 +28,7 @@ from solrepair.corpus import (
     write_task_file,
     _FUNCTION_DECL_RE,
 )
+from solrepair.rows import ConfigError
 
 SIMPLE = """\
 pragma solidity ^0.8.0;
@@ -535,9 +536,31 @@ class TestTaskFile:
         records = extract_functions(file)
         path = tmp_path / "tasks.jsonl"
         assert write_task_file(records, path) == 1
-        loaded = read_task_file(path)
-        assert loaded[0][0] == records[0].task_id()
-        assert loaded[0][1] == records[0]
+        assert read_task_file(path) == records
+
+    @pytest.mark.parametrize(
+        "edit,complaint",
+        [
+            (
+                lambda rows: [{**rows[0], "id": "adder.sol#add"}],
+                "line 1: id 'adder.sol#add' should be 'adder.sol#L4-7' (<source_path>#L<start>-<end>)",
+            ),
+            (
+                lambda rows: [{**rows[0], "span": [5, 7]}],
+                "line 1: id 'adder.sol#L4-7' should be 'adder.sol#L5-7' (<source_path>#L<start>-<end>)",
+            ),
+            (lambda rows: [rows[0], rows[0]], "line 2: id 'adder.sol#L4-7' repeats line 1"),
+        ],
+        ids=["foreign-id", "span-not-in-id", "repeated-id"],
+    )
+    def test_row_whose_id_is_not_its_own_or_repeats_is_rejected(self, tmp_path, edit, complaint):
+        path = tmp_path / "tasks.jsonl"
+        write_task_file(extract_functions(SourceFile.from_text("adder.sol", SIMPLE)), path)
+        rows = edit([json.loads(line) for line in path.read_text().splitlines()])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError) as info:
+            read_task_file(path)
+        assert str(info.value) == f"{path}, {complaint}"
 
     def test_rows_are_sorted_compact_json(self, tmp_path):
         file = SourceFile.from_text("adder.sol", SIMPLE)

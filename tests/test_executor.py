@@ -23,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
-    MalformedRecordError,
     SourceFile,
     SourceIndex,
     extract_functions,
@@ -74,8 +73,14 @@ FILE = SourceFile.from_text("math.sol", ORACLE)
 ADD, AVG, LOOP = extract_functions(FILE)
 
 
+def splice(index: SourceIndex, record, body: str) -> str:
+    """body in place of the body of the function that record names within
+    its span, located as the harness locates a task's target."""
+    return substitute_function(index, index.find(record.name, *record.span), body)
+
+
 def completed_with(record, body: str) -> str:
-    return substitute_function(FILE.index, record, body)
+    return splice(FILE.index, record, body)
 
 
 class TestClassifyError:
@@ -149,24 +154,22 @@ class TestSubstitute:
         assert completed[start : start + len(new_body)] == new_body
         assert completed[start + len(new_body) :] == ORACLE[start + len(ADD.body) :]
 
+    def test_splice_reads_only_the_targets_offsets(self):
+        # The harness located the target when it loaded the task: splice
+        # looks nothing up, and neither the name nor the index's balance
+        # enters it.
+        target = FILE.index.find(ADD.name, *ADD.span)._replace(name="ghost")
+        with mock.patch.object(SourceIndex, "find", side_effect=AssertionError), mock.patch.object(
+            SourceIndex, "check", side_effect=AssertionError
+        ):
+            completed = substitute_function(FILE.index, target, "{ }")
+        assert completed == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
+
     def test_round_trip_extraction(self):
         completed = completed_with(AVG, "{ return (a + b) / 2; }")
         again = extract_functions(SourceFile.from_text("math.sol", completed))
         assert again[1].body == "{ return (a + b) / 2; }"
         assert again[0].body == ADD.body
-
-    def test_missing_function_raises(self):
-        from solrepair.corpus import FunctionRecord
-
-        ghost = FunctionRecord(
-            source_id="math.sol",
-            comment="/// d\n",
-            signature="function ghost() public ",
-            body="{ }",
-            span=(7, 9),
-        )
-        with pytest.raises(MalformedRecordError, match="ghost"):
-            substitute_function(FILE.index, ghost, "{ }")
 
     def test_same_name_disambiguated_by_span(self):
         src = (
@@ -181,7 +184,7 @@ class TestSubstitute:
         )
         file = SourceFile.from_text("ab.sol", src)
         records = extract_functions(file)
-        completed = substitute_function(file.index, records[1], "{ return 9; }")
+        completed = splice(file.index, records[1], "{ return 9; }")
         assert "return 1" in completed
         assert "return 2" not in completed
         assert "return 9" in completed
@@ -323,13 +326,13 @@ class TestEvaluator:
 
     def test_deep_completion_is_the_bodys_failure_not_the_backends(self):
         completed = completed_with(ADD, "{ return " + "-" * 20000 + "a; }")
-        v = differential_verify(FILE.index, completed, ADD, ScriptedDifferentialBackend())
+        v = differential_verify(FILE.index, completed, ADD.task_id(), ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
     def test_too_deep_completion_is_a_functional_mismatch(self):
         completed = completed_with(ADD, "{ return a" + " + a" * 1500 + "; }")
-        v = differential_verify(FILE.index, completed, ADD, ScriptedDifferentialBackend())
+        v = differential_verify(FILE.index, completed, ADD.task_id(), ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
@@ -339,10 +342,10 @@ class TestEvaluator:
         (record,) = extract_functions(file)
         oracle = file.index
         backend = ScriptedDifferentialBackend()
-        v = differential_verify(oracle, substitute_function(oracle, record, "{ return a; }"), record, backend)
+        v = differential_verify(oracle, splice(oracle, record, "{ return a; }"), record.task_id(), backend)
         assert v.status == "functional_mismatch"
         respaced = body.replace(" + ", "  +  ")
-        assert differential_verify(oracle, substitute_function(oracle, record, respaced), record, backend).status == "pass"
+        assert differential_verify(oracle, splice(oracle, record, respaced), record.task_id(), backend).status == "pass"
 
     def test_each_expression_parsed_once_per_attempt(self):
         completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
@@ -361,7 +364,7 @@ class TestEvaluator:
             "file, bodies = SourceFile.from_text('p.sol', sys.argv[1]), json.loads(sys.argv[2])\n"
             "(record,), oracle = extract_functions(file), file.index\n"
             "backend = ScriptedDifferentialBackend()\n"
-            "verdicts = [backend.verify(oracle, substitute_function(oracle, record, b), record.task_id()) for b in bodies]\n"
+            "verdicts = [backend.verify(oracle, substitute_function(oracle, oracle.find(record.name, *record.span), b), record.task_id()) for b in bodies]\n"
             "print(json.dumps([[v.status, v.diagnostics[0].message] for v in verdicts]))\n"
         )
         bodies = ["{ return a ** b ** b; }", "{ return (a + 1) ** (b * 1000); }", "{ return a << (b + 257); }"]
@@ -386,7 +389,7 @@ class TestEvaluator:
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
             "file, body = SourceFile.from_text('p.sol', sys.argv[1]), sys.argv[2]\n"
             "(record,), oracle = extract_functions(file), file.index\n"
-            "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle, record, body), record.task_id())\n"
+            "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle, oracle.find(record.name, *record.span), body), record.task_id())\n"
             "print(v.status, v.diagnostics[0].message)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(executor.__file__).parents[1]))
@@ -680,7 +683,7 @@ def test_property_parse_once_verify_matches_per_case_reference(oracle_body, comp
     file = SourceFile.from_text("p.sol", straight_line_source(oracle_body))
     (record,) = extract_functions(file)
     oracle = file.index
-    completed = substitute_function(oracle, record, completed_body)
+    completed = splice(oracle, record, completed_body)
     fixture = None
     if table:
         cases = [{"inputs": {"a": 3, "b": b}, "output": 3 + b} for b in (0, 1, 5)]
@@ -898,7 +901,7 @@ class TestOracleMemo:
             executor, "_generated_cases", wraps=executor._generated_cases
         ) as generated:
             statuses = [
-                backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies * 2
             ]
             assert generated.call_count == 1
@@ -907,7 +910,7 @@ class TestOracleMemo:
             for expr in oracle_exprs:
                 assert parsed.count(expr) == 1, expr
             # Nothing is shared between backends.
-            ScriptedDifferentialBackend().verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, bodies[1]), M_ADD.task_id())
+            ScriptedDifferentialBackend().verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, bodies[1]), M_ADD.task_id())
             assert generated.call_count == 2
             assert parsed.count("a + b") == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
@@ -917,7 +920,7 @@ class TestOracleMemo:
         messages = set()
         with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
             for body in ("{ return a; }", "{ return b; }", "{ return a; }", "{ return a / (b - b); }"):
-                v = backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_DIV, body), M_DIV.task_id())
+                v = backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_DIV, body), M_DIV.task_id())
                 assert v.status == "executor_unavailable"
                 messages.add(v.diagnostics)
         assert messages == {(Diagnostic("Other", "oracle evaluation failed: division by zero"),)}
@@ -925,7 +928,7 @@ class TestOracleMemo:
 
     def test_oracle_steps_pass_without_a_second_evaluation(self):
         backend = ScriptedDifferentialBackend()
-        completed = substitute_function(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
+        completed = splice(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
         assert completed != MULTI
         backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
         with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
@@ -935,7 +938,7 @@ class TestOracleMemo:
         # The table disagrees with the oracle: it, not the oracle, decides.
         table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
         backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
-        completed = substitute_function(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
+        completed = splice(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
         assert completed != MULTI
         for _ in range(2):
             v = backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
@@ -958,7 +961,7 @@ class TestOracleMemo:
 
         def run(backend, job):
             record, body = job
-            v = backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, record, body), record.task_id())
+            v = backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, record, body), record.task_id())
             return v.status, v.diagnostics
 
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
@@ -1013,7 +1016,7 @@ class TestProbeOracles:
     def test_completions_get_verdicts_of_their_own(self, index, respaced, different):
         record, backend = PROBE_RECORDS[index], ScriptedDifferentialBackend()
         for body, status in ((respaced, "pass"), (different, "functional_mismatch"), ("{ }", "functional_mismatch")):
-            v = backend.verify(PROBES_FILE.index, substitute_function(PROBES_FILE.index, record, body), record.task_id())
+            v = backend.verify(PROBES_FILE.index, splice(PROBES_FILE.index, record, body), record.task_id())
             assert v.status == status, body
 
     def test_run_over_the_task_exits_ok(self, index, respaced, different, tmp_path):
@@ -1188,30 +1191,30 @@ NESTED_FILE = SourceFile.from_text("n.sol", NESTED)
 
 class TestLocationKeyed:
     def test_overload_wrong_body_is_mismatch(self):
-        completed = substitute_function(OVERLOADS_FILE.index, F1, "{ return 12345; }")
+        completed = splice(OVERLOADS_FILE.index, F1, "{ return 12345; }")
         v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, F1.task_id())
         assert v.status == "functional_mismatch"
         assert "output mismatch" in v.diagnostics[0].message
 
     def test_overload_equivalent_body_passes(self):
         for record, body in ((F1, "{ return a * 1; }"), (F2, "{ return b + a; }")):
-            completed = substitute_function(OVERLOADS_FILE.index, record, body)
+            completed = splice(OVERLOADS_FILE.index, record, body)
             v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, record.task_id())
             assert v.status == "pass"
 
     def test_rebase_with_overloads(self):
-        completed = substitute_function(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
+        completed = splice(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
         body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
         assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE.index, completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
-        changed = substitute_function(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
+        changed = splice(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
         v = backend.verify(NESTED_FILE.index, changed, OUTER.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        reformatted = substitute_function(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
+        reformatted = splice(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
         assert backend.verify(NESTED_FILE.index, reformatted, OUTER.task_id()).status == "pass"
 
     def test_yul_names_are_not_undeclared_identifiers(self):
@@ -1226,11 +1229,11 @@ class TestLocationKeyed:
         )
         file = SourceFile.from_text("y.sol", oracle)
         (f,) = extract_functions(file)
-        completed = substitute_function(file.index, f, f.body.replace("return a;", "return a + 0;"))
+        completed = splice(file.index, f, f.body.replace("return a;", "return a + 0;"))
         v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        outside = substitute_function(file.index, f, f.body.replace("return a;", "return v;"))
+        outside = splice(file.index, f, f.body.replace("return a;", "return v;"))
         v = ScriptedDifferentialBackend().verify(file.index, outside, f.task_id())
         assert (v.status, v.diagnostics[0].identifier) == ("compile_error", "v")
 
@@ -1259,7 +1262,7 @@ class TestLocationKeyed:
         )
         file = SourceFile.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
-        completed = substitute_function(file.index, f, "{ ) { } }")
+        completed = splice(file.index, f, "{ ) { } }")
         assert _Oracle(file.index).splice(completed) is None
         v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
         assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
@@ -1286,7 +1289,7 @@ def test_oracle_cache_shared_across_threads():
 
     def run(backend, job, index):
         _, record, body = job
-        completed = substitute_function(index, record, body)
+        completed = splice(index, record, body)
         verdict = backend.verify(index, completed, record.task_id())
         return verdict.status, verdict.diagnostics
 
@@ -1356,7 +1359,7 @@ class TestHandedIndex:
                 calls.append((oracle, completed, target))
                 return ExecutionVerdict(status="pass")
 
-        assert differential_verify(FILE.index, ORACLE, ADD, ThreeParameters()).status == "pass"
+        assert differential_verify(FILE.index, ORACLE, ADD.task_id(), ThreeParameters()).status == "pass"
         assert calls == [(FILE.index, ORACLE, ADD.task_id())]
         assert calls[0][0] is FILE.index
 
@@ -1395,7 +1398,7 @@ def test_property_body_only_verify_matches_whole_source(parts, wrap, target):
     body = "".join(parts)
     if wrap:
         body = "{ " + body + " }"
-    completed = substitute_function(oracle, record, body)
+    completed = splice(oracle, record, body)
     body_only, whole = verify_both_ways(oracle, completed, record.task_id())
     assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
@@ -1410,10 +1413,10 @@ def test_fixture_records_splice_back_exactly(path):
     records = extract_functions(file)
     assert records
     for record in records:
-        completed = substitute_function(file.index, record, record.body)
+        completed = splice(file.index, record, record.body)
         assert completed == file.text
         assert backend.verify(file.index, completed, record.task_id()).status == "pass"
-        reindented = substitute_function(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
+        reindented = splice(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
         assert backend._oracle(file.index).splice(reindented) is not None
         body_only, whole = verify_both_ways(file.index, reindented, record.task_id())
         assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
@@ -1438,11 +1441,11 @@ class TestDeclarationTable:
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
-                backend.verify(MULTI_FILE.index, substitute_function(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
-        assert backend._oracle(MULTI_FILE.index).splice(substitute_function(MULTI_FILE.index, M_ADD, bodies[-1])) is None
+        assert backend._oracle(MULTI_FILE.index).splice(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is None
         assert counts.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1457,7 +1460,7 @@ class TestDeclarationTable:
         ] * 3
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             for oracle, record, body, status in jobs:
-                assert backend.verify(oracle, substitute_function(oracle, record, body), record.task_id()).status == status
+                assert backend.verify(oracle, splice(oracle, record, body), record.task_id()).status == status
         assert sorted(self.scans(counts, FILE.index.scrubbed)) == sorted([(), *(
             (fn.body_start, fn.body_end + 1) for fn in FILE.index.functions if fn.name in ("add", "avg")
         )])
@@ -1465,7 +1468,7 @@ class TestDeclarationTable:
         # for them, and no other identifier sends MULTI_FILE's to a scan.
         assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
         # The whole-source path scans each completed source it needs once.
-        completed = substitute_function(MULTI_FILE.index, M_HALF, "{ return zz; } // x")
+        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x")
         assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
@@ -1489,7 +1492,7 @@ class TestDeclarationTable:
     @pytest.mark.parametrize("source,record", [(FILE, ADD), (MULTI_FILE, M_HALF)], ids=["math", "multi"])
     def test_name_absent_from_the_oracle_scans_only_the_new_body(self, source, record, name):
         body = f"{{ return {name}(a); }}"
-        completed = substitute_function(source.index, record, body)
+        completed = splice(source.index, record, body)
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             verdict = backend.verify(source.index, completed, record.task_id())
@@ -1510,7 +1513,7 @@ class TestDeclarationTable:
 
         def run(backend, job):
             oracle, record, body = job
-            v = backend.verify(oracle, substitute_function(oracle, record, body), record.task_id())
+            v = backend.verify(oracle, splice(oracle, record, body), record.task_id())
             return v.status, v.diagnostics
 
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
@@ -1645,7 +1648,7 @@ class TestDispatchHelpers:
             def verify(self, *a):
                 raise RuntimeError("segfault")
 
-        v = differential_verify(FILE.index, ORACLE, ADD, Broken())
+        v = differential_verify(FILE.index, ORACLE, ADD.task_id(), Broken())
         assert v.status == "executor_unavailable"
         assert "raised" in v.diagnostics[0].message
         assert v.backend == "broken"

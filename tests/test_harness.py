@@ -240,7 +240,7 @@ class TestLoadTasks:
         row = json.loads(
             (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0]
         )
-        row["source_path"] = "ghost.sol"
+        row["source_path"], row["id"] = "ghost.sol", "ghost.sol#L12-15"
         task_file = tmp_path / "tasks.jsonl"
         task_file.write_text(json.dumps(row) + "\n", encoding="utf-8")
         config = RunConfig(
@@ -1256,6 +1256,58 @@ class TestCli:
         with mock.patch("solrepair.cli.cmd_run", fake_run):
             assert main(["run", "--tasks", "base.jsonl", "--out", "base", flag, value]) == EXIT_OK
         assert getattr(captured[0], field) == expected
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "edit_rows,source_tail,complaint",
+        [
+            (None, "\n}\n", ": task bank0.sol#L12-15: bank0.sol: unmatched '}' at line 63, column 1"),
+            (
+                lambda rows: [{**rows[0], "id": "bank0.sol#L17-20", "span": [17, 20]}, *rows[2:]],
+                "",
+                ": task bank0.sol#L17-20: function 'fn_0_0' not found within span (17, 20)",
+            ),
+            (
+                lambda rows: [{**rows[0], "id": "bank0.sol#L900-910", "span": [900, 910]}, *rows[1:]],
+                "",
+                ": task bank0.sol#L900-910: target span (900, 910) outside bank0.sol (61 lines)",
+            ),
+            (
+                lambda rows: [{**rows[0], "signature": "function(uint256 a) "}, *rows[1:]],
+                "",
+                ": task bank0.sol#L12-15: bank0.sol: no function name in signature",
+            ),
+            (lambda rows: [*rows, rows[0]], "", ", line 51: id 'bank0.sol#L12-15' repeats line 1"),
+            (
+                lambda rows: [{**rows[0], "id": "fn_0_0"}, *rows[1:]],
+                "",
+                ", line 1: id 'fn_0_0' should be 'bank0.sol#L12-15' (<source_path>#L<start>-<end>)",
+            ),
+        ],
+        ids=[
+            "unbalanced-source", "span-on-next-function", "span-outside-file", "nameless-signature", "repeated-row",
+            "foreign-id",
+        ],
+    )
+    def test_task_that_does_not_fit_its_source_exits_config_before_any_output(
+        self, e2e_dir, tmp_path, capsys, command, edit_rows, source_tail, complaint
+    ):
+        sources = tmp_path / "sources"
+        shutil.copytree(e2e_dir / "sources", sources)
+        with open(sources / "bank0.sol", "a", encoding="utf-8") as fh:
+            fh.write(source_tail)
+        rows = [json.loads(line) for line in (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()]
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("".join(json.dumps(row) + "\n" for row in (edit_rows or list)(rows)), encoding="utf-8")
+        config_path = tmp_path / "run.json"
+        config_path.write_text("{}", encoding="utf-8")
+        out = tmp_path / "out"
+        flags = self.config_flags(e2e_dir, out, command, config_path)
+        flags[flags.index("--tasks") + 1] = str(tasks)
+        flags[flags.index("--source-root") + 1] = str(sources)
+        assert main(flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {tasks}{complaint}\n"
+        assert not out.exists()
 
     def test_verify_command(self, e2e_config_factory, e2e_dir, tmp_path, capsys):
         config = e2e_config_factory(str(tmp_path / "out"))

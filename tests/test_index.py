@@ -4,6 +4,7 @@ generated sources."""
 from __future__ import annotations
 
 import re
+import tempfile
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,9 +18,11 @@ from solrepair.corpus import (
     SourceIndex,
     build_corpus,
     scrub,
+    write_task_file,
     _FUNCTION_DECL_RE,
 )
 from solrepair.executor import STATUS_PASS, ScriptedDifferentialBackend, substitute_function
+from solrepair.harness import RunConfig, load_tasks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _SIGNATURE_END_RE = re.compile(r"[;{]")
@@ -246,19 +249,25 @@ def generated_sources(draw) -> str:
 @settings(max_examples=150, deadline=None)
 @given(source=generated_sources())
 def test_property_oracle_bodies_splice_back_and_pass(source):
-    """Each built task's oracle body, spliced back into its source, gives
-    the source byte for byte, and the mock executor passes it; so it does
-    the body with a space added before its closing brace, which it must
-    locate and compare in a source that differs from the oracle."""
+    """Each built task's oracle body, spliced back at the target that
+    load_tasks locates, gives the source byte for byte, and the mock
+    executor passes it; so it does the body with a space added before its
+    closing brace, which it must locate and compare in a source that
+    differs from the oracle."""
     file = SourceFile.from_text("gen.sol", source)
     assert fields(file.index) == fields(ReferenceIndex(source, "gen.sol"))
     records, _ = build_corpus([file])
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "gen.sol").write_text(source, encoding="utf-8")
+        write_task_file(records, Path(root) / "tasks.jsonl")
+        tasks = load_tasks(RunConfig(task_file=str(Path(root) / "tasks.jsonl"), out_dir=root, source_root=root))
+    assert [task.record for task in tasks] == records
     backend = ScriptedDifferentialBackend()
-    for record in records:
-        spliced = substitute_function(file.index, record, record.body)
+    for task in tasks:
+        spliced = substitute_function(task.oracle, task.target, task.record.body)
         assert spliced == source
-        verdict = backend.verify(file.index, spliced, record.task_id())
+        verdict = backend.verify(task.oracle, spliced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict
-        spaced = substitute_function(file.index, record, record.body[:-1] + " }")
-        verdict = backend.verify(file.index, spaced, record.task_id())
+        spaced = substitute_function(task.oracle, task.target, task.record.body[:-1] + " }")
+        verdict = backend.verify(task.oracle, spaced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict

@@ -48,13 +48,14 @@ ORACLE = """contract Vault {
 
 VAULT = SourceFile.from_text("vault.sol", ORACLE)
 RECORD = extract_functions(VAULT)[0]
+TARGET = VAULT.index.find(RECORD.name, *RECORD.span)
 CONTEXT_TEXT = "uint256 public stored;\nuint256 internal cap;\n"
 
 
 def make_task(context_text: str = CONTEXT_TEXT) -> CompletionTask:
     ctx = ContextWindow(text=context_text, budget=512, actual_tokens=len(context_text.split()))
     return CompletionTask(
-        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle=VAULT.index
+        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle=VAULT.index, target=TARGET
     )
 
 
@@ -438,20 +439,17 @@ class TestRunRar:
         with pytest.raises(ValueError, match="max_rounds"):
             run_rar(make_task(), QueueClient([]), SequenceBackend([]), RepairStrategy("self_edit"), max_rounds=-1)
 
-    def test_splice_failure_is_compile_error_not_crash(self):
-        bad_record_task = make_task()
-        bad_task = CompletionTask(
-            task_id="ghost",
-            record=extract_functions(
-                SourceFile.from_text("other.sol", "contract O {\n  /// d\n  function ghost() public { }\n}\n")
-            )[0],
-            context=bad_record_task.context,
-            oracle=VAULT.index,
-        )
-        client = QueueClient(["{ return 1; }"])
-        session = run_rar(bad_task, client, SequenceBackend([]), RepairStrategy("self_edit"), max_rounds=0)
-        assert session.final_status == "compile_error"
-        assert "cannot be spliced" in session.attempts[0].verdict.diagnostics[0].message
+    def test_verify_splices_at_the_target_under_the_task_id(self):
+        seen = []
+
+        class Recording(SequenceBackend):
+            def verify(self, oracle, completed_source, target_function_id):
+                seen.append((oracle, completed_source, target_function_id))
+                return super().verify(oracle, completed_source, target_function_id)
+
+        body = "{ return x + x; }"
+        run_rar(make_task(), QueueClient([body]), Recording([PASS]), RepairStrategy("self_edit"), max_rounds=0)
+        assert seen == [(VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())]
 
     def test_session_json_round_trip(self):
         client = QueueClient(["{ return stored + x; }", "{ return x * 2; }"])
