@@ -75,6 +75,16 @@ class ContextWindow:
     actual_tokens: int
 
 
+def check_span(file: SourceFile, target: FunctionRecord) -> None:
+    """Raise ValueError when target's span is not within file's lines."""
+    # Lines end at "\n" only, as spans do; a final newline ends the last line.
+    total_lines = len(file.index.line_starts) - (file.text.endswith("\n") or not file.text)
+    if target.span[0] < 1 or target.span[1] > max(1, total_lines):
+        raise ValueError(
+            f"target span {target.span} outside {file.path} ({total_lines} lines)"
+        )
+
+
 def build_context(
     file: SourceFile,
     target: FunctionRecord,
@@ -89,14 +99,9 @@ def build_context(
     """
     if budget < 0:
         raise ValueError(f"context budget must be non-negative, got {budget}")
+    check_span(file, target)
     text = file.text
-    # Lines end at "\n" only, as spans do; a final newline ends the last line.
     line_starts = file.index.line_starts
-    total_lines = len(line_starts) - (text.endswith("\n") or not text)
-    if target.span[0] < 1 or target.span[1] > max(1, total_lines):
-        raise ValueError(
-            f"target span {target.span} outside {file.path} ({total_lines} lines)"
-        )
 
     # A window starts at a line start and ends where the target's line
     # starts. count(window) shrinks as the start moves right (monotone

@@ -1,6 +1,7 @@
 """Verification executors and error handling.
 
-A completed body is spliced into the oracle source and handed to a backend:
+A completed body is handed to a backend at its located target, as a
+LocatedCompletion that builds the whole completed source only when asked:
 either a compile-only adapter (solc) or a differential backend that checks
 behavioural equivalence against the oracle. A scripted mock differential
 backend ships here so the full loop runs offline; real fuzzers plug in
@@ -21,7 +22,6 @@ import sys
 import threading
 import time
 import zlib
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
@@ -32,7 +32,6 @@ from .corpus import (
     SOLIDITY_KEYWORDS,
     SourceIndex,
     _FUNCTION_KW_RE,
-    _IDENT_RE,
     _SIZED_TYPE_RE,
     pair_braces,
     scrub,
@@ -129,10 +128,25 @@ def classify_error(
     return Diagnostic(kind=kind, message=message, line=line, identifier=identifier)
 
 
-def substitute_function(oracle: SourceIndex, target: IndexedFunction, completed_body: str) -> str:
-    """The oracle source with the target's body replaced by completed_body;
-    everything outside the body is byte-identical to the oracle source."""
-    return oracle.text[: target.body_start] + completed_body + oracle.text[target.body_end + 1 :]
+class LocatedCompletion(NamedTuple):
+    """A completed body at its target in the oracle: the oracle source with
+    the target's body replaced by body, which `source` builds on each ask.
+    Everything outside the body is byte-identical to the oracle source."""
+
+    oracle: SourceIndex
+    target: IndexedFunction
+    body: str
+
+    @property
+    def source(self) -> str:
+        text, target = self.oracle.text, self.target
+        return text[: target.body_start] + self.body + text[target.body_end + 1 :]
+
+
+def substitute_function(oracle: SourceIndex, target: IndexedFunction, completed_body: str) -> LocatedCompletion:
+    """completed_body in place of the target's body; O(1), since no text is
+    copied until a backend asks for the whole source."""
+    return LocatedCompletion(oracle, target, completed_body)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +402,13 @@ def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
 
 
 def _param_names(signature: str) -> list[str]:
-    m = re.search(r"\(([^)]*)\)", signature)
-    if not m or not m.group(1).strip():
+    """The last word of each comma-separated part between the first '(' and
+    the first ')' after it."""
+    opening = signature.find("(")
+    closing = signature.find(")", opening + 1) if opening != -1 else -1
+    if closing == -1:
         return []
-    names = []
-    for part in m.group(1).split(","):
-        tokens = part.strip().split()
-        if tokens:
-            names.append(tokens[-1])
-    return names
+    return [words[-1] for part in signature[opening + 1 : closing].split(",") if (words := part.split())]
 
 
 def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8) -> list[dict]:
@@ -482,6 +494,8 @@ def _without_assembly(scrubbed: str) -> str:
     Yul declares names (function parameters and returns, `let`) and calls
     builtins in ways the declaration check does not model.
     """
+    if "assembly" not in scrubbed:
+        return scrubbed
     pieces, pos = [], 0
     closing: dict[int, int] = {}
     for m in _ASSEMBLY_RE.finditer(scrubbed):
@@ -498,21 +512,20 @@ def _without_assembly(scrubbed: str) -> str:
     return "".join(pieces) + scrubbed[pos:]
 
 
+# An identifier (group 2), led by the '.' and any whitespace before it
+# (group 1) when it names a member.
+_MEMBER_OR_IDENT_RE = re.compile(r"(\.\s*)?([A-Za-z_$][A-Za-z0-9_$]*)")
+
+
 def _checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
     """Identifiers needing declarations, with offsets; member access and
     inline assembly skipped."""
-    scrubbed = _without_assembly(scrubbed)
     out = []
-    for m in _IDENT_RE.finditer(scrubbed):
-        ident = m.group(0)
-        if ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
+    for m in _MEMBER_OR_IDENT_RE.finditer(_without_assembly(scrubbed)):
+        member, ident = m.groups()
+        if member or ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
             continue
-        before = m.start() - 1
-        while before >= 0 and scrubbed[before].isspace():
-            before -= 1
-        if before >= 0 and scrubbed[before] == ".":
-            continue
-        out.append((ident, m.start()))
+        out.append((ident, m.start(2)))
     return out
 
 
@@ -528,20 +541,23 @@ class _Body(NamedTuple):
     """One top-level function as verify compares it."""
 
     name: str
-    signature: str
     text: str  # the body, braces included
     scrubbed: str  # the body with comments and strings blanked
     start: int  # offset of the body's '{' in its source
+    params: tuple[str, ...]  # the parameter names in its signature
+    base_locals: frozenset[str]  # the parameter names and the function's own name
 
 
 def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
     text, scrubbed = index.text, index.scrubbed
+    params = tuple(_param_names(text[fn.kw_offset : fn.body_start]))
     return _Body(
         fn.name,
-        text[fn.kw_offset : fn.body_start],
         text[fn.body_start : fn.body_end + 1],
         scrubbed[fn.body_start : fn.body_end + 1],
         fn.body_start,
+        params,
+        frozenset((*params, fn.name)),
     )
 
 
@@ -566,7 +582,6 @@ def _well_nested(functions: Sequence[IndexedFunction]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class _SplicedNames:
     """Names a spliced source declares: the oracle's, less those declared
     only in the replaced body, plus those the new body declares. The oracle's
@@ -575,9 +590,10 @@ class _SplicedNames:
     substring of that text, so the table is never built for a name that
     occurs nowhere in the oracle."""
 
-    oracle: _Oracle
-    replaced: IndexedFunction
-    new_body: _DeclaredIn
+    __slots__ = ("oracle", "replaced", "new_body")
+
+    def __init__(self, oracle: _Oracle, replaced: IndexedFunction, new_body: _DeclaredIn) -> None:
+        self.oracle, self.replaced, self.new_body = oracle, replaced, new_body
 
     def __contains__(self, name: object) -> bool:
         if name in self.new_body:
@@ -589,8 +605,7 @@ class _SplicedNames:
         return declared > 0 and declared > self.oracle.declared_in_body(self.replaced)[name]
 
 
-@dataclass(frozen=True)
-class _Change:
+class _Change(NamedTuple):
     """The top-level functions a completed source changes, aligned with the
     oracle's by location, and the names the completed source declares."""
 
@@ -599,36 +614,37 @@ class _Change:
     declared: Container[str]
 
 
-def _common_prefix(a: str, b: str) -> int:
-    """Length of the longest common prefix; compares in C, copies O(len)."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if b.startswith(a[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+# Text that may follow a body's closing brace and leave the rest of the
+# source parsing as it did: whitespace, `//` comments ended by a newline and
+# closed `/* */` comments, then one `//` comment the source's own newline
+# may end (group 1). No two alternatives can match at the same offset, so a
+# match takes time linear in the text.
+_TAIL_RE = re.compile(r"(?:\s|//[^\n]*\n|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*(//[^\n]*)?")
 
 
-def _is_single_block(scrubbed: str) -> bool:
-    """True when the text is one balanced {...}: its first brace opens at
-    offset 0 and closes on the last character."""
-    return pair_braces(scrubbed, 0)[0].get(0) == len(scrubbed) - 1
+def _block_end(scrubbed: str) -> int | None:
+    """Offset of the '}' closing a '{' at offset 0; None when the text does
+    not open with a brace that closes."""
+    return pair_braces(scrubbed, 0)[0].get(0)
 
 
-def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
+def _whole_source_change(oracle: _Oracle, completed_source: str) -> _Change:
     """Index the whole completed source and align its top-level functions
     with the oracle's in source order.
 
     Raises MalformedSourceError when the completed source is unbalanced.
     """
     completed = SourceIndex(completed_source, "<completed>")
-    old = [_body(oracle, fn) for fn in _top_level(oracle)]
-    new = [_body(completed, fn) for fn in _top_level(completed)]
+    old, new = _top_level(oracle.index), _top_level(completed)
+    old_text = oracle.index.text
 
-    def same(a: _Body, b: _Body) -> bool:
-        return (a.name, a.signature, a.text) == (b.name, b.signature, b.text)
+    def same(a: IndexedFunction, b: IndexedFunction) -> bool:
+        """Same name, signature and body."""
+        return (
+            a.name == b.name
+            and a.body_start - a.kw_offset == b.body_start - b.kw_offset
+            and old_text[a.kw_offset : a.body_end + 1] == completed_source[b.kw_offset : b.body_end + 1]
+        )
 
     shorter = min(len(old), len(new))
     head = 0
@@ -638,8 +654,8 @@ def _whole_source_change(oracle: SourceIndex, completed_source: str) -> _Change:
     while tail < shorter - head and same(old[-1 - tail], new[-1 - tail]):
         tail += 1
     return _Change(
-        tuple(old[head : len(old) - tail]),
-        tuple(new[head : len(new) - tail]),
+        tuple(map(oracle.body, old[head : len(old) - tail])),
+        tuple(_body(completed, fn) for fn in new[head : len(new) - tail]),
         _DeclaredIn(completed.scrubbed),
     )
 
@@ -653,32 +669,41 @@ class _Expected(NamedTuple):
 
 
 class _Oracle:
-    """One oracle text as verify sees it: its index, the top-level functions
-    whose bodies a splice may replace, and the names it declares.
+    """One oracle text as verify sees it: its index, whether one top-level
+    body can be swapped without reparsing the rest, and the names it
+    declares.
 
-    It also keeps what verify learns about the oracle, once per run: the
-    steps of each statement text parsed so far (completions' statements
-    included), each function's expected outputs, and the declaration counts
-    of the whole oracle and of each replaced body. Those counts are scanned
-    only when a spliced body uses an identifier that is neither local to it
-    nor declared by it and that occurs somewhere in the oracle's scrubbed
-    text; a hallucinated name found nowhere in the oracle builds no table.
-    Every entry is a pure function of its key, so threads racing to fill one
-    only repeat work.
+    It also keeps what verify learns about the oracle, once per run: each
+    target's entry (its `_Body`, with the parameter and base local names),
+    each function's expected outputs, and the declaration counts of the
+    whole oracle and of each replaced body. Statements are parsed through
+    `steps`, which maps each statement text parsed so far to its step and
+    which the backend shares between its oracles. Entries are built on the
+    first verify of their target. The counts are scanned only when a
+    completed body uses an identifier that is neither local to it nor
+    declared by it and that occurs somewhere in the oracle's scrubbed text;
+    a hallucinated name found nowhere in the oracle builds no table. Every
+    entry is a pure function of its key, so threads racing to fill one only
+    repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
 
-    def __init__(self, index: SourceIndex) -> None:
+    def __init__(self, index: SourceIndex, steps: dict[str, _Step | None] | None = None) -> None:
         self.index = index
-        top = _top_level(self.index)
-        # In a well-nested source, top-level bodies come in offset order.
-        self._spliceable = top if _well_nested(self.index.functions) else []
-        self._starts = [fn.body_start for fn in self._spliceable]
+        self.steps = {} if steps is None else steps
+        self._well_nested = _well_nested(index.functions)
+        self._bodies: dict[int, _Body] = {}
         self._declared: Counter | None = None
         self._declared_in_body: dict[int, Counter] = {}
-        self.steps: dict[str, _Step | None] = {}
         self._expected: dict[tuple[int, int], _Expected] = {}
+
+    def body(self, fn: IndexedFunction) -> _Body:
+        """The entry of fn, a function of the oracle."""
+        found = self._bodies.get(fn.body_start)
+        if found is None:
+            found = self._bodies.setdefault(fn.body_start, _body(self.index, fn))
+        return found
 
     def declared(self) -> Counter:
         """How often each name is declared in the oracle."""
@@ -705,47 +730,53 @@ class _Oracle:
         return found
 
     def _evaluate(self, body: _Body, seed: int) -> _Expected:
-        params = _param_names(body.signature)
-        steps = interpret_body(body.text, self.steps, params)
+        steps = interpret_body(body.text, self.steps, body.params)
         if steps is None:
             return _Expected(None, [], None)
         cases = []
-        for inputs in _generated_cases(params, f"{seed}:{body.name}"):
+        for inputs in _generated_cases(body.params, f"{seed}:{body.name}"):
             try:
                 cases.append((inputs, evaluate_body(steps, inputs)))
             except _EvalError as exc:
                 return _Expected(steps, [], f"oracle evaluation failed: {exc}")
         return _Expected(steps, cases, None)
 
-    def splice(self, completed_source: str) -> _Change | None:
-        """The change, found by scanning only the new body, when
-        completed_source is the oracle with one top-level body replaced by
-        a self-contained one: a single balanced {...} that ends outside any
-        comment or string and declares no function. Otherwise None, and only
-        a whole-source parse can tell.
+    def located(self, completed: LocatedCompletion) -> _Change | None:
+        """The change, found by scanning only the completed body, when it
+        replaces a top-level body of a well-nested oracle with one balanced
+        {...} that declares no function, followed by nothing but whitespace
+        and comments that end before the rest of the source. Otherwise None,
+        and only a whole-source parse can tell.
         """
-        text = self.index.text
-        prefix = _common_prefix(text, completed_source)
-        i = bisect_right(self._starts, prefix) - 1
-        if i < 0:
+        target, text = completed.target, completed.body
+        if target.depth or not self._well_nested:
             return None
-        fn = self._spliceable[i]
-        end = fn.body_end + 1
-        new_end = len(completed_source) - (len(text) - end)
-        if prefix >= end or new_end <= fn.body_start or not completed_source.endswith(text[end:]):
+        scrubbed = scrub(text)
+        close = _block_end(scrubbed)
+        if close is None:
             return None
-        new_text = completed_source[fn.body_start : new_end]
-        scrubbed = scrub(new_text)
-        if not _is_single_block(scrubbed) or _FUNCTION_KW_RE.search(scrubbed):
+        end = close + 1
+        if end < len(text):
+            tail = _TAIL_RE.match(text, end)
+            if tail.end() != len(text):
+                return None
+            # A `//` comment left open runs on into the source after the body.
+            after = target.body_end + 1
+            if tail[1] and not (self.index.text.startswith("\n", after) or after == len(self.index.text)):
+                return None
+            text, scrubbed = text[:end], scrubbed[:end]
+        if _FUNCTION_KW_RE.search(scrubbed):
             return None
-        old = _body(self.index, fn)
-        names = _SplicedNames(self, fn, _DeclaredIn(scrubbed))
-        return _Change((old,), (old._replace(text=new_text, scrubbed=scrubbed),), names)
+        old = self.body(target)
+        if text == old.text:
+            return _Change((), (), ())
+        new = _Body(old.name, text, scrubbed, old.start, old.params, old.base_locals)
+        return _Change((old,), (new,), _SplicedNames(self, target, _DeclaredIn(scrubbed)))
 
-    def change(self, completed_source: str) -> _Change:
-        """What completed_source changes; raises MalformedSourceError when it
-        is unbalanced."""
-        return self.splice(completed_source) or _whole_source_change(self.index, completed_source)
+    def change(self, completed: LocatedCompletion) -> _Change:
+        """What completed changes; raises MalformedSourceError when its whole
+        source is unbalanced."""
+        return self.located(completed) or _whole_source_change(self, completed.source)
 
 
 @dataclass(frozen=True)
@@ -786,7 +817,7 @@ class ScriptedDifferentialBackend:
     that body. The backend prepares each oracle text once, on first use, from
     the index verify is handed, and keeps it for its own lifetime: each
     function's expected outputs are computed once, and each distinct
-    statement is parsed once.
+    statement, in whichever source, is parsed once.
     """
 
     name = "mock-diff"
@@ -800,6 +831,7 @@ class ScriptedDifferentialBackend:
         self.fixture = ExecutorFixture.from_json(fixture)
         self.seed = seed
         self._oracles: dict[str, _Oracle] = {}
+        self._steps: dict[str, _Step | None] = {}
         self._lock = threading.Lock()
 
     def _verdict(
@@ -818,18 +850,21 @@ class ScriptedDifferentialBackend:
         with self._lock:
             oracle = self._oracles.get(index.text)
             if oracle is None:
-                oracle = self._oracles[index.text] = _Oracle(index)
+                oracle = self._oracles[index.text] = _Oracle(index, self._steps)
             return oracle
 
     def verify(
-        self, oracle: SourceIndex, completed_source: str, target_function_id: str
+        self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
         try:
             prepared = self._oracle(oracle)
-            if completed_source == oracle.text:
+            target, body = completed.target, completed.body
+            # The oracle's own body, compared where it stands.
+            same_size = len(body) == target.body_end + 1 - target.body_start
+            if same_size and oracle.text.startswith(body, target.body_start):
                 return self._verdict(t0, STATUS_PASS)
-            change = prepared.change(completed_source)
+            change = prepared.change(completed)
         except MalformedSourceError as exc:
             return self._verdict(
                 t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))]
@@ -850,12 +885,16 @@ class ScriptedDifferentialBackend:
                 ],
             )
 
-        for body in change.new:
-            local = set(_param_names(body.signature)) | _local_decl_names(body.scrubbed) | {body.name}
-            for ident, offset in _checkable_idents(body.scrubbed):
+        for new in change.new:
+            # The body's own declarations are scanned for only when a name
+            # is not a parameter or the function's own.
+            local: Container[str] = new.base_locals
+            for ident, offset in _checkable_idents(new.scrubbed):
+                if ident not in local and local is new.base_locals:
+                    local = new.base_locals | _local_decl_names(new.scrubbed)
                 if ident in local or ident in change.declared:
                     continue
-                line = body.text.count("\n", 0, offset) + 1
+                line = new.text.count("\n", 0, offset) + 1
                 return self._verdict(
                     t0,
                     STATUS_COMPILE_ERROR,
@@ -890,8 +929,7 @@ class ScriptedDifferentialBackend:
         oracle_body, completed_body = change.old[0].text, change.new[0].text
 
         table = self.fixture.functions.get(target_function_id)
-        params = _param_names(change.new[0].signature)
-        completed_steps = interpret_body(completed_body, prepared.steps, params)
+        completed_steps = interpret_body(completed_body, prepared.steps, change.new[0].params)
         oracle_run = None
         if completed_steps is not None and table is None:
             oracle_run = prepared.expected(change.old[0], self.seed)
@@ -1042,32 +1080,21 @@ class SolcCompileBackend:
         )
 
     def verify(
-        self, oracle: SourceIndex, completed_source: str, target_function_id: str
+        self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
-        verdict = self.compile(completed_source)
+        verdict = self.compile(completed.source)
         if verdict.status != STATUS_COMPILE_ERROR:
             return verdict
-        rebased = self._rebase(verdict.diagnostics, oracle, completed_source)
-        return replace(verdict, diagnostics=rebased)
+        return replace(verdict, diagnostics=self._rebase(verdict.diagnostics, completed))
 
     @staticmethod
-    def _rebase(
-        diagnostics: Sequence[Diagnostic], oracle: SourceIndex, completed_source: str
-    ) -> tuple[Diagnostic, ...]:
-        """Rebase absolute source lines onto the modified function's body,
-        found once for all the diagnostics."""
-        diagnostics = tuple(diagnostics)
-        if all(d.line is None for d in diagnostics):
-            return diagnostics
-        try:
-            change = _Oracle(oracle).change(completed_source)
-        except MalformedSourceError:
-            return diagnostics
-        if len(change.new) != 1:
-            return diagnostics
-        body = change.new[0]
-        first = completed_source.count("\n", 0, body.start) + 1
-        last = first + body.text.count("\n")
+    def _rebase(diagnostics: Sequence[Diagnostic], completed: LocatedCompletion) -> tuple[Diagnostic, ...]:
+        """Rebase absolute source lines that fall on the completed body onto
+        it. The body starts on the line of the target's '{', which the
+        oracle's index holds, and spans as many more lines as it has
+        newlines."""
+        first = completed.oracle.line_of(completed.target.body_start)
+        last = first + completed.body.count("\n")
         return tuple(
             replace(d, line=d.line - first + 1)
             if d.line is not None and first <= d.line <= last
@@ -1094,13 +1121,13 @@ class SubprocessFuzzBackend:
         self.version = " ".join(self.command)
 
     def verify(
-        self, oracle: SourceIndex, completed_source: str, target_function_id: str
+        self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
         request = {
             "schema": "fuzz-request@1",
             "oracle_source": oracle.text,
-            "completed_source": completed_source,
+            "completed_source": completed.source,
             "target_function_id": target_function_id,
         }
 
@@ -1147,15 +1174,17 @@ class SubprocessFuzzBackend:
             return unavailable(f"fuzz report malformed: {exc}")
 
 
-def differential_verify(oracle: SourceIndex, completed_source: str, task_id: str, backend) -> ExecutionVerdict:
+def differential_verify(
+    oracle: SourceIndex, completed: LocatedCompletion, task_id: str, backend
+) -> ExecutionVerdict:
     """Behavioural equivalence through a differential backend, whose verify
-    takes the oracle's index, the completed source and the task id.
+    takes the oracle's index, the located completion and the task id.
 
     Backend crashes are infrastructure failures (executor_unavailable), not
     model failures.
     """
     try:
-        return backend.verify(oracle, completed_source, task_id)
+        return backend.verify(oracle, completed, task_id)
     except Exception as exc:  # adapter bugs must not be charged to the model
         return ExecutionVerdict(
             status=STATUS_EXECUTOR_UNAVAILABLE,

@@ -19,14 +19,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
-from .context import build_context, get_counter
+from .context import ContextWindow, build_context, check_span, get_counter
 from .corpus import (
     DEFAULT_FILTER_CONFIG,
     FilterConfig,
     FilterReport,
+    FunctionRecord,
     SourceFile,
     build_corpus,
     read_task_file,
@@ -235,15 +236,14 @@ def _read_text(path: Path, kind: str) -> str:
         raise ConfigError(f"{kind} file {path} is not UTF-8: {exc}") from exc
 
 
-def load_tasks(config: RunConfig) -> list[CompletionTask]:
-    """Materialize tasks: read sources, locate each task's function in its
-    source's index and build its context window.
+def _load(config: RunConfig, window: Callable[[SourceFile, FunctionRecord], ContextWindow]) -> list[CompletionTask]:
+    """Read sources, locate each task's function in its source's index and
+    give it window(source, record).
 
-    A source that is unbalanced, a span outside its source and a function
-    not found within its span raise ConfigError naming the task file and
-    the task.
+    A source that is unbalanced, a window that raises ValueError (for a span
+    outside its source) and a function not found within its span raise
+    ConfigError naming the task file and the task.
     """
-    counter = get_counter(config.counter)
     sources: dict[str, SourceFile] = {}
     tasks: list[CompletionTask] = []
     for record in read_task_file(config.task_file):
@@ -257,14 +257,28 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
         task_id = record.task_id()
         try:
             file.index.check()
-            window = build_context(file, record, config.context_budget, counter)
+            context = window(file, record)
             target = file.index.find(record.name, *record.span)
             if target is None:
                 raise ValueError(f"function {record.name!r} not found within span {record.span}")
         except ValueError as exc:
             raise ConfigError(f"{config.task_file}: task {task_id}: {exc}") from exc
-        tasks.append(CompletionTask(task_id, record, window, file.index, target))
+        tasks.append(CompletionTask(task_id, record, context, file.index, target))
     return tasks
+
+
+def load_tasks(config: RunConfig) -> list[CompletionTask]:
+    """Materialize tasks: read sources, locate each task's function in its
+    source's index and build its context window; see _load for the errors."""
+    counter = get_counter(config.counter)
+    return _load(config, lambda file, record: build_context(file, record, config.context_budget, counter))
+
+
+def _no_window(file: SourceFile, record: FunctionRecord) -> ContextWindow:
+    """The empty window of a task whose span fits its source, for a command
+    that reads no window."""
+    check_span(file, record)
+    return ContextWindow("", 0, 0)
 
 
 def cmd_build(
@@ -511,7 +525,8 @@ def cmd_verify(
     """
     config.validate()
     backend = build_backend(config)
-    tasks = {t.task_id: t for t in load_tasks(config)}
+    # Verify reads no context window, so none is built.
+    tasks = {t.task_id: t for t in _load(config, _no_window)}
     rows = _read_completions(completions_path)
     for lineno, task_id, _ in rows:
         if task_id not in tasks:

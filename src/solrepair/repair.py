@@ -416,8 +416,8 @@ def build_repair_prompt(
 
 
 def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
-    completed_source = substitute_function(task.oracle, task.target, body)
-    return differential_verify(task.oracle, completed_source, task.task_id, backend)
+    completed = substitute_function(task.oracle, task.target, body)
+    return differential_verify(task.oracle, completed, task.task_id, backend)
 
 
 def _retrieve_for_repair(

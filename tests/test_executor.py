@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
+    IndexedFunction,
     SourceFile,
     SourceIndex,
     extract_functions,
@@ -30,6 +31,7 @@ from solrepair.corpus import (
 from solrepair.executor import (
     Diagnostic,
     ExecutionVerdict,
+    LocatedCompletion,
     ScriptedDifferentialBackend,
     SolcCompileBackend,
     SubprocessFuzzBackend,
@@ -73,14 +75,18 @@ FILE = SourceFile.from_text("math.sol", ORACLE)
 ADD, AVG, LOOP = extract_functions(FILE)
 
 
-def splice(index: SourceIndex, record, body: str) -> str:
+def splice(index: SourceIndex, record, body: str) -> LocatedCompletion:
     """body in place of the body of the function that record names within
     its span, located as the harness locates a task's target."""
     return substitute_function(index, index.find(record.name, *record.span), body)
 
 
-def completed_with(record, body: str) -> str:
+def completed_with(record, body: str) -> LocatedCompletion:
     return splice(FILE.index, record, body)
+
+
+# The oracle itself, as a completion of add.
+UNCHANGED = completed_with(ADD, ADD.body)
 
 
 class TestClassifyError:
@@ -148,7 +154,7 @@ class TestVerdictTypes:
 class TestSubstitute:
     def test_splice_preserves_everything_else(self):
         new_body = "{ return b + a; }"
-        completed = completed_with(ADD, new_body)
+        completed = completed_with(ADD, new_body).source
         start = ORACLE.index(ADD.body)
         assert completed[:start] == ORACLE[:start]
         assert completed[start : start + len(new_body)] == new_body
@@ -163,10 +169,11 @@ class TestSubstitute:
             SourceIndex, "check", side_effect=AssertionError
         ):
             completed = substitute_function(FILE.index, target, "{ }")
-        assert completed == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
+        assert completed == LocatedCompletion(FILE.index, target, "{ }")
+        assert completed.source == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
 
     def test_round_trip_extraction(self):
-        completed = completed_with(AVG, "{ return (a + b) / 2; }")
+        completed = completed_with(AVG, "{ return (a + b) / 2; }").source
         again = extract_functions(SourceFile.from_text("math.sol", completed))
         assert again[1].body == "{ return (a + b) / 2; }"
         assert again[0].body == ADD.body
@@ -184,7 +191,7 @@ class TestSubstitute:
         )
         file = SourceFile.from_text("ab.sol", src)
         records = extract_functions(file)
-        completed = splice(file.index, records[1], "{ return 9; }")
+        completed = splice(file.index, records[1], "{ return 9; }").source
         assert "return 1" in completed
         assert "return 2" not in completed
         assert "return 9" in completed
@@ -839,7 +846,7 @@ def test_literal_led_declaration_pattern_boundaries():
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")), ids=lambda p: p.name)
 def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
     oracle = _Oracle(SourceFile.load(path).index)
-    for fn in oracle._spliceable:
+    for fn in executor._top_level(oracle.index):
         body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
         assert oracle.declared_in_body(fn) == reference_declaration_counts(body)
 
@@ -885,6 +892,46 @@ def test_property_generated_cases_equal_randrange_draws(seed_text, param_names, 
     )
 
 
+def reference_param_names(signature: str) -> list[str]:
+    """_param_names as it was, through a regex."""
+    m = re.search(r"\(([^)]*)\)", signature)
+    if not m or not m.group(1).strip():
+        return []
+    return [part.strip().split()[-1] for part in m.group(1).split(",") if part.strip()]
+
+
+def reference_checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
+    """_checkable_idents as it was: each identifier, then a walk back over
+    whitespace to a '.'."""
+    scrubbed = executor._without_assembly(scrubbed)
+    out = []
+    for m in re.finditer(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed):
+        ident = m.group(0)
+        if ident in executor.SOLIDITY_KEYWORDS or executor._SIZED_TYPE_RE.match(ident):
+            continue
+        before = m.start() - 1
+        while before >= 0 and scrubbed[before].isspace():
+            before -= 1
+        if before < 0 or scrubbed[before] != ".":
+            out.append((ident, m.start()))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(
+        st.sampled_from(
+            ["a", "b", "uint256", "x_1", "$v", "é", " ", "\n", "\x1c", " ", ".", ",", "(", ")", "msg", "uint8",
+             "5", "return", "assembly {", "}", ";"]
+        ),
+        max_size=14,
+    ).map("".join)
+)
+def test_property_signature_and_identifier_scans_equal_their_references(text):
+    assert executor._param_names(text) == reference_param_names(text)
+    assert executor._checkable_idents(text) == reference_checkable_idents(text)
+
+
 class TestOracleMemo:
     def test_reverifying_parses_the_oracle_and_generates_cases_once(self):
         backend = ScriptedDifferentialBackend()
@@ -915,6 +962,13 @@ class TestOracleMemo:
             assert parsed.count("a + b") == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
 
+    def test_a_statement_is_parsed_once_across_oracles(self):
+        backend = ScriptedDifferentialBackend()
+        with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
+            for index, record in ((FILE.index, ADD), (MULTI_FILE.index, M_ADD), (OVERLOADS_FILE.index, F2)):
+                assert backend.verify(index, splice(index, record, "{ return b + a; }"), record.task_id()).status == "pass"
+        assert [call.args[0] for call in parse.call_args_list].count("b + a") == 1
+
     def test_failing_oracle_gives_the_same_message_on_every_attempt(self):
         backend = ScriptedDifferentialBackend()
         messages = set()
@@ -929,7 +983,7 @@ class TestOracleMemo:
     def test_oracle_steps_pass_without_a_second_evaluation(self):
         backend = ScriptedDifferentialBackend()
         completed = splice(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
-        assert completed != MULTI
+        assert completed.source != MULTI
         backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
         with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
             assert backend.verify(MULTI_FILE.index, completed, M_HALF.task_id()).status == "pass"
@@ -939,7 +993,7 @@ class TestOracleMemo:
         table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
         backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
         completed = splice(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
-        assert completed != MULTI
+        assert completed.source != MULTI
         for _ in range(2):
             v = backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
             assert v.status == "functional_mismatch"
@@ -1043,7 +1097,7 @@ class TestScriptedBackend:
         return ScriptedDifferentialBackend(fixture=fixture, seed=seed)
 
     def test_identical_source_passes(self):
-        v = self.backend().verify(FILE.index, ORACLE, ADD.task_id())
+        v = self.backend().verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
@@ -1098,7 +1152,7 @@ class TestScriptedBackend:
         assert "expected 6, got 5" in v.diagnostics[0].message
 
     def test_unbalanced_completed_is_compile_error(self):
-        completed = ORACLE.replace("return a + b;", "return a + b; {")
+        completed = completed_with(ADD, ADD.body.replace("return a + b;", "return a + b; {"))
         v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "compile_error"
         assert v.diagnostics[0].kind == "Other"
@@ -1117,19 +1171,17 @@ class TestScriptedBackend:
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_multiple_modified_functions_rejected(self):
-        completed = completed_with(ADD, "{ return b + a; }").replace(
-            "return s / 2;", "return s / 3;"
-        )
+        completed = completed_with(ADD, "{ return b + a; }\n    function extra() public pure { }")
         v = self.backend().verify(FILE.index, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
-        assert "multiple functions differ" in v.diagnostics[0].message
+        assert v.diagnostics[0].message == "multiple functions differ from oracle: ['add', 'extra']"
 
     def test_verification_statement_is_behaviour_preserving(self):
         completed = completed_with(ADD, "{ uint256 this_is_a_test_variable; return a + b; }")
         assert self.backend().verify(FILE.index, completed, ADD.task_id()).status == "pass"
 
     def test_seed_recorded(self):
-        v = self.backend(seed=41).verify(FILE.index, ORACLE, ADD.task_id())
+        v = self.backend(seed=41).verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.backend_seed == 41
 
     def test_fixture_loaded_from_path(self, tmp_path):
@@ -1204,9 +1256,10 @@ class TestLocationKeyed:
 
     def test_rebase_with_overloads(self):
         completed = splice(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
-        body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
+        source = completed.source
+        body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE.index, completed)[0].line == 2
+        assert SolcCompileBackend._rebase((diag,), completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
@@ -1239,12 +1292,15 @@ class TestLocationKeyed:
 
     def test_dropped_or_added_function_is_mismatch(self):
         backend = ScriptedDifferentialBackend()
-        avg_text = AVG.comment + "    " + AVG.signature + AVG.body + "\n\n"
-        dropped = ORACLE.replace(avg_text, "")
-        v = backend.verify(FILE.index, dropped, ADD.task_id())
+        # A comment opened after add's body runs on to the one closing after avg.
+        source = ORACLE.replace("    /// Sums 0..n-1.", "    /* helpers end */\n    /// Sums 0..n-1.")
+        file = SourceFile.from_text("math.sol", source)
+        add = extract_functions(file)[0]
+        dropped = splice(file.index, add, add.body + " /*")
+        v = backend.verify(file.index, dropped, add.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "oracle functions missing from the completed source: ['avg']"
-        added = ORACLE.replace(avg_text, avg_text + "    function extra() public pure { }\n\n")
+        added = completed_with(ADD, ADD.body + "\n\n    function extra() public pure { }")
         v = backend.verify(FILE.index, added, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "function 'extra' has no oracle counterpart"
@@ -1263,15 +1319,32 @@ class TestLocationKeyed:
         file = SourceFile.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
         completed = splice(file.index, f, "{ ) { } }")
-        assert _Oracle(file.index).splice(completed) is None
+        assert _Oracle(file.index).located(completed) is None
         v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
         assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
 
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
-        assert oracle.splice(completed_with(ADD, "{ return b + a; }")) is not None
-        for body in ("{ return 1; } // x", "{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }"):
-            assert oracle.splice(completed_with(ADD, body)) is None, body
+        for body in ("{ return b + a; }", "{ return 1; } // x", "{ return 1; } /* x */\n", "{ return 1; }\n// x\n// y"):
+            assert oracle.located(completed_with(ADD, body)) is not None, body
+        for body in (
+            "{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }",
+            "{ return 1; } /* x", '{ return 1; } "x"', "{ return 1; } x", "{ return 1; } /*/",
+        ):
+            assert oracle.located(completed_with(ADD, body)) is None, body
+
+    def test_open_line_comment_after_the_body_takes_the_body_only_path_only_before_a_newline(self):
+        # Here the contract's closing brace follows add's body on its line,
+        # so a `//` comment left open in the completion would swallow it.
+        source = "contract C {\n    /// Adds.\n    function add(uint256 a, uint256 b) public pure returns (uint256) { return a + b; } }\n"
+        file = SourceFile.from_text("c.sol", source)
+        (add,) = extract_functions(file)
+        oracle = _Oracle(file.index)
+        assert oracle.located(splice(file.index, add, "{ return b + a; } // x")) is None
+        assert oracle.located(splice(file.index, add, "{ return b + a; } // x\n")) is not None
+        v = ScriptedDifferentialBackend().verify(file.index, splice(file.index, add, "{ return b + a; } // x"), add.task_id())
+        assert v.status == "compile_error"
+        assert v.diagnostics[0].message == "<completed>: unmatched '{' at line 1, column 12"
 
 
 def test_oracle_cache_shared_across_threads():
@@ -1299,9 +1372,9 @@ def test_oracle_cache_shared_across_threads():
     indexed: list[str] = []
     real_init, real_index_init = _Oracle.__init__, SourceIndex.__init__
 
-    def counting_init(self, index):
+    def counting_init(self, index, *steps):
         prepared.append(index)
-        real_init(self, index)
+        real_init(self, index, *steps)
 
     def counting_index_init(self, text, path="<source>"):
         indexed.append(text)
@@ -1333,23 +1406,27 @@ class TestHandedIndex:
         assert backend._oracle(SourceIndex(ORACLE)).index is FILE.index
 
     def test_unbalanced_oracle_is_a_compile_error_naming_its_path(self):
-        unbalanced = "contract C {\n"
-        v = ScriptedDifferentialBackend().verify(SourceIndex(unbalanced, "bad.sol"), unbalanced + "}", "t")
+        unbalanced = SourceIndex("contract C {\n", "bad.sol")
+        completed = substitute_function(unbalanced, IndexedFunction("f", 0, 11, 11, 11, 0), "{ }")
+        v = ScriptedDifferentialBackend().verify(unbalanced, completed, "t")
         assert v.status == "compile_error"
         assert v.diagnostics[0].message == "bad.sol: unmatched '{' at line 1, column 12"
 
     def test_rebase_builds_no_index(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
+        source = completed.source
+        body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diags = (
             Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX"),
             Diagnostic("Other", "m", line=1),
             Diagnostic("Other", "m"),
         )
-        with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")):
-            rebased = SolcCompileBackend._rebase(diags, FILE.index, completed)
+        with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")), mock.patch.object(
+            LocatedCompletion, "source", property(lambda self: pytest.fail("whole source built"))
+        ):
+            rebased = SolcCompileBackend._rebase(diags, completed)
         assert [d.line for d in rebased] == [2, 1, None]
-        assert rebased == SolcCompileBackend._rebase(diags, SourceIndex(ORACLE), completed)
+        assert rebased == SolcCompileBackend._rebase(diags, completed._replace(oracle=SourceIndex(ORACLE)))
 
     def test_three_parameter_backend_gets_the_index_positionally(self):
         calls = []
@@ -1359,16 +1436,18 @@ class TestHandedIndex:
                 calls.append((oracle, completed, target))
                 return ExecutionVerdict(status="pass")
 
-        assert differential_verify(FILE.index, ORACLE, ADD.task_id(), ThreeParameters()).status == "pass"
-        assert calls == [(FILE.index, ORACLE, ADD.task_id())]
+        assert differential_verify(FILE.index, UNCHANGED, ADD.task_id(), ThreeParameters()).status == "pass"
+        assert calls == [(FILE.index, UNCHANGED, ADD.task_id())]
         assert calls[0][0] is FILE.index
 
 
-def verify_both_ways(oracle: SourceIndex, completed: str, task_id: str) -> tuple[ExecutionVerdict, ExecutionVerdict]:
+def verify_both_ways(
+    oracle: SourceIndex, completed: LocatedCompletion, task_id: str
+) -> tuple[ExecutionVerdict, ExecutionVerdict]:
     """The verdict from the body-only path, where it applies, and the verdict
-    from indexing the whole completed source."""
+    from indexing the whole completed source: the reference."""
     body_only = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
-    with mock.patch.object(_Oracle, "splice", return_value=None):
+    with mock.patch.object(_Oracle, "located", return_value=None):
         whole = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
     return body_only, whole
 
@@ -1403,6 +1482,108 @@ def test_property_body_only_verify_matches_whole_source(parts, wrap, target):
     assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
 
+# add's body ends the line holding the contract's closing brace, so a `//`
+# comment left open after a completed body comments that brace out.
+SAME_LINE_FILE = SourceFile.from_text(
+    "c.sol",
+    "contract C {\n    /// Adds.\n    function add(uint256 a, uint256 b) public pure returns (uint256) { return a + b; } }\n",
+)
+(SAME_LINE_ADD,) = extract_functions(SAME_LINE_FILE)
+STATEMENTS = st.sampled_from(
+    [
+        "return a + b;", "return b + a;", "return a - b;", "return 12345;", "uint256 t = a;", "return t;",
+        "return helperX(a);", "return total;", "return zz;", "return add(a, b);", "if (a > b) { return a; }",
+        "require(a > 0);", "return s / 2;",
+    ]
+)
+# Each well-formed block's statements, then something hostile in it or
+# after it: a stray brace, an unterminated string or comment, an extra
+# function.
+HOSTILE = st.sampled_from(["", "{", "}", '"', "'", "/*", "//", "function g() public {}", "assembly { let x := 1 }"])
+# Text after the block: the first six leave it judged on the block alone,
+# the rest need the whole source (the open `//` only where a newline follows).
+CLOSED_TAILS = ["", "\n", " // x\n", " /* x */", "\n    // a\n    /* b */  ", "\t/** } { */\n"]
+TAILS = st.sampled_from(
+    CLOSED_TAILS
+    + [
+        " // x", " /* x", ' "s"', " }", " {", " x", " /*/", "\n    function extra() public pure { }",
+        "\n    function add(uint256 a) public pure returns (uint256) { return a; }",
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(["return a + b;"], "", False, False, " // x", (SAME_LINE_FILE.index, SAME_LINE_ADD))
+@example(["return b + a;"], "", False, True, " /* x", (FILE.index, ADD))
+@example([], "", False, False, "\n    function add(uint256 a) public pure returns (uint256) { return a; }", (FILE.index, ADD))
+@given(
+    statements=st.lists(STATEMENTS, max_size=3),
+    hostile=HOSTILE,
+    inside=st.booleans(),
+    newlines=st.booleans(),
+    tail=TAILS,
+    target=st.sampled_from((*TARGETS, (MULTI_FILE.index, M_HALF), (SAME_LINE_FILE.index, SAME_LINE_ADD))),
+)
+def test_property_located_verify_matches_whole_source_reference(statements, hostile, inside, newlines, tail, target):
+    """A located completion gets the verdict and diagnostics that indexing
+    its whole completed source gives, whichever path it takes; a hostile
+    piece outside the block is part of the tail."""
+    oracle, record = target
+    sep = "\n        " if newlines else " "
+    block = "{" + sep + sep.join(statements + ([hostile] if inside and hostile else [])) + sep + "}"
+    body = block + ("" if inside else hostile) + tail
+    completed = splice(oracle, record, body)
+    body_only, whole = verify_both_ways(oracle, completed, record.task_id())
+    assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+    balanced = not hostile or inside and hostile.startswith("assembly")
+    if balanced and tail in CLOSED_TAILS and record is not OUTER:
+        assert _Oracle(oracle).located(completed) is not None, body
+
+
+# `base` is declared in a contract this source imports, not in the source.
+INHERITED_FILE = SourceFile.from_text(
+    "i.sol",
+    'import "./Base.sol";\ncontract I is Base {\n    /// Adds the base.\n'
+    "    function plus(uint256 a) public view returns (uint256) {\n        return base + a;\n    }\n}\n",
+)
+(PLUS,) = extract_functions(INHERITED_FILE)
+
+
+@pytest.mark.parametrize("tail", ["", " // x", "\n/* y */\n"])
+@pytest.mark.parametrize("index,record", [(FILE.index, AVG), (INHERITED_FILE.index, PLUS)], ids=["avg", "inherited"])
+def test_oracle_body_passes_whatever_comments_follow_it(index, record, tail):
+    """The oracle's own block changes nothing, even where it reads a name
+    that the source never declares and that any other block is faulted for."""
+    completed = splice(index, record, record.body + tail)
+    body_only, whole = verify_both_ways(index, completed, record.task_id())
+    assert (body_only.status, whole.status) == ("pass", "pass")
+    other = splice(index, record, "{ return base; }")
+    assert ScriptedDifferentialBackend().verify(index, other, record.task_id()).status == "compile_error"
+
+
+def test_single_block_verdicts_build_no_completed_source():
+    """A body that is one balanced block, trailing comments or not, is judged
+    without building, indexing or comparing a whole completed source."""
+    jobs = [
+        (FILE.index, ADD, "{ return b + a; }", "pass", None),
+        (FILE.index, ADD, "{ return a - b; }", "functional_mismatch", None),
+        (FILE.index, LOOP, LOOP.body.replace("acc + i", "acc + i + 1"), "functional_mismatch", None),
+        (FILE.index, AVG, "{\n        return helperX(a);\n    } // x", "compile_error", 2),
+        (MULTI_FILE.index, M_HALF, "{\n\n        return zz; } /* done */\n", "compile_error", 3),
+        (MULTI_FILE.index, M_HALF, "{ return a / 2; } // same block", "pass", None),
+    ]
+    backend = ScriptedDifferentialBackend()
+    fail = mock.Mock(side_effect=AssertionError("whole source"))
+    with mock.patch.object(LocatedCompletion, "source", property(fail)), mock.patch.object(
+        SourceIndex, "__init__", fail
+    ), mock.patch.object(executor, "_whole_source_change", fail):
+        for oracle, record, body, status, line in jobs:
+            v = backend.verify(oracle, splice(oracle, record, body), record.task_id())
+            assert v.status == status, body
+            assert line is None or v.diagnostics[0].line == line
+    assert fail.call_count == 0
+
+
 FIXTURE_SOURCES = sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol"))
 
 
@@ -1414,10 +1595,10 @@ def test_fixture_records_splice_back_exactly(path):
     assert records
     for record in records:
         completed = splice(file.index, record, record.body)
-        assert completed == file.text
+        assert completed.source == file.text
         assert backend.verify(file.index, completed, record.task_id()).status == "pass"
         reindented = splice(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
-        assert backend._oracle(file.index).splice(reindented) is not None
+        assert backend._oracle(file.index).located(reindented) is not None
         body_only, whole = verify_both_ways(file.index, reindented, record.task_id())
         assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
@@ -1437,7 +1618,7 @@ class TestDeclarationTable:
             "{ uint256 s = a + b; return s; }",
             "{ return b + a; }",
             "{ uint256 t; return add(t, a); }",
-            "{ return a - b; } // the whole source is parsed",
+            "{ return a - b; } // judged on the block",
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
@@ -1445,7 +1626,7 @@ class TestDeclarationTable:
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
-        assert backend._oracle(MULTI_FILE.index).splice(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is None
+        assert backend._oracle(MULTI_FILE.index).located(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is not None
         assert counts.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1467,9 +1648,10 @@ class TestDeclarationTable:
         # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
         # for them, and no other identifier sends MULTI_FILE's to a scan.
         assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
-        # The whole-source path scans each completed source it needs once.
-        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x")
-        assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
+        # A trailing comment is judged on the block: no completed source is
+        # built, indexed or scanned.
+        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x").source
+        assert self.scans(counts, SourceIndex(completed).scrubbed) == []
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
     def test_answers_equal_the_eager_counter(self, path):
@@ -1483,7 +1665,7 @@ class TestDeclarationTable:
         # Pieces of declared names occur in the oracle but are mostly not
         # declared themselves.
         names |= {piece for n in eager for piece in (n[:-1], n[1:], n[1:-1]) if piece}
-        for fn in oracle._spliceable:
+        for fn in executor._top_level(oracle.index):
             within = Counter(m.group(1) for m in found if fn.body_start <= m.start() <= fn.body_end)
             spliced = executor._SplicedNames(oracle, fn, executor._DeclaredIn("{ uint256 fresh; }"))
             assert {n for n in names if n in spliced} == {n for n in names if n == "fresh" or eager[n] > within[n]}
@@ -1556,15 +1738,50 @@ class TestSolcBackend:
 
     def test_rebase_moves_line_into_body(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        body_line = completed[: completed.index("{\n        return helperX")].count("\n") + 1
+        source = completed.source
+        body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        (rebased,) = SolcCompileBackend._rebase((diag,), FILE.index, completed)
+        (rebased,) = SolcCompileBackend._rebase((diag,), completed)
         assert rebased.line == 2
 
     def test_rebase_leaves_outside_lines_alone(self):
         completed = completed_with(ADD, "{ return 1; }")
         diag = Diagnostic("Other", "m", line=1)
-        assert SolcCompileBackend._rebase((diag,), FILE.index, completed)[0].line == 1
+        assert SolcCompileBackend._rebase((diag,), completed)[0].line == 1
+
+    @pytest.mark.parametrize("record", [ADD, AVG, LOOP], ids=lambda r: r.name)
+    def test_verify_rebases_a_stubbed_compilers_absolute_lines(self, record):
+        body = "{\n        uint256 q = a;\n        return helperX(q);\n    } // trailing"
+        completed = completed_with(record, body)
+        source = completed.source
+        first = source[: source.index(body)].count("\n") + 1
+        compiled = []
+
+        def compile(self, text):
+            compiled.append(text)
+            diagnostics = [
+                Diagnostic("UndeclaredIdentifier", f"task.sol:{first + 2}:16: m", line=first + 2, identifier="helperX"),
+                Diagnostic("Other", "first body line", line=first),
+                Diagnostic("Other", "last body line", line=first + 3),
+                Diagnostic("Other", "before the body", line=first - 1),
+                Diagnostic("Other", "after the body", line=first + 4),
+                Diagnostic("Other", "no line"),
+            ]
+            return ExecutionVerdict("compile_error", tuple(diagnostics), backend="solc", backend_version="stub")
+
+        with mock.patch.object(SolcCompileBackend, "compile", compile), mock.patch.object(
+            SourceIndex, "__init__", side_effect=AssertionError("indexed")
+        ):
+            v = SolcCompileBackend().verify(FILE.index, completed, record.task_id())
+        assert compiled == [source]
+        assert v.status == "compile_error"
+        assert [d.line for d in v.diagnostics] == [3, 1, 4, first - 1, first + 4, None]
+        assert v.diagnostics[0].message == f"task.sol:{first + 2}:16: m"
+
+    def test_verify_passes_a_clean_compile_through(self):
+        clean = ExecutionVerdict("pass", backend="solc", backend_version="stub")
+        with mock.patch.object(SolcCompileBackend, "compile", return_value=clean):
+            assert SolcCompileBackend().verify(FILE.index, UNCHANGED, ADD.task_id()) is clean
 
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_pass(self):
@@ -1596,12 +1813,13 @@ class TestFuzzAdapter:
                 "assert req['schema'] == 'fuzz-request@1'\n"
                 f"assert req['oracle_source'] == {ORACLE!r}\n"
                 f"assert req['completed_source'] == {ORACLE!r}\n"
+                "assert list(req) == ['schema', 'oracle_source', 'completed_source', 'target_function_id']\n"
                 f"assert req['target_function_id'] == {ADD.task_id()!r}\n"
                 "json.dump({'schema': 'fuzz-report@1', 'status': 'pass', 'seed': 7,"
                 " 'version': 'stub-1'}, sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.status == "pass"
         assert v.backend_seed == 7
         assert v.backend_version == "stub-1"
@@ -1618,23 +1836,23 @@ class TestFuzzAdapter:
                 " sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "diverged at input 3"
 
     def test_nonzero_exit_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_crash.py", "import sys\nsys.exit(3)\n")
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.status == "executor_unavailable"
         assert "exited 3" in v.diagnostics[0].message
 
     def test_garbage_stdout_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_garbage.py", "print('not json')\n")
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, ORACLE, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
         assert v.status == "executor_unavailable"
 
     def test_missing_command_is_unavailable(self):
-        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(FILE.index, ORACLE, "t")
+        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(FILE.index, UNCHANGED, "t")
         assert v.status == "executor_unavailable"
         assert "not found" in v.diagnostics[0].message
 
@@ -1648,7 +1866,7 @@ class TestDispatchHelpers:
             def verify(self, *a):
                 raise RuntimeError("segfault")
 
-        v = differential_verify(FILE.index, ORACLE, ADD.task_id(), Broken())
+        v = differential_verify(FILE.index, UNCHANGED, ADD.task_id(), Broken())
         assert v.status == "executor_unavailable"
         assert "raised" in v.diagnostics[0].message
         assert v.backend == "broken"

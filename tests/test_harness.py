@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solrepair.cli import build_parser, main
+from solrepair.context import get_counter
 from solrepair.corpus import SourceIndex
 from solrepair.executor import (
     STATUS_COMPILE_ERROR,
@@ -717,6 +718,17 @@ class TestCmdVerify:
             for line in (tmp_path / "v.jsonl").read_text(encoding="utf-8").splitlines()
         ]
         assert written == results
+
+    @pytest.mark.parametrize("counter", ["bytes4", "words"])
+    def test_builds_no_context_window(self, e2e_config_factory, tmp_path, counter):
+        config = e2e_config_factory(str(tmp_path / "out"), counter=counter)
+        task = self.first_tasks(config, 1)[0]
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(json.dumps({"task_id": task.task_id, "body": task.record.body}) + "\n", encoding="utf-8")
+        with mock.patch.object(type(get_counter(counter)), "count", side_effect=AssertionError("counted")) as count:
+            results, code = cmd_verify(completions, config)
+        assert (code, results[0]["verdict"]["status"]) == (EXIT_OK, STATUS_PASS)
+        assert count.call_count == 0
 
     def test_unknown_task_id_rejected(self, verify_config, tmp_path):
         completions = tmp_path / "completions.jsonl"

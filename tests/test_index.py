@@ -157,19 +157,23 @@ def test_fixture_sources_index_as_before():
 
 
 def test_bodiless_declarations_index_in_linear_time():
-    def seconds(n: int) -> float:
-        text = "interface I {\n" + "".join(
-            f"    function f{i}(uint256 a, bytes calldata b) external returns (uint256);\n" for i in range(n)
-        ) + "}\n"
-        best = float("inf")
-        for _ in range(3):
+    # The two sizes are timed in turn, so that a burst of load on the host
+    # slows both alike; each keeps its best of five.
+    sizes = (25_000, 50_000)
+    texts = {
+        n: "interface I {\n"
+        + "".join(f"    function f{i}(uint256 a, bytes calldata b) external returns (uint256);\n" for i in range(n))
+        + "}\n"
+        for n in sizes
+    }
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(5):
+        for n in sizes:
             started = time.perf_counter()
-            index = SourceIndex(text)
-            best = min(best, time.perf_counter() - started)
-        assert len(index.functions) == n
-        return best
-
-    assert seconds(50_000) < 3 * seconds(25_000)
+            index = SourceIndex(texts[n])
+            best[n] = min(best[n], time.perf_counter() - started)
+            assert len(index.functions) == n
+    assert best[50_000] < 3 * best[25_000]
 
 
 # Pieces of generated sources: doc comments (some holding braces and
@@ -265,7 +269,7 @@ def test_property_oracle_bodies_splice_back_and_pass(source):
     backend = ScriptedDifferentialBackend()
     for task in tasks:
         spliced = substitute_function(task.oracle, task.target, task.record.body)
-        assert spliced == source
+        assert spliced.source == source
         verdict = backend.verify(task.oracle, spliced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict
         spaced = substitute_function(task.oracle, task.target, task.record.body[:-1] + " }")

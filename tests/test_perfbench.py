@@ -10,6 +10,7 @@ those names, calls around it, or changes a verdict, fails here.
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,23 @@ def test_perfbench_smoke_run_is_correct():
     layers = results["repair-lcs"]["metrics"]
     assert layers["retrieval.calls"]["value"] > 0
     assert layers["executor.verify_calls"]["value"] > 0
+
+
+def test_gate_reports_a_verifier_that_passes_everything(monkeypatch):
+    """perfbench/selftest.py's false-pass check, in-process: with
+    ScriptedDifferentialBackend.verify patched to pass every completion, one
+    smoke pass of repair-lcs must report a problem. A mock that judged
+    completions outside verify would escape the patch, and this would fail.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import selftest
+
+    failures: list[str] = []
+    try:
+        selftest.gate_catches("repair-lcs", selftest.pass_everything, failures, "a false pass")
+    finally:
+        shutil.rmtree(selftest.SCRATCH, ignore_errors=True)
+        for name in ("selftest", "run", "tracing", "workloads"):
+            sys.modules.pop(name, None)
+    assert failures == []

@@ -449,7 +449,9 @@ class TestRunRar:
 
         body = "{ return x + x; }"
         run_rar(make_task(), QueueClient([body]), Recording([PASS]), RepairStrategy("self_edit"), max_rounds=0)
-        assert seen == [(VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())]
+        ((oracle, completed, task_id),) = seen
+        assert (oracle, completed.source, task_id) == (VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())
+        assert (completed.oracle, completed.body) == (VAULT.index, body)
 
     def test_session_json_round_trip(self):
         client = QueueClient(["{ return stored + x; }", "{ return x * 2; }"])
