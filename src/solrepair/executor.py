@@ -129,24 +129,30 @@ def classify_error(
 
 
 class LocatedCompletion(NamedTuple):
-    """A completed body at its target in the oracle: the oracle source with
-    the target's body replaced by body, which `source` builds on each ask.
-    Everything outside the body is byte-identical to the oracle source."""
+    """A completed body at its located target. With the index the target was
+    located in, which every backend's verify is handed, it stands for the
+    oracle source with the target's body replaced by body: everything
+    outside the body is byte-identical to the oracle source."""
 
-    oracle: SourceIndex
     target: IndexedFunction
     body: str
 
-    @property
-    def source(self) -> str:
-        text, target = self.oracle.text, self.target
+    def source_in(self, oracle: SourceIndex) -> str:
+        """The whole completed source, built on each ask."""
+        text, target = oracle.text, self.target
         return text[: target.body_start] + self.body + text[target.body_end + 1 :]
 
+    def keeps_body_of(self, oracle: SourceIndex) -> bool:
+        """True when body is the target's own body in oracle, compared where
+        it stands."""
+        target, body = self.target, self.body
+        return len(body) == target.body_end + 1 - target.body_start and oracle.text.startswith(body, target.body_start)
 
-def substitute_function(oracle: SourceIndex, target: IndexedFunction, completed_body: str) -> LocatedCompletion:
+
+def substitute_function(target: IndexedFunction, completed_body: str) -> LocatedCompletion:
     """completed_body in place of the target's body; O(1), since no text is
     copied until a backend asks for the whole source."""
-    return LocatedCompletion(oracle, target, completed_body)
+    return LocatedCompletion(target, completed_body)
 
 
 # ---------------------------------------------------------------------------
@@ -614,18 +620,10 @@ class _Change(NamedTuple):
     declared: Container[str]
 
 
-# Text that may follow a body's closing brace and leave the rest of the
-# source parsing as it did: whitespace, `//` comments ended by a newline and
-# closed `/* */` comments, then one `//` comment the source's own newline
-# may end (group 1). No two alternatives can match at the same offset, so a
-# match takes time linear in the text.
-_TAIL_RE = re.compile(r"(?:\s|//[^\n]*\n|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*(//[^\n]*)?")
-
-
-def _block_end(scrubbed: str) -> int | None:
-    """Offset of the '}' closing a '{' at offset 0; None when the text does
-    not open with a brace that closes."""
-    return pair_braces(scrubbed, 0)[0].get(0)
+def _is_single_block(scrubbed: str) -> bool:
+    """True when the text is one balanced {...}: its first brace opens at
+    offset 0 and closes on the last character."""
+    return pair_braces(scrubbed, 0)[0].get(0) == len(scrubbed) - 1
 
 
 def _whole_source_change(oracle: _Oracle, completed_source: str) -> _Change:
@@ -744,39 +742,23 @@ class _Oracle:
     def located(self, completed: LocatedCompletion) -> _Change | None:
         """The change, found by scanning only the completed body, when it
         replaces a top-level body of a well-nested oracle with one balanced
-        {...} that declares no function, followed by nothing but whitespace
-        and comments that end before the rest of the source. Otherwise None,
-        and only a whole-source parse can tell.
+        {...} that declares no function. Otherwise None, and only a
+        whole-source parse can tell.
         """
-        target, text = completed.target, completed.body
+        target = completed.target
         if target.depth or not self._well_nested:
             return None
-        scrubbed = scrub(text)
-        close = _block_end(scrubbed)
-        if close is None:
-            return None
-        end = close + 1
-        if end < len(text):
-            tail = _TAIL_RE.match(text, end)
-            if tail.end() != len(text):
-                return None
-            # A `//` comment left open runs on into the source after the body.
-            after = target.body_end + 1
-            if tail[1] and not (self.index.text.startswith("\n", after) or after == len(self.index.text)):
-                return None
-            text, scrubbed = text[:end], scrubbed[:end]
-        if _FUNCTION_KW_RE.search(scrubbed):
+        scrubbed = scrub(completed.body)
+        if not _is_single_block(scrubbed) or _FUNCTION_KW_RE.search(scrubbed):
             return None
         old = self.body(target)
-        if text == old.text:
-            return _Change((), (), ())
-        new = _Body(old.name, text, scrubbed, old.start, old.params, old.base_locals)
+        new = _Body(old.name, completed.body, scrubbed, old.start, old.params, old.base_locals)
         return _Change((old,), (new,), _SplicedNames(self, target, _DeclaredIn(scrubbed)))
 
     def change(self, completed: LocatedCompletion) -> _Change:
         """What completed changes; raises MalformedSourceError when its whole
         source is unbalanced."""
-        return self.located(completed) or _whole_source_change(self, completed.source)
+        return self.located(completed) or _whole_source_change(self, completed.source_in(self.index))
 
 
 @dataclass(frozen=True)
@@ -859,10 +841,7 @@ class ScriptedDifferentialBackend:
         t0 = time.perf_counter()
         try:
             prepared = self._oracle(oracle)
-            target, body = completed.target, completed.body
-            # The oracle's own body, compared where it stands.
-            same_size = len(body) == target.body_end + 1 - target.body_start
-            if same_size and oracle.text.startswith(body, target.body_start):
+            if completed.keeps_body_of(oracle):
                 return self._verdict(t0, STATUS_PASS)
             change = prepared.change(completed)
         except MalformedSourceError as exc:
@@ -1082,19 +1061,40 @@ class SolcCompileBackend:
     def verify(
         self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
-        verdict = self.compile(completed.source)
+        verdict = self.compile(completed.source_in(oracle))
         if verdict.status != STATUS_COMPILE_ERROR:
             return verdict
-        return replace(verdict, diagnostics=self._rebase(verdict.diagnostics, completed))
+        return replace(verdict, diagnostics=self._rebase(verdict.diagnostics, oracle, completed))
 
     @staticmethod
-    def _rebase(diagnostics: Sequence[Diagnostic], completed: LocatedCompletion) -> tuple[Diagnostic, ...]:
-        """Rebase absolute source lines that fall on the completed body onto
-        it. The body starts on the line of the target's '{', which the
-        oracle's index holds, and spans as many more lines as it has
-        newlines."""
-        first = completed.oracle.line_of(completed.target.body_start)
-        last = first + completed.body.count("\n")
+    def _rebase(
+        diagnostics: Sequence[Diagnostic], oracle: SourceIndex, completed: LocatedCompletion
+    ) -> tuple[Diagnostic, ...]:
+        """Rebase absolute source lines that fall on the one top-level body
+        the completion changes onto that body; every line stays absolute
+        when it changes no body or several, or its source is unbalanced.
+
+        A body the mock locates (one balanced block that declares no
+        function) starts on the line of the target's '{', which the oracle's
+        index holds, and spans as many more lines as it has newlines. Any
+        other body is found by aligning the whole completed source.
+        """
+        diagnostics = tuple(diagnostics)
+        if all(d.line is None for d in diagnostics) or completed.keeps_body_of(oracle):
+            return diagnostics
+        try:
+            prepared = _Oracle(oracle)
+            if prepared.located(completed):
+                first, body = oracle.line_of(completed.target.body_start), completed.body
+            else:
+                source = completed.source_in(oracle)
+                change = _whole_source_change(prepared, source)
+                if len(change.new) != 1:
+                    return diagnostics
+                first, body = source.count("\n", 0, change.new[0].start) + 1, change.new[0].text
+        except MalformedSourceError:
+            return diagnostics
+        last = first + body.count("\n")
         return tuple(
             replace(d, line=d.line - first + 1)
             if d.line is not None and first <= d.line <= last
@@ -1127,7 +1127,7 @@ class SubprocessFuzzBackend:
         request = {
             "schema": "fuzz-request@1",
             "oracle_source": oracle.text,
-            "completed_source": completed.source,
+            "completed_source": completed.source_in(oracle),
             "target_function_id": target_function_id,
         }
 

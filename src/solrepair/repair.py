@@ -416,7 +416,7 @@ def build_repair_prompt(
 
 
 def _verify(task: CompletionTask, body: str, backend) -> ExecutionVerdict:
-    completed = substitute_function(task.oracle, task.target, body)
+    completed = substitute_function(task.target, body)
     return differential_verify(task.oracle, completed, task.task_id, backend)
 
 

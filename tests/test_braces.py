@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import pair_braces, scrub
-from solrepair.executor import _ASSEMBLY_RE, _block_end, _without_assembly
+from solrepair.executor import _ASSEMBLY_RE, _is_single_block, _without_assembly
 from solrepair.repair import _FENCE_RE, extract_code_block
 
 
@@ -26,8 +26,10 @@ def depth_match(scrubbed: str, start: int) -> int | None:
     return None
 
 
-def reference_block_end(scrubbed: str) -> int | None:
-    return depth_match(scrubbed, 0) if scrubbed.startswith("{") else None
+def reference_is_single_block(scrubbed: str) -> bool:
+    if not (scrubbed.startswith("{") and scrubbed.endswith("}")):
+        return False
+    return depth_match(scrubbed, 0) == len(scrubbed) - 1
 
 
 def reference_without_assembly(scrubbed: str) -> str:
@@ -100,8 +102,8 @@ def test_property_pair_braces_equals_depth_matcher(text):
 @example(text="{ assembly { ")
 def test_property_block_checks_equal_depth_matcher(text):
     scrubbed = scrub(text)
-    assert _block_end(scrubbed) == reference_block_end(scrubbed)
+    assert _is_single_block(scrubbed) == reference_is_single_block(scrubbed)
     assert _without_assembly(scrubbed) == reference_without_assembly(scrubbed)
     assert extract_code_block(text) == reference_extract_code_block(text)
     braced = "{" + text + "}"
-    assert _block_end(scrub(braced)) == reference_block_end(scrub(braced))
+    assert _is_single_block(scrub(braced)) == reference_is_single_block(scrub(braced))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from solrepair.corpus import (
     IndexedFunction,
+    MalformedSourceError,
     SourceFile,
     SourceIndex,
     extract_functions,
@@ -78,7 +80,7 @@ ADD, AVG, LOOP = extract_functions(FILE)
 def splice(index: SourceIndex, record, body: str) -> LocatedCompletion:
     """body in place of the body of the function that record names within
     its span, located as the harness locates a task's target."""
-    return substitute_function(index, index.find(record.name, *record.span), body)
+    return substitute_function(index.find(record.name, *record.span), body)
 
 
 def completed_with(record, body: str) -> LocatedCompletion:
@@ -154,7 +156,7 @@ class TestVerdictTypes:
 class TestSubstitute:
     def test_splice_preserves_everything_else(self):
         new_body = "{ return b + a; }"
-        completed = completed_with(ADD, new_body).source
+        completed = completed_with(ADD, new_body).source_in(FILE.index)
         start = ORACLE.index(ADD.body)
         assert completed[:start] == ORACLE[:start]
         assert completed[start : start + len(new_body)] == new_body
@@ -168,12 +170,12 @@ class TestSubstitute:
         with mock.patch.object(SourceIndex, "find", side_effect=AssertionError), mock.patch.object(
             SourceIndex, "check", side_effect=AssertionError
         ):
-            completed = substitute_function(FILE.index, target, "{ }")
-        assert completed == LocatedCompletion(FILE.index, target, "{ }")
-        assert completed.source == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
+            completed = substitute_function(target, "{ }")
+        assert completed == LocatedCompletion(target, "{ }")
+        assert completed.source_in(FILE.index) == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
 
     def test_round_trip_extraction(self):
-        completed = completed_with(AVG, "{ return (a + b) / 2; }").source
+        completed = completed_with(AVG, "{ return (a + b) / 2; }").source_in(FILE.index)
         again = extract_functions(SourceFile.from_text("math.sol", completed))
         assert again[1].body == "{ return (a + b) / 2; }"
         assert again[0].body == ADD.body
@@ -191,7 +193,7 @@ class TestSubstitute:
         )
         file = SourceFile.from_text("ab.sol", src)
         records = extract_functions(file)
-        completed = splice(file.index, records[1], "{ return 9; }").source
+        completed = splice(file.index, records[1], "{ return 9; }").source_in(file.index)
         assert "return 1" in completed
         assert "return 2" not in completed
         assert "return 9" in completed
@@ -371,7 +373,7 @@ class TestEvaluator:
             "file, bodies = SourceFile.from_text('p.sol', sys.argv[1]), json.loads(sys.argv[2])\n"
             "(record,), oracle = extract_functions(file), file.index\n"
             "backend = ScriptedDifferentialBackend()\n"
-            "verdicts = [backend.verify(oracle, substitute_function(oracle, oracle.find(record.name, *record.span), b), record.task_id()) for b in bodies]\n"
+            "verdicts = [backend.verify(oracle, substitute_function(oracle.find(record.name, *record.span), b), record.task_id()) for b in bodies]\n"
             "print(json.dumps([[v.status, v.diagnostics[0].message] for v in verdicts]))\n"
         )
         bodies = ["{ return a ** b ** b; }", "{ return (a + 1) ** (b * 1000); }", "{ return a << (b + 257); }"]
@@ -396,7 +398,7 @@ class TestEvaluator:
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
             "file, body = SourceFile.from_text('p.sol', sys.argv[1]), sys.argv[2]\n"
             "(record,), oracle = extract_functions(file), file.index\n"
-            "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle, oracle.find(record.name, *record.span), body), record.task_id())\n"
+            "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle.find(record.name, *record.span), body), record.task_id())\n"
             "print(v.status, v.diagnostics[0].message)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(executor.__file__).parents[1]))
@@ -983,7 +985,7 @@ class TestOracleMemo:
     def test_oracle_steps_pass_without_a_second_evaluation(self):
         backend = ScriptedDifferentialBackend()
         completed = splice(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
-        assert completed.source != MULTI
+        assert completed.source_in(MULTI_FILE.index) != MULTI
         backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
         with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
             assert backend.verify(MULTI_FILE.index, completed, M_HALF.task_id()).status == "pass"
@@ -993,7 +995,7 @@ class TestOracleMemo:
         table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
         backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
         completed = splice(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
-        assert completed.source != MULTI
+        assert completed.source_in(MULTI_FILE.index) != MULTI
         for _ in range(2):
             v = backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
             assert v.status == "functional_mismatch"
@@ -1256,10 +1258,10 @@ class TestLocationKeyed:
 
     def test_rebase_with_overloads(self):
         completed = splice(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
-        source = completed.source
+        source = completed.source_in(OVERLOADS_FILE.index)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        assert SolcCompileBackend._rebase((diag,), completed)[0].line == 2
+        assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE.index, completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
@@ -1325,26 +1327,10 @@ class TestLocationKeyed:
 
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
-        for body in ("{ return b + a; }", "{ return 1; } // x", "{ return 1; } /* x */\n", "{ return 1; }\n// x\n// y"):
+        for body in ("{ return b + a; }", "{\n  return 1; // x\n}", "{ /* } */ return 1; }"):
             assert oracle.located(completed_with(ADD, body)) is not None, body
-        for body in (
-            "{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }",
-            "{ return 1; } /* x", '{ return 1; } "x"', "{ return 1; } x", "{ return 1; } /*/",
-        ):
+        for body in ("{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
             assert oracle.located(completed_with(ADD, body)) is None, body
-
-    def test_open_line_comment_after_the_body_takes_the_body_only_path_only_before_a_newline(self):
-        # Here the contract's closing brace follows add's body on its line,
-        # so a `//` comment left open in the completion would swallow it.
-        source = "contract C {\n    /// Adds.\n    function add(uint256 a, uint256 b) public pure returns (uint256) { return a + b; } }\n"
-        file = SourceFile.from_text("c.sol", source)
-        (add,) = extract_functions(file)
-        oracle = _Oracle(file.index)
-        assert oracle.located(splice(file.index, add, "{ return b + a; } // x")) is None
-        assert oracle.located(splice(file.index, add, "{ return b + a; } // x\n")) is not None
-        v = ScriptedDifferentialBackend().verify(file.index, splice(file.index, add, "{ return b + a; } // x"), add.task_id())
-        assert v.status == "compile_error"
-        assert v.diagnostics[0].message == "<completed>: unmatched '{' at line 1, column 12"
 
 
 def test_oracle_cache_shared_across_threads():
@@ -1407,14 +1393,14 @@ class TestHandedIndex:
 
     def test_unbalanced_oracle_is_a_compile_error_naming_its_path(self):
         unbalanced = SourceIndex("contract C {\n", "bad.sol")
-        completed = substitute_function(unbalanced, IndexedFunction("f", 0, 11, 11, 11, 0), "{ }")
+        completed = substitute_function(IndexedFunction("f", 0, 11, 11, 11, 0), "{ }")
         v = ScriptedDifferentialBackend().verify(unbalanced, completed, "t")
         assert v.status == "compile_error"
         assert v.diagnostics[0].message == "bad.sol: unmatched '{' at line 1, column 12"
 
     def test_rebase_builds_no_index(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        source = completed.source
+        source = completed.source_in(FILE.index)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diags = (
             Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX"),
@@ -1422,11 +1408,11 @@ class TestHandedIndex:
             Diagnostic("Other", "m"),
         )
         with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")), mock.patch.object(
-            LocatedCompletion, "source", property(lambda self: pytest.fail("whole source built"))
+            LocatedCompletion, "source_in", lambda self, oracle: pytest.fail("whole source built")
         ):
-            rebased = SolcCompileBackend._rebase(diags, completed)
+            rebased = SolcCompileBackend._rebase(diags, FILE.index, completed)
         assert [d.line for d in rebased] == [2, 1, None]
-        assert rebased == SolcCompileBackend._rebase(diags, completed._replace(oracle=SourceIndex(ORACLE)))
+        assert rebased == SolcCompileBackend._rebase(diags, SourceIndex(ORACLE), completed)
 
     def test_three_parameter_backend_gets_the_index_positionally(self):
         calls = []
@@ -1439,6 +1425,25 @@ class TestHandedIndex:
         assert differential_verify(FILE.index, UNCHANGED, ADD.task_id(), ThreeParameters()).status == "pass"
         assert calls == [(FILE.index, UNCHANGED, ADD.task_id())]
         assert calls[0][0] is FILE.index
+
+
+def reference_rebase(diagnostics, oracle: SourceIndex, source: str) -> tuple[Diagnostic, ...]:
+    """solc's lines as a whole-source parse rebases them: those on the one
+    top-level body the completed source changes count from its '{'; with no
+    such body, every line stays absolute."""
+    diagnostics = tuple(diagnostics)
+    try:
+        change = executor._whole_source_change(_Oracle(oracle), source)
+    except MalformedSourceError:
+        return diagnostics
+    if len(change.new) != 1:
+        return diagnostics
+    first = source.count("\n", 0, change.new[0].start) + 1
+    last = first + change.new[0].text.count("\n")
+    return tuple(
+        dataclasses.replace(d, line=d.line - first + 1) if d.line is not None and first <= d.line <= last else d
+        for d in diagnostics
+    )
 
 
 def verify_both_ways(
@@ -1482,14 +1487,7 @@ def test_property_body_only_verify_matches_whole_source(parts, wrap, target):
     assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
 
 
-# add's body ends the line holding the contract's closing brace, so a `//`
-# comment left open after a completed body comments that brace out.
-SAME_LINE_FILE = SourceFile.from_text(
-    "c.sol",
-    "contract C {\n    /// Adds.\n    function add(uint256 a, uint256 b) public pure returns (uint256) { return a + b; } }\n",
-)
-(SAME_LINE_ADD,) = extract_functions(SAME_LINE_FILE)
-STATEMENTS = st.sampled_from(
+BLOCK_STATEMENTS = st.sampled_from(
     [
         "return a + b;", "return b + a;", "return a - b;", "return 12345;", "uint256 t = a;", "return t;",
         "return helperX(a);", "return total;", "return zz;", "return add(a, b);", "if (a > b) { return a; }",
@@ -1500,29 +1498,26 @@ STATEMENTS = st.sampled_from(
 # after it: a stray brace, an unterminated string or comment, an extra
 # function.
 HOSTILE = st.sampled_from(["", "{", "}", '"', "'", "/*", "//", "function g() public {}", "assembly { let x := 1 }"])
-# Text after the block: the first six leave it judged on the block alone,
-# the rest need the whole source (the open `//` only where a newline follows).
-CLOSED_TAILS = ["", "\n", " // x\n", " /* x */", "\n    // a\n    /* b */  ", "\t/** } { */\n"]
+# Text after the block, which leaves the body for a whole-source parse to judge.
 TAILS = st.sampled_from(
-    CLOSED_TAILS
-    + [
-        " // x", " /* x", ' "s"', " }", " {", " x", " /*/", "\n    function extra() public pure { }",
+    [
+        "", "\n", " // x\n", " // x", " /* x */", " /* x", "\t/** } { */\n", ' "s"', " }", " {", " x", " /*/",
+        "\n    function extra() public pure { }",
         "\n    function add(uint256 a) public pure returns (uint256) { return a; }",
     ]
 )
 
 
 @settings(max_examples=200, deadline=None)
-@example(["return a + b;"], "", False, False, " // x", (SAME_LINE_FILE.index, SAME_LINE_ADD))
 @example(["return b + a;"], "", False, True, " /* x", (FILE.index, ADD))
 @example([], "", False, False, "\n    function add(uint256 a) public pure returns (uint256) { return a; }", (FILE.index, ADD))
 @given(
-    statements=st.lists(STATEMENTS, max_size=3),
+    statements=st.lists(BLOCK_STATEMENTS, max_size=3),
     hostile=HOSTILE,
     inside=st.booleans(),
     newlines=st.booleans(),
     tail=TAILS,
-    target=st.sampled_from((*TARGETS, (MULTI_FILE.index, M_HALF), (SAME_LINE_FILE.index, SAME_LINE_ADD))),
+    target=st.sampled_from((*TARGETS, (MULTI_FILE.index, M_HALF))),
 )
 def test_property_located_verify_matches_whole_source_reference(statements, hostile, inside, newlines, tail, target):
     """A located completion gets the verdict and diagnostics that indexing
@@ -1535,8 +1530,12 @@ def test_property_located_verify_matches_whole_source_reference(statements, host
     completed = splice(oracle, record, body)
     body_only, whole = verify_both_ways(oracle, completed, record.task_id())
     assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+    # solc's absolute lines, one on each line of the completed source.
+    source = completed.source_in(oracle)
+    lines = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
+    assert SolcCompileBackend._rebase(lines, oracle, completed) == reference_rebase(lines, oracle, source)
     balanced = not hostile or inside and hostile.startswith("assembly")
-    if balanced and tail in CLOSED_TAILS and record is not OUTER:
+    if balanced and not tail and record is not OUTER:
         assert _Oracle(oracle).located(completed) is not None, body
 
 
@@ -1562,19 +1561,19 @@ def test_oracle_body_passes_whatever_comments_follow_it(index, record, tail):
 
 
 def test_single_block_verdicts_build_no_completed_source():
-    """A body that is one balanced block, trailing comments or not, is judged
-    without building, indexing or comparing a whole completed source."""
+    """A body that is one balanced block is judged without building,
+    indexing or comparing a whole completed source."""
     jobs = [
         (FILE.index, ADD, "{ return b + a; }", "pass", None),
         (FILE.index, ADD, "{ return a - b; }", "functional_mismatch", None),
         (FILE.index, LOOP, LOOP.body.replace("acc + i", "acc + i + 1"), "functional_mismatch", None),
-        (FILE.index, AVG, "{\n        return helperX(a);\n    } // x", "compile_error", 2),
-        (MULTI_FILE.index, M_HALF, "{\n\n        return zz; } /* done */\n", "compile_error", 3),
-        (MULTI_FILE.index, M_HALF, "{ return a / 2; } // same block", "pass", None),
+        (FILE.index, AVG, "{\n        return helperX(a); // x\n    }", "compile_error", 2),
+        (MULTI_FILE.index, M_HALF, "{\n\n        return zz; /* done */ }", "compile_error", 3),
+        (MULTI_FILE.index, M_HALF, "{ return a / 2;  }", "pass", None),
     ]
     backend = ScriptedDifferentialBackend()
     fail = mock.Mock(side_effect=AssertionError("whole source"))
-    with mock.patch.object(LocatedCompletion, "source", property(fail)), mock.patch.object(
+    with mock.patch.object(LocatedCompletion, "source_in", fail), mock.patch.object(
         SourceIndex, "__init__", fail
     ), mock.patch.object(executor, "_whole_source_change", fail):
         for oracle, record, body, status, line in jobs:
@@ -1595,7 +1594,7 @@ def test_fixture_records_splice_back_exactly(path):
     assert records
     for record in records:
         completed = splice(file.index, record, record.body)
-        assert completed.source == file.text
+        assert completed.source_in(file.index) == file.text
         assert backend.verify(file.index, completed, record.task_id()).status == "pass"
         reindented = splice(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
         assert backend._oracle(file.index).located(reindented) is not None
@@ -1618,7 +1617,7 @@ class TestDeclarationTable:
             "{ uint256 s = a + b; return s; }",
             "{ return b + a; }",
             "{ uint256 t; return add(t, a); }",
-            "{ return a - b; } // judged on the block",
+            "{ return a - b; } // the whole source is parsed",
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
@@ -1626,7 +1625,7 @@ class TestDeclarationTable:
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
-        assert backend._oracle(MULTI_FILE.index).located(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is not None
+        assert backend._oracle(MULTI_FILE.index).located(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is None
         assert counts.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1648,10 +1647,9 @@ class TestDeclarationTable:
         # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
         # for them, and no other identifier sends MULTI_FILE's to a scan.
         assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
-        # A trailing comment is judged on the block: no completed source is
-        # built, indexed or scanned.
-        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x").source
-        assert self.scans(counts, SourceIndex(completed).scrubbed) == []
+        # The whole-source path scans each completed source it needs once.
+        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x").source_in(MULTI_FILE.index)
+        assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
     def test_answers_equal_the_eager_counter(self, path):
@@ -1738,22 +1736,22 @@ class TestSolcBackend:
 
     def test_rebase_moves_line_into_body(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        source = completed.source
+        source = completed.source_in(FILE.index)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        (rebased,) = SolcCompileBackend._rebase((diag,), completed)
+        (rebased,) = SolcCompileBackend._rebase((diag,), FILE.index, completed)
         assert rebased.line == 2
 
     def test_rebase_leaves_outside_lines_alone(self):
         completed = completed_with(ADD, "{ return 1; }")
         diag = Diagnostic("Other", "m", line=1)
-        assert SolcCompileBackend._rebase((diag,), completed)[0].line == 1
+        assert SolcCompileBackend._rebase((diag,), FILE.index, completed)[0].line == 1
 
     @pytest.mark.parametrize("record", [ADD, AVG, LOOP], ids=lambda r: r.name)
     def test_verify_rebases_a_stubbed_compilers_absolute_lines(self, record):
-        body = "{\n        uint256 q = a;\n        return helperX(q);\n    } // trailing"
+        body = "{\n        uint256 q = a;\n        return helperX(q);\n    }"
         completed = completed_with(record, body)
-        source = completed.source
+        source = completed.source_in(FILE.index)
         first = source[: source.index(body)].count("\n") + 1
         compiled = []
 
@@ -1777,6 +1775,32 @@ class TestSolcBackend:
         assert v.status == "compile_error"
         assert [d.line for d in v.diagnostics] == [3, 1, 4, first - 1, first + 4, None]
         assert v.diagnostics[0].message == f"task.sol:{first + 2}:16: m"
+
+    @pytest.mark.parametrize(
+        "body,rebased",
+        [
+            # Judged on the block, as the whole-source parse finds it.
+            ("{\n        return helperX(a);\n    } // x\n", True),
+            # Two functions change, or none does, or the source is unbalanced.
+            ("{\n        return a;\n    }\n\n    function extra() public pure { }", False),
+            (ADD.body, False),
+            ("{\n        return a;\n", False),
+        ],
+        ids=["trailing-comment", "extra-function", "oracle-body", "unbalanced"],
+    )
+    def test_lines_are_rebased_only_onto_the_one_changed_body(self, body, rebased):
+        completed = completed_with(ADD, body)
+        source = completed.source_in(FILE.index)
+        first = source[: source.index(body)].count("\n") + 1
+        diagnostics = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
+        with mock.patch.object(
+            SolcCompileBackend, "compile", return_value=ExecutionVerdict("compile_error", tuple(diagnostics))
+        ):
+            v = SolcCompileBackend().verify(FILE.index, completed, ADD.task_id())
+        assert v.diagnostics == reference_rebase(diagnostics, FILE.index, source)
+        # The block's three lines, the trailing comment's excluded.
+        moved = [(was.line, d.line) for d, was in zip(v.diagnostics, diagnostics) if d != was]
+        assert moved == ([(first, 1), (first + 1, 2), (first + 2, 3)] if rebased else [])
 
     def test_verify_passes_a_clean_compile_through(self):
         clean = ExecutionVerdict("pass", backend="solc", backend_version="stub")

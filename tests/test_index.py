@@ -268,10 +268,10 @@ def test_property_oracle_bodies_splice_back_and_pass(source):
     assert [task.record for task in tasks] == records
     backend = ScriptedDifferentialBackend()
     for task in tasks:
-        spliced = substitute_function(task.oracle, task.target, task.record.body)
-        assert spliced.source == source
+        spliced = substitute_function(task.target, task.record.body)
+        assert spliced.source_in(task.oracle) == source
         verdict = backend.verify(task.oracle, spliced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict
-        spaced = substitute_function(task.oracle, task.target, task.record.body[:-1] + " }")
+        spaced = substitute_function(task.target, task.record.body[:-1] + " }")
         verdict = backend.verify(task.oracle, spaced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict

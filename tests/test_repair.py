@@ -450,8 +450,8 @@ class TestRunRar:
         body = "{ return x + x; }"
         run_rar(make_task(), QueueClient([body]), Recording([PASS]), RepairStrategy("self_edit"), max_rounds=0)
         ((oracle, completed, task_id),) = seen
-        assert (oracle, completed.source, task_id) == (VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())
-        assert (completed.oracle, completed.body) == (VAULT.index, body)
+        assert (oracle, completed.source_in(oracle), task_id) == (VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())
+        assert completed.body == body
 
     def test_session_json_round_trip(self):
         client = QueueClient(["{ return stored + x; }", "{ return x * 2; }"])
