@@ -100,6 +100,9 @@ def build_context(
     if budget < 0:
         raise ValueError(f"context budget must be non-negative, got {budget}")
     check_span(file, target)
+    if budget == 0:
+        # Blank lines count no words, yet are no context.
+        return ContextWindow(text="", budget=0, actual_tokens=0)
     text = file.text
     line_starts = file.index.line_starts
 

@@ -113,17 +113,22 @@ def classify_error(
     line: int | None = None,
     identifier: str | None = None,
 ) -> Diagnostic:
-    """Classify a compiler message; unmatched messages map to Other."""
+    """Classify a compiler message; unmatched messages map to Other.
+
+    Only the message's first line is read: a compiler's later lines quote
+    source, whose strings and names are not the error's.
+    """
+    first = message.split("\n", 1)[0]
     kind = "Other"
     for candidate, pattern in patterns:
-        if re.search(pattern, message):
+        if re.search(pattern, first):
             kind = candidate
             break
     if identifier is None:
-        m = re.search(r'"([^"]+)"', message)
+        m = re.search(r'"([^"]+)"', first)
         identifier = m.group(1) if m else None
     if line is None:
-        m = re.search(r":(\d+):(\d+)", message)
+        m = re.search(r":(\d+):(\d+)", first)
         line = int(m.group(1)) if m else None
     return Diagnostic(kind=kind, message=message, line=line, identifier=identifier)
 
@@ -968,6 +973,22 @@ class ScriptedDifferentialBackend:
         return self._verdict(t0, STATUS_PASS)
 
 
+_SOLC_SOURCE = "task.sol"
+
+
+def _spanned(error: dict, encoded: bytes) -> tuple[int | None, str]:
+    """The line and the text of the task source that a standard-JSON error's
+    `sourceLocation` spans, in solc's byte offsets into the UTF-8 source;
+    (None, "") when it spans none of it."""
+    where = error.get("sourceLocation")
+    if not isinstance(where, dict) or where.get("file") != _SOLC_SOURCE:
+        return None, ""
+    start, end = where.get("start"), where.get("end")
+    if not (type(start) is int and type(end) is int and 0 <= start <= end <= len(encoded)):
+        return None, ""
+    return encoded.count(b"\n", 0, start) + 1, encoded[start:end].decode("utf-8", "replace")
+
+
 class SolcCompileBackend:
     """Compile-only adapter over the solc binary (standard JSON interface).
 
@@ -1008,7 +1029,7 @@ class SolcCompileBackend:
         t0 = time.perf_counter()
         request = {
             "language": "Solidity",
-            "sources": {"task.sol": {"content": source}},
+            "sources": {_SOLC_SOURCE: {"content": source}},
             "settings": {"outputSelection": {"*": {"*": []}}},
         }
 
@@ -1037,12 +1058,19 @@ class SolcCompileBackend:
             output = json.loads(proc.stdout)
         except json.JSONDecodeError:
             return unavailable(f"compiler produced no JSON: {proc.stderr[:200]}")
+        encoded = source.encode("utf-8")
         diagnostics = []
         for error in output.get("errors", []):
             if error.get("severity") != "error":
                 continue
             message = error.get("formattedMessage") or error.get("message", "")
-            diagnostics.append(classify_error(message, self.patterns))
+            # An undeclared identifier is the text the error spans, not a
+            # name its message quotes ("Did you mean ...?").
+            line, spanned = _spanned(error, encoded)
+            diagnostic = classify_error(message, self.patterns, line=line)
+            if spanned and diagnostic.kind == "UndeclaredIdentifier":
+                diagnostic = replace(diagnostic, identifier=spanned)
+            diagnostics.append(diagnostic)
         if diagnostics:
             return ExecutionVerdict(
                 status=STATUS_COMPILE_ERROR,

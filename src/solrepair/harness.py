@@ -5,13 +5,15 @@ attempt) and outcomes.jsonl (one committed row per task, written in task
 order). A task is committed when its outcome row and all its session rows
 are present; on resume, the first task that is not ends the committed
 prefix, every row after it is dropped and those tasks re-run, so a killed
-and resumed run produces byte-identical outcomes. Worker threads never
-write: results are drained in submission order from the pool.
+and resumed run produces byte-identical outcomes. One worker runs each
+task on the calling thread; N > 1 workers form a pool whose results are
+drained in submission order. Only the calling thread writes.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import datetime as _dt
 import json
 import logging
@@ -412,32 +414,37 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         except Exception as exc:  # one task's failure leaves the run partial, never ends it
             return task.task_id, exc
 
-    with open(outcomes_path, "a", encoding="utf-8") as out_fh, open(
-        sessions_path, "a", encoding="utf-8"
-    ) as sess_fh:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            # map() yields in submission order, so files stay in task order
-            # regardless of worker count.
-            for result in pool.map(worker, pending):
-                if isinstance(result[0], str):
-                    task_id, exc = result
-                    # A model or retrieval outage needs no traceback; anything
-                    # else is a fault whose traceback is wanted.
-                    expected = isinstance(exc, (ModelClientError, RetrievalUnavailableError))
-                    log.error(
-                        "task %s failed: %s: %s", task_id, type(exc).__name__, exc,
-                        exc_info=None if expected else exc,
-                    )
-                    continue
-                outcome, sessions = result
-                for session in sessions:
-                    sess_fh.write(dump_row(session.to_json()))
-                sess_fh.flush()
-                out_fh.write(dump_row(outcome.to_json()))
-                out_fh.flush()
-                done.add(outcome.task_id)
-                if outcome.unavailable:
-                    unavailable_seen = True
+    with contextlib.ExitStack() as stack:
+        out_fh = stack.enter_context(open(outcomes_path, "a", encoding="utf-8"))
+        sess_fh = stack.enter_context(open(sessions_path, "a", encoding="utf-8"))
+        # Results come in submission order, so files stay in task order
+        # whatever the worker count. One worker runs on this thread: a pool
+        # is there so that model and executor latency overlap across workers.
+        if config.workers == 1:
+            results = map(worker, pending)
+        else:
+            pool = stack.enter_context(concurrent.futures.ThreadPoolExecutor(max_workers=config.workers))
+            results = pool.map(worker, pending)
+        for result in results:
+            if isinstance(result[0], str):
+                task_id, exc = result
+                # A model or retrieval outage needs no traceback; anything
+                # else is a fault whose traceback is wanted.
+                expected = isinstance(exc, (ModelClientError, RetrievalUnavailableError))
+                log.error(
+                    "task %s failed: %s: %s", task_id, type(exc).__name__, exc,
+                    exc_info=None if expected else exc,
+                )
+                continue
+            outcome, sessions = result
+            for session in sessions:
+                sess_fh.write(dump_row(session.to_json()))
+            sess_fh.flush()
+            out_fh.write(dump_row(outcome.to_json()))
+            out_fh.flush()
+            done.add(outcome.task_id)
+            if outcome.unavailable:
+                unavailable_seen = True
 
     incomplete = [t.task_id for t in tasks if t.task_id not in done]
     manifest = RunManifest(

@@ -15,7 +15,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Protocol, Sequence, runtime_checkable
@@ -324,9 +324,6 @@ class Attempt(Record):
     explanation_prompt_tokens: int = 0
     explanation_completion_tokens: int = 0
 
-    def with_verdict(self, verdict: ExecutionVerdict) -> "Attempt":
-        return replace(self, verdict=verdict)
-
 
 @dataclass(frozen=True)
 class RepairSession(Record):
@@ -360,18 +357,20 @@ class RepairSession(Record):
 
 
 def complete_function(
-    task: CompletionTask, client: ModelClient, max_tokens: int = DEFAULT_MAX_TOKENS
+    task: CompletionTask, client: ModelClient, backend, max_tokens: int = DEFAULT_MAX_TOKENS
 ) -> Attempt:
-    """First completion attempt; the verdict is attached by the caller."""
+    """First completion attempt, verified through backend."""
     prompt = build_completion_prompt(task)
     reply = client.complete(prompt, max_tokens)
+    body = extract_code_block(reply.text)
     return Attempt(
         stage="completion",
         prompt=prompt,
         completion=reply.text,
-        body=extract_code_block(reply.text),
+        body=body,
         prompt_tokens=reply.prompt_tokens,
         completion_tokens=reply.completion_tokens,
+        verdict=_verify(task, body, backend),
     )
 
 
@@ -460,9 +459,8 @@ def run_rar(
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    attempt = complete_function(task, client, max_tokens)
-    verdict = _verify(task, attempt.body, backend)
-    attempts = [attempt.with_verdict(verdict)]
+    attempts = [complete_function(task, client, backend, max_tokens)]
+    verdict = attempts[0].verdict
     rounds = 0
     while (
         verdict.status not in (STATUS_PASS, STATUS_EXECUTOR_UNAVAILABLE)

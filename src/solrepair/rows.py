@@ -204,10 +204,15 @@ def from_json_at(key: str, cls: type[R], payload: dict) -> R:
         raise
 
 
+# json.dumps builds an encoder per call when given non-default arguments;
+# an encoder keeps no state between calls, so one serves every thread.
+_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dump_row(row: dict) -> str:
     """One JSONL line: sorted keys, compact separators, `\\n`; the sorted keys
     make outcome files byte-reproducible."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode_row(row) + "\n"
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -230,8 +230,17 @@ def test_corpus_pipeline_counts_and_injection(capsys, corpus20_dir):
         assert abs(report.duplication_rate - 0.87) <= 1e-12
 
 
+def untimed_sessions(out_dir: Path) -> list[dict]:
+    """The session rows of a run, each verdict without its `elapsed`."""
+    rows = [json.loads(line) for line in (out_dir / "sessions.jsonl").read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        for attempt in row["attempts"]:
+            del attempt["verdict"]["elapsed"]
+    return rows
+
+
 def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory):
-    label = "[5/9] scripted 50-task run: pass@1 40.00 -> 80.00; stable x3 runs, workers {1,8}"
+    label = "[5/9] scripted 50-task run: pass@1 40.00 -> 80.00; stable x3 runs, workers {1,2,8}"
     with reported(capsys, label):
         runs = e2e_runs(e2e_dir, tmp_path_factory)
         assert runs["baseline_code"] == EXIT_OK
@@ -258,10 +267,12 @@ def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory):
             file_index = re.match(r"bank(\d+)\.sol#", session.task_id).group(1)
             assert f"interface Registry{file_index}" in session.attempts[1].prompt
 
+        # Outcomes are byte-identical and sessions equal but for the
+        # executor's wall-clock time, whatever the worker count.
         reference = (runs["rar_out"] / "outcomes.jsonl").read_bytes()
-        for attempt in range(3):
-            out = tmp_path_factory.mktemp(f"acc-rar-again{attempt}")
-            workers = 8 if attempt == 2 else 1
+        reference_sessions = untimed_sessions(runs["rar_out"])
+        for workers in (1, 2, 8):
+            out = tmp_path_factory.mktemp(f"acc-rar-workers{workers}")
             _, code = cmd_run(
                 e2e_config(
                     e2e_dir,
@@ -273,6 +284,7 @@ def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory):
             )
             assert code == EXIT_OK
             assert (out / "outcomes.jsonl").read_bytes() == reference
+            assert untimed_sessions(out) == reference_sessions
 
 
 def test_cost_ledger_known_prices_and_additivity(capsys, e2e_dir, tmp_path_factory):

@@ -91,6 +91,18 @@ class TestBuildContext:
         assert window.text == ""
         assert window.actual_tokens == 0
 
+    @pytest.mark.parametrize("counter", [ApproxBytesCounter(), WordCounter()], ids=lambda c: c.name)
+    def test_budget_zero_empty_above_a_blank_line(self, counter):
+        # The blank line above the doc comment counts no words, but is no context.
+        file = SourceFile.from_text(
+            "c.sol",
+            "contract C {\n    uint256 x;\n\n    /// Adds.\n"
+            "    function f(uint256 a) public pure returns (uint256) {\n        return a + 1;\n    }\n}\n",
+        )
+        (rec,) = extract_functions(file)
+        assert build_context(file, rec, budget=0, counter=counter) == ContextWindow("", 0, 0)
+        assert build_context(file, rec, budget=1, counter=WordCounter()).text == "\n"
+
     def test_negative_budget_rejected(self):
         file, rec = file_with_target(["one"])
         with pytest.raises(ValueError, match="non-negative"):
@@ -179,21 +191,27 @@ def test_property_window_is_whole_line_suffix_and_monotone(lines, b1, extra):
     budget=st.integers(min_value=0, max_value=30),
 )
 def test_property_window_is_maximal(lines, budget):
-    """No earlier whole-line start would also fit the budget."""
+    """Budget 0 is the empty window; for any other budget no earlier
+    whole-line start would also fit."""
     lines = [l.replace("\n", " ") for l in lines]
     file, rec = file_with_target(lines)
     counter = WordCounter()
     window = build_context(file, rec, budget=budget, counter=counter)
     preceding = "".join(l + "\n" for l in lines)
     start = len(preceding) - len(window.text)
-    if start > 0:
+    if budget == 0:
+        assert window.text == ""
+    elif start > 0:
         prev_start = preceding.rfind("\n", 0, start - 1) + 1
         assert counter.count(preceding[prev_start:]) > budget
 
 
 def reference_build_context(file: SourceFile, target: FunctionRecord, budget: int, counter) -> ContextWindow:
-    """build_context as it was: a bisection over every line start before the
-    target, each probe counting a suffix of all the preceding text."""
+    """build_context as a bisection over every line start before the target,
+    each probe counting a suffix of all the preceding text; budget 0 is the
+    empty window."""
+    if budget == 0:
+        return ContextWindow(text="", budget=0, actual_tokens=0)
     starts = file.index.line_starts[: target.span[0]]
     preceding = file.text[: starts[-1]]
     lo, hi = 0, len(starts) - 1

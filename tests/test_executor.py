@@ -1802,6 +1802,94 @@ class TestSolcBackend:
         moved = [(was.line, d.line) for d, was in zip(v.diagnostics, diagnostics) if d != was]
         assert moved == ([(first, 1), (first + 1, 2), (first + 2, 3)] if rebased else [])
 
+    @staticmethod
+    def stub_solc(errors_for):
+        """A subprocess.run stand-in for solc: `--version` names a stub
+        version, and `--standard-json` answers with errors_for(source)."""
+        requests = []
+
+        def run(argv, **kwargs):
+            if argv[1:] == ["--version"]:
+                return subprocess.CompletedProcess(argv, 0, stdout="solc\nVersion: 0.8.26+stub\n", stderr="")
+            assert argv[1:] == ["--standard-json"]
+            source = json.loads(kwargs["input"])["sources"]["task.sol"]["content"]
+            requests.append(source)
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps({"errors": errors_for(source)}), stderr="")
+
+        return run, requests
+
+    @staticmethod
+    def undeclared(source: str, name: str, message: str = "Undeclared identifier.") -> dict:
+        """A standard-JSON error as solc reports an undeclared `name`: byte
+        offsets, and a formattedMessage that quotes the source line."""
+        start = source.index(name)
+        offset = len(source[:start].encode("utf-8"))
+        line = source.count("\n", 0, start) + 1
+        text = source.split("\n")[line - 1]
+        column = start - source.rfind("\n", 0, start)
+        formatted = (
+            f"DeclarationError: {message}\n --> task.sol:{line}:{column}:\n  |\n{line} | {text}\n"
+            f"  | {' ' * (column - 1)}{'^' * len(name)}\n\n"
+        )
+        return {
+            "component": "general",
+            "errorCode": "7576",
+            "formattedMessage": formatted,
+            "message": message,
+            "severity": "error",
+            "sourceLocation": {"file": "task.sol", "start": offset, "end": offset + len(name.encode("utf-8"))},
+            "type": "DeclarationError",
+        }
+
+    @pytest.mark.parametrize(
+        "body,name,message",
+        [
+            # The excerpt quotes a string on the error's line.
+            ('{\n        require(a > 0, "fee too high"); return helperX(a, b);\n    }', "helperX", "Undeclared identifier."),
+            # The message suggests another name.
+            ("{\n        return balanceof(a) + b;\n    }", "balanceof", 'Undeclared identifier. Did you mean "balanceOf"?'),
+        ],
+        ids=["quoted-string-in-excerpt", "did-you-mean"],
+    )
+    def test_undeclared_identifier_is_the_spanned_source_text(self, body, name, message):
+        # A non-ASCII comment above the body makes byte and character offsets differ.
+        oracle = SourceIndex(ORACLE.replace("    /// Adds two numbers.", "    /// Adds two numbers (é, €)."))
+        completed = substitute_function(oracle.find(ADD.name, *ADD.span), body)
+        source = completed.source_in(oracle)
+        run, requests = self.stub_solc(lambda text: [self.undeclared(text, name, message)])
+        with mock.patch.object(subprocess, "run", run):
+            compiled = SolcCompileBackend().compile(source)
+            verified = SolcCompileBackend().verify(oracle, completed, ADD.task_id())
+        assert requests == [source, source]
+        (d,) = compiled.diagnostics
+        assert (compiled.status, d.kind, d.identifier) == ("compile_error", "UndeclaredIdentifier", name)
+        assert d.line == source.count("\n", 0, source.index(name)) + 1
+        assert d.message == self.undeclared(source, name, message)["formattedMessage"]
+        # verify counts the same line from the body's "{".
+        assert verified.diagnostics[0].line == 2
+        assert compiled.backend_version == "0.8.26+stub"
+
+    def test_errors_without_a_source_location_read_the_first_line(self):
+        errors = [
+            {"severity": "warning", "formattedMessage": 'Warning: "unused"', "message": "unused"},
+            {"severity": "error", "formattedMessage": 'task.sol:3:5: TypeError: Member "push" not found.\n  | x "y"\n'},
+            {"severity": "error", "message": 'Undeclared identifier "zz".', "sourceLocation": {"file": "other.sol", "start": 0, "end": 2}},
+            {"severity": "error", "message": "Stack too deep.", "sourceLocation": {"file": "task.sol", "start": -1, "end": -1}},
+        ]
+        run, _ = self.stub_solc(lambda text: errors)
+        with mock.patch.object(subprocess, "run", run):
+            v = SolcCompileBackend().compile(ORACLE)
+        assert [(d.kind, d.identifier, d.line) for d in v.diagnostics] == [
+            ("Member", "push", 3),
+            ("UndeclaredIdentifier", "zz", None),
+            ("Other", None, None),
+        ]
+
+    def test_excerpt_lines_are_not_classified(self):
+        message = 'TypeError: Stack too deep.\n --> task.sol:9:3:\n  |\n9 | revert("Undeclared identifier \\"x\\"");\n'
+        d = classify_error(message)
+        assert (d.kind, d.identifier, d.line) == ("Other", None, None)
+
     def test_verify_passes_a_clean_compile_through(self):
         clean = ExecutionVerdict("pass", backend="solc", backend_version="stub")
         with mock.patch.object(SolcCompileBackend, "compile", return_value=clean):

@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import typing
 from pathlib import Path
 from types import SimpleNamespace
@@ -460,6 +461,31 @@ class TestCmdRun:
         assert code == EXIT_OK
         assert outcome_bytes(out) == outcome_bytes(reference)
         assert normalized_sessions(out) == normalized_sessions(reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_worker_runs_on_the_calling_thread(self, e2e_config_factory, baseline_run, tmp_path, workers):
+        from solrepair import harness
+
+        real = harness.run_task
+        calling, before = threading.get_ident(), threading.active_count()
+        seen = []
+
+        def run_task(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return real(*args)
+
+        out = tmp_path / "out"
+        with mock.patch.object(harness, "run_task", run_task):
+            _, code = cmd_run(e2e_config_factory(str(out), max_rounds=0, workers=workers))
+        assert code == EXIT_OK and len(seen) == E2E_TASKS
+        assert outcome_bytes(out) == outcome_bytes(baseline_run[3])
+        if workers == 1:
+            # No thread was started for the run.
+            assert set(seen) == {(calling, before)}
+        else:
+            assert calling not in {ident for ident, _ in seen}
+            assert all(active > before for _, active in seen)
+        assert threading.active_count() == before
 
     def test_rerun_of_complete_dir_is_noop(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(str(tmp_path / "out"), **RAR_OVERRIDES)

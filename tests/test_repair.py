@@ -453,6 +453,12 @@ class TestRunRar:
         assert (oracle, completed.source_in(oracle), task_id) == (VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())
         assert completed.body == body
 
+    def test_complete_function_returns_the_verified_attempt(self):
+        client = QueueClient(["```solidity\n{ return x * 2; }\n```"])
+        attempt = complete_function(make_task(), client, SequenceBackend([ce("y")]), max_tokens=64)
+        assert (attempt.stage, attempt.body, attempt.verdict) == ("completion", "{ return x * 2; }", ce("y"))
+        assert attempt.prompt == client.calls[0] == build_completion_prompt(make_task())
+
     def test_session_json_round_trip(self):
         client = QueueClient(["{ return stored + x; }", "{ return x * 2; }"])
         session = run_rar(
