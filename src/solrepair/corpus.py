@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -72,13 +73,11 @@ def lex_identifiers(text: str) -> list[str]:
 
 
 def _identifiers(scrubbed: str) -> list[str]:
-    seen: list[str] = []
-    for ident in _IDENT_RE.findall(scrubbed):
-        if ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
-            continue
-        if ident not in seen:
-            seen.append(ident)
-    return seen
+    return _unreserved(dict.fromkeys(_IDENT_RE.findall(scrubbed)))
+
+
+def _unreserved(words: Iterable[str]) -> list[str]:
+    return [w for w in words if w not in SOLIDITY_KEYWORDS and not _SIZED_TYPE_RE.match(w)]
 
 
 # Comments and string literals. Each runs to its terminator or, when
@@ -192,6 +191,8 @@ class SourceIndex:
         for fn in self._functions:
             if fn.has_body:
                 self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
+        # The build filter's _scan of each function, per config, by body_start.
+        self.scans: dict[FilterConfig, dict[int, tuple]] = {}
 
     def line_of(self, offset: int) -> int:
         """1-based line holding offset."""
@@ -266,9 +267,13 @@ class SourceIndex:
         return None
 
     @cached_property
-    def by_name(self) -> dict[str, IndexedFunction]:
-        """Body-bearing functions by name; the last declaration of a name wins."""
-        return {fn.name: fn for fn in self.functions if fn.has_body}
+    def overloads(self) -> dict[str, list[IndexedFunction]]:
+        """Body-bearing functions by name, every overload in source order."""
+        named: dict[str, list[IndexedFunction]] = {}
+        for fn in self.functions:
+            if fn.has_body:
+                named.setdefault(fn.name, []).append(fn)
+        return named
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,10 @@ class FilterConfig:
     )
     deny_identifiers: tuple[str, ...] = ("constructor",)
 
+    @cached_property
+    def owner_check(self) -> re.Pattern[str]:
+        return re.compile(self.owner_check_pattern)
+
 
 DEFAULT_FILTER_CONFIG = FilterConfig()
 
@@ -431,27 +440,40 @@ class FilterDecision:
 
 
 def _match_deny_list(
-    signature: str, body: str, config: FilterConfig
+    signature: str, body: str, words: dict[str, None], idents: list[str], config: FilterConfig
 ) -> tuple[str, str] | None:
     """Return (reason, detail) when the function trips the deny-list.
 
-    Both texts come scrubbed.
+    Both texts come scrubbed; `words` are the body's distinct words and
+    `idents` those of them that are not reserved.
     """
-    idents = set(_identifiers(body))
     for mint in config.mint_identifiers:
         if mint in idents:
             return "mint", mint
-    sig_idents = set(_IDENT_RE.findall(signature))
     for modifier in config.owner_modifiers:
-        if modifier in sig_idents:
+        # The substring test spares most signatures their word list.
+        if modifier in signature and modifier in _IDENT_RE.findall(signature):
             return "owner-modifier", modifier
-    m = re.search(config.owner_check_pattern, body)
+    m = config.owner_check.search(body)
     if m:
         return "owner-check", m.group(0)
     for deny in config.deny_identifiers:
-        if deny in _IDENT_RE.findall(body):
+        if deny in words:
             return "constructor", deny
     return None
+
+
+def _scan(index: SourceIndex, fn: IndexedFunction, config: FilterConfig) -> tuple:
+    """A function's deny-list hit, and the body-bearing functions its body
+    names: every overload, in order of first mention. Reads the scrubbed
+    file, where a signature and a body start and end outside any comment or
+    string."""
+    body = index.scrubbed[fn.body_start : fn.body_end + 1]
+    words = dict.fromkeys(_IDENT_RE.findall(body))
+    idents = _unreserved(words)
+    calls = tuple(callee for name in idents for callee in index.overloads.get(name, ()))
+    hit = _match_deny_list(index.scrubbed[fn.kw_offset : fn.body_start], body, words, idents, config)
+    return hit, calls
 
 
 def filter_state_dependent(
@@ -461,35 +483,32 @@ def filter_state_dependent(
 ) -> FilterDecision:
     """Decide whether a record is safe to keep as a completion task.
 
-    Checks the function itself, then every same-file function it transitively
-    references, against the deny-list. Matches report a reason so exclusion
-    counts can be bucketed.
+    Checks the function itself, then, breadth first, every same-file
+    function it transitively calls against the deny-list; a call reaches
+    every overload of the name it uses. Each function is scanned at most
+    once per file and config, whichever record reaches it. Matches report a
+    reason so exclusion counts can be bucketed. A record that is not a
+    function of `file` raises ValueError.
     """
-    body = scrub(record.body)
-    hit = _match_deny_list(scrub(record.signature), body, config)
-    if hit:
-        return FilterDecision(keep=False, reason=hit[0], detail=hit[1])
-
     index = file.index
-    functions = index.by_name
-    visited = {record.name}
-    frontier = [i for i in _identifiers(body) if i in functions and i not in visited]
-    while frontier:
-        name = frontier.pop(0)
-        if name in visited:
-            continue
-        visited.add(name)
-        fn = functions[name]
-        # Slices of the scrubbed file: a signature and a body both start and
-        # end outside any comment or string.
-        signature = index.scrubbed[fn.kw_offset : fn.body_start]
-        body = index.scrubbed[fn.body_start : fn.body_end + 1]
-        hit = _match_deny_list(signature, body, config)
+    own = index.find(record.name, *record.span)
+    if own is None:
+        raise ValueError(f"{record.task_id()}: no function {record.name!r} of {file.path} has this span")
+    scans = index.scans.setdefault(config, {})
+    visited = {own.body_start}
+    queue = deque([own])
+    while queue:
+        fn = queue.popleft()
+        scan = scans.get(fn.body_start)
+        if scan is None:
+            scan = scans[fn.body_start] = _scan(index, fn, config)
+        hit, calls = scan
         if hit:
-            return FilterDecision(keep=False, reason=hit[0], detail=f"via {name}: {hit[1]}")
-        frontier.extend(
-            i for i in _identifiers(body) if i in functions and i not in visited
-        )
+            return FilterDecision(False, hit[0], hit[1] if fn is own else f"via {fn.name}: {hit[1]}")
+        for callee in calls:
+            if callee.body_start not in visited:
+                visited.add(callee.body_start)
+                queue.append(callee)
     return FilterDecision(keep=True)
 
 

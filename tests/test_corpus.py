@@ -10,7 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solrepair import corpus
 from solrepair.corpus import (
+    DEFAULT_FILTER_CONFIG,
+    SOLIDITY_KEYWORDS,
     FilterConfig,
     FunctionRecord,
     MalformedSourceError,
@@ -27,6 +30,9 @@ from solrepair.corpus import (
     tokenize_terms,
     write_task_file,
     _FUNCTION_DECL_RE,
+    _IDENT_RE,
+    _SIZED_TYPE_RE,
+    _identifiers,
 )
 from solrepair.rows import ConfigError
 
@@ -69,6 +75,35 @@ class TestTokenize:
 
     def test_lex_identifiers_ignores_comments_and_strings(self):
         assert lex_identifiers('x = "ghost"; // phantom\n') == ["x"]
+
+
+def reference_identifiers(scrubbed: str) -> list[str]:
+    """The list-membership loop that `_identifiers` replaced."""
+    seen: list[str] = []
+    for ident in _IDENT_RE.findall(scrubbed):
+        if ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
+            continue
+        if ident not in seen:
+            seen.append(ident)
+    return seen
+
+
+IDENT_SOUP = st.sampled_from(
+    [
+        "a", "b_1", "$x", "mint", "_mint", "uint", "uint256", "int8", "bytes32", "bytes", "fixed128x18",
+        "ufixed", "msg", "sender", "function", "return", "constructor", "address", "Ж", "é9",
+        " ", ".", "(", ")", "1", "0x1f", "\n", '"', "//", "/*", "*/",
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(IDENT_SOUP, max_size=30).map("".join))
+def test_property_identifiers_match_list_loop(text):
+    """Deduplicating through a dict keeps the loop's words and their order
+    of first appearance, keywords and sized types left out."""
+    assert _identifiers(text) == reference_identifiers(text)
+    assert lex_identifiers(text) == reference_identifiers(scrub(text))
 
 
 class TestScrub:
@@ -461,6 +496,159 @@ class TestFilter:
         rec, file = self.wrap("    /// d\n    function f() public { forge(1); }\n")
         assert not filter_state_dependent(rec, file, config).keep
         assert filter_state_dependent(rec, file).keep
+
+    def test_call_reaches_every_overload(self):
+        extra = (
+            "    function pay(address to) internal { _mint(to, 1); }\n"
+            "    function pay(uint256 a) internal { a; }\n"
+        )
+        rec, file = self.wrap("    /// d\n    function f(address to) public { pay(to); }\n", extra)
+        decision = filter_state_dependent(rec, file)
+        assert (decision.keep, decision.reason, decision.detail) == (False, "mint", "via pay: _mint")
+
+    def test_call_to_own_overload_is_walked(self):
+        extra = "    function g(address to) internal { _mint(to, 2); }\n"
+        rec, file = self.wrap("    /// d\n    function g(uint256 a) public { g(msg.sender); }\n", extra)
+        decision = filter_state_dependent(rec, file)
+        assert (decision.keep, decision.reason, decision.detail) == (False, "mint", "via g: _mint")
+
+    def test_record_of_another_file_raises(self):
+        rec, _ = self.wrap("    /// d\n    function f() public { x = 1; }\n")
+        other = SourceFile.from_text("other.sol", "contract D {\n    function g() public { x = 1; }\n}\n")
+        with pytest.raises(ValueError, match=re.escape(rec.task_id())):
+            filter_state_dependent(rec, other)
+
+    def test_each_function_is_scanned_once_per_build(self, monkeypatch):
+        """N records calling the head of a K-function chain cost N + K
+        deny-list scans, not one walk of the chain per record."""
+        n, k = 40, 30
+        parts = ["contract C {\n"]
+        for i in range(n):
+            parts.append(f"    /// r{i}\n    function r{i}(uint256 a) public returns (uint256) {{ return c0(a) + {i}; }}\n")
+        for j in range(k):
+            step = f"c{j + 1}(a)" if j + 1 < k else "a"
+            parts.append(f"    function c{j}(uint256 a) internal returns (uint256) {{ return {step}; }}\n")
+        parts.append("}\n")
+        scans = []
+        match = corpus._match_deny_list
+        monkeypatch.setattr(corpus, "_match_deny_list", lambda *args: scans.append(1) or match(*args))
+        kept, report = build_corpus([SourceFile.from_text("chain.sol", "".join(parts))])
+        assert len(kept) == report.retained == n
+        assert len(scans) == n + k
+
+
+def reference_match(signature: str, body: str, config: FilterConfig) -> tuple[str, str] | None:
+    """The deny-list match over scrubbed texts, one word list per check."""
+    idents = set(reference_identifiers(body))
+    for mint in config.mint_identifiers:
+        if mint in idents:
+            return "mint", mint
+    for modifier in config.owner_modifiers:
+        if modifier in _IDENT_RE.findall(signature):
+            return "owner-modifier", modifier
+    m = re.search(config.owner_check_pattern, body)
+    if m:
+        return "owner-check", m.group(0)
+    for deny in config.deny_identifiers:
+        if deny in _IDENT_RE.findall(body):
+            return "constructor", deny
+    return None
+
+
+def reference_name_walk(record: FunctionRecord, file: SourceFile, config: FilterConfig) -> tuple:
+    """The walk by name, the last declaration of a name winning, each
+    reached function scanned afresh for each record."""
+    hit = reference_match(scrub(record.signature), scrub(record.body), config)
+    if hit:
+        return False, hit[0], hit[1]
+    functions = {fn.name: fn for fn in file.index.functions if fn.has_body}
+    visited = {record.name}
+    frontier = [i for i in reference_identifiers(scrub(record.body)) if i in functions and i not in visited]
+    while frontier:
+        name = frontier.pop(0)
+        if name in visited:
+            continue
+        visited.add(name)
+        fn = functions[name]
+        body = scrub(file.text[fn.body_start : fn.body_end + 1])
+        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body, config)
+        if hit:
+            return False, hit[0], f"via {name}: {hit[1]}"
+        frontier.extend(i for i in reference_identifiers(body) if i in functions and i not in visited)
+    return True, None, None
+
+
+def reference_overload_walk(record: FunctionRecord, file: SourceFile, config: FilterConfig) -> tuple:
+    """The walk by location: a named call reaches every body-bearing
+    function of that name, each scanned afresh."""
+    bodies = [fn for fn in file.index.functions if fn.has_body]
+    own = next(fn for fn in bodies if file.text[fn.kw_offset : fn.body_end + 1] == record.signature + record.body)
+    visited, frontier = [own], [own]
+    while frontier:
+        fn = frontier.pop(0)
+        body = scrub(file.text[fn.body_start : fn.body_end + 1])
+        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body, config)
+        if hit:
+            return False, hit[0], hit[1] if fn is own else f"via {fn.name}: {hit[1]}"
+        for callee in (g for name in reference_identifiers(body) for g in bodies if g.name == name):
+            if callee not in visited:
+                visited.append(callee)
+                frontier.append(callee)
+    return True, None, None
+
+
+DENY_STATEMENTS = ["_mint(a, 1);", "mint(a);", "require(msg.sender == owner);", "Token.constructor();"]
+PARAMETERS = ["uint256 a", "address a", "bytes32 a", "bool a", "int8 a", "string memory a", "uint8 a"]
+
+
+@st.composite
+def call_graph_sources(draw, overloads: bool) -> str:
+    """Two contracts of functions that call each other, cycles and self
+    calls included; some trip the deny-list, some are bodiless, and with
+    `overloads` several share a name."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    names = draw(st.lists(st.sampled_from("fgh"), min_size=n, max_size=n)) if overloads else [f"fn{i}" for i in range(n)]
+    split = draw(st.integers(min_value=0, max_value=n))
+    parts = ["contract A {\n"]
+    for i, name in enumerate(names):
+        if i == split:
+            parts.append("}\n\ncontract B {\n")
+        param = PARAMETERS[names[:i].count(name)]
+        modifier = draw(st.sampled_from(["", "", "", "onlyOwner "]))
+        if draw(st.booleans()):
+            parts.append(f"    /// {name} {i}\n")
+        if not draw(st.sampled_from([True, True, True, False])):
+            parts.append(f"    function {name}({param}) external {modifier};\n")
+            continue
+        calls = " ".join(f"{names[j]}(a);" for j in draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        deny = draw(st.sampled_from(["", "", "", ""] + DENY_STATEMENTS))
+        parts.append(f"    function {name}({param}) public {modifier}{{\n        {calls}\n        {deny}\n    }}\n")
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def assert_filter_matches(text: str, reference) -> None:
+    file = SourceFile.from_text("g.sol", text)
+    for config in (DEFAULT_FILTER_CONFIG, FilterConfig(mint_identifiers=("fn1", "g"))):
+        for record in extract_functions(file):
+            decision = filter_state_dependent(record, file, config)
+            assert (decision.keep, decision.reason, decision.detail) == reference(record, file, config), record.task_id()
+
+
+@settings(max_examples=100, deadline=None)
+@given(call_graph_sources(overloads=False))
+def test_property_filter_without_overloads_matches_name_walk(text):
+    """Where every name has one body, walking by location and scanning
+    each function once decides as the walk by name did."""
+    assert_filter_matches(text, reference_name_walk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(call_graph_sources(overloads=True))
+def test_property_filter_with_overloads_matches_fresh_walk(text):
+    """With overloads, the cached scans decide as a walk that rescans
+    every overload of every called name."""
+    assert_filter_matches(text, reference_overload_walk)
 
 
 class TestDedup:
