@@ -27,7 +27,6 @@ _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-_FUNCTION_KW_RE = re.compile(r"\bfunction\b")
 _FUNCTION_NAME_RE = re.compile(r"function\s+([A-Za-z_$][A-Za-z0-9_$]*)")
 
 # Reserved words and built-in globals that never count as user identifiers.
@@ -420,7 +419,7 @@ class FilterConfig:
     owner_modifiers: tuple[str, ...] = ("onlyOwner",)
     owner_check_pattern: str = (
         r"msg\s*\.\s*sender\s*[=!]=\s*\w*[Oo]wner\w*"
-        r"|\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
+        r"|\b\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
     )
     deny_identifiers: tuple[str, ...] = ("constructor",)
 

@@ -31,7 +31,6 @@ from .corpus import (
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
-    _FUNCTION_KW_RE,
     _SIZED_TYPE_RE,
     pair_braces,
     scrub,
@@ -572,27 +571,6 @@ def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
     )
 
 
-def _top_level(index: SourceIndex) -> list[IndexedFunction]:
-    """Body-bearing functions outside any other function's body, in source order."""
-    return [fn for fn in index.functions if fn.has_body and not fn.depth]
-
-
-def _well_nested(functions: Sequence[IndexedFunction]) -> bool:
-    """True when every declaration lies strictly inside another's body or
-    apart from all the others, so that one body can be swapped without
-    changing how the rest of the source parses."""
-    around: list[IndexedFunction] = []
-    for fn in functions:
-        while around and around[-1].end < fn.kw_offset:
-            around.pop()
-        if around:
-            outer = around[-1]
-            if not (outer.has_body and outer.body_start < fn.kw_offset and fn.end < outer.body_end):
-                return False
-        around.append(fn)
-    return True
-
-
 class _SplicedNames:
     """Names a spliced source declares: the oracle's, less those declared
     only in the replaced body, plus those the new body declares. The oracle's
@@ -616,51 +594,16 @@ class _SplicedNames:
         return declared > 0 and declared > self.oracle.declared_in_body(self.replaced)[name]
 
 
-class _Change(NamedTuple):
-    """The top-level functions a completed source changes, aligned with the
-    oracle's by location, and the names the completed source declares."""
-
-    old: tuple[_Body, ...]
-    new: tuple[_Body, ...]
-    declared: Container[str]
-
-
 def _is_single_block(scrubbed: str) -> bool:
     """True when the text is one balanced {...}: its first brace opens at
     offset 0 and closes on the last character."""
     return pair_braces(scrubbed, 0)[0].get(0) == len(scrubbed) - 1
 
 
-def _whole_source_change(oracle: _Oracle, completed_source: str) -> _Change:
-    """Index the whole completed source and align its top-level functions
-    with the oracle's in source order.
-
-    Raises MalformedSourceError when the completed source is unbalanced.
-    """
-    completed = SourceIndex(completed_source, "<completed>")
-    old, new = _top_level(oracle.index), _top_level(completed)
-    old_text = oracle.index.text
-
-    def same(a: IndexedFunction, b: IndexedFunction) -> bool:
-        """Same name, signature and body."""
-        return (
-            a.name == b.name
-            and a.body_start - a.kw_offset == b.body_start - b.kw_offset
-            and old_text[a.kw_offset : a.body_end + 1] == completed_source[b.kw_offset : b.body_end + 1]
-        )
-
-    shorter = min(len(old), len(new))
-    head = 0
-    while head < shorter and same(old[head], new[head]):
-        head += 1
-    tail = 0
-    while tail < shorter - head and same(old[-1 - tail], new[-1 - tail]):
-        tail += 1
-    return _Change(
-        tuple(map(oracle.body, old[head : len(old) - tail])),
-        tuple(_body(completed, fn) for fn in new[head : len(new) - tail]),
-        _DeclaredIn(completed.scrubbed),
-    )
+# The one diagnostic of the verdict on a body that is not one balanced
+# block: a stray brace, text before or after the block, or an unterminated
+# comment or string.
+_NOT_ONE_BLOCK = "completed body is not one balanced {...} block"
 
 
 class _Expected(NamedTuple):
@@ -672,8 +615,7 @@ class _Expected(NamedTuple):
 
 
 class _Oracle:
-    """One oracle text as verify sees it: its index, whether one top-level
-    body can be swapped without reparsing the rest, and the names it
+    """One oracle text as verify sees it: its index and the names it
     declares.
 
     It also keeps what verify learns about the oracle, once per run: each
@@ -693,9 +635,9 @@ class _Oracle:
     """
 
     def __init__(self, index: SourceIndex, steps: dict[str, _Step | None] | None = None) -> None:
+        index.check()
         self.index = index
         self.steps = {} if steps is None else steps
-        self._well_nested = _well_nested(index.functions)
         self._bodies: dict[int, _Body] = {}
         self._declared: Counter | None = None
         self._declared_in_body: dict[int, Counter] = {}
@@ -744,26 +686,14 @@ class _Oracle:
                 return _Expected(steps, [], f"oracle evaluation failed: {exc}")
         return _Expected(steps, cases, None)
 
-    def located(self, completed: LocatedCompletion) -> _Change | None:
-        """The change, found by scanning only the completed body, when it
-        replaces a top-level body of a well-nested oracle with one balanced
-        {...} that declares no function. Otherwise None, and only a
-        whole-source parse can tell.
-        """
-        target = completed.target
-        if target.depth or not self._well_nested:
-            return None
+    def located(self, completed: LocatedCompletion) -> tuple[_Body, _Body] | None:
+        """The target's entry and the completed body's, found by scanning only
+        the completed body; None when that body is not one balanced {...}."""
         scrubbed = scrub(completed.body)
-        if not _is_single_block(scrubbed) or _FUNCTION_KW_RE.search(scrubbed):
+        if not _is_single_block(scrubbed):
             return None
-        old = self.body(target)
-        new = _Body(old.name, completed.body, scrubbed, old.start, old.params, old.base_locals)
-        return _Change((old,), (new,), _SplicedNames(self, target, _DeclaredIn(scrubbed)))
-
-    def change(self, completed: LocatedCompletion) -> _Change:
-        """What completed changes; raises MalformedSourceError when its whole
-        source is unbalanced."""
-        return self.located(completed) or _whole_source_change(self, completed.source_in(self.index))
+        old = self.body(completed.target)
+        return old, old._replace(text=completed.body, scrubbed=scrubbed)
 
 
 @dataclass(frozen=True)
@@ -799,16 +729,17 @@ class ScriptedDifferentialBackend:
     models the compiler: identifiers used by a modified body and declared
     nowhere in the source produce a compile_error verdict.
 
-    Functions are compared by location, so overloads never stand in for
-    each other, and a function nested in another's body counts as part of
-    that body. The backend prepares each oracle text once, on first use, from
+    Only the completed body is read, at its target's location, so
+    overloads never stand in for each other, and a function nested in the
+    body counts as part of it; a body that is not one balanced {...} is a
+    compile_error. The backend prepares each oracle text once, on first use, from
     the index verify is handed, and keeps it for its own lifetime: each
     function's expected outputs are computed once, and each distinct
     statement, in whichever source, is parsed once.
     """
 
     name = "mock-diff"
-    version = "mock-diff@3"
+    version = "mock-diff@4"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -846,79 +777,45 @@ class ScriptedDifferentialBackend:
         t0 = time.perf_counter()
         try:
             prepared = self._oracle(oracle)
-            if completed.keeps_body_of(oracle):
-                return self._verdict(t0, STATUS_PASS)
-            change = prepared.change(completed)
         except MalformedSourceError as exc:
-            return self._verdict(
-                t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))]
-            )
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))])
+        if completed.keeps_body_of(oracle):
+            return self._verdict(t0, STATUS_PASS)
+        located = prepared.located(completed)
+        if located is None:
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NOT_ONE_BLOCK)])
+        old, new = located
 
-        if not change.new:
-            if not change.old:
-                return self._verdict(t0, STATUS_PASS)
+        # The body's own declarations are scanned for only when a name is not
+        # a parameter or the function's own.
+        local: Container[str] = new.base_locals
+        declared = _SplicedNames(prepared, completed.target, _DeclaredIn(new.scrubbed))
+        for ident, offset in _checkable_idents(new.scrubbed):
+            if ident not in local and local is new.base_locals:
+                local = new.base_locals | _local_decl_names(new.scrubbed)
+            if ident in local or ident in declared:
+                continue
+            line = new.text.count("\n", 0, offset) + 1
             return self._verdict(
                 t0,
-                STATUS_FUNCTIONAL_MISMATCH,
+                STATUS_COMPILE_ERROR,
                 [
                     Diagnostic(
-                        "Other",
-                        "oracle functions missing from the completed source: "
-                        f"{sorted(b.name for b in change.old)}",
+                        kind="UndeclaredIdentifier",
+                        message=f'Undeclared identifier "{ident}".',
+                        line=line,
+                        identifier=ident,
                     )
                 ],
             )
-
-        for new in change.new:
-            # The body's own declarations are scanned for only when a name
-            # is not a parameter or the function's own.
-            local: Container[str] = new.base_locals
-            for ident, offset in _checkable_idents(new.scrubbed):
-                if ident not in local and local is new.base_locals:
-                    local = new.base_locals | _local_decl_names(new.scrubbed)
-                if ident in local or ident in change.declared:
-                    continue
-                line = new.text.count("\n", 0, offset) + 1
-                return self._verdict(
-                    t0,
-                    STATUS_COMPILE_ERROR,
-                    [
-                        Diagnostic(
-                            kind="UndeclaredIdentifier",
-                            message=f'Undeclared identifier "{ident}".',
-                            line=line,
-                            identifier=ident,
-                        )
-                    ],
-                )
-
-        if len(change.new) > 1:
-            return self._verdict(
-                t0,
-                STATUS_FUNCTIONAL_MISMATCH,
-                [
-                    Diagnostic(
-                        "Other",
-                        f"multiple functions differ from oracle: {sorted(b.name for b in change.new)}",
-                    )
-                ],
-            )
-        name = change.new[0].name
-        if len(change.old) != 1 or change.old[0].name != name:
-            return self._verdict(
-                t0,
-                STATUS_FUNCTIONAL_MISMATCH,
-                [Diagnostic("Other", f"function {name!r} has no oracle counterpart")],
-            )
-        oracle_body, completed_body = change.old[0].text, change.new[0].text
 
         table = self.fixture.functions.get(target_function_id)
-        completed_steps = interpret_body(completed_body, prepared.steps, change.new[0].params)
+        completed_steps = interpret_body(new.text, prepared.steps, new.params)
         oracle_run = None
         if completed_steps is not None and table is None:
-            oracle_run = prepared.expected(change.old[0], self.seed)
+            oracle_run = prepared.expected(old, self.seed)
         if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
-            if _normalized(oracle_body) == _normalized(completed_body):
+            if _normalized(old.text) == _normalized(new.text):
                 return self._verdict(t0, STATUS_PASS)
             return self._verdict(
                 t0,
@@ -1098,31 +995,18 @@ class SolcCompileBackend:
     def _rebase(
         diagnostics: Sequence[Diagnostic], oracle: SourceIndex, completed: LocatedCompletion
     ) -> tuple[Diagnostic, ...]:
-        """Rebase absolute source lines that fall on the one top-level body
-        the completion changes onto that body; every line stays absolute
-        when it changes no body or several, or its source is unbalanced.
+        """Rebase absolute source lines that fall on the completed body onto
+        that body; every other line stays absolute, and so does every line
+        when the body is the oracle's own.
 
-        A body the mock locates (one balanced block that declares no
-        function) starts on the line of the target's '{', which the oracle's
-        index holds, and spans as many more lines as it has newlines. Any
-        other body is found by aligning the whole completed source.
+        The body starts on the line of the target's '{', which the oracle's
+        index holds, and spans as many more lines as it has newlines.
         """
         diagnostics = tuple(diagnostics)
         if all(d.line is None for d in diagnostics) or completed.keeps_body_of(oracle):
             return diagnostics
-        try:
-            prepared = _Oracle(oracle)
-            if prepared.located(completed):
-                first, body = oracle.line_of(completed.target.body_start), completed.body
-            else:
-                source = completed.source_in(oracle)
-                change = _whole_source_change(prepared, source)
-                if len(change.new) != 1:
-                    return diagnostics
-                first, body = source.count("\n", 0, change.new[0].start) + 1, change.new[0].text
-        except MalformedSourceError:
-            return diagnostics
-        last = first + body.count("\n")
+        first = oracle.line_of(completed.target.body_start)
+        last = first + completed.body.count("\n")
         return tuple(
             replace(d, line=d.line - first + 1)
             if d.line is not None and first <= d.line <= last

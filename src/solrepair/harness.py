@@ -58,6 +58,7 @@ from .repair import (
     RepairStrategy,
     ScriptedModelClient,
     _verify,
+    extract_code_block,
     run_rar,
 )
 from .retrieval import (
@@ -243,8 +244,9 @@ def _load(config: RunConfig, window: Callable[[SourceFile, FunctionRecord], Cont
     give it window(source, record).
 
     A source that is unbalanced, a window that raises ValueError (for a span
-    outside its source) and a function not found within its span raise
-    ConfigError naming the task file and the task.
+    outside its source), a function not found within its span and one nested
+    in another function's body (Yul inside `assembly`) raise ConfigError
+    naming the task file and the task.
     """
     sources: dict[str, SourceFile] = {}
     tasks: list[CompletionTask] = []
@@ -263,6 +265,8 @@ def _load(config: RunConfig, window: Callable[[SourceFile, FunctionRecord], Cont
             target = file.index.find(record.name, *record.span)
             if target is None:
                 raise ValueError(f"function {record.name!r} not found within span {record.span}")
+            if target.depth:
+                raise ValueError(f"function {record.name!r} is nested in another function's body")
         except ValueError as exc:
             raise ConfigError(f"{config.task_file}: task {task_id}: {exc}") from exc
         tasks.append(CompletionTask(task_id, record, context, file.index, target))
@@ -529,6 +533,7 @@ def cmd_verify(
 
     Completions file: JSONL rows {"task_id": ..., "body": ...}; every row is
     checked before any is verified; the config is checked as `run` checks it.
+    Each body is read as `run` reads a reply, through extract_code_block.
     """
     config.validate()
     backend = build_backend(config)
@@ -541,7 +546,7 @@ def cmd_verify(
     results = []
     exit_code = EXIT_OK
     for _, task_id, body in rows:
-        verdict = _verify(tasks[task_id], body, backend)
+        verdict = _verify(tasks[task_id], extract_code_block(body), backend)
         if verdict.status == STATUS_EXECUTOR_UNAVAILABLE:
             exit_code = EXIT_INFRA
         results.append({"task_id": task_id, "verdict": verdict.to_json()})

@@ -210,6 +210,26 @@ def test_property_literal_led_function_pattern_equals_word_boundary_form(text):
     assert matches(_FUNCTION_DECL_RE.finditer(text)) == matches(WORD_BOUNDARY_FUNCTION_DECL_RE.finditer(text))
 
 
+# The default owner check before its second alternative began with `\b`: a
+# search must find the same match with it.
+UNANCHORED_OWNER_CHECK_RE = re.compile(
+    r"msg\s*\.\s*sender\s*[=!]=\s*\w*[Oo]wner\w*|\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
+)
+OWNER_SOUP = st.sampled_from(
+    ["msg", ".", "sender", " ", "\n", "==", "!=", "=", "owner", "Owner", "_owner", "newOwner", "ownerOf", "o", "wner",
+     "Own", "x", "é", "Ж", "9", "$", "(", ")", ";"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.lists(OWNER_SOUP, max_size=16).map("".join))
+@example(text="a.owner == msg.senderowner == msg.sender")
+@example(text="éowner == msg.sender")
+def test_property_owner_check_equals_the_unanchored_pattern(text):
+    found, reference = DEFAULT_FILTER_CONFIG.owner_check.search(text), UNANCHORED_OWNER_CHECK_RE.search(text)
+    assert (found and (found.span(), found.group(0))) == (reference and (reference.span(), reference.group(0)))
+
+
 def reference_scan_functions(index: SourceIndex, closing: dict[int, int]) -> tuple:
     """The header scan that walked every '(', ')', ';' and '{' after the
     parameter list's '(' and stopped at the first ';' or '{' at depth 0."""

@@ -17,6 +17,7 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Container, NamedTuple
 from unittest import mock
 
 import pytest
@@ -45,6 +46,7 @@ from solrepair.executor import (
 )
 from solrepair import executor
 from solrepair.executor import ExecutorCase, ExecutorFixture, ExecutorTable, _EvalError, _Oracle
+from solrepair.repair import extract_code_block
 from solrepair.retrieval import Query, queries_for_method
 from solrepair.rows import read_json
 
@@ -848,7 +850,7 @@ def test_literal_led_declaration_pattern_boundaries():
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")), ids=lambda p: p.name)
 def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
     oracle = _Oracle(SourceFile.load(path).index)
-    for fn in executor._top_level(oracle.index):
+    for fn in _top_level(oracle.index):
         body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
         assert oracle.declared_in_body(fn) == reference_declaration_counts(body)
 
@@ -1103,7 +1105,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@3"
+        assert v.backend_version == "mock-diff@4"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1173,10 +1175,10 @@ class TestScriptedBackend:
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_multiple_modified_functions_rejected(self):
+        # A body running on into a second function is not one block.
         completed = completed_with(ADD, "{ return b + a; }\n    function extra() public pure { }")
         v = self.backend().verify(FILE.index, completed, ADD.task_id())
-        assert v.status == "functional_mismatch"
-        assert v.diagnostics[0].message == "multiple functions differ from oracle: ['add', 'extra']"
+        assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
 
     def test_verification_statement_is_behaviour_preserving(self):
         completed = completed_with(ADD, "{ uint256 this_is_a_test_variable; return a + b; }")
@@ -1292,7 +1294,7 @@ class TestLocationKeyed:
         v = ScriptedDifferentialBackend().verify(file.index, outside, f.task_id())
         assert (v.status, v.diagnostics[0].identifier) == ("compile_error", "v")
 
-    def test_dropped_or_added_function_is_mismatch(self):
+    def test_dropped_or_added_function_is_not_one_block(self):
         backend = ScriptedDifferentialBackend()
         # A comment opened after add's body runs on to the one closing after avg.
         source = ORACLE.replace("    /// Sums 0..n-1.", "    /* helpers end */\n    /// Sums 0..n-1.")
@@ -1300,16 +1302,15 @@ class TestLocationKeyed:
         add = extract_functions(file)[0]
         dropped = splice(file.index, add, add.body + " /*")
         v = backend.verify(file.index, dropped, add.task_id())
-        assert v.status == "functional_mismatch"
-        assert v.diagnostics[0].message == "oracle functions missing from the completed source: ['avg']"
+        assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
         added = completed_with(ADD, ADD.body + "\n\n    function extra() public pure { }")
         v = backend.verify(FILE.index, added, ADD.task_id())
-        assert v.status == "functional_mismatch"
-        assert v.diagnostics[0].message == "function 'extra' has no oracle counterpart"
+        assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
 
-    def test_straddling_declaration_forces_whole_source_parse(self):
+    def test_straddling_declaration_leaves_the_body_judged_alone(self):
         # g's unterminated header runs across f's body, so a new body for f
-        # can change how g parses: only a whole-source parse is exact.
+        # changes how g parses in the whole completed source; only f's body
+        # is judged.
         oracle = (
             "contract S {\n"
             "    function g(uint256 a\n"
@@ -1321,15 +1322,29 @@ class TestLocationKeyed:
         file = SourceFile.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
         completed = splice(file.index, f, "{ ) { } }")
-        assert _Oracle(file.index).located(completed) is None
+        assert _Oracle(file.index).located(completed) is not None
         v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
-        assert v.diagnostics[0].message == "function 'g' has no oracle counterpart"
+        assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
+        # The whole-source parse found g changed instead.
+        assert reference_verify(file.index, completed, f.task_id()) == mismatch("function 'g' has no oracle counterpart")
+        equivalent = splice(file.index, f, "{ return b + a; }")
+        assert ScriptedDifferentialBackend().verify(file.index, equivalent, f.task_id()).status == "pass"
+
+    def test_header_running_past_the_body_is_judged_in_the_body(self):
+        # In the whole completed source, g's header in add's new body runs on
+        # to avg's '{': that parse gives avg's body to g and finds add with no
+        # counterpart. The body alone reads as text.
+        completed = completed_with(ADD, "{ function g(a) }")
+        assert header_runs_past(FILE.index, completed)
+        v = ScriptedDifferentialBackend().verify(FILE.index, completed, ADD.task_id())
+        assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
+        assert reference_verify(FILE.index, completed, ADD.task_id()) == mismatch("function 'add' has no oracle counterpart")
 
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
-        for body in ("{ return b + a; }", "{\n  return 1; // x\n}", "{ /* } */ return 1; }"):
+        for body in ("{ return b + a; }", "{\n  return 1; // x\n}", "{ /* } */ return 1; }", "{ function g() {} }"):
             assert oracle.located(completed_with(ADD, body)) is not None, body
-        for body in ("{ /* }", '{ "}', "{ } }", "{ function g() {} }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
+        for body in ("{ /* }", '{ "}', "{ } }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
             assert oracle.located(completed_with(ADD, body)) is None, body
 
 
@@ -1377,7 +1392,7 @@ def test_oracle_cache_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(map(id, prepared)) == sorted(map(id, indexes.values()))
-    assert not set(indexed) & set(indexes)  # only whole-source parses of completed sources
+    assert indexed == []  # no source, oracle or completed, is indexed again
     assert got == expected
 
 
@@ -1427,13 +1442,60 @@ class TestHandedIndex:
         assert calls[0][0] is FILE.index
 
 
+def _top_level(index: SourceIndex) -> list[IndexedFunction]:
+    """Body-bearing functions outside any other function's body, in source order."""
+    return [fn for fn in index.functions if fn.has_body and not fn.depth]
+
+
+class _Change(NamedTuple):
+    """The top-level functions a completed source changes, aligned with the
+    oracle's by location, and the names the completed source declares."""
+
+    old: tuple
+    new: tuple
+    declared: Container[str]
+
+
+def reference_change(oracle: _Oracle, completed_source: str) -> _Change:
+    """What a whole-source parse finds changed: index the whole completed
+    source and align its top-level functions with the oracle's in source
+    order (the mock's second path until mock-diff@4).
+
+    Raises MalformedSourceError when the completed source is unbalanced.
+    """
+    completed = SourceIndex(completed_source, "<completed>")
+    old, new = _top_level(oracle.index), _top_level(completed)
+    old_text = oracle.index.text
+
+    def same(a: IndexedFunction, b: IndexedFunction) -> bool:
+        """Same name, signature and body."""
+        return (
+            a.name == b.name
+            and a.body_start - a.kw_offset == b.body_start - b.kw_offset
+            and old_text[a.kw_offset : a.body_end + 1] == completed_source[b.kw_offset : b.body_end + 1]
+        )
+
+    shorter = min(len(old), len(new))
+    head = 0
+    while head < shorter and same(old[head], new[head]):
+        head += 1
+    tail = 0
+    while tail < shorter - head and same(old[-1 - tail], new[-1 - tail]):
+        tail += 1
+    return _Change(
+        tuple(map(oracle.body, old[head : len(old) - tail])),
+        tuple(executor._body(completed, fn) for fn in new[head : len(new) - tail]),
+        executor._DeclaredIn(completed.scrubbed),
+    )
+
+
 def reference_rebase(diagnostics, oracle: SourceIndex, source: str) -> tuple[Diagnostic, ...]:
     """solc's lines as a whole-source parse rebases them: those on the one
     top-level body the completed source changes count from its '{'; with no
     such body, every line stays absolute."""
     diagnostics = tuple(diagnostics)
     try:
-        change = executor._whole_source_change(_Oracle(oracle), source)
+        change = reference_change(_Oracle(oracle), source)
     except MalformedSourceError:
         return diagnostics
     if len(change.new) != 1:
@@ -1446,15 +1508,70 @@ def reference_rebase(diagnostics, oracle: SourceIndex, source: str) -> tuple[Dia
     )
 
 
-def verify_both_ways(
-    oracle: SourceIndex, completed: LocatedCompletion, task_id: str
-) -> tuple[ExecutionVerdict, ExecutionVerdict]:
-    """The verdict from the body-only path, where it applies, and the verdict
-    from indexing the whole completed source: the reference."""
-    body_only = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
-    with mock.patch.object(_Oracle, "located", return_value=None):
-        whole = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
-    return body_only, whole
+def mismatch(message: str) -> tuple[str, tuple[Diagnostic, ...]]:
+    return "functional_mismatch", (Diagnostic("Other", message),)
+
+
+def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id: str) -> tuple:
+    """The status and diagnostics that indexing the whole completed source
+    gives: one changed pair is judged as the backend judges a located body,
+    against the names the whole completed source declares; anything else gets
+    the verdicts the whole-source path gave."""
+    try:
+        change = reference_change(_Oracle(oracle), completed.source_in(oracle))
+    except MalformedSourceError as exc:
+        return "compile_error", (Diagnostic("Other", str(exc)),)
+    if len(change.old) == len(change.new) == 1 and change.old[0].name == change.new[0].name:
+        with mock.patch.object(_Oracle, "located", return_value=(*change.old, *change.new)), mock.patch.object(
+            executor, "_SplicedNames", lambda *_: change.declared
+        ):
+            v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
+        return v.status, v.diagnostics
+    if not change.new:
+        if not change.old:
+            return "pass", ()
+        return mismatch(f"oracle functions missing from the completed source: {sorted(b.name for b in change.old)}")
+    for new in change.new:
+        local = new.base_locals | executor._local_decl_names(new.scrubbed)
+        for ident, offset in executor._checkable_idents(new.scrubbed):
+            if ident not in local and ident not in change.declared:
+                line = new.text.count("\n", 0, offset) + 1
+                return "compile_error", (
+                    Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{ident}".', line, ident),
+                )
+    if len(change.new) > 1:
+        return mismatch(f"multiple functions differ from oracle: {sorted(b.name for b in change.new)}")
+    return mismatch(f"function {change.new[0].name!r} has no oracle counterpart")
+
+
+NOT_ONE_BLOCK = ("compile_error", (Diagnostic("Other", "completed body is not one balanced {...} block"),))
+
+
+def header_runs_past(oracle: SourceIndex, completed: LocatedCompletion) -> bool:
+    """True when a function declared in the completed body has its header or
+    body run on past the body's closing brace in the whole completed source
+    (`{ function g(a) }`): parsing that source then realigns the functions
+    after the body."""
+    start = completed.target.body_start
+    end = start + len(completed.body)
+    return any(start < fn.kw_offset < end <= fn.end for fn in SourceIndex(completed.source_in(oracle)).functions)
+
+
+def check_against_reference(oracle: SourceIndex, completed: LocatedCompletion, task_id: str) -> tuple:
+    """The backend's status and diagnostics, checked against those it should
+    give: the whole-source reference's for a body that is one balanced block,
+    the not-one-block compile_error for any other. Where a header in the
+    block runs past it, the reference judges realigned functions instead of
+    the body, and only the status is the same."""
+    v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
+    got = v.status, v.diagnostics
+    if not (completed.keeps_body_of(oracle) or executor._is_single_block(executor.scrub(completed.body))):
+        assert got == NOT_ONE_BLOCK
+    elif header_runs_past(oracle, completed):
+        assert got[0] == reference_verify(oracle, completed, task_id)[0]
+    else:
+        assert got == reference_verify(oracle, completed, task_id)
+    return got
 
 
 BODY_PARTS = st.sampled_from(
@@ -1478,13 +1595,13 @@ TARGETS = (
     target=st.sampled_from(TARGETS),
 )
 def test_property_body_only_verify_matches_whole_source(parts, wrap, target):
+    """A body that is one balanced block gets the whole-source reference's
+    verdict; any other body gets the not-one-block compile_error."""
     oracle, record = target
     body = "".join(parts)
     if wrap:
         body = "{ " + body + " }"
-    completed = splice(oracle, record, body)
-    body_only, whole = verify_both_ways(oracle, completed, record.task_id())
-    assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+    check_against_reference(oracle, splice(oracle, record, body), record.task_id())
 
 
 BLOCK_STATEMENTS = st.sampled_from(
@@ -1498,7 +1615,7 @@ BLOCK_STATEMENTS = st.sampled_from(
 # after it: a stray brace, an unterminated string or comment, an extra
 # function.
 HOSTILE = st.sampled_from(["", "{", "}", '"', "'", "/*", "//", "function g() public {}", "assembly { let x := 1 }"])
-# Text after the block, which leaves the body for a whole-source parse to judge.
+# Text after the block, which makes any body but the bare block not one block.
 TAILS = st.sampled_from(
     [
         "", "\n", " // x\n", " // x", " /* x */", " /* x", "\t/** } { */\n", ' "s"', " }", " {", " x", " /*/",
@@ -1520,23 +1637,30 @@ TAILS = st.sampled_from(
     target=st.sampled_from((*TARGETS, (MULTI_FILE.index, M_HALF))),
 )
 def test_property_located_verify_matches_whole_source_reference(statements, hostile, inside, newlines, tail, target):
-    """A located completion gets the verdict and diagnostics that indexing
-    its whole completed source gives, whichever path it takes; a hostile
-    piece outside the block is part of the tail."""
+    """A body that is one balanced block gets the verdict and diagnostics
+    that indexing its whole completed source gives, and solc's lines rebased
+    as that parse rebases them; any other body gets the not-one-block
+    compile_error. Either way, the lines on the body's span count from its
+    first line. A hostile piece outside the block is part of the tail."""
     oracle, record = target
     sep = "\n        " if newlines else " "
     block = "{" + sep + sep.join(statements + ([hostile] if inside and hostile else [])) + sep + "}"
     body = block + ("" if inside else hostile) + tail
     completed = splice(oracle, record, body)
-    body_only, whole = verify_both_ways(oracle, completed, record.task_id())
-    assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+    got = check_against_reference(oracle, completed, record.task_id())
+    balanced = not hostile or inside and (hostile.startswith(("assembly", "function")) or hostile == "//" and newlines)
+    if balanced and not tail:
+        assert _Oracle(oracle).located(completed) is not None, body
     # solc's absolute lines, one on each line of the completed source.
     source = completed.source_in(oracle)
     lines = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
-    assert SolcCompileBackend._rebase(lines, oracle, completed) == reference_rebase(lines, oracle, source)
-    balanced = not hostile or inside and hostile.startswith("assembly")
-    if balanced and not tail and record is not OUTER:
-        assert _Oracle(oracle).located(completed) is not None, body
+    rebased = SolcCompileBackend._rebase(lines, oracle, completed)
+    first = source.count("\n", 0, completed.target.body_start) + 1
+    assert [d.line for d in rebased] == [
+        n - first + 1 if first <= n <= first + body.count("\n") else n for n in range(1, len(lines) + 1)
+    ]
+    if got != NOT_ONE_BLOCK and not header_runs_past(oracle, completed):
+        assert rebased == reference_rebase(lines, oracle, source)
 
 
 # `base` is declared in a contract this source imports, not in the source.
@@ -1552,17 +1676,21 @@ INHERITED_FILE = SourceFile.from_text(
 @pytest.mark.parametrize("index,record", [(FILE.index, AVG), (INHERITED_FILE.index, PLUS)], ids=["avg", "inherited"])
 def test_oracle_body_passes_whatever_comments_follow_it(index, record, tail):
     """The oracle's own block changes nothing, even where it reads a name
-    that the source never declares and that any other block is faulted for."""
-    completed = splice(index, record, record.body + tail)
-    body_only, whole = verify_both_ways(index, completed, record.task_id())
-    assert (body_only.status, whole.status) == ("pass", "pass")
+    that the source never declares and that any other block is faulted for,
+    once the reply is read as run and verify read one (extract_code_block);
+    handed over unread, a tail makes the body not one block."""
+    read = splice(index, record, extract_code_block(record.body + tail))
+    assert ScriptedDifferentialBackend().verify(index, read, record.task_id()).status == "pass"
+    got = check_against_reference(index, splice(index, record, record.body + tail), record.task_id())
+    assert got == (NOT_ONE_BLOCK if tail else ("pass", ()))
     other = splice(index, record, "{ return base; }")
     assert ScriptedDifferentialBackend().verify(index, other, record.task_id()).status == "compile_error"
 
 
 def test_single_block_verdicts_build_no_completed_source():
     """A body that is one balanced block is judged without building,
-    indexing or comparing a whole completed source."""
+    indexing or comparing a whole completed source, and so is one that is
+    not."""
     jobs = [
         (FILE.index, ADD, "{ return b + a; }", "pass", None),
         (FILE.index, ADD, "{ return a - b; }", "functional_mismatch", None),
@@ -1570,12 +1698,13 @@ def test_single_block_verdicts_build_no_completed_source():
         (FILE.index, AVG, "{\n        return helperX(a); // x\n    }", "compile_error", 2),
         (MULTI_FILE.index, M_HALF, "{\n\n        return zz; /* done */ }", "compile_error", 3),
         (MULTI_FILE.index, M_HALF, "{ return a / 2;  }", "pass", None),
+        (MULTI_FILE.index, M_HALF, "{ return a / 2; } // x", "compile_error", None),
     ]
     backend = ScriptedDifferentialBackend()
     fail = mock.Mock(side_effect=AssertionError("whole source"))
     with mock.patch.object(LocatedCompletion, "source_in", fail), mock.patch.object(
         SourceIndex, "__init__", fail
-    ), mock.patch.object(executor, "_whole_source_change", fail):
+    ):
         for oracle, record, body, status, line in jobs:
             v = backend.verify(oracle, splice(oracle, record, body), record.task_id())
             assert v.status == status, body
@@ -1598,8 +1727,7 @@ def test_fixture_records_splice_back_exactly(path):
         assert backend.verify(file.index, completed, record.task_id()).status == "pass"
         reindented = splice(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
         assert backend._oracle(file.index).located(reindented) is not None
-        body_only, whole = verify_both_ways(file.index, reindented, record.task_id())
-        assert (body_only.status, body_only.diagnostics) == (whole.status, whole.diagnostics)
+        check_against_reference(file.index, reindented, record.task_id())
 
 
 class TestDeclarationTable:
@@ -1617,14 +1745,14 @@ class TestDeclarationTable:
             "{ uint256 s = a + b; return s; }",
             "{ return b + a; }",
             "{ uint256 t; return add(t, a); }",
-            "{ return a - b; } // the whole source is parsed",
+            "{ return a - b; } // not one block",
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
                 backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies
             ]
-        assert statuses == ["pass", "pass", "functional_mismatch", "functional_mismatch"]
+        assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
         assert backend._oracle(MULTI_FILE.index).located(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is None
         assert counts.call_count == 0
 
@@ -1635,7 +1763,7 @@ class TestDeclarationTable:
             (FILE.index, AVG, "{ return helperX(a); }", "compile_error"),
             (FILE.index, AVG, "{ return total; }", "functional_mismatch"),
             (MULTI_FILE.index, M_ADD, "{ return zz; }", "compile_error"),
-            (MULTI_FILE.index, M_HALF, "{ return a / 2; } // x", "pass"),
+            (MULTI_FILE.index, M_HALF, "{ return a / 2; }", "pass"),
             (MULTI_FILE.index, M_HALF, "{ return zz; } // x", "compile_error"),
         ] * 3
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
@@ -1647,9 +1775,10 @@ class TestDeclarationTable:
         # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
         # for them, and no other identifier sends MULTI_FILE's to a scan.
         assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
-        # The whole-source path scans each completed source it needs once.
-        completed = splice(MULTI_FILE.index, M_HALF, "{ return zz; } // x").source_in(MULTI_FILE.index)
-        assert self.scans(counts, SourceIndex(completed).scrubbed) == [()] * 3
+        # Only completed bodies are scanned besides, and none that is not one block.
+        assert {call.args[0] for call in counts.call_args_list} - {FILE.index.scrubbed} == {
+            "{ return total + a; }", "{ return helperX(a); }", "{ return total; }", "{ return zz; }"
+        }
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
     def test_answers_equal_the_eager_counter(self, path):
@@ -1663,7 +1792,7 @@ class TestDeclarationTable:
         # Pieces of declared names occur in the oracle but are mostly not
         # declared themselves.
         names |= {piece for n in eager for piece in (n[:-1], n[1:], n[1:-1]) if piece}
-        for fn in executor._top_level(oracle.index):
+        for fn in _top_level(oracle.index):
             within = Counter(m.group(1) for m in found if fn.body_start <= m.start() <= fn.body_end)
             spliced = executor._SplicedNames(oracle, fn, executor._DeclaredIn("{ uint256 fresh; }"))
             assert {n for n in names if n in spliced} == {n for n in names if n == "fresh" or eager[n] > within[n]}
@@ -1777,18 +1906,18 @@ class TestSolcBackend:
         assert v.diagnostics[0].message == f"task.sol:{first + 2}:16: m"
 
     @pytest.mark.parametrize(
-        "body,rebased",
+        "body,spanned",
         [
-            # Judged on the block, as the whole-source parse finds it.
-            ("{\n        return helperX(a);\n    } // x\n", True),
-            # Two functions change, or none does, or the source is unbalanced.
-            ("{\n        return a;\n    }\n\n    function extra() public pure { }", False),
-            (ADD.body, False),
-            ("{\n        return a;\n", False),
+            # Every line the body spans counts from its first, whatever the
+            # body holds, unless it is the oracle's own.
+            ("{\n        return helperX(a);\n    } // x\n", 4),
+            ("{\n        return a;\n    }\n\n    function extra() public pure { }", 5),
+            (ADD.body, 0),
+            ("{\n        return a;\n", 3),
         ],
         ids=["trailing-comment", "extra-function", "oracle-body", "unbalanced"],
     )
-    def test_lines_are_rebased_only_onto_the_one_changed_body(self, body, rebased):
+    def test_lines_are_rebased_only_onto_the_one_changed_body(self, body, spanned):
         completed = completed_with(ADD, body)
         source = completed.source_in(FILE.index)
         first = source[: source.index(body)].count("\n") + 1
@@ -1797,10 +1926,8 @@ class TestSolcBackend:
             SolcCompileBackend, "compile", return_value=ExecutionVerdict("compile_error", tuple(diagnostics))
         ):
             v = SolcCompileBackend().verify(FILE.index, completed, ADD.task_id())
-        assert v.diagnostics == reference_rebase(diagnostics, FILE.index, source)
-        # The block's three lines, the trailing comment's excluded.
         moved = [(was.line, d.line) for d, was in zip(v.diagnostics, diagnostics) if d != was]
-        assert moved == ([(first, 1), (first + 1, 2), (first + 2, 3)] if rebased else [])
+        assert moved == [(first + k, k + 1) for k in range(spanned)]
 
     @staticmethod
     def stub_solc(errors_for):

@@ -745,6 +745,23 @@ class TestCmdVerify:
         ]
         assert written == results
 
+    def test_reads_bodies_as_run_reads_replies(self, verify_config, tmp_path):
+        task = self.first_tasks(verify_config, 1)[0]
+        bodies = [
+            task.record.body + "\n",
+            task.record.body + " // done\n",
+            "```solidity\n" + task.record.body + "\n```",
+            "{ return a +",
+        ]
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(
+            "".join(json.dumps({"task_id": task.task_id, "body": body}) + "\n" for body in bodies), encoding="utf-8"
+        )
+        results, code = cmd_verify(completions, verify_config)
+        assert code == EXIT_OK
+        assert [row["verdict"]["status"] for row in results] == [STATUS_PASS] * 3 + ["compile_error"]
+        assert results[-1]["verdict"]["diagnostics"][0]["message"] == "completed body is not one balanced {...} block"
+
     @pytest.mark.parametrize("counter", ["bytes4", "words"])
     def test_builds_no_context_window(self, e2e_config_factory, tmp_path, counter):
         config = e2e_config_factory(str(tmp_path / "out"), counter=counter)
@@ -1321,10 +1338,21 @@ class TestCli:
                 "",
                 ", line 1: id 'fn_0_0' should be 'bank0.sol#L12-15' (<source_path>#L<start>-<end>)",
             ),
+            (
+                # Line 66 declares a Yul function inside outer's assembly block.
+                lambda rows: [
+                    {**rows[0], "id": "bank0.sol#L66-66", "span": [66, 66], "signature": "function helper(v) -> z "},
+                    *rows[1:],
+                ],
+                "contract Y {\n    /// d\n    function outer(uint256 y) public pure returns (uint256 r) {\n"
+                "        assembly {\n            function helper(v) -> z { z := v }\n            r := helper(y)\n"
+                "        }\n    }\n}\n",
+                ": task bank0.sol#L66-66: function 'helper' is nested in another function's body",
+            ),
         ],
         ids=[
             "unbalanced-source", "span-on-next-function", "span-outside-file", "nameless-signature", "repeated-row",
-            "foreign-id",
+            "foreign-id", "nested-target",
         ],
     )
     def test_task_that_does_not_fit_its_source_exits_config_before_any_output(
