@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from solrepair.corpus import SourceFile, build_corpus  # noqa: E402
+from solrepair.corpus import SourceIndex, build_corpus  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "corpus20"
 
@@ -92,13 +92,13 @@ def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     for old in OUT.glob("*.sol"):
         old.unlink()
-    files = []
+    sources = []
     for i in range(N_FILES):
         text = build_file(i)
         path = OUT / f"c{i:02d}.sol"
         path.write_text(text, encoding="utf-8")
-        files.append(SourceFile.from_text(path.name, text))
-    records, report = build_corpus(files)
+        sources.append(SourceIndex.from_text(path.name, text))
+    records, report = build_corpus(sources)
     expected = {
         "total_extracted": 110,
         "excluded_no_comment": 5,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from .corpus import FunctionRecord, SourceFile
+from .corpus import FunctionRecord, SourceIndex
 
 # Budget presets used by the sweep configs; any non-negative budget is valid.
 CONTEXT_BUDGETS = (0, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
@@ -75,18 +75,18 @@ class ContextWindow:
     actual_tokens: int
 
 
-def check_span(file: SourceFile, target: FunctionRecord) -> None:
-    """Raise ValueError when target's span is not within file's lines."""
+def check_span(index: SourceIndex, target: FunctionRecord) -> None:
+    """Raise ValueError when target's span is not within the source's lines."""
     # Lines end at "\n" only, as spans do; a final newline ends the last line.
-    total_lines = len(file.index.line_starts) - (file.text.endswith("\n") or not file.text)
+    total_lines = len(index.line_starts) - (index.text.endswith("\n") or not index.text)
     if target.span[0] < 1 or target.span[1] > max(1, total_lines):
         raise ValueError(
-            f"target span {target.span} outside {file.path} ({total_lines} lines)"
+            f"target span {target.span} outside {index.path} ({total_lines} lines)"
         )
 
 
 def build_context(
-    file: SourceFile,
+    index: SourceIndex,
     target: FunctionRecord,
     budget: int,
     counter: TokenCounter = DEFAULT_COUNTER,
@@ -99,12 +99,12 @@ def build_context(
     """
     if budget < 0:
         raise ValueError(f"context budget must be non-negative, got {budget}")
-    check_span(file, target)
+    check_span(index, target)
     if budget == 0:
         # Blank lines count no words, yet are no context.
         return ContextWindow(text="", budget=0, actual_tokens=0)
-    text = file.text
-    line_starts = file.index.line_starts
+    text = index.text
+    line_starts = index.line_starts
 
     # A window starts at a line start and ends where the target's line
     # starts. count(window) shrinks as the start moves right (monotone

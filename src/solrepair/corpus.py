@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import add
@@ -176,6 +176,11 @@ class SourceIndex:
     declarations); Python steps once per brace and once per declaration.
     """
 
+    @classmethod
+    def from_text(cls, path: str, text: str) -> SourceIndex:
+        """The index of `text`, the source read from `path`."""
+        return cls(text, path)
+
     def __init__(self, text: str, path: str = "<source>") -> None:
         self.text = text
         self.path = path
@@ -190,7 +195,8 @@ class SourceIndex:
         for fn in self._functions:
             if fn.has_body:
                 self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
-        # The build filter's _scan of each function, per config, by body_start.
+        # The build filter's _scan of each function, per config, by body_start;
+        # _CLEAN for a function whose whole reach a walk found clean.
         self.scans: dict[FilterConfig, dict[int, tuple]] = {}
 
     def line_of(self, offset: int) -> int:
@@ -275,51 +281,57 @@ class SourceIndex:
         return named
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    """A Solidity source file and its index."""
-
-    path: str
-    text: str
-    index: SourceIndex = field(compare=False, repr=False)
-
-    @classmethod
-    def from_text(cls, path: str, text: str) -> "SourceFile":
-        return cls(path=path, text=text, index=SourceIndex(text, path))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SourceFile":
-        p = Path(path)
-        return cls.from_text(str(p), p.read_text(encoding="utf-8"))
+# The earlier name of SourceIndex, kept for callers that still import it.
+SourceFile = SourceIndex
 
 
 @dataclass(frozen=True)
-class FunctionRecord:
-    """One extracted function: comment block, signature, body, and location.
+class FunctionRecord(Record):
+    """One extracted function: comment block, signature, body, and location;
+    a task file row is its JSON plus the derived `id`.
 
     The span is 1-based and inclusive, covering comment through closing
     brace. Concatenating comment + signature + body reproduces the source
     slice for that span, modulo leading indentation per line.
     """
 
-    source_id: str
+    source_path: str
     comment: str
     signature: str
     body: str
-    span: tuple[int, int]
+    span: tuple[int, ...]
     contract_type: str | None = None
 
     def __post_init__(self) -> None:
+        if len(self.span) != 2:
+            raise MalformedRecordError(f"expected 2 items, got {len(self.span)} at key 'span'")
         if not self.comment.strip():
-            raise MalformedRecordError(f"{self.source_id}: empty comment block")
+            raise MalformedRecordError(f"{self.source_path}: empty comment block")
         if self.span[0] < 1 or self.span[1] < self.span[0]:
-            raise MalformedRecordError(f"{self.source_id}: invalid span {self.span}")
+            raise MalformedRecordError(f"{self.source_path}: invalid span {self.span}")
+
+    def to_json(self) -> dict:
+        row = super().to_json()
+        row["id"] = self.task_id()
+        return row
+
+    @classmethod
+    def from_json(cls, payload: dict) -> FunctionRecord:
+        """The record a task row holds. The row's `id` must be a string;
+        read_task_file checks that it is the record's task_id()."""
+        if "id" not in payload:
+            raise TypeError("missing key 'id'")
+        payload = dict(payload)
+        row_id = payload.pop("id")
+        if type(row_id) is not str:
+            raise TypeError(f"expected str, got {type(row_id).__name__} at key 'id'")
+        return super().from_json(payload)
 
     @property
     def name(self) -> str:
         m = _FUNCTION_NAME_RE.search(self.signature)
         if m is None:
-            raise MalformedRecordError(f"{self.source_id}: no function name in signature")
+            raise MalformedRecordError(f"{self.source_path}: no function name in signature")
         return m.group(1)
 
     def rendered(self) -> str:
@@ -330,7 +342,7 @@ class FunctionRecord:
         return "\n".join(line.rstrip() for line in self.rendered().splitlines())
 
     def task_id(self) -> str:
-        return f"{self.source_id}#L{self.span[0]}-{self.span[1]}"
+        return f"{self.source_path}#L{self.span[0]}-{self.span[1]}"
 
 
 def _comment_block_top(index: SourceIndex, sig_line: int) -> int:
@@ -373,15 +385,15 @@ def _comment_block_top(index: SourceIndex, sig_line: int) -> int:
     return top
 
 
-def extract_functions(file: SourceFile) -> list[FunctionRecord]:
-    """Extract every commented, body-bearing function from a source file.
+def extract_functions(index: SourceIndex) -> list[FunctionRecord]:
+    """Extract every commented, body-bearing function from a source.
 
     Deterministic and order-stable. Functions without a directly preceding
     comment block are omitted, and so are functions nested in another
     function's body (Yul functions inside `assembly`); unbalanced sources
     raise MalformedSourceError.
     """
-    index = file.index
+    text, starts = index.text, index.line_starts
     records: list[FunctionRecord] = []
     for fn in index.functions:
         if not fn.has_body or fn.depth:
@@ -390,25 +402,21 @@ def extract_functions(file: SourceFile) -> list[FunctionRecord]:
         top = _comment_block_top(index, sig_line)
         if top == sig_line:
             continue
-        comment = file.text[index.line_starts[top - 1] : index.line_starts[sig_line - 1]]
-        signature = file.text[fn.kw_offset : fn.body_start]
-        body = file.text[fn.body_start : fn.body_end + 1]
-        span = (top, index.line_of(fn.body_end))
         records.append(
             FunctionRecord(
-                source_id=file.path,
-                comment=comment,
-                signature=signature,
-                body=body,
-                span=span,
+                source_path=index.path,
+                comment=text[starts[top - 1] : starts[sig_line - 1]],
+                signature=text[fn.kw_offset : fn.body_start],
+                body=text[fn.body_start : fn.body_end + 1],
+                span=(top, index.line_of(fn.body_end)),
             )
         )
     return records
 
 
-def count_function_declarations(file: SourceFile) -> int:
+def count_function_declarations(index: SourceIndex) -> int:
     """Number of body-bearing, non-nested function declarations, commented or not."""
-    return sum(1 for fn in file.index.functions if fn.has_body and not fn.depth)
+    return sum(1 for fn in index.functions if fn.has_body and not fn.depth)
 
 
 @dataclass(frozen=True)
@@ -462,6 +470,10 @@ def _match_deny_list(
     return None
 
 
+# The scan of a function proven clean: no hit, and nothing past it to walk.
+_CLEAN = (None, ())
+
+
 def _scan(index: SourceIndex, fn: IndexedFunction, config: FilterConfig) -> tuple:
     """A function's deny-list hit, and the body-bearing functions its body
     names: every overload, in order of first mention. Reads the scrubbed
@@ -477,7 +489,7 @@ def _scan(index: SourceIndex, fn: IndexedFunction, config: FilterConfig) -> tupl
 
 def filter_state_dependent(
     record: FunctionRecord,
-    file: SourceFile,
+    index: SourceIndex,
     config: FilterConfig = DEFAULT_FILTER_CONFIG,
 ) -> FilterDecision:
     """Decide whether a record is safe to keep as a completion task.
@@ -485,14 +497,16 @@ def filter_state_dependent(
     Checks the function itself, then, breadth first, every same-file
     function it transitively calls against the deny-list; a call reaches
     every overload of the name it uses. Each function is scanned at most
-    once per file and config, whichever record reaches it. Matches report a
-    reason so exclusion counts can be bucketed. A record that is not a
-    function of `file` raises ValueError.
+    once per file and config, whichever record reaches it, and a walk that
+    keeps its record marks every function it visited clean, so later walks
+    stop there: a clean function's whole reach holds no hit, and no function
+    with a hit in reach is found through one. Matches report a reason so
+    exclusion counts can be bucketed. A record that is not a function of
+    `index` raises ValueError.
     """
-    index = file.index
     own = index.find(record.name, *record.span)
     if own is None:
-        raise ValueError(f"{record.task_id()}: no function {record.name!r} of {file.path} has this span")
+        raise ValueError(f"{record.task_id()}: no function {record.name!r} of {index.path} has this span")
     scans = index.scans.setdefault(config, {})
     visited = {own.body_start}
     queue = deque([own])
@@ -508,6 +522,7 @@ def filter_state_dependent(
             if callee.body_start not in visited:
                 visited.add(callee.body_start)
                 queue.append(callee)
+    scans.update(dict.fromkeys(visited, _CLEAN))
     return FilterDecision(keep=True)
 
 
@@ -561,19 +576,19 @@ def dedup_exact(
 
 
 def build_corpus(
-    files: Iterable[SourceFile],
+    sources: Iterable[SourceIndex],
     config: FilterConfig = DEFAULT_FILTER_CONFIG,
 ) -> tuple[list[FunctionRecord], FilterReport]:
-    """Extract, filter, and dedup across files; return records plus counts."""
+    """Extract, filter, and dedup across sources; return records plus counts."""
     report = FilterReport()
     pool: list[FunctionRecord] = []
-    for file in files:
-        declared = count_function_declarations(file)
-        records = extract_functions(file)
+    for index in sources:
+        declared = count_function_declarations(index)
+        records = extract_functions(index)
         report.total_extracted += declared
         report.excluded_no_comment += declared - len(records)
         for record in records:
-            decision = filter_state_dependent(record, file, config)
+            decision = filter_state_dependent(record, index, config)
             if decision.keep:
                 pool.append(record)
             elif decision.reason == "mint":
@@ -587,35 +602,12 @@ def build_corpus(
     return kept, report
 
 
-@dataclass
-class _TaskRow(Record):
-    """One row of a task file, as written and read; the codec checks each
-    value's type, and span must hold two integers."""
-
-    id: str
-    source_path: str
-    comment: str
-    signature: str
-    body: str
-    span: tuple[int, ...]
-    contract_type: str | None = None
-
-
 def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
     """Write records as JSONL task rows; returns the number written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            row = _TaskRow(
-                record.task_id(),
-                record.source_id,
-                record.comment,
-                record.signature,
-                record.body,
-                record.span,
-                record.contract_type,
-            )
-            fh.write(dump_row(row.to_json()))
+            fh.write(dump_row(record.to_json()))
             count += 1
     return count
 
@@ -631,24 +623,15 @@ def read_task_file(path: str | Path) -> list[FunctionRecord]:
     lines: dict[str, int] = {}
     for lineno, row in read_rows(path, "task"):
         try:
-            task = _TaskRow.from_json(row)
-            if len(task.span) != 2:
-                raise ValueError(f"expected 2 items, got {len(task.span)} at key 'span'")
-            record = FunctionRecord(
-                source_id=task.source_path,
-                comment=task.comment,
-                signature=task.signature,
-                body=task.body,
-                span=task.span,
-                contract_type=task.contract_type,
-            )
+            record = FunctionRecord.from_json(row)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}, line {lineno}: bad task row: {exc}") from exc
-        if task.id != record.task_id():
+        task_id = record.task_id()
+        if row["id"] != task_id:
             raise ConfigError(
-                f"{path}, line {lineno}: id {task.id!r} should be {record.task_id()!r} (<source_path>#L<start>-<end>)"
+                f"{path}, line {lineno}: id {row['id']!r} should be {task_id!r} (<source_path>#L<start>-<end>)"
             )
-        if lines.setdefault(task.id, lineno) != lineno:
-            raise ConfigError(f"{path}, line {lineno}: id {task.id!r} repeats line {lines[task.id]}")
+        if lines.setdefault(task_id, lineno) != lineno:
+            raise ConfigError(f"{path}, line {lineno}: id {task_id!r} repeats line {lines[task_id]}")
         out.append(record)
     return out

@@ -443,14 +443,15 @@ def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8)
 # moved before the word-boundary check, as a lookbehind on `\w` (as Unicode
 # as `\b` is): every alternative then starts with a literal, which lets `re`
 # skip ahead to candidates. Each has one group, the declared name.
+# `\bfunction\s+name`: a function type (`function (uint256) ...`) has none.
+_NAMED_FUNCTION_RE = re.compile(r"f(?<!\wf)unction\s+([A-Za-z_$][A-Za-z0-9_$]*)")
 _DECLARED_RES = (
     # `\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+name`
     re.compile(
         r"(?:c(?<!\wc)ontract|i(?<!\wi)nterface|l(?<!\wl)ibrary|s(?<!\ws)truct"
         r"|e(?<!\we)(?:num|vent|rror)|m(?<!\wm)odifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)"
     ),
-    # `\bfunction\s+name`
-    re.compile(r"f(?<!\wf)unction\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
+    _NAMED_FUNCTION_RE,
     # `\b(?:u?int\d*|bytes\d*|bool|address|string)\s+(modifiers)*name`
     re.compile(
         r"(?:u(?<!\wu)int\d*|i(?<!\wi)nt\d*|b(?<!\wb)(?:ytes\d*|ool)|a(?<!\wa)ddress|s(?<!\ws)tring)\s+"
@@ -730,16 +731,16 @@ class ScriptedDifferentialBackend:
     nowhere in the source produce a compile_error verdict.
 
     Only the completed body is read, at its target's location, so
-    overloads never stand in for each other, and a function nested in the
-    body counts as part of it; a body that is not one balanced {...} is a
-    compile_error. The backend prepares each oracle text once, on first use, from
-    the index verify is handed, and keeps it for its own lifetime: each
-    function's expected outputs are computed once, and each distinct
-    statement, in whichever source, is parsed once.
+    overloads never stand in for each other; a body that is not one
+    balanced {...}, or that declares a named function outside `assembly`,
+    is a compile_error. The backend prepares each oracle text once, on
+    first use, from the index verify is handed, and keeps it for its own
+    lifetime: each function's expected outputs are computed once, and each
+    distinct statement, in whichever source, is parsed once.
     """
 
     name = "mock-diff"
-    version = "mock-diff@4"
+    version = "mock-diff@5"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -785,6 +786,13 @@ class ScriptedDifferentialBackend:
         if located is None:
             return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NOT_ONE_BLOCK)])
         old, new = located
+        # Solidity declares no function in a function body; Yul does, inside
+        # `assembly`.
+        nested = _NAMED_FUNCTION_RE.search(_without_assembly(new.scrubbed))
+        if nested is not None:
+            line = new.text.count("\n", 0, nested.start()) + 1
+            message = f'Function "{nested[1]}" declared inside a function body.'
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
 
         # The body's own declarations are scanned for only when a name is not
         # a parameter or the function's own.

@@ -30,7 +30,7 @@ from .corpus import (
     FilterConfig,
     FilterReport,
     FunctionRecord,
-    SourceFile,
+    SourceIndex,
     build_corpus,
     read_task_file,
     write_task_file,
@@ -239,7 +239,7 @@ def _read_text(path: Path, kind: str) -> str:
         raise ConfigError(f"{kind} file {path} is not UTF-8: {exc}") from exc
 
 
-def _load(config: RunConfig, window: Callable[[SourceFile, FunctionRecord], ContextWindow]) -> list[CompletionTask]:
+def _load(config: RunConfig, window: Callable[[SourceIndex, FunctionRecord], ContextWindow]) -> list[CompletionTask]:
     """Read sources, locate each task's function in its source's index and
     give it window(source, record).
 
@@ -248,28 +248,28 @@ def _load(config: RunConfig, window: Callable[[SourceFile, FunctionRecord], Cont
     in another function's body (Yul inside `assembly`) raise ConfigError
     naming the task file and the task.
     """
-    sources: dict[str, SourceFile] = {}
+    sources: dict[str, SourceIndex] = {}
     tasks: list[CompletionTask] = []
     for record in read_task_file(config.task_file):
-        path = record.source_id
+        path = record.source_path
         if path not in sources:
             full = Path(config.source_root) / path if config.source_root else Path(path)
             if not full.is_file():
                 raise ConfigError(f"source file not found: {full}")
-            sources[path] = SourceFile.from_text(path, _read_text(full, "source"))
-        file = sources[path]
+            sources[path] = SourceIndex.from_text(path, _read_text(full, "source"))
+        index = sources[path]
         task_id = record.task_id()
         try:
-            file.index.check()
-            context = window(file, record)
-            target = file.index.find(record.name, *record.span)
+            index.check()
+            context = window(index, record)
+            target = index.find(record.name, *record.span)
             if target is None:
                 raise ValueError(f"function {record.name!r} not found within span {record.span}")
             if target.depth:
                 raise ValueError(f"function {record.name!r} is nested in another function's body")
         except ValueError as exc:
             raise ConfigError(f"{config.task_file}: task {task_id}: {exc}") from exc
-        tasks.append(CompletionTask(task_id, record, context, file.index, target))
+        tasks.append(CompletionTask(task_id, record, context, index, target))
     return tasks
 
 
@@ -277,13 +277,13 @@ def load_tasks(config: RunConfig) -> list[CompletionTask]:
     """Materialize tasks: read sources, locate each task's function in its
     source's index and build its context window; see _load for the errors."""
     counter = get_counter(config.counter)
-    return _load(config, lambda file, record: build_context(file, record, config.context_budget, counter))
+    return _load(config, lambda index, record: build_context(index, record, config.context_budget, counter))
 
 
-def _no_window(file: SourceFile, record: FunctionRecord) -> ContextWindow:
+def _no_window(index: SourceIndex, record: FunctionRecord) -> ContextWindow:
     """The empty window of a task whose span fits its source, for a command
     that reads no window."""
-    check_span(file, record)
+    check_span(index, record)
     return ContextWindow("", 0, 0)
 
 
@@ -302,15 +302,15 @@ def cmd_build(
     if not source_dir.is_dir():
         raise ConfigError(f"source directory not found: {source_dir}")
     paths = sorted(source_dir.rglob("*.sol"))
-    files = [SourceFile.from_text(str(p.relative_to(source_dir)), _read_text(p, "source")) for p in paths]
-    records, report = build_corpus(files, filter_config)
+    sources = [SourceIndex.from_text(str(p.relative_to(source_dir)), _read_text(p, "source")) for p in paths]
+    records, report = build_corpus(sources, filter_config)
     write_task_file(records, tasks_out)
     if stats_out is not None:
         write_json(stats_out, report.to_json())
     log.info(
         "built %d tasks from %d files (%d extracted, %d dupes removed)",
         report.retained,
-        len(files),
+        len(sources),
         report.total_extracted,
         report.dedup_removed,
     )

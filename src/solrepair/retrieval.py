@@ -131,25 +131,20 @@ class _JoinedLines:
 
     def lcs(self, q: str, max_snippets: int) -> list[RetrievedSnippet]:
         text = self.text
-
-        def any_hit(length: int) -> bool:
-            return any(q[j : j + length] in text for j in range(len(q) - length + 1))
-
-        # A hit at some length implies one at every shorter length, so the
-        # longest matching length can be found by binary search.
-        lo, hi = MIN_LCS_LENGTH - 1, len(q)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if any_hit(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo < MIN_LCS_LENGTH:
+        # A hit at some length implies one at every shorter length from the
+        # same start, so one forward scan finds the longest: at each start,
+        # grow the best length while the next longer fragment still hits.
+        # Each search either grows the length or moves the start.
+        best = MIN_LCS_LENGTH - 1
+        for j in range(len(q) - best):
+            while j + best < len(q) and q[j : j + best + 1] in text:
+                best += 1
+        if best < MIN_LCS_LENGTH:
             return []
         starts = self.starts
         first: dict[int, int] = {}  # line index -> lowest query offset found in it
-        for j in range(len(q) - lo + 1):
-            frag = q[j : j + lo]
+        for j in range(len(q) - best + 1):
+            frag = q[j : j + best]
             pos = text.find(frag)
             while pos != -1:
                 idx = bisect_right(starts, pos) - 1
@@ -159,8 +154,8 @@ class _JoinedLines:
             RetrievedSnippet(
                 line_index=idx,
                 text=self.lines[idx],
-                score=float(lo),
-                matched_fragment=q[first[idx] : first[idx] + lo],
+                score=float(best),
+                matched_fragment=q[first[idx] : first[idx] + best],
             )
             for idx in sorted(first)[:max_snippets]
         ]
@@ -182,10 +177,9 @@ def lcs_retrieve_multi(
     Cost: a query shorter than MIN_LCS_LENGTH can match nothing and is
     dropped first; when none is left, nothing else is done. Otherwise the
     lines are joined and their offsets tabulated once for the remaining
-    queries (O(T) for T context characters, in C); per query q, a binary
-    search over the match length makes O(log |q|) probes of at most |q|
-    substring searches each, O(|q| · T · log |q|) character work done in C;
-    collecting the matches at the chosen length takes at most |q| more
+    queries (O(T) for T context characters, in C); per query q, one forward
+    scan over its starts makes at most 2|q| substring searches, O(|q| · T)
+    character work done in C; collecting the matches at the chosen length takes at most |q| more
     searches plus O(log n) per matching line for n lines.
     """
     texts = [q.text for q in queries if len(q.text) >= MIN_LCS_LENGTH]

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from solrepair.corpus import (
-    SourceFile,
+    SourceIndex,
     build_corpus,
 )
 from solrepair.executor import (
@@ -218,7 +218,7 @@ def test_retrieval_contract_and_scoring_fixtures(capsys):
 
 def test_corpus_pipeline_counts_and_injection(capsys, corpus20_dir):
     with reported(capsys, "[4/9] corpus fixture counts exact"):
-        files = [SourceFile.load(p) for p in sorted(corpus20_dir.glob("*.sol"))]
+        files = [SourceIndex.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(corpus20_dir.glob("*.sol"))]
         kept, report = build_corpus(files)
         assert report.total_extracted == 110
         assert report.excluded_no_comment == 5

@@ -17,19 +17,19 @@ from solrepair.context import (
     build_context,
     get_counter,
 )
-from solrepair.corpus import FunctionRecord, SourceFile, extract_functions
+from solrepair.corpus import FunctionRecord, SourceIndex, extract_functions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def file_with_target(preceding_lines: list[str]) -> tuple[SourceFile, FunctionRecord]:
+def file_with_target(preceding_lines: list[str]) -> tuple[SourceIndex, FunctionRecord]:
     """Source whose last two lines hold the target; window comes from the rest."""
     text = "".join(line + "\n" for line in preceding_lines)
     sig_line = len(preceding_lines) + 1
     text += "/// doc\nfunction f() public { return; }\n"
-    file = SourceFile.from_text("ctx.sol", text)
+    file = SourceIndex.from_text("ctx.sol", text)
     record = FunctionRecord(
-        source_id="ctx.sol",
+        source_path="ctx.sol",
         comment="/// doc\n",
         signature="function f() public ",
         body="{ return; }",
@@ -94,7 +94,7 @@ class TestBuildContext:
     @pytest.mark.parametrize("counter", [ApproxBytesCounter(), WordCounter()], ids=lambda c: c.name)
     def test_budget_zero_empty_above_a_blank_line(self, counter):
         # The blank line above the doc comment counts no words, but is no context.
-        file = SourceFile.from_text(
+        file = SourceIndex.from_text(
             "c.sol",
             "contract C {\n    uint256 x;\n\n    /// Adds.\n"
             "    function f(uint256 a) public pure returns (uint256) {\n        return a + 1;\n    }\n}\n",
@@ -122,7 +122,7 @@ class TestBuildContext:
     def test_span_outside_file_rejected(self):
         file, rec = file_with_target(["one"])
         bad = FunctionRecord(
-            source_id=rec.source_id,
+            source_path=rec.source_path,
             comment=rec.comment,
             signature=rec.signature,
             body=rec.body,
@@ -206,13 +206,13 @@ def test_property_window_is_maximal(lines, budget):
         assert counter.count(preceding[prev_start:]) > budget
 
 
-def reference_build_context(file: SourceFile, target: FunctionRecord, budget: int, counter) -> ContextWindow:
+def reference_build_context(file: SourceIndex, target: FunctionRecord, budget: int, counter) -> ContextWindow:
     """build_context as a bisection over every line start before the target,
     each probe counting a suffix of all the preceding text; budget 0 is the
     empty window."""
     if budget == 0:
         return ContextWindow(text="", budget=0, actual_tokens=0)
-    starts = file.index.line_starts[: target.span[0]]
+    starts = file.line_starts[: target.span[0]]
     preceding = file.text[: starts[-1]]
     lo, hi = 0, len(starts) - 1
     while lo < hi:
@@ -232,7 +232,7 @@ def test_windows_match_reference_on_every_fixture_target():
     paths = sorted(FIXTURES.rglob("*.sol"))
     targets = 0
     for path in paths:
-        file = SourceFile.load(path)
+        file = SourceIndex.from_text(str(path), path.read_text(encoding="utf-8"))
         for record in extract_functions(file):
             targets += 1
             for budget in (0, 1, 7, 64, 256, 1000, 2048, 32768):
@@ -242,9 +242,9 @@ def test_windows_match_reference_on_every_fixture_target():
     assert targets >= 50
 
 
-def target_at(lines: list[str], line: int) -> tuple[SourceFile, FunctionRecord]:
-    file = SourceFile.from_text("ctx.sol", "".join(l + "\n" for l in lines))
-    record = FunctionRecord(source_id="ctx.sol", comment="/// doc\n", signature="function f() ", body="{ }", span=(line, line))
+def target_at(lines: list[str], line: int) -> tuple[SourceIndex, FunctionRecord]:
+    file = SourceIndex.from_text("ctx.sol", "".join(l + "\n" for l in lines))
+    record = FunctionRecord(source_path="ctx.sol", comment="/// doc\n", signature="function f() ", body="{ }", span=(line, line))
     return file, record
 
 

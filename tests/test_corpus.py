@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,6 @@ from solrepair.corpus import (
     FilterConfig,
     FunctionRecord,
     MalformedSourceError,
-    SourceFile,
     SourceIndex,
     build_corpus,
     count_function_declarations,
@@ -53,7 +53,7 @@ contract Adder {
 
 
 def make_record(body: str, comment: str = "/// doc\n", sig: str = "function f(uint256 a) public pure returns (uint256) ") -> FunctionRecord:
-    return FunctionRecord(source_id="t.sol", comment=comment, signature=sig, body=body, span=(1, 1 + body.count("\n")))
+    return FunctionRecord(source_path="t.sol", comment=comment, signature=sig, body=body, span=(1, 1 + body.count("\n")))
 
 
 class TestTokenize:
@@ -327,14 +327,14 @@ class TestBalance:
             index.functions
 
     def test_extraction_raises_on_unbalanced(self):
-        file = SourceFile.from_text("bad.sol", "contract C {\n /// d\n function f() public {\n")
+        file = SourceIndex.from_text("bad.sol", "contract C {\n /// d\n function f() public {\n")
         with pytest.raises(MalformedSourceError):
             extract_functions(file)
 
 
 class TestExtraction:
     def test_simple_round_trip(self):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         records = extract_functions(file)
         assert len(records) == 1
         rec = records[0]
@@ -346,12 +346,12 @@ class TestExtraction:
         assert rec.task_id() == "adder.sol#L4-7"
 
     def test_count_includes_uncommented(self):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         assert count_function_declarations(file) == 2
 
     def test_bodyless_declarations_not_counted(self):
         src = "interface I {\n    /// doc\n    function f() external;\n}\n"
-        file = SourceFile.from_text("i.sol", src)
+        file = SourceIndex.from_text("i.sol", src)
         assert count_function_declarations(file) == 0
         assert extract_functions(file) == []
 
@@ -368,14 +368,14 @@ class TestExtraction:
             "    }\n"
             "}\n"
         )
-        file = SourceFile.from_text("c.sol", src)
+        file = SourceIndex.from_text("c.sol", src)
         assert [r.name for r in extract_functions(file)] == ["outer"]
         assert count_function_declarations(file) == 1
-        assert [(fn.name, fn.depth) for fn in file.index.functions] == [("outer", 0), ("helper", 1)]
+        assert [(fn.name, fn.depth) for fn in file.functions] == [("outer", 0), ("helper", 1)]
 
     def test_unnamed_functions_skipped(self):
         src = "contract C {\n    /// doc\n    fallback() external {}\n}\n"
-        assert extract_functions(SourceFile.from_text("c.sol", src)) == []
+        assert extract_functions(SourceIndex.from_text("c.sol", src)) == []
 
     def test_double_slash_comment_run(self):
         src = (
@@ -385,7 +385,7 @@ class TestExtraction:
             "    function f() public { }\n"
             "}\n"
         )
-        recs = extract_functions(SourceFile.from_text("c.sol", src))
+        recs = extract_functions(SourceIndex.from_text("c.sol", src))
         assert recs[0].comment == "    // line one\n    // line two\n"
         assert recs[0].span == (2, 4)
 
@@ -397,7 +397,7 @@ class TestExtraction:
             "    function f() public { }\n"
             "}\n"
         )
-        recs = extract_functions(SourceFile.from_text("c.sol", src))
+        recs = extract_functions(SourceIndex.from_text("c.sol", src))
         assert recs[0].comment == "    /* first\n       second */\n"
 
     def test_blank_line_breaks_association(self):
@@ -408,7 +408,7 @@ class TestExtraction:
             "    function f() public { }\n"
             "}\n"
         )
-        assert extract_functions(SourceFile.from_text("c.sol", src)) == []
+        assert extract_functions(SourceIndex.from_text("c.sol", src)) == []
 
     def test_code_line_breaks_association(self):
         src = (
@@ -418,7 +418,7 @@ class TestExtraction:
             "    function f() public { }\n"
             "}\n"
         )
-        assert extract_functions(SourceFile.from_text("c.sol", src)) == []
+        assert extract_functions(SourceIndex.from_text("c.sol", src)) == []
 
     @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_only_newline_ends_a_line(self, brk):
@@ -430,25 +430,25 @@ class TestExtraction:
             "    function f() public { }\n"
             "}\n"
         )
-        (rec,) = extract_functions(SourceFile.from_text("c.sol", src))
+        (rec,) = extract_functions(SourceIndex.from_text("c.sol", src))
         assert rec.span == (2, 4)
         assert rec.comment == f"    // note {brk} page break\n    /// Adds.\n"
 
     def test_rendered_re_extracts_identically(self):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         rec = extract_functions(file)[0]
         wrapper = "contract W {\n" + rec.rendered() + "\n}\n"
-        again = extract_functions(SourceFile.from_text("w.sol", wrapper))[0]
+        again = extract_functions(SourceIndex.from_text("w.sol", wrapper))[0]
         assert again.signature == rec.signature
         assert again.body == rec.body
 
     def test_deterministic_and_order_stable(self):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         assert extract_functions(file) == extract_functions(file)
 
     def test_corpus20_round_trip(self, corpus20_dir):
         for path in sorted(corpus20_dir.glob("*.sol")):
-            file = SourceFile.load(path)
+            file = SourceIndex.from_text(str(path), path.read_text(encoding="utf-8"))
             for rec in extract_functions(file):
                 lines = file.text.splitlines(keepends=True)
                 slice_text = "".join(lines[rec.span[0] - 1 : rec.span[1]])
@@ -459,9 +459,9 @@ class TestExtraction:
 
 
 class TestFilter:
-    def wrap(self, fn_text: str, extra: str = "") -> tuple[FunctionRecord, SourceFile]:
+    def wrap(self, fn_text: str, extra: str = "") -> tuple[FunctionRecord, SourceIndex]:
         src = "contract C {\n" + fn_text + extra + "}\n"
-        file = SourceFile.from_text("c.sol", src)
+        file = SourceIndex.from_text("c.sol", src)
         return extract_functions(file)[0], file
 
     def test_plain_function_kept(self):
@@ -534,14 +534,13 @@ class TestFilter:
 
     def test_record_of_another_file_raises(self):
         rec, _ = self.wrap("    /// d\n    function f() public { x = 1; }\n")
-        other = SourceFile.from_text("other.sol", "contract D {\n    function g() public { x = 1; }\n}\n")
+        other = SourceIndex.from_text("other.sol", "contract D {\n    function g() public { x = 1; }\n}\n")
         with pytest.raises(ValueError, match=re.escape(rec.task_id())):
             filter_state_dependent(rec, other)
 
-    def test_each_function_is_scanned_once_per_build(self, monkeypatch):
-        """N records calling the head of a K-function chain cost N + K
-        deny-list scans, not one walk of the chain per record."""
-        n, k = 40, 30
+    @staticmethod
+    def chain(n: int, k: int) -> SourceIndex:
+        """N commented records that each call the head of a K-function chain."""
         parts = ["contract C {\n"]
         for i in range(n):
             parts.append(f"    /// r{i}\n    function r{i}(uint256 a) public returns (uint256) {{ return c0(a) + {i}; }}\n")
@@ -549,12 +548,35 @@ class TestFilter:
             step = f"c{j + 1}(a)" if j + 1 < k else "a"
             parts.append(f"    function c{j}(uint256 a) internal returns (uint256) {{ return {step}; }}\n")
         parts.append("}\n")
+        return SourceIndex.from_text("chain.sol", "".join(parts))
+
+    def test_each_function_is_scanned_once_per_build(self, monkeypatch):
+        """N records calling the head of a K-function chain cost N + K
+        deny-list scans, not one walk of the chain per record."""
+        n, k = 40, 30
         scans = []
         match = corpus._match_deny_list
         monkeypatch.setattr(corpus, "_match_deny_list", lambda *args: scans.append(1) or match(*args))
-        kept, report = build_corpus([SourceFile.from_text("chain.sol", "".join(parts))])
+        kept, report = build_corpus([self.chain(n, k)])
         assert len(kept) == report.retained == n
         assert len(scans) == n + k
+
+    def test_walks_stop_at_functions_proven_clean(self, monkeypatch):
+        """The first record's walk proves the chain clean, so each later walk
+        steps to the chain's head and stops: O(N + K) steps in all, not the
+        N * (K + 1) of a whole walk per record."""
+        n = k = 400
+        steps = []
+
+        class CountingDeque(deque):
+            def popleft(self):
+                steps.append(1)
+                return super().popleft()
+
+        monkeypatch.setattr(corpus, "deque", CountingDeque)
+        kept, report = build_corpus([self.chain(n, k)])
+        assert len(kept) == report.retained == n
+        assert len(steps) == (k + 1) + 2 * (n - 1)
 
 
 def reference_match(signature: str, body: str, config: FilterConfig) -> tuple[str, str] | None:
@@ -575,13 +597,13 @@ def reference_match(signature: str, body: str, config: FilterConfig) -> tuple[st
     return None
 
 
-def reference_name_walk(record: FunctionRecord, file: SourceFile, config: FilterConfig) -> tuple:
+def reference_name_walk(record: FunctionRecord, file: SourceIndex, config: FilterConfig) -> tuple:
     """The walk by name, the last declaration of a name winning, each
     reached function scanned afresh for each record."""
     hit = reference_match(scrub(record.signature), scrub(record.body), config)
     if hit:
         return False, hit[0], hit[1]
-    functions = {fn.name: fn for fn in file.index.functions if fn.has_body}
+    functions = {fn.name: fn for fn in file.functions if fn.has_body}
     visited = {record.name}
     frontier = [i for i in reference_identifiers(scrub(record.body)) if i in functions and i not in visited]
     while frontier:
@@ -598,10 +620,10 @@ def reference_name_walk(record: FunctionRecord, file: SourceFile, config: Filter
     return True, None, None
 
 
-def reference_overload_walk(record: FunctionRecord, file: SourceFile, config: FilterConfig) -> tuple:
+def reference_overload_walk(record: FunctionRecord, file: SourceIndex, config: FilterConfig) -> tuple:
     """The walk by location: a named call reaches every body-bearing
     function of that name, each scanned afresh."""
-    bodies = [fn for fn in file.index.functions if fn.has_body]
+    bodies = [fn for fn in file.functions if fn.has_body]
     own = next(fn for fn in bodies if file.text[fn.kw_offset : fn.body_end + 1] == record.signature + record.body)
     visited, frontier = [own], [own]
     while frontier:
@@ -648,7 +670,7 @@ def call_graph_sources(draw, overloads: bool) -> str:
 
 
 def assert_filter_matches(text: str, reference) -> None:
-    file = SourceFile.from_text("g.sol", text)
+    file = SourceIndex.from_text("g.sol", text)
     for config in (DEFAULT_FILTER_CONFIG, FilterConfig(mint_identifiers=("fn1", "g"))):
         for record in extract_functions(file):
             decision = filter_state_dependent(record, file, config)
@@ -674,7 +696,7 @@ def test_property_filter_with_overloads_matches_fresh_walk(text):
 class TestDedup:
     def test_exact_duplicates_removed_first_kept(self):
         a = make_record("{ return a; }")
-        b = replace(a, source_id="other.sol")
+        b = replace(a, source_path="other.sol")
         kept, report = dedup_exact([a, b])
         assert kept == [a]
         assert report.dedup_removed == 1
@@ -697,7 +719,7 @@ class TestDedup:
         pool = list(uniques)
         i = 0
         while len(pool) < 100:
-            pool.append(replace(uniques[i % 13], source_id=f"dup{i}.sol"))
+            pool.append(replace(uniques[i % 13], source_path=f"dup{i}.sol"))
             i += 1
         kept, report = dedup_exact(pool)
         assert len(kept) == 13
@@ -712,7 +734,7 @@ class TestDedup:
 
 class TestBuildCorpus:
     def test_corpus20_counts(self, corpus20_dir):
-        files = [SourceFile.load(p) for p in sorted(corpus20_dir.glob("*.sol"))]
+        files = [SourceIndex.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(corpus20_dir.glob("*.sol"))]
         kept, report = build_corpus(files)
         assert report.total_extracted == 110
         assert report.excluded_no_comment == 5
@@ -724,12 +746,12 @@ class TestBuildCorpus:
         assert report.duplication_rate == pytest.approx(0.87, abs=1e-12)
 
     def test_report_invariant(self, corpus20_dir):
-        files = [SourceFile.load(p) for p in sorted(corpus20_dir.glob("*.sol"))]
+        files = [SourceIndex.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(corpus20_dir.glob("*.sol"))]
         _, report = build_corpus(files)
         assert report.retained + report.exclusions() + report.dedup_removed == report.total_extracted
 
     def test_report_json_round_trip(self, corpus20_dir):
-        files = [SourceFile.load(p) for p in sorted(corpus20_dir.glob("*.sol"))]
+        files = [SourceIndex.from_text(str(p), p.read_text(encoding="utf-8")) for p in sorted(corpus20_dir.glob("*.sol"))]
         _, report = build_corpus(files)
         payload = report.to_json()
         assert payload["schema"] == "corpus-stats@1"
@@ -740,7 +762,7 @@ class TestBuildCorpus:
 
 class TestTaskFile:
     def test_round_trip(self, tmp_path):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         records = extract_functions(file)
         path = tmp_path / "tasks.jsonl"
         assert write_task_file(records, path) == 1
@@ -763,7 +785,7 @@ class TestTaskFile:
     )
     def test_row_whose_id_is_not_its_own_or_repeats_is_rejected(self, tmp_path, edit, complaint):
         path = tmp_path / "tasks.jsonl"
-        write_task_file(extract_functions(SourceFile.from_text("adder.sol", SIMPLE)), path)
+        write_task_file(extract_functions(SourceIndex.from_text("adder.sol", SIMPLE)), path)
         rows = edit([json.loads(line) for line in path.read_text().splitlines()])
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.raises(ConfigError) as info:
@@ -771,7 +793,7 @@ class TestTaskFile:
         assert str(info.value) == f"{path}, {complaint}"
 
     def test_rows_are_sorted_compact_json(self, tmp_path):
-        file = SourceFile.from_text("adder.sol", SIMPLE)
+        file = SourceIndex.from_text("adder.sol", SIMPLE)
         path = tmp_path / "tasks.jsonl"
         write_task_file(extract_functions(file), path)
         line = path.read_text().splitlines()[0]
@@ -803,7 +825,7 @@ def test_property_commented_functions_all_extracted(flags, seed):
             f"    }}\n"
         )
     parts.append("}\n")
-    file = SourceFile.from_text("gen.sol", "".join(parts))
+    file = SourceIndex.from_text("gen.sol", "".join(parts))
     records = extract_functions(file)
     assert [r.name for r in records] == expected
     assert count_function_declarations(file) == len(flags)

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from solrepair.corpus import (
     IndexedFunction,
     MalformedSourceError,
-    SourceFile,
     SourceIndex,
     extract_functions,
 )
@@ -75,7 +74,7 @@ contract Math {
 }
 """
 
-FILE = SourceFile.from_text("math.sol", ORACLE)
+FILE = SourceIndex.from_text("math.sol", ORACLE)
 ADD, AVG, LOOP = extract_functions(FILE)
 
 
@@ -86,7 +85,7 @@ def splice(index: SourceIndex, record, body: str) -> LocatedCompletion:
 
 
 def completed_with(record, body: str) -> LocatedCompletion:
-    return splice(FILE.index, record, body)
+    return splice(FILE, record, body)
 
 
 # The oracle itself, as a completion of add.
@@ -158,7 +157,7 @@ class TestVerdictTypes:
 class TestSubstitute:
     def test_splice_preserves_everything_else(self):
         new_body = "{ return b + a; }"
-        completed = completed_with(ADD, new_body).source_in(FILE.index)
+        completed = completed_with(ADD, new_body).source_in(FILE)
         start = ORACLE.index(ADD.body)
         assert completed[:start] == ORACLE[:start]
         assert completed[start : start + len(new_body)] == new_body
@@ -168,17 +167,17 @@ class TestSubstitute:
         # The harness located the target when it loaded the task: splice
         # looks nothing up, and neither the name nor the index's balance
         # enters it.
-        target = FILE.index.find(ADD.name, *ADD.span)._replace(name="ghost")
+        target = FILE.find(ADD.name, *ADD.span)._replace(name="ghost")
         with mock.patch.object(SourceIndex, "find", side_effect=AssertionError), mock.patch.object(
             SourceIndex, "check", side_effect=AssertionError
         ):
             completed = substitute_function(target, "{ }")
         assert completed == LocatedCompletion(target, "{ }")
-        assert completed.source_in(FILE.index) == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
+        assert completed.source_in(FILE) == ORACLE[: target.body_start] + "{ }" + ORACLE[target.body_end + 1 :]
 
     def test_round_trip_extraction(self):
-        completed = completed_with(AVG, "{ return (a + b) / 2; }").source_in(FILE.index)
-        again = extract_functions(SourceFile.from_text("math.sol", completed))
+        completed = completed_with(AVG, "{ return (a + b) / 2; }").source_in(FILE)
+        again = extract_functions(SourceIndex.from_text("math.sol", completed))
         assert again[1].body == "{ return (a + b) / 2; }"
         assert again[0].body == ADD.body
 
@@ -193,9 +192,9 @@ class TestSubstitute:
             "    function f() public pure returns (uint256) { return 2; }\n"
             "}\n"
         )
-        file = SourceFile.from_text("ab.sol", src)
+        file = SourceIndex.from_text("ab.sol", src)
         records = extract_functions(file)
-        completed = splice(file.index, records[1], "{ return 9; }").source_in(file.index)
+        completed = splice(file, records[1], "{ return 9; }").source_in(file)
         assert "return 1" in completed
         assert "return 2" not in completed
         assert "return 9" in completed
@@ -337,21 +336,21 @@ class TestEvaluator:
 
     def test_deep_completion_is_the_bodys_failure_not_the_backends(self):
         completed = completed_with(ADD, "{ return " + "-" * 20000 + "a; }")
-        v = differential_verify(FILE.index, completed, ADD.task_id(), ScriptedDifferentialBackend())
+        v = differential_verify(FILE, completed, ADD.task_id(), ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
     def test_too_deep_completion_is_a_functional_mismatch(self):
         completed = completed_with(ADD, "{ return a" + " + a" * 1500 + "; }")
-        v = differential_verify(FILE.index, completed, ADD.task_id(), ScriptedDifferentialBackend())
+        v = differential_verify(FILE, completed, ADD.task_id(), ScriptedDifferentialBackend())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "completed body differs from the oracle and cannot be evaluated"
 
     def test_too_deep_oracle_is_compared_as_text(self):
         body = "{ return a" + " + b" * 1500 + "; }"
-        file = SourceFile.from_text("p.sol", straight_line_source(body))
+        file = SourceIndex.from_text("p.sol", straight_line_source(body))
         (record,) = extract_functions(file)
-        oracle = file.index
+        oracle = file
         backend = ScriptedDifferentialBackend()
         v = differential_verify(oracle, splice(oracle, record, "{ return a; }"), record.task_id(), backend)
         assert v.status == "functional_mismatch"
@@ -361,7 +360,7 @@ class TestEvaluator:
     def test_each_expression_parsed_once_per_attempt(self):
         completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
-            v = ScriptedDifferentialBackend().verify(FILE.index, completed, AVG.task_id())
+            v = ScriptedDifferentialBackend().verify(FILE, completed, AVG.task_id())
         assert v.status == "pass"
         assert parse.call_count == 4  # two statements each in the oracle and the completion
 
@@ -370,10 +369,10 @@ class TestEvaluator:
         # be interrupted from the process running it.
         script = (
             "import json, sys\n"
-            "from solrepair.corpus import SourceFile, extract_functions\n"
+            "from solrepair.corpus import SourceIndex, extract_functions\n"
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
-            "file, bodies = SourceFile.from_text('p.sol', sys.argv[1]), json.loads(sys.argv[2])\n"
-            "(record,), oracle = extract_functions(file), file.index\n"
+            "file, bodies = SourceIndex.from_text('p.sol', sys.argv[1]), json.loads(sys.argv[2])\n"
+            "(record,), oracle = extract_functions(file), file\n"
             "backend = ScriptedDifferentialBackend()\n"
             "verdicts = [backend.verify(oracle, substitute_function(oracle.find(record.name, *record.span), b), record.task_id()) for b in bodies]\n"
             "print(json.dumps([[v.status, v.diagnostics[0].message] for v in verdicts]))\n"
@@ -396,10 +395,10 @@ class TestEvaluator:
         body = f"{{ uint256 t0 = a * b; {squares}return t30 - t30; }}"
         script = (
             "import sys\n"
-            "from solrepair.corpus import SourceFile, extract_functions\n"
+            "from solrepair.corpus import SourceIndex, extract_functions\n"
             "from solrepair.executor import ScriptedDifferentialBackend, substitute_function\n"
-            "file, body = SourceFile.from_text('p.sol', sys.argv[1]), sys.argv[2]\n"
-            "(record,), oracle = extract_functions(file), file.index\n"
+            "file, body = SourceIndex.from_text('p.sol', sys.argv[1]), sys.argv[2]\n"
+            "(record,), oracle = extract_functions(file), file\n"
             "v = ScriptedDifferentialBackend().verify(oracle, substitute_function(oracle.find(record.name, *record.span), body), record.task_id())\n"
             "print(v.status, v.diagnostics[0].message)\n"
         )
@@ -691,9 +690,9 @@ def straight_line_source(body: str) -> str:
     table=st.booleans(),
 )
 def test_property_parse_once_verify_matches_per_case_reference(oracle_body, completed_body, table):
-    file = SourceFile.from_text("p.sol", straight_line_source(oracle_body))
+    file = SourceIndex.from_text("p.sol", straight_line_source(oracle_body))
     (record,) = extract_functions(file)
-    oracle = file.index
+    oracle = file
     completed = splice(oracle, record, completed_body)
     fixture = None
     if table:
@@ -849,7 +848,7 @@ def test_literal_led_declaration_pattern_boundaries():
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")), ids=lambda p: p.name)
 def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
-    oracle = _Oracle(SourceFile.load(path).index)
+    oracle = _Oracle(SourceIndex.from_text(str(path), path.read_text(encoding="utf-8")))
     for fn in _top_level(oracle.index):
         body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
         assert oracle.declared_in_body(fn) == reference_declaration_counts(body)
@@ -873,7 +872,7 @@ MULTI = """contract M {
     }
 }
 """
-MULTI_FILE = SourceFile.from_text("m.sol", MULTI)
+MULTI_FILE = SourceIndex.from_text("m.sol", MULTI)
 M_ADD, M_DIV, M_HALF = extract_functions(MULTI_FILE)
 
 
@@ -952,7 +951,7 @@ class TestOracleMemo:
             executor, "_generated_cases", wraps=executor._generated_cases
         ) as generated:
             statuses = [
-                backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies * 2
             ]
             assert generated.call_count == 1
@@ -961,7 +960,7 @@ class TestOracleMemo:
             for expr in oracle_exprs:
                 assert parsed.count(expr) == 1, expr
             # Nothing is shared between backends.
-            ScriptedDifferentialBackend().verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, bodies[1]), M_ADD.task_id())
+            ScriptedDifferentialBackend().verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, bodies[1]), M_ADD.task_id())
             assert generated.call_count == 2
             assert parsed.count("a + b") == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
@@ -969,7 +968,7 @@ class TestOracleMemo:
     def test_a_statement_is_parsed_once_across_oracles(self):
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
-            for index, record in ((FILE.index, ADD), (MULTI_FILE.index, M_ADD), (OVERLOADS_FILE.index, F2)):
+            for index, record in ((FILE, ADD), (MULTI_FILE, M_ADD), (OVERLOADS_FILE, F2)):
                 assert backend.verify(index, splice(index, record, "{ return b + a; }"), record.task_id()).status == "pass"
         assert [call.args[0] for call in parse.call_args_list].count("b + a") == 1
 
@@ -978,7 +977,7 @@ class TestOracleMemo:
         messages = set()
         with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
             for body in ("{ return a; }", "{ return b; }", "{ return a; }", "{ return a / (b - b); }"):
-                v = backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_DIV, body), M_DIV.task_id())
+                v = backend.verify(MULTI_FILE, splice(MULTI_FILE, M_DIV, body), M_DIV.task_id())
                 assert v.status == "executor_unavailable"
                 messages.add(v.diagnostics)
         assert messages == {(Diagnostic("Other", "oracle evaluation failed: division by zero"),)}
@@ -986,20 +985,20 @@ class TestOracleMemo:
 
     def test_oracle_steps_pass_without_a_second_evaluation(self):
         backend = ScriptedDifferentialBackend()
-        completed = splice(MULTI_FILE.index, M_HALF, "{\n        return a / 2;   }")
-        assert completed.source_in(MULTI_FILE.index) != MULTI
-        backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
+        completed = splice(MULTI_FILE, M_HALF, "{\n        return a / 2;   }")
+        assert completed.source_in(MULTI_FILE) != MULTI
+        backend.verify(MULTI_FILE, completed, M_HALF.task_id())
         with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
-            assert backend.verify(MULTI_FILE.index, completed, M_HALF.task_id()).status == "pass"
+            assert backend.verify(MULTI_FILE, completed, M_HALF.task_id()).status == "pass"
 
     def test_fixture_table_judges_even_the_oracle_own_steps(self):
         # The table disagrees with the oracle: it, not the oracle, decides.
         table = {"cases": [{"inputs": {"a": 4}, "output": 3}]}
         backend = ScriptedDifferentialBackend({"functions": {M_HALF.task_id(): table}})
-        completed = splice(MULTI_FILE.index, M_HALF, "{ return a / 2; }")
-        assert completed.source_in(MULTI_FILE.index) != MULTI
+        completed = splice(MULTI_FILE, M_HALF, "{ return a / 2; }")
+        assert completed.source_in(MULTI_FILE) != MULTI
         for _ in range(2):
-            v = backend.verify(MULTI_FILE.index, completed, M_HALF.task_id())
+            v = backend.verify(MULTI_FILE, completed, M_HALF.task_id())
             assert v.status == "functional_mismatch"
             assert v.diagnostics[0].message == 'output mismatch for inputs {"a": 4}: expected 3, got 2'
 
@@ -1019,7 +1018,7 @@ class TestOracleMemo:
 
         def run(backend, job):
             record, body = job
-            v = backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, record, body), record.task_id())
+            v = backend.verify(MULTI_FILE, splice(MULTI_FILE, record, body), record.task_id())
             return v.status, v.diagnostics
 
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
@@ -1055,7 +1054,7 @@ PROBES = """contract Token {
     }
 }
 """
-PROBES_FILE = SourceFile.from_text("probes.sol", PROBES)
+PROBES_FILE = SourceIndex.from_text("probes.sol", PROBES)
 PROBE_RECORDS = extract_functions(PROBES_FILE)
 
 
@@ -1074,7 +1073,7 @@ class TestProbeOracles:
     def test_completions_get_verdicts_of_their_own(self, index, respaced, different):
         record, backend = PROBE_RECORDS[index], ScriptedDifferentialBackend()
         for body, status in ((respaced, "pass"), (different, "functional_mismatch"), ("{ }", "functional_mismatch")):
-            v = backend.verify(PROBES_FILE.index, splice(PROBES_FILE.index, record, body), record.task_id())
+            v = backend.verify(PROBES_FILE, splice(PROBES_FILE, record, body), record.task_id())
             assert v.status == status, body
 
     def test_run_over_the_task_exits_ok(self, index, respaced, different, tmp_path):
@@ -1101,26 +1100,26 @@ class TestScriptedBackend:
         return ScriptedDifferentialBackend(fixture=fixture, seed=seed)
 
     def test_identical_source_passes(self):
-        v = self.backend().verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = self.backend().verify(FILE, UNCHANGED, ADD.task_id())
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@4"
+        assert v.backend_version == "mock-diff@5"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
         completed = completed_with(ADD, "{ return b + a; }")
-        assert self.backend().verify(FILE.index, completed, ADD.task_id()).status == "pass"
+        assert self.backend().verify(FILE, completed, ADD.task_id()).status == "pass"
 
     def test_wrong_arithmetic_mismatch_names_inputs(self):
         completed = completed_with(ADD, "{ return a - b; }")
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "output mismatch for inputs" in v.diagnostics[0].message
 
     def test_undeclared_identifier_compile_error_with_body_line(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert v.status == "compile_error"
         d = v.diagnostics[0]
         assert d.kind == "UndeclaredIdentifier"
@@ -1130,62 +1129,62 @@ class TestScriptedBackend:
 
     def test_declared_function_name_not_a_compile_error(self):
         completed = completed_with(ADD, "{ return avg(a, b); }")
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_member_access_identifiers_skipped(self):
         body = "{ if (msg.sender == tx.origin) { return a; } return b; }"
         completed = completed_with(ADD, body)
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_fixture_table_overrides_oracle(self):
         table = {"functions": {ADD.task_id(): {"cases": [{"inputs": {"a": 2, "b": 3}, "output": 6}]}}}
         completed = completed_with(ADD, "{ return a * b; }")
-        v = self.backend(fixture=table).verify(FILE.index, completed, ADD.task_id())
+        v = self.backend(fixture=table).verify(FILE, completed, ADD.task_id())
         assert v.status == "pass"
 
     def test_fixture_table_mismatch_message(self):
         table = {"functions": {ADD.task_id(): {"cases": [{"inputs": {"a": 2, "b": 3}, "output": 6}]}}}
         completed = completed_with(ADD, "{ return a + b; }")
-        v = self.backend(fixture=table).verify(FILE.index, completed, ADD.task_id())
+        v = self.backend(fixture=table).verify(FILE, completed, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert 'inputs {"a": 2, "b": 3}' in v.diagnostics[0].message
         assert "expected 6, got 5" in v.diagnostics[0].message
 
     def test_unbalanced_completed_is_compile_error(self):
         completed = completed_with(ADD, ADD.body.replace("return a + b;", "return a + b; {"))
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert v.status == "compile_error"
         assert v.diagnostics[0].kind == "Other"
 
     def test_uninterpretable_equal_modulo_whitespace_passes(self):
         reformatted = "{\n        uint256 acc = 0;\n        for (uint256 i = 0; i < n; i++) {   acc = acc + i; }\n        return acc;\n    }"
         completed = completed_with(LOOP, reformatted)
-        v = self.backend().verify(FILE.index, completed, LOOP.task_id())
+        v = self.backend().verify(FILE, completed, LOOP.task_id())
         assert v.status == "pass"
 
     def test_uninterpretable_difference_is_mismatch(self):
         changed = LOOP.body.replace("acc = acc + i", "acc = acc + i + 1")
         completed = completed_with(LOOP, changed)
-        v = self.backend().verify(FILE.index, completed, LOOP.task_id())
+        v = self.backend().verify(FILE, completed, LOOP.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
     def test_multiple_modified_functions_rejected(self):
         # A body running on into a second function is not one block.
         completed = completed_with(ADD, "{ return b + a; }\n    function extra() public pure { }")
-        v = self.backend().verify(FILE.index, completed, ADD.task_id())
+        v = self.backend().verify(FILE, completed, ADD.task_id())
         assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
 
     def test_verification_statement_is_behaviour_preserving(self):
         completed = completed_with(ADD, "{ uint256 this_is_a_test_variable; return a + b; }")
-        assert self.backend().verify(FILE.index, completed, ADD.task_id()).status == "pass"
+        assert self.backend().verify(FILE, completed, ADD.task_id()).status == "pass"
 
     def test_seed_recorded(self):
-        v = self.backend(seed=41).verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = self.backend(seed=41).verify(FILE, UNCHANGED, ADD.task_id())
         assert v.backend_seed == 41
 
     def test_fixture_loaded_from_path(self, tmp_path):
@@ -1228,7 +1227,7 @@ OVERLOADS = """contract O {
     }
 }
 """
-OVERLOADS_FILE = SourceFile.from_text("o.sol", OVERLOADS)
+OVERLOADS_FILE = SourceIndex.from_text("o.sol", OVERLOADS)
 F1, F2 = extract_functions(OVERLOADS_FILE)
 
 NESTED = """contract N {
@@ -1241,38 +1240,38 @@ NESTED = """contract N {
     }
 }
 """
-NESTED_FILE = SourceFile.from_text("n.sol", NESTED)
+NESTED_FILE = SourceIndex.from_text("n.sol", NESTED)
 (OUTER,) = extract_functions(NESTED_FILE)
 
 
 class TestLocationKeyed:
     def test_overload_wrong_body_is_mismatch(self):
-        completed = splice(OVERLOADS_FILE.index, F1, "{ return 12345; }")
-        v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, F1.task_id())
+        completed = splice(OVERLOADS_FILE, F1, "{ return 12345; }")
+        v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE, completed, F1.task_id())
         assert v.status == "functional_mismatch"
         assert "output mismatch" in v.diagnostics[0].message
 
     def test_overload_equivalent_body_passes(self):
         for record, body in ((F1, "{ return a * 1; }"), (F2, "{ return b + a; }")):
-            completed = splice(OVERLOADS_FILE.index, record, body)
-            v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE.index, completed, record.task_id())
+            completed = splice(OVERLOADS_FILE, record, body)
+            v = ScriptedDifferentialBackend().verify(OVERLOADS_FILE, completed, record.task_id())
             assert v.status == "pass"
 
     def test_rebase_with_overloads(self):
-        completed = splice(OVERLOADS_FILE.index, F1, "{\n        return helperX(a);\n    }")
-        source = completed.source_in(OVERLOADS_FILE.index)
+        completed = splice(OVERLOADS_FILE, F1, "{\n        return helperX(a);\n    }")
+        source = completed.source_in(OVERLOADS_FILE)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE.index, completed)[0].line == 2
+        assert SolcCompileBackend._rebase((diag,), OVERLOADS_FILE, completed)[0].line == 2
 
     def test_nested_function_is_part_of_its_parent(self):
         backend = ScriptedDifferentialBackend()
-        changed = splice(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
-        v = backend.verify(NESTED_FILE.index, changed, OUTER.task_id())
+        changed = splice(NESTED_FILE, OUTER, OUTER.body.replace("r := y }", "r := helper(y) }"))
+        v = backend.verify(NESTED_FILE, changed, OUTER.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        reformatted = splice(NESTED_FILE.index, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
-        assert backend.verify(NESTED_FILE.index, reformatted, OUTER.task_id()).status == "pass"
+        reformatted = splice(NESTED_FILE, OUTER, OUTER.body.replace("r := y }", "r :=  y }"))
+        assert backend.verify(NESTED_FILE, reformatted, OUTER.task_id()).status == "pass"
 
     def test_yul_names_are_not_undeclared_identifiers(self):
         oracle = (
@@ -1284,27 +1283,27 @@ class TestLocationKeyed:
             "    }\n"
             "}\n"
         )
-        file = SourceFile.from_text("y.sol", oracle)
+        file = SourceIndex.from_text("y.sol", oracle)
         (f,) = extract_functions(file)
-        completed = splice(file.index, f, f.body.replace("return a;", "return a + 0;"))
-        v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
+        completed = splice(file, f, f.body.replace("return a;", "return a + 0;"))
+        v = ScriptedDifferentialBackend().verify(file, completed, f.task_id())
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
-        outside = splice(file.index, f, f.body.replace("return a;", "return v;"))
-        v = ScriptedDifferentialBackend().verify(file.index, outside, f.task_id())
+        outside = splice(file, f, f.body.replace("return a;", "return v;"))
+        v = ScriptedDifferentialBackend().verify(file, outside, f.task_id())
         assert (v.status, v.diagnostics[0].identifier) == ("compile_error", "v")
 
     def test_dropped_or_added_function_is_not_one_block(self):
         backend = ScriptedDifferentialBackend()
         # A comment opened after add's body runs on to the one closing after avg.
         source = ORACLE.replace("    /// Sums 0..n-1.", "    /* helpers end */\n    /// Sums 0..n-1.")
-        file = SourceFile.from_text("math.sol", source)
+        file = SourceIndex.from_text("math.sol", source)
         add = extract_functions(file)[0]
-        dropped = splice(file.index, add, add.body + " /*")
-        v = backend.verify(file.index, dropped, add.task_id())
+        dropped = splice(file, add, add.body + " /*")
+        v = backend.verify(file, dropped, add.task_id())
         assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
         added = completed_with(ADD, ADD.body + "\n\n    function extra() public pure { }")
-        v = backend.verify(FILE.index, added, ADD.task_id())
+        v = backend.verify(FILE, added, ADD.task_id())
         assert (v.status, v.diagnostics) == NOT_ONE_BLOCK
 
     def test_straddling_declaration_leaves_the_body_judged_alone(self):
@@ -1319,26 +1318,26 @@ class TestLocationKeyed:
             "    ;\n"
             "}\n"
         )
-        file = SourceFile.from_text("s.sol", oracle)
+        file = SourceIndex.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
-        completed = splice(file.index, f, "{ ) { } }")
-        assert _Oracle(file.index).located(completed) is not None
-        v = ScriptedDifferentialBackend().verify(file.index, completed, f.task_id())
+        completed = splice(file, f, "{ ) { } }")
+        assert _Oracle(file).located(completed) is not None
+        v = ScriptedDifferentialBackend().verify(file, completed, f.task_id())
         assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
         # The whole-source parse found g changed instead.
-        assert reference_verify(file.index, completed, f.task_id()) == mismatch("function 'g' has no oracle counterpart")
-        equivalent = splice(file.index, f, "{ return b + a; }")
-        assert ScriptedDifferentialBackend().verify(file.index, equivalent, f.task_id()).status == "pass"
+        assert reference_verify(file, completed, f.task_id()) == mismatch("function 'g' has no oracle counterpart")
+        equivalent = splice(file, f, "{ return b + a; }")
+        assert ScriptedDifferentialBackend().verify(file, equivalent, f.task_id()).status == "pass"
 
     def test_header_running_past_the_body_is_judged_in_the_body(self):
         # In the whole completed source, g's header in add's new body runs on
         # to avg's '{': that parse gives avg's body to g and finds add with no
-        # counterpart. The body alone reads as text.
+        # counterpart. The body alone declares g, which no function body may.
         completed = completed_with(ADD, "{ function g(a) }")
-        assert header_runs_past(FILE.index, completed)
-        v = ScriptedDifferentialBackend().verify(FILE.index, completed, ADD.task_id())
-        assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
-        assert reference_verify(FILE.index, completed, ADD.task_id()) == mismatch("function 'add' has no oracle counterpart")
+        assert header_runs_past(FILE, completed)
+        v = ScriptedDifferentialBackend().verify(FILE, completed, ADD.task_id())
+        assert (v.status, v.diagnostics) == nested_function("g", 1)
+        assert reference_verify(FILE, completed, ADD.task_id()) == mismatch("function 'add' has no oracle counterpart")
 
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
@@ -1346,6 +1345,45 @@ class TestLocationKeyed:
             assert oracle.located(completed_with(ADD, body)) is not None, body
         for body in ("{ /* }", '{ "}', "{ } }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
             assert oracle.located(completed_with(ADD, body)) is None, body
+
+
+def nested_function(name: str, line: int) -> tuple[str, tuple[Diagnostic, ...]]:
+    return "compile_error", (Diagnostic("Other", f'Function "{name}" declared inside a function body.', line),)
+
+
+class TestNestedFunctionDeclaration:
+    """Solidity declares no function inside a function body, so a completed
+    body that does, outside `assembly`, is a compile_error."""
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            ("{ function g(a) }", 1),
+            ("{ function g() public {} }", 1),
+            ("{ return a + b; function g() public {} }", 1),
+            ("{\n        function g() internal pure returns (uint256) { return 1; }\n        return a + b;\n    }", 2),
+            ("{\n        assembly { let x := 1 }\n        function g() public {}\n        return a + b;\n    }", 3),
+        ],
+        ids=["header-runs-past", "public", "after-return", "second-line", "after-assembly"],
+    )
+    def test_named_function_in_body_is_a_compile_error(self, body, line):
+        v = ScriptedDifferentialBackend().verify(FILE, completed_with(ADD, body), ADD.task_id())
+        assert (v.status, v.diagnostics) == nested_function("g", line)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{ function (uint256, uint256) internal pure returns (uint256) op = add; return op(a, b); }",
+            "{ assembly { function h(x) -> y { y := x } } return a + b; }",
+            "{ /* function g() {} */ return a + b; }",
+            '{ string memory s = "function g()"; return a + b; }',
+        ],
+        ids=["function-type-local", "yul-function", "comment", "string"],
+    )
+    def test_function_types_yul_comments_and_strings_declare_no_function(self, body):
+        v = ScriptedDifferentialBackend().verify(FILE, completed_with(ADD, body), ADD.task_id())
+        assert v.status != "pass"
+        assert not any("declared inside a function body" in d.message for d in v.diagnostics)
 
 
 def test_oracle_cache_shared_across_threads():
@@ -1401,10 +1439,10 @@ class TestHandedIndex:
         completed = completed_with(ADD, "{ return b + a; }")
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")):
-            assert backend.verify(FILE.index, completed, ADD.task_id()).status == "pass"
-        assert backend._oracle(FILE.index).index is FILE.index
+            assert backend.verify(FILE, completed, ADD.task_id()).status == "pass"
+        assert backend._oracle(FILE).index is FILE
         # Keyed by text: another index of the same text finds the first one's preparation.
-        assert backend._oracle(SourceIndex(ORACLE)).index is FILE.index
+        assert backend._oracle(SourceIndex(ORACLE)).index is FILE
 
     def test_unbalanced_oracle_is_a_compile_error_naming_its_path(self):
         unbalanced = SourceIndex("contract C {\n", "bad.sol")
@@ -1415,7 +1453,7 @@ class TestHandedIndex:
 
     def test_rebase_builds_no_index(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        source = completed.source_in(FILE.index)
+        source = completed.source_in(FILE)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diags = (
             Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX"),
@@ -1425,7 +1463,7 @@ class TestHandedIndex:
         with mock.patch.object(SourceIndex, "__init__", side_effect=AssertionError("indexed")), mock.patch.object(
             LocatedCompletion, "source_in", lambda self, oracle: pytest.fail("whole source built")
         ):
-            rebased = SolcCompileBackend._rebase(diags, FILE.index, completed)
+            rebased = SolcCompileBackend._rebase(diags, FILE, completed)
         assert [d.line for d in rebased] == [2, 1, None]
         assert rebased == SolcCompileBackend._rebase(diags, SourceIndex(ORACLE), completed)
 
@@ -1437,9 +1475,9 @@ class TestHandedIndex:
                 calls.append((oracle, completed, target))
                 return ExecutionVerdict(status="pass")
 
-        assert differential_verify(FILE.index, UNCHANGED, ADD.task_id(), ThreeParameters()).status == "pass"
-        assert calls == [(FILE.index, UNCHANGED, ADD.task_id())]
-        assert calls[0][0] is FILE.index
+        assert differential_verify(FILE, UNCHANGED, ADD.task_id(), ThreeParameters()).status == "pass"
+        assert calls == [(FILE, UNCHANGED, ADD.task_id())]
+        assert calls[0][0] is FILE
 
 
 def _top_level(index: SourceIndex) -> list[IndexedFunction]:
@@ -1560,13 +1598,18 @@ def header_runs_past(oracle: SourceIndex, completed: LocatedCompletion) -> bool:
 def check_against_reference(oracle: SourceIndex, completed: LocatedCompletion, task_id: str) -> tuple:
     """The backend's status and diagnostics, checked against those it should
     give: the whole-source reference's for a body that is one balanced block,
-    the not-one-block compile_error for any other. Where a header in the
+    the not-one-block compile_error for any other, and the nested-function
+    compile_error for a block that declares a named function outside
+    `assembly`, which Solidity rejects wherever it stands. Where a header in the
     block runs past it, the reference judges realigned functions instead of
     the body, and only the status is the same."""
     v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
     got = v.status, v.diagnostics
+    declared = WORD_BOUNDARY_DECLARED_RES[1].search(executor._without_assembly(executor.scrub(completed.body)))
     if not (completed.keeps_body_of(oracle) or executor._is_single_block(executor.scrub(completed.body))):
         assert got == NOT_ONE_BLOCK
+    elif declared and not completed.keeps_body_of(oracle):
+        assert got == nested_function(declared[1], completed.body.count("\n", 0, declared.start()) + 1)
     elif header_runs_past(oracle, completed):
         assert got[0] == reference_verify(oracle, completed, task_id)[0]
     else:
@@ -1583,8 +1626,8 @@ BODY_PARTS = st.sampled_from(
     ]
 )
 TARGETS = (
-    (FILE.index, ADD), (FILE.index, AVG), (FILE.index, LOOP),
-    (OVERLOADS_FILE.index, F1), (OVERLOADS_FILE.index, F2), (NESTED_FILE.index, OUTER),
+    (FILE, ADD), (FILE, AVG), (FILE, LOOP),
+    (OVERLOADS_FILE, F1), (OVERLOADS_FILE, F2), (NESTED_FILE, OUTER),
 )
 
 
@@ -1626,15 +1669,15 @@ TAILS = st.sampled_from(
 
 
 @settings(max_examples=200, deadline=None)
-@example(["return b + a;"], "", False, True, " /* x", (FILE.index, ADD))
-@example([], "", False, False, "\n    function add(uint256 a) public pure returns (uint256) { return a; }", (FILE.index, ADD))
+@example(["return b + a;"], "", False, True, " /* x", (FILE, ADD))
+@example([], "", False, False, "\n    function add(uint256 a) public pure returns (uint256) { return a; }", (FILE, ADD))
 @given(
     statements=st.lists(BLOCK_STATEMENTS, max_size=3),
     hostile=HOSTILE,
     inside=st.booleans(),
     newlines=st.booleans(),
     tail=TAILS,
-    target=st.sampled_from((*TARGETS, (MULTI_FILE.index, M_HALF))),
+    target=st.sampled_from((*TARGETS, (MULTI_FILE, M_HALF))),
 )
 def test_property_located_verify_matches_whole_source_reference(statements, hostile, inside, newlines, tail, target):
     """A body that is one balanced block gets the verdict and diagnostics
@@ -1664,7 +1707,7 @@ def test_property_located_verify_matches_whole_source_reference(statements, host
 
 
 # `base` is declared in a contract this source imports, not in the source.
-INHERITED_FILE = SourceFile.from_text(
+INHERITED_FILE = SourceIndex.from_text(
     "i.sol",
     'import "./Base.sol";\ncontract I is Base {\n    /// Adds the base.\n'
     "    function plus(uint256 a) public view returns (uint256) {\n        return base + a;\n    }\n}\n",
@@ -1673,7 +1716,7 @@ INHERITED_FILE = SourceFile.from_text(
 
 
 @pytest.mark.parametrize("tail", ["", " // x", "\n/* y */\n"])
-@pytest.mark.parametrize("index,record", [(FILE.index, AVG), (INHERITED_FILE.index, PLUS)], ids=["avg", "inherited"])
+@pytest.mark.parametrize("index,record", [(FILE, AVG), (INHERITED_FILE, PLUS)], ids=["avg", "inherited"])
 def test_oracle_body_passes_whatever_comments_follow_it(index, record, tail):
     """The oracle's own block changes nothing, even where it reads a name
     that the source never declares and that any other block is faulted for,
@@ -1692,13 +1735,13 @@ def test_single_block_verdicts_build_no_completed_source():
     indexing or comparing a whole completed source, and so is one that is
     not."""
     jobs = [
-        (FILE.index, ADD, "{ return b + a; }", "pass", None),
-        (FILE.index, ADD, "{ return a - b; }", "functional_mismatch", None),
-        (FILE.index, LOOP, LOOP.body.replace("acc + i", "acc + i + 1"), "functional_mismatch", None),
-        (FILE.index, AVG, "{\n        return helperX(a); // x\n    }", "compile_error", 2),
-        (MULTI_FILE.index, M_HALF, "{\n\n        return zz; /* done */ }", "compile_error", 3),
-        (MULTI_FILE.index, M_HALF, "{ return a / 2;  }", "pass", None),
-        (MULTI_FILE.index, M_HALF, "{ return a / 2; } // x", "compile_error", None),
+        (FILE, ADD, "{ return b + a; }", "pass", None),
+        (FILE, ADD, "{ return a - b; }", "functional_mismatch", None),
+        (FILE, LOOP, LOOP.body.replace("acc + i", "acc + i + 1"), "functional_mismatch", None),
+        (FILE, AVG, "{\n        return helperX(a); // x\n    }", "compile_error", 2),
+        (MULTI_FILE, M_HALF, "{\n\n        return zz; /* done */ }", "compile_error", 3),
+        (MULTI_FILE, M_HALF, "{ return a / 2;  }", "pass", None),
+        (MULTI_FILE, M_HALF, "{ return a / 2; } // x", "compile_error", None),
     ]
     backend = ScriptedDifferentialBackend()
     fail = mock.Mock(side_effect=AssertionError("whole source"))
@@ -1717,17 +1760,17 @@ FIXTURE_SOURCES = sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")
 
 @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
 def test_fixture_records_splice_back_exactly(path):
-    file = SourceFile.load(path)
+    file = SourceIndex.from_text(str(path), path.read_text(encoding="utf-8"))
     backend = ScriptedDifferentialBackend()
     records = extract_functions(file)
     assert records
     for record in records:
-        completed = splice(file.index, record, record.body)
-        assert completed.source_in(file.index) == file.text
-        assert backend.verify(file.index, completed, record.task_id()).status == "pass"
-        reindented = splice(file.index, record, "{ " + record.body[1:].replace("\n", "\n  "))
-        assert backend._oracle(file.index).located(reindented) is not None
-        check_against_reference(file.index, reindented, record.task_id())
+        completed = splice(file, record, record.body)
+        assert completed.source_in(file) == file.text
+        assert backend.verify(file, completed, record.task_id()).status == "pass"
+        reindented = splice(file, record, "{ " + record.body[1:].replace("\n", "\n  "))
+        assert backend._oracle(file).located(reindented) is not None
+        check_against_reference(file, reindented, record.task_id())
 
 
 class TestDeclarationTable:
@@ -1749,40 +1792,40 @@ class TestDeclarationTable:
         ]
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             statuses = [
-                backend.verify(MULTI_FILE.index, splice(MULTI_FILE.index, M_ADD, body), M_ADD.task_id()).status
+                backend.verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
-        assert backend._oracle(MULTI_FILE.index).located(splice(MULTI_FILE.index, M_ADD, bodies[-1])) is None
+        assert backend._oracle(MULTI_FILE).located(splice(MULTI_FILE, M_ADD, bodies[-1])) is None
         assert counts.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
         backend = ScriptedDifferentialBackend()
         jobs = [
-            (FILE.index, ADD, "{ return total + a; }", "functional_mismatch"),
-            (FILE.index, AVG, "{ return helperX(a); }", "compile_error"),
-            (FILE.index, AVG, "{ return total; }", "functional_mismatch"),
-            (MULTI_FILE.index, M_ADD, "{ return zz; }", "compile_error"),
-            (MULTI_FILE.index, M_HALF, "{ return a / 2; }", "pass"),
-            (MULTI_FILE.index, M_HALF, "{ return zz; } // x", "compile_error"),
+            (FILE, ADD, "{ return total + a; }", "functional_mismatch"),
+            (FILE, AVG, "{ return helperX(a); }", "compile_error"),
+            (FILE, AVG, "{ return total; }", "functional_mismatch"),
+            (MULTI_FILE, M_ADD, "{ return zz; }", "compile_error"),
+            (MULTI_FILE, M_HALF, "{ return a / 2; }", "pass"),
+            (MULTI_FILE, M_HALF, "{ return zz; } // x", "compile_error"),
         ] * 3
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
             for oracle, record, body, status in jobs:
                 assert backend.verify(oracle, splice(oracle, record, body), record.task_id()).status == status
-        assert sorted(self.scans(counts, FILE.index.scrubbed)) == sorted([(), *(
-            (fn.body_start, fn.body_end + 1) for fn in FILE.index.functions if fn.name in ("add", "avg")
+        assert sorted(self.scans(counts, FILE.scrubbed)) == sorted([(), *(
+            (fn.body_start, fn.body_end + 1) for fn in FILE.functions if fn.name in ("add", "avg")
         )])
         # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
         # for them, and no other identifier sends MULTI_FILE's to a scan.
-        assert self.scans(counts, MULTI_FILE.index.scrubbed) == []
+        assert self.scans(counts, MULTI_FILE.scrubbed) == []
         # Only completed bodies are scanned besides, and none that is not one block.
-        assert {call.args[0] for call in counts.call_args_list} - {FILE.index.scrubbed} == {
+        assert {call.args[0] for call in counts.call_args_list} - {FILE.scrubbed} == {
             "{ return total + a; }", "{ return helperX(a); }", "{ return total; }", "{ return zz; }"
         }
 
     @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
     def test_answers_equal_the_eager_counter(self, path):
-        oracle = _Oracle(SourceFile.load(path).index)
+        oracle = _Oracle(SourceIndex.from_text(str(path), path.read_text(encoding="utf-8")))
         scrubbed = oracle.index.scrubbed
         found = sorted(
             (m for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed)), key=re.Match.start
@@ -1801,23 +1844,23 @@ class TestDeclarationTable:
     @pytest.mark.parametrize("source,record", [(FILE, ADD), (MULTI_FILE, M_HALF)], ids=["math", "multi"])
     def test_name_absent_from_the_oracle_scans_only_the_new_body(self, source, record, name):
         body = f"{{ return {name}(a); }}"
-        completed = splice(source.index, record, body)
+        completed = splice(source, record, body)
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
-            verdict = backend.verify(source.index, completed, record.task_id())
+            verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
         assert [call.args for call in counts.call_args_list] == [(executor.scrub(body),)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [
-            (FILE.index, ADD, "{ return total + a; }"),
-            (FILE.index, AVG, "{ return helperX(a); }"),
-            (FILE.index, AVG, "{ return total; }"),
-            (FILE.index, ADD, "{ return b + a; }"),
-            (MULTI_FILE.index, M_ADD, "{ return zz; }"),
-            (MULTI_FILE.index, M_HALF, "{ uint256 q = a / 2; return q; }"),
-            (MULTI_FILE.index, M_DIV, "{ return add(a, b); }"),
-            (MULTI_FILE.index, M_DIV, "{ return b - a; }"),
+            (FILE, ADD, "{ return total + a; }"),
+            (FILE, AVG, "{ return helperX(a); }"),
+            (FILE, AVG, "{ return total; }"),
+            (FILE, ADD, "{ return b + a; }"),
+            (MULTI_FILE, M_ADD, "{ return zz; }"),
+            (MULTI_FILE, M_HALF, "{ uint256 q = a / 2; return q; }"),
+            (MULTI_FILE, M_DIV, "{ return add(a, b); }"),
+            (MULTI_FILE, M_DIV, "{ return b - a; }"),
         ] * 25
 
         def run(backend, job):
@@ -1846,8 +1889,8 @@ class TestDeclarationTable:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        oracle_scans = {key: n for key, n in scans.items() if key[0] in (FILE.index.scrubbed, MULTI_FILE.index.scrubbed)}
-        assert (FILE.index.scrubbed, ()) in oracle_scans and (MULTI_FILE.index.scrubbed, ()) in oracle_scans
+        oracle_scans = {key: n for key, n in scans.items() if key[0] in (FILE.scrubbed, MULTI_FILE.scrubbed)}
+        assert (FILE.scrubbed, ()) in oracle_scans and (MULTI_FILE.scrubbed, ()) in oracle_scans
         # Each table is built at most once per racing thread.
         assert all(1 <= n <= 8 for n in oracle_scans.values()), oracle_scans
 
@@ -1865,22 +1908,22 @@ class TestSolcBackend:
 
     def test_rebase_moves_line_into_body(self):
         completed = completed_with(ADD, "{\n        return helperX(a, b);\n    }")
-        source = completed.source_in(FILE.index)
+        source = completed.source_in(FILE)
         body_line = source[: source.index("{\n        return helperX")].count("\n") + 1
         diag = Diagnostic("UndeclaredIdentifier", "m", line=body_line + 1, identifier="helperX")
-        (rebased,) = SolcCompileBackend._rebase((diag,), FILE.index, completed)
+        (rebased,) = SolcCompileBackend._rebase((diag,), FILE, completed)
         assert rebased.line == 2
 
     def test_rebase_leaves_outside_lines_alone(self):
         completed = completed_with(ADD, "{ return 1; }")
         diag = Diagnostic("Other", "m", line=1)
-        assert SolcCompileBackend._rebase((diag,), FILE.index, completed)[0].line == 1
+        assert SolcCompileBackend._rebase((diag,), FILE, completed)[0].line == 1
 
     @pytest.mark.parametrize("record", [ADD, AVG, LOOP], ids=lambda r: r.name)
     def test_verify_rebases_a_stubbed_compilers_absolute_lines(self, record):
         body = "{\n        uint256 q = a;\n        return helperX(q);\n    }"
         completed = completed_with(record, body)
-        source = completed.source_in(FILE.index)
+        source = completed.source_in(FILE)
         first = source[: source.index(body)].count("\n") + 1
         compiled = []
 
@@ -1899,7 +1942,7 @@ class TestSolcBackend:
         with mock.patch.object(SolcCompileBackend, "compile", compile), mock.patch.object(
             SourceIndex, "__init__", side_effect=AssertionError("indexed")
         ):
-            v = SolcCompileBackend().verify(FILE.index, completed, record.task_id())
+            v = SolcCompileBackend().verify(FILE, completed, record.task_id())
         assert compiled == [source]
         assert v.status == "compile_error"
         assert [d.line for d in v.diagnostics] == [3, 1, 4, first - 1, first + 4, None]
@@ -1919,13 +1962,13 @@ class TestSolcBackend:
     )
     def test_lines_are_rebased_only_onto_the_one_changed_body(self, body, spanned):
         completed = completed_with(ADD, body)
-        source = completed.source_in(FILE.index)
+        source = completed.source_in(FILE)
         first = source[: source.index(body)].count("\n") + 1
         diagnostics = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
         with mock.patch.object(
             SolcCompileBackend, "compile", return_value=ExecutionVerdict("compile_error", tuple(diagnostics))
         ):
-            v = SolcCompileBackend().verify(FILE.index, completed, ADD.task_id())
+            v = SolcCompileBackend().verify(FILE, completed, ADD.task_id())
         moved = [(was.line, d.line) for d, was in zip(v.diagnostics, diagnostics) if d != was]
         assert moved == [(first + k, k + 1) for k in range(spanned)]
 
@@ -2020,7 +2063,7 @@ class TestSolcBackend:
     def test_verify_passes_a_clean_compile_through(self):
         clean = ExecutionVerdict("pass", backend="solc", backend_version="stub")
         with mock.patch.object(SolcCompileBackend, "compile", return_value=clean):
-            assert SolcCompileBackend().verify(FILE.index, UNCHANGED, ADD.task_id()) is clean
+            assert SolcCompileBackend().verify(FILE, UNCHANGED, ADD.task_id()) is clean
 
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_pass(self):
@@ -2030,7 +2073,7 @@ class TestSolcBackend:
     @pytest.mark.skipif(shutil.which("solc") is None, reason="solc binary not installed")
     def test_real_compile_undeclared(self):
         completed = completed_with(ADD, "{ return helperX(a, b); }")
-        v = SolcCompileBackend().verify(FILE.index, completed, ADD.task_id())
+        v = SolcCompileBackend().verify(FILE, completed, ADD.task_id())
         assert v.status == "compile_error"
         assert v.diagnostics[0].kind == "UndeclaredIdentifier"
 
@@ -2058,7 +2101,7 @@ class TestFuzzAdapter:
                 " 'version': 'stub-1'}, sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE, UNCHANGED, ADD.task_id())
         assert v.status == "pass"
         assert v.backend_seed == 7
         assert v.backend_version == "stub-1"
@@ -2075,23 +2118,23 @@ class TestFuzzAdapter:
                 " sys.stdout)\n"
             ),
         )
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE, UNCHANGED, ADD.task_id())
         assert v.status == "functional_mismatch"
         assert v.diagnostics[0].message == "diverged at input 3"
 
     def test_nonzero_exit_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_crash.py", "import sys\nsys.exit(3)\n")
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE, UNCHANGED, ADD.task_id())
         assert v.status == "executor_unavailable"
         assert "exited 3" in v.diagnostics[0].message
 
     def test_garbage_stdout_is_unavailable(self, tmp_path):
         cmd = write_stub(tmp_path, "fuzz_garbage.py", "print('not json')\n")
-        v = SubprocessFuzzBackend(cmd).verify(FILE.index, UNCHANGED, ADD.task_id())
+        v = SubprocessFuzzBackend(cmd).verify(FILE, UNCHANGED, ADD.task_id())
         assert v.status == "executor_unavailable"
 
     def test_missing_command_is_unavailable(self):
-        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(FILE.index, UNCHANGED, "t")
+        v = SubprocessFuzzBackend(["fuzzer-not-installed"]).verify(FILE, UNCHANGED, "t")
         assert v.status == "executor_unavailable"
         assert "not found" in v.diagnostics[0].message
 
@@ -2105,7 +2148,7 @@ class TestDispatchHelpers:
             def verify(self, *a):
                 raise RuntimeError("segfault")
 
-        v = differential_verify(FILE.index, UNCHANGED, ADD.task_id(), Broken())
+        v = differential_verify(FILE, UNCHANGED, ADD.task_id(), Broken())
         assert v.status == "executor_unavailable"
         assert "raised" in v.diagnostics[0].message
         assert v.backend == "broken"
@@ -2127,7 +2170,7 @@ class TestQueryBuilding:
 
     def test_faulty_line_counts_newlines_only(self):
         body = "{\n        // step\x0cone\n        return a + missingThing;\n    }"
-        v = ScriptedDifferentialBackend().verify(FILE.index, completed_with(ADD, body), ADD.task_id())
+        v = ScriptedDifferentialBackend().verify(FILE, completed_with(ADD, body), ADD.task_id())
         assert (v.status, v.diagnostics[0].line) == ("compile_error", 3)
         assert queries_for_method("bm25", v.diagnostics, body) == [Query("return a + missingThing;")]
 

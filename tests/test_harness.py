@@ -863,20 +863,25 @@ class TestCli:
             ("span", [12, 13, 15], "expected 2 items, got 3 at key 'span'"),
             ("span", [12], "expected 2 items, got 1 at key 'span'"),
             ("span", "12-15", "expected list, got str at key 'span'"),
+            ("span", ["12", 15], "expected int, got str at key 'span[0]'"),
             ("body", 5, "expected str, got int at key 'body'"),
             ("comment", None, "expected str, got NoneType at key 'comment'"),
             ("signature", ["function f()"], "expected str, got list at key 'signature'"),
             ("id", 7, "expected str, got int at key 'id'"),
+            ("id", None, "missing key 'id'"),
+            ("comment", " \n", "bank0.sol: empty comment block"),
             ("source_path", {"path": "bank0.sol"}, "expected str, got dict at key 'source_path'"),
             ("contract_type", 0, "expected str or None, got int at key 'contract_type'"),
         ],
-        ids=["float-span", "long-span", "short-span", "string-span", "body", "comment", "signature", "id",
-             "source_path", "contract_type"],
+        ids=["float-span", "long-span", "short-span", "string-span", "string-span-item", "body", "comment",
+             "signature", "id", "missing-id", "empty-comment", "source_path", "contract_type"],
     )
     def test_run_on_wrongly_typed_task_row_exits_config(self, e2e_dir, tmp_path, capsys, key, value, complaint):
         lines = (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()
         row = json.loads(lines[1])
         row[key] = value
+        if key == "id" and value is None:  # a row without an id
+            del row["id"]
         tasks = tmp_path / "tasks.jsonl"
         tasks.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n", encoding="utf-8")
         flags = self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "0")

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
-    SourceFile,
     SourceIndex,
     build_corpus,
     scrub,
@@ -258,8 +257,8 @@ def test_property_oracle_bodies_splice_back_and_pass(source):
     executor passes it; so it does the body with a space added before its
     closing brace, which it must locate and compare in a source that
     differs from the oracle."""
-    file = SourceFile.from_text("gen.sol", source)
-    assert fields(file.index) == fields(ReferenceIndex(source, "gen.sol"))
+    file = SourceIndex.from_text("gen.sol", source)
+    assert fields(file) == fields(ReferenceIndex(source, "gen.sol"))
     records, _ = build_corpus([file])
     with tempfile.TemporaryDirectory() as root:
         (Path(root) / "gen.sol").write_text(source, encoding="utf-8")

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 from solrepair.context import ContextWindow
-from solrepair.corpus import SourceFile, extract_functions
+from solrepair.corpus import SourceIndex, extract_functions
 from solrepair.executor import Diagnostic, ExecutionVerdict
 from solrepair import repair
 from solrepair.repair import (
@@ -46,16 +46,16 @@ ORACLE = """contract Vault {
 }
 """
 
-VAULT = SourceFile.from_text("vault.sol", ORACLE)
+VAULT = SourceIndex.from_text("vault.sol", ORACLE)
 RECORD = extract_functions(VAULT)[0]
-TARGET = VAULT.index.find(RECORD.name, *RECORD.span)
+TARGET = VAULT.find(RECORD.name, *RECORD.span)
 CONTEXT_TEXT = "uint256 public stored;\nuint256 internal cap;\n"
 
 
 def make_task(context_text: str = CONTEXT_TEXT) -> CompletionTask:
     ctx = ContextWindow(text=context_text, budget=512, actual_tokens=len(context_text.split()))
     return CompletionTask(
-        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle=VAULT.index, target=TARGET
+        task_id=RECORD.task_id(), record=RECORD, context=ctx, oracle=VAULT, target=TARGET
     )
 
 
@@ -450,7 +450,7 @@ class TestRunRar:
         body = "{ return x + x; }"
         run_rar(make_task(), QueueClient([body]), Recording([PASS]), RepairStrategy("self_edit"), max_rounds=0)
         ((oracle, completed, task_id),) = seen
-        assert (oracle, completed.source_in(oracle), task_id) == (VAULT.index, ORACLE.replace(RECORD.body, body), RECORD.task_id())
+        assert (oracle, completed.source_in(oracle), task_id) == (VAULT, ORACLE.replace(RECORD.body, body), RECORD.task_id())
         assert completed.body == body
 
     def test_complete_function_returns_the_verified_attempt(self):

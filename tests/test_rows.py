@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solrepair import rows
-from solrepair.corpus import FilterReport, _TaskRow
+from solrepair.corpus import FilterReport, FunctionRecord
 from solrepair.executor import (
     ERROR_KINDS,
     STATUS_COMPILE_ERROR,
@@ -150,10 +150,11 @@ STRATEGIES = {
         )},
         duplication_rate=floats,
     ),
-    _TaskRow: st.builds(
-        _TaskRow,
-        id=text, source_path=text, comment=text, signature=text, body=text,
-        span=st.tuples(counts, counts), contract_type=st.none() | text,
+    FunctionRecord: st.builds(
+        FunctionRecord,
+        source_path=text, comment=text.filter(str.strip), signature=text, body=text,
+        span=st.tuples(st.integers(1, 10**6), counts).map(lambda s: (s[0], s[0] + s[1])),
+        contract_type=st.none() | text,
     ),
     RunConfig: st.builds(
         RunConfig,
