@@ -326,7 +326,7 @@ def _log_rows(path: Path, kind: str) -> list[tuple[str, str]]:
         return []
     rows = []
     for lineno, line in enumerate(_read_text(path, kind).split("\n"), 1):
-        if not line.strip():
+        if not line or line.isspace():  # blank; unlike strip(), copies nothing
             continue
         try:
             row = json.loads(line)

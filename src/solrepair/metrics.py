@@ -19,18 +19,13 @@ from .executor import (
     STATUS_FUNCTIONAL_MISMATCH,
     STATUS_PASS,
 )
-from .repair import RepairSession
+from .repair import STAGE_DEBUG_EXPLANATION, STAGES, RepairSession
 from .rows import Record
 
 REPORT_SCHEMA = "report@1"
 
 BLEU_EPSILON = 1e-9
 TRIVIAL_NGRAM_TOP_K = 500
-
-STAGE_COMPLETION = "completion"
-STAGE_REPAIR = "repair"
-STAGE_DEBUG_EXPLANATION = "debug_explanation"
-STAGES = (STAGE_COMPLETION, STAGE_REPAIR, STAGE_DEBUG_EXPLANATION)
 
 
 class UndefinedCorrelationError(ValueError):

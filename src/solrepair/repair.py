@@ -307,6 +307,14 @@ def extract_code_block(text: str) -> str:
     return candidate.strip()
 
 
+# The stages a session's tokens are counted under, so the stages an
+# attempt may name; `run` makes its attempts in the first two.
+STAGE_COMPLETION = "completion"
+STAGE_REPAIR = "repair"
+STAGE_DEBUG_EXPLANATION = "debug_explanation"
+STAGES = (STAGE_COMPLETION, STAGE_REPAIR, STAGE_DEBUG_EXPLANATION)
+
+
 @dataclass(frozen=True)
 class Attempt(Record):
     """One model call and its verification outcome."""
@@ -323,6 +331,10 @@ class Attempt(Record):
     explanation: str = ""
     explanation_prompt_tokens: int = 0
     explanation_completion_tokens: int = 0
+
+    def __post_init__(self) -> None:
+        if self.stage not in STAGES:
+            raise ValueError(f"unknown attempt stage {self.stage!r}")
 
 
 @dataclass(frozen=True)

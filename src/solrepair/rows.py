@@ -1,14 +1,24 @@
 """One JSON codec for every persisted record, and one JSONL reader and writer.
 
 A record's dataclass fields are its JSON format: `to_json` writes each field
-under its own name and `from_json` reads them back with `cls(**row)`, so a
-missing key takes the field's default, and a missing required key or an
-unknown key raises. Fields that hold records nest as objects, `X | None` as
-an object or null, and `tuple[X, ...]` as a list. `from_json` checks each
-value against its field's type (a float field takes an int, an int field no
-bool). Input errors are `ConfigError`s naming the file and, for a bad row,
-its line (exit code 2). `read_json` reads every standalone JSON input file,
-and `post_json` is the one HTTP call.
+under its own name and `from_json` reads them back, so a missing key takes
+the field's default, and a missing required key or an unknown key raises
+the constructor's TypeError. Fields that hold records nest as objects,
+`X | None` as an object or null, and `tuple[X, ...]` as a list. `from_json`
+checks each value against its field's type (a float field takes an int, an
+int field no bool).
+
+Each class's decoder is generated once, on first use, from its fields and
+their types, as dataclasses generates `__init__`: straight-line code that
+checks the row, decodes nested values by calling their class's decoder,
+fills the instance dict and runs `__post_init__`. A row with several faults
+is named by the first of: a wrongly typed scalar value, in row order; a
+fault in a record, list or dict field, in field order; a missing or
+unknown key; what `__post_init__` rejects.
+
+Input errors are `ConfigError`s naming the file and, for a bad row, its line
+(exit code 2). `read_json` reads every standalone JSON input file, and
+`post_json` is the one HTTP call.
 """
 
 from __future__ import annotations
@@ -68,81 +78,182 @@ def _scalar(tp) -> tuple[tuple[type, ...], str] | None:
     return None
 
 
-def _each(items, decode, step: str) -> list:
-    """decode applied to each (key, item); a _WrongType names the item's key."""
-    out = []
-    for key, item in items:
-        try:
-            out.append(decode(item))
-        except _WrongType as exc:
-            exc.path = step.format(key) + exc.path
-            raise
-    return out
-
-
-def _codec(tp):
-    """(encode, decode) for a field type that is not a scalar: encode is None
-    when the value is plain JSON; decode checks a JSON value and returns the
-    field's value."""
+def _encoder(tp):
+    """The function that turns a field's value into JSON, or None when the
+    value is JSON already."""
     if isinstance(tp, type) and issubclass(tp, Record):
-        return tp.to_json, tp.from_json
-    scalar = _scalar(tp)
-    if scalar is not None:
-        allowed, expected = scalar
-
-        def check(v):
-            if type(v) not in allowed:
-                raise _WrongType(f"expected {expected}, got {type(v).__name__}")
-            return v
-
-        return None, check
+        return tp.to_json
+    if _scalar(tp) is not None:
+        return None
     inner = _optional(tp)
     if inner is not None:
-        enc, dec = _codec(inner)
-        return (None if enc is None else lambda v: None if v is None else enc(v)), (
-            lambda v: None if v is None else dec(v)
-        )
+        enc = _encoder(inner)
+        return None if enc is None else lambda v: None if v is None else enc(v)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is list or (origin is tuple and len(args) == 2 and args[1] is Ellipsis):
-        enc, dec = _codec(args[0])
-
-        def decode(v):
-            if type(v) is not list:
-                raise _WrongType(f"expected list, got {type(v).__name__}")
-            return origin(_each(enumerate(v), dec, "[{}]"))
-
+        enc = _encoder(args[0])
         if enc is None:
-            return (list if origin is tuple else None), decode
-        return (lambda v: list(map(enc, v))), decode
+            return list if origin is tuple else None
+        return lambda v: list(map(enc, v))
     if origin is dict:
-        enc, dec = _codec(args[1])
-
-        def decode(v):
-            if type(v) is not dict:
-                raise _WrongType(f"expected dict, got {type(v).__name__}")
-            return dict(zip(v, _each(v.items(), dec, ".{}")))
-
-        return (None if enc is None else lambda v: {k: enc(x) for k, x in v.items()}), decode
+        enc = _encoder(args[1])
+        return None if enc is None else lambda v: {k: enc(x) for k, x in v.items()}
     raise TypeError(f"no JSON form for field type {tp!r}")
 
 
 @cache
-def _plan(cls: type) -> tuple[tuple, dict, tuple]:
-    """Per class, once: (name, encode) for each field that is not plain JSON;
-    (allowed types, their name) by name for each scalar field; and (name,
-    decode) for each other field."""
+def _encoders(cls: type) -> tuple:
+    """Per class, once: (name, encode) for each field that is not plain JSON."""
     hints = typing.get_type_hints(cls)
-    encoders, scalars, nested = [], {}, []
-    for f in dataclasses.fields(cls):
+    encoders = ((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls))
+    return tuple((name, enc) for name, enc in encoders if enc is not None)
+
+
+# The value `row.get` returns for a key the row does not hold.
+_ABSENT = object()
+
+
+def _bind(env: dict, value) -> str:
+    """A fresh name for value in a decoder's globals."""
+    name = f"_c{len(env)}"
+    env[name] = value
+    return name
+
+
+def _type_test(var: str, allowed: tuple[type, ...], env: dict) -> str:
+    """An expression that is true when var's type is not one of allowed."""
+    if len(allowed) == 1:
+        return f"type({var}) is not {_bind(env, allowed[0])}"
+    return f"type({var}) not in {_bind(env, allowed)}"
+
+
+def _emit(tp, var: str, path: str, env: dict, depth: int) -> list[str]:
+    """Lines, indented for `depth`, that check the JSON value in `var`
+    against field type tp and leave the field's value in it. `path` is
+    f-string text for the value's key path in its row; a _WrongType raised
+    below a nested record gains it as it leaves."""
+    pad = "    " * depth
+    scalar = _scalar(tp)
+    if scalar is not None:
+        allowed, expected = scalar
+        return [
+            f"{pad}if {_type_test(var, allowed, env)}:",
+            f"{pad}    raise _WrongType(f'expected {expected}, got {{type({var}).__name__}}', f'{path}')",
+        ]
+    if isinstance(tp, type) and issubclass(tp, Record):
+        # Its class's decoder, not a `from_json` override: the classes that
+        # override it (task rows, sessions) are never nested.
+        return [
+            f"{pad}try:",
+            f"{pad}    {var} = {_bind(env, _decoder(tp))}({var})",
+            f"{pad}except _WrongType as exc:",
+            f"{pad}    exc.path = f'{path}' + exc.path",
+            f"{pad}    raise",
+        ]
+    inner = _optional(tp)
+    if inner is not None:
+        return [f"{pad}if {var} is not None:", *_emit(inner, var, path, env, depth + 1)]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    item, out = f"item{depth}", f"out{depth}"
+    if origin is list or (origin is tuple and len(args) == 2 and args[1] is Ellipsis):
+        index = f"i{depth}"
+        return [
+            f"{pad}if type({var}) is not list:",
+            f"{pad}    raise _WrongType(f'expected list, got {{type({var}).__name__}}', f'{path}')",
+            f"{pad}{out} = []",
+            f"{pad}for {index}, {item} in enumerate({var}):",
+            *_emit(args[0], item, f"{path}[{{{index}}}]", env, depth + 1),
+            f"{pad}    {out}.append({item})",
+            f"{pad}{var} = {'tuple(' + out + ')' if origin is tuple else out}",
+        ]
+    if origin is dict:
+        key = f"k{depth}"
+        return [
+            f"{pad}if type({var}) is not dict:",
+            f"{pad}    raise _WrongType(f'expected dict, got {{type({var}).__name__}}', f'{path}')",
+            f"{pad}{out} = {{}}",
+            f"{pad}for {key}, {item} in {var}.items():",
+            *_emit(args[1], item, f"{path}.{{{key}}}", env, depth + 1),
+            f"{pad}    {out}[{key}] = {item}",
+            f"{pad}{var} = {out}",
+        ]
+    raise TypeError(f"no JSON form for field type {tp!r}")
+
+
+def _scalar_fault(row: dict, scalars: dict) -> _WrongType:
+    """The error for the first value, in row order, that its scalar field
+    does not take."""
+    return next(
+        _WrongType(f"expected {scalars[key][1]}, got {type(value).__name__}", f".{key}")
+        for key, value in row.items()
+        if key in scalars and type(value) not in scalars[key][0]
+    )
+
+
+def _key_fault(cls: type, row: dict) -> typing.NoReturn:
+    """Raise the constructor's TypeError, as a _WrongType, for a row that
+    lacks a required key or holds an unknown one."""
+    if cls.SCHEMA is not None:
+        row = {k: v for k, v in row.items() if k != "schema"}
+    try:
+        cls(**row)
+    except TypeError as exc:
+        raise _WrongType(str(exc)) from exc
+
+
+@cache
+def _decoder(cls: type):
+    """cls's row decoder, built once per class on first use, as dataclasses
+    builds `__init__`: straight-line code over the fields that checks each
+    scalar value, decodes each nested one, checks the keys, then fills the
+    instance dict and runs `__post_init__`."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    env = {
+        "_WrongType": _WrongType, "_ABSENT": _ABSENT, "_scalar_fault": _scalar_fault,
+        "_key_fault": _key_fault, "_new": object.__new__, "_setattr": object.__setattr__, "cls": cls,
+    }
+    lines = [
+        "def decode(row):",
+        "    if not isinstance(row, dict):",
+        f"        raise _WrongType(f'{cls.__name__}: expected a JSON object, got {{type(row).__name__}}')",
+        *(f"    v{i} = row.get({f.name!r}, _ABSENT)" for i, f in enumerate(fields)),
+    ]
+    scalars, tests, nested = {}, [], []
+    for i, f in enumerate(fields):
         scalar = _scalar(hints[f.name])
-        if scalar is not None:
+        if scalar is None:
+            nested += [f"    if v{i} is not _ABSENT:", *_emit(hints[f.name], f"v{i}", f".{f.name}", env, 2)]
+        else:
             scalars[f.name] = scalar
-            continue
-        enc, dec = _codec(hints[f.name])
-        if enc is not None:
-            encoders.append((f.name, enc))
-        nested.append((f.name, dec))
-    return tuple(encoders), scalars, tuple(nested)
+            tests.append(f"({_type_test(f'v{i}', scalar[0], env)} and v{i} is not _ABSENT)")
+    if tests:
+        lines += [f"    if {' or '.join(tests)}:", f"        raise _scalar_fault(row, {_bind(env, scalars)})"]
+    lines += nested
+    keys = {f.name for f in fields} | ({"schema"} if cls.SCHEMA is not None else set())
+    faults = [
+        *(f"v{i} is _ABSENT" for i, f in enumerate(fields) if f.default is f.default_factory is dataclasses.MISSING),
+        f"not row.keys() <= {_bind(env, frozenset(keys))}",
+    ]
+    lines += [f"    if {' or '.join(faults)}:", "        _key_fault(cls, row)"]
+    for i, f in enumerate(fields):
+        if f.default is not dataclasses.MISSING:
+            lines.append(f"    if v{i} is _ABSENT: v{i} = {_bind(env, f.default)}")
+        elif f.default_factory is not dataclasses.MISSING:
+            lines.append(f"    if v{i} is _ABSENT: v{i} = {_bind(env, f.default_factory)}()")
+    values = ", ".join(f"{f.name!r}: v{i}" for i, f in enumerate(fields))
+    lines += ["    self = _new(cls)", f"    _setattr(self, '__dict__', {{{values}}})"]
+    if hasattr(cls, "__post_init__"):
+        # As from the constructor, a TypeError it raises reads as a wrong type.
+        lines += [
+            "    try:",
+            "        self.__post_init__()",
+            "    except TypeError as exc:",
+            "        raise _WrongType(str(exc)) from exc",
+        ]
+    lines.append("    return self")
+    exec(compile("\n".join(lines), f"<decoder of {cls.__qualname__}>", "exec"), env)
+    return env["decode"]
 
 
 class Record:
@@ -158,7 +269,7 @@ class Record:
         # A record's instance dict holds exactly its fields, and copying it
         # is the fastest way to read them.
         row = vars(self).copy()
-        for name, enc in _plan(type(self))[0]:
+        for name, enc in _encoders(type(self)):
             row[name] = enc(row[name])
         if self.SCHEMA is not None:
             row["schema"] = self.SCHEMA
@@ -169,28 +280,7 @@ class Record:
         """The record a JSON object holds. A value of the wrong type raises a
         TypeError naming its key; a missing or unknown key, the TypeError of
         the constructor."""
-        if not isinstance(payload, dict):
-            raise _WrongType(f"{cls.__name__}: expected a JSON object, got {type(payload).__name__}")
-        _, scalars, nested = _plan(cls)
-        for key, value in payload.items():
-            scalar = scalars.get(key)
-            if scalar is not None and type(value) not in scalar[0]:
-                raise _WrongType(f"expected {scalar[1]}, got {type(value).__name__}", f".{key}")
-        if nested or cls.SCHEMA is not None:
-            payload = dict(payload)
-            if cls.SCHEMA is not None:
-                payload.pop("schema", None)
-            for name, dec in nested:
-                if name in payload:
-                    try:
-                        payload[name] = dec(payload[name])
-                    except _WrongType as exc:
-                        exc.path = f".{name}{exc.path}"
-                        raise
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # a missing or unknown key, named by where it sits
-            raise _WrongType(str(exc)) from exc
+        return _decoder(cls)(payload)
 
 
 def from_json_at(key: str, cls: type[R], payload: dict) -> R:
@@ -267,7 +357,7 @@ def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, dict]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     for lineno, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
+        if not line or line.isspace():  # blank; unlike strip(), copies nothing
             continue
         try:
             row = json.loads(line)

@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from solrepair.cli import build_parser, main
@@ -701,6 +701,16 @@ class TestCmdReport:
         empty.write_text("", encoding="utf-8")
         with pytest.raises(ConfigError, match="no outcomes"):
             cmd_report([empty])
+
+    def test_unknown_attempt_stage_exits_config(self, rar_run, tmp_path, capsys):
+        _, _, _, out = rar_run
+        rows = (out / "sessions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rows[1] = rows[1].replace('"stage":"completion"', '"stage":"bompletion"', 1)
+        sessions = tmp_path / "sessions.jsonl"
+        sessions.write_text("".join(rows), encoding="utf-8")
+        code = main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--sessions", str(sessions)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {sessions}, line 2: unknown attempt stage 'bompletion'\n"
 
     def test_out_json_is_deterministic(self, rar_run, tmp_path):
         _, _, _, out = rar_run
@@ -1603,3 +1613,76 @@ def test_property_wrongly_typed_retrieval_value_exits_config(e2e_dir, data):
         assert err.getvalue().startswith("error: bad config: expected ")
         assert err.getvalue().endswith(f" at key 'retrieval.{key}'\n")
         assert not out.exists()
+
+
+def test_run_logs_skip_whitespace_only_lines(tmp_path):
+    from solrepair.harness import _log_rows
+
+    path = tmp_path / "outcomes.jsonl"
+    path.write_text('{"task_id": "a"}\n\t\n　\n \x0b\n{"task_id": "b"}\n', encoding="utf-8")
+    # A whitespace line read as a row would end the log there, as a torn one.
+    assert [task_id for task_id, _ in _log_rows(path, "outcomes")] == ["a", "b"]
+
+
+# Each end-to-end input, by its place in a copy of the fixture, and the
+# commands that read it.
+HOSTILE_INPUTS = {
+    "tasks.jsonl": ("run", "verify"),
+    "mock_client.json": ("run",),
+    "mock_executor.json": ("run", "verify"),
+    "sources/bank0.sol": ("build", "run", "verify"),
+    "sources/bank3.sol": ("build", "run", "verify"),
+    "outcomes.jsonl": ("report",),
+    "sessions.jsonl": ("report",),
+}
+JSON_TOKENS = [b"{", b"}", b"[", b"]", b'"', b",", b":", b"null", b"true", b"-1", b"1e999", b'"x"', b"{}", b"[]"]
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """data after one byte flip, inserted JSON token, deletion or duplicated line."""
+    kind = draw(st.sampled_from(["flip", "insert", "delete", "duplicate-line"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    if kind == "insert":
+        return data[:at] + draw(st.sampled_from(JSON_TOKENS)) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 64)) :]
+    lines = data.split(b"\n")
+    line = draw(st.integers(0, len(lines) - 1))
+    return b"\n".join(lines[: line + 1] + lines[line:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_hostile_input_ends_in_a_documented_exit_code(e2e_dir, rar_run, data):
+    _, _, _, logs = rar_run
+    name = data.draw(st.sampled_from(sorted(HOSTILE_INPUTS)))
+    command = data.draw(st.sampled_from(HOSTILE_INPUTS[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+        shutil.copytree(e2e_dir / "sources", ws / "sources")
+        for fixture in ("tasks.jsonl", "mock_client.json", "mock_executor.json"):
+            shutil.copyfile(e2e_dir / fixture, ws / fixture)
+        for log in ("outcomes.jsonl", "sessions.jsonl"):
+            shutil.copyfile(logs / log, ws / log)
+        tasks = [json.loads(line) for line in (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()]
+        (ws / "completions.jsonl").write_text(
+            "".join(json.dumps({"task_id": t["id"], "body": t["body"] + "\n"}) + "\n" for t in tasks), encoding="utf-8"
+        )
+        (ws / name).write_bytes(data.draw(mutations((ws / name).read_bytes())))
+        inputs = ["--tasks", str(ws / "tasks.jsonl"), "--source-root", str(ws / "sources"), "--executor", "mock"]
+        inputs += ["--mock-executor", str(ws / "mock_executor.json")]
+        argv = {
+            "build": ["build", "--sources", str(ws / "sources"), "--tasks", str(ws / "built.jsonl")],
+            "run": ["run", *inputs, "--out", str(ws / "out"), "--mock-client", str(ws / "mock_client.json"),
+                    "--max-rounds", "1", "--retrieval", "lcs"],
+            "verify": ["verify", *inputs, "--completions", str(ws / "completions.jsonl"),
+                       "--verdicts", str(ws / "verdicts.jsonl")],
+            "report": ["report", "--outcomes", str(ws / "outcomes.jsonl"), "--sessions", str(ws / "sessions.jsonl")],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        event(f"{command} exit {code}")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFRA)

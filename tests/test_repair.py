@@ -478,6 +478,10 @@ class TestSessionValidation:
             prompt_tokens=1, completion_tokens=1, verdict=verdict,
         )
 
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(ValueError, match="unknown attempt stage 'bompletion'"):
+            Attempt(stage="bompletion", prompt="p", completion="c", body="{ }", prompt_tokens=1, completion_tokens=1)
+
     def test_empty_attempts_rejected(self):
         with pytest.raises(ValueError, match="at least the completion"):
             RepairSession(task_id="t", strategy="self_edit", max_rounds=1, attempts=())

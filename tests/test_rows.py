@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from solrepair.executor import (
 )
 from solrepair.harness import RunConfig, RunManifest
 from solrepair.metrics import CostBreakdown, TaskOutcome
-from solrepair.repair import Attempt, ClientFixture, RepairSession
+from solrepair.repair import STAGES, Attempt, ClientFixture, RepairSession
 from solrepair.retrieval import METHODS, RetrievalConfig, RetrievedSnippet
 from solrepair.rows import ConfigError, Record, dump_row, read_json, read_records, read_rows
 
@@ -78,7 +79,7 @@ snippets = st.builds(
 
 attempts = st.builds(
     Attempt,
-    stage=text,
+    stage=st.sampled_from(STAGES),
     prompt=text,
     completion=text,
     body=text,
@@ -304,16 +305,158 @@ def test_json_keys_match_docs(cls, section, label):
     check()
 
 
-def test_plan_is_built_once_per_class(tmp_path):
+def test_decoder_is_built_once_per_class(tmp_path):
     @settings(max_examples=5, deadline=None)
     @given(sessions())
     def check(session):
         path = tmp_path / "sessions.jsonl"
         path.write_text(dump_row(session.to_json()) * 20, encoding="utf-8")
-        rows._plan.cache_clear()
+        rows._decoder.cache_clear()
         assert read_records(RepairSession, path, "sessions") == [session] * 20
-        # The session and the records nested in it, however many rows.
-        assert rows._plan.cache_info().misses <= 5
+        # The session and the four records nested in it, however many rows.
+        assert rows._decoder.cache_info().misses == 5
+
+    check()
+
+
+def _reference_each(items, decode, step: str) -> list:
+    out = []
+    for key, item in items:
+        try:
+            out.append(decode(item))
+        except rows._WrongType as exc:
+            exc.path = step.format(key) + exc.path
+            raise
+    return out
+
+
+def _reference_decode(tp):
+    """The checked decode of a field type that is not a scalar."""
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return tp.from_json
+    scalar = rows._scalar(tp)
+    if scalar is not None:
+        allowed, expected = scalar
+
+        def check(v):
+            if type(v) not in allowed:
+                raise rows._WrongType(f"expected {expected}, got {type(v).__name__}")
+            return v
+
+        return check
+    inner = rows._optional(tp)
+    if inner is not None:
+        dec = _reference_decode(inner)
+        return lambda v: None if v is None else dec(v)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict:
+        dec = _reference_decode(args[1])
+
+        def decode(v):
+            if type(v) is not dict:
+                raise rows._WrongType(f"expected dict, got {type(v).__name__}")
+            return dict(zip(v, _reference_each(v.items(), dec, ".{}")))
+
+        return decode
+    dec = _reference_decode(args[0])
+
+    def decode(v):
+        if type(v) is not list:
+            raise rows._WrongType(f"expected list, got {type(v).__name__}")
+        return origin(_reference_each(enumerate(v), dec, "[{}]"))
+
+    return decode
+
+
+def reference_from_json(cls, payload):
+    """The generic checked walk that the generated decoders replace, kept as
+    their reference: scalar values checked in row order, nested values
+    decoded in field order, then the constructor. Nested records decode
+    through `from_json`, so with this installed as `Record.from_json` every
+    level, the two overrides included, takes this walk."""
+    if not isinstance(payload, dict):
+        raise rows._WrongType(f"{cls.__name__}: expected a JSON object, got {type(payload).__name__}")
+    hints = typing.get_type_hints(cls)
+    scalars = {f.name: rows._scalar(hints[f.name]) for f in dataclasses.fields(cls)}
+    nested = [(name, _reference_decode(hints[name])) for name, scalar in scalars.items() if scalar is None]
+    for key, value in payload.items():
+        scalar = scalars.get(key)
+        if scalar is not None and type(value) not in scalar[0]:
+            raise rows._WrongType(f"expected {scalar[1]}, got {type(value).__name__}", f".{key}")
+    payload = dict(payload)
+    if cls.SCHEMA is not None:
+        payload.pop("schema", None)
+    for name, dec in nested:
+        if name in payload:
+            try:
+                payload[name] = dec(payload[name])
+            except rows._WrongType as exc:
+                exc.path = f".{name}{exc.path}"
+                raise
+    try:
+        return cls(**payload)
+    except TypeError as exc:
+        raise rows._WrongType(str(exc)) from exc
+
+
+def _decoded(cls, payload):
+    """What `cls.from_json` makes of payload: the record's type, repr and
+    key order, or the exception's type and text."""
+    try:
+        record = cls.from_json(payload)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return type(record), repr(record), list(vars(record))
+
+
+def _places(value, slots: list, objects: list) -> None:
+    """Collect every (container, key) below value, and every object."""
+    if isinstance(value, dict):
+        objects.append(value)
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, item in items:
+        slots.append((value, key))
+        _places(item, slots, objects)
+
+
+NON_OBJECTS = st.sampled_from([None, True, 0, 1.5, "x", [], [{}]])
+
+
+@st.composite
+def edited_rows(draw, cls):
+    """A record's JSON row after one edit: a value replaced by another of
+    any JSON type, nested ones included; a key dropped; a key added; or the
+    row itself replaced by a value that is no object."""
+    row = json.loads(json.dumps(draw(STRATEGIES[cls]).to_json()))
+    slots, objects = [], []
+    _places(row, slots, objects)
+    edit = draw(st.sampled_from(["retype", "drop", "add", "non-object"]))
+    if edit == "retype" and slots:
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(JSON_VALUES | NON_OBJECTS)
+    elif edit == "drop" and any(objects):
+        target = draw(st.sampled_from([o for o in objects if o]))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif edit == "add":
+        draw(st.sampled_from(objects))[draw(text)] = draw(JSON_VALUES)
+    elif edit == "non-object":
+        return draw(NON_OBJECTS)
+    return row
+
+
+@pytest.mark.parametrize("cls", list(STRATEGIES), ids=lambda c: c.__name__)
+def test_decoder_matches_the_reference_walk(cls):
+    @settings(max_examples=40, deadline=None)
+    @given(edited_rows(cls))
+    def check(row):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Record, "from_json", classmethod(reference_from_json))
+            want = _decoded(cls, json.loads(json.dumps(row)))
+        assert _decoded(cls, row) == want
 
     check()
 
@@ -421,5 +564,5 @@ def test_package_imports_only_the_standard_library():
 
 def test_read_rows_numbers_lines_and_skips_blank_ones(tmp_path):
     path = tmp_path / "rows.jsonl"
-    path.write_text('{"a": 1}\n\n  \n{"b": 2}\r\n', encoding="utf-8")
-    assert list(read_rows(path, "rows")) == [(1, {"a": 1}), (4, {"b": 2})]
+    path.write_text('{"a": 1}\n\n  \n\t\n\u3000\n \x0b\x85\n{"b": 2}\r\n', encoding="utf-8")
+    assert list(read_rows(path, "rows")) == [(1, {"a": 1}), (7, {"b": 2})]
