@@ -295,6 +295,8 @@ class FunctionRecord(Record):
     slice for that span, modulo leading indentation per line.
     """
 
+    DERIVED = ("id",)
+
     source_path: str
     comment: str
     signature: str
@@ -319,12 +321,11 @@ class FunctionRecord(Record):
     def from_json(cls, payload: dict) -> FunctionRecord:
         """The record a task row holds. The row's `id` must be a string;
         read_task_file checks that it is the record's task_id()."""
-        if "id" not in payload:
-            raise TypeError("missing key 'id'")
-        payload = dict(payload)
-        row_id = payload.pop("id")
-        if type(row_id) is not str:
-            raise TypeError(f"expected str, got {type(row_id).__name__} at key 'id'")
+        if isinstance(payload, dict):
+            if "id" not in payload:
+                raise TypeError("missing key 'id'")
+            if type(payload["id"]) is not str:
+                raise TypeError(f"expected str, got {type(payload['id']).__name__} at key 'id'")
         return super().from_json(payload)
 
     @property

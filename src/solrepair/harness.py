@@ -15,7 +15,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import datetime as _dt
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,7 +66,18 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalUnavailableError,
 )
-from .rows import ConfigError, Record, dump_row, from_json_at, read_json, read_records, read_rows, write_json
+from .rows import (
+    ConfigError,
+    Record,
+    UnparsedLine,
+    dump_row,
+    from_json_at,
+    parse_jsonl,
+    read_json,
+    read_records,
+    read_rows,
+    write_json,
+)
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -324,17 +334,15 @@ def _log_rows(path: Path, kind: str) -> list[tuple[str, str]]:
     ConfigError naming its line."""
     if not path.is_file():
         return []
+    text = _read_text(path, kind)
     rows = []
-    for lineno, line in enumerate(_read_text(path, kind).split("\n"), 1):
-        if not line or line.isspace():  # blank; unlike strip(), copies nothing
-            continue
-        try:
-            row = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
-            break
-        if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
-            raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
-        rows.append((row["task_id"], line))
+    try:
+        for lineno, start, end, row in parse_jsonl(text):
+            if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
+                raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
+            rows.append((row["task_id"], text[start:end]))
+    except UnparsedLine:
+        pass
     return rows
 
 

@@ -339,7 +339,10 @@ class Attempt(Record):
 
 @dataclass(frozen=True)
 class RepairSession(Record):
-    """All attempts for one task sample, in order."""
+    """All attempts for one task sample, in order; a row adds the derived
+    `final_status`."""
+
+    DERIVED = ("final_status",)
 
     task_id: str
     strategy: str
@@ -360,12 +363,6 @@ class RepairSession(Record):
 
     def to_json(self) -> dict:
         return super().to_json() | {"final_status": self.final_status}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "RepairSession":
-        row = dict(payload)
-        row.pop("final_status", None)
-        return super().from_json(row)
 
 
 def complete_function(

@@ -16,6 +16,18 @@ is named by the first of: a wrongly typed scalar value, in row order; a
 fault in a record, list or dict field, in field order; a missing or
 unknown key; what `__post_init__` rejects.
 
+A key that `to_json` derives from the other fields (a class's `DERIVED`,
+as the task row's `id`) and a standalone file's "schema" are written but
+ignored on read.
+
+JSONL text is split at `\n` only and parsed by `parse_jsonl`, once per line:
+a line that holds one value and nothing else is parsed in place by
+`raw_decode`, and any other line (leading or trailing whitespace, a BOM, a
+second value, an error) by `json.loads`, so every value and every error is
+json.loads's. A line that does not parse is one that json.loads rejects
+with ValueError (malformed JSON, or an integer literal longer than
+`sys.get_int_max_str_digits()`) or RecursionError.
+
 Input errors are `ConfigError`s naming the file and, for a bad row, its line
 (exit code 2). `read_json` reads every standalone JSON input file, and
 `post_json` is the one HTTP call.
@@ -141,8 +153,8 @@ def _emit(tp, var: str, path: str, env: dict, depth: int) -> list[str]:
             f"{pad}    raise _WrongType(f'expected {expected}, got {{type({var}).__name__}}', f'{path}')",
         ]
     if isinstance(tp, type) and issubclass(tp, Record):
-        # Its class's decoder, not a `from_json` override: the classes that
-        # override it (task rows, sessions) are never nested.
+        # Its class's decoder, not a `from_json` override: the one class
+        # that overrides it (task rows) is never nested.
         return [
             f"{pad}try:",
             f"{pad}    {var} = {_bind(env, _decoder(tp))}({var})",
@@ -190,11 +202,16 @@ def _scalar_fault(row: dict, scalars: dict) -> _WrongType:
     )
 
 
+def _ignored(cls: type) -> frozenset[str]:
+    """The keys cls writes but does not read back."""
+    return frozenset(cls.DERIVED) | ({"schema"} if cls.SCHEMA is not None else set())
+
+
 def _key_fault(cls: type, row: dict) -> typing.NoReturn:
     """Raise the constructor's TypeError, as a _WrongType, for a row that
     lacks a required key or holds an unknown one."""
-    if cls.SCHEMA is not None:
-        row = {k: v for k, v in row.items() if k != "schema"}
+    ignored = _ignored(cls)
+    row = {k: v for k, v in row.items() if k not in ignored}
     try:
         cls(**row)
     except TypeError as exc:
@@ -230,7 +247,7 @@ def _decoder(cls: type):
     if tests:
         lines += [f"    if {' or '.join(tests)}:", f"        raise _scalar_fault(row, {_bind(env, scalars)})"]
     lines += nested
-    keys = {f.name for f in fields} | ({"schema"} if cls.SCHEMA is not None else set())
+    keys = {f.name for f in fields} | _ignored(cls)
     faults = [
         *(f"v{i} is _ABSENT" for i, f in enumerate(fields) if f.default is f.default_factory is dataclasses.MISSING),
         f"not row.keys() <= {_bind(env, frozenset(keys))}",
@@ -260,10 +277,13 @@ class Record:
     """Mixin for dataclasses whose fields are their JSON format.
 
     A class that sets `SCHEMA` writes it under "schema" and ignores that key
-    on read; standalone JSON files carry one, JSONL rows do not.
+    on read; standalone JSON files carry one, JSONL rows do not. `DERIVED`
+    names the keys its `to_json` adds from the other fields: the decoder
+    ignores them too.
     """
 
     SCHEMA: ClassVar[str | None] = None
+    DERIVED: ClassVar[tuple[str, ...]] = ()
 
     def to_json(self) -> dict:
         # A record's instance dict holds exactly its fields, and copying it
@@ -346,34 +366,82 @@ def post_json(url: str, payload, timeout: float, headers: dict | None = None) ->
         raise ConnectionError(f"no usable HTTP reply from {url}: {exc!r}") from exc
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+class UnparsedLine(Exception):
+    """The line of JSONL text, by number, at which `parse_jsonl` stopped;
+    `error` is what json.loads raised for it."""
+
+    def __init__(self, lineno: int, error: Exception) -> None:
+        super().__init__(lineno, error)
+        self.lineno = lineno
+        self.error = error
+
+
+def parse_jsonl(text: str) -> Iterator[tuple[int, int, int, object]]:
+    """(line number, start, end, value) for each non-blank line
+    text[start:end], split at `\n` only, where value is what
+    `json.loads(line)` gives. The first line that json.loads rejects
+    (ValueError or RecursionError) raises UnparsedLine.
+
+    A line that holds one value and nothing else, as `dump_row` writes
+    them, is parsed once and in place: `raw_decode(text, start)`, accepted
+    when the value ends where the line does. Any other line is copied out
+    and given to json.loads, so every value and every error is json.loads's.
+    """
+    start, size, lineno = 0, len(text), 0
+    while start < size:
+        lineno += 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        try:
+            value, stop = _raw_decode(text, start)
+        except (ValueError, RecursionError):
+            stop = -1
+        if stop != end:
+            line = text[start:end]
+            if not line or line.isspace():  # blank, which json.loads rejects
+                start = end + 1
+                continue
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise UnparsedLine(lineno, exc) from exc
+        yield lineno, start, end, value
+        start = end + 1
+
+
 def read_rows(path: str | Path, kind: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file.
 
     `kind` names the file in the error for an unreadable one ("cannot read
-    outcomes file …"); a row that is not a JSON object names its line.
+    outcomes file …"); a row that does not parse or is not a JSON object
+    names its line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if not line or line.isspace():  # blank; unlike strip(), copies nothing
-            continue
-        try:
-            row = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}, line {lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise ConfigError(f"{path}, line {lineno}: expected a JSON object")
-        yield lineno, row
+    try:
+        for lineno, _, _, row in parse_jsonl(text):
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}, line {lineno}: expected a JSON object")
+            yield lineno, row
+    except UnparsedLine as exc:
+        raise ConfigError(f"{path}, line {exc.lineno}: malformed JSON: {exc.error}") from exc.error
 
 
 def read_records(cls: type[R], path: str | Path, kind: str) -> list[R]:
-    """Every row of a JSONL file decoded by `cls.from_json`."""
+    """Every row of a JSONL file decoded by cls's decoder, which is
+    `cls.from_json` for every class but FunctionRecord: task files are
+    read by `corpus.read_task_file`."""
+    decode = _decoder(cls)
     records = []
     for lineno, row in read_rows(path, kind):
         try:
-            records.append(cls.from_json(row))
+            records.append(decode(row))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
     return records

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import fcntl
+import importlib.util
 import io
 import json
 import logging
@@ -68,7 +69,8 @@ from solrepair.retrieval import (
 )
 
 E2E_TASKS = 50
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 RAR_OVERRIDES = dict(max_rounds=1, retrieval={"method": "lcs"})
 
@@ -626,7 +628,9 @@ class TestResume:
         assert normalized_sessions(out) == normalized_sessions(reference)
         assert any("40 already done, 10 pending" in m for m in caplog.messages)
 
-    @pytest.mark.parametrize("damage", ["torn-first-row", "blank-line", "torn-row-before-intact-ones"])
+    @pytest.mark.parametrize(
+        "damage", ["torn-first-row", "blank-line", "torn-row-before-intact-ones", "long-int-row-before-intact-ones"]
+    )
     def test_resume_after_damage_before_the_last_row_matches_uninterrupted_run(
         self, e2e_config_factory, rar_run, tmp_path, damage
     ):
@@ -641,6 +645,11 @@ class TestResume:
             # Nothing after a torn row was committed, however whole it looks.
             lines = want.split(b"\n")
             damaged = b"\n".join(lines[:10] + [lines[10][:20]] + lines[11:])
+        if damage == "long-int-row-before-intact-ones":
+            # A row that json.loads rejects, here for an integer longer than
+            # CPython converts, is one that does not parse.
+            lines = want.split(b"\n")
+            damaged = b"\n".join(lines[:10] + [lines[10][:-1] + b',"n":' + b"1" * 5000 + b"}"] + lines[11:])
         (out / "outcomes.jsonl").write_bytes(damaged)
         manifest, code = cmd_run(e2e_config_factory(str(out), **RAR_OVERRIDES))
         assert (code, manifest.status) == (EXIT_OK, "complete")
@@ -900,6 +909,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {tasks}, line 2: bad task row: {complaint}\n"
 
+    def test_run_on_an_over_long_integer_in_a_task_row_exits_config(self, e2e_dir, tmp_path, capsys):
+        lines = (e2e_dir / "tasks.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:-1] + ', "span": [1, ' + "9" * 5000 + "]}"
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = self.run_flags(e2e_dir, tmp_path / "out", "--max-rounds", "0")
+        flags[flags.index("--tasks") + 1] = str(tasks)
+        assert main(flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tasks}, line 2: malformed JSON: Exceeds the limit (4300 digits)")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
     )
@@ -1005,8 +1027,9 @@ class TestCli:
             (['{"task_id": "x"}'], "line 1: 'body' missing or not a string"),
             (['{"task_id": "x", "body": 5}'], "line 1: 'body' missing or not a string"),
             (['["x", "{ }"]'], "line 1: expected a JSON object"),
+            (['{"task_id": "x", "body": "{ }", "n": ' + "1" * 5000 + "}"], "line 1: malformed JSON: Exceeds the limit"),
         ],
-        ids=["malformed", "no-task-id", "no-body", "non-string-body", "not-an-object"],
+        ids=["malformed", "no-task-id", "no-body", "non-string-body", "not-an-object", "long-int"],
     )
     def test_verify_bad_completions_row_exits_config(self, e2e_dir, tmp_path, capsys, rows, complaint):
         completions = tmp_path / "completions.jsonl"
@@ -1189,6 +1212,7 @@ class TestCli:
         "kind,edit,complaint",
         [
             ("outcomes", lambda row: json.dumps(row)[:-1], "malformed JSON"),
+            ("outcomes", lambda row: json.dumps(row)[:-1] + ', "n": ' + "1" * 5000 + "}", "malformed JSON: Exceeds the limit"),
             ("outcomes", lambda row: json.dumps([row]), "expected a JSON object"),
             ("outcomes", lambda row: json.dumps({**row, "n": 1, "c": 2}), "bank0.sol#L12-15: c=2 outside"),
             ("outcomes", lambda row: json.dumps({k: v for k, v in row.items() if k != "n"}), "TaskOutcome.__init__.. missing 1 required positional argument: 'n'"),
@@ -1203,7 +1227,7 @@ class TestCli:
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "prompt_tokens": "x"}]}), r"expected int, got str at key 'attempts\[0\]\.prompt_tokens'"),
         ],
         ids=[
-            "outcome-malformed", "outcome-not-an-object", "outcome-bad-count", "outcome-missing-key",
+            "outcome-malformed", "outcome-long-int", "outcome-not-an-object", "outcome-bad-count", "outcome-missing-key",
             "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
             "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
             "attempt-str-for-int",
@@ -1613,6 +1637,31 @@ def test_property_wrongly_typed_retrieval_value_exits_config(e2e_dir, data):
         assert err.getvalue().startswith("error: bad config: expected ")
         assert err.getvalue().endswith(f" at key 'retrieval.{key}'\n")
         assert not out.exists()
+
+
+def test_logs_and_task_files_are_parsed_without_json_loads(e2e_dir, rar_run, tmp_path, monkeypatch):
+    """Rows as the harness writes them are each parsed once, in place:
+    json.loads is the fallback for any other line, and reading the e2e run
+    and a run of perfbench's complete-small workload never reaches it."""
+    from solrepair.corpus import read_task_file
+    from solrepair.harness import _log_rows
+
+    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+    spec.loader.exec_module(workloads)
+    plan = workloads.generate("complete-small", 1, tmp_path)
+    cmd_build(tmp_path / "sources", tmp_path / "tasks.jsonl")
+    config = workloads.run_config(workloads.WORKLOADS["complete-small"], tmp_path, tmp_path / "tasks.jsonl", 1)
+    assert cmd_run(config)[1] == EXIT_OK
+
+    for tasks, logs in ((e2e_dir / "tasks.jsonl", rar_run[3]), (tmp_path / "tasks.jsonl", tmp_path)):
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            assert len(read_task_file(tasks)) == len(_log_rows(logs / "outcomes.jsonl", "outcomes")) > 0
+            assert _log_rows(logs / "sessions.jsonl", "sessions")
+            report = cmd_report([logs / "outcomes.jsonl"], [logs / "sessions.jsonl"])
+        assert loads.call_count == 0, tasks
+    assert report["overall"]["pass@1"] == plan["pass_at_1"]
 
 
 def test_run_logs_skip_whitespace_only_lines(tmp_path):

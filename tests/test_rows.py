@@ -371,9 +371,10 @@ def _reference_decode(tp):
 def reference_from_json(cls, payload):
     """The generic checked walk that the generated decoders replace, kept as
     their reference: scalar values checked in row order, nested values
-    decoded in field order, then the constructor. Nested records decode
-    through `from_json`, so with this installed as `Record.from_json` every
-    level, the two overrides included, takes this walk."""
+    decoded in field order, then the constructor; "schema" and derived keys
+    are dropped. Nested records decode through `from_json`, so with this
+    installed as `Record.from_json` every level, FunctionRecord's override
+    included, takes this walk."""
     if not isinstance(payload, dict):
         raise rows._WrongType(f"{cls.__name__}: expected a JSON object, got {type(payload).__name__}")
     hints = typing.get_type_hints(cls)
@@ -386,6 +387,8 @@ def reference_from_json(cls, payload):
     payload = dict(payload)
     if cls.SCHEMA is not None:
         payload.pop("schema", None)
+    for key in cls.DERIVED:
+        payload.pop(key, None)
     for name, dec in nested:
         if name in payload:
             try:
@@ -457,8 +460,35 @@ def test_decoder_matches_the_reference_walk(cls):
             patch.setattr(Record, "from_json", classmethod(reference_from_json))
             want = _decoded(cls, json.loads(json.dumps(row)))
         assert _decoded(cls, row) == want
+        if not isinstance(row, dict):
+            # The reference runs a class's own override too; every class,
+            # whatever it overrides, names itself and the payload's type.
+            assert want == (rows._WrongType, f"{cls.__name__}: expected a JSON object, got {type(row).__name__}")
 
     check()
+
+
+def test_derived_keys_are_written_and_ignored_on_read():
+    session = RepairSession("t", "self_edit", 0, (Attempt("completion", "p", "c", "{ }", 1, 1),))
+    row = session.to_json()
+    assert row["final_status"] == "executor_unavailable"
+    for final_status in ("pass", 5, None, [], {}):
+        assert RepairSession.from_json(row | {"final_status": final_status}) == session
+    del row["final_status"]
+    assert RepairSession.from_json(row) == session
+    with pytest.raises(TypeError, match="unexpected keyword argument 'id'"):
+        RepairSession.from_json(row | {"id": "t"})
+
+    record = FunctionRecord("a.sol", "/// c\n", "function f() public", "{ }", (1, 3))
+    row = record.to_json()
+    assert row["id"] == "a.sol#L1-3"
+    # Any string: read_task_file checks it against the record's task_id().
+    assert FunctionRecord.from_json(row | {"id": "other"}) == record
+    with pytest.raises(TypeError, match="^expected str, got int at key 'id'$"):
+        FunctionRecord.from_json(row | {"id": 7})
+    del row["id"]
+    with pytest.raises(TypeError, match="^missing key 'id'$"):
+        FunctionRecord.from_json(row)
 
 
 def test_missing_optional_key_takes_the_default():
@@ -560,6 +590,115 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
     pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M), "pyproject.toml declares runtime dependencies"
+
+
+JSON_WHITESPACE = " \t\r\n"
+# What str.strip() and str.isspace() take but JSON does not.
+OTHER_WHITESPACE = "\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+json_texts = st.recursive(
+    scalars | st.sampled_from(["\ud800", "\udfff", "a\udc00b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+    max_leaves=8,
+).flatmap(
+    lambda value: st.sampled_from([
+        json.dumps(value),
+        json.dumps(value, ensure_ascii=False),
+        json.dumps(value, separators=(",", ":")),
+        dump_row(value)[:-1],
+    ])
+)
+
+
+@st.composite
+def edited_lines(draw) -> str:
+    """A JSON text, or arbitrary text, after up to three edits: whitespace
+    of either kind or a BOM at either end, a NaN or ±Infinity, deep
+    nesting, an integer longer than CPython converts, a lone surrogate
+    escape, trailing garbage or a second value."""
+    line = draw(json_texts | text)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(
+            ["pad-left", "pad-right", "bom", "constant", "deep", "long-int", "surrogate", "garbage", "second"]
+        ))
+        if edit in ("pad-left", "pad-right"):
+            pad = draw(st.text(st.sampled_from(JSON_WHITESPACE + OTHER_WHITESPACE), min_size=1, max_size=3))
+            line = pad + line if edit == "pad-left" else line + pad
+        elif edit == "bom":
+            line = "\ufeff" + line
+        elif edit == "constant":
+            constant = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+            line = draw(st.sampled_from([constant, f"[{line}, {constant}]", f'{{"x": {constant}}}']))
+        elif edit == "deep":
+            depth = draw(st.sampled_from([50, 100_000]))
+            line = "[" * depth + line + "]" * draw(st.sampled_from([depth, 0]))
+        elif edit == "long-int":
+            line = f'{{"n": {"7" * draw(st.sampled_from([4300, 4301, 5000]))}}}'
+        elif edit == "surrogate":
+            line = draw(st.sampled_from(['"\\ud800"', '["\\udc00x"]', '{"\\udbff": 1}', '"\\ud83d\\ude00"']))
+        elif edit == "garbage":
+            line += draw(st.sampled_from(["x", "}", "]", ",", '"', "\\", "\x00"]))
+        else:
+            line += draw(st.sampled_from(["", " ", ","])) + draw(json_texts)
+    return line
+
+
+def _canonical(value):
+    """A JSON value's type and JSON form, NaN and lone surrogates included."""
+    return type(value), json.dumps(value)
+
+
+def _parsed(text: str) -> list:
+    """What parse_jsonl makes of text: (line number, start, end, value) per
+    row, then the line number, type and text of the error it stops at."""
+    out = []
+    try:
+        for lineno, start, end, value in rows.parse_jsonl(text):
+            out.append((lineno, start, end, _canonical(value)))
+    except rows.UnparsedLine as exc:
+        out.append((exc.lineno, type(exc.error), str(exc.error)))
+    return out
+
+
+def _split_and_loads(text: str) -> list:
+    """_parsed's reference: text split at `\n`, each non-blank line given
+    to json.loads, up to the first that it rejects."""
+    out, start = [], 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line and not line.isspace():
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return [*out, (lineno, type(exc), str(exc))]
+            out.append((lineno, start, start + len(line), _canonical(value)))
+        start += len(line) + 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edited_lines(), max_size=4), st.sampled_from(["", "\n", "\n\n"]))
+def test_parse_jsonl_agrees_with_json_loads_on_every_line(lines, tail):
+    text = "\n".join(lines) + tail
+    assert _parsed(text) == _split_and_loads(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"a": NaN}', " {}", "{} ", "{}\r", "\ufeff{}", "{}{}", "[" * 100_000, '"\\ud800"', "7" * 4301, "\x0b{}",
+     "[1,", "[1,\n2]", ""],
+    ids=["nan", "lead-space", "trail-space", "cr", "bom", "two-values", "too-deep", "lone-surrogate", "long-int", "vt",
+         "torn", "value-across-lines", "empty"],
+)
+def test_parse_jsonl_agrees_with_json_loads_on_the_edges(line):
+    # Each edge case as the only line, then between two rows.
+    for text in (line, f'{{"a": 1}}\n{line}\n{{"b": 2}}\n'):
+        assert _parsed(text) == _split_and_loads(text)
+
+
+def test_read_rows_names_the_line_of_an_over_long_integer(tmp_path):
+    path = tmp_path / "outcomes.jsonl"
+    path.write_text('{"a": 1}\n{"n": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 2: malformed JSON: Exceeds the limit"):
+        list(read_rows(path, "outcomes"))
 
 
 def test_read_rows_numbers_lines_and_skips_blank_ones(tmp_path):
