@@ -18,13 +18,11 @@ import operator
 import random
 import re
 import subprocess
-import sys
 import threading
 import time
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
     IndexedFunction,
@@ -439,62 +437,11 @@ def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8)
     return cases
 
 
-# Each pattern is the `\b`-led form with each alternative's first letter
-# moved before the word-boundary check, as a lookbehind on `\w` (as Unicode
-# as `\b` is): every alternative then starts with a literal, which lets `re`
-# skip ahead to candidates. Each has one group, the declared name.
-# `\bfunction\s+name`: a function type (`function (uint256) ...`) has none.
+# `\bfunction\s+name` with the `f` moved before the word-boundary check, as
+# a lookbehind on `\w` (as Unicode as `\b` is): led by a literal, the
+# pattern lets `re` skip ahead to candidates. A function type (`function
+# (uint256) ...`) has no name.
 _NAMED_FUNCTION_RE = re.compile(r"f(?<!\wf)unction\s+([A-Za-z_$][A-Za-z0-9_$]*)")
-_DECLARED_RES = (
-    # `\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+name`
-    re.compile(
-        r"(?:c(?<!\wc)ontract|i(?<!\wi)nterface|l(?<!\wl)ibrary|s(?<!\ws)truct"
-        r"|e(?<!\we)(?:num|vent|rror)|m(?<!\wm)odifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)"
-    ),
-    _NAMED_FUNCTION_RE,
-    # `\b(?:u?int\d*|bytes\d*|bool|address|string)\s+(modifiers)*name`
-    re.compile(
-        r"(?:u(?<!\wu)int\d*|i(?<!\wi)nt\d*|b(?<!\wb)(?:ytes\d*|ool)|a(?<!\wa)ddress|s(?<!\ws)tring)\s+"
-        r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
-        r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
-    ),
-    re.compile(r"\)\s*(?:public\s+|private\s+|internal\s+)*([A-Za-z_$][A-Za-z0-9_$]*)\s*;"),
-)
-_LOCAL_DECL_RE = re.compile(
-    r"\b(?:u?int\d*|bytes\d*|bool|address|string)"
-    r"(?:\s+memory|\s+storage|\s+calldata)?\s+([A-Za-z_$][A-Za-z0-9_$]*)"
-)
-
-
-def _declaration_counts(scrubbed: str, start: int = 0, end: int = sys.maxsize) -> Counter:
-    """How often each name is declared in scrubbed[start:end] (heuristic,
-    desk scale).
-
-    No match spans a brace, so a body's counts are the same whether it is
-    searched alone or as its range of the source.
-    """
-    counts: Counter = Counter()
-    for pattern in _DECLARED_RES:
-        counts.update(pattern.findall(scrubbed, start, end))
-    return counts
-
-
-class _DeclaredIn:
-    """Names a scrubbed text declares, scanned on the first lookup.
-
-    Verify asks only about identifiers read from this very text, so a check
-    that the name occurs in it first would never spare the scan.
-    """
-
-    def __init__(self, scrubbed: str) -> None:
-        self._scrubbed = scrubbed
-        self._names: set[str] | None = None
-
-    def __contains__(self, name: object) -> bool:
-        if self._names is None:
-            self._names = set(_declaration_counts(self._scrubbed))
-        return name in self._names
-
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\b[^{};]*\{")
 
@@ -503,7 +450,7 @@ def _without_assembly(scrubbed: str) -> str:
     """scrubbed with each `assembly { ... }` block blanked, offsets kept.
 
     Yul declares names (function parameters and returns, `let`) and calls
-    builtins in ways the declaration check does not model.
+    builtins in ways the name resolver does not model.
     """
     if "assembly" not in scrubbed:
         return scrubbed
@@ -523,25 +470,126 @@ def _without_assembly(scrubbed: str) -> str:
     return "".join(pieces) + scrubbed[pos:]
 
 
-# An identifier (group 2), led by the '.' and any whitespace before it
-# (group 1) when it names a member.
-_MEMBER_OR_IDENT_RE = re.compile(r"(\.\s*)?([A-Za-z_$][A-Za-z0-9_$]*)")
+_NAME = r"[A-Za-z_$][A-Za-z0-9_$]*"
+# Parenthesized text within one statement, nested three deep at most.
+_PARENS = r"\((?:[^(){};]|\((?:[^(){};]|\([^(){};]*\))*\))*\)"
+# A declaration, one rule for state variables, constants, immutables and
+# locals: a type, qualifiers (a data location; for a state variable, also
+# visibility and mutability), then the name. The type is a `mapping(...)`,
+# a function type or a name path (its first name is group "first"), with
+# `[...]` suffixes. No part runs past the end of a statement.
+_DECLARATION_RE = re.compile(
+    rf"\s*(?:mapping\s*{_PARENS}|function\s*{_PARENS}(?:\s*(?:internal|external|pure|view|payable))*"
+    rf"(?:\s*returns\s*{_PARENS})?|(?P<first>{_NAME})(?:\s*\.\s*{_NAME})*(?:\s+payable)?)(?:\s*\[[^\[\]{{}};]*\])*"
+    r"(?:\s+(?:memory|storage|calldata|transient|public|private|internal|constant|immutable|override))*"
+    rf"\s+(?P<name>{_NAME})(?=\s*(?:[=;,)]|$))"
+)
+# Keywords that cannot lead a declaration's type.
+_NOT_TYPES = SOLIDITY_KEYWORDS - {"address", "bool", "string", "bytes", "mapping", "function"}
 
 
-def _checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
-    """Identifiers needing declarations, with offsets; member access and
-    inline assembly skipped."""
-    out = []
-    for m in _MEMBER_OR_IDENT_RE.finditer(_without_assembly(scrubbed)):
-        member, ident = m.groups()
-        if member or ident in SOLIDITY_KEYWORDS or _SIZED_TYPE_RE.match(ident):
-            continue
-        out.append((ident, m.start(2)))
-    return out
+def _is_declaration(m: re.Match | None) -> bool:
+    return m is not None and m["first"] not in _NOT_TYPES and m["name"] not in SOLIDITY_KEYWORDS
 
 
-def _local_decl_names(scrubbed: str) -> set[str]:
-    return {m.group(1) for m in _LOCAL_DECL_RE.finditer(scrubbed)}
+# One token of a body walk: a name (group 2), led by the '.' of a member
+# access (group 1) and followed by the ':' of a named argument (group 3)
+# when it has either; or one of `{ } ( ) ; ,`. A name never starts right
+# after a digit: `0x1f` and `1e18` are numbers.
+_WALK_RE = re.compile(rf"(\.\s*)?(?<!\d)({_NAME})(\s*:(?!=))?|[{{}}();,]")
+
+
+def _unresolved(body: str, own: Iterable[str]) -> Iterator[re.Match]:
+    """Each use of a name in body, a scrubbed block with Yul blanked, that
+    neither own nor a local in scope declares, in order; the name is group 2.
+
+    A declaration may follow a '{', '}', ';', '(' or ',': it starts a
+    statement, a `for` header or a tuple's component (`(T a, , T b) = ...`).
+    Its names enter scope after its statement and leave at the end of their
+    block, a `for` header's at the end of its loop. The type names of a
+    declaration are uses; members, named-argument keys, keywords and
+    elementary types are not.
+    """
+    if all(map(_SIZED_TYPE_RE.match, set(re.findall(_NAME, body)).difference(own, SOLIDITY_KEYWORDS))):
+        return  # every word is own, a keyword or an elementary type
+    scopes: list[tuple[set[str], int | None]] = [(set(own), None)]  # names, and a loop's paren depth
+    declared: dict[int, str] = {}  # the names the statement being walked declares
+    depth, last, start, ended = 0, "", False, False
+    for m in _WALK_RE.finditer(body):
+        name, token = m[2], m[0]
+        if ended and name != "else":  # the loops whose body the last statement ended
+            while scopes[-1][1] == depth:
+                scopes.pop()
+        if name is not None:
+            # A declaration starts with a name that may lead a type.
+            if start and name not in _NOT_TYPES and _is_declaration(d := _DECLARATION_RE.match(body, m.start())):
+                declared[d.start("name")] = d["name"]
+            if not (
+                m[1] or name in SOLIDITY_KEYWORDS or any(name in names for names, _ in scopes)
+                or m.start(2) in declared or m[3] and last in ("{", ",") or _SIZED_TYPE_RE.match(name)
+            ):
+                yield m
+            token = name
+        elif token == "{" or token == "(" and last == "for":
+            scopes.append((set(), None if token == "{" else depth))
+        elif token == "}" and len(scopes) > 1:
+            scopes.pop()
+        elif token == ";":
+            scopes[-1][0].update(declared.values())
+            declared = {}
+        depth += (token == "(") - (token == ")")
+        start, ended, last = token in ("{", "}", ";", "(", ","), token in (";", "}"), token
+
+
+_OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
+_CHUNK_RE = re.compile(r"[^;{]*")
+_MEMBER_RE = re.compile(
+    rf"\s*(?:abstract\s+)?(contract|interface|library|struct|enum|function|modifier|event|error|type)\s+({_NAME})"
+)
+
+
+def _members(scrubbed: str, start: int, end: int, closing: dict[int, int]) -> Iterator[tuple]:
+    """(keyword, name, header, body) of each declaration directly in
+    scrubbed[start:end], skipping the bodies in it: keyword is None for a
+    variable, body the offset of the '{' or -1."""
+    pos = start
+    while pos < end:
+        stop = _CHUNK_RE.match(scrubbed, pos, end).end()
+        body = stop if scrubbed.startswith("{", stop, end) else -1
+        if m := _MEMBER_RE.match(scrubbed, pos, stop):
+            yield m[1], m[2], scrubbed[pos:stop], body
+        elif _is_declaration(d := _DECLARATION_RE.match(scrubbed, pos, stop)):
+            yield None, d["name"], scrubbed[pos:stop], -1
+        pos = stop + 1 if body == -1 else closing[body] + 1
+
+
+def _scopes(index: SourceIndex) -> list[tuple[int, int, frozenset[str] | None]]:
+    """The span of each contract, interface and library of index with the
+    names a function in it sees from outside its body, then the whole text's
+    span with the file-level names, which free functions see. The names are
+    None where they cannot be decided: the text imports, or a base of the
+    contract is not declared in it."""
+    scrubbed = index.scrubbed
+    if re.search(r"\bimport\b", scrubbed):
+        return [(0, len(scrubbed), None)]
+    closing = pair_braces(scrubbed, 0)[0]
+    outer: set[str] = set()
+    # Each contract's span, the names its functions see from it and its
+    # bases, and the names it passes on to what inherits from it.
+    contracts: dict[str, tuple] = {}
+    for keyword, name, header, body in _members(scrubbed, 0, len(scrubbed), closing):
+        outer.add(name)
+        if keyword in ("contract", "interface", "library") and body != -1:
+            members = list(_members(scrubbed, body + 1, closing[body], closing))
+            # solc takes a base only when it is declared before what inherits it.
+            bases = re.split(r"\bis\b", re.sub(_PARENS, "", header), 1)[1:]
+            above = [contracts.get(base.strip(), (None,) * 4)[3] for base in bases and bases[0].split(",")]
+            visible = (m[1] for m in members if not re.search(r"\bprivate\b", m[2]))
+            passed = None if None in above else set().union(*above, visible)
+            seen = None if passed is None else passed.union(m[1] for m in members)
+            contracts[name] = (body, closing[body], seen, passed)
+    spans = [(s, e, None if seen is None else frozenset(outer | seen)) for s, e, seen, _ in contracts.values()]
+    return [*spans, (0, len(scrubbed), frozenset(outer))]
 
 
 def _normalized(body: str) -> str:
@@ -556,43 +604,22 @@ class _Body(NamedTuple):
     scrubbed: str  # the body with comments and strings blanked
     start: int  # offset of the body's '{' in its source
     params: tuple[str, ...]  # the parameter names in its signature
-    base_locals: frozenset[str]  # the parameter names and the function's own name
+    own: frozenset[str]  # the parameter names, named returns and the function's own name
 
 
 def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
     text, scrubbed = index.text, index.scrubbed
     params = tuple(_param_names(text[fn.kw_offset : fn.body_start]))
+    returns = re.search(r"\breturns\b", scrubbed[fn.kw_offset : fn.body_start])
+    named = _param_names(text[fn.kw_offset + returns.end() : fn.body_start]) if returns else ()
     return _Body(
         fn.name,
         text[fn.body_start : fn.body_end + 1],
         scrubbed[fn.body_start : fn.body_end + 1],
         fn.body_start,
         params,
-        frozenset((*params, fn.name)),
+        frozenset((*params, *named, fn.name)),
     )
-
-
-class _SplicedNames:
-    """Names a spliced source declares: the oracle's, less those declared
-    only in the replaced body, plus those the new body declares. The oracle's
-    counts are looked up only for a name the new body does not declare and
-    the oracle's scrubbed text holds: every name the counts hold is a
-    substring of that text, so the table is never built for a name that
-    occurs nowhere in the oracle."""
-
-    __slots__ = ("oracle", "replaced", "new_body")
-
-    def __init__(self, oracle: _Oracle, replaced: IndexedFunction, new_body: _DeclaredIn) -> None:
-        self.oracle, self.replaced, self.new_body = oracle, replaced, new_body
-
-    def __contains__(self, name: object) -> bool:
-        if name in self.new_body:
-            return True
-        if name not in self.oracle.index.scrubbed:
-            return False
-        declared = self.oracle.declared()[name]
-        # A name the oracle never declares needs no scan of the replaced body.
-        return declared > 0 and declared > self.oracle.declared_in_body(self.replaced)[name]
 
 
 def _is_single_block(scrubbed: str) -> bool:
@@ -616,21 +643,16 @@ class _Expected(NamedTuple):
 
 
 class _Oracle:
-    """One oracle text as verify sees it: its index and the names it
-    declares.
-
-    It also keeps what verify learns about the oracle, once per run: each
-    target's entry (its `_Body`, with the parameter and base local names),
-    each function's expected outputs, and the declaration counts of the
-    whole oracle and of each replaced body. Statements are parsed through
-    `steps`, which maps each statement text parsed so far to its step and
-    which the backend shares between its oracles. Entries are built on the
-    first verify of their target. The counts are scanned only when a
-    completed body uses an identifier that is neither local to it nor
-    declared by it and that occurs somewhere in the oracle's scrubbed text;
-    a hallucinated name found nowhere in the oracle builds no table. Every
-    entry is a pure function of its key, so threads racing to fill one only
-    repeat work.
+    """One oracle text as verify sees it: its index, and what verify learns
+    about it, once per run: each target's entry (its `_Body`), each
+    function's expected outputs and the names each contract sees
+    (`_scopes`). Statements are parsed through `steps`, which maps each
+    statement text parsed so far to its step and which the backend shares
+    between its oracles. Entries are built on the first verify of their
+    target; the scopes, only for a name that a completed body does not
+    declare and that occurs in the oracle's scrubbed text, or in an oracle
+    that imports or inherits. Every entry is a pure function of its key, so
+    threads racing to fill one only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
@@ -640,8 +662,8 @@ class _Oracle:
         self.index = index
         self.steps = {} if steps is None else steps
         self._bodies: dict[int, _Body] = {}
-        self._declared: Counter | None = None
-        self._declared_in_body: dict[int, Counter] = {}
+        self._self_contained = _OPEN_RE.search(index.scrubbed) is None  # it neither imports nor inherits
+        self._scopes: list[tuple[int, int, frozenset[str] | None]] | None = None
         self._expected: dict[tuple[int, int], _Expected] = {}
 
     def body(self, fn: IndexedFunction) -> _Body:
@@ -651,21 +673,14 @@ class _Oracle:
             found = self._bodies.setdefault(fn.body_start, _body(self.index, fn))
         return found
 
-    def declared(self) -> Counter:
-        """How often each name is declared in the oracle."""
-        declared = self._declared
-        if declared is None:
-            declared = self._declared = _declaration_counts(self.index.scrubbed)
-        return declared
-
-    def declared_in_body(self, fn: IndexedFunction) -> Counter:
-        """How often each name is declared in fn's body."""
-        found = self._declared_in_body.get(fn.body_start)
-        if found is None:
-            found = self._declared_in_body.setdefault(
-                fn.body_start, _declaration_counts(self.index.scrubbed, fn.body_start, fn.body_end + 1)
-            )
-        return found
+    def declares(self, fn: IndexedFunction, name: str) -> bool:
+        """True when fn's body sees name declared outside it, or cannot tell."""
+        if self._self_contained and name not in self.index.scrubbed:
+            return False
+        if self._scopes is None:
+            self._scopes = _scopes(self.index)
+        names = next(names for start, end, names in self._scopes if start <= fn.kw_offset <= end)
+        return names is None or name in names
 
     def expected(self, body: _Body, seed: int) -> _Expected:
         """The oracle function `body` evaluated on its generated cases."""
@@ -726,9 +741,10 @@ class ScriptedDifferentialBackend:
     integer and boolean expressions are evaluated on the fixture's
     input/output cases (or deterministic generated inputs); any body outside
     that subset, or reading a name that is neither a parameter nor a local,
-    is compared as whitespace-insensitive text. A lightweight declaration check
-    models the compiler: identifiers used by a modified body and declared
-    nowhere in the source produce a compile_error verdict.
+    is compared as whitespace-insensitive text. A name resolver models the
+    compiler's scoping: a name a modified body uses where no declaration is
+    in scope is a compile_error, unless the oracle imports or inherits from
+    a contract it does not declare, where the scope cannot be decided.
 
     Only the completed body is read, at its target's location, so
     overloads never stand in for each other; a body that is not one
@@ -740,7 +756,7 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
-    version = "mock-diff@5"
+    version = "mock-diff@6"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -788,34 +804,17 @@ class ScriptedDifferentialBackend:
         old, new = located
         # Solidity declares no function in a function body; Yul does, inside
         # `assembly`.
-        nested = _NAMED_FUNCTION_RE.search(_without_assembly(new.scrubbed))
+        body = _without_assembly(new.scrubbed)
+        nested = _NAMED_FUNCTION_RE.search(body)
         if nested is not None:
             line = new.text.count("\n", 0, nested.start()) + 1
             message = f'Function "{nested[1]}" declared inside a function body.'
             return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
-
-        # The body's own declarations are scanned for only when a name is not
-        # a parameter or the function's own.
-        local: Container[str] = new.base_locals
-        declared = _SplicedNames(prepared, completed.target, _DeclaredIn(new.scrubbed))
-        for ident, offset in _checkable_idents(new.scrubbed):
-            if ident not in local and local is new.base_locals:
-                local = new.base_locals | _local_decl_names(new.scrubbed)
-            if ident in local or ident in declared:
-                continue
-            line = new.text.count("\n", 0, offset) + 1
-            return self._verdict(
-                t0,
-                STATUS_COMPILE_ERROR,
-                [
-                    Diagnostic(
-                        kind="UndeclaredIdentifier",
-                        message=f'Undeclared identifier "{ident}".',
-                        line=line,
-                        identifier=ident,
-                    )
-                ],
-            )
+        use = next((u for u in _unresolved(body, new.own) if not prepared.declares(completed.target, u[2])), None)
+        if use is not None:
+            line = new.text.count("\n", 0, use.start(2)) + 1
+            undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use[2]}".', line, use[2])
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [undeclared])
 
         table = self.fixture.functions.get(target_function_id)
         completed_steps = interpret_body(new.text, prepared.steps, new.params)

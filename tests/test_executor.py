@@ -17,7 +17,7 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Container, NamedTuple
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -29,6 +29,7 @@ from solrepair.corpus import (
     MalformedSourceError,
     SourceIndex,
     extract_functions,
+    read_task_file,
 )
 from solrepair.executor import (
     Diagnostic,
@@ -770,26 +771,9 @@ def test_deliberate_changes_from_the_translate_to_python_path(expr, env, value):
     assert tree is None or outcome_of(lambda e: _eval_node(tree, e), env) != got
 
 
-# The declaration pattern with its leading `\b`, as it was before each type
-# name's first letter moved ahead of the boundary check.
-WORD_BOUNDARY_DECL_RE = re.compile(
-    r"\b(?:u?int\d*|bytes\d*|bool|address|string)\s+"
-    r"(?:public\s+|private\s+|internal\s+|external\s+|constant\s+|immutable\s+"
-    r"|memory\s+|storage\s+|calldata\s+)*([A-Za-z_$][A-Za-z0-9_$]*)"
-)
-# The four declaration patterns in their `\b`-led forms, as they were before
-# each alternative's first letter moved ahead of the boundary check; the
-# last never had one.
-WORD_BOUNDARY_DECLARED_RES = (
-    re.compile(r"\b(?:contract|interface|library|struct|enum|event|error|modifier)\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
-    re.compile(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)"),
-    WORD_BOUNDARY_DECL_RE,
-    executor._DECLARED_RES[3],
-)
-
-
-def reference_declaration_counts(scrubbed: str) -> Counter:
-    return Counter(m.group(1) for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed))
+# The nested-function pattern in its `\b`-led form, as it was before the
+# keyword's first letter moved ahead of the boundary check.
+WORD_BOUNDARY_FUNCTION_RE = re.compile(r"\bfunction\s+([A-Za-z_$][A-Za-z0-9_$]*)")
 
 
 # Keywords and names, after what may precede a keyword's first letter: `$`,
@@ -811,47 +795,8 @@ KEYWORD_SOUP = st.lists(
 @given(text=KEYWORD_SOUP)
 @example(text="écontract C; Жfunction f; \u00b2event E; $struct S; _enum E; 9error X; modifier m")
 def test_property_literal_led_keyword_patterns_equal_word_boundary_forms(text):
-    for literal_led, word_boundary in zip(executor._DECLARED_RES[:2], WORD_BOUNDARY_DECLARED_RES[:2]):
-        found = [(m.span(), m.groups()) for m in literal_led.finditer(text)]
-        assert found == [(m.span(), m.groups()) for m in word_boundary.finditer(text)]
-# Words that may precede a type name's first letter, with `$`, `_`, digits
-# and non-ASCII letters among them, then a type name, modifier or name.
-TYPE_SOUP = st.lists(
-    st.tuples(
-        st.sampled_from(["", "", "$", "_", "9", "x", "é", "Ж", "\u00b2", "(", " "]),
-        st.sampled_from(
-            ["uint", "uint256", "int", "int8", "bytes", "bytes32", "bool", "address", "string", "u", "in", "boo",
-             "public", "memory", "constant", "x", "$y", "_z"]
-        ),
-        st.sampled_from([" ", " ", "\n", "", "(", ";", ",", "{"]),
-    ).map("".join),
-    max_size=12,
-).map("".join)
-
-
-@settings(max_examples=600, deadline=None)
-@given(text=TYPE_SOUP)
-def test_property_literal_led_declaration_pattern_equals_word_boundary_form(text):
-    found = [(m.span(), m.groups()) for m in executor._DECLARED_RES[2].finditer(text)]
-    assert found == [(m.span(), m.groups()) for m in WORD_BOUNDARY_DECL_RE.finditer(text)]
-
-
-def test_literal_led_declaration_pattern_boundaries():
-    # `$` and non-ASCII letters: `$` is no word character, `é` and `²` are.
-    for text, names in [
-        ("$uint x;", ["x"]), ("_uint x;", []), ("9int x;", []), ("éstring s;", []), ("\u00b2bool b;", []),
-        ("(address a, bytes32 b)", ["a", "b"]), ("uint", []), ("mapping(uint => bool) public flags;", []),
-    ]:
-        assert [m.group(1) for m in executor._DECLARED_RES[2].finditer(text)] == names, text
-        assert [m.group(1) for m in WORD_BOUNDARY_DECL_RE.finditer(text)] == names, text
-
-
-@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*/**/*.sol")), ids=lambda p: p.name)
-def test_declaration_counts_by_range_equal_a_scan_of_the_body(path):
-    oracle = _Oracle(SourceIndex.from_text(str(path), path.read_text(encoding="utf-8")))
-    for fn in _top_level(oracle.index):
-        body = oracle.index.scrubbed[fn.body_start : fn.body_end + 1]
-        assert oracle.declared_in_body(fn) == reference_declaration_counts(body)
+    found = [(m.span(), m.groups()) for m in executor._NAMED_FUNCTION_RE.finditer(text)]
+    assert found == [(m.span(), m.groups()) for m in WORD_BOUNDARY_FUNCTION_RE.finditer(text)]
 
 
 MULTI = """contract M {
@@ -903,23 +848,6 @@ def reference_param_names(signature: str) -> list[str]:
     return [part.strip().split()[-1] for part in m.group(1).split(",") if part.strip()]
 
 
-def reference_checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
-    """_checkable_idents as it was: each identifier, then a walk back over
-    whitespace to a '.'."""
-    scrubbed = executor._without_assembly(scrubbed)
-    out = []
-    for m in re.finditer(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed):
-        ident = m.group(0)
-        if ident in executor.SOLIDITY_KEYWORDS or executor._SIZED_TYPE_RE.match(ident):
-            continue
-        before = m.start() - 1
-        while before >= 0 and scrubbed[before].isspace():
-            before -= 1
-        if before < 0 or scrubbed[before] != ".":
-            out.append((ident, m.start()))
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     text=st.lists(
@@ -930,9 +858,8 @@ def reference_checkable_idents(scrubbed: str) -> list[tuple[str, int]]:
         max_size=14,
     ).map("".join)
 )
-def test_property_signature_and_identifier_scans_equal_their_references(text):
+def test_property_signature_scan_equals_its_reference(text):
     assert executor._param_names(text) == reference_param_names(text)
-    assert executor._checkable_idents(text) == reference_checkable_idents(text)
 
 
 class TestOracleMemo:
@@ -1104,7 +1031,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@5"
+        assert v.backend_version == "mock-diff@6"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1331,13 +1258,15 @@ class TestLocationKeyed:
 
     def test_header_running_past_the_body_is_judged_in_the_body(self):
         # In the whole completed source, g's header in add's new body runs on
-        # to avg's '{': that parse gives avg's body to g and finds add with no
-        # counterpart. The body alone declares g, which no function body may.
+        # to avg's '{': that parse gives avg's body to g, finds add with no
+        # counterpart, and no scope around add's body declares g. The body
+        # alone declares g, which no function body may.
         completed = completed_with(ADD, "{ function g(a) }")
         assert header_runs_past(FILE, completed)
         v = ScriptedDifferentialBackend().verify(FILE, completed, ADD.task_id())
         assert (v.status, v.diagnostics) == nested_function("g", 1)
-        assert reference_verify(FILE, completed, ADD.task_id()) == mismatch("function 'add' has no oracle counterpart")
+        undeclared = Diagnostic("UndeclaredIdentifier", 'Undeclared identifier "g".', 1, "g")
+        assert reference_verify(FILE, completed, ADD.task_id()) == ("compile_error", (undeclared,))
 
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
@@ -1487,11 +1416,19 @@ def _top_level(index: SourceIndex) -> list[IndexedFunction]:
 
 class _Change(NamedTuple):
     """The top-level functions a completed source changes, aligned with the
-    oracle's by location, and the names the completed source declares."""
+    oracle's by location, the new ones' declarations in the completed
+    source, and the resolver's scopes of that source."""
 
     old: tuple
     new: tuple
-    declared: Container[str]
+    functions: tuple
+    scopes: list
+
+    def declares(self, fn: IndexedFunction, name: str) -> bool:
+        """Whether fn, a function of the completed source, sees name
+        declared outside its body, read from the built scopes alone."""
+        names = next(names for start, end, names in self.scopes if start <= fn.kw_offset <= end)
+        return names is None or name in names
 
 
 def reference_change(oracle: _Oracle, completed_source: str) -> _Change:
@@ -1520,10 +1457,12 @@ def reference_change(oracle: _Oracle, completed_source: str) -> _Change:
     tail = 0
     while tail < shorter - head and same(old[-1 - tail], new[-1 - tail]):
         tail += 1
+    changed = new[head : len(new) - tail]
     return _Change(
         tuple(map(oracle.body, old[head : len(old) - tail])),
-        tuple(executor._body(completed, fn) for fn in new[head : len(new) - tail]),
-        executor._DeclaredIn(completed.scrubbed),
+        tuple(executor._body(completed, fn) for fn in changed),
+        changed,
+        executor._scopes(completed),
     )
 
 
@@ -1553,15 +1492,17 @@ def mismatch(message: str) -> tuple[str, tuple[Diagnostic, ...]]:
 def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id: str) -> tuple:
     """The status and diagnostics that indexing the whole completed source
     gives: one changed pair is judged as the backend judges a located body,
-    against the names the whole completed source declares; anything else gets
-    the verdicts the whole-source path gave."""
+    against the scope the resolver builds over the whole completed source,
+    with no shortcut for names the oracle lacks; anything else gets the
+    verdicts the whole-source path gave."""
     try:
         change = reference_change(_Oracle(oracle), completed.source_in(oracle))
     except MalformedSourceError as exc:
         return "compile_error", (Diagnostic("Other", str(exc)),)
     if len(change.old) == len(change.new) == 1 and change.old[0].name == change.new[0].name:
+        (fn,) = change.functions
         with mock.patch.object(_Oracle, "located", return_value=(*change.old, *change.new)), mock.patch.object(
-            executor, "_SplicedNames", lambda *_: change.declared
+            _Oracle, "declares", lambda self, _, name: change.declares(fn, name)
         ):
             v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
         return v.status, v.diagnostics
@@ -1569,13 +1510,12 @@ def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id:
         if not change.old:
             return "pass", ()
         return mismatch(f"oracle functions missing from the completed source: {sorted(b.name for b in change.old)}")
-    for new in change.new:
-        local = new.base_locals | executor._local_decl_names(new.scrubbed)
-        for ident, offset in executor._checkable_idents(new.scrubbed):
-            if ident not in local and ident not in change.declared:
-                line = new.text.count("\n", 0, offset) + 1
+    for new, fn in zip(change.new, change.functions):
+        for use in executor._unresolved(executor._without_assembly(new.scrubbed), new.own):
+            if not change.declares(fn, use[2]):
+                line = new.text.count("\n", 0, use.start(2)) + 1
                 return "compile_error", (
-                    Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{ident}".', line, ident),
+                    Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use[2]}".', line, use[2]),
                 )
     if len(change.new) > 1:
         return mismatch(f"multiple functions differ from oracle: {sorted(b.name for b in change.new)}")
@@ -1605,7 +1545,7 @@ def check_against_reference(oracle: SourceIndex, completed: LocatedCompletion, t
     the body, and only the status is the same."""
     v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
     got = v.status, v.diagnostics
-    declared = WORD_BOUNDARY_DECLARED_RES[1].search(executor._without_assembly(executor.scrub(completed.body)))
+    declared = WORD_BOUNDARY_FUNCTION_RE.search(executor._without_assembly(executor.scrub(completed.body)))
     if not (completed.keeps_body_of(oracle) or executor._is_single_block(executor.scrub(completed.body))):
         assert got == NOT_ONE_BLOCK
     elif declared and not completed.keeps_body_of(oracle):
@@ -1719,15 +1659,17 @@ INHERITED_FILE = SourceIndex.from_text(
 @pytest.mark.parametrize("index,record", [(FILE, AVG), (INHERITED_FILE, PLUS)], ids=["avg", "inherited"])
 def test_oracle_body_passes_whatever_comments_follow_it(index, record, tail):
     """The oracle's own block changes nothing, even where it reads a name
-    that the source never declares and that any other block is faulted for,
-    once the reply is read as run and verify read one (extract_code_block);
-    handed over unread, a tail makes the body not one block."""
+    that the source never declares, once the reply is read as run and verify
+    read one (extract_code_block); handed over unread, a tail makes the body
+    not one block. Another block reading a name declared nowhere is faulted
+    for it, unless the source imports: what it sees cannot be decided then."""
     read = splice(index, record, extract_code_block(record.body + tail))
     assert ScriptedDifferentialBackend().verify(index, read, record.task_id()).status == "pass"
     got = check_against_reference(index, splice(index, record, record.body + tail), record.task_id())
     assert got == (NOT_ONE_BLOCK if tail else ("pass", ()))
     other = splice(index, record, "{ return base; }")
-    assert ScriptedDifferentialBackend().verify(index, other, record.task_id()).status == "compile_error"
+    status = ScriptedDifferentialBackend().verify(index, other, record.task_id()).status
+    assert status == ("compile_error" if index is FILE else "functional_mismatch")
 
 
 def test_single_block_verdicts_build_no_completed_source():
@@ -1774,13 +1716,9 @@ def test_fixture_records_splice_back_exactly(path):
 
 
 class TestDeclarationTable:
-    """The oracle's declaration counts are scanned only for an identifier
-    that is neither local to a completion nor declared by it."""
-
-    @staticmethod
-    def scans(counts, text: str) -> list[tuple]:
-        """The ranges of text that the calls recorded by counts scanned."""
-        return [call.args[1:] for call in counts.call_args_list if call.args[0] == text]
+    """The oracle's scopes (`executor._scopes`) are built only for a name
+    that a completion does not declare itself and that occurs in its
+    self-contained oracle, and then once per oracle."""
 
     def test_completions_using_only_locals_build_no_table(self):
         backend = ScriptedDifferentialBackend()
@@ -1790,14 +1728,14 @@ class TestDeclarationTable:
             "{ uint256 t; return add(t, a); }",
             "{ return a - b; } // not one block",
         ]
-        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes:
             statuses = [
                 backend.verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
         assert backend._oracle(MULTI_FILE).located(splice(MULTI_FILE, M_ADD, bodies[-1])) is None
-        assert counts.call_count == 0
+        assert scopes.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
         backend = ScriptedDifferentialBackend()
@@ -1809,36 +1747,12 @@ class TestDeclarationTable:
             (MULTI_FILE, M_HALF, "{ return a / 2; }", "pass"),
             (MULTI_FILE, M_HALF, "{ return zz; } // x", "compile_error"),
         ] * 3
-        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes:
             for oracle, record, body, status in jobs:
                 assert backend.verify(oracle, splice(oracle, record, body), record.task_id()).status == status
-        assert sorted(self.scans(counts, FILE.scrubbed)) == sorted([(), *(
-            (fn.body_start, fn.body_end + 1) for fn in FILE.functions if fn.name in ("add", "avg")
-        )])
-        # `zz` and `helperX` occur nowhere in their oracles: neither is scanned
-        # for them, and no other identifier sends MULTI_FILE's to a scan.
-        assert self.scans(counts, MULTI_FILE.scrubbed) == []
-        # Only completed bodies are scanned besides, and none that is not one block.
-        assert {call.args[0] for call in counts.call_args_list} - {FILE.scrubbed} == {
-            "{ return total + a; }", "{ return helperX(a); }", "{ return total; }", "{ return zz; }"
-        }
-
-    @pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
-    def test_answers_equal_the_eager_counter(self, path):
-        oracle = _Oracle(SourceIndex.from_text(str(path), path.read_text(encoding="utf-8")))
-        scrubbed = oracle.index.scrubbed
-        found = sorted(
-            (m for pattern in WORD_BOUNDARY_DECLARED_RES for m in pattern.finditer(scrubbed)), key=re.Match.start
-        )
-        eager = Counter(m.group(1) for m in found)
-        names = set(re.findall(r"[A-Za-z_$][A-Za-z0-9_$]*", scrubbed)) | {"fresh", "nowhere", "uniswapV2Router07"}
-        # Pieces of declared names occur in the oracle but are mostly not
-        # declared themselves.
-        names |= {piece for n in eager for piece in (n[:-1], n[1:], n[1:-1]) if piece}
-        for fn in _top_level(oracle.index):
-            within = Counter(m.group(1) for m in found if fn.body_start <= m.start() <= fn.body_end)
-            spliced = executor._SplicedNames(oracle, fn, executor._DeclaredIn("{ uint256 fresh; }"))
-            assert {n for n in names if n in spliced} == {n for n in names if n == "fresh" or eager[n] > within[n]}
+        # `zz` and `helperX` occur nowhere in their oracles: no scope is built
+        # for them, and no other name sends MULTI_FILE's to a build.
+        assert [call.args for call in scopes.call_args_list] == [(FILE,)]
 
     @pytest.mark.parametrize("name", ["uniswapV2Router07", "accrueAaveRouter", "zz"])
     @pytest.mark.parametrize("source,record", [(FILE, ADD), (MULTI_FILE, M_HALF)], ids=["math", "multi"])
@@ -1846,10 +1760,13 @@ class TestDeclarationTable:
         body = f"{{ return {name}(a); }}"
         completed = splice(source, record, body)
         backend = ScriptedDifferentialBackend()
-        with mock.patch.object(executor, "_declaration_counts", wraps=executor._declaration_counts) as counts:
+        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes, mock.patch.object(
+            executor, "_unresolved", wraps=executor._unresolved
+        ) as walks:
             verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
-        assert [call.args for call in counts.call_args_list] == [(executor.scrub(body),)]
+        assert scopes.call_count == 0
+        assert [call.args[0] for call in walks.call_args_list] == [executor.scrub(body)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [
@@ -1871,28 +1788,189 @@ class TestDeclarationTable:
         expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
         assert len({status for status, _ in expected}) == 4
         backend = ScriptedDifferentialBackend(seed=3)
-        scans: Counter = Counter()
+        builds: Counter = Counter()
         lock = threading.Lock()
-        real = executor._declaration_counts
+        real = executor._scopes
 
-        def counting(scrubbed, *span):
+        def counting(index):
             with lock:
-                scans[scrubbed, span] += 1
-            return real(scrubbed, *span)
+                builds[index.text] += 1
+            return real(index)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(executor, "_declaration_counts", counting):
+            with mock.patch.object(executor, "_scopes", counting):
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        oracle_scans = {key: n for key, n in scans.items() if key[0] in (FILE.scrubbed, MULTI_FILE.scrubbed)}
-        assert (FILE.scrubbed, ()) in oracle_scans and (MULTI_FILE.scrubbed, ()) in oracle_scans
-        # Each table is built at most once per racing thread.
-        assert all(1 <= n <= 8 for n in oracle_scans.values()), oracle_scans
+        # Each oracle's scopes are built, at most once per racing thread.
+        assert set(builds) == {FILE.text, MULTI_FILE.text}
+        assert all(1 <= n <= 8 for n in builds.values()), builds
+
+
+SCOPE = Path(__file__).parent / "fixtures" / "scope"
+SCOPE_FILE = SourceIndex.from_text("pool.sol", (SCOPE / "sources" / "pool.sol").read_text(encoding="utf-8"))
+SCOPE_TASKS = {record.task_id(): record for record in read_task_file(SCOPE / "tasks.jsonl")}
+SCOPE_PROBES = [
+    pytest.param(json.loads(completion), json.loads(expected), id=json.loads(expected)["probe"])
+    for completion, expected in zip(
+        (SCOPE / "completions.jsonl").read_text(encoding="utf-8").splitlines(),
+        (SCOPE / "expected.jsonl").read_text(encoding="utf-8").splitlines(),
+        strict=True,
+    )
+]
+
+
+@pytest.mark.parametrize("completion,expected", SCOPE_PROBES)
+def test_scope_probe_gets_its_expected_verdict(completion, expected):
+    """Each row of tests/fixtures/scope: a name is undeclared exactly where
+    no declaration is in scope, and the whole-source reference agrees."""
+    record = SCOPE_TASKS[completion["task_id"]]
+    completed = splice(SCOPE_FILE, record, completion["body"])
+    status, diagnostics = check_against_reference(SCOPE_FILE, completed, record.task_id())
+    identifier = diagnostics[0].identifier if status == "compile_error" else None
+    assert (status, identifier) == (expected["status"], expected["identifier"])
+
+
+# A contract whose names are known by construction: `f`'s body sees the
+# names of ALWAYS_IN_SCOPE and the types of TYPES_IN_SCOPE wherever it
+# stands, and never the names of NEVER_IN_SCOPE (another function's local, a
+# base's private member, a name declared nowhere) or the type `Missing`.
+SCOPE_CONTRACT = """pragma solidity ^0.8.0;
+
+interface IT {
+    function get() external view returns (uint256);
+}
+
+contract Base {
+    uint256 internal baseShared;
+    uint256 private basePrivate;
+}
+
+contract C is Base {
+    struct S {
+        uint256 x;
+        uint256 y;
+    }
+
+    enum E { One, Two }
+
+    uint256 constant LIMIT = 7;
+    uint256[] arr;
+    IT tok;
+
+    /// Reads its own local.
+    function other(uint256 a) internal pure returns (uint256) {
+        uint256 otherLocal = a;
+        return otherLocal;
+    }
+
+    /// The target.
+    function f(uint256 a, uint256 b) public view returns (uint256 r) {
+        r = a + b;
+    }
+}
+"""
+SCOPE_CONTRACT_FILE = SourceIndex.from_text("c.sol", SCOPE_CONTRACT)
+SCOPE_TARGET = next(fn for fn in SCOPE_CONTRACT_FILE.functions if fn.name == "f")
+ALWAYS_IN_SCOPE = ("a", "b", "r", "baseShared", "LIMIT", "arr", "tok", "other", "f")
+TYPES_IN_SCOPE = ("S", "E", "IT")
+NEVER_IN_SCOPE = ("otherLocal", "basePrivate", "nowhere")
+# A local's type, the rest of the declaration before the name, and the
+# initializer, `{}` standing for each use in it. A type that is not
+# elementary is a use too.
+LOCAL_TYPES = (
+    ("uint256", "", "{}"), ("S", " memory", "S({}, {})"), ("S", " memory", "S({{x: {}, y: {}}})"), ("E", "", "E.One"),
+    ("uint256", "[] memory", "new uint256[]({})"), ("IT", "", "tok"), ("Missing", " memory", "Missing({})"),
+)
+
+
+class ScopedBody:
+    """A body drawn statement by statement, tracking which names are in
+    scope and the first use of one that is not, with its line."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+        self.lines: list[str] = []
+        self.scopes: list[set[str]] = [set()]
+        self.ever: set[str] = set()
+        self.first_undeclared: tuple[str, int] | None = None
+
+    def in_scope(self) -> set[str]:
+        return set(ALWAYS_IN_SCOPE).union(TYPES_IN_SCOPE, *self.scopes)
+
+    def fresh(self) -> str:
+        name = f"v{len(self.ever)}"
+        self.ever.add(name)
+        return name
+
+    def use(self, name: str | None = None) -> str:
+        """A use on the line being drawn, of name or of a drawn name."""
+        if name is None:
+            # Locals whose scope has ended, first of all.
+            out = sorted(self.ever - self.in_scope()) * 3 + list(NEVER_IN_SCOPE)
+            inside = sorted(self.in_scope() - set(TYPES_IN_SCOPE))
+            name = self.data.draw(st.sampled_from(out if out and self.data.draw(st.integers(0, 5)) == 0 else inside))
+        if name not in self.in_scope() and self.first_undeclared is None:
+            self.first_undeclared = (name, len(self.lines) + 2)  # line 1 holds the body's '{'
+        return name
+
+    def declaration(self, name: str) -> str:
+        type_name, rest, init = self.data.draw(st.sampled_from(LOCAL_TYPES))
+        if type_name != "uint256":
+            self.use(type_name)
+        uses = [self.use() for _ in range(init.count("{}"))]
+        return f"{type_name}{rest} {name} = {init.format(*uses)}"
+
+    def block(self, depth: int) -> None:
+        kinds = ["declare", "use", "shadow", "tuple"] + (["block", "for"] if depth < 3 else [])
+        for _ in range(self.data.draw(st.integers(0, 3))):
+            kind = self.data.draw(st.sampled_from(kinds))
+            if kind in ("declare", "shadow"):
+                outer = sorted(set().union(*self.scopes[:-1], ("baseShared", "LIMIT", "tok")) - self.scopes[-1])
+                name = self.data.draw(st.sampled_from(outer)) if kind == "shadow" and outer else self.fresh()
+                self.lines.append(self.declaration(name) + ";")
+                self.scopes[-1].add(name)
+            elif kind == "tuple":
+                first, second = self.fresh(), self.fresh()
+                self.lines.append(f"(uint256 {first}, , uint256 {second}) = ({self.use()}, 0, {self.use()});")
+                self.scopes[-1] |= {first, second}
+            elif kind == "use":
+                self.lines.append(f"r += {self.use()} * {self.use()};")
+            else:
+                loop = self.fresh() if kind == "for" else None
+                self.scopes.append({loop} if loop else set())
+                if loop:
+                    self.lines.append(f"for (uint256 {loop} = 0; {self.use(loop)} < {self.use()}; {loop}++) {{")
+                    self.scopes.append(set())
+                else:
+                    self.lines.append("{")
+                self.block(depth + 1)
+                self.lines.append("}")
+                del self.scopes[-2 if loop else -1 :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_a_use_is_undeclared_iff_out_of_scope(data):
+    """Over bodies that nest blocks and `for` loops, shadow names and
+    declare struct-, enum-, array- and contract-typed locals in a contract
+    with an in-file base: the first use of a name the body leaves out of
+    scope is the one UndeclaredIdentifier, at its line; with none, no
+    name is undeclared."""
+    body = ScopedBody(data)
+    body.block(0)
+    text = "{\n" + "\n".join(body.lines) + "\n}"
+    v = ScriptedDifferentialBackend().verify(SCOPE_CONTRACT_FILE, substitute_function(SCOPE_TARGET, text), "c.sol#f")
+    if body.first_undeclared is None:
+        assert v.status != "compile_error", (text, v.diagnostics)
+    else:
+        name, line = body.first_undeclared
+        undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{name}".', line, name)
+        assert (v.status, v.diagnostics) == ("compile_error", (undeclared,)), text
 
 
 class TestSolcBackend:
