@@ -1715,6 +1715,28 @@ def test_fixture_records_splice_back_exactly(path):
         check_against_reference(file, reindented, record.task_id())
 
 
+@pytest.mark.parametrize("path", FIXTURE_SOURCES, ids=lambda p: f"{p.parts[-3]}/{p.parts[-2]}/{p.name}")
+def test_every_fixture_body_resolves_in_its_own_scope(path):
+    """A name a fixture function's own body reads is undeclared only when it
+    occurs nowhere in the source outside that body: locals, the contract's
+    members, in-file bases' and file-level names cover every other use. A
+    respaced copy of the body gets the verdict of that walk."""
+    file = SourceIndex.from_text(str(path), path.read_text(encoding="utf-8"))
+    oracle = _Oracle(file)
+    backend = ScriptedDifferentialBackend()
+    for fn in (fn for fn in file.functions if fn.body_start >= 0):
+        body = oracle.body(fn)
+        uses = executor._unresolved(executor._without_assembly(body.scrubbed), body.own)
+        undeclared = [u[2] for u in uses if not oracle.declares(fn, u[2])]
+        outside = file.scrubbed[: fn.body_start] + " " + file.scrubbed[fn.body_end + 1 :]
+        assert not [name for name in undeclared if re.search(rf"(?<![\w$]){re.escape(name)}(?![\w$])", outside)]
+        verdict = backend.verify(file, substitute_function(fn, "{ " + body.text[1:]), fn.name)
+        if undeclared:
+            assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", undeclared[0])
+        else:
+            assert verdict.status != "compile_error", (fn.name, verdict.diagnostics)
+
+
 class TestDeclarationTable:
     """The oracle's scopes (`executor._scopes`) are built only for a name
     that a completion does not declare itself and that occurs in its
