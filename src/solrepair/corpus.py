@@ -195,9 +195,9 @@ class SourceIndex:
         for fn in self._functions:
             if fn.has_body:
                 self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
-        # The build filter's _scan of each function, per config, by body_start;
-        # _CLEAN for a function whose whole reach a walk found clean.
-        self.scans: dict[FilterConfig, dict[int, tuple]] = {}
+        # The build filter's _scan of each function, by body_start; _CLEAN
+        # for a function whose whole reach a walk found clean.
+        self.scans: dict[int, tuple] = {}
 
     def line_of(self, offset: int) -> int:
         """1-based line holding offset."""
@@ -420,24 +420,16 @@ def count_function_declarations(index: SourceIndex) -> int:
     return sum(1 for fn in index.functions if fn.has_body and not fn.depth)
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Heuristic deny-list for state- or privilege-dependent functions."""
-
-    mint_identifiers: tuple[str, ...] = ("mint", "_mint")
-    owner_modifiers: tuple[str, ...] = ("onlyOwner",)
-    owner_check_pattern: str = (
-        r"msg\s*\.\s*sender\s*[=!]=\s*\w*[Oo]wner\w*"
-        r"|\b\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
-    )
-    deny_identifiers: tuple[str, ...] = ("constructor",)
-
-    @cached_property
-    def owner_check(self) -> re.Pattern[str]:
-        return re.compile(self.owner_check_pattern)
-
-
-DEFAULT_FILTER_CONFIG = FilterConfig()
+# The deny-list of state- or privilege-dependent functions: a mint call, an
+# owner-only modifier, a comparison of msg.sender with an owner, or a
+# reference to a constructor.
+MINT_IDENTIFIERS = ("mint", "_mint")
+OWNER_MODIFIERS = ("onlyOwner",)
+OWNER_CHECK_RE = re.compile(
+    r"msg\s*\.\s*sender\s*[=!]=\s*\w*[Oo]wner\w*"
+    r"|\b\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
+)
+DENY_IDENTIFIERS = ("constructor",)
 
 
 @dataclass(frozen=True)
@@ -447,25 +439,23 @@ class FilterDecision:
     detail: str | None = None
 
 
-def _match_deny_list(
-    signature: str, body: str, words: dict[str, None], idents: list[str], config: FilterConfig
-) -> tuple[str, str] | None:
+def _match_deny_list(signature: str, body: str, words: dict[str, None], idents: list[str]) -> tuple[str, str] | None:
     """Return (reason, detail) when the function trips the deny-list.
 
     Both texts come scrubbed; `words` are the body's distinct words and
     `idents` those of them that are not reserved.
     """
-    for mint in config.mint_identifiers:
+    for mint in MINT_IDENTIFIERS:
         if mint in idents:
             return "mint", mint
-    for modifier in config.owner_modifiers:
+    for modifier in OWNER_MODIFIERS:
         # The substring test spares most signatures their word list.
         if modifier in signature and modifier in _IDENT_RE.findall(signature):
             return "owner-modifier", modifier
-    m = config.owner_check.search(body)
+    m = OWNER_CHECK_RE.search(body)
     if m:
         return "owner-check", m.group(0)
-    for deny in config.deny_identifiers:
+    for deny in DENY_IDENTIFIERS:
         if deny in words:
             return "constructor", deny
     return None
@@ -475,7 +465,7 @@ def _match_deny_list(
 _CLEAN = (None, ())
 
 
-def _scan(index: SourceIndex, fn: IndexedFunction, config: FilterConfig) -> tuple:
+def _scan(index: SourceIndex, fn: IndexedFunction) -> tuple:
     """A function's deny-list hit, and the body-bearing functions its body
     names: every overload, in order of first mention. Reads the scrubbed
     file, where a signature and a body start and end outside any comment or
@@ -484,38 +474,34 @@ def _scan(index: SourceIndex, fn: IndexedFunction, config: FilterConfig) -> tupl
     words = dict.fromkeys(_IDENT_RE.findall(body))
     idents = _unreserved(words)
     calls = tuple(callee for name in idents for callee in index.overloads.get(name, ()))
-    hit = _match_deny_list(index.scrubbed[fn.kw_offset : fn.body_start], body, words, idents, config)
+    hit = _match_deny_list(index.scrubbed[fn.kw_offset : fn.body_start], body, words, idents)
     return hit, calls
 
 
-def filter_state_dependent(
-    record: FunctionRecord,
-    index: SourceIndex,
-    config: FilterConfig = DEFAULT_FILTER_CONFIG,
-) -> FilterDecision:
+def filter_state_dependent(record: FunctionRecord, index: SourceIndex) -> FilterDecision:
     """Decide whether a record is safe to keep as a completion task.
 
     Checks the function itself, then, breadth first, every same-file
     function it transitively calls against the deny-list; a call reaches
     every overload of the name it uses. Each function is scanned at most
-    once per file and config, whichever record reaches it, and a walk that
-    keeps its record marks every function it visited clean, so later walks
-    stop there: a clean function's whole reach holds no hit, and no function
-    with a hit in reach is found through one. Matches report a reason so
+    once per file, whichever record reaches it, and a walk that keeps its
+    record marks every function it visited clean, so later walks stop there:
+    a clean function's whole reach holds no hit, and no function with a hit
+    in reach is found through one. Matches report a reason so
     exclusion counts can be bucketed. A record that is not a function of
     `index` raises ValueError.
     """
     own = index.find(record.name, *record.span)
     if own is None:
         raise ValueError(f"{record.task_id()}: no function {record.name!r} of {index.path} has this span")
-    scans = index.scans.setdefault(config, {})
+    scans = index.scans
     visited = {own.body_start}
     queue = deque([own])
     while queue:
         fn = queue.popleft()
         scan = scans.get(fn.body_start)
         if scan is None:
-            scan = scans[fn.body_start] = _scan(index, fn, config)
+            scan = scans[fn.body_start] = _scan(index, fn)
         hit, calls = scan
         if hit:
             return FilterDecision(False, hit[0], hit[1] if fn is own else f"via {fn.name}: {hit[1]}")
@@ -576,10 +562,7 @@ def dedup_exact(
     return kept, report
 
 
-def build_corpus(
-    sources: Iterable[SourceIndex],
-    config: FilterConfig = DEFAULT_FILTER_CONFIG,
-) -> tuple[list[FunctionRecord], FilterReport]:
+def build_corpus(sources: Iterable[SourceIndex]) -> tuple[list[FunctionRecord], FilterReport]:
     """Extract, filter, and dedup across sources; return records plus counts."""
     report = FilterReport()
     pool: list[FunctionRecord] = []
@@ -589,7 +572,7 @@ def build_corpus(
         report.total_extracted += declared
         report.excluded_no_comment += declared - len(records)
         for record in records:
-            decision = filter_state_dependent(record, index, config)
+            decision = filter_state_dependent(record, index)
             if decision.keep:
                 pool.append(record)
             elif decision.reason == "mint":

@@ -104,12 +104,7 @@ class ExecutionVerdict(Record):
             raise ValueError("compile_error verdicts need at least one diagnostic")
 
 
-def classify_error(
-    message: str,
-    patterns: Sequence[tuple[str, str]] = DEFAULT_ERROR_PATTERNS,
-    line: int | None = None,
-    identifier: str | None = None,
-) -> Diagnostic:
+def classify_error(message: str, line: int | None = None, identifier: str | None = None) -> Diagnostic:
     """Classify a compiler message; unmatched messages map to Other.
 
     Only the message's first line is read: a compiler's later lines quote
@@ -117,7 +112,7 @@ def classify_error(
     """
     first = message.split("\n", 1)[0]
     kind = "Other"
-    for candidate, pattern in patterns:
+    for candidate, pattern in DEFAULT_ERROR_PATTERNS:
         if re.search(pattern, first):
             kind = candidate
             break
@@ -504,20 +499,25 @@ def _unresolved(body: str, own: Iterable[str]) -> Iterator[re.Match]:
     neither own nor a local in scope declares, in order; the name is group 2.
 
     A declaration may follow a '{', '}', ';', '(' or ',': it starts a
-    statement, a `for` header or a tuple's component (`(T a, , T b) = ...`).
-    Its names enter scope after its statement and leave at the end of their
-    block, a `for` header's at the end of its loop. The type names of a
-    declaration are uses; members, named-argument keys, keywords and
-    elementary types are not.
+    statement, a `for` header, a tuple's component (`(T a, , T b) = ...`) or
+    a `try`/`catch` clause's parameter. Its names enter scope after its
+    statement and leave at the end of their block, a `for` header's at the
+    end of its loop; a clause's parameters are in scope in the block that
+    follows the clause. The type names of a declaration are uses; members,
+    named-argument keys, keywords, elementary types and the `Error` or
+    `Panic` of a `catch` are not.
     """
     if all(map(_SIZED_TYPE_RE.match, set(re.findall(_NAME, body)).difference(own, SOLIDITY_KEYWORDS))):
         return  # every word is own, a keyword or an elementary type
     scopes: list[tuple[set[str], int | None]] = [(set(own), None)]  # names, and a loop's paren depth
-    declared: dict[int, str] = {}  # the names the statement being walked declares
+    declared: dict[int, str] = {}  # the names the statement or clause being walked declares
+    # Whether the statement being walked has reached a `returns` or `catch`:
+    # the block that follows a clause's closing ')' takes its parameters.
+    clause = False
     depth, last, start, ended = 0, "", False, False
     for m in _WALK_RE.finditer(body):
         name, token = m[2], m[0]
-        if ended and name != "else":  # the loops whose body the last statement ended
+        if ended and name not in ("else", "catch"):  # the loops whose body the last statement ended
             while scopes[-1][1] == depth:
                 scopes.pop()
         if name is not None:
@@ -527,16 +527,21 @@ def _unresolved(body: str, own: Iterable[str]) -> Iterator[re.Match]:
             if not (
                 m[1] or name in SOLIDITY_KEYWORDS or any(name in names for names, _ in scopes)
                 or m.start(2) in declared or m[3] and last in ("{", ",") or _SIZED_TYPE_RE.match(name)
+                or last == "catch" and name in ("Error", "Panic")
             ):
                 yield m
+            clause = clause or name in ("returns", "catch")
             token = name
+        elif token == "{" and clause and last == ")":
+            scopes.append((set(declared.values()), None))
+            declared, clause = {}, False
         elif token == "{" or token == "(" and last == "for":
             scopes.append((set(), None if token == "{" else depth))
         elif token == "}" and len(scopes) > 1:
             scopes.pop()
         elif token == ";":
             scopes[-1][0].update(declared.values())
-            declared = {}
+            declared, clause = {}, False
         depth += (token == "(") - (token == ")")
         start, ended, last = token in ("{", "}", ";", "(", ","), token in (";", "}"), token
 
@@ -756,7 +761,7 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
-    version = "mock-diff@6"
+    version = "mock-diff@7"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -902,15 +907,9 @@ class SolcCompileBackend:
 
     name = "solc"
 
-    def __init__(
-        self,
-        solc_path: str = "solc",
-        timeout: float = DEFAULT_TIMEOUT,
-        patterns: Sequence[tuple[str, str]] = DEFAULT_ERROR_PATTERNS,
-    ) -> None:
+    def __init__(self, solc_path: str = "solc", timeout: float = DEFAULT_TIMEOUT) -> None:
         self.solc_path = solc_path
         self.timeout = timeout
-        self.patterns = patterns
         self._version: str | None = None
 
     @property
@@ -971,7 +970,7 @@ class SolcCompileBackend:
             # An undeclared identifier is the text the error spans, not a
             # name its message quotes ("Did you mean ...?").
             line, spanned = _spanned(error, encoded)
-            diagnostic = classify_error(message, self.patterns, line=line)
+            diagnostic = classify_error(message, line=line)
             if spanned and diagnostic.kind == "UndeclaredIdentifier":
                 diagnostic = replace(diagnostic, identifier=spanned)
             diagnostics.append(diagnostic)
@@ -1031,12 +1030,11 @@ class SubprocessFuzzBackend:
     failure and maps to executor_unavailable.
     """
 
-    def __init__(
-        self, command: Sequence[str], timeout: float = DEFAULT_TIMEOUT, name: str = "fuzz"
-    ) -> None:
+    name = "fuzz"
+
+    def __init__(self, command: Sequence[str], timeout: float = DEFAULT_TIMEOUT) -> None:
         self.command = list(command)
         self.timeout = timeout
-        self.name = name
         self.version = " ".join(self.command)
 
     def verify(

@@ -25,8 +25,6 @@ from typing import Callable, Sequence
 from . import __version__
 from .context import ContextWindow, build_context, check_span, get_counter
 from .corpus import (
-    DEFAULT_FILTER_CONFIG,
-    FilterConfig,
     FilterReport,
     FunctionRecord,
     SourceIndex,
@@ -148,7 +146,6 @@ class RunConfig(Record):
     model: str = "scripted"
     api_key_env: str = "MODEL_API_KEY"
     rate_limit_per_minute: int = 0
-    k_values: list[int] = field(default_factory=lambda: [1])
     prompt_usd_per_million: float = GPT_4O_MINI_PRICES.prompt_usd_per_million
     completion_usd_per_million: float = GPT_4O_MINI_PRICES.completion_usd_per_million
 
@@ -297,12 +294,7 @@ def _no_window(index: SourceIndex, record: FunctionRecord) -> ContextWindow:
     return ContextWindow("", 0, 0)
 
 
-def cmd_build(
-    source_dir: str | Path,
-    tasks_out: str | Path,
-    stats_out: str | Path | None = None,
-    filter_config: FilterConfig = DEFAULT_FILTER_CONFIG,
-) -> FilterReport:
+def cmd_build(source_dir: str | Path, tasks_out: str | Path, stats_out: str | Path | None = None) -> FilterReport:
     """Build a task file from a directory tree of .sol sources.
 
     Source paths are recorded relative to source_dir, so a later run can
@@ -313,7 +305,7 @@ def cmd_build(
         raise ConfigError(f"source directory not found: {source_dir}")
     paths = sorted(source_dir.rglob("*.sol"))
     sources = [SourceIndex.from_text(str(p.relative_to(source_dir)), _read_text(p, "source")) for p in paths]
-    records, report = build_corpus(sources, filter_config)
+    records, report = build_corpus(sources)
     write_task_file(records, tasks_out)
     if stats_out is not None:
         write_json(stats_out, report.to_json())

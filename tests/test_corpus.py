@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from solrepair import corpus
 from solrepair.corpus import (
-    DEFAULT_FILTER_CONFIG,
     SOLIDITY_KEYWORDS,
-    FilterConfig,
     FunctionRecord,
     MalformedSourceError,
     SourceIndex,
@@ -226,7 +224,7 @@ OWNER_SOUP = st.sampled_from(
 @example(text="a.owner == msg.senderowner == msg.sender")
 @example(text="éowner == msg.sender")
 def test_property_owner_check_equals_the_unanchored_pattern(text):
-    found, reference = DEFAULT_FILTER_CONFIG.owner_check.search(text), UNANCHORED_OWNER_CHECK_RE.search(text)
+    found, reference = corpus.OWNER_CHECK_RE.search(text), UNANCHORED_OWNER_CHECK_RE.search(text)
     assert (found and (found.span(), found.group(0))) == (reference and (reference.span(), reference.group(0)))
 
 
@@ -511,12 +509,6 @@ class TestFilter:
         rec, file = self.wrap("    /// d\n    function f() public { g(); }\n", extra)
         assert filter_state_dependent(rec, file).keep
 
-    def test_config_override(self):
-        config = FilterConfig(mint_identifiers=("forge",))
-        rec, file = self.wrap("    /// d\n    function f() public { forge(1); }\n")
-        assert not filter_state_dependent(rec, file, config).keep
-        assert filter_state_dependent(rec, file).keep
-
     def test_call_reaches_every_overload(self):
         extra = (
             "    function pay(address to) internal { _mint(to, 1); }\n"
@@ -579,28 +571,28 @@ class TestFilter:
         assert len(steps) == (k + 1) + 2 * (n - 1)
 
 
-def reference_match(signature: str, body: str, config: FilterConfig) -> tuple[str, str] | None:
+def reference_match(signature: str, body: str) -> tuple[str, str] | None:
     """The deny-list match over scrubbed texts, one word list per check."""
     idents = set(reference_identifiers(body))
-    for mint in config.mint_identifiers:
+    for mint in corpus.MINT_IDENTIFIERS:
         if mint in idents:
             return "mint", mint
-    for modifier in config.owner_modifiers:
+    for modifier in corpus.OWNER_MODIFIERS:
         if modifier in _IDENT_RE.findall(signature):
             return "owner-modifier", modifier
-    m = re.search(config.owner_check_pattern, body)
+    m = corpus.OWNER_CHECK_RE.search(body)
     if m:
         return "owner-check", m.group(0)
-    for deny in config.deny_identifiers:
+    for deny in corpus.DENY_IDENTIFIERS:
         if deny in _IDENT_RE.findall(body):
             return "constructor", deny
     return None
 
 
-def reference_name_walk(record: FunctionRecord, file: SourceIndex, config: FilterConfig) -> tuple:
+def reference_name_walk(record: FunctionRecord, file: SourceIndex) -> tuple:
     """The walk by name, the last declaration of a name winning, each
     reached function scanned afresh for each record."""
-    hit = reference_match(scrub(record.signature), scrub(record.body), config)
+    hit = reference_match(scrub(record.signature), scrub(record.body))
     if hit:
         return False, hit[0], hit[1]
     functions = {fn.name: fn for fn in file.functions if fn.has_body}
@@ -613,14 +605,14 @@ def reference_name_walk(record: FunctionRecord, file: SourceIndex, config: Filte
         visited.add(name)
         fn = functions[name]
         body = scrub(file.text[fn.body_start : fn.body_end + 1])
-        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body, config)
+        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body)
         if hit:
             return False, hit[0], f"via {name}: {hit[1]}"
         frontier.extend(i for i in reference_identifiers(body) if i in functions and i not in visited)
     return True, None, None
 
 
-def reference_overload_walk(record: FunctionRecord, file: SourceIndex, config: FilterConfig) -> tuple:
+def reference_overload_walk(record: FunctionRecord, file: SourceIndex) -> tuple:
     """The walk by location: a named call reaches every body-bearing
     function of that name, each scanned afresh."""
     bodies = [fn for fn in file.functions if fn.has_body]
@@ -629,7 +621,7 @@ def reference_overload_walk(record: FunctionRecord, file: SourceIndex, config: F
     while frontier:
         fn = frontier.pop(0)
         body = scrub(file.text[fn.body_start : fn.body_end + 1])
-        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body, config)
+        hit = reference_match(scrub(file.text[fn.kw_offset : fn.body_start]), body)
         if hit:
             return False, hit[0], hit[1] if fn is own else f"via {fn.name}: {hit[1]}"
         for callee in (g for name in reference_identifiers(body) for g in bodies if g.name == name):
@@ -670,11 +662,17 @@ def call_graph_sources(draw, overloads: bool) -> str:
 
 
 def assert_filter_matches(text: str, reference) -> None:
-    file = SourceIndex.from_text("g.sol", text)
-    for config in (DEFAULT_FILTER_CONFIG, FilterConfig(mint_identifiers=("fn1", "g"))):
-        for record in extract_functions(file):
-            decision = filter_state_dependent(record, file, config)
-            assert (decision.keep, decision.reason, decision.detail) == reference(record, file, config), record.task_id()
+    """The filter decides as the reference, under the deny-list and under
+    one whose mint identifiers are the function names `fn1` and `g`, so
+    that calls to them are rejected; each over a fresh index, since an
+    index keeps the scans of one deny-list."""
+    for mints in (corpus.MINT_IDENTIFIERS, ("fn1", "g")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "MINT_IDENTIFIERS", mints)
+            file = SourceIndex.from_text("g.sol", text)
+            for record in extract_functions(file):
+                decision = filter_state_dependent(record, file)
+                assert (decision.keep, decision.reason, decision.detail) == reference(record, file), record.task_id()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1031,7 +1031,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@6"
+        assert v.backend_version == "mock-diff@7"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1908,6 +1908,9 @@ LOCAL_TYPES = (
     ("uint256", "", "{}"), ("S", " memory", "S({}, {})"), ("S", " memory", "S({{x: {}, y: {}}})"), ("E", "", "E.One"),
     ("uint256", "[] memory", "new uint256[]({})"), ("IT", "", "tok"), ("Missing", " memory", "Missing({})"),
 )
+# The clauses of a `try` after its first, each with the parameter `{}`,
+# which is in scope in the clause's block only.
+CATCH_CLAUSES = ("catch Error(string memory {}) {{", "catch Panic(uint256 {}) {{", "catch (bytes memory {}) {{")
 
 
 class ScopedBody:
@@ -1948,7 +1951,7 @@ class ScopedBody:
         return f"{type_name}{rest} {name} = {init.format(*uses)}"
 
     def block(self, depth: int) -> None:
-        kinds = ["declare", "use", "shadow", "tuple"] + (["block", "for"] if depth < 3 else [])
+        kinds = ["declare", "use", "shadow", "tuple"] + (["block", "for", "try"] if depth < 3 else [])
         for _ in range(self.data.draw(st.integers(0, 3))):
             kind = self.data.draw(st.sampled_from(kinds))
             if kind in ("declare", "shadow"):
@@ -1962,6 +1965,15 @@ class ScopedBody:
                 self.scopes[-1] |= {first, second}
             elif kind == "use":
                 self.lines.append(f"r += {self.use()} * {self.use()};")
+            elif kind == "try":
+                catches = self.data.draw(st.lists(st.sampled_from(CATCH_CLAUSES), min_size=1, max_size=3, unique=True))
+                for i, clause in enumerate(["try tok.get() returns (uint256 {}) {{", *catches]):
+                    param = self.fresh()
+                    self.lines.append(("} " if i else "") + clause.format(param))
+                    self.scopes.append({param})
+                    self.block(depth + 1)
+                    self.scopes.pop()
+                self.lines.append("}")
             else:
                 loop = self.fresh() if kind == "for" else None
                 self.scopes.append({loop} if loop else set())
@@ -1978,11 +1990,11 @@ class ScopedBody:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_property_a_use_is_undeclared_iff_out_of_scope(data):
-    """Over bodies that nest blocks and `for` loops, shadow names and
-    declare struct-, enum-, array- and contract-typed locals in a contract
-    with an in-file base: the first use of a name the body leaves out of
-    scope is the one UndeclaredIdentifier, at its line; with none, no
-    name is undeclared."""
+    """Over bodies that nest blocks, `for` loops and `try`/`catch` clauses,
+    shadow names and declare struct-, enum-, array- and contract-typed
+    locals in a contract with an in-file base: the first use of a name the
+    body leaves out of scope is the one UndeclaredIdentifier, at its line;
+    with none, no name is undeclared."""
     body = ScopedBody(data)
     body.block(0)
     text = "{\n" + "\n".join(body.lines) + "\n}"

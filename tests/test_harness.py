@@ -1292,14 +1292,18 @@ class TestCli:
         assert record.getMessage() == f"task {failed} failed: RuntimeError: injected fault"
         assert record.exc_info is not None
 
-    def test_config_file_with_unknown_key_exits_config(self, e2e_config_factory, tmp_path, capsys):
-        payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {"budget": 64}
+    # `budget` is a flag's name, not its field's; `report` reads k from --k,
+    # so no run setting holds it.
+    @pytest.mark.parametrize("key,value", [("budget", 64), ("k_values", [1, 5])])
+    def test_config_file_with_unknown_key_exits_config(self, e2e_config_factory, tmp_path, capsys, key, value):
+        payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {key: value}
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "unexpected keyword argument 'budget'" in err
+        assert err.startswith("error: ") and f"unexpected keyword argument '{key}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_dense_endpoint_runs_without_requests(self, e2e_dir, baseline_run, tmp_path):
         _, _, _, reference = baseline_run

@@ -165,8 +165,7 @@ STRATEGIES = {
         mock_executor=st.none() | text, solc_path=text, fuzz_command=st.lists(text, max_size=3),
         executor_timeout=floats, mock_client=st.none() | text, endpoint=st.none() | text,
         model=text, api_key_env=text, rate_limit_per_minute=ints,
-        k_values=st.lists(ints, max_size=3), prompt_usd_per_million=floats,
-        completion_usd_per_million=floats,
+        prompt_usd_per_million=floats, completion_usd_per_million=floats,
     ),
     RetrievalConfig: st.builds(
         RetrievalConfig,
@@ -261,8 +260,9 @@ def test_nested_wrong_type_names_its_path(edit, complaint):
 
 def test_float_fields_take_ints_and_containers_check_their_elements():
     assert RetrievedSnippet.from_json({"line_index": 0, "text": "t", "score": 1}).score == 1
-    with pytest.raises(TypeError, match=r"expected int, got float at key 'k_values\[1\]'"):
-        RunConfig.from_json({"task_file": "t", "out_dir": "o", "k_values": [1, 2.0]})
+    task = {"id": "t#L1-2", "source_path": "t", "comment": "//", "signature": "function f()", "body": "{}"}
+    with pytest.raises(TypeError, match=r"expected int, got float at key 'span\[1\]'"):
+        FunctionRecord.from_json({**task, "span": [1, 2.0]})
     with pytest.raises(TypeError, match=r"expected float, got str at key 'cost_usd.repair'"):
         CostBreakdown.from_json({"prompt_tokens": {}, "completion_tokens": {}, "cost_usd": {"repair": "1"}, "total_usd": 0})
 
