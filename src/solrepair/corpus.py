@@ -27,7 +27,10 @@ _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-_FUNCTION_NAME_RE = re.compile(r"function\s+([A-Za-z_$][A-Za-z0-9_$]*)")
+# The name after the `function` keyword, past the whitespace and comments
+# between them, as _FUNCTION_DECL_RE reads it in scrubbed text. Each comment
+# form ends at its first terminator, so no retry finds a name inside one.
+_FUNCTION_NAME_RE = re.compile(r"function\b(?:\s|//[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*([A-Za-z_$][A-Za-z0-9_$]*)")
 
 # Reserved words and built-in globals that never count as user identifiers.
 SOLIDITY_KEYWORDS = frozenset(
@@ -45,6 +48,8 @@ SOLIDITY_KEYWORDS = frozenset(
     """.split()
 )
 _SIZED_TYPE_RE = re.compile(r"^(?:u?int\d*|bytes\d*|u?fixed\d*x?\d*)$")
+# The letters a word that _SIZED_TYPE_RE matches can start with.
+_SIZED_TYPE_FIRST = "uibf"
 
 
 class MalformedSourceError(ValueError):
@@ -76,7 +81,10 @@ def _identifiers(scrubbed: str) -> list[str]:
 
 
 def _unreserved(words: Iterable[str]) -> list[str]:
-    return [w for w in words if w not in SOLIDITY_KEYWORDS and not _SIZED_TYPE_RE.match(w)]
+    return [
+        w for w in words
+        if w not in SOLIDITY_KEYWORDS and not (w[0] in _SIZED_TYPE_FIRST and _SIZED_TYPE_RE.match(w))
+    ]
 
 
 # Comments and string literals. Each runs to its terminator or, when
@@ -192,9 +200,10 @@ class SourceIndex:
         self.error = None if unmatched == -1 else self._unmatched(self.scrubbed[unmatched], unmatched)
         self._functions = () if self.error else self._scan_functions(closing)
         self._by_end_line: dict[int, list[IndexedFunction]] = {}
+        starts = self.line_starts
         for fn in self._functions:
             if fn.has_body:
-                self._by_end_line.setdefault(self.line_of(fn.body_end), []).append(fn)
+                self._by_end_line.setdefault(bisect_right(starts, fn.body_end), []).append(fn)
         # The build filter's _scan of each function, by body_start; _CLEAN
         # for a function whose whole reach a walk found clean.
         self.scans: dict[int, tuple] = {}
@@ -399,7 +408,7 @@ def extract_functions(index: SourceIndex) -> list[FunctionRecord]:
     for fn in index.functions:
         if not fn.has_body or fn.depth:
             continue
-        sig_line = index.line_of(fn.kw_offset)
+        sig_line = bisect_right(starts, fn.kw_offset)
         top = _comment_block_top(index, sig_line)
         if top == sig_line:
             continue
@@ -409,7 +418,7 @@ def extract_functions(index: SourceIndex) -> list[FunctionRecord]:
                 comment=text[starts[top - 1] : starts[sig_line - 1]],
                 signature=text[fn.kw_offset : fn.body_start],
                 body=text[fn.body_start : fn.body_end + 1],
-                span=(top, index.line_of(fn.body_end)),
+                span=(top, bisect_right(starts, fn.body_end)),
             )
         )
     return records
@@ -429,6 +438,8 @@ OWNER_CHECK_RE = re.compile(
     r"msg\s*\.\s*sender\s*[=!]=\s*\w*[Oo]wner\w*"
     r"|\b\w*[Oo]wner\w*\s*[=!]=\s*msg\s*\.\s*sender"
 )
+# A word every OWNER_CHECK_RE match holds: a body without it is not searched.
+OWNER_CHECK_LITERAL = "sender"
 DENY_IDENTIFIERS = ("constructor",)
 
 
@@ -437,6 +448,10 @@ class FilterDecision:
     keep: bool
     reason: str | None = None
     detail: str | None = None
+
+
+# The one decision of every kept record.
+_KEEP = FilterDecision(keep=True)
 
 
 def _match_deny_list(signature: str, body: str, words: dict[str, None], idents: list[str]) -> tuple[str, str] | None:
@@ -452,9 +467,10 @@ def _match_deny_list(signature: str, body: str, words: dict[str, None], idents: 
         # The substring test spares most signatures their word list.
         if modifier in signature and modifier in _IDENT_RE.findall(signature):
             return "owner-modifier", modifier
-    m = OWNER_CHECK_RE.search(body)
-    if m:
-        return "owner-check", m.group(0)
+    if OWNER_CHECK_LITERAL in body:
+        m = OWNER_CHECK_RE.search(body)
+        if m:
+            return "owner-check", m.group(0)
     for deny in DENY_IDENTIFIERS:
         if deny in words:
             return "constructor", deny
@@ -510,7 +526,7 @@ def filter_state_dependent(record: FunctionRecord, index: SourceIndex) -> Filter
                 visited.add(callee.body_start)
                 queue.append(callee)
     scans.update(dict.fromkeys(visited, _CLEAN))
-    return FilterDecision(keep=True)
+    return _KEEP
 
 
 @dataclass

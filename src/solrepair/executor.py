@@ -614,9 +614,12 @@ class _Body(NamedTuple):
 
 def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
     text, scrubbed = index.text, index.scrubbed
-    params = tuple(_param_names(text[fn.kw_offset : fn.body_start]))
-    returns = re.search(r"\breturns\b", scrubbed[fn.kw_offset : fn.body_start])
-    named = _param_names(text[fn.kw_offset + returns.end() : fn.body_start]) if returns else ()
+    # Read in the scrubbed header, so a comment in a parameter list adds no
+    # name and its parentheses end no list.
+    header = scrubbed[fn.kw_offset : fn.body_start]
+    params = tuple(_param_names(header))
+    returns = re.search(r"\breturns\b", header)
+    named = _param_names(header[returns.end() :]) if returns else ()
     return _Body(
         fn.name,
         text[fn.body_start : fn.body_end + 1],
@@ -761,7 +764,7 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
-    version = "mock-diff@7"
+    version = "mock-diff@8"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}

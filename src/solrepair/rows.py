@@ -315,8 +315,9 @@ def from_json_at(key: str, cls: type[R], payload: dict) -> R:
 
 
 # json.dumps builds an encoder per call when given non-default arguments;
-# an encoder keeps no state between calls, so one serves every thread.
-_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# an encoder keeps no state between calls, so one serves every thread. A
+# row is a fresh tree from `to_json`, which holds no cycle to check for.
+_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def dump_row(row: dict) -> str:

@@ -56,3 +56,18 @@ contract Wrapped is Ownable {
         return a * 2;
     }
 }
+
+contract Ledger {
+    /// Adds a to b, both in wei.
+    function addWei(uint256 a /* (wei) */, uint256 b) public pure returns (uint256) {
+        return a + b;
+    }
+
+    /// The larger of a and b.
+    function larger(
+        uint256 a, // first, larger
+        uint256 b
+    ) public pure returns (uint256) {
+        return a > b ? a : b;
+    }
+}

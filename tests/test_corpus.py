@@ -223,9 +223,36 @@ OWNER_SOUP = st.sampled_from(
 @given(text=st.lists(OWNER_SOUP, max_size=16).map("".join))
 @example(text="a.owner == msg.senderowner == msg.sender")
 @example(text="éowner == msg.sender")
+@example(text="msg.sender != newOwner")
 def test_property_owner_check_equals_the_unanchored_pattern(text):
     found, reference = corpus.OWNER_CHECK_RE.search(text), UNANCHORED_OWNER_CHECK_RE.search(text)
     assert (found and (found.span(), found.group(0))) == (reference and (reference.span(), reference.group(0)))
+    # The filter searches only a body holding the literal: every match must.
+    assert all(corpus.OWNER_CHECK_LITERAL in m.group(0) for m in corpus.OWNER_CHECK_RE.finditer(text))
+
+
+# Words near the sized types: any identifier letter first, then pieces of
+# their spellings.
+NEAR_SIZED_TYPES = st.builds(
+    "".join,
+    st.lists(
+        st.sampled_from(["u", "int", "nt", "bytes", "ytes", "fixed", "ixed", "x", "8", "18", "256", "_", "$"]),
+        max_size=5,
+    ),
+).flatmap(lambda tail: st.sampled_from("abfgiuxyzAIUB_$").map(lambda first: first + tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.one_of(NEAR_SIZED_TYPES, st.from_regex(_IDENT_RE, fullmatch=True)))
+@example(word="uint256")
+@example(word="int")
+@example(word="bytes32")
+@example(word="fixed128x18")
+@example(word="xint256")
+def test_property_sized_types_start_with_one_of_their_first_letters(word):
+    """_unreserved tests _SIZED_TYPE_RE only on words that start with one
+    of _SIZED_TYPE_FIRST: it matches no other word."""
+    assert not _SIZED_TYPE_RE.match(word) or word[0] in corpus._SIZED_TYPE_FIRST
 
 
 def reference_scan_functions(index: SourceIndex, closing: dict[int, int]) -> tuple:
@@ -342,6 +369,23 @@ class TestExtraction:
         assert rec.span == (4, 7)
         assert rec.name == "add"
         assert rec.task_id() == "adder.sol#L4-7"
+
+    @pytest.mark.parametrize(
+        "header,name",
+        [
+            ("function /* hi */ twice(uint256 a) public pure returns (uint256) ", "twice"),
+            ("function // note\n        half(uint256 a) public pure returns (uint256) ", "half"),
+            ("function/* x */g() public ", "g"),
+            ("function /* function f( */ // function h(\n    k() public ", "k"),
+        ],
+    )
+    def test_comment_between_keyword_and_name(self, header, name):
+        """The record's name is the one the index reads in scrubbed text,
+        and the filter finds its function by it."""
+        file = SourceIndex.from_text("c.sol", f"contract C {{\n    /// Doc.\n    {header}{{\n        return 1;\n    }}\n}}\n")
+        (record,) = extract_functions(file)
+        assert record.name == name == file.functions[0].name
+        assert filter_state_dependent(record, file).keep
 
     def test_count_includes_uncommented(self):
         file = SourceIndex.from_text("adder.sol", SIMPLE)

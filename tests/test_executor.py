@@ -1031,7 +1031,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@7"
+        assert v.backend_version == "mock-diff@8"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):

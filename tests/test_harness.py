@@ -59,7 +59,7 @@ from solrepair.harness import (
     read_sessions,
 )
 from solrepair.metrics import TaskOutcome, build_report, format_report_table
-from solrepair.repair import STRATEGY_KINDS
+from solrepair.repair import STRATEGY_KINDS, build_completion_prompt, prompt_hash
 from solrepair.retrieval import (
     METHODS,
     HashEmbeddingProvider,
@@ -363,6 +363,28 @@ class TestCmdBuild:
         results, code = cmd_verify(completions, config)
         assert code == EXIT_OK
         assert all(r["verdict"]["status"] == STATUS_PASS for r in results)
+
+    def test_commented_declarations_build_and_run(self, tmp_path, capsys):
+        """Comments between `function` and the name, and inside parameter
+        lists: build keeps the four functions the deny-list leaves, and a
+        run locates each and passes it when the model replies its own body."""
+        sources = ROOT / "tests" / "fixtures" / "commented" / "sources"
+        tasks_path = tmp_path / "tasks.jsonl"
+        code = main(["build", "--sources", str(sources), "--tasks", str(tasks_path)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["retained"] == 4
+        config = RunConfig(task_file=str(tasks_path), out_dir=str(tmp_path / "out"), source_root=str(sources))
+        tasks = load_tasks(config)
+        assert [t.target.name for t in tasks] == ["twice", "half", "add", "larger"]
+        client = tmp_path / "client.json"
+        client.write_text(
+            json.dumps({"completions": {prompt_hash(build_completion_prompt(t)): t.record.body for t in tasks}}),
+            encoding="utf-8",
+        )
+        _, code = cmd_run(dataclasses.replace(config, mock_client=str(client)))
+        assert code == EXIT_OK
+        outcomes = read_outcomes(tmp_path / "out" / "outcomes.jsonl")
+        assert [(o.task_id, o.c) for o in outcomes] == [(t.task_id, 1) for t in tasks]
 
 
 class TestCmdRun:
