@@ -46,7 +46,7 @@ _RUN_FLAGS = (
     ("--max-rounds", "max_rounds", "repair rounds (0 = no repair)"),
     ("--max-tokens", "max_tokens", "max completion tokens"),
     ("--samples", "n_samples", "samples per task"),
-    ("--workers", "workers", "worker threads"),
+    ("--workers", "workers", "worker threads, started only when the client, executor or embeddings wait"),
     ("--seed", "seed", "seed for mock executors"),
     (
         "--retrieval",

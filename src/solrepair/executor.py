@@ -764,6 +764,7 @@ class ScriptedDifferentialBackend:
     """
 
     name = "mock-diff"
+    waits = False
     version = "mock-diff@8"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
@@ -909,6 +910,7 @@ class SolcCompileBackend:
     """
 
     name = "solc"
+    waits = True
 
     def __init__(self, solc_path: str = "solc", timeout: float = DEFAULT_TIMEOUT) -> None:
         self.solc_path = solc_path
@@ -1034,6 +1036,7 @@ class SubprocessFuzzBackend:
     """
 
     name = "fuzz"
+    waits = True
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_TIMEOUT) -> None:
         self.command = list(command)

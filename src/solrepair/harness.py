@@ -5,9 +5,12 @@ attempt) and outcomes.jsonl (one committed row per task, written in task
 order). A task is committed when its outcome row and all its session rows
 are present; on resume, the first task that is not ends the committed
 prefix, every row after it is dropped and those tasks re-run, so a killed
-and resumed run produces byte-identical outcomes. One worker runs each
-task on the calling thread; N > 1 workers form a pool whose results are
-drained in submission order. Only the calling thread writes.
+and resumed run produces byte-identical outcomes. Tasks run on the
+calling thread, and no thread starts, unless the run has N > 1 workers and
+its model client, executor backend or embedding provider declares that
+its calls wait (`waits`, as an HTTP client or a compiler subprocess
+does): then N workers form a pool whose results are drained in
+submission order. Only the calling thread writes.
 """
 
 from __future__ import annotations
@@ -422,9 +425,12 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         out_fh = stack.enter_context(open(outcomes_path, "a", encoding="utf-8"))
         sess_fh = stack.enter_context(open(sessions_path, "a", encoding="utf-8"))
         # Results come in submission order, so files stay in task order
-        # whatever the worker count. One worker runs on this thread: a pool
-        # is there so that model and executor latency overlap across workers.
-        if config.workers == 1:
+        # whatever the worker count. A pool is there so that model, executor
+        # and embedding latency overlap across workers; with one worker, or
+        # when no part waits outside the process, tasks run on this thread.
+        # A part that does not declare `waits` is taken to wait.
+        waits = any(getattr(part, "waits", True) for part in (client, backend, provider) if part is not None)
+        if config.workers == 1 or not waits:
             results = map(worker, pending)
         else:
             pool = stack.enter_context(concurrent.futures.ThreadPoolExecutor(max_workers=config.workers))

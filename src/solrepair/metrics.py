@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -351,5 +352,8 @@ def format_report_table(report: dict) -> str:
         if idx == 0:
             lines.append("  ".join("-" * width for width in widths))
     lines.append("")
-    lines.append(f"total cost (USD): {report['cost']['total_usd']:.2f}")
+    # Up to 6 significant digits in fixed point: a run can cost well under
+    # a cent, and 0.00315 must not read 0.00.
+    total = Decimal(f"{report['cost']['total_usd']:.6g}")
+    lines.append(f"total cost (USD): {total:f}")
     return "\n".join(lines)

@@ -62,6 +62,9 @@ class ModelReply:
 @runtime_checkable
 class ModelClient(Protocol):
     name: str
+    # Whether a call can block on something outside the process (a network
+    # or a subprocess), so that a run gains from overlapping calls.
+    waits: bool
 
     def complete(self, prompt: str, max_tokens: int) -> ModelReply: ...
 
@@ -108,6 +111,7 @@ class ScriptedModelClient:
     """
 
     name = "scripted"
+    waits = False
 
     def __init__(self, fixture: dict, counter: TokenCounter = DEFAULT_COUNTER) -> None:
         declared = fixture.get("schema", MOCK_CLIENT_SCHEMA)
@@ -164,6 +168,8 @@ class HttpModelClient:
     ModelClientError; any other error response or a malformed reply raises
     it at once.
     """
+
+    waits = True
 
     def __init__(
         self,

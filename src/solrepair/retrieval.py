@@ -89,6 +89,8 @@ class RetrievedSnippet(Record):
 @runtime_checkable
 class EmbeddingProvider(Protocol):
     dimension: int
+    # Whether a call can block outside the process, as ModelClient.waits.
+    waits: bool
 
     def embed(self, text: str) -> list[float]: ...
 
@@ -383,6 +385,7 @@ class HashEmbeddingProvider:
     """
 
     dimension: int = 16
+    waits = False
 
     def embed(self, text: str) -> list[float]:
         vec = [0.0] * self.dimension
@@ -396,6 +399,8 @@ class HashEmbeddingProvider:
 
 class HttpEmbeddingProvider:
     """JSON-over-HTTP provider: POST {"texts": [...]} -> {"vectors": [[...], ...]}."""
+
+    waits = True
 
     def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0) -> None:
         self.endpoint = endpoint

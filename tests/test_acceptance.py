@@ -15,12 +15,16 @@ import math
 import random
 import re
 import socket
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from solrepair import harness
+from solrepair.context import get_counter
 from solrepair.corpus import (
     SourceIndex,
     build_corpus,
@@ -50,6 +54,7 @@ from solrepair.metrics import (
     pearson,
     usage_cost,
 )
+from solrepair.repair import ScriptedModelClient
 from solrepair.retrieval import (
     MIN_LCS_LENGTH,
     HashEmbeddingProvider,
@@ -109,6 +114,18 @@ def e2e_runs(e2e_dir: Path, tmp_path_factory) -> dict:
             rar_code=rar_code,
         )
     return _RUNS
+
+
+class WaitingScriptedClient(ScriptedModelClient):
+    """The scripted client, declared to wait as a networked client does,
+    so that a run with more than one worker drains a thread pool."""
+
+    waits = True
+
+
+def waiting_client(config: RunConfig, rate_limiter=None) -> WaitingScriptedClient:
+    fixture = json.loads(Path(config.mock_client).read_text(encoding="utf-8"))
+    return WaitingScriptedClient(fixture, counter=get_counter(config.counter))
 
 
 def subset_enumeration(n: int, c: int, k: int) -> float:
@@ -268,21 +285,34 @@ def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory):
             assert f"interface Registry{file_index}" in session.attempts[1].prompt
 
         # Outcomes are byte-identical and sessions equal but for the
-        # executor's wall-clock time, whatever the worker count.
+        # executor's wall-clock time, whatever the worker count. The client
+        # declares that it waits, so 2 and 8 workers drain a thread pool.
         reference = (runs["rar_out"] / "outcomes.jsonl").read_bytes()
         reference_sessions = untimed_sessions(runs["rar_out"])
+        real_run_task = harness.run_task
         for workers in (1, 2, 8):
             out = tmp_path_factory.mktemp(f"acc-rar-workers{workers}")
-            _, code = cmd_run(
-                e2e_config(
-                    e2e_dir,
-                    out,
-                    max_rounds=1,
-                    retrieval={"method": "lcs"},
-                    workers=workers,
+            threads = set()
+
+            def run_task(*args):
+                threads.add(threading.get_ident())
+                return real_run_task(*args)
+
+            with mock.patch.object(harness, "build_client", waiting_client), mock.patch.object(
+                harness, "run_task", run_task
+            ):
+                _, code = cmd_run(
+                    e2e_config(
+                        e2e_dir,
+                        out,
+                        max_rounds=1,
+                        retrieval={"method": "lcs"},
+                        workers=workers,
+                    )
                 )
-            )
             assert code == EXIT_OK
+            calling = threading.get_ident()
+            assert threads == {calling} if workers == 1 else calling not in threads
             assert (out / "outcomes.jsonl").read_bytes() == reference
             assert untimed_sessions(out) == reference_sessions
 

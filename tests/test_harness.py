@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from solrepair import executor, harness, repair, retrieval
 from solrepair.cli import build_parser, main
 from solrepair.context import get_counter
 from solrepair.corpus import SourceIndex
@@ -40,6 +41,9 @@ from solrepair.executor import (
     STATUS_EXECUTOR_UNAVAILABLE,
     STATUS_FUNCTIONAL_MISMATCH,
     STATUS_PASS,
+    ScriptedDifferentialBackend,
+    SolcCompileBackend,
+    SubprocessFuzzBackend,
 )
 from solrepair.harness import (
     EXECUTORS,
@@ -59,7 +63,13 @@ from solrepair.harness import (
     read_sessions,
 )
 from solrepair.metrics import TaskOutcome, build_report, format_report_table
-from solrepair.repair import STRATEGY_KINDS, build_completion_prompt, prompt_hash
+from solrepair.repair import (
+    STRATEGY_KINDS,
+    HttpModelClient,
+    ScriptedModelClient,
+    build_completion_prompt,
+    prompt_hash,
+)
 from solrepair.retrieval import (
     METHODS,
     HashEmbeddingProvider,
@@ -73,6 +83,30 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 RAR_OVERRIDES = dict(max_rounds=1, retrieval={"method": "lcs"})
+
+# Whether each shipped model client, executor backend and embedding provider
+# can wait outside the process, which is what a run's worker pool is for.
+WAITS = {
+    HttpModelClient: True,
+    SolcCompileBackend: True,
+    SubprocessFuzzBackend: True,
+    HttpEmbeddingProvider: True,
+    ScriptedModelClient: False,
+    ScriptedDifferentialBackend: False,
+    HashEmbeddingProvider: False,
+}
+
+
+class WaitingScriptedClient(ScriptedModelClient):
+    """The scripted client, declared to wait as a networked client does."""
+
+    waits = True
+
+
+def waiting_client(config: RunConfig, rate_limiter=None) -> WaitingScriptedClient:
+    """A build_client that replays config's client fixture through WaitingScriptedClient."""
+    fixture = json.loads(Path(config.mock_client).read_text(encoding="utf-8"))
+    return WaitingScriptedClient(fixture, counter=get_counter(config.counter))
 
 
 def outcome_bytes(out_dir: Path) -> bytes:
@@ -486,30 +520,74 @@ class TestCmdRun:
         assert outcome_bytes(out) == outcome_bytes(reference)
         assert normalized_sessions(out) == normalized_sessions(reference)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_worker_runs_on_the_calling_thread(self, e2e_config_factory, baseline_run, tmp_path, workers):
-        from solrepair import harness
-
+    @staticmethod
+    def threads_of_run(config, *patches) -> list[tuple[int, int]]:
+        """(thread id, live thread count) at the start of each task of a
+        run of config that must exit 0, with the given patches applied."""
         real = harness.run_task
-        calling, before = threading.get_ident(), threading.active_count()
         seen = []
 
         def run_task(*args):
             seen.append((threading.get_ident(), threading.active_count()))
             return real(*args)
 
-        out = tmp_path / "out"
-        with mock.patch.object(harness, "run_task", run_task):
-            _, code = cmd_run(e2e_config_factory(str(out), max_rounds=0, workers=workers))
+        with contextlib.ExitStack() as stack:
+            for patch in (mock.patch.object(harness, "run_task", run_task), *patches):
+                stack.enter_context(patch)
+            _, code = cmd_run(config)
         assert code == EXIT_OK and len(seen) == E2E_TASKS
-        assert outcome_bytes(out) == outcome_bytes(baseline_run[3])
-        if workers == 1:
-            # No thread was started for the run.
-            assert set(seen) == {(calling, before)}
-        else:
-            assert calling not in {ident for ident, _ in seen}
-            assert all(active > before for _, active in seen)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_offline_run_stays_on_the_calling_thread(self, e2e_config_factory, baseline_run, tmp_path, workers):
+        # Neither the scripted client nor the mock backend waits, so no
+        # worker count starts a thread.
+        calling, before = threading.get_ident(), threading.active_count()
+        out = tmp_path / "out"
+        seen = self.threads_of_run(e2e_config_factory(str(out), max_rounds=0, workers=workers))
+        assert set(seen) == {(calling, before)}
         assert threading.active_count() == before
+        assert outcome_bytes(out) == outcome_bytes(baseline_run[3])
+
+    @pytest.mark.parametrize("part", ["client", "backend", "provider", "undeclared"])
+    def test_a_waiting_part_runs_tasks_in_the_pool(self, e2e_config_factory, baseline_run, tmp_path, refused_url, part):
+        # Any one part that waits, or does not say, is enough for a pool.
+        patches = {
+            "client": mock.patch.object(harness, "build_client", waiting_client),
+            "backend": mock.patch.object(harness.ScriptedDifferentialBackend, "waits", True),
+            # max_rounds 0 never embeds, so the refused endpoint is not called.
+            "provider": mock.patch.object(harness, "build_provider", lambda config: HttpEmbeddingProvider(refused_url, 16)),
+            "undeclared": mock.patch.object(
+                harness, "build_client", lambda *args: SimpleNamespace(name="undeclared", complete=build_client(*args).complete)
+            ),
+        }
+        calling, before = threading.get_ident(), threading.active_count()
+        out = tmp_path / "out"
+        seen = self.threads_of_run(e2e_config_factory(str(out), max_rounds=0, workers=2), patches[part])
+        assert calling not in {ident for ident, _ in seen}
+        assert all(active > before for _, active in seen)
+        assert threading.active_count() == before
+        assert outcome_bytes(out) == outcome_bytes(baseline_run[3])
+        assert normalized_sessions(out) == normalized_sessions(baseline_run[3])
+
+    @pytest.mark.parametrize("cls,waits", WAITS.items(), ids=lambda value: getattr(value, "__name__", None))
+    def test_each_shipped_part_declares_whether_it_waits(self, cls, waits):
+        assert vars(cls)["waits"] is waits
+
+    def test_every_shipped_part_is_in_the_waits_table(self):
+        # A new client, backend or provider must join the table above.
+        shipped = {
+            cls.__name__
+            for module in (repair, executor, retrieval)
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and cls.__module__ == module.__name__
+            and not getattr(cls, "_is_protocol", False)
+            and any(hasattr(cls, method) for method in ("complete", "verify", "embed"))
+        }
+        assert shipped == {cls.__name__ for cls in WAITS}
+        assert "waits" in typing.get_type_hints(repair.ModelClient)
+        assert "waits" in typing.get_type_hints(retrieval.EmbeddingProvider)
 
     def test_rerun_of_complete_dir_is_noop(self, e2e_config_factory, tmp_path):
         config = e2e_config_factory(str(tmp_path / "out"), **RAR_OVERRIDES)
@@ -755,6 +833,12 @@ class TestCmdReport:
         payload = json.loads(first.read_text(encoding="utf-8"))
         assert payload["schema"] == "report@1"
         assert payload["by_context"]["2048"]["pass@1"] == 80.0
+
+    def test_table_shows_a_cost_below_a_cent(self, rar_run):
+        _, _, _, out = rar_run
+        report = cmd_report([out / "outcomes.jsonl"], [out / "sessions.jsonl"])
+        assert report["cost"]["total_usd"] == pytest.approx(0.00315)
+        assert format_report_table(report).endswith("total cost (USD): 0.00315")
 
 
 class TestCmdVerify:
@@ -1289,8 +1373,6 @@ class TestCli:
         assert capsys.readouterr().err == "error: bad config: expected int, got str at key 'workers'\n"
 
     def test_task_that_raises_leaves_run_partial(self, e2e_dir, tmp_path, capsys, caplog):
-        import solrepair.repair as repair
-
         real = repair.extract_code_block
         calls = []
 
@@ -1621,8 +1703,6 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
     def test_run_decodes_strategy_and_retrieval_once(self, e2e_dir, tmp_path):
-        import solrepair.harness as harness
-
         with mock.patch.object(harness, "from_json_at", wraps=harness.from_json_at) as decode, mock.patch.object(
             harness, "RepairStrategy", wraps=harness.RepairStrategy
         ) as strategy:

@@ -402,7 +402,16 @@ class TestReport:
         lines = table.splitlines()
         assert lines[0].split() == ["metric", "0", "2048", "overall"]
         assert lines[2].startswith("pass@1")
-        assert table.endswith("total cost (USD): 0.00")
+        assert table.endswith("total cost (USD): 0")
+
+    @pytest.mark.parametrize(
+        "total,printed",
+        [(0.00315, "0.00315"), (0.75, "0.75"), (1 / 3, "0.333333"), (1234567.891, "1234570"), (5e-05, "0.00005")],
+    )
+    def test_table_prints_cost_to_six_significant_digits(self, total, printed):
+        report = build_report(self.rows())
+        report["cost"]["total_usd"] = total
+        assert format_report_table(report).endswith(f"total cost (USD): {printed}")
 
     def test_table_deterministic(self):
         report = build_report(self.rows())
