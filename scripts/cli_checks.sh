@@ -13,15 +13,18 @@
 # inline checks (default `python`). Every file a check writes goes under
 # one temporary directory, removed on exit.
 set -eEuo pipefail
+check=setup
+trap 'echo "cli check failed: $check" >&2' ERR
 cd "$(dirname "$0")/.."
 
 SOLREPAIR=${SOLREPAIR:-solrepair}
 PYTHON=${PYTHON:-python}
-solrepair() { $SOLREPAIR "$@"; }
+# `command` runs SOLREPAIR's first word as a program, never as this
+# function, so the default `solrepair` reaches the console script.
+solrepair() { command $SOLREPAIR "$@"; }
 
 ROOT=$(mktemp -d)
 trap 'rm -rf "$ROOT"' EXIT
-trap 'echo "cli check failed: $check" >&2' ERR
 
 # The README quickstart, one report per run: the fixture's pass@1 must read
 # 40.00, then 80.00.

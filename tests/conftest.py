@@ -44,6 +44,25 @@ def e2e_config_factory(e2e_dir):
     return make
 
 
+@pytest.fixture(scope="session")
+def waiting_client():
+    """A `harness.build_client` stand-in: it replays the config's client
+    fixture through a ScriptedModelClient declared to wait, as a networked
+    client does, so that a run with more than one worker drains a thread
+    pool."""
+    from solrepair.context import get_counter
+    from solrepair.repair import ScriptedModelClient
+
+    class WaitingScriptedClient(ScriptedModelClient):
+        waits = True
+
+    def build(config, rate_limiter=None) -> WaitingScriptedClient:
+        fixture = json.loads(Path(config.mock_client).read_text(encoding="utf-8"))
+        return WaitingScriptedClient(fixture, counter=get_counter(config.counter))
+
+    return build
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted reply: (status, JSON value),
     "reset" (a reply cut off by a connection reset) or "garbled" (no valid

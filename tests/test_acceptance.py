@@ -24,7 +24,6 @@ from unittest import mock
 import pytest
 
 from solrepair import harness
-from solrepair.context import get_counter
 from solrepair.corpus import (
     SourceIndex,
     build_corpus,
@@ -54,7 +53,6 @@ from solrepair.metrics import (
     pearson,
     usage_cost,
 )
-from solrepair.repair import ScriptedModelClient
 from solrepair.retrieval import (
     MIN_LCS_LENGTH,
     HashEmbeddingProvider,
@@ -114,18 +112,6 @@ def e2e_runs(e2e_dir: Path, tmp_path_factory) -> dict:
             rar_code=rar_code,
         )
     return _RUNS
-
-
-class WaitingScriptedClient(ScriptedModelClient):
-    """The scripted client, declared to wait as a networked client does,
-    so that a run with more than one worker drains a thread pool."""
-
-    waits = True
-
-
-def waiting_client(config: RunConfig, rate_limiter=None) -> WaitingScriptedClient:
-    fixture = json.loads(Path(config.mock_client).read_text(encoding="utf-8"))
-    return WaitingScriptedClient(fixture, counter=get_counter(config.counter))
 
 
 def subset_enumeration(n: int, c: int, k: int) -> float:
@@ -256,7 +242,7 @@ def untimed_sessions(out_dir: Path) -> list[dict]:
     return rows
 
 
-def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory):
+def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory, waiting_client):
     label = "[5/9] scripted 50-task run: pass@1 40.00 -> 80.00; stable x3 runs, workers {1,2,8}"
     with reported(capsys, label):
         runs = e2e_runs(e2e_dir, tmp_path_factory)

@@ -29,19 +29,24 @@ CHECKS = [
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 
 
-def run_checks(tmp_path: Path, solrepair: str) -> subprocess.CompletedProcess:
+def run_checks(tmp_path: Path, solrepair: str | None, path: str | None = None) -> subprocess.CompletedProcess:
+    """Run the script with SOLREPAIR set to `solrepair`, or unset when it
+    is None, so that the script's default finds `solrepair` on PATH."""
     env = dict(
         os.environ,
-        SOLREPAIR=solrepair,
         PYTHON=sys.executable,
         PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
         TMPDIR=str(tmp_path),
     )
+    env.pop("SOLREPAIR", None)
+    if solrepair is not None:
+        env["SOLREPAIR"] = solrepair
+    if path is not None:
+        env["PATH"] = os.pathsep.join([path, env.get("PATH", "")])
     return subprocess.run(["bash", str(SCRIPT)], env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_every_check_passes_through_the_module(tmp_path):
-    result = run_checks(tmp_path, f"{sys.executable} -m solrepair.cli")
+def assert_every_check_passed(result: subprocess.CompletedProcess, tmp_path: Path) -> None:
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
     assert [line[3:] for line in result.stdout.splitlines() if line.startswith("== ")] == CHECKS
     assert result.stdout.endswith("cli checks: all passed\n")
@@ -49,8 +54,34 @@ def test_every_check_passes_through_the_module(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_every_check_passes_through_the_module(tmp_path):
+    result = run_checks(tmp_path, f"{sys.executable} -m solrepair.cli")
+    assert_every_check_passed(result, tmp_path)
+
+
+def test_the_default_command_runs_solrepair_from_path(tmp_path):
+    # SOLREPAIR unset, as CI runs the script: the default `solrepair` must
+    # reach the program of that name on PATH, here a shim for the module.
+    bin_dir, tmp = tmp_path / "bin", tmp_path / "tmp"
+    bin_dir.mkdir()
+    tmp.mkdir()
+    shim = bin_dir / "solrepair"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m solrepair.cli "$@"\n')
+    shim.chmod(0o755)
+    result = run_checks(tmp, None, path=str(bin_dir))
+    assert_every_check_passed(result, tmp)
+
+
 def test_a_failing_check_stops_the_script(tmp_path):
     result = run_checks(tmp_path, "false")
     assert result.returncode != 0
     assert result.stderr.endswith(f"cli check failed: {CHECKS[0]}\n")
     assert "all passed" not in result.stdout
+
+
+def test_a_failure_before_the_first_check_is_named(tmp_path):
+    # mktemp fails in a temporary directory that does not exist.
+    result = run_checks(tmp_path / "missing", f"{sys.executable} -m solrepair.cli")
+    assert result.returncode != 0
+    assert result.stderr.endswith("cli check failed: setup\n")
+    assert "== " not in result.stdout

@@ -97,18 +97,6 @@ WAITS = {
 }
 
 
-class WaitingScriptedClient(ScriptedModelClient):
-    """The scripted client, declared to wait as a networked client does."""
-
-    waits = True
-
-
-def waiting_client(config: RunConfig, rate_limiter=None) -> WaitingScriptedClient:
-    """A build_client that replays config's client fixture through WaitingScriptedClient."""
-    fixture = json.loads(Path(config.mock_client).read_text(encoding="utf-8"))
-    return WaitingScriptedClient(fixture, counter=get_counter(config.counter))
-
-
 def outcome_bytes(out_dir: Path) -> bytes:
     return (out_dir / "outcomes.jsonl").read_bytes()
 
@@ -550,7 +538,9 @@ class TestCmdRun:
         assert outcome_bytes(out) == outcome_bytes(baseline_run[3])
 
     @pytest.mark.parametrize("part", ["client", "backend", "provider", "undeclared"])
-    def test_a_waiting_part_runs_tasks_in_the_pool(self, e2e_config_factory, baseline_run, tmp_path, refused_url, part):
+    def test_a_waiting_part_runs_tasks_in_the_pool(
+        self, e2e_config_factory, baseline_run, tmp_path, refused_url, waiting_client, part
+    ):
         # Any one part that waits, or does not say, is enough for a pool.
         patches = {
             "client": mock.patch.object(harness, "build_client", waiting_client),
