@@ -148,6 +148,42 @@ resume_after_a_torn_outcomes_row() {
   cmp $OUT/cut/outcomes.jsonl $OUT/whole/outcomes.jsonl
 }
 
+# An outcomes row holding `"n":2`, two sessions for one task: `report`
+# must exit 2 and name the row's line, since a task has one session.
+report_rejects_an_outcome_row_of_two_sessions() {
+  OUT=$(mktemp -d -p "$ROOT")
+  sed '3s/"n":1,/"n":2,/' tests/fixtures/e2e/golden/outcomes.r1.jsonl > $OUT/outcomes.jsonl
+  code=0
+  solrepair report --outcomes $OUT/outcomes.jsonl 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/outcomes.jsonl, line 3: bank0.sol#L22-25: n=2, but a task has one session (n=1)" $OUT/err.txt
+}
+
+# A run config holding `n_samples`, a field of earlier versions: `run` must
+# exit 2, name the key and leave no output directory.
+run_config_with_n_samples_exits_2() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  echo '{"n_samples": 2}' > $OUT/run.json
+  code=0
+  solrepair run --config $OUT/run.json --tasks $FIX/tasks.jsonl --source-root $FIX/sources \
+    --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
+    --executor mock --out $OUT/run 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "unexpected keyword argument 'n_samples'" $OUT/err.txt
+  test ! -e $OUT/run
+}
+
+# `report` without `--sessions` cannot know the cost: the table must say
+# so rather than print 0, the cost of a free run.
+report_without_sessions_prints_unknown_cost() {
+  OUT=$(mktemp -d -p "$ROOT")
+  solrepair report --outcomes tests/fixtures/e2e/golden/outcomes.r1.jsonl | tee $OUT/report.txt
+  test "$(tail -n 1 $OUT/report.txt)" = "total cost (USD): unknown (no --sessions)"
+}
+
 for check in \
   readme_quickstart \
   report_names_a_wrongly_typed_session_value \
@@ -157,7 +193,10 @@ for check in \
   build_corpus20_through_every_deny_list_bucket \
   build_commented_declarations \
   report_names_a_row_with_an_over_long_integer \
-  resume_after_a_torn_outcomes_row
+  resume_after_a_torn_outcomes_row \
+  report_rejects_an_outcome_row_of_two_sessions \
+  run_config_with_n_samples_exits_2 \
+  report_without_sessions_prints_unknown_cost
 do
   echo "== $check"
   $check

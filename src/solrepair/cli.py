@@ -45,7 +45,6 @@ _RUN_FLAGS = (
     ("--strategy", "strategy", "repair prompt strategy"),
     ("--max-rounds", "max_rounds", "repair rounds (0 = no repair)"),
     ("--max-tokens", "max_tokens", "max completion tokens"),
-    ("--samples", "n_samples", "samples per task"),
     ("--workers", "workers", "worker threads, started only when the client, executor or embeddings wait"),
     ("--seed", "seed", "seed for mock executors"),
     (
@@ -148,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="aggregate persisted run logs")
     p_report.add_argument("--outcomes", nargs="+", required=True)
     p_report.add_argument("--sessions", nargs="*", default=[])
-    p_report.add_argument("--k", nargs="+", type=int, default=[1])
     p_report.add_argument("--json", dest="json_out", help="write the report JSON here")
     p_report.add_argument("--prompt-price", type=float, default=GPT_4O_MINI_PRICES.prompt_usd_per_million)
     p_report.add_argument("--completion-price", type=float, default=GPT_4O_MINI_PRICES.completion_usd_per_million)
@@ -183,7 +181,6 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_report(
                 args.outcomes,
                 args.sessions,
-                k_values=args.k,
                 cost_model=CostModel(args.prompt_price, args.completion_price),
                 out_json=args.json_out,
             )

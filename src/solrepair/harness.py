@@ -2,7 +2,7 @@
 
 Runs persist to an output directory as JSONL: sessions.jsonl (every model
 attempt) and outcomes.jsonl (one committed row per task, written in task
-order). A task is committed when its outcome row and all its session rows
+order). A task is committed when its outcome row and its session row
 are present; on resume, the first task that is not ends the committed
 prefix, every row after it is dropped and those tasks re-run, so a killed
 and resumed run produces byte-identical outcomes. Tasks run on the
@@ -19,7 +19,6 @@ import concurrent.futures
 import contextlib
 import datetime as _dt
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
@@ -46,7 +45,7 @@ from .metrics import (
     GPT_4O_MINI_PRICES,
     TaskOutcome,
     build_report,
-    outcome_from_sessions,
+    outcome_from_session,
 )
 from .repair import (
     STRATEGY_KINDS,
@@ -110,7 +109,6 @@ _AT_LEAST = (
     ("context_budget", 0),
     ("max_rounds", 0),
     ("max_tokens", 1),
-    ("n_samples", 1),
     ("workers", 1),
     ("rate_limit_per_minute", 0),
 )
@@ -133,7 +131,6 @@ class RunConfig(Record):
     strategy: str = field(default="self_edit", metadata={"choices": STRATEGY_KINDS})
     max_rounds: int = 1
     max_tokens: int = 1024
-    n_samples: int = 1
     workers: int = 1
     seed: int = 0
     # The RetrievalConfig fields as given, or None when repair retrieves
@@ -350,23 +347,20 @@ def run_task(
     backend,
     provider,
 ) -> tuple[TaskOutcome, list[RepairSession]]:
-    """All samples for one task; pure with respect to shared state."""
-    sessions = [
-        run_rar(
-            task,
-            client,
-            backend,
-            strategy,
-            retriever_cfg=retriever_cfg,
-            max_rounds=config.max_rounds,
-            max_tokens=config.max_tokens,
-            provider=provider,
-            sample=i,
-        )
-        for i in range(config.n_samples)
-    ]
-    outcome = outcome_from_sessions(task.task_id, sessions, config.context_budget)
-    return outcome, sessions
+    """One task's session and the outcome row folded from it; pure with
+    respect to shared state. The session comes in a list of one, the shape
+    perfbench's tracer reads from this call."""
+    session = run_rar(
+        task,
+        client,
+        backend,
+        strategy,
+        retriever_cfg=retriever_cfg,
+        max_rounds=config.max_rounds,
+        max_tokens=config.max_tokens,
+        provider=provider,
+    )
+    return outcome_from_session(session, config.context_budget), [session]
 
 
 def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
@@ -400,11 +394,11 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
             f"{outcomes_path} holds outcomes for foreign tasks (e.g. {unknown[0]}); "
             "wrong output directory?"
         )
-    # A task commits only with all its session rows: the first that lacks
-    # some ends the committed prefix, and the tasks from it on run again.
+    # A task commits only with its session row: the first that lacks one
+    # ends the committed prefix, and the tasks from it on run again.
     session_rows = _log_rows(sessions_path, "sessions")
-    per_task = Counter(task_id for task_id, _ in session_rows)
-    committed = list(takewhile(lambda row: per_task[row[0]] >= config.n_samples, outcome_rows))
+    logged = {task_id for task_id, _ in session_rows}
+    committed = list(takewhile(lambda row: row[0] in logged, outcome_rows))
     done = {task_id for task_id, _ in committed}
     # Rewrite both logs to exactly the committed rows: a torn tail, even a
     # torn first row, is dropped, so new rows start on a line of their own.
@@ -446,9 +440,8 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
                     exc_info=None if expected else exc,
                 )
                 continue
-            outcome, sessions = result
-            for session in sessions:
-                sess_fh.write(dump_row(session.to_json()))
+            outcome, (session,) = result
+            sess_fh.write(dump_row(session.to_json()))
             sess_fh.flush()
             out_fh.write(dump_row(outcome.to_json()))
             out_fh.flush()
@@ -488,14 +481,13 @@ def read_sessions(path: str | Path) -> list[RepairSession]:
 def cmd_report(
     outcome_paths: Sequence[str | Path],
     session_paths: Sequence[str | Path] = (),
-    k_values: Sequence[int] = (1,),
     cost_model: CostModel = GPT_4O_MINI_PRICES,
     out_json: str | Path | None = None,
 ) -> dict:
     """Aggregate persisted logs into a report; pure given the input files.
 
-    A k that is below 1 or above a task's sample count, or outcomes of which
-    none is usable, raise ConfigError.
+    Without session paths the report's cost is unknown (see build_report).
+    Outcomes of which none is usable raise ConfigError.
     """
     outcomes: list[TaskOutcome] = []
     for path in outcome_paths:
@@ -506,7 +498,7 @@ def cmd_report(
     for path in session_paths:
         sessions.extend(read_sessions(path))
     try:
-        report = build_report(outcomes, sessions or None, k_values, cost_model)
+        report = build_report(outcomes, sessions if session_paths else None, cost_model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if out_json is not None:

@@ -1,8 +1,9 @@
-"""Benchmark metrics: pass@k, compilation@1, BLEU variants, correlation, cost.
+"""Benchmark metrics: pass@1, compilation@1, BLEU variants, correlation, cost.
 
-pass@k uses the unbiased estimator 1 - C(n-c, k)/C(n, k) averaged over
-tasks, computed with exact integer binomials so small counts never lose
-precision to floating point.
+A task is one completion and its repairs, so pass@1 is the share of usable
+tasks whose final verdict is pass, and compilation@1 the share whose final
+verdict compiled. Both are exact fractions until the percentage is taken,
+so their rounding never depends on the order of the rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class UndefinedCorrelationError(ValueError):
 
 @dataclass(frozen=True)
 class TaskOutcome(Record):
-    """Per-task sample counts feeding pass@k and compilation@1."""
+    """One task's row for pass@1 and compilation@1: whether its session
+    passed (`c`) and compiled (`c_compile`), as 0 or 1. `n`, the number of
+    sessions, is always 1."""
 
     task_id: str
     n: int
@@ -47,83 +50,56 @@ class TaskOutcome(Record):
     context_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"{self.task_id}: need at least one sample")
-        if not 0 <= self.c <= self.n:
-            raise ValueError(f"{self.task_id}: c={self.c} outside [0, {self.n}]")
-        if not self.c <= self.c_compile <= self.n:
-            raise ValueError(
-                f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, {self.n}]"
-            )
+        if self.n != 1:
+            raise ValueError(f"{self.task_id}: n={self.n}, but a task has one session (n=1)")
+        if not 0 <= self.c <= 1:
+            raise ValueError(f"{self.task_id}: c={self.c} outside [0, 1]")
+        if not self.c <= self.c_compile <= 1:
+            raise ValueError(f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, 1]")
 
 
-def outcome_from_sessions(
-    task_id: str,
-    sessions: Sequence[RepairSession],
-    context_budget: int | None = None,
-) -> TaskOutcome:
-    """Fold one task's sample sessions into the counts the metrics need.
+def outcome_from_session(session: RepairSession, context_budget: int | None = None) -> TaskOutcome:
+    """Fold a task's session into its outcome row.
 
-    A sample counts as compiled when its final verdict is pass or
-    functional_mismatch. Any executor_unavailable sample poisons the task,
-    excluding it from metric denominators.
+    The task compiled when the final verdict is pass or
+    functional_mismatch. An executor_unavailable verdict marks the task
+    unavailable, which excludes it from metric denominators.
     """
-    n = len(sessions)
-    c = sum(1 for s in sessions if s.final_status == STATUS_PASS)
-    c_compile = sum(
-        1
-        for s in sessions
-        if s.final_status in (STATUS_PASS, STATUS_FUNCTIONAL_MISMATCH)
-    )
-    unavailable = any(s.final_status == STATUS_EXECUTOR_UNAVAILABLE for s in sessions)
+    status = session.final_status
     prompt_tokens = 0
     completion_tokens = 0
-    for session in sessions:
-        for attempt in session.attempts:
-            prompt_tokens += attempt.prompt_tokens + attempt.explanation_prompt_tokens
-            completion_tokens += (
-                attempt.completion_tokens + attempt.explanation_completion_tokens
-            )
+    for attempt in session.attempts:
+        prompt_tokens += attempt.prompt_tokens + attempt.explanation_prompt_tokens
+        completion_tokens += attempt.completion_tokens + attempt.explanation_completion_tokens
     return TaskOutcome(
-        task_id=task_id,
-        n=n,
-        c=c,
-        c_compile=c_compile,
+        task_id=session.task_id,
+        n=1,
+        c=int(status == STATUS_PASS),
+        c_compile=int(status in (STATUS_PASS, STATUS_FUNCTIONAL_MISMATCH)),
         prompt_tokens=prompt_tokens,
         completion_tokens=completion_tokens,
-        unavailable=unavailable,
+        unavailable=status == STATUS_EXECUTOR_UNAVAILABLE,
         context_budget=context_budget,
     )
 
 
-def _pass_at_k_fraction(outcomes: Sequence[TaskOutcome], k: int, compiled: bool) -> Fraction:
-    """The exact mean of 1 - C(n-c, k)/C(n, k) over usable tasks, summed
-    once per distinct (n, c) pair and weighted by how many tasks share it."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    counts = Counter(
-        (o.n, o.c_compile if compiled else o.c) for o in outcomes if not o.unavailable
-    )
+def _share(outcomes: Sequence[TaskOutcome], count: str) -> Fraction:
+    """The exact mean of one count column (`c` or `c_compile`) over usable
+    tasks."""
+    counts = [getattr(o, count) for o in outcomes if not o.unavailable]
     if not counts:
         raise ValueError("no usable outcomes (all executor_unavailable or empty)")
-    if any(n < k for n, _ in counts):
-        first = next(o for o in outcomes if not o.unavailable and o.n < k)
-        raise ValueError(f"k={k} exceeds n={first.n} samples for task {first.task_id}")
-    total = sum(
-        count * (1 - Fraction(math.comb(n - c, k), math.comb(n, k)))
-        for (n, c), count in counts.items()
-    )
-    return total / counts.total()
+    return Fraction(sum(counts), len(counts))
 
 
-def pass_at_k(outcomes: Sequence[TaskOutcome], k: int) -> float:
-    """Unbiased pass@k as a percentage (exact arithmetic, float at the end)."""
-    return float(_pass_at_k_fraction(outcomes, k, compiled=False) * 100)
+def pass_at_1(outcomes: Sequence[TaskOutcome]) -> float:
+    """The share of usable tasks that passed, as a percentage."""
+    return float(_share(outcomes, "c") * 100)
 
 
 def compilation_at_1(outcomes: Sequence[TaskOutcome]) -> float:
-    """pass@1 over compile successes, as a percentage."""
-    return float(_pass_at_k_fraction(outcomes, 1, compiled=True) * 100)
+    """The share of usable tasks that compiled, as a percentage."""
+    return float(_share(outcomes, "c_compile") * 100)
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -278,14 +254,14 @@ def cost_of(
 def build_report(
     outcomes: Sequence[TaskOutcome],
     sessions: Sequence[RepairSession] | None = None,
-    k_values: Sequence[int] = (1,),
     cost_model: CostModel = GPT_4O_MINI_PRICES,
 ) -> dict:
     """Aggregate metrics grouped by context budget, plus a cost point series.
 
     The point series pairs each group's total cost with its pass@1 so runs
-    can be compared on cost-effectiveness; merging reports keeps the series
-    sorted by cost.
+    can be compared on cost-effectiveness, sorted by cost. Without sessions
+    (None) the cost is unknown: `cost` and each point's `cost_usd` are None,
+    and the points stay in budget order.
     """
     groups: dict[int | None, list[TaskOutcome]] = {}
     for outcome in outcomes:
@@ -298,34 +274,30 @@ def build_report(
             budget_sessions.setdefault(budget_of.get(session.task_id), []).append(session)
 
     def metrics_for(rows: Sequence[TaskOutcome]) -> dict:
-        entry = {f"pass@{k}": round(pass_at_k(rows, k), 2) for k in k_values}
-        entry["compilation@1"] = round(compilation_at_1(rows), 2)
-        entry["tasks"] = sum(1 for r in rows if not r.unavailable)
-        entry["excluded_unavailable"] = sum(1 for r in rows if r.unavailable)
-        return entry
+        return {
+            "pass@1": round(pass_at_1(rows), 2),
+            "compilation@1": round(compilation_at_1(rows), 2),
+            "tasks": sum(1 for r in rows if not r.unavailable),
+            "excluded_unavailable": sum(1 for r in rows if r.unavailable),
+        }
 
     by_context = {}
     points = []
     for budget in sorted(groups, key=lambda b: (b is None, b)):
-        rows = groups[budget]
-        key = "none" if budget is None else str(budget)
-        by_context[key] = metrics_for(rows)
-        group_cost = cost_of(budget_sessions.get(budget, []), cost_model).total_usd
-        points.append(
-            {
-                "context_budget": budget,
-                "cost_usd": round(group_cost, 6),
-                "pass@1": round(pass_at_k(rows, 1), 2),
-            }
+        entry = by_context["none" if budget is None else str(budget)] = metrics_for(groups[budget])
+        group_cost = (
+            None if sessions is None else round(cost_of(budget_sessions.get(budget, []), cost_model).total_usd, 6)
         )
-    report = {
+        points.append({"context_budget": budget, "cost_usd": group_cost, "pass@1": entry["pass@1"]})
+    if sessions is not None:
+        points.sort(key=lambda p: p["cost_usd"])
+    return {
         "schema": REPORT_SCHEMA,
         "by_context": by_context,
         "overall": metrics_for(outcomes),
-        "cost": cost_of(sessions or [], cost_model).to_json(),
-        "points": sorted(points, key=lambda p: p["cost_usd"]),
+        "cost": None if sessions is None else cost_of(sessions, cost_model).to_json(),
+        "points": points,
     }
-    return report
 
 
 def format_report_table(report: dict) -> str:
@@ -352,8 +324,11 @@ def format_report_table(report: dict) -> str:
         if idx == 0:
             lines.append("  ".join("-" * width for width in widths))
     lines.append("")
-    # Up to 6 significant digits in fixed point: a run can cost well under
-    # a cent, and 0.00315 must not read 0.00.
-    total = Decimal(f"{report['cost']['total_usd']:.6g}")
-    lines.append(f"total cost (USD): {total:f}")
+    if report["cost"] is None:
+        lines.append("total cost (USD): unknown (no --sessions)")
+    else:
+        # Up to 6 significant digits in fixed point: a run can cost well
+        # under a cent, and 0.00315 must not read 0.00.
+        total = Decimal(f"{report['cost']['total_usd']:.6g}")
+        lines.append(f"total cost (USD): {total:f}")
     return "\n".join(lines)

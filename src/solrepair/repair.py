@@ -178,7 +178,6 @@ class HttpModelClient:
         api_key_env: str = "MODEL_API_KEY",
         timeout: float = 60.0,
         max_retries: int = 2,
-        temperature: float = 0.0,
         rate_limiter: RateLimiter | None = None,
         counter: TokenCounter = DEFAULT_COUNTER,
     ) -> None:
@@ -188,7 +187,6 @@ class HttpModelClient:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_retries = max_retries
-        self.temperature = temperature
         self.rate_limiter = rate_limiter
         self.counter = counter
 
@@ -199,7 +197,7 @@ class HttpModelClient:
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "max_tokens": max_tokens,
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
@@ -345,8 +343,8 @@ class Attempt(Record):
 
 @dataclass(frozen=True)
 class RepairSession(Record):
-    """All attempts for one task sample, in order; a row adds the derived
-    `final_status`."""
+    """All attempts for one task, in order; a row adds the derived
+    `final_status`. `sample` is always 0, a column `sessions@1` keeps."""
 
     DERIVED = ("final_status",)
 
@@ -463,7 +461,6 @@ def run_rar(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     provider: EmbeddingProvider | None = None,
-    sample: int = 0,
 ) -> RepairSession:
     """Retrieval-augmented repair for one task.
 
@@ -516,5 +513,4 @@ def run_rar(
         strategy=strategy.kind,
         max_rounds=max_rounds,
         attempts=tuple(attempts),
-        sample=sample,
     )

@@ -9,7 +9,6 @@ under captured output.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -49,7 +48,7 @@ from solrepair.metrics import (
     compilation_at_1,
     cost_of,
     crystal_bleu,
-    pass_at_k,
+    pass_at_1,
     pearson,
     usage_cost,
 )
@@ -114,26 +113,16 @@ def e2e_runs(e2e_dir: Path, tmp_path_factory) -> dict:
     return _RUNS
 
 
-def subset_enumeration(n: int, c: int, k: int) -> float:
-    """P(any success in a size-k subset), by checking every subset."""
-    successes = set(range(c))
-    subsets = list(itertools.combinations(range(n), k))
-    hits = sum(1 for subset in subsets if successes.intersection(subset))
-    return hits / len(subsets)
-
-
-def test_pass_rate_estimator_matches_enumeration(capsys):
-    with reported(capsys, "[1/9] pass@k == exhaustive enumeration (n<=8, 1e-12, <1s)"):
-        start = time.perf_counter()
-        for n in range(1, 9):
-            for c in range(0, n + 1):
-                for k in range(1, n + 1):
-                    outcome = TaskOutcome(task_id="t", n=n, c=c, c_compile=c)
-                    got = pass_at_k([outcome], k) / 100.0
-                    assert abs(got - subset_enumeration(n, c, k)) <= 1e-12, (n, c, k)
-        spot = pass_at_k([TaskOutcome(task_id="t", n=5, c=2, c_compile=2)], 3)
-        assert abs(spot - 90.0) <= 1e-10
-        assert time.perf_counter() - start < 1.0
+def test_pass_rate_is_the_exact_share_of_passing_tasks(capsys):
+    with reported(capsys, "[1/9] pass@1 == passing/usable tasks, exactly (<=8 tasks); n != 1 rejected"):
+        for usable in range(1, 9):
+            for passed in range(usable + 1):
+                rows = [TaskOutcome(task_id=f"t{i}", n=1, c=int(i < passed), c_compile=1) for i in range(usable)]
+                rows.append(TaskOutcome(task_id="gone", n=1, c=1, c_compile=1, unavailable=True))
+                assert pass_at_1(rows) == 100 * passed / usable, (usable, passed)
+                assert compilation_at_1(rows) == 100.0
+        with pytest.raises(ValueError, match="a task has one session"):
+            TaskOutcome(task_id="t", n=2, c=1, c_compile=1)
 
 
 def lcs_bruteforce(query_text: str, lines: list[str], cap: int):
@@ -251,9 +240,9 @@ def test_repair_lift_on_scripted_fixture(capsys, e2e_dir, tmp_path_factory, wait
 
         baseline = read_outcomes(runs["baseline_out"] / "outcomes.jsonl")
         repaired = read_outcomes(runs["rar_out"] / "outcomes.jsonl")
-        assert round(pass_at_k(baseline, 1), 2) == 40.00
+        assert round(pass_at_1(baseline), 2) == 40.00
         assert round(compilation_at_1(baseline), 2) == 60.00
-        assert round(pass_at_k(repaired, 1), 2) == 80.00
+        assert round(pass_at_1(repaired), 2) == 80.00
         assert round(compilation_at_1(repaired), 2) == 100.00
 
         # Repair prompts quote the retrieved declaration lines of their file.
@@ -331,12 +320,11 @@ def test_metric_relationships(capsys, e2e_dir, tmp_path_factory):
         runs = e2e_runs(e2e_dir, tmp_path_factory)
         for out_dir in (runs["baseline_out"], runs["rar_out"]):
             outcomes = read_outcomes(out_dir / "outcomes.jsonl")
-            assert pass_at_k(outcomes, 1) <= compilation_at_1(outcomes)
-        for n in range(1, 5):
-            for c in range(0, n + 1):
-                for c_compile in range(c, n + 1):
-                    rows = [TaskOutcome(task_id="t", n=n, c=c, c_compile=c_compile)]
-                    assert pass_at_k(rows, 1) <= compilation_at_1(rows)
+            assert pass_at_1(outcomes) <= compilation_at_1(outcomes)
+        for c in range(2):
+            for c_compile in range(c, 2):
+                rows = [TaskOutcome(task_id="t", n=1, c=c, c_compile=c_compile)]
+                assert pass_at_1(rows) <= compilation_at_1(rows)
 
         candidate = "the quick brown fox jumps over the lazy dog near the bank"
         reference = "the quick brown fox leaps over a lazy dog by the river"

@@ -24,6 +24,9 @@ CHECKS = [
     "build_commented_declarations",
     "report_names_a_row_with_an_over_long_integer",
     "resume_after_a_torn_outcomes_row",
+    "report_rejects_an_outcome_row_of_two_sessions",
+    "run_config_with_n_samples_exits_2",
+    "report_without_sessions_prints_unknown_cost",
 ]
 
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

@@ -177,7 +177,7 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="max_rounds"):
             config.validate()
 
-    @pytest.mark.parametrize("field", ["n_samples", "workers"])
+    @pytest.mark.parametrize("field", ["max_tokens", "workers"])
     def test_counts_must_be_positive(self, e2e_config_factory, tmp_path, field):
         config = e2e_config_factory(str(tmp_path), **{field: 0})
         with pytest.raises(ConfigError, match="must be >= 1"):
@@ -1220,15 +1220,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags,complaint",
         [
-            (["--k", "0"], "k must be >= 1, got 0"),
-            (["--k", "1", "2"], "k=2 exceeds n=1 samples for task bank0.sol#L"),
             (["--prompt-price", "nan"], "--prompt-price must be a finite number >= 0, got nan"),
             (["--prompt-price", "-1"], "--prompt-price must be a finite number >= 0, got -1.0"),
             (["--completion-price", "inf"], "--completion-price must be a finite number >= 0, got inf"),
         ],
-        ids=["k-zero", "k-above-n", "price-nan", "price-negative", "price-infinite"],
+        ids=["price-nan", "price-negative", "price-infinite"],
     )
-    def test_report_on_bad_k_or_price_exits_config(self, baseline_run, tmp_path, capsys, flags, complaint):
+    def test_report_on_bad_price_exits_config(self, baseline_run, tmp_path, capsys, flags, complaint):
         _, _, _, out = baseline_run
         json_out = tmp_path / "report.json"
         argv = ["report", "--outcomes", str(out / "outcomes.jsonl"), "--sessions", str(out / "sessions.jsonl")]
@@ -1252,14 +1250,35 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: no usable outcomes (all executor_unavailable or empty)\n"
 
-    def test_report_k_without_values_is_a_usage_error(self, baseline_run, capsys):
-        _, _, _, out = baseline_run
+    def test_report_without_sessions_gives_no_cost(self, rar_run, tmp_path, capsys):
+        _, _, _, out = rar_run
+        json_out = tmp_path / "report.json"
+        assert main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--json", str(json_out)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("\ntotal cost (USD): unknown (no --sessions)\n")
+        report = json.loads(json_out.read_text(encoding="utf-8"))
+        assert report["cost"] is None
+        assert report["points"] == [{"context_budget": 2048, "cost_usd": None, "pass@1": 80.0}]
+        with_sessions = cmd_report([out / "outcomes.jsonl"], [out / "sessions.jsonl"])
+        assert {k: v for k, v in report.items() if k not in ("cost", "points")} == {
+            k: v for k, v in with_sessions.items() if k not in ("cost", "points")
+        }
+
+    def test_report_on_an_empty_session_log_costs_nothing(self, rar_run, tmp_path):
+        # A session log that was given but holds no row prices no attempt:
+        # the cost is known, and 0.
+        _, _, _, out = rar_run
+        empty = tmp_path / "sessions.jsonl"
+        empty.write_text("", encoding="utf-8")
+        report = cmd_report([out / "outcomes.jsonl"], [empty])
+        assert report["cost"]["total_usd"] == 0.0
+        assert format_report_table(report).endswith("\ntotal cost (USD): 0")
+
+    @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
+    def test_sample_count_flags_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--k"])
+            main(argv)
         assert exc.value.code == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --k: expected at least one argument" in captured.err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
     def wide_outcomes(self, tmp_path_factory):
@@ -1311,6 +1330,8 @@ class TestCli:
             ("outcomes", lambda row: json.dumps(row)[:-1] + ', "n": ' + "1" * 5000 + "}", "malformed JSON: Exceeds the limit"),
             ("outcomes", lambda row: json.dumps([row]), "expected a JSON object"),
             ("outcomes", lambda row: json.dumps({**row, "n": 1, "c": 2}), "bank0.sol#L12-15: c=2 outside"),
+            ("outcomes", lambda row: json.dumps({**row, "n": 2}), r"bank0.sol#L12-15: n=2, but a task has one session \(n=1\)"),
+            ("outcomes", lambda row: json.dumps({**row, "c_compile": 2}), r"bank0.sol#L12-15: c_compile=2 outside \[1, 1\]"),
             ("outcomes", lambda row: json.dumps({k: v for k, v in row.items() if k != "n"}), "TaskOutcome.__init__.. missing 1 required positional argument: 'n'"),
             ("outcomes", lambda row: json.dumps({**row, "extra": 1}), "TaskOutcome.__init__.. got an unexpected keyword argument 'extra'"),
             ("sessions", lambda row: json.dumps(row)[:-1], "malformed JSON"),
@@ -1323,7 +1344,8 @@ class TestCli:
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "prompt_tokens": "x"}]}), r"expected int, got str at key 'attempts\[0\]\.prompt_tokens'"),
         ],
         ids=[
-            "outcome-malformed", "outcome-long-int", "outcome-not-an-object", "outcome-bad-count", "outcome-missing-key",
+            "outcome-malformed", "outcome-long-int", "outcome-not-an-object", "outcome-bad-count", "outcome-two-sessions",
+            "outcome-bad-compile-count", "outcome-missing-key",
             "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
             "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
             "attempt-str-for-int",
@@ -1386,9 +1408,10 @@ class TestCli:
         assert record.getMessage() == f"task {failed} failed: RuntimeError: injected fault"
         assert record.exc_info is not None
 
-    # `budget` is a flag's name, not its field's; `report` reads k from --k,
-    # so no run setting holds it.
-    @pytest.mark.parametrize("key,value", [("budget", 64), ("k_values", [1, 5])])
+    # `budget` is a flag's name, not its field's; `k_values` and `n_samples`
+    # were fields of earlier versions: a task has one session, so no run
+    # setting counts samples.
+    @pytest.mark.parametrize("key,value", [("budget", 64), ("k_values", [1, 5]), ("n_samples", 4)])
     def test_config_file_with_unknown_key_exits_config(self, e2e_config_factory, tmp_path, capsys, key, value):
         payload = e2e_config_factory(str(tmp_path / "out")).to_json() | {key: value}
         config_path = tmp_path / "run.json"
@@ -1424,7 +1447,6 @@ class TestCli:
             ("--strategy", "self_debug", "strategy", "self_debug"),
             ("--max-rounds", "3", "max_rounds", 3),
             ("--max-tokens", "99", "max_tokens", 99),
-            ("--samples", "4", "n_samples", 4),
             ("--workers", "2", "workers", 2),
             ("--seed", "7", "seed", 7),
             ("--retrieval", "bm25", "retrieval", {"method": "bm25"}),
@@ -1643,7 +1665,7 @@ class TestCli:
                 "run",
                 [
                     "--config", "--tasks", "--out", "--source-root", "--budget", "--counter", "--strategy",
-                    "--max-rounds", "--max-tokens", "--samples", "--workers", "--seed", "--retrieval",
+                    "--max-rounds", "--max-tokens", "--workers", "--seed", "--retrieval",
                     "--max-snippets", "--window-lines", "--step-lines", "--mock-client", "--mock-executor",
                     "--executor", "--solc", "--endpoint", "--model", "--api-key-env", "--rate-limit",
                 ],
@@ -1681,7 +1703,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag",
         [
-            "--out", "--strategy", "--max-rounds", "--max-tokens", "--samples", "--workers", "--retrieval",
+            "--out", "--strategy", "--max-rounds", "--max-tokens", "--workers", "--retrieval",
             "--max-snippets", "--window-lines", "--step-lines", "--mock-client", "--endpoint", "--model",
             "--api-key-env", "--rate-limit",
         ],

@@ -1,12 +1,12 @@
-"""Metrics: pass@k against exhaustive enumeration, BLEU variants against
-hand-counted n-gram fixtures, correlation, and the cost ledger."""
+"""Metrics: pass@1 and compilation@1 against the k = 1 case of the exact
+pass@k estimator, BLEU variants against hand-counted n-gram fixtures,
+correlation, and the cost ledger."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,13 +25,12 @@ from solrepair.metrics import (
     cost_of,
     crystal_bleu,
     format_report_table,
-    outcome_from_sessions,
-    pass_at_k,
+    outcome_from_session,
+    pass_at_1,
     pearson,
     trivially_shared_ngrams,
     usage_cost,
 )
-from solrepair.metrics import _pass_at_k_fraction
 from solrepair.repair import Attempt, RepairSession
 
 
@@ -48,117 +47,87 @@ def outcome(task_id="t", n=1, c=0, c_compile=None, unavailable=False, budget=Non
     )
 
 
-def enumeration_pass_at_k(n: int, c: int, k: int) -> float:
-    """Reference: enumerate every k-subset and count those hitting a pass."""
-    marks = [1] * c + [0] * (n - c)
-    subsets = list(itertools.combinations(range(n), k))
-    hits = sum(1 for subset in subsets if any(marks[i] for i in subset))
-    return hits / len(subsets)
+def reference_pass_at_k(outcomes, k: int, compiled: bool) -> Fraction:
+    """Reference: the unbiased pass@k estimator 1 - C(n-c, k)/C(n, k),
+    averaged exactly over usable tasks, summed once per distinct (n, c)
+    pair and weighted by how many tasks share it. At k = 1 and n = 1 it
+    must equal pass@1 (compiled=False) and compilation@1 (compiled=True)."""
+    counts = Counter((o.n, o.c_compile if compiled else o.c) for o in outcomes if not o.unavailable)
+    total = sum(
+        count * (1 - Fraction(math.comb(n - c, k), math.comb(n, k))) for (n, c), count in counts.items()
+    )
+    return total / counts.total()
 
 
-class TestPassAtK:
-    def test_matches_enumeration_for_all_small_cases(self):
-        t0 = time.perf_counter()
-        for n in range(1, 9):
-            for c in range(0, n + 1):
-                for k in range(1, n + 1):
-                    got = pass_at_k([outcome(n=n, c=c)], k) / 100.0
-                    assert abs(got - enumeration_pass_at_k(n, c, k)) <= 1e-12, (n, c, k)
-        assert time.perf_counter() - t0 < 1.0
-
-    def test_spot_value(self):
-        assert abs(pass_at_k([outcome(n=5, c=2)], 3) - 90.0) <= 1e-12
-
+class TestPassAt1:
     def test_mean_over_tasks(self):
-        rows = [outcome("a", n=1, c=1), outcome("b", n=1, c=0)]
-        assert pass_at_k(rows, 1) == 50.0
+        rows = [outcome("a", c=1), outcome("b", c=0)]
+        assert pass_at_1(rows) == 50.0
 
     def test_unavailable_tasks_excluded(self):
-        rows = [outcome("a", n=1, c=1), outcome("b", n=1, c=0, unavailable=True)]
-        assert pass_at_k(rows, 1) == 100.0
+        rows = [outcome("a", c=1), outcome("b", c=0, unavailable=True)]
+        assert pass_at_1(rows) == 100.0
 
     def test_all_unavailable_rejected(self):
-        with pytest.raises(ValueError, match="no usable outcomes"):
-            pass_at_k([outcome(unavailable=True)], 1)
+        for metric in (pass_at_1, compilation_at_1):
+            with pytest.raises(ValueError, match="no usable outcomes"):
+                metric([outcome(unavailable=True)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no usable outcomes"):
-            pass_at_k([], 1)
+        for metric in (pass_at_1, compilation_at_1):
+            with pytest.raises(ValueError, match="no usable outcomes"):
+                metric([])
 
-    def test_k_above_n_names_task(self):
-        with pytest.raises(ValueError, match="task offender"):
-            pass_at_k([outcome("offender", n=2, c=1)], 3)
-
-    def test_k_above_n_names_the_first_offending_task(self):
-        rows = [outcome("fine", n=3), outcome("gone", n=1, unavailable=True), outcome("first", n=2), outcome("later", n=1)]
-        with pytest.raises(ValueError, match="k=3 exceeds n=2 samples for task first$"):
-            pass_at_k(rows, 3)
+    def test_compilation_uses_compile_counts(self):
+        rows = [outcome("a", c=0, c_compile=1), outcome("b", c=1, c_compile=1), outcome("c"), outcome("d")]
+        assert compilation_at_1(rows) == 50.0
+        assert pass_at_1(rows) == 25.0
 
     @settings(max_examples=150, deadline=None)
     @given(
-        counts=st.lists(
-            st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(0, 6), st.booleans()), min_size=1, max_size=30
-        ),
-        k=st.integers(1, 3),
-        compiled=st.booleans(),
+        st.lists(
+            st.sampled_from([(0, 0), (0, 1), (1, 1)]).flatmap(lambda cc: st.tuples(st.just(cc), st.booleans())),
+            min_size=1,
+            max_size=40,
+        )
     )
-    def test_property_grouped_sum_equals_per_task_sum(self, counts, k, compiled):
-        rows = [
-            outcome(f"t{i}", n=max(n, k), c=min(c, cc, max(n, k)), c_compile=min(max(c, cc), max(n, k)), unavailable=u)
-            for i, (n, c, cc, u) in enumerate(counts)
-        ]
-        included = [o for o in rows if not o.unavailable]
-        if not included:
+    def test_property_equal_the_reference_at_k1(self, counts):
+        rows = [outcome(f"t{i}", c=c, c_compile=cc, unavailable=u) for i, ((c, cc), u) in enumerate(counts)]
+        if all(o.unavailable for o in rows):
             return
-        per_task = sum(
-            1 - Fraction(math.comb(o.n - (o.c_compile if compiled else o.c), k), math.comb(o.n, k)) for o in included
-        ) / len(included)
-        assert _pass_at_k_fraction(rows, k, compiled) == per_task
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            pass_at_k([outcome()], 0)
-
-    def test_compilation_uses_compile_counts(self):
-        assert compilation_at_1([outcome(n=5, c=2, c_compile=4)]) == 80.0
+        assert pass_at_1(rows) == float(reference_pass_at_k(rows, 1, compiled=False) * 100)
+        assert compilation_at_1(rows) == float(reference_pass_at_k(rows, 1, compiled=True) * 100)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=8),
-        data=st.data(),
-    )
-    def test_property_monotone_in_k(self, n, data):
-        c = data.draw(st.integers(min_value=0, max_value=n))
-        k1 = data.draw(st.integers(min_value=1, max_value=n - 1))
-        k2 = data.draw(st.integers(min_value=k1 + 1, max_value=n))
-        rows = [outcome(n=n, c=c)]
-        assert pass_at_k(rows, k1) <= pass_at_k(rows, k2) + 1e-12
+    @given(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 1)]), min_size=1, max_size=40), st.randoms())
+    def test_property_order_independent(self, counts, rng):
+        # Exact arithmetic: the row order cannot move the last bit.
+        rows = [outcome(f"t{i}", c=c, c_compile=cc) for i, (c, cc) in enumerate(counts)]
+        shuffled = rng.sample(rows, len(rows))
+        assert (pass_at_1(shuffled), compilation_at_1(shuffled)) == (pass_at_1(rows), compilation_at_1(rows))
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=6),
-        data=st.data(),
-    )
-    def test_property_pass_never_exceeds_compilation(self, n, data):
-        c = data.draw(st.integers(min_value=0, max_value=n))
-        cc = data.draw(st.integers(min_value=c, max_value=n))
-        rows = [outcome(n=n, c=c, c_compile=cc)]
-        assert pass_at_k(rows, 1) <= compilation_at_1(rows) + 1e-12
+    @given(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 1)]), min_size=1, max_size=20))
+    def test_property_pass_never_exceeds_compilation(self, counts):
+        rows = [outcome(f"t{i}", c=c, c_compile=cc) for i, (c, cc) in enumerate(counts)]
+        assert pass_at_1(rows) <= compilation_at_1(rows)
 
 
 class TestOutcomeTypes:
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="n=0, but a task has one session"):
             outcome(n=0)
+        with pytest.raises(ValueError, match="n=2, but a task has one session"):
+            outcome(n=2, c=1)
         with pytest.raises(ValueError, match="outside"):
-            outcome(n=2, c=3)
+            outcome(c=2)
         with pytest.raises(ValueError, match="c_compile"):
-            TaskOutcome(task_id="t", n=2, c=1, c_compile=0)
+            TaskOutcome(task_id="t", n=1, c=1, c_compile=0)
         with pytest.raises(ValueError, match="c_compile"):
-            TaskOutcome(task_id="t", n=2, c=1, c_compile=3)
+            TaskOutcome(task_id="t", n=1, c=0, c_compile=2)
 
     def test_json_round_trip(self):
-        o = outcome("t", n=5, c=2, c_compile=4, unavailable=False, budget=2048, pt=10, ct=3)
+        o = outcome("t", c=0, c_compile=1, unavailable=False, budget=2048, pt=10, ct=3)
         assert TaskOutcome.from_json(json.loads(json.dumps(o.to_json()))) == o
 
 
@@ -192,25 +161,19 @@ def session_with(final_status: str, *, pt=10, ct=5, ept=0, ect=0, task_id="t", s
     )
 
 
-class TestOutcomeFromSessions:
-    def test_counts(self):
-        sessions = [
-            session_with("pass"),
-            session_with("functional_mismatch"),
-            session_with("compile_error"),
-        ]
-        o = outcome_from_sessions("t", sessions, context_budget=1024)
-        assert (o.n, o.c, o.c_compile) == (3, 1, 2)
-        assert o.unavailable is False
+class TestOutcomeFromSession:
+    @pytest.mark.parametrize(
+        "status,counts",
+        [("pass", (1, 1)), ("functional_mismatch", (0, 1)), ("compile_error", (0, 0)), ("executor_unavailable", (0, 0))],
+    )
+    def test_counts(self, status, counts):
+        o = outcome_from_session(session_with(status, task_id="t7"), context_budget=1024)
+        assert (o.task_id, o.n, (o.c, o.c_compile)) == ("t7", 1, counts)
+        assert o.unavailable is (status == "executor_unavailable")
         assert o.context_budget == 1024
 
-    def test_unavailable_poisons_task(self):
-        sessions = [session_with("pass"), session_with("executor_unavailable")]
-        assert outcome_from_sessions("t", sessions).unavailable is True
-
     def test_token_totals_include_explanations(self):
-        sessions = [session_with("pass", pt=100, ct=50, ept=70, ect=30, stage2=True)]
-        o = outcome_from_sessions("t", sessions)
+        o = outcome_from_session(session_with("pass", pt=100, ct=50, ept=70, ect=30, stage2=True))
         assert o.prompt_tokens == 100 + 100 + 70
         assert o.completion_tokens == 50 + 50 + 30
 
@@ -383,21 +346,32 @@ class TestReport:
         assert report["overall"]["tasks"] == 5
 
     def test_points_sorted_by_cost(self):
-        report = build_report(self.rows())
-        costs = [p["cost_usd"] for p in report["points"]]
-        assert costs == sorted(costs)
-        assert {p["context_budget"] for p in report["points"]} == {0, 2048}
+        # Budget 0's two tasks cost more than budget 2048's four.
+        sessions = [session_with("pass", task_id=t, pt=1000 if t in "ab" else 10) for t in "abcdef"]
+        report = build_report(self.rows(), sessions)
+        assert [p["context_budget"] for p in report["points"]] == [2048, 0]
+        assert [p["cost_usd"] for p in report["points"]] == [
+            round(usage_cost(40, 20, GPT_4O_MINI_PRICES), 6),
+            round(usage_cost(2000, 10, GPT_4O_MINI_PRICES), 6),
+        ]
+        assert [p["pass@1"] for p in report["points"]] == [pytest.approx(66.67), 50.0]
 
-    def test_k_values_expand_columns(self):
-        rows = [outcome("a", n=5, c=2)]
-        report = build_report(rows, k_values=(1, 3, 5))
-        entry = report["by_context"]["none"]
-        assert entry["pass@1"] == 40.0
-        assert entry["pass@3"] == 90.0
-        assert entry["pass@5"] == 100.0
+    def test_cost_unknown_without_sessions(self):
+        report = build_report(self.rows())
+        assert report["cost"] is None
+        assert report["points"] == [
+            {"context_budget": 0, "cost_usd": None, "pass@1": 50.0},
+            {"context_budget": 2048, "cost_usd": None, "pass@1": pytest.approx(66.67)},
+        ]
+        assert format_report_table(report).endswith("total cost (USD): unknown (no --sessions)")
+
+    def test_no_session_costs_nothing(self):
+        report = build_report(self.rows(), [])
+        assert report["cost"]["total_usd"] == 0.0
+        assert [p["cost_usd"] for p in report["points"]] == [0.0, 0.0]
 
     def test_table_layout(self):
-        report = build_report(self.rows())
+        report = build_report(self.rows(), [])
         table = format_report_table(report)
         lines = table.splitlines()
         assert lines[0].split() == ["metric", "0", "2048", "overall"]
@@ -409,7 +383,7 @@ class TestReport:
         [(0.00315, "0.00315"), (0.75, "0.75"), (1 / 3, "0.333333"), (1234567.891, "1234570"), (5e-05, "0.00005")],
     )
     def test_table_prints_cost_to_six_significant_digits(self, total, printed):
-        report = build_report(self.rows())
+        report = build_report(self.rows(), [])
         report["cost"]["total_usd"] = total
         assert format_report_table(report).endswith(f"total cost (USD): {printed}")
 

@@ -108,13 +108,12 @@ def sessions(draw) -> RepairSession:
 
 @st.composite
 def outcomes(draw) -> TaskOutcome:
-    n = draw(st.integers(1, 50))
-    c = draw(st.integers(0, n))
+    c = draw(st.integers(0, 1))
     return TaskOutcome(
         task_id=draw(text),
-        n=n,
+        n=1,
         c=c,
-        c_compile=draw(st.integers(c, n)),
+        c_compile=draw(st.integers(c, 1)),
         prompt_tokens=draw(counts),
         completion_tokens=draw(counts),
         unavailable=draw(st.booleans()),
@@ -160,7 +159,7 @@ STRATEGIES = {
     RunConfig: st.builds(
         RunConfig,
         task_file=text, out_dir=text, source_root=text, context_budget=ints, counter=text,
-        strategy=text, max_rounds=ints, max_tokens=ints, n_samples=ints, workers=ints,
+        strategy=text, max_rounds=ints, max_tokens=ints, workers=ints,
         seed=ints, retrieval=st.none() | json_objects, executor=text,
         mock_executor=st.none() | text, solc_path=text, fuzz_command=st.lists(text, max_size=3),
         executor_timeout=floats, mock_client=st.none() | text, endpoint=st.none() | text,
