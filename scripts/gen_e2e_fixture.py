@@ -26,10 +26,11 @@ from solrepair.executor import (  # noqa: E402
     STATUS_FUNCTIONAL_MISMATCH,
     STATUS_PASS,
     ScriptedDifferentialBackend,
+    _bound,
     _generated_cases,
     _param_names,
+    _read,
     evaluate_body,
-    interpret_body,
 )
 from solrepair.harness import RunConfig, cmd_build, load_tasks  # noqa: E402
 from solrepair.repair import (  # noqa: E402
@@ -136,7 +137,7 @@ def main() -> None:
     functions = {}
     for task in tasks:
         params = _param_names(task.record.signature)
-        steps = interpret_body(task.record.body, params=params)
+        steps = _bound(_read(task.record.body).steps, params)
         assert steps is not None, task.task_id
         cases = []
         for inputs in _generated_cases(params, f"table:{task.task_id}", count=6):

@@ -13,6 +13,7 @@ Diagnostic line numbers are 1-based within the completed function body
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import random
@@ -29,6 +30,7 @@ from .corpus import (
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
+    _SIZED_TYPE_FIRST,
     _SIZED_TYPE_RE,
     pair_braces,
     scrub,
@@ -153,10 +155,10 @@ def substitute_function(target: IndexedFunction, completed_body: str) -> Located
 
 
 # ---------------------------------------------------------------------------
-# Mini expression evaluator for the scripted differential backend. Supports
-# straight-line bodies: local declarations followed by `return <expr>;` over
-# Solidity's integer and boolean operators. A body it cannot model is
-# compared as text.
+# The scripted differential backend. It reads a body into one tree, for the
+# name resolver and the evaluator, which models straight-line bodies: local
+# declarations, then `return <expr>;`, over Solidity's integer and boolean
+# operators. A body it cannot model is compared as text.
 # ---------------------------------------------------------------------------
 
 
@@ -256,6 +258,7 @@ def _constant(value: int | bool) -> _Evaluator:
     return lambda env: value
 
 
+@functools.lru_cache(maxsize=4096)
 def _parse_expression(text: str) -> tuple[_Evaluator, frozenset[str]] | None:
     """The evaluator of a Solidity expression and the names it reads, or None
     when the mock cannot model it: text outside the grammar, a relational
@@ -328,71 +331,36 @@ def _conditional(test: _Evaluator, then: _Evaluator, orelse: _Evaluator) -> _Eva
     return lambda env: then(env) if test(env) else orelse(env)
 
 
-_DECL_STMT_RE = re.compile(
-    r"^(?:uint\d*|int\d*|bool)\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*(?:=\s*(.+))?$", re.S
-)
-_RETURN_STMT_RE = re.compile(r"^return\s+(.+)$", re.S)
-
-
 class _Step(NamedTuple):
-    """One statement: a declaration of `name`, or `return` when name is None.
-
-    evaluate gives the statement's value (0 for a declaration without an
-    initializer) or raises what evaluating it raises; reads holds the names
-    it reads.
-    """
+    """One modelled statement: a declaration of `name`, or `return` when
+    name is None, and its value's text ("" for a declaration without an
+    initializer: 0), which evaluate computes, reading the names in reads.
+    Steps of equal name and value are the same statement."""
 
     name: str | None
+    value: str
     evaluate: _Evaluator
     reads: frozenset[str]
 
 
-def _parse_statement(stmt: str) -> _Step | None:
-    if decl := _DECL_STMT_RE.match(stmt):
-        name, expr = decl.groups()
-    elif ret := _RETURN_STMT_RE.match(stmt):
-        name, expr = None, ret.group(1)
-    else:
+def _bound(steps: Sequence[_Step] | None, params: Iterable[str]) -> list[_Step] | None:
+    """steps, or None when one reads a name that is neither in params nor
+    declared by a step before it."""
+    if steps is None:
         return None
-    if expr is None:
-        return _Step(name, _constant(0), frozenset())
-    parsed = _parse_expression(expr)
-    return None if parsed is None else _Step(name, *parsed)
-
-
-def interpret_body(
-    body: str, known: dict[str, _Step | None] | None = None, params: Iterable[str] = ()
-) -> list[_Step] | None:
-    """Parse a body into steps, or None when the mock cannot model it and
-    compares it as text: a statement outside the grammar or nested past
-    _MAX_NESTING, or one reading a name that is neither in params nor
-    declared by an earlier statement.
-
-    known maps statement texts to their steps, None for a statement outside
-    the grammar: a statement found there is not parsed again, and one parsed
-    here is added to it.
-    """
-    inner = body.strip()
-    if not (inner.startswith("{") and inner.endswith("}")):
-        return None
-    if known is None:
-        known = {}
     bound = set(params)
-    steps = []
-    for stmt in filter(None, map(str.strip, inner[1:-1].split(";"))):
-        step = known[stmt] if stmt in known else known.setdefault(stmt, _parse_statement(stmt))
-        if step is None or not step.reads <= bound:
+    for step in steps:
+        if not step.reads <= bound:
             return None
         if step.name is not None:
             bound.add(step.name)
-        steps.append(step)
-    return steps
+    return list(steps)
 
 
 def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
     try:
-        for name, evaluate, _ in steps:
+        for name, _, evaluate, _ in steps:
             value = evaluate(env)
             if name is None:
                 return value
@@ -487,63 +455,216 @@ def _is_declaration(m: re.Match | None) -> bool:
     return m is not None and m["first"] not in _NOT_TYPES and m["name"] not in SOLIDITY_KEYWORDS
 
 
-# One token of a body walk: a name (group 2), led by the '.' of a member
-# access (group 1) and followed by the ':' of a named argument (group 3)
-# when it has either; or one of `{ } ( ) ; ,`. A name never starts right
-# after a digit: `0x1f` and `1e18` are numbers.
-_WALK_RE = re.compile(rf"(\.\s*)?(?<!\d)({_NAME})(\s*:(?!=))?|[{{}}();,]")
+# The tokens of a body that its tree is read from: a name, which never
+# starts right after a digit (`0x1f` and `1e18` are numbers), one of
+# `{ } ( ) ; , . :`, or Yul's `:=`. Operators and literals are skipped.
+_LEX_RE = re.compile(rf"(?<!\d){_NAME}|:=|[{{}}();,.:]")
+# The tokens a declaration may follow: it starts a statement, a `for`
+# header's part, a tuple's component (`(T a, , T b) = ...`) or a `try`/
+# `catch` clause's parameter.
+_STARTS = ("{", "}", ";", "(", ",")
+_PUNCTUATION = "{}();,.:"
+# The tokens a statement's own block follows, as against the braces of call
+# options or named arguments (`x.call{value: v}`, `f({a: 1})`).
+_BLOCK_LEADS = (")", "else", "do", "unchecked", "catch")
+
+# The tree of a body, which _Reader builds:
+# - _Block: its statements, and the declarations in scope from its '{' on,
+#   the parameters of the `try`/`catch` clause whose block it is;
+# - _For: a `for` loop's header statements and body, in the loop's scope;
+# - _Statement: one read flat, to its ';', to the '}' of its block, or to
+#   the end of a block or loop nested in it that no `else` or `catch`
+#   follows (`if`, `while`, `try`). Its parts are its name uses (_Use) and
+#   nested blocks and loops, in order; its declarations (_Decl), tuple
+#   components included, enter scope after its ';' when closed. value is
+#   the text after `return` in a `return`, or after the name of the
+#   declaration that leads the statement; None in any other, opaque one.
+_Use = NamedTuple("_Use", [("name", str), ("at", int)])
+_Decl = NamedTuple("_Decl", [("type", str), ("name", str)])
+_Block = NamedTuple("_Block", [("statements", tuple), ("scope", tuple)])
+_For = NamedTuple("_For", [("header", tuple), ("body", object)])
+_Statement = NamedTuple(
+    "_Statement",
+    [("start", int), ("end", int), ("parts", tuple), ("decls", tuple), ("closed", bool), ("value", "str | None")],
+)
 
 
-def _unresolved(body: str, own: Iterable[str]) -> Iterator[re.Match]:
-    """Each use of a name in body, a scrubbed block with Yul blanked, that
-    neither own nor a local in scope declares, in order; the name is group 2.
+class _Reader:
+    """Reads a body, scrubbed with Yul blanked and one balanced {...}, into
+    its tree by recursive descent: `block(0)`; a body nested past
+    _MAX_NESTING statements raises RecursionError."""
 
-    A declaration may follow a '{', '}', ';', '(' or ',': it starts a
-    statement, a `for` header, a tuple's component (`(T a, , T b) = ...`) or
-    a `try`/`catch` clause's parameter. Its names enter scope after its
-    statement and leave at the end of their block, a `for` header's at the
-    end of its loop; a clause's parameters are in scope in the block that
-    follows the clause. The type names of a declaration are uses; members,
-    named-argument keys, keywords, elementary types and the `Error` or
-    `Panic` of a `catch` are not.
-    """
-    if all(map(_SIZED_TYPE_RE.match, set(re.findall(_NAME, body)).difference(own, SOLIDITY_KEYWORDS))):
-        return  # every word is own, a keyword or an elementary type
-    scopes: list[tuple[set[str], int | None]] = [(set(own), None)]  # names, and a loop's paren depth
-    declared: dict[int, str] = {}  # the names the statement or clause being walked declares
-    # Whether the statement being walked has reached a `returns` or `catch`:
-    # the block that follows a clause's closing ')' takes its parameters.
-    clause = False
-    depth, last, start, ended = 0, "", False, False
-    for m in _WALK_RE.finditer(body):
-        name, token = m[2], m[0]
-        if ended and name not in ("else", "catch"):  # the loops whose body the last statement ended
-            while scopes[-1][1] == depth:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        tokens = list(_LEX_RE.finditer(text))
+        # Two sentinels, so that a look one token ahead never runs out.
+        self.words = [m[0] for m in tokens] + ["", ""]
+        self.at = [m.start() for m in tokens] + [len(text)] * 2
+        self.i = 0
+        self.used: set[str] = set()  # the names of the uses read
+
+    def block(self, depth: int, scope: tuple = ()) -> _Block:
+        if depth > _MAX_NESTING:
+            raise RecursionError
+        self.i += 1  # its '{''
+        statements = []
+        while self.words[self.i] not in ("}", ""):
+            statements.append(self.block(depth + 1) if self.words[self.i] == "{" else self.flat(depth))
+        self.i += 1  # its '}'
+        return _Block(tuple(statements), scope)
+
+    def flat(self, depth: int, in_header: bool = False) -> _Statement:
+        """The statement from here; in a `for` header, one that the
+        header's ')' may end too."""
+        if depth > _MAX_NESTING:
+            raise RecursionError
+        words, at, text = self.words, self.at, self.text
+        i = first = self.i
+        parts, decls = [], []
+        declared: set[int] = set()  # the offsets of the names decls declare
+        lead = None  # the end of the name of the declaration that leads it
+        clause = False  # a `returns` or `catch` was read, whose block takes decls
+        paren, closed = 0, False
+        while True:
+            word, last = words[i], words[i - 1]
+            if word in ("}", "") or in_header and word == ")" and paren == 0:
+                break
+            if word == ";":
+                i += 1
+                if words[i] != "else":
+                    closed = True
+                    break
+                # The branch before an `else` is a statement of its own.
+                parts = [_Statement(at[first], at[i - 1], tuple(parts), tuple(decls), True, None)]
+                decls, lead = [], None
+            elif word == "{":
+                scope = ()
+                if clause and last == ")":
+                    scope, decls, lead, clause = tuple(decls), [], None, False
+                self.i = i
+                parts.append(self.block(depth + 1, scope))
+                i = self.i
+                if paren == 0 and last in _BLOCK_LEADS and words[i] not in ("else", "catch"):
+                    break
+            elif word == "for" and words[i + 1] == "(":
+                self.i, header = i + 2, []
+                while words[self.i] not in (")", "}", ""):
+                    header.append(self.flat(depth + 1, in_header=True))
+                self.i += words[self.i] == ")"
+                body = self.block(depth + 1) if words[self.i] == "{" else self.flat(depth + 1)
+                parts.append(_For(tuple(header), body))
+                i = self.i
+                if paren == 0 and words[i] != "else":
+                    break
+            elif word[0] in _PUNCTUATION:
+                paren += (word == "(") - (word == ")")
+                i += 1
+            else:
+                if (
+                    last in _STARTS and word not in _NOT_TYPES
+                    and _is_declaration(d := _DECLARATION_RE.match(text, at[i]))
+                ):
+                    decls.append(_Decl(text[at[i] : d.start("name")].strip(), d["name"]))
+                    declared.add(d.start("name"))
+                    lead = d.end("name") if i == first else lead
+                # Members, named-argument keys, keywords, elementary types and
+                # the `Error` or `Panic` of a `catch` are not uses.
+                if not (
+                    last == "." or word in SOLIDITY_KEYWORDS or at[i] in declared
+                    or words[i + 1] == ":" and last in ("{", ",")
+                    or word[0] in _SIZED_TYPE_FIRST and _SIZED_TYPE_RE.match(word)
+                    or last == "catch" and word in ("Error", "Panic")
+                ):
+                    parts.append(_Use(word, at[i]))
+                    self.used.add(word)
+                clause = clause or word in ("returns", "catch")
+                i += 1
+        self.i = i
+        end = at[i - closed]
+        value = text[lead:end] if lead is not None else None
+        if words[first] == "return" and not decls:
+            value = text[at[first] + len("return") : end]
+        return _Statement(at[first], end, tuple(parts), tuple(decls), closed, value)
+
+
+def _unresolved(block: _Block, own: Iterable[str]) -> list[_Use]:
+    """Each use in block, a body's tree, of a name that neither own nor a
+    declaration in scope declares, in order. A declaration's names leave
+    scope at the end of their block, a `for` header's at the end of its
+    loop."""
+    found, scopes = [], [set(own)]
+
+    def walk(nodes: Iterable) -> None:
+        for node in nodes:
+            if type(node) is _Use:
+                if not any(node.name in names for names in scopes):
+                    found.append(node)
+            elif type(node) is _Statement:
+                walk(node.parts)
+                if node.closed:
+                    scopes[-1].update(d.name for d in node.decls)
+            else:
+                block = type(node) is _Block
+                scopes.append({d.name for d in node.scope} if block else set())
+                walk(node.statements if block else (*node.header, node.body))
                 scopes.pop()
-        if name is not None:
-            # A declaration starts with a name that may lead a type.
-            if start and name not in _NOT_TYPES and _is_declaration(d := _DECLARATION_RE.match(body, m.start())):
-                declared[d.start("name")] = d["name"]
-            if not (
-                m[1] or name in SOLIDITY_KEYWORDS or any(name in names for names, _ in scopes)
-                or m.start(2) in declared or m[3] and last in ("{", ",") or _SIZED_TYPE_RE.match(name)
-                or last == "catch" and name in ("Error", "Panic")
-            ):
-                yield m
-            clause = clause or name in ("returns", "catch")
-            token = name
-        elif token == "{" and clause and last == ")":
-            scopes.append((set(declared.values()), None))
-            declared, clause = {}, False
-        elif token == "{" or token == "(" and last == "for":
-            scopes.append((set(), None if token == "{" else depth))
-        elif token == "}" and len(scopes) > 1:
-            scopes.pop()
-        elif token == ";":
-            scopes[-1][0].update(declared.values())
-            declared, clause = {}, False
-        depth += (token == "(") - (token == ")")
-        start, ended, last = token in ("{", "}", ";", "(", ","), token in (";", "}"), token
+
+    walk((block,))
+    return found
+
+
+# The elementary types of a local the evaluator models.
+_VALUE_TYPE_RE = re.compile(r"u?int\d*|bool")
+
+
+def _steps(block: _Block) -> tuple[_Step, ...] | None:
+    """The statements of block, a body's tree, as steps; None when one is
+    neither a `return` nor a declaration of one integer or boolean local,
+    or its expression is outside the grammar or nested past _MAX_NESTING."""
+    steps = []
+    for s in block.statements:
+        if type(s) is _Statement and s.start == s.end:
+            continue  # an empty statement
+        if type(s) is not _Statement or s.value is None:
+            return None
+        if s.decls:  # `T name`, then nothing or `= expression`
+            name, rest = s.decls[0].name, s.value.strip()
+            expression = rest[1:].strip()
+            if not _VALUE_TYPE_RE.fullmatch(s.decls[0].type) or rest[:1] not in ("", "=") or rest and not expression:
+                return None
+        else:  # `return`, whitespace, then the expression
+            name, expression = None, s.value.strip()
+            if not (s.value[:1].isspace() and expression):
+                return None
+        parsed = _parse_expression(expression) if expression else (_constant(0), frozenset())
+        if parsed is None:
+            return None
+        steps.append(_Step(name, expression, *parsed))
+    return tuple(steps)
+
+
+class _Read(NamedTuple):
+    """A function body as the mock reads it."""
+
+    text: str  # the body with comments, strings and Yul blanked
+    block: _Block | None  # its tree; None when nested past _MAX_NESTING
+    names: frozenset[str]  # the names its uses read
+    steps: tuple[_Step, ...] | None  # its statements as steps; None when not modelled
+
+
+def _read(body: str) -> _Read | None:
+    """body read, or None when it is not one balanced {...} block. A body
+    holding a comment, a string or `assembly` gets no steps."""
+    scrubbed = scrub(body)
+    if not _is_single_block(scrubbed):
+        return None
+    text = _without_assembly(scrubbed)
+    reader = _Reader(text)
+    try:
+        block = reader.block(0)
+    except RecursionError:  # nested past _MAX_NESTING
+        return _Read(text, None, frozenset(), None)
+    return _Read(text, block, frozenset(reader.used), _steps(block) if text == body else None)
 
 
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
@@ -606,28 +727,20 @@ class _Body(NamedTuple):
 
     name: str
     text: str  # the body, braces included
-    scrubbed: str  # the body with comments and strings blanked
     start: int  # offset of the body's '{' in its source
     params: tuple[str, ...]  # the parameter names in its signature
     own: frozenset[str]  # the parameter names, named returns and the function's own name
 
 
 def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
-    text, scrubbed = index.text, index.scrubbed
     # Read in the scrubbed header, so a comment in a parameter list adds no
     # name and its parentheses end no list.
-    header = scrubbed[fn.kw_offset : fn.body_start]
+    header = index.scrubbed[fn.kw_offset : fn.body_start]
     params = tuple(_param_names(header))
     returns = re.search(r"\breturns\b", header)
     named = _param_names(header[returns.end() :]) if returns else ()
-    return _Body(
-        fn.name,
-        text[fn.body_start : fn.body_end + 1],
-        scrubbed[fn.body_start : fn.body_end + 1],
-        fn.body_start,
-        params,
-        frozenset((*params, *named, fn.name)),
-    )
+    text = index.text[fn.body_start : fn.body_end + 1]
+    return _Body(fn.name, text, fn.body_start, params, frozenset((*params, *named, fn.name)))
 
 
 def _is_single_block(scrubbed: str) -> bool:
@@ -654,21 +767,20 @@ class _Oracle:
     """One oracle text as verify sees it: its index, and what verify learns
     about it, once per run: each target's entry (its `_Body`), each
     function's expected outputs and the names each contract sees
-    (`_scopes`). Statements are parsed through `steps`, which maps each
-    statement text parsed so far to its step and which the backend shares
-    between its oracles. Entries are built on the first verify of their
-    target; the scopes, only for a name that a completed body does not
-    declare and that occurs in the oracle's scrubbed text, or in an oracle
-    that imports or inherits. Every entry is a pure function of its key, so
-    threads racing to fill one only repeat work.
+    (`_scopes`), and, in `reads`, which the backend shares between its
+    oracles, each body text read. Entries are built on the first verify of
+    their target; the scopes, only for a name that a completed body does
+    not declare and that occurs in the oracle's scrubbed text, or in an
+    oracle that imports or inherits. Every entry is a pure function of its
+    key, so threads racing to fill one only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
 
-    def __init__(self, index: SourceIndex, steps: dict[str, _Step | None] | None = None) -> None:
+    def __init__(self, index: SourceIndex, reads: dict[str, _Read | None] | None = None) -> None:
         index.check()
         self.index = index
-        self.steps = {} if steps is None else steps
+        self.reads = {} if reads is None else reads
         self._bodies: dict[int, _Body] = {}
         self._self_contained = _OPEN_RE.search(index.scrubbed) is None  # it neither imports nor inherits
         self._scopes: list[tuple[int, int, frozenset[str] | None]] | None = None
@@ -690,6 +802,12 @@ class _Oracle:
         names = next(names for start, end, names in self._scopes if start <= fn.kw_offset <= end)
         return names is None or name in names
 
+    def read(self, body: str) -> _Read | None:
+        """body as `_read` reads it, read once per distinct text."""
+        if body in self.reads:
+            return self.reads[body]
+        return self.reads.setdefault(body, _read(body))
+
     def expected(self, body: _Body, seed: int) -> _Expected:
         """The oracle function `body` evaluated on its generated cases."""
         key = (body.start, seed)
@@ -699,7 +817,7 @@ class _Oracle:
         return found
 
     def _evaluate(self, body: _Body, seed: int) -> _Expected:
-        steps = interpret_body(body.text, self.steps, body.params)
+        steps = _bound(self.read(body.text).steps, body.params)  # an oracle body is one block
         if steps is None:
             return _Expected(None, [], None)
         cases = []
@@ -709,15 +827,6 @@ class _Oracle:
             except _EvalError as exc:
                 return _Expected(steps, [], f"oracle evaluation failed: {exc}")
         return _Expected(steps, cases, None)
-
-    def located(self, completed: LocatedCompletion) -> tuple[_Body, _Body] | None:
-        """The target's entry and the completed body's, found by scanning only
-        the completed body; None when that body is not one balanced {...}."""
-        scrubbed = scrub(completed.body)
-        if not _is_single_block(scrubbed):
-            return None
-        old = self.body(completed.target)
-        return old, old._replace(text=completed.body, scrubbed=scrubbed)
 
 
 @dataclass(frozen=True)
@@ -760,7 +869,7 @@ class ScriptedDifferentialBackend:
     is a compile_error. The backend prepares each oracle text once, on
     first use, from the index verify is handed, and keeps it for its own
     lifetime: each function's expected outputs are computed once, and each
-    distinct statement, in whichever source, is parsed once.
+    distinct body, in whichever source, is read once.
     """
 
     name = "mock-diff"
@@ -775,114 +884,79 @@ class ScriptedDifferentialBackend:
         self.fixture = ExecutorFixture.from_json(fixture)
         self.seed = seed
         self._oracles: dict[str, _Oracle] = {}
-        self._steps: dict[str, _Step | None] = {}
+        self._reads: dict[str, _Read | None] = {}
         self._lock = threading.Lock()
 
-    def _verdict(
-        self, t0: float, status: str, diagnostics: Iterable[Diagnostic] = ()
-    ) -> ExecutionVerdict:
-        return ExecutionVerdict(
-            status=status,
-            diagnostics=tuple(diagnostics),
-            elapsed=time.perf_counter() - t0,
-            backend=self.name,
-            backend_version=self.version,
-            backend_seed=self.seed,
-        )
+    def _verdict(self, t0: float, status: str, diagnostics: Iterable[Diagnostic] = ()) -> ExecutionVerdict:
+        elapsed = time.perf_counter() - t0
+        return ExecutionVerdict(status, tuple(diagnostics), elapsed, self.name, self.version, self.seed)
 
     def _oracle(self, index: SourceIndex) -> _Oracle:
         with self._lock:
             oracle = self._oracles.get(index.text)
             if oracle is None:
-                oracle = self._oracles[index.text] = _Oracle(index, self._steps)
+                oracle = self._oracles[index.text] = _Oracle(index, self._reads)
             return oracle
 
     def verify(
         self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
+
+        def failed(status: str, message: str, line: int | None = None) -> ExecutionVerdict:
+            return self._verdict(t0, status, [Diagnostic("Other", message, line)])
+
         try:
             prepared = self._oracle(oracle)
         except MalformedSourceError as exc:
-            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))])
+            return failed(STATUS_COMPILE_ERROR, str(exc))
         if completed.keeps_body_of(oracle):
             return self._verdict(t0, STATUS_PASS)
-        located = prepared.located(completed)
-        if located is None:
-            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NOT_ONE_BLOCK)])
-        old, new = located
+        text = completed.body
+        read = prepared.read(text)
+        if read is None:
+            return failed(STATUS_COMPILE_ERROR, _NOT_ONE_BLOCK)
+        old = prepared.body(completed.target)
         # Solidity declares no function in a function body; Yul does, inside
         # `assembly`.
-        body = _without_assembly(new.scrubbed)
-        nested = _NAMED_FUNCTION_RE.search(body)
+        nested = _NAMED_FUNCTION_RE.search(read.text)
         if nested is not None:
-            line = new.text.count("\n", 0, nested.start()) + 1
-            message = f'Function "{nested[1]}" declared inside a function body.'
-            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
-        use = next((u for u in _unresolved(body, new.own) if not prepared.declares(completed.target, u[2])), None)
+            line = text.count("\n", 0, nested.start()) + 1
+            return failed(STATUS_COMPILE_ERROR, f'Function "{nested[1]}" declared inside a function body.', line)
+        # A body nested too deep to read is compared as text, unresolved.
+        uses = () if read.block is None or read.names <= old.own else _unresolved(read.block, old.own)
+        use = next((u for u in uses if not prepared.declares(completed.target, u.name)), None)
         if use is not None:
-            line = new.text.count("\n", 0, use.start(2)) + 1
-            undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use[2]}".', line, use[2])
+            line = text.count("\n", 0, use.at) + 1
+            undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name)
             return self._verdict(t0, STATUS_COMPILE_ERROR, [undeclared])
 
         table = self.fixture.functions.get(target_function_id)
-        completed_steps = interpret_body(new.text, prepared.steps, new.params)
-        oracle_run = None
-        if completed_steps is not None and table is None:
-            oracle_run = prepared.expected(old, self.seed)
-        if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
-            if _normalized(old.text) == _normalized(new.text):
+        steps = _bound(read.steps, old.params)
+        oracle_run = None if steps is None or table is not None else prepared.expected(old, self.seed)
+        if steps is None or oracle_run is not None and oracle_run.steps is None:
+            if _normalized(old.text) == _normalized(text):
                 return self._verdict(t0, STATUS_PASS)
-            return self._verdict(
-                t0,
-                STATUS_FUNCTIONAL_MISMATCH,
-                [
-                    Diagnostic(
-                        "Other",
-                        "completed body differs from the oracle and cannot be evaluated",
-                    )
-                ],
-            )
-
+            return failed(STATUS_FUNCTIONAL_MISMATCH, "completed body differs from the oracle and cannot be evaluated")
         if table is not None:
             cases = [(case.inputs, case.output) for case in table.cases]
         elif oracle_run.failure is not None:
-            return self._verdict(
-                t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", oracle_run.failure)]
-            )
-        elif completed_steps == oracle_run.steps:
+            return failed(STATUS_EXECUTOR_UNAVAILABLE, oracle_run.failure)
+        elif [step[:2] for step in steps] == [step[:2] for step in oracle_run.steps]:
             # The oracle's own steps, on inputs it evaluated cleanly.
             return self._verdict(t0, STATUS_PASS)
         else:
             cases = oracle_run.cases
         for inputs, expected in cases:
             try:
-                got = evaluate_body(completed_steps, inputs)
+                got = evaluate_body(steps, inputs)
             except _EvalError as exc:
-                return self._verdict(
-                    t0,
-                    STATUS_FUNCTIONAL_MISMATCH,
-                    [
-                        Diagnostic(
-                            "Other",
-                            f"evaluation failed for inputs "
-                            f"{json.dumps(inputs, sort_keys=True)}: {exc}",
-                        )
-                    ],
-                )
+                shown = json.dumps(inputs, sort_keys=True)
+                return failed(STATUS_FUNCTIONAL_MISMATCH, f"evaluation failed for inputs {shown}: {exc}")
             if got != expected:
-                return self._verdict(
-                    t0,
-                    STATUS_FUNCTIONAL_MISMATCH,
-                    [
-                        Diagnostic(
-                            "Other",
-                            f"output mismatch for inputs "
-                            f"{json.dumps(inputs, sort_keys=True)}: "
-                            f"expected {expected}, got {got}",
-                        )
-                    ],
-                )
+                shown = json.dumps(inputs, sort_keys=True)
+                message = f"output mismatch for inputs {shown}: expected {expected}, got {got}"
+                return failed(STATUS_FUNCTIONAL_MISMATCH, message)
         return self._verdict(t0, STATUS_PASS)
 
 
@@ -921,12 +995,8 @@ class SolcCompileBackend:
     def version(self) -> str:
         if self._version is None:
             try:
-                out = subprocess.run(
-                    [self.solc_path, "--version"],
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
+                argv = [self.solc_path, "--version"]
+                out = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
                 m = re.search(r"Version:\s*(\S+)", out.stdout)
                 self._version = m.group(1) if m else out.stdout.strip()
             except (OSError, subprocess.TimeoutExpired):
@@ -941,21 +1011,15 @@ class SolcCompileBackend:
             "settings": {"outputSelection": {"*": {"*": []}}},
         }
 
+        def verdict(status: str, diagnostics: Sequence[Diagnostic], version: str) -> ExecutionVerdict:
+            return ExecutionVerdict(status, tuple(diagnostics), time.perf_counter() - t0, self.name, version)
+
         def unavailable(reason: str) -> ExecutionVerdict:
-            return ExecutionVerdict(
-                status=STATUS_EXECUTOR_UNAVAILABLE,
-                diagnostics=(Diagnostic("Other", reason),),
-                elapsed=time.perf_counter() - t0,
-                backend=self.name,
-                backend_version=self._version or "",
-            )
+            return verdict(STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", reason)], self._version or "")
 
         try:
             proc = subprocess.run(
-                [self.solc_path, "--standard-json"],
-                input=json.dumps(request),
-                capture_output=True,
-                text=True,
+                [self.solc_path, "--standard-json"], input=json.dumps(request), capture_output=True, text=True,
                 timeout=self.timeout,
             )
         except FileNotFoundError:
@@ -979,20 +1043,7 @@ class SolcCompileBackend:
             if spanned and diagnostic.kind == "UndeclaredIdentifier":
                 diagnostic = replace(diagnostic, identifier=spanned)
             diagnostics.append(diagnostic)
-        if diagnostics:
-            return ExecutionVerdict(
-                status=STATUS_COMPILE_ERROR,
-                diagnostics=tuple(diagnostics),
-                elapsed=time.perf_counter() - t0,
-                backend=self.name,
-                backend_version=self.version,
-            )
-        return ExecutionVerdict(
-            status=STATUS_PASS,
-            elapsed=time.perf_counter() - t0,
-            backend=self.name,
-            backend_version=self.version,
-        )
+        return verdict(STATUS_COMPILE_ERROR if diagnostics else STATUS_PASS, diagnostics, self.version)
 
     def verify(
         self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
@@ -1019,9 +1070,7 @@ class SolcCompileBackend:
         first = oracle.line_of(completed.target.body_start)
         last = first + completed.body.count("\n")
         return tuple(
-            replace(d, line=d.line - first + 1)
-            if d.line is not None and first <= d.line <= last
-            else d
+            replace(d, line=d.line - first + 1) if d.line is not None and first <= d.line <= last else d
             for d in diagnostics
         )
 
@@ -1055,44 +1104,24 @@ class SubprocessFuzzBackend:
         }
 
         def unavailable(reason: str) -> ExecutionVerdict:
-            return ExecutionVerdict(
-                status=STATUS_EXECUTOR_UNAVAILABLE,
-                diagnostics=(Diagnostic("Other", reason),),
-                elapsed=time.perf_counter() - t0,
-                backend=self.name,
-                backend_version=self.version,
-            )
+            elapsed, diagnostics = time.perf_counter() - t0, (Diagnostic("Other", reason),)
+            return ExecutionVerdict(STATUS_EXECUTOR_UNAVAILABLE, diagnostics, elapsed, self.name, self.version)
 
         try:
-            proc = subprocess.run(
-                self.command,
-                input=json.dumps(request),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            stdin = json.dumps(request)
+            proc = subprocess.run(self.command, input=stdin, capture_output=True, text=True, timeout=self.timeout)
         except FileNotFoundError:
             return unavailable(f"fuzz command {self.command[0]!r} not found")
         except subprocess.TimeoutExpired:
             return unavailable(f"fuzz command timed out after {self.timeout}s")
         if proc.returncode != 0:
-            return unavailable(
-                f"fuzz command exited {proc.returncode}: {proc.stderr[:200]}"
-            )
+            return unavailable(f"fuzz command exited {proc.returncode}: {proc.stderr[:200]}")
         try:
             report = json.loads(proc.stdout)
             status = report["status"]
-            diagnostics = tuple(
-                Diagnostic.from_json(d) for d in report.get("diagnostics", [])
-            )
-            return ExecutionVerdict(
-                status=status,
-                diagnostics=diagnostics,
-                elapsed=time.perf_counter() - t0,
-                backend=self.name,
-                backend_version=str(report.get("version", self.version)),
-                backend_seed=report.get("seed"),
-            )
+            diagnostics = tuple(Diagnostic.from_json(d) for d in report.get("diagnostics", []))
+            elapsed, version = time.perf_counter() - t0, str(report.get("version", self.version))
+            return ExecutionVerdict(status, diagnostics, elapsed, self.name, version, report.get("seed"))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             return unavailable(f"fuzz report malformed: {exc}")
 
@@ -1109,11 +1138,6 @@ def differential_verify(
     try:
         return backend.verify(oracle, completed, task_id)
     except Exception as exc:  # adapter bugs must not be charged to the model
-        return ExecutionVerdict(
-            status=STATUS_EXECUTOR_UNAVAILABLE,
-            diagnostics=(
-                Diagnostic("Other", f"backend {getattr(backend, 'name', '?')} raised: {exc}"),
-            ),
-            backend=getattr(backend, "name", "?"),
-            backend_version=getattr(backend, "version", ""),
-        )
+        name, version = getattr(backend, "name", "?"), getattr(backend, "version", "")
+        diagnostics = (Diagnostic("Other", f"backend {name} raised: {exc}"),)
+        return ExecutionVerdict(STATUS_EXECUTOR_UNAVAILABLE, diagnostics, backend=name, backend_version=version)

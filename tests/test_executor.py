@@ -41,7 +41,6 @@ from solrepair.executor import (
     classify_error,
     differential_verify,
     evaluate_body,
-    interpret_body,
     substitute_function,
 )
 from solrepair import executor
@@ -49,6 +48,8 @@ from solrepair.executor import ExecutorCase, ExecutorFixture, ExecutorTable, _Ev
 from solrepair.repair import extract_code_block
 from solrepair.retrieval import Query, queries_for_method
 from solrepair.rows import read_json
+
+import mock_reference
 
 ORACLE = """pragma solidity ^0.8.0;
 
@@ -205,6 +206,13 @@ class TestSubstitute:
 AB = ("a", "b")
 
 
+def interpret_body(body: str, params=()):
+    """The steps verify evaluates for body in a function of those
+    parameters, or None when it compares the body as text."""
+    read = executor._read(body)
+    return None if read is None else executor._bound(read.steps, params)
+
+
 class TestEvaluator:
     def test_decl_and_return(self):
         steps = interpret_body("{ uint256 s = a + b; return s / 2; }", params=AB)
@@ -259,9 +267,8 @@ class TestEvaluator:
         ids=["unparsable", "deep-neg", "long-add-chain", "deep-parens", "unbound", "self-read", "assignment"],
     )
     def test_unmodelled_statement_goes_to_text(self, stmt):
-        known = {}
-        assert interpret_body(f"{{ {stmt}; return a; }}", known, AB) is None
-        assert interpret_body(f"{{ return a; {stmt}; }}", known, AB) is None
+        assert interpret_body(f"{{ {stmt}; return a; }}", AB) is None
+        assert interpret_body(f"{{ return a; {stmt}; }}", AB) is None
 
     @pytest.mark.parametrize(
         "expr",
@@ -281,13 +288,13 @@ class TestEvaluator:
         # A name read only on a branch never taken is still read.
         assert interpret_body("{ return a > 0 ? a : zz; }", params=AB) is None
 
-    def test_rejected_statement_is_parsed_once(self):
-        known = {}
+    def test_rejected_body_is_read_once(self):
+        oracle = _Oracle(FILE)
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
             for _ in range(3):
-                assert interpret_body("{ return balances[a]; }", known, AB) is None
+                assert oracle.read("{ return balances[a]; }").steps is None
         assert parse.call_count == 1
-        assert known == {"return balances[a]": None}
+        assert list(oracle.reads) == ["{ return balances[a]; }"]
 
     def test_recursion_limit_while_evaluating_is_an_evaluation_failure(self):
         # The deepest modelled expression, from a caller near the limit.
@@ -578,8 +585,8 @@ def reference_interpret_body(body: str, params):
     for stmt in (s.strip() for s in inner[1:-1].split(";")):
         if not stmt:
             continue
-        decl = executor._DECL_STMT_RE.match(stmt)
-        ret = executor._RETURN_STMT_RE.match(stmt)
+        decl = mock_reference.DECL_STMT_RE.match(stmt)
+        ret = mock_reference.RETURN_STMT_RE.match(stmt)
         if decl:
             name, expr = decl.groups()
         elif ret:
@@ -700,13 +707,9 @@ def test_property_parse_once_verify_matches_per_case_reference(oracle_body, comp
         cases = [{"inputs": {"a": 3, "b": b}, "output": 3 + b} for b in (0, 1, 5)]
         fixture = {"functions": {record.task_id(): {"cases": cases}}}
     got = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
-    with mock.patch.multiple(
-        executor,
-        interpret_body=lambda body, known=None, params=(): reference_interpret_body(body, params),
-        evaluate_body=reference_evaluate_body,
-    ):
-        want = ScriptedDifferentialBackend(fixture, seed=7).verify(oracle, completed, record.task_id())
-    assert (got.status, got.diagnostics) == (want.status, want.diagnostics)
+    with mock.patch.multiple(mock_reference, interpret_body=reference_interpret_body, evaluate_body=reference_evaluate_body):
+        want = mock_reference.reference_verify(oracle, completed, record.task_id(), fixture, seed=7)
+    assert mock_reference.verdict_of(got) == want
 
 
 ENVS = st.fixed_dictionaries(
@@ -739,7 +742,7 @@ def test_property_closures_match_tree_walk(expr, env):
     assert parsed is not None, expr
     evaluate, reads = parsed
     assert reads == reference_reads(tree)
-    got = outcome_of(lambda e: evaluate_body([executor._Step(None, evaluate, reads)], e), env)
+    got = outcome_of(lambda e: evaluate_body([executor._Step(None, expr, evaluate, reads)], e), env)
     assert got == outcome_of(lambda e: _eval_node(tree, e), env)
 
 
@@ -819,6 +822,7 @@ MULTI = """contract M {
 """
 MULTI_FILE = SourceIndex.from_text("m.sol", MULTI)
 M_ADD, M_DIV, M_HALF = extract_functions(MULTI_FILE)
+M_ADD_FN = MULTI_FILE.find(M_ADD.name, *M_ADD.span)
 
 
 # The case generator before it drew 7 random bits itself: the reference its
@@ -863,18 +867,11 @@ def test_property_signature_scan_equals_its_reference(text):
 
 
 class TestOracleMemo:
-    def test_reverifying_parses_the_oracle_and_generates_cases_once(self):
+    def test_reverifying_reads_the_oracle_and_generates_cases_once(self):
         backend = ScriptedDifferentialBackend()
-        oracle_exprs = ["a + b", "s"]
-        parsed = []
-        real_parse = executor._parse_expression
-
-        def parse(text):
-            parsed.append(text)
-            return real_parse(text)
-
+        oracle_body = MULTI_FILE.text[M_ADD_FN.body_start : M_ADD_FN.body_end + 1]
         bodies = ["{ uint256 s = b + a; return s; }", "{ return a - b; }", "{ return a * 1 + b; }", "{ uint256 s = a + b; return s + 0; }"]
-        with mock.patch.object(executor, "_parse_expression", side_effect=parse), mock.patch.object(
+        with mock.patch.object(executor, "_read", wraps=executor._read) as read, mock.patch.object(
             executor, "_generated_cases", wraps=executor._generated_cases
         ) as generated:
             statuses = [
@@ -882,17 +879,15 @@ class TestOracleMemo:
                 for body in bodies * 2
             ]
             assert generated.call_count == 1
-            # Each distinct statement is parsed once, however often it recurs.
-            assert len(parsed) == len(set(parsed))
-            for expr in oracle_exprs:
-                assert parsed.count(expr) == 1, expr
+            # Each distinct body is read once, however often it recurs.
+            assert sorted(call.args[0] for call in read.call_args_list) == sorted([oracle_body, *bodies])
             # Nothing is shared between backends.
             ScriptedDifferentialBackend().verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, bodies[1]), M_ADD.task_id())
             assert generated.call_count == 2
-            assert parsed.count("a + b") == 2
+            assert [call.args[0] for call in read.call_args_list].count(oracle_body) == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
 
-    def test_a_statement_is_parsed_once_across_oracles(self):
+    def test_a_body_is_read_once_across_oracles(self):
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
             for index, record in ((FILE, ADD), (MULTI_FILE, M_ADD), (OVERLOADS_FILE, F2)):
@@ -1248,7 +1243,7 @@ class TestLocationKeyed:
         file = SourceIndex.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
         completed = splice(file, f, "{ ) { } }")
-        assert _Oracle(file).located(completed) is not None
+        assert _Oracle(file).read(completed.body) is not None
         v = ScriptedDifferentialBackend().verify(file, completed, f.task_id())
         assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
         # The whole-source parse found g changed instead.
@@ -1271,9 +1266,9 @@ class TestLocationKeyed:
     def test_self_contained_bodies_take_the_body_only_path(self):
         oracle = _Oracle(SourceIndex(ORACLE))
         for body in ("{ return b + a; }", "{\n  return 1; // x\n}", "{ /* } */ return 1; }", "{ function g() {} }"):
-            assert oracle.located(completed_with(ADD, body)) is not None, body
+            assert oracle.read(body) is not None, body
         for body in ("{ /* }", '{ "}', "{ } }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
-            assert oracle.located(completed_with(ADD, body)) is None, body
+            assert oracle.read(body) is None, body
 
 
 def nested_function(name: str, line: int) -> tuple[str, tuple[Diagnostic, ...]]:
@@ -1501,9 +1496,7 @@ def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id:
         return "compile_error", (Diagnostic("Other", str(exc)),)
     if len(change.old) == len(change.new) == 1 and change.old[0].name == change.new[0].name:
         (fn,) = change.functions
-        with mock.patch.object(_Oracle, "located", return_value=(*change.old, *change.new)), mock.patch.object(
-            _Oracle, "declares", lambda self, _, name: change.declares(fn, name)
-        ):
+        with mock.patch.object(_Oracle, "declares", lambda self, _, name: change.declares(fn, name)):
             v = ScriptedDifferentialBackend().verify(oracle, completed, task_id)
         return v.status, v.diagnostics
     if not change.new:
@@ -1511,11 +1504,11 @@ def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id:
             return "pass", ()
         return mismatch(f"oracle functions missing from the completed source: {sorted(b.name for b in change.old)}")
     for new, fn in zip(change.new, change.functions):
-        for use in executor._unresolved(executor._without_assembly(new.scrubbed), new.own):
-            if not change.declares(fn, use[2]):
-                line = new.text.count("\n", 0, use.start(2)) + 1
+        for use in executor._unresolved(executor._read(new.text).block, new.own):
+            if not change.declares(fn, use.name):
+                line = new.text.count("\n", 0, use.at) + 1
                 return "compile_error", (
-                    Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use[2]}".', line, use[2]),
+                    Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name),
                 )
     if len(change.new) > 1:
         return mismatch(f"multiple functions differ from oracle: {sorted(b.name for b in change.new)}")
@@ -1633,7 +1626,7 @@ def test_property_located_verify_matches_whole_source_reference(statements, host
     got = check_against_reference(oracle, completed, record.task_id())
     balanced = not hostile or inside and (hostile.startswith(("assembly", "function")) or hostile == "//" and newlines)
     if balanced and not tail:
-        assert _Oracle(oracle).located(completed) is not None, body
+        assert _Oracle(oracle).read(body) is not None, body
     # solc's absolute lines, one on each line of the completed source.
     source = completed.source_in(oracle)
     lines = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
@@ -1711,7 +1704,7 @@ def test_fixture_records_splice_back_exactly(path):
         assert completed.source_in(file) == file.text
         assert backend.verify(file, completed, record.task_id()).status == "pass"
         reindented = splice(file, record, "{ " + record.body[1:].replace("\n", "\n  "))
-        assert backend._oracle(file).located(reindented) is not None
+        assert backend._oracle(file).read(reindented.body) is not None
         check_against_reference(file, reindented, record.task_id())
 
 
@@ -1726,8 +1719,8 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
     backend = ScriptedDifferentialBackend()
     for fn in (fn for fn in file.functions if fn.body_start >= 0):
         body = oracle.body(fn)
-        uses = executor._unresolved(executor._without_assembly(body.scrubbed), body.own)
-        undeclared = [u[2] for u in uses if not oracle.declares(fn, u[2])]
+        uses = executor._unresolved(oracle.read(body.text).block, body.own)
+        undeclared = [u.name for u in uses if not oracle.declares(fn, u.name)]
         outside = file.scrubbed[: fn.body_start] + " " + file.scrubbed[fn.body_end + 1 :]
         assert not [name for name in undeclared if re.search(rf"(?<![\w$]){re.escape(name)}(?![\w$])", outside)]
         verdict = backend.verify(file, substitute_function(fn, "{ " + body.text[1:]), fn.name)
@@ -1756,7 +1749,7 @@ class TestDeclarationTable:
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
-        assert backend._oracle(MULTI_FILE).located(splice(MULTI_FILE, M_ADD, bodies[-1])) is None
+        assert backend._oracle(MULTI_FILE).read(bodies[-1]) is None
         assert scopes.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1783,12 +1776,12 @@ class TestDeclarationTable:
         completed = splice(source, record, body)
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes, mock.patch.object(
-            executor, "_unresolved", wraps=executor._unresolved
-        ) as walks:
+            executor, "_read", wraps=executor._read
+        ) as reads:
             verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
         assert scopes.call_count == 0
-        assert [call.args[0] for call in walks.call_args_list] == [executor.scrub(body)]
+        assert [call.args[0] for call in reads.call_args_list] == [body]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [
