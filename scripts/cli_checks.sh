@@ -184,6 +184,40 @@ report_without_sessions_prints_unknown_cost() {
   test "$(tail -n 1 $OUT/report.txt)" = "total cost (USD): unknown (no --sessions)"
 }
 
+# `report` given the sessions of another run, over the fixture's first 10
+# tasks, for a run over all 50: it must exit 2 and name the outcome row of
+# the 11th task, the first that has no session row.
+report_rejects_another_runs_sessions() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  head -n 10 $FIX/tasks.jsonl > $OUT/tasks.jsonl
+  common=(--source-root $FIX/sources --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json
+          --executor mock --budget 2048 --counter bytes4 --max-rounds 0)
+  solrepair run "${common[@]}" --tasks $FIX/tasks.jsonl --out $OUT/all
+  solrepair run "${common[@]}" --tasks $OUT/tasks.jsonl --out $OUT/first10
+  code=0
+  solrepair report --outcomes $OUT/all/outcomes.jsonl --sessions $OUT/first10/sessions.jsonl 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/all/outcomes.jsonl: bank1.sol#L12-15: 1 outcome row(s) but 0 session row(s)" $OUT/err.txt
+}
+
+# A session row holding `"sample":5`, where a task has one session:
+# `report` must exit 2 and name the row's line.
+report_rejects_a_session_row_of_sample_5() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  solrepair run --tasks $FIX/tasks.jsonl --source-root $FIX/sources \
+    --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
+    --executor mock --budget 2048 --counter bytes4 --out $OUT/run --max-rounds 0
+  sed -i '3s/"sample":0/"sample":5/' $OUT/run/sessions.jsonl
+  code=0
+  solrepair report --outcomes $OUT/run/outcomes.jsonl --sessions $OUT/run/sessions.jsonl 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/run/sessions.jsonl, line 3: bank0.sol#L22-25: sample=5, but a task has one session (sample=0)" $OUT/err.txt
+}
+
 for check in \
   readme_quickstart \
   report_names_a_wrongly_typed_session_value \
@@ -196,7 +230,9 @@ for check in \
   resume_after_a_torn_outcomes_row \
   report_rejects_an_outcome_row_of_two_sessions \
   run_config_with_n_samples_exits_2 \
-  report_without_sessions_prints_unknown_cost
+  report_without_sessions_prints_unknown_cost \
+  report_rejects_another_runs_sessions \
+  report_rejects_a_session_row_of_sample_5
 do
   echo "== $check"
   $check

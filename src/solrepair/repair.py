@@ -359,6 +359,8 @@ class RepairSession(Record):
             raise ValueError("a session records at least the completion attempt")
         if len(self.attempts) > 1 + self.max_rounds:
             raise ValueError("more attempts than 1 + max_rounds")
+        if self.sample != 0:
+            raise ValueError(f"{self.task_id}: sample={self.sample}, but a task has one session (sample=0)")
 
     @property
     def final_status(self) -> str:

@@ -27,6 +27,8 @@ CHECKS = [
     "report_rejects_an_outcome_row_of_two_sessions",
     "run_config_with_n_samples_exits_2",
     "report_without_sessions_prints_unknown_cost",
+    "report_rejects_another_runs_sessions",
+    "report_rejects_a_session_row_of_sample_5",
 ]
 
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

@@ -1263,15 +1263,46 @@ class TestCli:
             k: v for k, v in with_sessions.items() if k not in ("cost", "points")
         }
 
-    def test_report_on_an_empty_session_log_costs_nothing(self, rar_run, tmp_path):
-        # A session log that was given but holds no row prices no attempt:
-        # the cost is known, and 0.
+    def test_report_on_an_empty_session_log_exits_config(self, rar_run, tmp_path, capsys):
+        # A session log that was given but holds no row pairs with no
+        # outcome row: the report would price none of the run's attempts.
         _, _, _, out = rar_run
         empty = tmp_path / "sessions.jsonl"
         empty.write_text("", encoding="utf-8")
-        report = cmd_report([out / "outcomes.jsonl"], [empty])
-        assert report["cost"]["total_usd"] == 0.0
-        assert format_report_table(report).endswith("\ntotal cost (USD): 0")
+        assert main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--sessions", str(empty)]) == EXIT_CONFIG
+        first = json.loads((out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()[0])["task_id"]
+        assert capsys.readouterr().err == (
+            f"error: {out / 'outcomes.jsonl'}: {first}: 1 outcome row(s) but 0 session row(s); "
+            "--sessions must hold one session row per outcome row\n"
+        )
+
+    def test_report_pairs_sessions_with_outcomes_by_task(self, rar_run, baseline_run, tmp_path):
+        """One session row per outcome row, counted by task id over all the
+        files: both runs' outcomes with both runs' sessions pair; another
+        run's sessions beside a run's own, or a log that lacks a task, exit 2
+        naming the first unpaired task and its file."""
+        rar, base = rar_run[3], baseline_run[3]
+        both = cmd_report([rar / "outcomes.jsonl", base / "outcomes.jsonl"], [base / "sessions.jsonl", rar / "sessions.jsonl"])
+        assert both["overall"]["tasks"] == 100
+        lines = (rar / "sessions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])["task_id"]
+        fewer = tmp_path / "sessions.jsonl"
+        fewer.write_text("".join(lines[1:]), encoding="utf-8")
+        fewer_outcomes = tmp_path / "outcomes.jsonl"
+        fewer_outcomes.write_text(
+            "".join(line for line in (rar / "outcomes.jsonl").open(encoding="utf-8") if json.loads(line)["task_id"] != first),
+            encoding="utf-8",
+        )
+        cases = [
+            ([fewer_outcomes], [rar / "sessions.jsonl"], rar / "sessions.jsonl", 0, 1),
+            ([rar / "outcomes.jsonl"], [rar / "sessions.jsonl", base / "sessions.jsonl"], rar / "outcomes.jsonl", 1, 2),
+            ([rar / "outcomes.jsonl"], [fewer], rar / "outcomes.jsonl", 1, 0),
+            ([base / "outcomes.jsonl", rar / "outcomes.jsonl"], [rar / "sessions.jsonl"], base / "outcomes.jsonl", 2, 1),
+        ]
+        for outcomes, sessions, named, n, m in cases:
+            with pytest.raises(ConfigError) as exc:
+                cmd_report(outcomes, sessions)
+            assert str(exc.value).startswith(f"{named}: {first}: {n} outcome row(s) but {m} session row(s)")
 
     @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
     def test_sample_count_flags_are_gone(self, capsys, argv):
@@ -1337,6 +1368,7 @@ class TestCli:
             ("sessions", lambda row: json.dumps(row)[:-1], "malformed JSON"),
             ("sessions", lambda row: json.dumps({k: v for k, v in row.items() if k != "strategy"}), "RepairSession.__init__.. missing 1 required positional argument: 'strategy'"),
             ("sessions", lambda row: json.dumps({**row, "sample_index": 0}), "RepairSession.__init__.. got an unexpected keyword argument 'sample_index'"),
+            ("sessions", lambda row: json.dumps({**row, "sample": 5}), r"bank0.sol#L12-15: sample=5, but a task has one session \(sample=0\)"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "extra": 1}]}), "Attempt.__init__.. got an unexpected keyword argument 'extra'"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "verdict": "pass"}]}), "ExecutionVerdict: expected a JSON object, got str"),
             ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "expected list, got int at key 'attempts'"),
@@ -1346,7 +1378,7 @@ class TestCli:
         ids=[
             "outcome-malformed", "outcome-long-int", "outcome-not-an-object", "outcome-bad-count", "outcome-two-sessions",
             "outcome-bad-compile-count", "outcome-missing-key",
-            "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
+            "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key", "session-sample-5",
             "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
             "attempt-str-for-int",
         ],

@@ -102,7 +102,6 @@ def sessions(draw) -> RepairSession:
         strategy=draw(text),
         max_rounds=draw(st.integers(len(tried) - 1, len(tried) + 2)),
         attempts=tried,
-        sample=draw(counts),
     )
 
 
