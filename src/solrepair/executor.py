@@ -30,8 +30,10 @@ from .corpus import (
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
+    _SCRUB_RE,
     _SIZED_TYPE_FIRST,
     _SIZED_TYPE_RE,
+    _blank,
     pair_braces,
     scrub,
 )
@@ -373,13 +375,24 @@ def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
 
 
 def _param_names(signature: str) -> list[str]:
-    """The last word of each comma-separated part between the first '(' and
-    the first ')' after it."""
-    opening = signature.find("(")
-    closing = signature.find(")", opening + 1) if opening != -1 else -1
-    if closing == -1:
-        return []
-    return [words[-1] for part in signature[opening + 1 : closing].split(",") if (words := part.split())]
+    """The last word of each part of the first parenthesized list in
+    signature, split at its top-level commas: `mapping(K => V) storage m`
+    and a function-type parameter are one part each. [] when the list is
+    not closed."""
+    parts, depth, start = [], 0, 0
+    for m in _LEX_RE.finditer(signature):
+        if m[0] == "(":
+            depth += 1
+            start = m.end() if depth == 1 else start
+        elif m[0] == ")" and depth:
+            depth -= 1
+            if depth == 0:
+                parts.append(signature[start : m.start()])
+                return [words[-1] for part in parts if (words := part.split())]
+        elif m[0] == "," and depth == 1:
+            parts.append(signature[start : m.start()])
+            start = m.end()
+    return []
 
 
 def _generated_cases(param_names: Sequence[str], seed_text: str, count: int = 8) -> list[dict]:
@@ -654,7 +667,7 @@ class _Read(NamedTuple):
 
 def _read(body: str) -> _Read | None:
     """body read, or None when it is not one balanced {...} block. A body
-    holding a comment, a string or `assembly` gets no steps."""
+    holding a string or `assembly` gets no steps."""
     scrubbed = scrub(body)
     if not _is_single_block(scrubbed):
         return None
@@ -664,7 +677,9 @@ def _read(body: str) -> _Read | None:
         block = reader.block(0)
     except RecursionError:  # nested past _MAX_NESTING
         return _Read(text, None, frozenset(), None)
-    return _Read(text, block, frozenset(reader.used), _steps(block) if text == body else None)
+    # The evaluator reads a comment as blanks, as the tree does.
+    commented = text if text == body else _SCRUB_RE.sub(lambda m: m[0] if m[0][0] in "\"'" else _blank(m), body)
+    return _Read(text, block, frozenset(reader.used), _steps(block) if text == commented else None)
 
 
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
@@ -874,7 +889,7 @@ class ScriptedDifferentialBackend:
 
     name = "mock-diff"
     waits = False
-    version = "mock-diff@8"
+    version = "mock-diff@9"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}

@@ -71,3 +71,15 @@ contract Ledger {
         return a > b ? a : b;
     }
 }
+
+library Maps {
+    /// Reads the balance of who in m.
+    function balanceIn(mapping(address => uint256) storage m, address who) internal view returns (uint256) {
+        return m[who];
+    }
+
+    /// Applies f to a.
+    function applied(function (uint256) internal pure returns (uint256) f, uint256 a) internal pure returns (uint256) {
+        return f(a);
+    }
+}

@@ -1,6 +1,7 @@
 """The mock's one body tree against the readers it replaced
 (tests/mock_reference.py): the same status and diagnostics on every fixture
-body and on generated bodies."""
+body and on generated bodies, but for the bodies that mock-diff@9 evaluates
+on purpose, which hold comments; and those changed cases on their own."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mock_reference import reference_verify, verdict_of
-from solrepair.corpus import SourceIndex, extract_functions, read_task_file
+from solrepair import executor
+from solrepair.corpus import _SCRUB_RE, SourceIndex, extract_functions, read_task_file
 from solrepair.executor import ScriptedDifferentialBackend, scrub, substitute_function
 from solrepair.repair import extract_code_block
 
@@ -24,10 +26,18 @@ E2E_REPLIES = sorted(set(json.loads((FIXTURES / "e2e" / "mock_client.json").read
 SCOPE_COMPLETIONS = [json.loads(line)["body"] for line in (FIXTURES / "scope" / "completions.jsonl").open()]
 
 
+def evaluated_for_its_comments(body: str) -> bool:
+    """True when mock-diff@9 evaluates body, which holds a comment, where
+    the reference compared it as text."""
+    read = executor._read(body)
+    return read is not None and read.steps is not None and any(m[0][0] == "/" for m in _SCRUB_RE.finditer(body))
+
+
 def assert_reference_verdict(index: SourceIndex, fn, body: str, fixture: dict | None = None) -> None:
     completed = substitute_function(fn, body)
     got = ScriptedDifferentialBackend(fixture, seed=7).verify(index, completed, fn.name)
-    assert verdict_of(got) == reference_verify(index, completed, fn.name, fixture, seed=7), body
+    if not evaluated_for_its_comments(body):
+        assert verdict_of(got) == reference_verify(index, completed, fn.name, fixture, seed=7), body
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -56,9 +66,10 @@ def test_fixture_bodies_read_the_same_with_the_executor_table():
             SourceIndex.from_text(task.source_path, (FIXTURES / "e2e" / "sources" / task.source_path).read_text()),
         )
         fn = index.find(task.name, *task.span)
-        for body in E2E_REPLIES:
-            completed = substitute_function(fn, extract_code_block(body))
+        for body in map(extract_code_block, E2E_REPLIES):
+            completed = substitute_function(fn, body)
             got = ScriptedDifferentialBackend(fixture).verify(index, completed, task.task_id())
+            assert not evaluated_for_its_comments(body)
             assert verdict_of(got) == reference_verify(index, completed, task.task_id(), fixture), body
 
 
@@ -192,3 +203,63 @@ def test_a_deeply_nested_body_is_compared_as_text():
         "completed body differs from the oracle and cannot be evaluated",
     )
     assert scrub(deep) == deep
+
+
+# mock-diff@9 on purpose: the evaluator reads a comment as blanks, as the
+# tree does, and a parameter list runs to its matching ')'.
+ADD_INDEX = SourceIndex.from_text(
+    "add.sol", "contract A {\n    /// Adds.\n    function add(uint256 a, uint256 b) public pure returns (uint256) {\n"
+    "        return a + b;\n    }\n}\n"
+)
+(ADD_FN,) = ADD_INDEX.functions
+CANNOT = "completed body differs from the oracle and cannot be evaluated"
+
+
+@pytest.mark.parametrize(
+    "body,status,message",
+    [
+        ("{ return b + a; // sum\n}", "pass", None),
+        ("{ return b /* x */ + a; }", "pass", None),
+        ("{ /* first */ uint256 s = b + a; // then\n return s; }", "pass", None),
+        ("{ return b - a; // difference\n}", "functional_mismatch", "output mismatch for inputs"),
+        ('{ require(a > 0, "a"); return b + a; }', "functional_mismatch", CANNOT),
+        ("{ return b + a; assembly { } }", "functional_mismatch", CANNOT),
+    ],
+    ids=["line-comment", "block-comment", "comments-around-statements", "wrong-body", "string", "assembly"],
+)
+def test_comments_are_blanks_to_the_evaluator_and_strings_are_not_modelled(body, status, message):
+    verdict = ScriptedDifferentialBackend().verify(ADD_INDEX, substitute_function(ADD_FN, body), "add")
+    assert verdict.status == status
+    assert message is None or verdict.diagnostics[0].message.startswith(message)
+    assert reference_verify(ADD_INDEX, substitute_function(ADD_FN, body), "add")[0] == "functional_mismatch"
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=BODIES, data=st.data())
+def test_property_comments_in_place_of_whitespace_change_no_evaluated_verdict(body, data):
+    """A body without comments that the evaluator models gets the same
+    verdict with a comment in place of any of its spaces (`/* c */`) and
+    newlines (`// c`), which keep its lines."""
+    read = executor._read(body)
+    if read is None or read.steps is None or scrub(body) != body:
+        return
+    blanks = {" ": [" ", " /* c; } */ "], "\n": ["\n", " // c ; {\n"]}
+    commented = "".join(data.draw(st.sampled_from(blanks[c])) if c in blanks else c for c in body)
+    assert commented.count("\n") == body.count("\n")
+    got = ScriptedDifferentialBackend(seed=7).verify(INDEX, substitute_function(TARGET, commented), "f")
+    want = ScriptedDifferentialBackend(seed=7).verify(INDEX, substitute_function(TARGET, body), "f")
+    assert verdict_of(got) == verdict_of(want), commented
+
+
+@pytest.mark.parametrize(
+    "signature,names",
+    [
+        ("function f(mapping(address => uint256) storage m, address who) internal", ["m", "who"]),
+        ("function g(function (uint256) internal pure returns (uint256) f, uint256 a) internal", ["f", "a"]),
+        ("function h(mapping(address => mapping(uint256 => bool)) storage seen, S calldata s)", ["seen", "s"]),
+        ("function k(uint256 a, (uint256 b)", []),
+    ],
+    ids=["mapping", "function-type", "nested-mapping", "not-closed"],
+)
+def test_a_parameter_list_runs_to_its_matching_parenthesis(signature, names):
+    assert executor._param_names(signature) == names

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solrepair.corpus import (
@@ -863,6 +863,11 @@ def reference_param_names(signature: str) -> list[str]:
     ).map("".join)
 )
 def test_property_signature_scan_equals_its_reference(text):
+    # Since mock-diff@9 a list runs to its matching ')', past nested ones
+    # (tests/test_body_reader.py): the reference stops at the first ')'.
+    opening = text.find("(")
+    closing = text.find(")", opening + 1)
+    assume(opening == -1 or closing == -1 or "(" not in text[opening + 1 : closing])
     assert executor._param_names(text) == reference_param_names(text)
 
 
@@ -1026,7 +1031,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@8"
+        assert v.backend_version == "mock-diff@9"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1306,7 +1311,8 @@ class TestNestedFunctionDeclaration:
     )
     def test_function_types_yul_comments_and_strings_declare_no_function(self, body):
         v = ScriptedDifferentialBackend().verify(FILE, completed_with(ADD, body), ADD.task_id())
-        assert v.status != "pass"
+        # Since mock-diff@9 the commented body is evaluated: it returns a + b.
+        assert v.status == ("pass" if "/*" in body else "functional_mismatch")
         assert not any("declared inside a function body" in d.message for d in v.diagnostics)
 
 
