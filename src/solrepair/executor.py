@@ -43,25 +43,11 @@ STATUS_PASS = "pass"
 STATUS_COMPILE_ERROR = "compile_error"
 STATUS_FUNCTIONAL_MISMATCH = "functional_mismatch"
 STATUS_EXECUTOR_UNAVAILABLE = "executor_unavailable"
-STATUSES = (
-    STATUS_PASS,
-    STATUS_COMPILE_ERROR,
-    STATUS_FUNCTIONAL_MISMATCH,
-    STATUS_EXECUTOR_UNAVAILABLE,
-)
+STATUSES = (STATUS_PASS, STATUS_COMPILE_ERROR, STATUS_FUNCTIONAL_MISMATCH, STATUS_EXECUTOR_UNAVAILABLE)
 
 MOCK_EXECUTOR_SCHEMA = "mock-executor@1"
 
 DEFAULT_TIMEOUT = 60.0
-
-ERROR_KINDS = (
-    "UndeclaredIdentifier",
-    "Member",
-    "IdentifierNotUnique",
-    "IndexedExpression",
-    "ImplicitlyConvertible",
-    "Other",
-)
 
 # First matching pattern wins; anything unmatched is Other, so the
 # classification is total over arbitrary compiler output.
@@ -72,6 +58,7 @@ DEFAULT_ERROR_PATTERNS: tuple[tuple[str, str], ...] = (
     ("IndexedExpression", r"[Ii]ndexed expression"),
     ("ImplicitlyConvertible", r"implicitly convertible"),
 )
+ERROR_KINDS = (*(kind for kind, _ in DEFAULT_ERROR_PATTERNS), "Other")
 
 
 @dataclass(frozen=True)
@@ -115,11 +102,7 @@ def classify_error(message: str, line: int | None = None, identifier: str | None
     source, whose strings and names are not the error's.
     """
     first = message.split("\n", 1)[0]
-    kind = "Other"
-    for candidate, pattern in DEFAULT_ERROR_PATTERNS:
-        if re.search(pattern, first):
-            kind = candidate
-            break
+    kind = next((kind for kind, pattern in DEFAULT_ERROR_PATTERNS if re.search(pattern, first)), "Other")
     if identifier is None:
         m = re.search(r'"([^"]+)"', first)
         identifier = m.group(1) if m else None
@@ -376,9 +359,8 @@ def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
 
 def _param_names(signature: str) -> list[str]:
     """The last word of each part of the first parenthesized list in
-    signature, split at its top-level commas: `mapping(K => V) storage m`
-    and a function-type parameter are one part each. [] when the list is
-    not closed."""
+    signature, split at its top-level commas, so that `mapping(K => V) m`
+    is one part; [] when the list is not closed."""
     parts, depth, start = [], 0, 0
     for m in _LEX_RE.finditer(signature):
         if m[0] == "(":
@@ -472,11 +454,10 @@ def _is_declaration(m: re.Match | None) -> bool:
 # starts right after a digit (`0x1f` and `1e18` are numbers), one of
 # `{ } ( ) ; , . :`, or Yul's `:=`. Operators and literals are skipped.
 _LEX_RE = re.compile(rf"(?<!\d){_NAME}|:=|[{{}}();,.:]")
-# The tokens a declaration may follow: it starts a statement, a `for`
-# header's part, a tuple's component (`(T a, , T b) = ...`) or a `try`/
-# `catch` clause's parameter.
+# The tokens a declaration may follow: it starts a statement, a `for` header's
+# part, a tuple's component (`(T a, , T b) = ...`) or a clause's parameter.
 _STARTS = ("{", "}", ";", "(", ",")
-_PUNCTUATION = "{}();,.:"
+_PUNCTUATION = "{}();,.:"  # the first characters of the tokens that are not names
 # The tokens a statement's own block follows, as against the braces of call
 # options or named arguments (`x.call{value: v}`, `f({a: 1})`).
 _BLOCK_LEADS = (")", "else", "do", "unchecked", "catch")
@@ -485,27 +466,29 @@ _BLOCK_LEADS = (")", "else", "do", "unchecked", "catch")
 # - _Block: its statements, and the declarations in scope from its '{' on,
 #   the parameters of the `try`/`catch` clause whose block it is;
 # - _For: a `for` loop's header statements and body, in the loop's scope;
-# - _Statement: one read flat, to its ';', to the '}' of its block, or to
-#   the end of a block or loop nested in it that no `else` or `catch`
-#   follows (`if`, `while`, `try`). Its parts are its name uses (_Use) and
-#   nested blocks and loops, in order; its declarations (_Decl), tuple
-#   components included, enter scope after its ';' when closed. value is
-#   the text after `return` in a `return`, or after the name of the
-#   declaration that leads the statement; None in any other, opaque one.
-_Use = NamedTuple("_Use", [("name", str), ("at", int)])
+# - _Statement: one read flat, from its text's start to its end: to its
+#   ';', to the '}' of its block, or to the end of a block or loop nested
+#   in it that no `else` or `catch` follows (`if`, `while`, `try`). Its
+#   parts are those blocks and loops; its declarations (_Decl), tuple
+#   components included, enter scope after its ';'. value is the text
+#   after `return` in a `return`, or after the name of the declaration
+#   that leads the statement; None in any other, opaque one.
+# The reader's free uses (_Use) are the names no local in scope declares.
 _Decl = NamedTuple("_Decl", [("type", str), ("name", str)])
 _Block = NamedTuple("_Block", [("statements", tuple), ("scope", tuple)])
 _For = NamedTuple("_For", [("header", tuple), ("body", object)])
 _Statement = NamedTuple(
-    "_Statement",
-    [("start", int), ("end", int), ("parts", tuple), ("decls", tuple), ("closed", bool), ("value", "str | None")],
+    "_Statement", [("start", int), ("end", int), ("parts", tuple), ("decls", tuple), ("value", "str | None")]
 )
+_Use = NamedTuple("_Use", [("name", str), ("at", int)])
 
 
 class _Reader:
     """Reads a body, scrubbed with Yul blanked and one balanced {...}, into
-    its tree by recursive descent: `block(0)`; a body nested past
-    _MAX_NESTING statements raises RecursionError."""
+    its tree by recursive descent, `block(0)`, resolving its names as it
+    goes: a local's scope runs from the end of the statement declaring it
+    to the end of its block, a `for` header's to the end of its loop. A
+    body nested past _MAX_NESTING statements raises RecursionError."""
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -514,15 +497,18 @@ class _Reader:
         self.words = [m[0] for m in tokens] + ["", ""]
         self.at = [m.start() for m in tokens] + [len(text)] * 2
         self.i = 0
-        self.used: set[str] = set()  # the names of the uses read
+        self.scopes: list[set[str]] = []  # the names declared in each enclosing block or loop
+        self.free: list[_Use] = []  # the uses that no declaration in scope resolves, in order
 
     def block(self, depth: int, scope: tuple = ()) -> _Block:
         if depth > _MAX_NESTING:
             raise RecursionError
-        self.i += 1  # its '{''
+        self.i += 1  # its '{'
+        self.scopes.append({d.name for d in scope})
         statements = []
         while self.words[self.i] not in ("}", ""):
             statements.append(self.block(depth + 1) if self.words[self.i] == "{" else self.flat(depth))
+        self.scopes.pop()
         self.i += 1  # its '}'
         return _Block(tuple(statements), scope)
 
@@ -544,12 +530,11 @@ class _Reader:
                 break
             if word == ";":
                 i += 1
+                self.scopes[-1].update(d.name for d in decls)
                 if words[i] != "else":
                     closed = True
                     break
-                # The branch before an `else` is a statement of its own.
-                parts = [_Statement(at[first], at[i - 1], tuple(parts), tuple(decls), True, None)]
-                decls, lead = [], None
+                decls, lead = [], None  # those of the branch before the `else`
             elif word == "{":
                 scope = ()
                 if clause and last == ")":
@@ -561,10 +546,12 @@ class _Reader:
                     break
             elif word == "for" and words[i + 1] == "(":
                 self.i, header = i + 2, []
+                self.scopes.append(set())
                 while words[self.i] not in (")", "}", ""):
                     header.append(self.flat(depth + 1, in_header=True))
                 self.i += words[self.i] == ")"
                 body = self.block(depth + 1) if words[self.i] == "{" else self.flat(depth + 1)
+                self.scopes.pop()
                 parts.append(_For(tuple(header), body))
                 i = self.i
                 if paren == 0 and words[i] != "else":
@@ -581,15 +568,17 @@ class _Reader:
                     declared.add(d.start("name"))
                     lead = d.end("name") if i == first else lead
                 # Members, named-argument keys, keywords, elementary types and
-                # the `Error` or `Panic` of a `catch` are not uses.
+                # the `Error` or `Panic` of a `catch` are not uses. A skipped
+                # operator between a name and its '.' or ':' parts them.
                 if not (
-                    last == "." or word in SOLIDITY_KEYWORDS or at[i] in declared
-                    or words[i + 1] == ":" and last in ("{", ",")
+                    last == "." and not text[at[i - 1] + 1 : at[i]].strip() or word in SOLIDITY_KEYWORDS
+                    or at[i] in declared
+                    or words[i + 1] == ":" and last in ("{", ",") and not text[at[i] + len(word) : at[i + 1]].strip()
                     or word[0] in _SIZED_TYPE_FIRST and _SIZED_TYPE_RE.match(word)
                     or last == "catch" and word in ("Error", "Panic")
+                    or any(word in names for names in self.scopes)
                 ):
-                    parts.append(_Use(word, at[i]))
-                    self.used.add(word)
+                    self.free.append(_Use(word, at[i]))
                 clause = clause or word in ("returns", "catch")
                 i += 1
         self.i = i
@@ -597,33 +586,7 @@ class _Reader:
         value = text[lead:end] if lead is not None else None
         if words[first] == "return" and not decls:
             value = text[at[first] + len("return") : end]
-        return _Statement(at[first], end, tuple(parts), tuple(decls), closed, value)
-
-
-def _unresolved(block: _Block, own: Iterable[str]) -> list[_Use]:
-    """Each use in block, a body's tree, of a name that neither own nor a
-    declaration in scope declares, in order. A declaration's names leave
-    scope at the end of their block, a `for` header's at the end of its
-    loop."""
-    found, scopes = [], [set(own)]
-
-    def walk(nodes: Iterable) -> None:
-        for node in nodes:
-            if type(node) is _Use:
-                if not any(node.name in names for names in scopes):
-                    found.append(node)
-            elif type(node) is _Statement:
-                walk(node.parts)
-                if node.closed:
-                    scopes[-1].update(d.name for d in node.decls)
-            else:
-                block = type(node) is _Block
-                scopes.append({d.name for d in node.scope} if block else set())
-                walk(node.statements if block else (*node.header, node.body))
-                scopes.pop()
-
-    walk((block,))
-    return found
+        return _Statement(at[first], end, tuple(parts), tuple(decls), value)
 
 
 # The elementary types of a local the evaluator models.
@@ -661,7 +624,7 @@ class _Read(NamedTuple):
 
     text: str  # the body with comments, strings and Yul blanked
     block: _Block | None  # its tree; None when nested past _MAX_NESTING
-    names: frozenset[str]  # the names its uses read
+    free: tuple[_Use, ...]  # the uses that no local of the body resolves, in order
     steps: tuple[_Step, ...] | None  # its statements as steps; None when not modelled
 
 
@@ -676,10 +639,10 @@ def _read(body: str) -> _Read | None:
     try:
         block = reader.block(0)
     except RecursionError:  # nested past _MAX_NESTING
-        return _Read(text, None, frozenset(), None)
+        return _Read(text, None, (), None)
     # The evaluator reads a comment as blanks, as the tree does.
     commented = text if text == body else _SCRUB_RE.sub(lambda m: m[0] if m[0][0] in "\"'" else _blank(m), body)
-    return _Read(text, block, frozenset(reader.used), _steps(block) if text == commented else None)
+    return _Read(text, block, tuple(reader.free), _steps(block) if text == commented else None)
 
 
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
@@ -803,10 +766,7 @@ class _Oracle:
 
     def body(self, fn: IndexedFunction) -> _Body:
         """The entry of fn, a function of the oracle."""
-        found = self._bodies.get(fn.body_start)
-        if found is None:
-            found = self._bodies.setdefault(fn.body_start, _body(self.index, fn))
-        return found
+        return self._bodies.get(fn.body_start) or self._bodies.setdefault(fn.body_start, _body(self.index, fn))
 
     def declares(self, fn: IndexedFunction, name: str) -> bool:
         """True when fn's body sees name declared outside it, or cannot tell."""
@@ -819,17 +779,12 @@ class _Oracle:
 
     def read(self, body: str) -> _Read | None:
         """body as `_read` reads it, read once per distinct text."""
-        if body in self.reads:
-            return self.reads[body]
-        return self.reads.setdefault(body, _read(body))
+        return self.reads[body] if body in self.reads else self.reads.setdefault(body, _read(body))
 
     def expected(self, body: _Body, seed: int) -> _Expected:
         """The oracle function `body` evaluated on its generated cases."""
         key = (body.start, seed)
-        found = self._expected.get(key)
-        if found is None:
-            found = self._expected.setdefault(key, self._evaluate(body, seed))
-        return found
+        return self._expected.get(key) or self._expected.setdefault(key, self._evaluate(body, seed))
 
     def _evaluate(self, body: _Body, seed: int) -> _Expected:
         steps = _bound(self.read(body.text).steps, body.params)  # an oracle body is one block
@@ -869,22 +824,20 @@ class ExecutorFixture(Record):
 class ScriptedDifferentialBackend:
     """Differential verification against scripted or generated input tables.
 
-    Straight-line bodies (declarations, then `return`) over Solidity's
-    integer and boolean expressions are evaluated on the fixture's
-    input/output cases (or deterministic generated inputs); any body outside
-    that subset, or reading a name that is neither a parameter nor a local,
-    is compared as whitespace-insensitive text. A name resolver models the
-    compiler's scoping: a name a modified body uses where no declaration is
-    in scope is a compile_error, unless the oracle imports or inherits from
-    a contract it does not declare, where the scope cannot be decided.
+    Each body is read once into one tree (`_Reader`). Its straight-line
+    bodies (declarations, then `return`) over Solidity's integer and boolean
+    expressions are evaluated on the fixture's input/output cases (or
+    deterministic generated inputs); any other body, or one reading a name
+    that is neither a parameter nor a local, is compared as
+    whitespace-insensitive text. A name a modified body uses where no
+    declaration is in scope is a compile_error, unless the oracle imports or
+    inherits from a contract it does not declare.
 
-    Only the completed body is read, at its target's location, so
-    overloads never stand in for each other; a body that is not one
-    balanced {...}, or that declares a named function outside `assembly`,
-    is a compile_error. The backend prepares each oracle text once, on
-    first use, from the index verify is handed, and keeps it for its own
-    lifetime: each function's expected outputs are computed once, and each
-    distinct body, in whichever source, is read once.
+    Only the completed body is read, at its target's location, so overloads
+    never stand in for each other; a body that is not one balanced {...}, or
+    that declares a named function outside `assembly`, is a compile_error.
+    Each oracle text is prepared once, on first use, from the index verify
+    is handed: each function's expected outputs are computed once.
     """
 
     name = "mock-diff"
@@ -939,8 +892,8 @@ class ScriptedDifferentialBackend:
             line = text.count("\n", 0, nested.start()) + 1
             return failed(STATUS_COMPILE_ERROR, f'Function "{nested[1]}" declared inside a function body.', line)
         # A body nested too deep to read is compared as text, unresolved.
-        uses = () if read.block is None or read.names <= old.own else _unresolved(read.block, old.own)
-        use = next((u for u in uses if not prepared.declares(completed.target, u.name)), None)
+        target = completed.target
+        use = next((u for u in read.free if u.name not in old.own and not prepared.declares(target, u.name)), None)
         if use is not None:
             line = text.count("\n", 0, use.at) + 1
             undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name)
@@ -1020,11 +973,8 @@ class SolcCompileBackend:
 
     def compile(self, source: str) -> ExecutionVerdict:
         t0 = time.perf_counter()
-        request = {
-            "language": "Solidity",
-            "sources": {_SOLC_SOURCE: {"content": source}},
-            "settings": {"outputSelection": {"*": {"*": []}}},
-        }
+        sources, settings = {_SOLC_SOURCE: {"content": source}}, {"outputSelection": {"*": {"*": []}}}
+        request = {"language": "Solidity", "sources": sources, "settings": settings}
 
         def verdict(status: str, diagnostics: Sequence[Diagnostic], version: str) -> ExecutionVerdict:
             return ExecutionVerdict(status, tuple(diagnostics), time.perf_counter() - t0, self.name, version)

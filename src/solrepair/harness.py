@@ -488,26 +488,23 @@ def cmd_report(
     """Aggregate persisted logs into a report; pure given the input files.
 
     Without session paths the report's cost is unknown (see build_report).
-    Sessions that do not hold one row per outcome row, counted by task id
-    over all the files, and outcomes of which none is usable raise
-    ConfigError.
+    Raises ConfigError on sessions that do not pair with the outcomes by
+    task id, or on outcomes of which none is usable.
     """
     outcomes = [(path, row) for path in outcome_paths for row in read_outcomes(path)]
     if not outcomes:
         raise ConfigError("no outcomes to report on")
     sessions = [(path, row) for path in session_paths for row in read_sessions(path)]
-    if session_paths:
-        outcome_rows = Counter(row.task_id for _, row in outcomes)
-        session_rows = Counter(row.task_id for _, row in sessions)
-        if outcome_rows != session_rows:
-            path, task_id = next(
-                (path, row.task_id) for path, row in outcomes + sessions
-                if outcome_rows[row.task_id] != session_rows[row.task_id]
-            )
-            raise ConfigError(
-                f"{path}: {task_id}: {outcome_rows[task_id]} outcome row(s) but {session_rows[task_id]} session "
-                "row(s); --sessions must hold one session row per outcome row"
-            )
+    outcome_rows, session_rows = (Counter(row.task_id for _, row in rows) for rows in (outcomes, sessions))
+    if session_paths and outcome_rows != session_rows:
+        path, task_id = next(
+            (path, row.task_id) for path, row in outcomes + sessions
+            if outcome_rows[row.task_id] != session_rows[row.task_id]
+        )
+        raise ConfigError(
+            f"{path}: {task_id}: {outcome_rows[task_id]} outcome row(s) but {session_rows[task_id]} session "
+            "row(s); --sessions must hold one session row per outcome row"
+        )
     outcomes, sessions = [row for _, row in outcomes], [row for _, row in sessions]
     try:
         report = build_report(outcomes, sessions if session_paths else None, cost_model)

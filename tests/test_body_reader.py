@@ -172,7 +172,9 @@ STRAIGHT = st.one_of(
         lambda t: f"{t[0]} {t[1]} = {t[2]};"
     ),
     EXPRESSIONS.map(lambda e: f"return {e};"),
-    st.sampled_from(["uint256 s = a + b;", "return s / 2;", "return b + a;", "uint256 t0;", "return a", "uint256 t1 =;"]),
+    st.sampled_from(
+        ["uint256 s = a + b;", "return s / 2;", "return b + a;", "uint256 t0;", "return a", "uint256 t1 =;"]
+    ),
 )
 BODIES = st.tuples(
     st.lists(st.one_of(STRAIGHT, STRAIGHT, statement(0), COMMENTS), max_size=5),
@@ -185,6 +187,8 @@ BODIES = st.tuples(
 @example("{ return a; // ; }\n}", False)
 @example("{ for (uint256 i = 0; i < a; i++) if (i > 0) r += i; else r = i; return i; }", False)
 @example("{ try tok.get() returns (uint256 v) { r = v; } catch { r = v; } }", False)
+@example('{ (bool v, ) = payable(a).call{value: add(a, v > 0 ? 2 : b)}(""); }', False)
+@example("{ r = add({a: v - 1, b: 0.5 ether}); }", False)
 @given(body=BODIES, table=st.booleans())
 def test_property_generated_bodies_get_the_reference_verdicts(body, table):
     fixture = {"functions": {"f": {"cases": [{"inputs": {"a": 3, "b": 4}, "output": 3}]}}} if table else None

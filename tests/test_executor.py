@@ -1510,8 +1510,8 @@ def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id:
             return "pass", ()
         return mismatch(f"oracle functions missing from the completed source: {sorted(b.name for b in change.old)}")
     for new, fn in zip(change.new, change.functions):
-        for use in executor._unresolved(executor._read(new.text).block, new.own):
-            if not change.declares(fn, use.name):
+        for use in executor._read(new.text).free:
+            if use.name not in new.own and not change.declares(fn, use.name):
                 line = new.text.count("\n", 0, use.at) + 1
                 return "compile_error", (
                     Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name),
@@ -1725,8 +1725,8 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
     backend = ScriptedDifferentialBackend()
     for fn in (fn for fn in file.functions if fn.body_start >= 0):
         body = oracle.body(fn)
-        uses = executor._unresolved(oracle.read(body.text).block, body.own)
-        undeclared = [u.name for u in uses if not oracle.declares(fn, u.name)]
+        uses = oracle.read(body.text).free
+        undeclared = [u.name for u in uses if u.name not in body.own and not oracle.declares(fn, u.name)]
         outside = file.scrubbed[: fn.body_start] + " " + file.scrubbed[fn.body_end + 1 :]
         assert not [name for name in undeclared if re.search(rf"(?<![\w$]){re.escape(name)}(?![\w$])", outside)]
         verdict = backend.verify(file, substitute_function(fn, "{ " + body.text[1:]), fn.name)
