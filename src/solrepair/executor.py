@@ -362,7 +362,7 @@ def _param_names(signature: str) -> list[str]:
     signature, split at its top-level commas, so that `mapping(K => V) m`
     is one part; [] when the list is not closed."""
     parts, depth, start = [], 0, 0
-    for m in _LEX_RE.finditer(signature):
+    for m in re.finditer(r"[(),]", signature):
         if m[0] == "(":
             depth += 1
             start = m.end() if depth == 1 else start
@@ -623,8 +623,7 @@ class _Read(NamedTuple):
     """A function body as the mock reads it."""
 
     text: str  # the body with comments, strings and Yul blanked
-    block: _Block | None  # its tree; None when nested past _MAX_NESTING
-    free: tuple[_Use, ...]  # the uses that no local of the body resolves, in order
+    free: tuple[_Use, ...]  # the uses that no local of the body resolves, in order; () when nested too deep
     steps: tuple[_Step, ...] | None  # its statements as steps; None when not modelled
 
 
@@ -639,10 +638,10 @@ def _read(body: str) -> _Read | None:
     try:
         block = reader.block(0)
     except RecursionError:  # nested past _MAX_NESTING
-        return _Read(text, None, (), None)
+        return _Read(text, (), None)
     # The evaluator reads a comment as blanks, as the tree does.
     commented = text if text == body else _SCRUB_RE.sub(lambda m: m[0] if m[0][0] in "\"'" else _blank(m), body)
-    return _Read(text, block, tuple(reader.free), _steps(block) if text == commented else None)
+    return _Read(text, tuple(reader.free), _steps(block) if text == commented else None)
 
 
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal

@@ -491,21 +491,22 @@ def cmd_report(
     Raises ConfigError on sessions that do not pair with the outcomes by
     task id, or on outcomes of which none is usable.
     """
-    outcomes = [(path, row) for path in outcome_paths for row in read_outcomes(path)]
+    outcome_files = [(path, read_outcomes(path)) for path in outcome_paths]
+    outcomes = [row for _, rows in outcome_files for row in rows]
     if not outcomes:
         raise ConfigError("no outcomes to report on")
-    sessions = [(path, row) for path in session_paths for row in read_sessions(path)]
-    outcome_rows, session_rows = (Counter(row.task_id for _, row in rows) for rows in (outcomes, sessions))
+    session_files = [(path, read_sessions(path)) for path in session_paths]
+    sessions = [row for _, rows in session_files for row in rows]
+    outcome_rows, session_rows = Counter(row.task_id for row in outcomes), Counter(row.task_id for row in sessions)
     if session_paths and outcome_rows != session_rows:
         path, task_id = next(
-            (path, row.task_id) for path, row in outcomes + sessions
+            (path, row.task_id) for path, rows in outcome_files + session_files for row in rows
             if outcome_rows[row.task_id] != session_rows[row.task_id]
         )
         raise ConfigError(
             f"{path}: {task_id}: {outcome_rows[task_id]} outcome row(s) but {session_rows[task_id]} session "
             "row(s); --sessions must hold one session row per outcome row"
         )
-    outcomes, sessions = [row for _, row in outcomes], [row for _, row in sessions]
     try:
         report = build_report(outcomes, sessions if session_paths else None, cost_model)
     except ValueError as exc:
