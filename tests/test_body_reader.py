@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mock_reference import reference_verify, verdict_of
 from solrepair import executor
-from solrepair.corpus import _SCRUB_RE, SourceIndex, extract_functions, read_task_file
+from solrepair.corpus import _SCRUB_RE, SourceIndex, read_task_file
 from solrepair.executor import ScriptedDifferentialBackend, scrub, substitute_function
 from solrepair.repair import extract_code_block
 
