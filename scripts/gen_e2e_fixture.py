@@ -26,10 +26,11 @@ from solrepair.executor import (  # noqa: E402
     STATUS_FUNCTIONAL_MISMATCH,
     STATUS_PASS,
     ScriptedDifferentialBackend,
-    _bound,
     _generated_cases,
     _param_names,
-    _read,
+    _blanked,
+    _statements,
+    _steps,
     evaluate_body,
 )
 from solrepair.harness import RunConfig, cmd_build, load_tasks  # noqa: E402
@@ -137,7 +138,8 @@ def main() -> None:
     functions = {}
     for task in tasks:
         params = _param_names(task.record.signature)
-        steps = _bound(_read(task.record.body).steps, params)
+        body = task.record.body
+        steps = _steps(_statements(body, _blanked(body), {}), params, {})
         assert steps is not None, task.task_id
         cases = []
         for inputs in _generated_cases(params, f"table:{task.task_id}", count=6):

@@ -13,7 +13,6 @@ Diagnostic line numbers are 1-based within the completed function body
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 import random
@@ -43,11 +42,25 @@ STATUS_PASS = "pass"
 STATUS_COMPILE_ERROR = "compile_error"
 STATUS_FUNCTIONAL_MISMATCH = "functional_mismatch"
 STATUS_EXECUTOR_UNAVAILABLE = "executor_unavailable"
-STATUSES = (STATUS_PASS, STATUS_COMPILE_ERROR, STATUS_FUNCTIONAL_MISMATCH, STATUS_EXECUTOR_UNAVAILABLE)
+STATUSES = (
+    STATUS_PASS,
+    STATUS_COMPILE_ERROR,
+    STATUS_FUNCTIONAL_MISMATCH,
+    STATUS_EXECUTOR_UNAVAILABLE,
+)
 
 MOCK_EXECUTOR_SCHEMA = "mock-executor@1"
 
 DEFAULT_TIMEOUT = 60.0
+
+ERROR_KINDS = (
+    "UndeclaredIdentifier",
+    "Member",
+    "IdentifierNotUnique",
+    "IndexedExpression",
+    "ImplicitlyConvertible",
+    "Other",
+)
 
 # First matching pattern wins; anything unmatched is Other, so the
 # classification is total over arbitrary compiler output.
@@ -58,7 +71,6 @@ DEFAULT_ERROR_PATTERNS: tuple[tuple[str, str], ...] = (
     ("IndexedExpression", r"[Ii]ndexed expression"),
     ("ImplicitlyConvertible", r"implicitly convertible"),
 )
-ERROR_KINDS = (*(kind for kind, _ in DEFAULT_ERROR_PATTERNS), "Other")
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,11 @@ def classify_error(message: str, line: int | None = None, identifier: str | None
     source, whose strings and names are not the error's.
     """
     first = message.split("\n", 1)[0]
-    kind = next((kind for kind, pattern in DEFAULT_ERROR_PATTERNS if re.search(pattern, first)), "Other")
+    kind = "Other"
+    for candidate, pattern in DEFAULT_ERROR_PATTERNS:
+        if re.search(pattern, first):
+            kind = candidate
+            break
     if identifier is None:
         m = re.search(r'"([^"]+)"', first)
         identifier = m.group(1) if m else None
@@ -140,10 +156,11 @@ def substitute_function(target: IndexedFunction, completed_body: str) -> Located
 
 
 # ---------------------------------------------------------------------------
-# The scripted differential backend. It reads a body into one tree, for the
-# name resolver and the evaluator, which models straight-line bodies: local
-# declarations, then `return <expr>;`, over Solidity's integer and boolean
-# operators. A body it cannot model is compared as text.
+# The scripted differential backend. It reads a body's tokens: a recursive
+# descent resolves its names, and the statements of its own block go to the
+# evaluator, which models straight-line bodies: local declarations, then
+# `return <expr>;`, over Solidity's integer and boolean operators. A body it
+# cannot model is compared as text.
 # ---------------------------------------------------------------------------
 
 
@@ -243,7 +260,6 @@ def _constant(value: int | bool) -> _Evaluator:
     return lambda env: value
 
 
-@functools.lru_cache(maxsize=4096)
 def _parse_expression(text: str) -> tuple[_Evaluator, frozenset[str]] | None:
     """The evaluator of a Solidity expression and the names it reads, or None
     when the mock cannot model it: text outside the grammar, a relational
@@ -317,35 +333,22 @@ def _conditional(test: _Evaluator, then: _Evaluator, orelse: _Evaluator) -> _Eva
 
 
 class _Step(NamedTuple):
-    """One modelled statement: a declaration of `name`, or `return` when
-    name is None, and its value's text ("" for a declaration without an
-    initializer: 0), which evaluate computes, reading the names in reads.
-    Steps of equal name and value are the same statement."""
+    """One statement: a declaration of `name`, or `return` when name is None.
+
+    evaluate gives the statement's value (0 for a declaration without an
+    initializer) or raises what evaluating it raises; reads holds the names
+    it reads.
+    """
 
     name: str | None
-    value: str
     evaluate: _Evaluator
     reads: frozenset[str]
-
-
-def _bound(steps: Sequence[_Step] | None, params: Iterable[str]) -> list[_Step] | None:
-    """steps, or None when one reads a name that is neither in params nor
-    declared by a step before it."""
-    if steps is None:
-        return None
-    bound = set(params)
-    for step in steps:
-        if not step.reads <= bound:
-            return None
-        if step.name is not None:
-            bound.add(step.name)
-    return list(steps)
 
 
 def evaluate_body(steps: Sequence[_Step], inputs: dict) -> int | bool | None:
     env = dict(inputs)
     try:
-        for name, _, evaluate, _ in steps:
+        for name, evaluate, _ in steps:
             value = evaluate(env)
             if name is None:
                 return value
@@ -361,6 +364,10 @@ def _param_names(signature: str) -> list[str]:
     """The last word of each part of the first parenthesized list in
     signature, split at its top-level commas, so that `mapping(K => V) m`
     is one part; [] when the list is not closed."""
+    opening = signature.find("(")
+    closing = signature.find(")", opening + 1)
+    if opening != -1 and closing != -1 and "(" not in signature[opening + 1 : closing]:  # no list nested in it
+        return [words[-1] for part in signature[opening + 1 : closing].split(",") if (words := part.split())]
     parts, depth, start = [], 0, 0
     for m in re.finditer(r"[(),]", signature):
         if m[0] == "(":
@@ -450,109 +457,99 @@ def _is_declaration(m: re.Match | None) -> bool:
     return m is not None and m["first"] not in _NOT_TYPES and m["name"] not in SOLIDITY_KEYWORDS
 
 
-# The tokens of a body that its tree is read from: a name, which never
-# starts right after a digit (`0x1f` and `1e18` are numbers), one of
+# The tokens of a body that its reader reads: a name, which never starts
+# right after a digit (`0x1f` and `1e18` are numbers; checked after the
+# name's first character, so that `re` can skip ahead to candidates), one of
 # `{ } ( ) ; , . :`, or Yul's `:=`. Operators and literals are skipped.
-_LEX_RE = re.compile(rf"(?<!\d){_NAME}|:=|[{{}}();,.:]")
+_LEX_RE = re.compile(r"[A-Za-z_$](?<!\d[A-Za-z_$])[A-Za-z0-9_$]*|:=|[{}();,.:]")
 # The tokens a declaration may follow: it starts a statement, a `for` header's
 # part, a tuple's component (`(T a, , T b) = ...`) or a clause's parameter.
 _STARTS = ("{", "}", ";", "(", ",")
 _PUNCTUATION = "{}();,.:"  # the first characters of the tokens that are not names
+_NOT_NAMES = frozenset((*_PUNCTUATION, ":="))  # the tokens that are not names
 # The tokens a statement's own block follows, as against the braces of call
 # options or named arguments (`x.call{value: v}`, `f({a: 1})`).
 _BLOCK_LEADS = (")", "else", "do", "unchecked", "catch")
 
-# The tree of a body, which _Reader builds:
-# - _Block: its statements, and the declarations in scope from its '{' on,
-#   the parameters of the `try`/`catch` clause whose block it is;
-# - _For: a `for` loop's header statements and body, in the loop's scope;
-# - _Statement: one read flat, from its text's start to its end: to its
-#   ';', to the '}' of its block, or to the end of a block or loop nested
-#   in it that no `else` or `catch` follows (`if`, `while`, `try`). Its
-#   parts are those blocks and loops; its declarations (_Decl), tuple
-#   components included, enter scope after its ';'. value is the text
-#   after `return` in a `return`, or after the name of the declaration
-#   that leads the statement; None in any other, opaque one.
-# The reader's free uses (_Use) are the names no local in scope declares.
-_Decl = NamedTuple("_Decl", [("type", str), ("name", str)])
-_Block = NamedTuple("_Block", [("statements", tuple), ("scope", tuple)])
-_For = NamedTuple("_For", [("header", tuple), ("body", object)])
-_Statement = NamedTuple(
-    "_Statement", [("start", int), ("end", int), ("parts", tuple), ("decls", tuple), ("value", "str | None")]
-)
+# A statement of a body's own block, as the evaluator reads it: decl is the
+# (type, name) of the declaration that leads it, and value the text from
+# that name or from `return` in a `return` to its end; both None in any
+# other, opaque statement.
+_Statement = NamedTuple("_Statement", [("decl", "tuple[str, str] | None"), ("value", "str | None")])
+_OPAQUE = _Statement(None, None)
+# A use of a name that no local in scope declares, at its offset in the body.
 _Use = NamedTuple("_Use", [("name", str), ("at", int)])
 
 
 class _Reader:
-    """Reads a body, scrubbed with Yul blanked and one balanced {...}, into
-    its tree by recursive descent, `block(0)`, resolving its names as it
-    goes: a local's scope runs from the end of the statement declaring it
-    to the end of its block, a `for` header's to the end of its loop. A
-    body nested past _MAX_NESTING statements raises RecursionError."""
+    """Resolves the names of a body blanked (_blanked) by recursive descent
+    over its tokens, `block(0)`, and keeps the uses of names that neither
+    own nor a local in scope declares: a local's scope runs from the end of
+    the statement declaring it to the end of its block, a `for` header's to
+    the end of its loop, and a `try`/`catch` clause's parameters' over the
+    clause's block. A body nested past _MAX_NESTING statements raises
+    RecursionError."""
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, text: str, own: frozenset[str]) -> None:
         tokens = list(_LEX_RE.finditer(text))
         # Two sentinels, so that a look one token ahead never runs out.
-        self.words = [m[0] for m in tokens] + ["", ""]
+        self.words = [m[0] for m in tokens] + ["}", "}"]
         self.at = [m.start() for m in tokens] + [len(text)] * 2
-        self.i = 0
+        self.text, self.own, self.i = text, own, 0
         self.scopes: list[set[str]] = []  # the names declared in each enclosing block or loop
-        self.free: list[_Use] = []  # the uses that no declaration in scope resolves, in order
+        self.declared: set[int] = set()  # the offsets of the names that declarations declare
+        self.free: list[_Use] = []
 
-    def block(self, depth: int, scope: tuple = ()) -> _Block:
+    def block(self, depth: int, scope: Iterable[str] = ()) -> None:
         if depth > _MAX_NESTING:
             raise RecursionError
+        words = self.words
         self.i += 1  # its '{'
-        self.scopes.append({d.name for d in scope})
-        statements = []
-        while self.words[self.i] not in ("}", ""):
-            statements.append(self.block(depth + 1) if self.words[self.i] == "{" else self.flat(depth))
+        self.scopes.append(set(scope))
+        while words[self.i] != "}":
+            self.block(depth + 1) if words[self.i] == "{" else self.flat(depth)
         self.scopes.pop()
         self.i += 1  # its '}'
-        return _Block(tuple(statements), scope)
 
-    def flat(self, depth: int, in_header: bool = False) -> _Statement:
-        """The statement from here; in a `for` header, one that the
-        header's ')' may end too."""
+    def flat(self, depth: int, in_header: bool = False) -> None:
+        """Reads the statement from here, which runs to its ';', to the '}'
+        of its block, or to the end of a block or loop nested in it that no
+        `else` or `catch` follows (`if`, `while`, `try`); in a `for` header,
+        one that the header's ')' may end too."""
         if depth > _MAX_NESTING:
             raise RecursionError
-        words, at, text = self.words, self.at, self.text
-        i = first = self.i
-        parts, decls = [], []
-        declared: set[int] = set()  # the offsets of the names decls declare
-        lead = None  # the end of the name of the declaration that leads it
+        words, at, own, scopes = self.words, self.at, self.own, self.scopes
+        i = self.i
+        decls: list[str] = []  # the names it declares, in scope after its ';'
         clause = False  # a `returns` or `catch` was read, whose block takes decls
-        paren, closed = 0, False
+        paren = 0
         while True:
             word, last = words[i], words[i - 1]
-            if word in ("}", "") or in_header and word == ")" and paren == 0:
+            if word == "}" or in_header and word == ")" and paren == 0:
                 break
             if word == ";":
                 i += 1
-                self.scopes[-1].update(d.name for d in decls)
+                scopes[-1].update(decls)
                 if words[i] != "else":
-                    closed = True
                     break
-                decls, lead = [], None  # those of the branch before the `else`
+                decls = []  # those of the branch before the `else`
             elif word == "{":
                 scope = ()
                 if clause and last == ")":
-                    scope, decls, lead, clause = tuple(decls), [], None, False
+                    scope, decls, clause = decls, [], False
                 self.i = i
-                parts.append(self.block(depth + 1, scope))
+                self.block(depth + 1, scope)
                 i = self.i
                 if paren == 0 and last in _BLOCK_LEADS and words[i] not in ("else", "catch"):
                     break
             elif word == "for" and words[i + 1] == "(":
-                self.i, header = i + 2, []
-                self.scopes.append(set())
-                while words[self.i] not in (")", "}", ""):
-                    header.append(self.flat(depth + 1, in_header=True))
+                self.i = i + 2
+                scopes.append(set())
+                while words[self.i] not in (")", "}"):
+                    self.flat(depth + 1, in_header=True)
                 self.i += words[self.i] == ")"
-                body = self.block(depth + 1) if words[self.i] == "{" else self.flat(depth + 1)
-                self.scopes.pop()
-                parts.append(_For(tuple(header), body))
+                self.block(depth + 1) if words[self.i] == "{" else self.flat(depth + 1)
+                scopes.pop()
                 i = self.i
                 if paren == 0 and words[i] != "else":
                     break
@@ -560,88 +557,175 @@ class _Reader:
                 paren += (word == "(") - (word == ")")
                 i += 1
             else:
+                if last in _STARTS and (d := self.declaration(i)):
+                    decls.append(d["name"])
                 if (
-                    last in _STARTS and word not in _NOT_TYPES
-                    and _is_declaration(d := _DECLARATION_RE.match(text, at[i]))
-                ):
-                    decls.append(_Decl(text[at[i] : d.start("name")].strip(), d["name"]))
-                    declared.add(d.start("name"))
-                    lead = d.end("name") if i == first else lead
-                # Members, named-argument keys, keywords, elementary types and
-                # the `Error` or `Panic` of a `catch` are not uses. A skipped
-                # operator between a name and its '.' or ':' parts them.
-                if not (
-                    last == "." and not text[at[i - 1] + 1 : at[i]].strip() or word in SOLIDITY_KEYWORDS
-                    or at[i] in declared
-                    or words[i + 1] == ":" and last in ("{", ",") and not text[at[i] + len(word) : at[i + 1]].strip()
-                    or word[0] in _SIZED_TYPE_FIRST and _SIZED_TYPE_RE.match(word)
-                    or last == "catch" and word in ("Error", "Panic")
-                    or any(word in names for names in self.scopes)
+                    word not in own and word not in SOLIDITY_KEYWORDS
+                    and not any(word in names for names in scopes) and self.used(i)
                 ):
                     self.free.append(_Use(word, at[i]))
                 clause = clause or word in ("returns", "catch")
                 i += 1
         self.i = i
-        end = at[i - closed]
-        value = text[lead:end] if lead is not None else None
-        if words[first] == "return" and not decls:
-            value = text[at[first] + len("return") : end]
-        return _Statement(at[first], end, tuple(parts), tuple(decls), value)
+
+    def declaration(self, i: int) -> re.Match | None:
+        """The declaration that the name at i, which follows one of
+        _STARTS, starts, if any; the offset of its name is kept."""
+        word = self.words[i]
+        d = None if word in _NOT_TYPES else _DECLARATION_RE.match(self.text, self.at[i])
+        if not _is_declaration(d):
+            return None
+        self.declared.add(d.start("name"))
+        return d
+
+    def used(self, i: int) -> bool:
+        """True when the name at i, which is no keyword, is a use: not the
+        name of a declaration, a member, a named-argument key, an elementary
+        type or the `Error` or `Panic` of a `catch`. A skipped operator
+        between a name and its '.' or ':' parts them."""
+        words, at, text = self.words, self.at, self.text
+        word, last = words[i], words[i - 1]
+        return not (
+            at[i] in self.declared
+            or last == "." and not text[at[i - 1] + 1 : at[i]].strip()
+            or words[i + 1] == ":" and last in ("{", ",") and not text[at[i] + len(word) : at[i + 1]].strip()
+            or word[0] in _SIZED_TYPE_FIRST and _SIZED_TYPE_RE.match(word)
+            or last == "catch" and word in ("Error", "Panic")
+        )
+
+    def scan(self) -> list[_Use]:
+        """The uses, in order, of names that neither own nor a declaration
+        anywhere in the body declares: in place of the descent's free uses,
+        for a body nested too deep to descend. It misses only a use out of
+        its local's scope."""
+        words, names = self.words[:-2], set(self.own)
+        for i, word in enumerate(words):
+            if words[i - 1] in _STARTS and word[0] not in _PUNCTUATION and (d := self.declaration(i)):
+                names.add(d["name"])
+        return [
+            _Use(word, self.at[i]) for i, word in enumerate(words)
+            if word[0] not in _PUNCTUATION and word not in names and word not in SOLIDITY_KEYWORDS and self.used(i)
+        ]
+
+
+def _read_statements(text: str) -> list[_Statement]:
+    """The statements of the own block of text, a body blanked, empty ones
+    aside, up to the first opaque one. A statement runs to its ';' or to the
+    body's '}'; one that text outside the tokens leads (an operator or a
+    literal), or that holds a block, is opaque, so that no block is
+    descended into: no step holds one. In a body blanked, each ';' and '{'
+    is a token of its own, and they are found in the text."""
+    statements, pos, end = [], 1, len(text) - 1  # text[end] is the body's '}'
+    while True:
+        first = _LEX_RE.search(text, pos, end)
+        start = end if first is None else first.start()
+        if text[pos:start].strip():
+            return [*statements, _OPAQUE]
+        if first is None:
+            return statements
+        if first[0] == ";":
+            pos = first.end()
+            continue
+        stop = text.find(";", start, end)
+        stop = end if stop == -1 else stop
+        if text.find("{", start, stop) != -1:
+            return [*statements, _OPAQUE]
+        if first[0] == "return":
+            statements.append(_Statement(None, text[first.end() : stop]))
+        elif first[0] not in _NOT_TYPES and _is_declaration(d := _DECLARATION_RE.match(text, start)):
+            statements.append(_Statement((text[start : d.start("name")].strip(), d["name"]), text[d.end("name") : stop]))
+        else:
+            return [*statements, _OPAQUE]
+        if stop == end:  # it runs to the body's '}'
+            return statements
+        pos = stop + 1
 
 
 # The elementary types of a local the evaluator models.
 _VALUE_TYPE_RE = re.compile(r"u?int\d*|bool")
 
 
-def _steps(block: _Block) -> tuple[_Step, ...] | None:
-    """The statements of block, a body's tree, as steps; None when one is
-    neither a `return` nor a declaration of one integer or boolean local,
-    or its expression is outside the grammar or nested past _MAX_NESTING."""
-    steps = []
-    for s in block.statements:
-        if type(s) is _Statement and s.start == s.end:
-            continue  # an empty statement
-        if type(s) is not _Statement or s.value is None:
-            return None
-        if s.decls:  # `T name`, then nothing or `= expression`
-            name, rest = s.decls[0].name, s.value.strip()
-            expression = rest[1:].strip()
-            if not _VALUE_TYPE_RE.fullmatch(s.decls[0].type) or rest[:1] not in ("", "=") or rest and not expression:
-                return None
-        else:  # `return`, whitespace, then the expression
-            name, expression = None, s.value.strip()
-            if not (s.value[:1].isspace() and expression):
-                return None
-        parsed = _parse_expression(expression) if expression else (_constant(0), frozenset())
-        if parsed is None:
-            return None
-        steps.append(_Step(name, expression, *parsed))
-    return tuple(steps)
-
-
-class _Read(NamedTuple):
-    """A function body as the mock reads it."""
-
-    text: str  # the body with comments, strings and Yul blanked
-    free: tuple[_Use, ...]  # the uses that no local of the body resolves, in order; () when nested too deep
-    steps: tuple[_Step, ...] | None  # its statements as steps; None when not modelled
-
-
-def _read(body: str) -> _Read | None:
-    """body read, or None when it is not one balanced {...} block. A body
-    holding a string or `assembly` gets no steps."""
-    scrubbed = scrub(body)
-    if not _is_single_block(scrubbed):
+def _step(statement: _Statement) -> _Step | None:
+    """statement as a step; None when it is neither a `return` nor a
+    declaration of one integer or boolean local, or its expression is
+    outside the grammar or nested past _MAX_NESTING."""
+    (kind, name), value = statement.decl or (None, None), statement.value
+    if value is None:
         return None
-    text = _without_assembly(scrubbed)
-    reader = _Reader(text)
+    if kind is not None:  # `T name`, then nothing or `= expression`
+        rest = value.strip()
+        expression = rest[1:].strip()
+        if not _VALUE_TYPE_RE.fullmatch(kind) or rest[:1] not in ("", "=") or rest and not expression:
+            return None
+    else:  # `return`, whitespace, then the expression
+        expression = value.strip()
+        if not (value[:1].isspace() and expression):
+            return None
+    if not expression:
+        return _Step(name, _constant(0), frozenset())
+    parsed = _parse_expression(expression)
+    return None if parsed is None else _Step(name, *parsed)
+
+
+def _steps(
+    statements: Sequence[_Statement] | None, params: Iterable[str], known: dict[_Statement, _Step | None]
+) -> list[_Step] | None:
+    """statements, a body's own (_statements), as steps; None when there
+    are none, or when one is not a step (_step) or reads a name that is
+    neither in params nor declared by a step before it.
+
+    known maps statements to their steps, None for a statement that is not
+    one: a statement found there is not parsed again, and one parsed here is
+    added to it.
+    """
+    if statements is None:
+        return None
+    bound = set(params)
+    steps = []
+    for statement in statements:
+        step = known[statement] if statement in known else known.setdefault(statement, _step(statement))
+        if step is None or not step.reads <= bound:
+            return None
+        if step.name is not None:
+            bound.add(step.name)
+        steps.append(step)
+    return steps
+
+
+def _blanked(body: str) -> str | None:
+    """body with comments, strings and Yul blanked, or None when it is not
+    one balanced {...} block."""
+    scrubbed = scrub(body)
+    return _without_assembly(scrubbed) if _is_single_block(scrubbed) else None
+
+
+def _statements(body: str, text: str, reads: dict) -> tuple[_Statement, ...] | None:
+    """The statements of body's own block, up to the first opaque one, read
+    from text, body blanked (_read_statements); None when the evaluator
+    does not read body: it holds a string or `assembly`. A comment it reads
+    as blanks, as the reader does.
+
+    reads maps each text read, its whitespace collapsed, to its statements:
+    a text found there is not read again, and one read here is added.
+    """
+    if not (text == body or text == _SCRUB_RE.sub(lambda m: m[0] if m[0][0] in "\"'" else _blank(m), body)):
+        return None
+    key = " ".join(text.split())
+    return reads[key] if key in reads else reads.setdefault(key, tuple(_read_statements(key)))
+
+
+def _free(text: str, own: frozenset[str]) -> list[_Use]:
+    """The uses, in order, of names that neither own nor a local in scope
+    declares in text, a body blanked."""
+    names = set(_LEX_RE.findall(text)) - own - SOLIDITY_KEYWORDS - _NOT_NAMES
+    if all(map(_SIZED_TYPE_RE.match, names)):
+        return []  # every name is own, a keyword or an elementary type
+    reader = _Reader(text, own)
     try:
-        block = reader.block(0)
+        reader.block(0)
     except RecursionError:  # nested past _MAX_NESTING
-        return _Read(text, (), None)
-    # The evaluator reads a comment as blanks, as the tree does.
-    commented = text if text == body else _SCRUB_RE.sub(lambda m: m[0] if m[0][0] in "\"'" else _blank(m), body)
-    return _Read(text, tuple(reader.free), _steps(block) if text == commented else None)
+        return reader.scan()
+    return reader.free
 
 
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
@@ -704,20 +788,28 @@ class _Body(NamedTuple):
 
     name: str
     text: str  # the body, braces included
+    scrubbed: str  # the body with comments and strings blanked
     start: int  # offset of the body's '{' in its source
     params: tuple[str, ...]  # the parameter names in its signature
     own: frozenset[str]  # the parameter names, named returns and the function's own name
 
 
 def _body(index: SourceIndex, fn: IndexedFunction) -> _Body:
+    text, scrubbed = index.text, index.scrubbed
     # Read in the scrubbed header, so a comment in a parameter list adds no
     # name and its parentheses end no list.
-    header = index.scrubbed[fn.kw_offset : fn.body_start]
+    header = scrubbed[fn.kw_offset : fn.body_start]
     params = tuple(_param_names(header))
     returns = re.search(r"\breturns\b", header)
     named = _param_names(header[returns.end() :]) if returns else ()
-    text = index.text[fn.body_start : fn.body_end + 1]
-    return _Body(fn.name, text, fn.body_start, params, frozenset((*params, *named, fn.name)))
+    return _Body(
+        fn.name,
+        text[fn.body_start : fn.body_end + 1],
+        scrubbed[fn.body_start : fn.body_end + 1],
+        fn.body_start,
+        params,
+        frozenset((*params, *named, fn.name)),
+    )
 
 
 def _is_single_block(scrubbed: str) -> bool:
@@ -744,20 +836,22 @@ class _Oracle:
     """One oracle text as verify sees it: its index, and what verify learns
     about it, once per run: each target's entry (its `_Body`), each
     function's expected outputs and the names each contract sees
-    (`_scopes`), and, in `reads`, which the backend shares between its
-    oracles, each body text read. Entries are built on the first verify of
-    their target; the scopes, only for a name that a completed body does
-    not declare and that occurs in the oracle's scrubbed text, or in an
-    oracle that imports or inherits. Every entry is a pure function of its
-    key, so threads racing to fill one only repeat work.
+    (`_scopes`). Bodies are read through `reads` (_statements) and their
+    statements parsed through `steps` (_steps), which the backend shares
+    between its oracles. Entries are built on the first verify of their
+    target; the scopes, only for a name that a completed body does not
+    declare and that occurs in the oracle's scrubbed text, or in an oracle
+    that imports or inherits. Every entry is a pure function of its key, so
+    threads racing to fill one only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
 
-    def __init__(self, index: SourceIndex, reads: dict[str, _Read | None] | None = None) -> None:
+    def __init__(self, index: SourceIndex, reads: dict | None = None, steps: dict | None = None) -> None:
         index.check()
         self.index = index
         self.reads = {} if reads is None else reads
+        self.steps = {} if steps is None else steps
         self._bodies: dict[int, _Body] = {}
         self._self_contained = _OPEN_RE.search(index.scrubbed) is None  # it neither imports nor inherits
         self._scopes: list[tuple[int, int, frozenset[str] | None]] | None = None
@@ -765,7 +859,10 @@ class _Oracle:
 
     def body(self, fn: IndexedFunction) -> _Body:
         """The entry of fn, a function of the oracle."""
-        return self._bodies.get(fn.body_start) or self._bodies.setdefault(fn.body_start, _body(self.index, fn))
+        found = self._bodies.get(fn.body_start)
+        if found is None:
+            found = self._bodies.setdefault(fn.body_start, _body(self.index, fn))
+        return found
 
     def declares(self, fn: IndexedFunction, name: str) -> bool:
         """True when fn's body sees name declared outside it, or cannot tell."""
@@ -776,17 +873,17 @@ class _Oracle:
         names = next(names for start, end, names in self._scopes if start <= fn.kw_offset <= end)
         return names is None or name in names
 
-    def read(self, body: str) -> _Read | None:
-        """body as `_read` reads it, read once per distinct text."""
-        return self.reads[body] if body in self.reads else self.reads.setdefault(body, _read(body))
-
     def expected(self, body: _Body, seed: int) -> _Expected:
         """The oracle function `body` evaluated on its generated cases."""
         key = (body.start, seed)
-        return self._expected.get(key) or self._expected.setdefault(key, self._evaluate(body, seed))
+        found = self._expected.get(key)
+        if found is None:
+            found = self._expected.setdefault(key, self._evaluate(body, seed))
+        return found
 
     def _evaluate(self, body: _Body, seed: int) -> _Expected:
-        steps = _bound(self.read(body.text).steps, body.params)  # an oracle body is one block
+        # An oracle body is one balanced block.
+        steps = _steps(_statements(body.text, _without_assembly(body.scrubbed), self.reads), body.params, self.steps)
         if steps is None:
             return _Expected(None, [], None)
         cases = []
@@ -823,20 +920,23 @@ class ExecutorFixture(Record):
 class ScriptedDifferentialBackend:
     """Differential verification against scripted or generated input tables.
 
-    Each body is read once into one tree (`_Reader`). Its straight-line
-    bodies (declarations, then `return`) over Solidity's integer and boolean
-    expressions are evaluated on the fixture's input/output cases (or
-    deterministic generated inputs); any other body, or one reading a name
-    that is neither a parameter nor a local, is compared as
-    whitespace-insensitive text. A name a modified body uses where no
-    declaration is in scope is a compile_error, unless the oracle imports or
-    inherits from a contract it does not declare.
+    Straight-line bodies (declarations, then `return`) over Solidity's
+    integer and boolean expressions are evaluated on the fixture's
+    input/output cases (or deterministic generated inputs); any body outside
+    that subset, or reading a name that is neither a parameter nor a local,
+    is compared as whitespace-insensitive text. A name resolver models the
+    compiler's scoping: a name a modified body uses where no declaration is
+    in scope is a compile_error, unless the oracle imports or inherits from
+    a contract it does not declare, where the scope cannot be decided.
 
-    Only the completed body is read, at its target's location, so overloads
-    never stand in for each other; a body that is not one balanced {...}, or
-    that declares a named function outside `assembly`, is a compile_error.
-    Each oracle text is prepared once, on first use, from the index verify
-    is handed: each function's expected outputs are computed once.
+    Only the completed body is read, at its target's location, so
+    overloads never stand in for each other; a body that is not one
+    balanced {...}, or that declares a named function outside `assembly`,
+    is a compile_error. The backend prepares each oracle text once, on
+    first use, from the index verify is handed, and keeps it for its own
+    lifetime: each function's expected outputs are computed once, and each
+    distinct body and statement, in whichever source, is read and parsed
+    once.
     """
 
     name = "mock-diff"
@@ -851,79 +951,114 @@ class ScriptedDifferentialBackend:
         self.fixture = ExecutorFixture.from_json(fixture)
         self.seed = seed
         self._oracles: dict[str, _Oracle] = {}
-        self._reads: dict[str, _Read | None] = {}
+        self._reads: dict[str, tuple[_Statement, ...] | None] = {}
+        self._steps: dict[_Statement, _Step | None] = {}
         self._lock = threading.Lock()
 
-    def _verdict(self, t0: float, status: str, diagnostics: Iterable[Diagnostic] = ()) -> ExecutionVerdict:
-        elapsed = time.perf_counter() - t0
-        return ExecutionVerdict(status, tuple(diagnostics), elapsed, self.name, self.version, self.seed)
+    def _verdict(
+        self, t0: float, status: str, diagnostics: Iterable[Diagnostic] = ()
+    ) -> ExecutionVerdict:
+        return ExecutionVerdict(
+            status=status,
+            diagnostics=tuple(diagnostics),
+            elapsed=time.perf_counter() - t0,
+            backend=self.name,
+            backend_version=self.version,
+            backend_seed=self.seed,
+        )
 
     def _oracle(self, index: SourceIndex) -> _Oracle:
         with self._lock:
             oracle = self._oracles.get(index.text)
             if oracle is None:
-                oracle = self._oracles[index.text] = _Oracle(index, self._reads)
+                oracle = self._oracles[index.text] = _Oracle(index, self._reads, self._steps)
             return oracle
 
     def verify(
         self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
     ) -> ExecutionVerdict:
         t0 = time.perf_counter()
-
-        def failed(status: str, message: str, line: int | None = None) -> ExecutionVerdict:
-            return self._verdict(t0, status, [Diagnostic("Other", message, line)])
-
         try:
             prepared = self._oracle(oracle)
         except MalformedSourceError as exc:
-            return failed(STATUS_COMPILE_ERROR, str(exc))
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))])
         if completed.keeps_body_of(oracle):
             return self._verdict(t0, STATUS_PASS)
-        text = completed.body
-        read = prepared.read(text)
-        if read is None:
-            return failed(STATUS_COMPILE_ERROR, _NOT_ONE_BLOCK)
+        text, body = completed.body, _blanked(completed.body)
+        if body is None:
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NOT_ONE_BLOCK)])
         old = prepared.body(completed.target)
         # Solidity declares no function in a function body; Yul does, inside
         # `assembly`.
-        nested = _NAMED_FUNCTION_RE.search(read.text)
+        nested = _NAMED_FUNCTION_RE.search(body)
         if nested is not None:
             line = text.count("\n", 0, nested.start()) + 1
-            return failed(STATUS_COMPILE_ERROR, f'Function "{nested[1]}" declared inside a function body.', line)
-        # A body nested too deep to read is compared as text, unresolved.
-        target = completed.target
-        use = next((u for u in read.free if u.name not in old.own and not prepared.declares(target, u.name)), None)
+            message = f'Function "{nested[1]}" declared inside a function body.'
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
+        use = next((u for u in _free(body, old.own) if not prepared.declares(completed.target, u.name)), None)
         if use is not None:
             line = text.count("\n", 0, use.at) + 1
             undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name)
             return self._verdict(t0, STATUS_COMPILE_ERROR, [undeclared])
 
         table = self.fixture.functions.get(target_function_id)
-        steps = _bound(read.steps, old.params)
-        oracle_run = None if steps is None or table is not None else prepared.expected(old, self.seed)
-        if steps is None or oracle_run is not None and oracle_run.steps is None:
+        completed_steps = _steps(_statements(text, body, prepared.reads), old.params, prepared.steps)
+        oracle_run = None
+        if completed_steps is not None and table is None:
+            oracle_run = prepared.expected(old, self.seed)
+        if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
             if _normalized(old.text) == _normalized(text):
                 return self._verdict(t0, STATUS_PASS)
-            return failed(STATUS_FUNCTIONAL_MISMATCH, "completed body differs from the oracle and cannot be evaluated")
+            return self._verdict(
+                t0,
+                STATUS_FUNCTIONAL_MISMATCH,
+                [
+                    Diagnostic(
+                        "Other",
+                        "completed body differs from the oracle and cannot be evaluated",
+                    )
+                ],
+            )
+
         if table is not None:
             cases = [(case.inputs, case.output) for case in table.cases]
         elif oracle_run.failure is not None:
-            return failed(STATUS_EXECUTOR_UNAVAILABLE, oracle_run.failure)
-        elif [step[:2] for step in steps] == [step[:2] for step in oracle_run.steps]:
+            return self._verdict(
+                t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", oracle_run.failure)]
+            )
+        elif completed_steps == oracle_run.steps:
             # The oracle's own steps, on inputs it evaluated cleanly.
             return self._verdict(t0, STATUS_PASS)
         else:
             cases = oracle_run.cases
         for inputs, expected in cases:
             try:
-                got = evaluate_body(steps, inputs)
+                got = evaluate_body(completed_steps, inputs)
             except _EvalError as exc:
-                shown = json.dumps(inputs, sort_keys=True)
-                return failed(STATUS_FUNCTIONAL_MISMATCH, f"evaluation failed for inputs {shown}: {exc}")
+                return self._verdict(
+                    t0,
+                    STATUS_FUNCTIONAL_MISMATCH,
+                    [
+                        Diagnostic(
+                            "Other",
+                            f"evaluation failed for inputs "
+                            f"{json.dumps(inputs, sort_keys=True)}: {exc}",
+                        )
+                    ],
+                )
             if got != expected:
-                shown = json.dumps(inputs, sort_keys=True)
-                message = f"output mismatch for inputs {shown}: expected {expected}, got {got}"
-                return failed(STATUS_FUNCTIONAL_MISMATCH, message)
+                return self._verdict(
+                    t0,
+                    STATUS_FUNCTIONAL_MISMATCH,
+                    [
+                        Diagnostic(
+                            "Other",
+                            f"output mismatch for inputs "
+                            f"{json.dumps(inputs, sort_keys=True)}: "
+                            f"expected {expected}, got {got}",
+                        )
+                    ],
+                )
         return self._verdict(t0, STATUS_PASS)
 
 
@@ -962,8 +1097,12 @@ class SolcCompileBackend:
     def version(self) -> str:
         if self._version is None:
             try:
-                argv = [self.solc_path, "--version"]
-                out = subprocess.run(argv, capture_output=True, text=True, timeout=self.timeout)
+                out = subprocess.run(
+                    [self.solc_path, "--version"],
+                    capture_output=True,
+                    text=True,
+                    timeout=self.timeout,
+                )
                 m = re.search(r"Version:\s*(\S+)", out.stdout)
                 self._version = m.group(1) if m else out.stdout.strip()
             except (OSError, subprocess.TimeoutExpired):
@@ -972,18 +1111,27 @@ class SolcCompileBackend:
 
     def compile(self, source: str) -> ExecutionVerdict:
         t0 = time.perf_counter()
-        sources, settings = {_SOLC_SOURCE: {"content": source}}, {"outputSelection": {"*": {"*": []}}}
-        request = {"language": "Solidity", "sources": sources, "settings": settings}
-
-        def verdict(status: str, diagnostics: Sequence[Diagnostic], version: str) -> ExecutionVerdict:
-            return ExecutionVerdict(status, tuple(diagnostics), time.perf_counter() - t0, self.name, version)
+        request = {
+            "language": "Solidity",
+            "sources": {_SOLC_SOURCE: {"content": source}},
+            "settings": {"outputSelection": {"*": {"*": []}}},
+        }
 
         def unavailable(reason: str) -> ExecutionVerdict:
-            return verdict(STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", reason)], self._version or "")
+            return ExecutionVerdict(
+                status=STATUS_EXECUTOR_UNAVAILABLE,
+                diagnostics=(Diagnostic("Other", reason),),
+                elapsed=time.perf_counter() - t0,
+                backend=self.name,
+                backend_version=self._version or "",
+            )
 
         try:
             proc = subprocess.run(
-                [self.solc_path, "--standard-json"], input=json.dumps(request), capture_output=True, text=True,
+                [self.solc_path, "--standard-json"],
+                input=json.dumps(request),
+                capture_output=True,
+                text=True,
                 timeout=self.timeout,
             )
         except FileNotFoundError:
@@ -1007,7 +1155,20 @@ class SolcCompileBackend:
             if spanned and diagnostic.kind == "UndeclaredIdentifier":
                 diagnostic = replace(diagnostic, identifier=spanned)
             diagnostics.append(diagnostic)
-        return verdict(STATUS_COMPILE_ERROR if diagnostics else STATUS_PASS, diagnostics, self.version)
+        if diagnostics:
+            return ExecutionVerdict(
+                status=STATUS_COMPILE_ERROR,
+                diagnostics=tuple(diagnostics),
+                elapsed=time.perf_counter() - t0,
+                backend=self.name,
+                backend_version=self.version,
+            )
+        return ExecutionVerdict(
+            status=STATUS_PASS,
+            elapsed=time.perf_counter() - t0,
+            backend=self.name,
+            backend_version=self.version,
+        )
 
     def verify(
         self, oracle: SourceIndex, completed: LocatedCompletion, target_function_id: str
@@ -1034,7 +1195,9 @@ class SolcCompileBackend:
         first = oracle.line_of(completed.target.body_start)
         last = first + completed.body.count("\n")
         return tuple(
-            replace(d, line=d.line - first + 1) if d.line is not None and first <= d.line <= last else d
+            replace(d, line=d.line - first + 1)
+            if d.line is not None and first <= d.line <= last
+            else d
             for d in diagnostics
         )
 
@@ -1068,24 +1231,44 @@ class SubprocessFuzzBackend:
         }
 
         def unavailable(reason: str) -> ExecutionVerdict:
-            elapsed, diagnostics = time.perf_counter() - t0, (Diagnostic("Other", reason),)
-            return ExecutionVerdict(STATUS_EXECUTOR_UNAVAILABLE, diagnostics, elapsed, self.name, self.version)
+            return ExecutionVerdict(
+                status=STATUS_EXECUTOR_UNAVAILABLE,
+                diagnostics=(Diagnostic("Other", reason),),
+                elapsed=time.perf_counter() - t0,
+                backend=self.name,
+                backend_version=self.version,
+            )
 
         try:
-            stdin = json.dumps(request)
-            proc = subprocess.run(self.command, input=stdin, capture_output=True, text=True, timeout=self.timeout)
+            proc = subprocess.run(
+                self.command,
+                input=json.dumps(request),
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
         except FileNotFoundError:
             return unavailable(f"fuzz command {self.command[0]!r} not found")
         except subprocess.TimeoutExpired:
             return unavailable(f"fuzz command timed out after {self.timeout}s")
         if proc.returncode != 0:
-            return unavailable(f"fuzz command exited {proc.returncode}: {proc.stderr[:200]}")
+            return unavailable(
+                f"fuzz command exited {proc.returncode}: {proc.stderr[:200]}"
+            )
         try:
             report = json.loads(proc.stdout)
             status = report["status"]
-            diagnostics = tuple(Diagnostic.from_json(d) for d in report.get("diagnostics", []))
-            elapsed, version = time.perf_counter() - t0, str(report.get("version", self.version))
-            return ExecutionVerdict(status, diagnostics, elapsed, self.name, version, report.get("seed"))
+            diagnostics = tuple(
+                Diagnostic.from_json(d) for d in report.get("diagnostics", [])
+            )
+            return ExecutionVerdict(
+                status=status,
+                diagnostics=diagnostics,
+                elapsed=time.perf_counter() - t0,
+                backend=self.name,
+                backend_version=str(report.get("version", self.version)),
+                backend_seed=report.get("seed"),
+            )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             return unavailable(f"fuzz report malformed: {exc}")
 
@@ -1102,6 +1285,11 @@ def differential_verify(
     try:
         return backend.verify(oracle, completed, task_id)
     except Exception as exc:  # adapter bugs must not be charged to the model
-        name, version = getattr(backend, "name", "?"), getattr(backend, "version", "")
-        diagnostics = (Diagnostic("Other", f"backend {name} raised: {exc}"),)
-        return ExecutionVerdict(STATUS_EXECUTOR_UNAVAILABLE, diagnostics, backend=name, backend_version=version)
+        return ExecutionVerdict(
+            status=STATUS_EXECUTOR_UNAVAILABLE,
+            diagnostics=(
+                Diagnostic("Other", f"backend {getattr(backend, 'name', '?')} raised: {exc}"),
+            ),
+            backend=getattr(backend, "name", "?"),
+            backend_version=getattr(backend, "version", ""),
+        )

@@ -497,8 +497,8 @@ def cmd_report(
         raise ConfigError("no outcomes to report on")
     session_files = [(path, read_sessions(path)) for path in session_paths]
     sessions = [row for _, rows in session_files for row in rows]
-    outcome_rows, session_rows = Counter(row.task_id for row in outcomes), Counter(row.task_id for row in sessions)
-    if session_paths and outcome_rows != session_rows:
+    if session_paths and sorted(row.task_id for row in outcomes) != sorted(row.task_id for row in sessions):
+        outcome_rows, session_rows = Counter(row.task_id for row in outcomes), Counter(row.task_id for row in sessions)
         path, task_id = next(
             (path, row.task_id) for path, rows in outcome_files + session_files for row in rows
             if outcome_rows[row.task_id] != session_rows[row.task_id]

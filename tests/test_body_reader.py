@@ -6,6 +6,7 @@ on purpose, which hold comments; and those changed cases on their own."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -26,17 +27,41 @@ E2E_REPLIES = sorted(set(json.loads((FIXTURES / "e2e" / "mock_client.json").read
 SCOPE_COMPLETIONS = [json.loads(line)["body"] for line in (FIXTURES / "scope" / "completions.jsonl").open()]
 
 
+def modelled(body: str) -> bool:
+    """True when the evaluator reads each statement of body, whatever names
+    the statements read."""
+    text = executor._blanked(body)
+    statements = None if text is None else executor._statements(body, text, {})
+    return executor._steps(statements, re.findall(executor._NAME, body), {}) is not None
+
+
 def evaluated_for_its_comments(body: str) -> bool:
     """True when mock-diff@9 evaluates body, which holds a comment, where
     the reference compared it as text."""
-    read = executor._read(body)
-    return read is not None and read.steps is not None and any(m[0][0] == "/" for m in _SCRUB_RE.finditer(body))
+    return modelled(body) and any(m[0][0] == "/" for m in _SCRUB_RE.finditer(body))
+
+
+def braces_in_a_loop_body(body: str) -> bool:
+    """True when a `for` whose body has no braces of its own holds braces
+    (call options, named arguments) before that body's `;`: the reference
+    ended the loop's scope at their `}` (tests/test_body_reader.py pins what
+    mock-diff@9 does instead)."""
+    scrubbed = scrub(body)
+    for m in re.finditer(r"\bfor\s*\(", scrubbed):
+        depth, k = 1, m.end()
+        while depth and k < len(scrubbed):
+            depth += {"(": 1, ")": -1}.get(scrubbed[k], 0)
+            k += 1
+        rest = scrubbed[k:].lstrip()
+        if not rest.startswith("{") and "{" in rest.split(";", 1)[0]:
+            return True
+    return False
 
 
 def assert_reference_verdict(index: SourceIndex, fn, body: str, fixture: dict | None = None) -> None:
     completed = substitute_function(fn, body)
     got = ScriptedDifferentialBackend(fixture, seed=7).verify(index, completed, fn.name)
-    if not evaluated_for_its_comments(body):
+    if not (evaluated_for_its_comments(body) or braces_in_a_loop_body(body)):
         assert verdict_of(got) == reference_verify(index, completed, fn.name, fixture, seed=7), body
 
 
@@ -108,6 +133,8 @@ contract C {
 INDEX = SourceIndex.from_text("c.sol", CONTRACT)
 TARGET = next(fn for fn in INDEX.functions if fn.name == "f")
 
+CANNOT = "completed body differs from the oracle and cannot be evaluated"
+
 # Names: parameters, the named return, locals the bodies declare, members
 # of the contract, and names declared nowhere.
 NAMES = st.sampled_from(["a", "b", "a", "b", "r", "s", "t0", "t1", "i", "v", "ok", "total", "LIMIT", "add", "zz"])
@@ -173,7 +200,7 @@ STRAIGHT = st.one_of(
     ),
     EXPRESSIONS.map(lambda e: f"return {e};"),
     st.sampled_from(
-        ["uint256 s = a + b;", "return s / 2;", "return b + a;", "uint256 t0;", "return a", "uint256 t1 =;"]
+        ["uint256 s = a + b;", "return s / 2;", "return b + a;", "uint256 t0;", "return a", "uint256 t1 =;", "7;", "+ return b;"]
     ),
 )
 BODIES = st.tuples(
@@ -188,6 +215,8 @@ BODIES = st.tuples(
 @example("{ for (uint256 i = 0; i < a; i++) if (i > 0) r += i; else r = i; return i; }", False)
 @example("{ try tok.get() returns (uint256 v) { r = v; } catch { r = v; } }", False)
 @example('{ (bool v, ) = payable(a).call{value: add(a, v > 0 ? 2 : b)}(""); }', False)
+@example("{ 7; return b + a; }", False)
+@example("{ return b + a; 7 }", False)
 @example("{ r = add({a: v - 1, b: 0.5 ether}); }", False)
 @given(body=BODIES, table=st.booleans())
 def test_property_generated_bodies_get_the_reference_verdicts(body, table):
@@ -195,18 +224,56 @@ def test_property_generated_bodies_get_the_reference_verdicts(body, table):
     assert_reference_verdict(INDEX, TARGET, body, fixture)
 
 
-def test_a_deeply_nested_body_is_compared_as_text():
-    """A body nested past the reader's bound is neither resolved nor
-    evaluated: it is judged by its text, as any body the mock cannot
-    model."""
-    deep = "{" * 300 + " return zz; " + "}" * 300
-    completed = substitute_function(TARGET, deep)
-    verdict = ScriptedDifferentialBackend().verify(INDEX, completed, "f")
-    assert (verdict.status, verdict.diagnostics[0].message) == (
-        "functional_mismatch",
-        "completed body differs from the oracle and cannot be evaluated",
-    )
-    assert scrub(deep) == deep
+@pytest.mark.parametrize(
+    "inner", ["return zz;", "uint256 s = a; return s + b;", "{ uint256 s; } r = total + a;", "return a; } zz; {"]
+)
+def test_a_body_nested_past_the_bound_gets_the_reference_verdict(inner):
+    """A body nested past the reader's bound is compared as text, and its
+    names are resolved by a flat scan: a name declared nowhere is the
+    compile_error that the reference (and solc) gives, on its line."""
+    deep = "{\n" + "{" * 300 + "\n" + inner + "}" * 300 + "\n}"
+    assert not modelled(deep)
+    assert_reference_verdict(INDEX, TARGET, deep)
+
+
+def test_past_the_bound_a_local_used_out_of_its_scope_is_not_caught():
+    """The flat scan takes a name declared anywhere in the body for
+    declared: past the bound, a local used outside its block is judged by
+    the text, where the reference found it undeclared."""
+    deep = "{" * 300 + "{ uint256 q; } return q;" + "}" * 300
+    verdict = ScriptedDifferentialBackend().verify(INDEX, substitute_function(TARGET, deep), "f")
+    assert (verdict.status, verdict.diagnostics[0].message) == ("functional_mismatch", CANNOT)
+    assert reference_verify(INDEX, substitute_function(TARGET, deep), "f")[0] == "compile_error"
+
+
+@pytest.mark.parametrize(
+    "body,status,identifier",
+    [
+        ("{ for (uint256 i = 0; i < a; i++) tok.get{value: 1}(i); return a; }", "functional_mismatch", None),
+        ('{ for (uint256 i = 0; i < a; i++) (bool ok, ) = payable(a).call{value: 1}(""); return ok ? a : b; }',
+         "compile_error", "ok"),
+    ],
+    ids=["loop-local-after-call-options", "declaration-in-the-loop-body"],
+)
+def test_a_loop_body_without_braces_keeps_the_loop_scope_past_call_options(body, status, identifier):
+    """A `for` body without braces of its own is in the loop's scope up to
+    its `;`, braces of call options in it included: the loop's `i` is
+    declared after them, and a local the body declares is out of scope
+    after the loop. The reference ended the loop's scope at the options'
+    `}`, so it took that `i` for undeclared and the local for declared."""
+    assert braces_in_a_loop_body(body)
+    verdict = ScriptedDifferentialBackend().verify(INDEX, substitute_function(TARGET, body), "f")
+    assert (verdict.status, verdict.diagnostics[0].identifier) == (status, identifier)
+    assert reference_verify(INDEX, substitute_function(TARGET, body), "f") != verdict_of(verdict)
+
+
+@pytest.mark.parametrize("body", ["{ 7; return b + a; }", "{ + return b + a; }", "{ return b + a; 7 }", "{ 7 }"])
+def test_text_that_no_token_holds_leaves_a_statement_opaque(body):
+    """An operator or a literal before a statement's first token, or
+    between the last `;` and the body's `}`, is a statement the evaluator
+    does not model: the body is compared as text, as the reference did."""
+    assert not modelled(body)
+    assert_reference_verdict(INDEX, TARGET, body)
 
 
 # mock-diff@9 on purpose: the evaluator reads a comment as blanks, as the
@@ -216,7 +283,6 @@ ADD_INDEX = SourceIndex.from_text(
     "        return a + b;\n    }\n}\n"
 )
 (ADD_FN,) = ADD_INDEX.functions
-CANNOT = "completed body differs from the oracle and cannot be evaluated"
 
 
 @pytest.mark.parametrize(
@@ -244,8 +310,7 @@ def test_property_comments_in_place_of_whitespace_change_no_evaluated_verdict(bo
     """A body without comments that the evaluator models gets the same
     verdict with a comment in place of any of its spaces (`/* c */`) and
     newlines (`// c`), which keep its lines."""
-    read = executor._read(body)
-    if read is None or read.steps is None or scrub(body) != body:
+    if not modelled(body) or scrub(body) != body:
         return
     blanks = {" ": [" ", " /* c; } */ "], "\n": ["\n", " // c ; {\n"]}
     commented = "".join(data.draw(st.sampled_from(blanks[c])) if c in blanks else c for c in body)

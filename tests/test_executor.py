@@ -209,8 +209,8 @@ AB = ("a", "b")
 def interpret_body(body: str, params=()):
     """The steps verify evaluates for body in a function of those
     parameters, or None when it compares the body as text."""
-    read = executor._read(body)
-    return None if read is None else executor._bound(read.steps, params)
+    text = executor._blanked(body)
+    return None if text is None else executor._steps(executor._statements(body, text, {}), params, {})
 
 
 class TestEvaluator:
@@ -288,13 +288,14 @@ class TestEvaluator:
         # A name read only on a branch never taken is still read.
         assert interpret_body("{ return a > 0 ? a : zz; }", params=AB) is None
 
-    def test_rejected_body_is_read_once(self):
-        oracle = _Oracle(FILE)
+    def test_rejected_body_is_read_and_parsed_once(self):
+        backend = ScriptedDifferentialBackend()
+        completed = completed_with(ADD, "{ return a[b]; }")
         with mock.patch.object(executor, "_parse_expression", wraps=executor._parse_expression) as parse:
             for _ in range(3):
-                assert oracle.read("{ return balances[a]; }").steps is None
+                assert backend.verify(FILE, completed, ADD.task_id()).status == "functional_mismatch"
         assert parse.call_count == 1
-        assert list(oracle.reads) == ["{ return balances[a]; }"]
+        assert list(backend._oracle(FILE).reads) == ["{ return a[b]; }"]
 
     def test_recursion_limit_while_evaluating_is_an_evaluation_failure(self):
         # The deepest modelled expression, from a caller near the limit.
@@ -742,7 +743,7 @@ def test_property_closures_match_tree_walk(expr, env):
     assert parsed is not None, expr
     evaluate, reads = parsed
     assert reads == reference_reads(tree)
-    got = outcome_of(lambda e: evaluate_body([executor._Step(None, expr, evaluate, reads)], e), env)
+    got = outcome_of(lambda e: evaluate_body([executor._Step(None, evaluate, reads)], e), env)
     assert got == outcome_of(lambda e: _eval_node(tree, e), env)
 
 
@@ -872,24 +873,38 @@ def test_property_signature_scan_equals_its_reference(text):
 
 
 class TestOracleMemo:
-    def test_reverifying_reads_the_oracle_and_generates_cases_once(self):
+    def test_reverifying_parses_the_oracle_and_generates_cases_once(self):
         backend = ScriptedDifferentialBackend()
         oracle_body = MULTI_FILE.text[M_ADD_FN.body_start : M_ADD_FN.body_end + 1]
+        oracle_exprs = ["a + b", "s"]
+        parsed = []
+        real_parse = executor._parse_expression
+
+        def parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
         bodies = ["{ uint256 s = b + a; return s; }", "{ return a - b; }", "{ return a * 1 + b; }", "{ uint256 s = a + b; return s + 0; }"]
-        with mock.patch.object(executor, "_read", wraps=executor._read) as read, mock.patch.object(
-            executor, "_generated_cases", wraps=executor._generated_cases
-        ) as generated:
+        with mock.patch.object(executor, "_parse_expression", side_effect=parse), mock.patch.object(
+            executor, "_read_statements", wraps=executor._read_statements
+        ) as read, mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
             statuses = [
                 backend.verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, body), M_ADD.task_id()).status
                 for body in bodies * 2
             ]
             assert generated.call_count == 1
-            # Each distinct body is read once, however often it recurs.
-            assert sorted(call.args[0] for call in read.call_args_list) == sorted([oracle_body, *bodies])
+            # Each distinct body, its whitespace collapsed, is read for its
+            # statements once, and each distinct expression parsed once,
+            # however often it recurs.
+            read_once = {" ".join(body.split()) for body in [oracle_body, *bodies]}
+            assert sorted(call.args[0] for call in read.call_args_list) == sorted(read_once)
+            assert len(parsed) == len(set(parsed))
+            for expr in oracle_exprs:
+                assert parsed.count(expr) == 1, expr
             # Nothing is shared between backends.
             ScriptedDifferentialBackend().verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, bodies[1]), M_ADD.task_id())
             assert generated.call_count == 2
-            assert [call.args[0] for call in read.call_args_list].count(oracle_body) == 2
+            assert parsed.count("a + b") == 2
         assert statuses == ["pass", "functional_mismatch", "pass", "pass"] * 2
 
     def test_a_body_is_read_once_across_oracles(self):
@@ -1248,7 +1263,7 @@ class TestLocationKeyed:
         file = SourceIndex.from_text("s.sol", oracle)
         (f,) = extract_functions(file)
         completed = splice(file, f, "{ ) { } }")
-        assert _Oracle(file).read(completed.body) is not None
+        assert executor._blanked(completed.body) is not None
         v = ScriptedDifferentialBackend().verify(file, completed, f.task_id())
         assert (v.status, v.diagnostics) == mismatch("completed body differs from the oracle and cannot be evaluated")
         # The whole-source parse found g changed instead.
@@ -1269,11 +1284,10 @@ class TestLocationKeyed:
         assert reference_verify(FILE, completed, ADD.task_id()) == ("compile_error", (undeclared,))
 
     def test_self_contained_bodies_take_the_body_only_path(self):
-        oracle = _Oracle(SourceIndex(ORACLE))
         for body in ("{ return b + a; }", "{\n  return 1; // x\n}", "{ /* } */ return 1; }", "{ function g() {} }"):
-            assert oracle.read(body) is not None, body
+            assert executor._blanked(body) is not None, body
         for body in ("{ /* }", '{ "}', "{ } }", " { }", "{ return 1; } // x", "{ return 1; }\n"):
-            assert oracle.read(body) is None, body
+            assert executor._blanked(body) is None, body
 
 
 def nested_function(name: str, line: int) -> tuple[str, tuple[Diagnostic, ...]]:
@@ -1510,7 +1524,7 @@ def reference_verify(oracle: SourceIndex, completed: LocatedCompletion, task_id:
             return "pass", ()
         return mismatch(f"oracle functions missing from the completed source: {sorted(b.name for b in change.old)}")
     for new, fn in zip(change.new, change.functions):
-        for use in executor._read(new.text).free:
+        for use in executor._free(executor._blanked(new.text), new.own):
             if use.name not in new.own and not change.declares(fn, use.name):
                 line = new.text.count("\n", 0, use.at) + 1
                 return "compile_error", (
@@ -1632,7 +1646,7 @@ def test_property_located_verify_matches_whole_source_reference(statements, host
     got = check_against_reference(oracle, completed, record.task_id())
     balanced = not hostile or inside and (hostile.startswith(("assembly", "function")) or hostile == "//" and newlines)
     if balanced and not tail:
-        assert _Oracle(oracle).read(body) is not None, body
+        assert executor._blanked(body) is not None, body
     # solc's absolute lines, one on each line of the completed source.
     source = completed.source_in(oracle)
     lines = [Diagnostic("Other", "m", line=n) for n in range(1, source.count("\n") + 2)]
@@ -1710,7 +1724,7 @@ def test_fixture_records_splice_back_exactly(path):
         assert completed.source_in(file) == file.text
         assert backend.verify(file, completed, record.task_id()).status == "pass"
         reindented = splice(file, record, "{ " + record.body[1:].replace("\n", "\n  "))
-        assert backend._oracle(file).read(reindented.body) is not None
+        assert executor._blanked(reindented.body) is not None
         check_against_reference(file, reindented, record.task_id())
 
 
@@ -1725,7 +1739,7 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
     backend = ScriptedDifferentialBackend()
     for fn in (fn for fn in file.functions if fn.body_start >= 0):
         body = oracle.body(fn)
-        uses = oracle.read(body.text).free
+        uses = executor._free(executor._blanked(body.text), body.own)
         undeclared = [u.name for u in uses if u.name not in body.own and not oracle.declares(fn, u.name)]
         outside = file.scrubbed[: fn.body_start] + " " + file.scrubbed[fn.body_end + 1 :]
         assert not [name for name in undeclared if re.search(rf"(?<![\w$]){re.escape(name)}(?![\w$])", outside)]
@@ -1755,7 +1769,7 @@ class TestDeclarationTable:
                 for body in bodies
             ]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
-        assert backend._oracle(MULTI_FILE).read(bodies[-1]) is None
+        assert executor._blanked(bodies[-1]) is None
         assert scopes.call_count == 0
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1782,12 +1796,12 @@ class TestDeclarationTable:
         completed = splice(source, record, body)
         backend = ScriptedDifferentialBackend()
         with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes, mock.patch.object(
-            executor, "_read", wraps=executor._read
-        ) as reads:
+            executor, "_free", wraps=executor._free
+        ) as walks:
             verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
         assert scopes.call_count == 0
-        assert [call.args[0] for call in reads.call_args_list] == [body]
+        assert [call.args[0] for call in walks.call_args_list] == [executor.scrub(body)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [

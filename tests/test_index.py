@@ -180,14 +180,15 @@ def test_verify_runs_in_linear_time_on_long_and_deeply_nested_bodies():
     """verify's time grows linearly with the body: a straight-line body of
     n declarations, evaluated on every case; n/50 groups of blocks nested 50
     deep, each reading names in scope at every level; and one body nested
-    10n deep, past the reader's bound. Timed as the index test above is."""
+    10n deep, past the reader's bound, whose names a flat scan resolves.
+    Timed as the index test above is."""
     source = "contract C {\n    /// Adds.\n    function f(uint256 a, uint256 b) public pure returns (uint256) {\n        return a + b;\n    }\n}\n"
     index = SourceIndex(source)
     (target,) = index.functions
     shapes = {
         "long": lambda n: "{ uint256 t0 = a; " + "".join(f"uint256 t{k} = t{k - 1} + b; " for k in range(1, n)) + f"return t{n - 1}; }}",
         "nested": lambda n: "{ " + ("if (a > b) { uint256 c = a; " * 50 + "b = c; }" * 50) * (n // 50) + " return a; }",
-        "too-deep": lambda n: "{ " + "{ a; " * (10 * n) + "}" * (10 * n) + " }",
+        "too-deep": lambda n: "{ " + "{ uint256 c = a; c; " * (10 * n) + "}" * (10 * n) + " }",
     }
     sizes = (1_000, 2_000)
     for name, shape in shapes.items():
