@@ -17,7 +17,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .rows import ConfigError, Record, dump_row, read_rows
+from .rows import ConfigError, Record, read_rows
 
 STATS_SCHEMA = "corpus-stats@1"
 
@@ -321,11 +321,6 @@ class FunctionRecord(Record):
         if self.span[0] < 1 or self.span[1] < self.span[0]:
             raise MalformedRecordError(f"{self.source_path}: invalid span {self.span}")
 
-    def to_json(self) -> dict:
-        row = super().to_json()
-        row["id"] = self.task_id()
-        return row
-
     @classmethod
     def from_json(cls, payload: dict) -> FunctionRecord:
         """The record a task row holds. The row's `id` must be a string;
@@ -353,6 +348,9 @@ class FunctionRecord(Record):
 
     def task_id(self) -> str:
         return f"{self.source_path}#L{self.span[0]}-{self.span[1]}"
+
+    # The task row's derived key.
+    id = property(task_id)
 
 
 def _comment_block_top(index: SourceIndex, sig_line: int) -> int:
@@ -607,7 +605,7 @@ def write_task_file(records: Iterable[FunctionRecord], path: str | Path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(dump_row(record.to_json()))
+            fh.write(record.to_line())
             count += 1
     return count
 

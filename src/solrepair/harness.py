@@ -37,6 +37,7 @@ from .corpus import (
 )
 from .executor import (
     STATUS_EXECUTOR_UNAVAILABLE,
+    ExecutionVerdict,
     ScriptedDifferentialBackend,
     SolcCompileBackend,
     SubprocessFuzzBackend,
@@ -71,7 +72,6 @@ from .rows import (
     ConfigError,
     Record,
     UnparsedLine,
-    dump_row,
     from_json_at,
     parse_jsonl,
     read_json,
@@ -442,9 +442,9 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
                 )
                 continue
             outcome, (session,) = result
-            sess_fh.write(dump_row(session.to_json()))
+            sess_fh.write(session.to_line())
             sess_fh.flush()
-            out_fh.write(dump_row(outcome.to_json()))
+            out_fh.write(outcome.to_line())
             out_fh.flush()
             done.add(outcome.task_id)
             if outcome.unavailable:
@@ -531,6 +531,15 @@ def _read_completions(path: str | Path) -> list[tuple[int, str, str]]:
     return rows
 
 
+@dataclass(frozen=True)
+class VerifiedBody(Record):
+    """One row that `verify --verdicts` writes: a completion's task id and
+    its verdict."""
+
+    task_id: str
+    verdict: ExecutionVerdict
+
+
 def cmd_verify(
     completions_path: str | Path,
     config: RunConfig,
@@ -551,14 +560,14 @@ def cmd_verify(
     for lineno, task_id, _ in rows:
         if task_id not in tasks:
             raise ConfigError(f"{completions_path}, line {lineno}: unknown task id {task_id!r}")
-    results = []
+    verified = []
     exit_code = EXIT_OK
     for _, task_id, body in rows:
         verdict = _verify(tasks[task_id], extract_code_block(body), backend)
         if verdict.status == STATUS_EXECUTOR_UNAVAILABLE:
             exit_code = EXIT_INFRA
-        results.append({"task_id": task_id, "verdict": verdict.to_json()})
+        verified.append(VerifiedBody(task_id, verdict))
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(map(dump_row, results))
-    return results, exit_code
+            fh.writelines(row.to_line() for row in verified)
+    return [row.to_json() for row in verified], exit_code

@@ -367,9 +367,6 @@ class RepairSession(Record):
         last = self.attempts[-1].verdict
         return last.status if last else STATUS_EXECUTOR_UNAVAILABLE
 
-    def to_json(self) -> dict:
-        return super().to_json() | {"final_status": self.final_status}
-
 
 def complete_function(
     task: CompletionTask, client: ModelClient, backend, max_tokens: int = DEFAULT_MAX_TOKENS

@@ -16,9 +16,21 @@ is named by the first of: a wrongly typed scalar value, in row order; a
 fault in a record, list or dict field, in field order; a missing or
 unknown key; what `__post_init__` rejects.
 
-A key that `to_json` derives from the other fields (a class's `DERIVED`,
-as the task row's `id`) and a standalone file's "schema" are written but
-ignored on read.
+A key derived from the other fields (a class's `DERIVED`, each read from
+the property of its name, as the task row's `id`) and a standalone file's
+"schema" are written but ignored on read.
+
+A JSONL row is written by `to_line`, whose bytes are those of
+`json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))` and a
+`\n`. Each class's line writer is generated once, on first use, from the
+same walk over fields and types as its decoder: straight-line code that
+reads each field, derived keys included, in sorted key order and writes its
+JSON text, with no dict tree in between. A string is escaped by json's C
+`encode_basestring_ascii`; an int, a finite float, a bool and None are
+written as json writes them; a nested record, `X | None` and
+`tuple[X, ...]` are written inline. Any other value, such as a bool in an
+int field, NaN, or a dict field, goes to json's C encoder, so every byte is
+json's.
 
 JSONL text is split at `\n` only and parsed by `parse_jsonl`, once per line:
 a line that holds one value and nothing else is parsed in place by
@@ -37,9 +49,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import ClassVar, Iterator, TypeVar
 
@@ -273,13 +287,76 @@ def _decoder(cls: type):
     return env["decode"]
 
 
+# The encoder of a row's values that its line writer does not write itself:
+# json.dumps's, with sorted keys and compact separators. json.dumps builds
+# an encoder per call when given non-default arguments; an encoder keeps no
+# state between calls, so one serves every thread. A field's value is a
+# tree of records and JSON, which holds no cycle to check for.
+_encode_value = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
+def _write(tp, var: str, env: dict, depth: int) -> str:
+    """An expression for the JSON text of `var`, a value of field type tp,
+    as json.dumps writes it. A value outside tp, and a value of a type not
+    written inline, goes to _encode_value."""
+    if tp is str:
+        return f"(_esc({var}) if type({var}) is str else _enc({var}))"
+    if tp is int:  # a bool is no int: json writes it `true` or `false`
+        return f"(_int({var}) if type({var}) is int else _enc({var}))"
+    if tp is float:  # json writes NaN and ±inf as `NaN` and `±Infinity`
+        return f"(_float({var}) if type({var}) is float and _finite({var}) else _enc({var}))"
+    if tp is bool:
+        return f"('true' if {var} is True else 'false' if {var} is False else _enc({var}))"
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return f"({_bind(env, _writer(tp))}({var}) if type({var}) is {_bind(env, tp)} else _enc({var}))"
+    inner = _optional(tp)
+    if inner is not None:
+        return f"('null' if {var} is None else {_write(inner, var, env, depth)})"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list or (origin is tuple and len(args) == 2 and args[1] is Ellipsis):
+        item = f"x{depth}"
+        return (
+            f"('[' + ','.join([{_write(args[0], item, env, depth + 1)} for {item} in {var}]) + ']'"
+            f" if type({var}) is {origin.__name__} else _enc({var}))"
+        )
+    # Dicts, bare containers and unions of several types: their JSON tree.
+    encode = _encoder(tp)
+    return f"_enc({var})" if encode is None else f"_enc({_bind(env, encode)}({var}))"
+
+
+@cache
+def _writer(cls: type):
+    """cls's writer of its JSON text, `to_json`'s as json.dumps writes it
+    with sorted keys and compact separators; built once per class, on first
+    use, as _decoder is. It reads each field and derived key, in sorted key
+    order, and formats their texts into one string."""
+    hints = typing.get_type_hints(cls)
+    # Per key, the attribute that holds its value and the value's type.
+    keys = {f.name: (f.name, hints[f.name]) for f in dataclasses.fields(cls)}
+    for name in cls.DERIVED:  # a derived key's type is its property's
+        keys[name] = (name, typing.get_type_hints(getattr(cls, name).fget)["return"])
+    if cls.SCHEMA is not None:
+        keys["schema"] = ("SCHEMA", str)
+    env = {"_esc": encode_basestring_ascii, "_enc": _encode_value, "_int": int.__repr__,
+           "_float": float.__repr__, "_finite": math.isfinite}
+    lines, parts = ["def write(self):"], []
+    for i, key in enumerate(sorted(keys)):
+        attribute, tp = keys[key]
+        lines += [f"    v = self.{attribute}", f"    e{i} = {_write(tp, 'v', env, 0)}"]
+        parts.append(f"{encode_basestring_ascii(key)}:{{e{i}}}")
+    # The keys are names, so the f-string needs no escape but its braces.
+    lines.append("    return f'{{" + ",".join(parts) + "}}'")
+    exec(compile("\n".join(lines), f"<writer of {cls.__qualname__}>", "exec"), env)
+    return env["write"]
+
+
 class Record:
     """Mixin for dataclasses whose fields are their JSON format.
 
     A class that sets `SCHEMA` writes it under "schema" and ignores that key
     on read; standalone JSON files carry one, JSONL rows do not. `DERIVED`
-    names the keys its `to_json` adds from the other fields: the decoder
-    ignores them too.
+    names the keys it writes from the other fields, each the value of the
+    property of its name: the decoder ignores them too.
     """
 
     SCHEMA: ClassVar[str | None] = None
@@ -291,9 +368,17 @@ class Record:
         row = vars(self).copy()
         for name, enc in _encoders(type(self)):
             row[name] = enc(row[name])
+        for name in self.DERIVED:
+            row[name] = getattr(self, name)
         if self.SCHEMA is not None:
             row["schema"] = self.SCHEMA
         return row
+
+    def to_line(self) -> str:
+        """The record's JSONL line: the JSON text of `to_json()` with sorted
+        keys and compact separators, then `\\n`, written by its class's
+        writer (_writer)."""
+        return _writer(type(self))(self) + "\n"
 
     @classmethod
     def from_json(cls: type[R], payload: dict) -> R:
@@ -312,18 +397,6 @@ def from_json_at(key: str, cls: type[R], payload: dict) -> R:
     except _WrongType as exc:
         exc.path = f".{key}{exc.path}"
         raise
-
-
-# json.dumps builds an encoder per call when given non-default arguments;
-# an encoder keeps no state between calls, so one serves every thread. A
-# row is a fresh tree from `to_json`, which holds no cycle to check for.
-_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-
-
-def dump_row(row: dict) -> str:
-    """One JSONL line: sorted keys, compact separators, `\\n`; the sorted keys
-    make outcome files byte-reproducible."""
-    return _encode_row(row) + "\n"
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -386,7 +459,7 @@ def parse_jsonl(text: str) -> Iterator[tuple[int, int, int, object]]:
     `json.loads(line)` gives. The first line that json.loads rejects
     (ValueError or RecursionError) raises UnparsedLine.
 
-    A line that holds one value and nothing else, as `dump_row` writes
+    A line that holds one value and nothing else, as `to_line` writes
     them, is parsed once and in place: `raw_decode(text, start)`, accepted
     when the value ends where the line does. Any other line is copied out
     and given to json.loads, so every value and every error is json.loads's.

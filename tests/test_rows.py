@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -30,11 +31,11 @@ from solrepair.executor import (
     ExecutorFixture,
     ExecutorTable,
 )
-from solrepair.harness import RunConfig, RunManifest
+from solrepair.harness import RunConfig, RunManifest, VerifiedBody
 from solrepair.metrics import CostBreakdown, TaskOutcome
 from solrepair.repair import STAGES, Attempt, ClientFixture, RepairSession
 from solrepair.retrieval import METHODS, RetrievalConfig, RetrievedSnippet
-from solrepair.rows import ConfigError, Record, dump_row, read_json, read_records, read_rows
+from solrepair.rows import ConfigError, Record, read_json, read_records, read_rows
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -184,7 +185,21 @@ STRATEGIES = {
         backend_name=text, backend_version=text, client_name=text, tasks_total=counts,
         tasks_completed=counts, incomplete_task_ids=st.lists(text, max_size=3), status=text,
     ),
+    VerifiedBody: st.builds(VerifiedBody, task_id=text, verdict=verdicts()),
 }
+
+# The row writer before each class had a line writer of its own, and the
+# differential reference for `Record.to_line`: the JSON tree of `to_json`,
+# encoded by json with sorted keys and compact separators.
+_reference_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def dump_row(row) -> str:
+    return _reference_encode(row) + "\n"
+
+
+def reference_line(record: Record) -> str:
+    return dump_row(record.to_json())
 
 
 def test_every_record_class_has_a_strategy():
@@ -308,7 +323,7 @@ def test_decoder_is_built_once_per_class(tmp_path):
     @given(sessions())
     def check(session):
         path = tmp_path / "sessions.jsonl"
-        path.write_text(dump_row(session.to_json()) * 20, encoding="utf-8")
+        path.write_text(session.to_line() * 20, encoding="utf-8")
         rows._decoder.cache_clear()
         assert read_records(RepairSession, path, "sessions") == [session] * 20
         # The session and the four records nested in it, however many rows.
@@ -515,8 +530,78 @@ def test_plain_field_types_pass_through():
     assert Plain.from_json({"names": ["a"], "tags": ["b"]}) == Plain(("a",), ["b"])
 
 
-def test_dump_row_is_sorted_compact_and_ends_the_line():
-    assert dump_row({"b": 1, "a": [1, "é"]}) == '{"a":[1,"\\u00e9"],"b":1}\n'
+def test_to_line_is_sorted_compact_and_ends_the_line():
+    assert Diagnostic("Other", "é", 3).to_line() == '{"identifier":null,"kind":"Other","line":3,"message":"\\u00e9"}\n'
+
+
+# Per scalar field type, values that json.dumps writes in a way of its own:
+# strings with quotes, backslashes, control characters, non-ASCII text and
+# lone surrogates; integers longer than 64 bits and bools in int fields;
+# -0.0, subnormals, NaN, ±inf and ints in float fields.
+HOSTILE = {
+    str: st.text(st.sampled_from('"\\/\x00\n\x1f\x7fé\u2028\ud800\udfff😀') | st.characters(), max_size=8),
+    int: ints | st.integers(-(2**200), 2**200) | st.booleans(),
+    float: (
+        st.floats() | st.integers(-(2**70), 2**70)
+        | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf])
+    ),
+    bool: st.booleans(),
+}
+
+
+def _hostile(draw, tp, value):
+    """value, of field type tp, with each scalar in it kept or swapped for
+    one of HOSTILE, and an optional value kept or made None."""
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return draw(hostile(value))
+    if tp in HOSTILE:
+        return draw(st.just(value) | HOSTILE[tp])
+    inner = rows._optional(tp)
+    if inner is not None:
+        return None if value is None or draw(st.booleans()) else _hostile(draw, inner, value)
+    if typing.get_origin(tp) is tuple:
+        return tuple(_hostile(draw, typing.get_args(tp)[0], item) for item in value)
+    return value
+
+
+@st.composite
+def hostile(draw, record: Record) -> Record:
+    """record with its values edited by _hostile, at any depth. The copy
+    skips `__post_init__`, which rejects some of them."""
+    hints = typing.get_type_hints(type(record))
+    copy = object.__new__(type(record))
+    object.__setattr__(copy, "__dict__", {k: _hostile(draw, hints[k], v) for k, v in vars(record).items()})
+    return copy
+
+
+@pytest.mark.parametrize("cls", list(STRATEGIES), ids=lambda c: c.__name__)
+def test_line_writer_matches_the_reference(cls):
+    """Every byte of a row is json's, whatever its values; a row class
+    (tasks, sessions, outcomes, verify's verdicts) and every other."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(STRATEGIES[cls].flatmap(hostile))
+    def check(record):
+        assert record.to_line() == reference_line(record)
+
+    check()
+
+
+def test_line_writer_is_built_once_per_class():
+    @settings(max_examples=5, deadline=None)
+    @given(sessions())
+    def check(session):
+        rows._writer.cache_clear()
+        assert [session.to_line() for _ in range(20)] == [reference_line(session)] * 20
+        # The session and the four records nested in it, however many rows.
+        assert rows._writer.cache_info().misses == 5
+
+    check()
+
+
+def test_a_value_json_cannot_write_raises_its_error():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        Diagnostic("Other", object()).to_line()
 
 
 @pytest.mark.parametrize(
