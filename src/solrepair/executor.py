@@ -641,6 +641,31 @@ def _read_statements(text: str) -> list[_Statement]:
         pos = stop + 1
 
 
+def _unterminated(text: str) -> bool:
+    """True when the last statement of the own block of text, a body
+    blanked, is a `return` with a value or a declaration that runs to the
+    body's '}' without a ';'. Only that block's own statements are read:
+    one nested in a block, or holding one, is not."""
+    end, first, depth, paren = len(text) - 1, None, 0, 0
+    for m in _LEX_RE.finditer(text, 1, end):
+        word = m[0]
+        if first is None and depth == 0:
+            first = m  # the first token of a statement of the own block
+        if word == "{" or word == "}":
+            depth += 1 if word == "{" else -1
+            if depth == paren == 0:
+                first = None
+        elif word == "(" or word == ")":
+            paren += 1 if word == "(" else -1
+        elif word == ";" and depth == paren == 0:
+            first = None
+    if first is None or text.find(";", first.start(), end) != -1:
+        return False
+    if first[0] == "return":
+        return bool(text[first.end() : end].strip())
+    return first[0] not in _NOT_TYPES and _is_declaration(_DECLARATION_RE.match(text, first.start(), end))
+
+
 # The elementary types of a local the evaluator models.
 _VALUE_TYPE_RE = re.compile(r"u?int\d*|bool")
 
@@ -822,6 +847,9 @@ def _is_single_block(scrubbed: str) -> bool:
 # block: a stray brace, text before or after the block, or an unterminated
 # comment or string.
 _NOT_ONE_BLOCK = "completed body is not one balanced {...} block"
+# The one diagnostic of the verdict on a body whose last statement, a
+# `return` or a declaration, runs to its '}' without a ';' (_unterminated).
+_NO_SEMICOLON = "Expected ';' but got '}'"
 
 
 class _Expected(NamedTuple):
@@ -941,7 +969,7 @@ class ScriptedDifferentialBackend:
 
     name = "mock-diff"
     waits = False
-    version = "mock-diff@9"
+    version = "mock-diff@10"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -995,6 +1023,10 @@ class ScriptedDifferentialBackend:
             line = text.count("\n", 0, nested.start()) + 1
             message = f'Function "{nested[1]}" declared inside a function body.'
             return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
+        if _unterminated(body):
+            # solc's parser error, at the '}' where it expected the ';'.
+            line = text.count("\n", 0, len(text) - 1) + 1
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NO_SEMICOLON, line)])
         use = next((u for u in _free(body, old.own) if not prepared.declares(completed.target, u.name)), None)
         if use is not None:
             line = text.count("\n", 0, use.at) + 1

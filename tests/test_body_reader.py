@@ -1,7 +1,8 @@
 """The mock's one body tree against the readers it replaced
 (tests/mock_reference.py): the same status and diagnostics on every fixture
 body and on generated bodies, but for the bodies that mock-diff@9 evaluates
-on purpose, which hold comments; and those changed cases on their own."""
+on purpose, which hold comments, and those whose last statement mock-diff@10
+finds without its `;`; and those changed cases on their own."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from mock_reference import reference_verify, verdict_of
 from solrepair import executor
 from solrepair.corpus import _SCRUB_RE, SourceIndex, read_task_file
-from solrepair.executor import ScriptedDifferentialBackend, scrub, substitute_function
+from solrepair.executor import Diagnostic, ScriptedDifferentialBackend, scrub, substitute_function
 from solrepair.repair import extract_code_block
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,10 +59,19 @@ def braces_in_a_loop_body(body: str) -> bool:
     return False
 
 
+def lacks_its_last_semicolon(body: str) -> bool:
+    """True when the text after the last `;` or brace before the body's
+    closing `}` is a `return` with a value or an elementary-typed
+    declaration: the reference judged such a body as any other, where
+    mock-diff@10 gives solc's "Expected ';' but got '}'"."""
+    tail = re.split(r"[;{}]", scrub(body).rstrip()[:-1])[-1].strip()
+    return re.match(r"return\s*\S|(?:u?int\d*|bool)\s+[A-Za-z_]\w*\s*(?:=|$)", tail) is not None
+
+
 def assert_reference_verdict(index: SourceIndex, fn, body: str, fixture: dict | None = None) -> None:
     completed = substitute_function(fn, body)
     got = ScriptedDifferentialBackend(fixture, seed=7).verify(index, completed, fn.name)
-    if not (evaluated_for_its_comments(body) or braces_in_a_loop_body(body)):
+    if not (evaluated_for_its_comments(body) or braces_in_a_loop_body(body) or lacks_its_last_semicolon(body)):
         assert verdict_of(got) == reference_verify(index, completed, fn.name, fixture, seed=7), body
 
 
@@ -274,6 +284,38 @@ def test_text_that_no_token_holds_leaves_a_statement_opaque(body):
     does not model: the body is compared as text, as the reference did."""
     assert not modelled(body)
     assert_reference_verdict(INDEX, TARGET, body)
+
+
+@pytest.mark.parametrize(
+    "body,status",
+    [
+        ("{ return b + a }", "compile_error"),
+        ("{ uint256 t = a + b; return t }", "compile_error"),
+        ("{ uint256 t = a + b }", "compile_error"),
+        ("{\n    uint256 t = a + b;\n    return t /* ; */\n}", "compile_error"),
+        ("{ return b + a; }", "pass"),
+        ("{ if (a > b) { return a } return b; }", "functional_mismatch"),
+        ("{ if (a > b) return a; else return b }", "functional_mismatch"),
+        ("{ unchecked { return a + b } }", "functional_mismatch"),
+        ("{ a = a + b }", "functional_mismatch"),
+    ],
+    ids=["return", "declaration-then-return", "declaration", "multi-line", "terminated",
+         "nested-block", "else-branch", "unchecked", "assignment"],
+)
+def test_a_last_return_or_declaration_without_its_semicolon_is_a_compile_error(body, status):
+    """mock-diff@10: a `return` or a declaration of the body's own block
+    that runs to the body's `}` is solc's parser error, on the line of that
+    `}`. A statement nested in another keeps the verdict the reference gave,
+    and so does an expression statement."""
+    completed = substitute_function(ADD_FN, body)
+    verdict = ScriptedDifferentialBackend().verify(ADD_INDEX, completed, "add")
+    assert verdict.status == status
+    assert lacks_its_last_semicolon(body) == (status == "compile_error")
+    if status == "compile_error":
+        assert verdict.diagnostics == (Diagnostic("Other", "Expected ';' but got '}'", body.count("\n") + 1),)
+        assert reference_verify(ADD_INDEX, completed, "add")[0] != "compile_error"
+    else:
+        assert verdict_of(verdict) == reference_verify(ADD_INDEX, completed, "add")
 
 
 # mock-diff@9 on purpose: the evaluator reads a comment as blanks, as the

@@ -1046,7 +1046,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@9"
+        assert v.backend_version == "mock-diff@10"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
