@@ -218,6 +218,20 @@ report_rejects_a_session_row_of_sample_5() {
   grep -F "$OUT/run/sessions.jsonl, line 3: bank0.sol#L22-25: sample=5, but a task has one session (sample=0)" $OUT/err.txt
 }
 
+# `build` and `run` over the fixture: every row of the task file and of
+# both logs must be exactly the bytes json.dumps writes for the row's value
+# with sorted keys and compact separators, then a newline.
+rows_are_canonical_json() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  solrepair build --sources $FIX/sources --tasks $OUT/tasks.jsonl --stats $OUT/stats.json
+  solrepair run --tasks $OUT/tasks.jsonl --source-root $FIX/sources \
+    --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
+    --executor mock --budget 2048 --counter bytes4 --out $OUT/run --max-rounds 1 --retrieval lcs
+  "$PYTHON" -c 'import json, sys; bad = [(p, n) for p in sys.argv[1:] for n, line in enumerate(open(p, encoding="utf-8", newline=""), 1) if line != json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"]; print("rows not canonical:", bad); sys.exit(bool(bad) or any(not open(p).read() for p in sys.argv[1:]))' \
+    $OUT/tasks.jsonl $OUT/run/outcomes.jsonl $OUT/run/sessions.jsonl
+}
+
 for check in \
   readme_quickstart \
   report_names_a_wrongly_typed_session_value \
@@ -232,7 +246,8 @@ for check in \
   run_config_with_n_samples_exits_2 \
   report_without_sessions_prints_unknown_cost \
   report_rejects_another_runs_sessions \
-  report_rejects_a_session_row_of_sample_5
+  report_rejects_a_session_row_of_sample_5 \
+  rows_are_canonical_json
 do
   echo "== $check"
   $check

@@ -647,6 +647,8 @@ def _unterminated(text: str) -> bool:
     body's '}' without a ';'. Only that block's own statements are read:
     one nested in a block, or holding one, is not."""
     end, first, depth, paren = len(text) - 1, None, 0, 0
+    if text[:end].rstrip().endswith(";"):  # most bodies, read without the walk below
+        return False
     for m in _LEX_RE.finditer(text, 1, end):
         word = m[0]
         if first is None and depth == 0:
@@ -945,6 +947,12 @@ class ExecutorFixture(Record):
     functions: dict[str, ExecutorTable] = field(default_factory=dict)
 
 
+# `json.dumps(inputs, sort_keys=True)`, for mismatch messages: json.dumps
+# builds an encoder per call when given non-default arguments, and one
+# encoder serves every call and thread.
+_dump_inputs = json.JSONEncoder(sort_keys=True).encode
+
+
 class ScriptedDifferentialBackend:
     """Differential verification against scripted or generated input tables.
 
@@ -1074,7 +1082,7 @@ class ScriptedDifferentialBackend:
                         Diagnostic(
                             "Other",
                             f"evaluation failed for inputs "
-                            f"{json.dumps(inputs, sort_keys=True)}: {exc}",
+                            f"{_dump_inputs(inputs)}: {exc}",
                         )
                     ],
                 )
@@ -1086,7 +1094,7 @@ class ScriptedDifferentialBackend:
                         Diagnostic(
                             "Other",
                             f"output mismatch for inputs "
-                            f"{json.dumps(inputs, sort_keys=True)}: "
+                            f"{_dump_inputs(inputs)}: "
                             f"expected {expected}, got {got}",
                         )
                     ],

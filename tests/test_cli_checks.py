@@ -29,6 +29,7 @@ CHECKS = [
     "report_without_sessions_prints_unknown_cost",
     "report_rejects_another_runs_sessions",
     "report_rejects_a_session_row_of_sample_5",
+    "rows_are_canonical_json",
 ]
 
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
