@@ -3,6 +3,13 @@
 Extracts commented functions from .sol sources, filters out functions whose
 behaviour depends on chain state or privileged callers, removes exact
 duplicates, and writes the retained records to a JSONL task file.
+
+Each source is parsed once, into a `SourceIndex`. Besides its functions,
+the index holds a declaration table, built on first read: each declaration
+at file level and directly in a contract, interface or library, with its
+kind, name, enclosing contract and offsets. The names a function sees from
+outside its body (`SourceIndex.visible`) are a fold of that table. The
+declaration grammar here is the one the executor's body reader uses too.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import add
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .rows import ConfigError, Record, read_rows
 
@@ -104,6 +111,38 @@ _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 # as `\b` is: led by a literal, the pattern lets `re` skip to candidates.
 _FUNCTION_DECL_RE = re.compile(r"f(?<!\wf)unction\b\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
 
+_NAME = r"[A-Za-z_$][A-Za-z0-9_$]*"
+# Parenthesized text within one statement, nested three deep at most.
+_PARENS = r"\((?:[^(){};]|\((?:[^(){};]|\([^(){};]*\))*\))*\)"
+# A declaration, one rule for state variables, constants, immutables and
+# locals: a type, qualifiers (a data location; for a state variable, also
+# visibility and mutability), then the name. The type is a `mapping(...)`,
+# a function type or a name path (its first name is group "first"), with
+# `[...]` suffixes. No part runs past the end of a statement.
+_DECLARATION_RE = re.compile(
+    rf"\s*(?:mapping\s*{_PARENS}|function\s*{_PARENS}(?:\s*(?:internal|external|pure|view|payable))*"
+    rf"(?:\s*returns\s*{_PARENS})?|(?P<first>{_NAME})(?:\s*\.\s*{_NAME})*(?:\s+payable)?)(?:\s*\[[^\[\]{{}};]*\])*"
+    r"(?:\s+(?:memory|storage|calldata|transient|public|private|internal|constant|immutable|override))*"
+    rf"\s+(?P<name>{_NAME})(?=\s*(?:[=;,)]|$))"
+)
+# Keywords that cannot lead a declaration's type.
+_NOT_TYPES = SOLIDITY_KEYWORDS - {"address", "bool", "string", "bytes", "mapping", "function"}
+
+
+def _is_declaration(m: re.Match | None) -> bool:
+    return m is not None and m["first"] not in _NOT_TYPES and m["name"] not in SOLIDITY_KEYWORDS
+
+
+# A declaration's header, from its first character to its ';' or '{'.
+_CHUNK_RE = re.compile(r"[^;{]*")
+_SPACE_RE = re.compile(r"\s*")
+# A declaration that a keyword leads; any other is a variable's or none.
+_MEMBER_RE = re.compile(
+    rf"\s*(?:abstract\s+)?(contract|interface|library|struct|enum|function|modifier|event|error|type)\s+({_NAME})"
+)
+_CONTAINERS = ("contract", "interface", "library")
+_OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
+
 
 def _blank(match: re.Match) -> str:
     token = match.group()
@@ -166,6 +205,17 @@ class IndexedFunction(NamedTuple):
         return self.body_end if self.has_body else self.sig_end
 
 
+class Declaration(NamedTuple):
+    """One declaration at file level or directly in the body of a contract,
+    interface or library; its line is `index.line_of(header)`."""
+
+    kind: str  # contract, interface, library, struct, enum, function, modifier, event, error, type or variable
+    name: str
+    contract: str | None  # the enclosing contract's name; None at file level
+    header: int  # offset of the header's first character
+    body: int  # offset of the body's '{' (-1 when the declaration has none)
+
+
 # Builds an IndexedFunction from a tuple of its fields without the Python
 # frame of the NamedTuple's __new__.
 _new_function = tuple.__new__
@@ -174,11 +224,16 @@ _new_function = tuple.__new__
 class SourceIndex:
     """One parse of a source text, shared by build, splice and verify.
 
-    Holds the scrubbed text, line starts and every named function
-    declaration, keyed by location; one brace-matching pass finds the bodies
-    and is also the balance check. Unbalanced text is indexed without
-    functions; asking for them raises MalformedSourceError naming the first
-    unmatched brace.
+    Holds the scrubbed text, line starts, the offset of each '{' -> that of
+    its '}' (`closing`) and every named function declaration, keyed by
+    location; one brace-matching pass finds the bodies and is also the
+    balance check. Unbalanced text is indexed without functions; asking for
+    them, or for the declaration table, raises MalformedSourceError naming
+    the first unmatched brace.
+
+    The declaration table (`declarations`) and the names each function sees
+    from outside its body (`visible`) are built on first read, from the
+    brace map, once per index.
 
     Every character-level search runs in a `str` method or a regex (scrub,
     declarations); Python steps once per brace and once per declaration.
@@ -196,9 +251,9 @@ class SourceIndex:
         # Line k starts after the k pieces before it and their k newlines.
         pieces = text.split("\n")
         self.line_starts = list(map(add, accumulate(map(len, pieces), initial=0), range(len(pieces))))
-        closing, unmatched = pair_braces(self.scrubbed, 0)
+        self.closing, unmatched = pair_braces(self.scrubbed, 0)
         self.error = None if unmatched == -1 else self._unmatched(self.scrubbed[unmatched], unmatched)
-        self._functions = () if self.error else self._scan_functions(closing)
+        self._functions = () if self.error else self._scan_functions(self.closing)
         self._by_end_line: dict[int, list[IndexedFunction]] = {}
         starts = self.line_starts
         for fn in self._functions:
@@ -288,6 +343,80 @@ class SourceIndex:
             if fn.has_body:
                 named.setdefault(fn.name, []).append(fn)
         return named
+
+    @cached_property
+    def declarations(self) -> tuple[Declaration, ...]:
+        """Every declaration at file level, each followed by those directly
+        in its body when it is a contract, interface or library, in source
+        order. A variable is a declaration that no keyword leads."""
+        self.check()
+        table: list[Declaration] = []
+        for decl in self._members(0, len(self.scrubbed), None):
+            table.append(decl)
+            if decl.kind in _CONTAINERS and decl.body != -1:
+                table += self._members(decl.body + 1, self.closing[decl.body], decl.name)
+        return tuple(table)
+
+    def _members(self, start: int, end: int, contract: str | None) -> Iterator[Declaration]:
+        """The declarations directly in scrubbed[start:end], skipping the
+        bodies in it."""
+        scrubbed = self.scrubbed
+        pos = start
+        while pos < end:
+            stop = _CHUNK_RE.match(scrubbed, pos, end).end()
+            body = stop if scrubbed.startswith("{", stop, end) else -1
+            header = _SPACE_RE.match(scrubbed, pos, stop).end()
+            if m := _MEMBER_RE.match(scrubbed, pos, stop):
+                yield Declaration(m[1], m[2], contract, header, body)
+            elif _is_declaration(d := _DECLARATION_RE.match(scrubbed, pos, stop)):
+                yield Declaration("variable", d["name"], contract, header, -1)
+            pos = stop + 1 if body == -1 else self.closing[body] + 1
+
+    @cached_property
+    def self_contained(self) -> bool:
+        """True when the source neither imports nor inherits."""
+        return _OPEN_RE.search(self.scrubbed) is None
+
+    def visible(self, offset: int) -> frozenset[str] | None:
+        """The names a function declared at offset sees from outside its
+        body: the file-level names and, in a contract, interface or library,
+        its members and those its bases pass on. None where they cannot be
+        decided: the source imports, or a base is not declared before it."""
+        if self._scopes is None:
+            return None
+        spans, outer = self._scopes
+        return next((names for start, end, names in spans if start <= offset <= end), outer)
+
+    @cached_property
+    def _scopes(self) -> tuple[list[tuple[int, int, frozenset[str] | None]], frozenset[str]] | None:
+        """The body span of each contract, interface and library with the
+        names its functions see, and the file-level names; a fold of the
+        table. None when the source imports."""
+        scrubbed, closing = self.scrubbed, self.closing
+        if re.search(r"\bimport\b", scrubbed):
+            return None
+        # Each contract's span, the names its functions see from it and its
+        # bases, and the names it passes on: all but its `private` members.
+        contracts: dict[str, tuple] = {}
+        seen = passed = None
+        for decl in self.declarations:
+            if decl.contract is None:
+                seen = passed = None
+                if decl.kind in _CONTAINERS and decl.body != -1:
+                    end = closing[decl.body]
+                    # solc takes a base only when it is declared before what inherits it.
+                    bases = re.split(r"\bis\b", re.sub(_PARENS, "", scrubbed[decl.header : decl.body]), 1)[1:]
+                    above = [contracts.get(base.strip(), (None,) * 4)[3] for base in bases and bases[0].split(",")]
+                    if None not in above:
+                        passed = set().union(*above)
+                        seen = set(passed)
+                    contracts[decl.name] = (decl.body, end, seen, passed)
+            elif passed is not None:
+                seen.add(decl.name)
+                if not re.search(r"\bprivate\b", scrubbed[decl.header : _CHUNK_RE.match(scrubbed, decl.header, end).end()]):
+                    passed.add(decl.name)
+        outer = frozenset(decl.name for decl in self.declarations if decl.contract is None)
+        return [(start, end, None if seen is None else outer | seen) for start, end, seen, _ in contracts.values()], outer
 
 
 # The earlier name of SourceIndex, kept for callers that still import it.

@@ -22,17 +22,20 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import (
     IndexedFunction,
     MalformedSourceError,
     SOLIDITY_KEYWORDS,
     SourceIndex,
+    _DECLARATION_RE,
+    _NOT_TYPES,
     _SCRUB_RE,
     _SIZED_TYPE_FIRST,
     _SIZED_TYPE_RE,
     _blank,
+    _is_declaration,
     pair_braces,
     scrub,
 )
@@ -435,28 +438,6 @@ def _without_assembly(scrubbed: str) -> str:
     return "".join(pieces) + scrubbed[pos:]
 
 
-_NAME = r"[A-Za-z_$][A-Za-z0-9_$]*"
-# Parenthesized text within one statement, nested three deep at most.
-_PARENS = r"\((?:[^(){};]|\((?:[^(){};]|\([^(){};]*\))*\))*\)"
-# A declaration, one rule for state variables, constants, immutables and
-# locals: a type, qualifiers (a data location; for a state variable, also
-# visibility and mutability), then the name. The type is a `mapping(...)`,
-# a function type or a name path (its first name is group "first"), with
-# `[...]` suffixes. No part runs past the end of a statement.
-_DECLARATION_RE = re.compile(
-    rf"\s*(?:mapping\s*{_PARENS}|function\s*{_PARENS}(?:\s*(?:internal|external|pure|view|payable))*"
-    rf"(?:\s*returns\s*{_PARENS})?|(?P<first>{_NAME})(?:\s*\.\s*{_NAME})*(?:\s+payable)?)(?:\s*\[[^\[\]{{}};]*\])*"
-    r"(?:\s+(?:memory|storage|calldata|transient|public|private|internal|constant|immutable|override))*"
-    rf"\s+(?P<name>{_NAME})(?=\s*(?:[=;,)]|$))"
-)
-# Keywords that cannot lead a declaration's type.
-_NOT_TYPES = SOLIDITY_KEYWORDS - {"address", "bool", "string", "bytes", "mapping", "function"}
-
-
-def _is_declaration(m: re.Match | None) -> bool:
-    return m is not None and m["first"] not in _NOT_TYPES and m["name"] not in SOLIDITY_KEYWORDS
-
-
 # The tokens of a body that its reader reads: a name, which never starts
 # right after a digit (`0x1f` and `1e18` are numbers; checked after the
 # name's first character, so that `re` can skip ahead to candidates), one of
@@ -755,57 +736,6 @@ def _free(text: str, own: frozenset[str]) -> list[_Use]:
     return reader.free
 
 
-_OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
-_CHUNK_RE = re.compile(r"[^;{]*")
-_MEMBER_RE = re.compile(
-    rf"\s*(?:abstract\s+)?(contract|interface|library|struct|enum|function|modifier|event|error|type)\s+({_NAME})"
-)
-
-
-def _members(scrubbed: str, start: int, end: int, closing: dict[int, int]) -> Iterator[tuple]:
-    """(keyword, name, header, body) of each declaration directly in
-    scrubbed[start:end], skipping the bodies in it: keyword is None for a
-    variable, body the offset of the '{' or -1."""
-    pos = start
-    while pos < end:
-        stop = _CHUNK_RE.match(scrubbed, pos, end).end()
-        body = stop if scrubbed.startswith("{", stop, end) else -1
-        if m := _MEMBER_RE.match(scrubbed, pos, stop):
-            yield m[1], m[2], scrubbed[pos:stop], body
-        elif _is_declaration(d := _DECLARATION_RE.match(scrubbed, pos, stop)):
-            yield None, d["name"], scrubbed[pos:stop], -1
-        pos = stop + 1 if body == -1 else closing[body] + 1
-
-
-def _scopes(index: SourceIndex) -> list[tuple[int, int, frozenset[str] | None]]:
-    """The span of each contract, interface and library of index with the
-    names a function in it sees from outside its body, then the whole text's
-    span with the file-level names, which free functions see. The names are
-    None where they cannot be decided: the text imports, or a base of the
-    contract is not declared in it."""
-    scrubbed = index.scrubbed
-    if re.search(r"\bimport\b", scrubbed):
-        return [(0, len(scrubbed), None)]
-    closing = pair_braces(scrubbed, 0)[0]
-    outer: set[str] = set()
-    # Each contract's span, the names its functions see from it and its
-    # bases, and the names it passes on to what inherits from it.
-    contracts: dict[str, tuple] = {}
-    for keyword, name, header, body in _members(scrubbed, 0, len(scrubbed), closing):
-        outer.add(name)
-        if keyword in ("contract", "interface", "library") and body != -1:
-            members = list(_members(scrubbed, body + 1, closing[body], closing))
-            # solc takes a base only when it is declared before what inherits it.
-            bases = re.split(r"\bis\b", re.sub(_PARENS, "", header), 1)[1:]
-            above = [contracts.get(base.strip(), (None,) * 4)[3] for base in bases and bases[0].split(",")]
-            visible = (m[1] for m in members if not re.search(r"\bprivate\b", m[2]))
-            passed = None if None in above else set().union(*above, visible)
-            seen = None if passed is None else passed.union(m[1] for m in members)
-            contracts[name] = (body, closing[body], seen, passed)
-    spans = [(s, e, None if seen is None else frozenset(outer | seen)) for s, e, seen, _ in contracts.values()]
-    return [*spans, (0, len(scrubbed), frozenset(outer))]
-
-
 def _normalized(body: str) -> str:
     return " ".join(body.split())
 
@@ -864,15 +794,16 @@ class _Expected(NamedTuple):
 
 class _Oracle:
     """One oracle text as verify sees it: its index, and what verify learns
-    about it, once per run: each target's entry (its `_Body`), each
-    function's expected outputs and the names each contract sees
-    (`_scopes`). Bodies are read through `reads` (_statements) and their
-    statements parsed through `steps` (_steps), which the backend shares
-    between its oracles. Entries are built on the first verify of their
-    target; the scopes, only for a name that a completed body does not
-    declare and that occurs in the oracle's scrubbed text, or in an oracle
-    that imports or inherits. Every entry is a pure function of its key, so
-    threads racing to fill one only repeat work.
+    about it, once per run: each target's entry (its `_Body`) and each
+    function's expected outputs. Bodies are read through `reads`
+    (_statements) and their statements parsed through `steps` (_steps),
+    which the backend shares between its oracles. Entries are built on the
+    first verify of their target. The names a function sees from outside
+    its body are the index's (`SourceIndex.visible`), read only for a name
+    that a completed body does not declare and that occurs in the oracle's
+    scrubbed text, or in an oracle that imports or inherits. Every entry is
+    a pure function of its key, so threads racing to fill one only repeat
+    work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
@@ -883,8 +814,6 @@ class _Oracle:
         self.reads = {} if reads is None else reads
         self.steps = {} if steps is None else steps
         self._bodies: dict[int, _Body] = {}
-        self._self_contained = _OPEN_RE.search(index.scrubbed) is None  # it neither imports nor inherits
-        self._scopes: list[tuple[int, int, frozenset[str] | None]] | None = None
         self._expected: dict[tuple[int, int], _Expected] = {}
 
     def body(self, fn: IndexedFunction) -> _Body:
@@ -896,11 +825,10 @@ class _Oracle:
 
     def declares(self, fn: IndexedFunction, name: str) -> bool:
         """True when fn's body sees name declared outside it, or cannot tell."""
-        if self._self_contained and name not in self.index.scrubbed:
+        index = self.index
+        if index.self_contained and name not in index.scrubbed:
             return False
-        if self._scopes is None:
-            self._scopes = _scopes(self.index)
-        names = next(names for start, end, names in self._scopes if start <= fn.kw_offset <= end)
+        names = index.visible(fn.kw_offset)
         return names is None or name in names
 
     def expected(self, body: _Body, seed: int) -> _Expected:

@@ -6,6 +6,10 @@ Each reader read the completed body its own way: a regex token walk for the
 names it uses, a split at ';' with one regex per statement form for the
 evaluator. `reference_verify` is the backend's verify as it was built on
 them; it shares every other part with `solrepair.executor`.
+
+`scopes` is the mock's own reading of what an oracle declares, as it was
+before the source index's declaration table replaced it: the reference that
+`SourceIndex.declarations` and `SourceIndex.visible` must agree with.
 """
 
 from __future__ import annotations
@@ -14,19 +18,27 @@ import json
 import re
 from typing import Iterable, Iterator, NamedTuple
 
-from solrepair.corpus import MalformedSourceError, SOLIDITY_KEYWORDS, _SIZED_TYPE_RE, SourceIndex, scrub
-from solrepair.executor import (
+from solrepair.corpus import (
     _DECLARATION_RE,
     _NAME,
+    _NOT_TYPES,
+    _PARENS,
+    _SIZED_TYPE_RE,
+    MalformedSourceError,
+    SOLIDITY_KEYWORDS,
+    SourceIndex,
+    _is_declaration,
+    pair_braces,
+    scrub,
+)
+from solrepair.executor import (
     _NAMED_FUNCTION_RE,
     _NOT_ONE_BLOCK,
-    _NOT_TYPES,
     ExecutorFixture,
     LocatedCompletion,
     _constant,
     _EvalError,
     _generated_cases,
-    _is_declaration,
     _is_single_block,
     _normalized,
     _Oracle,
@@ -92,6 +104,62 @@ def unresolved(body: str, own: Iterable[str]) -> Iterator[re.Match]:
             declared, clause = {}, False
         depth += (token == "(") - (token == ")")
         start, ended, last = token in ("{", "}", ";", "(", ","), token in (";", "}"), token
+
+
+_CHUNK_RE = re.compile(r"[^;{]*")
+_MEMBER_RE = re.compile(
+    rf"\s*(?:abstract\s+)?(contract|interface|library|struct|enum|function|modifier|event|error|type)\s+({_NAME})"
+)
+
+
+def members(scrubbed: str, start: int, end: int, closing: dict[int, int]) -> Iterator[tuple]:
+    """(keyword, name, header, body) of each declaration directly in
+    scrubbed[start:end], skipping the bodies in it: keyword is None for a
+    variable, body the offset of the '{' or -1."""
+    pos = start
+    while pos < end:
+        stop = _CHUNK_RE.match(scrubbed, pos, end).end()
+        body = stop if scrubbed.startswith("{", stop, end) else -1
+        if m := _MEMBER_RE.match(scrubbed, pos, stop):
+            yield m[1], m[2], scrubbed[pos:stop], body
+        elif _is_declaration(d := _DECLARATION_RE.match(scrubbed, pos, stop)):
+            yield None, d["name"], scrubbed[pos:stop], -1
+        pos = stop + 1 if body == -1 else closing[body] + 1
+
+
+def scopes(index: SourceIndex) -> list[tuple[int, int, frozenset[str] | None]]:
+    """The span of each contract, interface and library of index with the
+    names a function in it sees from outside its body, then the whole text's
+    span with the file-level names, which free functions see. The names are
+    None where they cannot be decided: the text imports, or a base of the
+    contract is not declared in it."""
+    scrubbed = index.scrubbed
+    if re.search(r"\bimport\b", scrubbed):
+        return [(0, len(scrubbed), None)]
+    closing = pair_braces(scrubbed, 0)[0]
+    outer: set[str] = set()
+    # Each contract's span, the names its functions see from it and its
+    # bases, and the names it passes on to what inherits from it.
+    contracts: dict[str, tuple] = {}
+    for keyword, name, header, body in members(scrubbed, 0, len(scrubbed), closing):
+        outer.add(name)
+        if keyword in ("contract", "interface", "library") and body != -1:
+            inside = list(members(scrubbed, body + 1, closing[body], closing))
+            # solc takes a base only when it is declared before what inherits it.
+            bases = re.split(r"\bis\b", re.sub(_PARENS, "", header), 1)[1:]
+            above = [contracts.get(base.strip(), (None,) * 4)[3] for base in bases and bases[0].split(",")]
+            visible = (m[1] for m in inside if not re.search(r"\bprivate\b", m[2]))
+            passed = None if None in above else set().union(*above, visible)
+            seen = None if passed is None else passed.union(m[1] for m in inside)
+            contracts[name] = (body, closing[body], seen, passed)
+    spans = [(s, e, None if seen is None else frozenset(outer | seen)) for s, e, seen, _ in contracts.values()]
+    return [*spans, (0, len(scrubbed), frozenset(outer))]
+
+
+def visible(index: SourceIndex, offset: int) -> frozenset[str] | None:
+    """The names a function declared at offset sees from outside its body,
+    read from scopes(index)."""
+    return next(names for start, end, names in scopes(index) if start <= offset <= end)
 
 
 DECL_STMT_RE = re.compile(r"^(?:uint\d*|int\d*|bool)\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*(?:=\s*(.+))?$", re.S)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mock_reference import reference_verify, verdict_of
-from solrepair import executor
+from solrepair import corpus, executor
 from solrepair.corpus import _SCRUB_RE, SourceIndex, read_task_file
 from solrepair.executor import Diagnostic, ScriptedDifferentialBackend, scrub, substitute_function
 from solrepair.repair import extract_code_block
@@ -33,7 +33,7 @@ def modelled(body: str) -> bool:
     the statements read."""
     text = executor._blanked(body)
     statements = None if text is None else executor._statements(body, text, {})
-    return executor._steps(statements, re.findall(executor._NAME, body), {}) is not None
+    return executor._steps(statements, re.findall(corpus._NAME, body), {}) is not None
 
 
 def evaluated_for_its_comments(body: str) -> bool:

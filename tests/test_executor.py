@@ -15,6 +15,7 @@ import threading
 import time
 import zlib
 from collections import Counter
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +44,7 @@ from solrepair.executor import (
     evaluate_body,
     substitute_function,
 )
-from solrepair import executor
+from solrepair import corpus, executor
 from solrepair.executor import ExecutorCase, ExecutorFixture, ExecutorTable, _EvalError, _Oracle
 from solrepair.repair import extract_code_block
 from solrepair.retrieval import Query, queries_for_method
@@ -1477,7 +1478,7 @@ def reference_change(oracle: _Oracle, completed_source: str) -> _Change:
         tuple(map(oracle.body, old[head : len(old) - tail])),
         tuple(executor._body(completed, fn) for fn in changed),
         changed,
-        executor._scopes(completed),
+        mock_reference.scopes(completed),
     )
 
 
@@ -1750,84 +1751,98 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
             assert verdict.status != "compile_error", (fn.name, verdict.diagnostics)
 
 
+@contextmanager
+def counted_tables(counting=None):
+    """The builds of every index's declaration table, as the calls of a
+    mock wrapping the builder; or through counting(index) when given."""
+    table = SourceIndex.__dict__["declarations"]
+    real = table.func
+    with mock.patch.object(table, "func", wraps=real) if counting is None else mock.patch.object(
+        table, "func", lambda index: counting(index, real)
+    ) as built:
+        yield built
+
+
 class TestDeclarationTable:
-    """The oracle's scopes (`executor._scopes`) are built only for a name
-    that a completion does not declare itself and that occurs in its
-    self-contained oracle, and then once per oracle."""
+    """An oracle's declaration table (`SourceIndex.declarations`) is built
+    only for a name that a completion does not declare itself and that
+    occurs in its self-contained oracle, and then once per index. Each test
+    indexes its oracles afresh, since an index keeps its table."""
 
     def test_completions_using_only_locals_build_no_table(self):
         backend = ScriptedDifferentialBackend()
+        multi = SourceIndex(MULTI, "m.sol")
         bodies = [
             "{ uint256 s = a + b; return s; }",
             "{ return b + a; }",
             "{ uint256 t; return add(t, a); }",
             "{ return a - b; } // not one block",
         ]
-        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes:
-            statuses = [
-                backend.verify(MULTI_FILE, splice(MULTI_FILE, M_ADD, body), M_ADD.task_id()).status
-                for body in bodies
-            ]
+        with counted_tables() as built:
+            statuses = [backend.verify(multi, splice(multi, M_ADD, body), M_ADD.task_id()).status for body in bodies]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
         assert executor._blanked(bodies[-1]) is None
-        assert scopes.call_count == 0
+        assert built.call_count == 0
+        assert "declarations" not in vars(multi)
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
         backend = ScriptedDifferentialBackend()
+        file, multi = SourceIndex(ORACLE, "math.sol"), SourceIndex(MULTI, "m.sol")
         jobs = [
-            (FILE, ADD, "{ return total + a; }", "functional_mismatch"),
-            (FILE, AVG, "{ return helperX(a); }", "compile_error"),
-            (FILE, AVG, "{ return total; }", "functional_mismatch"),
-            (MULTI_FILE, M_ADD, "{ return zz; }", "compile_error"),
-            (MULTI_FILE, M_HALF, "{ return a / 2; }", "pass"),
-            (MULTI_FILE, M_HALF, "{ return zz; } // x", "compile_error"),
+            (file, ADD, "{ return total + a; }", "functional_mismatch"),
+            (file, AVG, "{ return helperX(a); }", "compile_error"),
+            (file, AVG, "{ return total; }", "functional_mismatch"),
+            (multi, M_ADD, "{ return zz; }", "compile_error"),
+            (multi, M_HALF, "{ return a / 2; }", "pass"),
+            (multi, M_HALF, "{ return zz; } // x", "compile_error"),
         ] * 3
-        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes:
+        with counted_tables() as built:
             for oracle, record, body, status in jobs:
                 assert backend.verify(oracle, splice(oracle, record, body), record.task_id()).status == status
-        # `zz` and `helperX` occur nowhere in their oracles: no scope is built
-        # for them, and no other name sends MULTI_FILE's to a build.
-        assert [call.args for call in scopes.call_args_list] == [(FILE,)]
+        # `zz` and `helperX` occur nowhere in their oracles: no table is built
+        # for them, and no other name sends the multi oracle's to a build.
+        assert [call.args for call in built.call_args_list] == [(file,)]
 
     @pytest.mark.parametrize("name", ["uniswapV2Router07", "accrueAaveRouter", "zz"])
-    @pytest.mark.parametrize("source,record", [(FILE, ADD), (MULTI_FILE, M_HALF)], ids=["math", "multi"])
-    def test_name_absent_from_the_oracle_scans_only_the_new_body(self, source, record, name):
+    @pytest.mark.parametrize("text,record", [(ORACLE, ADD), (MULTI, M_HALF)], ids=["math", "multi"])
+    def test_name_absent_from_the_oracle_scans_only_the_new_body(self, text, record, name):
+        source = SourceIndex(text)
         body = f"{{ return {name}(a); }}"
         completed = splice(source, record, body)
         backend = ScriptedDifferentialBackend()
-        with mock.patch.object(executor, "_scopes", wraps=executor._scopes) as scopes, mock.patch.object(
-            executor, "_free", wraps=executor._free
-        ) as walks:
+        with counted_tables() as built, mock.patch.object(executor, "_free", wraps=executor._free) as walks:
             verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
-        assert scopes.call_count == 0
+        assert built.call_count == 0
         assert [call.args[0] for call in walks.call_args_list] == [executor.scrub(body)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
         jobs = [
-            (FILE, ADD, "{ return total + a; }"),
-            (FILE, AVG, "{ return helperX(a); }"),
-            (FILE, AVG, "{ return total; }"),
-            (FILE, ADD, "{ return b + a; }"),
-            (MULTI_FILE, M_ADD, "{ return zz; }"),
-            (MULTI_FILE, M_HALF, "{ uint256 q = a / 2; return q; }"),
-            (MULTI_FILE, M_DIV, "{ return add(a, b); }"),
-            (MULTI_FILE, M_DIV, "{ return b - a; }"),
+            (0, ADD, "{ return total + a; }"),
+            (0, AVG, "{ return helperX(a); }"),
+            (0, AVG, "{ return total; }"),
+            (0, ADD, "{ return b + a; }"),
+            (1, M_ADD, "{ return zz; }"),
+            (1, M_HALF, "{ uint256 q = a / 2; return q; }"),
+            (1, M_DIV, "{ return add(a, b); }"),
+            (1, M_DIV, "{ return b - a; }"),
         ] * 25
 
-        def run(backend, job):
-            oracle, record, body = job
+        def run(backend, oracles, job):
+            which, record, body = job
+            oracle = oracles[which]
             v = backend.verify(oracle, splice(oracle, record, body), record.task_id())
             return v.status, v.diagnostics
 
-        expected = [run(ScriptedDifferentialBackend(seed=3), job) for job in jobs]
+        serial = (SourceIndex(ORACLE, "math.sol"), SourceIndex(MULTI, "m.sol"))
+        expected = [run(ScriptedDifferentialBackend(seed=3), serial, job) for job in jobs]
         assert len({status for status, _ in expected}) == 4
         backend = ScriptedDifferentialBackend(seed=3)
+        oracles = (SourceIndex(ORACLE, "math.sol"), SourceIndex(MULTI, "m.sol"))
         builds: Counter = Counter()
         lock = threading.Lock()
-        real = executor._scopes
 
-        def counting(index):
+        def counting(index, real):
             with lock:
                 builds[index.text] += 1
             return real(index)
@@ -1835,14 +1850,14 @@ class TestDeclarationTable:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(executor, "_scopes", counting):
+            with counted_tables(counting):
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    got = list(pool.map(lambda job: run(backend, job), jobs, timeout=60))
+                    got = list(pool.map(lambda job: run(backend, oracles, job), jobs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        # Each oracle's scopes are built, at most once per racing thread.
-        assert set(builds) == {FILE.text, MULTI_FILE.text}
+        # Each oracle's table is built, at most once per racing thread.
+        assert set(builds) == {ORACLE, MULTI}
         assert all(1 <= n <= 8 for n in builds.values()), builds
 
 
@@ -1868,6 +1883,27 @@ def test_scope_probe_gets_its_expected_verdict(completion, expected):
     status, diagnostics = check_against_reference(SCOPE_FILE, completed, record.task_id())
     identifier = diagnostics[0].identifier if status == "compile_error" else None
     assert (status, identifier) == (expected["status"], expected["identifier"])
+
+
+def test_scope_probes_pair_no_whole_oracle_again():
+    """While the scope probes are verified, no oracle's braces are paired
+    again: its index paired them once, and what it declares is read from
+    the index's table."""
+    oracle = SourceIndex(SCOPE_FILE.text, "pool.sol")
+    backend = ScriptedDifferentialBackend()
+    paired = []
+    real = corpus.pair_braces
+
+    def spy(scrubbed, start):
+        paired.append(scrubbed)
+        return real(scrubbed, start)
+
+    with mock.patch.object(corpus, "pair_braces", spy), mock.patch.object(executor, "pair_braces", spy):
+        for completion, _ in (param.values for param in SCOPE_PROBES):
+            record = SCOPE_TASKS[completion["task_id"]]
+            backend.verify(oracle, splice(oracle, record, completion["body"]), record.task_id())
+    assert "declarations" in vars(oracle)
+    assert paired and oracle.scrubbed not in paired
 
 
 # A contract whose names are known by construction: `f`'s body sees the

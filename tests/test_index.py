@@ -11,8 +11,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import mock_reference
 
 from solrepair.corpus import (
     SourceIndex,
@@ -22,7 +26,7 @@ from solrepair.corpus import (
     _FUNCTION_DECL_RE,
 )
 from solrepair.executor import STATUS_PASS, ScriptedDifferentialBackend, substitute_function
-from solrepair.harness import RunConfig, load_tasks
+from solrepair.harness import RunConfig, cmd_build, load_tasks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _SIGNATURE_END_RE = re.compile(r"[;{]")
@@ -310,3 +314,125 @@ def test_property_oracle_bodies_splice_back_and_pass(source):
         spaced = substitute_function(task.target, task.record.body[:-1] + " }")
         verdict = backend.verify(task.oracle, spaced, task.task_id)
         assert verdict.status == STATUS_PASS, verdict
+
+
+# Declarations of a generated file, by kind: the line each writes, from
+# its name and whether it is private. A "variable" is one no keyword leads.
+MEMBER_LINES = {
+    "variable": lambda n, private: [f"uint256 {'private' if private else 'public'} {n};"],
+    "mapping": lambda n, private: [f"mapping(address => uint256){' private' if private else ''} {n};"],
+    "constant": lambda n, private: [f"uint256 constant {n} = 7; // {{ not a body"],
+    "struct": lambda n, private: [f"struct {n} {{", "    uint256 size;", "    address owner;", "}"],
+    "enum": lambda n, private: [f"enum {n} {{ Low, High }}"],
+    "event": lambda n, private: [f"event {n}(address indexed who, uint256 amount);"],
+    "error": lambda n, private: [f"error {n}(uint256 code);"],
+    "modifier": lambda n, private: [f"modifier {n}() {{", "    _;", "}"],
+    "function": lambda n, private: [
+        f"function {n}(uint256 a) {'private' if private else 'public'} pure returns (uint256) {{",
+        '    string memory s = "}; {";',
+        "    return a;",
+        "}",
+    ],
+    "bodiless": lambda n, private: [f"function {n}(uint256 a) external returns (uint256);"],
+    "type": lambda n, private: [f"type {n} is uint256;"],
+}
+KIND_OF = {"mapping": "variable", "constant": "variable", "bodiless": "function"}
+# Lines that declare nothing the table holds.
+NOISE = ["constructor() {}", "receive() external payable {}", "using Math for uint256;", "/// a; { comment"]
+CONTAINER_MEMBERS = {
+    "contract": ["variable", "mapping", "constant", "struct", "enum", "event", "error", "modifier", "function"],
+    "interface": ["struct", "enum", "event", "error", "bodiless"],
+    "library": ["constant", "struct", "enum", "error", "function"],
+}
+FILE_LEVEL = ["constant", "struct", "enum", "event", "error", "type", "function"]
+
+
+@st.composite
+def declared_files(draw) -> tuple[str, list[tuple[str, str, str | None, int, bool]]]:
+    """A source and the declarations it was built from, each as (kind,
+    name, enclosing contract, line of its header, whether it has a body).
+    Contract bases are drawn from the containers declared before, after,
+    and nowhere (`Ext`); the source may import."""
+    lines = ["// SPDX-License-Identifier: MIT", "pragma solidity ^0.8.0;"]
+    if draw(st.integers(0, 4)) == 0:
+        lines.append('import "./Ext.sol";')
+    table = []
+    containers = [f"K{i}" for i in range(draw(st.integers(0, 4)))]
+    fresh = iter(range(10**6))
+
+    def declare(kind: str, contract: str | None, indent: str) -> None:
+        name = f"{kind[0]}{next(fresh)}"
+        private = contract is not None and draw(st.booleans())
+        body = MEMBER_LINES[kind](name, private)
+        if draw(st.booleans()):
+            lines.append(indent + draw(st.sampled_from(["/// Doc { (", "/* ; } */"])))
+        table.append((KIND_OF.get(kind, kind), name, contract, len(lines) + 1, "{" in body[0].split("//")[0]))
+        lines.extend(indent + line for line in body)
+
+    for item in draw(st.lists(st.sampled_from(["container", *FILE_LEVEL]), max_size=8)) + ["container"] * len(containers):
+        if item != "container":
+            declare(item, None, "")
+            continue
+        if not containers:
+            continue
+        name = containers.pop(0)
+        kind = draw(st.sampled_from(sorted(CONTAINER_MEMBERS)))
+        before = [f"K{i}" for i in range(int(name[1:]))]
+        heritage = draw(st.sampled_from(["none", "before", "any"]))
+        if heritage == "before" and before:
+            bases = draw(st.lists(st.sampled_from(before), min_size=1, max_size=2, unique=True))
+        elif heritage == "any":
+            bases = draw(st.lists(st.sampled_from([f"K{i}" for i in range(5)] + ["Ext"]), min_size=1, max_size=2, unique=True))
+        else:
+            bases = []
+        lead = "abstract contract" if kind == "contract" and draw(st.booleans()) else kind
+        heritage = f" is {', '.join(b + ('(1)' if b == 'Ext' else '') for b in bases)}" if bases else ""
+        table.append((kind, name, None, len(lines) + 1, True))
+        lines.append(f"{lead} {name}{heritage} {{")
+        # Each ends with a function, at which what it sees is read.
+        last = "bodiless" if kind == "interface" else "function"
+        for member in draw(st.lists(st.sampled_from(CONTAINER_MEMBERS[kind] + ["noise"]), max_size=6)) + [last]:
+            if member == "noise":
+                lines.append("    " + draw(st.sampled_from(NOISE)))
+            else:
+                declare(member, name, "    ")
+        lines.append("}")
+    return "\n".join(lines) + "\n", table
+
+
+@settings(max_examples=150, deadline=None)
+@given(declared_files())
+def test_property_declaration_table_is_what_the_file_declares(generated):
+    """The table holds the file's declarations and nothing else, and the
+    names each function sees equal the mock's former reading (`scopes`)."""
+    source, declared = generated
+    index = SourceIndex(source, "gen.sol")
+    table = [(d.kind, d.name, d.contract, index.line_of(d.header), d.body != -1) for d in index.declarations]
+    assert table == declared
+    for d in index.declarations:
+        assert d.body == -1 or index.scrubbed[d.body] == "{"
+    for fn in index.functions:
+        assert index.visible(fn.kw_offset) == mock_reference.visible(index, fn.kw_offset), fn.name
+
+
+def test_fixture_sources_see_what_the_former_reading_saw():
+    for path in sorted(FIXTURES.rglob("*.sol")):
+        index = SourceIndex(path.read_text(encoding="utf-8"), str(path))
+        for fn in index.functions:
+            assert index.visible(fn.kw_offset) == mock_reference.visible(index, fn.kw_offset), (path, fn.name)
+
+
+def test_build_load_and_fast_verify_build_no_declaration_table(tmp_path):
+    """The table is built on first read only: not by `build`, not by
+    loading tasks, and not by a verify whose names the oracle's text does
+    not hold."""
+    e2e = FIXTURES / "e2e"
+    with mock.patch.object(SourceIndex.__dict__["declarations"], "func") as built:
+        cmd_build(e2e / "sources", tmp_path / "tasks.jsonl")
+        tasks = load_tasks(RunConfig(task_file=str(e2e / "tasks.jsonl"), out_dir=str(tmp_path), source_root=str(e2e / "sources")))
+        backend = ScriptedDifferentialBackend()
+        for task in tasks[:10]:
+            for body in (task.record.body, "{ return a + b + zzUnknown; }"):
+                backend.verify(task.oracle, substitute_function(task.target, body), task.task_id)
+    assert built.call_count == 0
+    assert not any("declarations" in vars(task.oracle) for task in tasks)
