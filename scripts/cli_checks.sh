@@ -202,6 +202,25 @@ report_rejects_another_runs_sessions() {
   grep -F "$OUT/all/outcomes.jsonl: bank1.sol#L12-15: 1 outcome row(s) but 0 session row(s)" $OUT/err.txt
 }
 
+# `report` given the sessions of another run over the same tasks, the
+# README quickstart's repair run for its baseline's outcomes: the task ids
+# pair, but the outcome rows are not the fold of these sessions, so it must
+# exit 2 and name the first task whose row differs and both files.
+report_rejects_the_sessions_of_another_run_over_the_same_tasks() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  common=(--tasks $FIX/tasks.jsonl --source-root $FIX/sources
+          --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json
+          --executor mock --budget 2048 --counter bytes4)
+  solrepair run "${common[@]}" --out $OUT/baseline --max-rounds 0
+  solrepair run "${common[@]}" --out $OUT/repair --max-rounds 1 --retrieval lcs
+  code=0
+  solrepair report --outcomes $OUT/baseline/outcomes.jsonl --sessions $OUT/repair/sessions.jsonl 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/baseline/outcomes.jsonl: bank0.sol#L22-25: the outcome row is not the fold of its session row in $OUT/repair/sessions.jsonl" $OUT/err.txt
+}
+
 # A session row holding `"sample":5`, where a task has one session:
 # `report` must exit 2 and name the row's line.
 report_rejects_a_session_row_of_sample_5() {
@@ -246,6 +265,7 @@ for check in \
   run_config_with_n_samples_exits_2 \
   report_without_sessions_prints_unknown_cost \
   report_rejects_another_runs_sessions \
+  report_rejects_the_sessions_of_another_run_over_the_same_tasks \
   report_rejects_a_session_row_of_sample_5 \
   rows_are_canonical_json
 do

@@ -47,7 +47,9 @@ from .metrics import (
     GPT_4O_MINI_PRICES,
     TaskOutcome,
     build_report,
+    outcome_columns,
     outcome_from_session,
+    session_fold,
 )
 from .repair import (
     STRATEGY_KINDS,
@@ -488,8 +490,8 @@ def cmd_report(
     """Aggregate persisted logs into a report; pure given the input files.
 
     Without session paths the report's cost is unknown (see build_report).
-    Raises ConfigError on sessions that do not pair with the outcomes by
-    task id, or on outcomes of which none is usable.
+    Raises ConfigError when the outcome rows are not, as a multiset, the
+    fold of the sessions (metrics.session_fold), or when none is usable.
     """
     outcome_files = [(path, read_outcomes(path)) for path in outcome_paths]
     outcomes = [row for _, rows in outcome_files for row in rows]
@@ -497,16 +499,8 @@ def cmd_report(
         raise ConfigError("no outcomes to report on")
     session_files = [(path, read_sessions(path)) for path in session_paths]
     sessions = [row for _, rows in session_files for row in rows]
-    if session_paths and sorted(row.task_id for row in outcomes) != sorted(row.task_id for row in sessions):
-        outcome_rows, session_rows = Counter(row.task_id for row in outcomes), Counter(row.task_id for row in sessions)
-        path, task_id = next(
-            (path, row.task_id) for path, rows in outcome_files + session_files for row in rows
-            if outcome_rows[row.task_id] != session_rows[row.task_id]
-        )
-        raise ConfigError(
-            f"{path}: {task_id}: {outcome_rows[task_id]} outcome row(s) but {session_rows[task_id]} session "
-            "row(s); --sessions must hold one session row per outcome row"
-        )
+    if session_paths and Counter(map(outcome_columns, outcomes)) != Counter(map(session_fold, sessions)):
+        raise ConfigError(_unfolded(outcome_files, session_files))
     try:
         report = build_report(outcomes, sessions if session_paths else None, cost_model)
     except ValueError as exc:
@@ -514,6 +508,32 @@ def cmd_report(
     if out_json is not None:
         write_json(out_json, report)
     return report
+
+
+def _unfolded(outcome_files: list, session_files: list) -> str:
+    """Why the outcome rows are not the fold of the sessions: the first
+    task, in file order, with more or fewer outcome rows than session rows,
+    else the first outcome row that no session folds into, beside the file
+    of a session row of its task that folds into no outcome row."""
+    outcomes = [(path, row) for path, rows in outcome_files for row in rows]
+    sessions = [(path, row) for path, rows in session_files for row in rows]
+    outcome_rows = Counter(row.task_id for _, row in outcomes)
+    session_rows = Counter(row.task_id for _, row in sessions)
+    for path, row in outcomes + sessions:
+        if outcome_rows[row.task_id] != session_rows[row.task_id]:
+            return (
+                f"{path}: {row.task_id}: {outcome_rows[row.task_id]} outcome row(s) but {session_rows[row.task_id]} "
+                "session row(s); --sessions must hold one session row per outcome row"
+            )
+    columns = Counter(outcome_columns(row) for _, row in outcomes)
+    folds = Counter(session_fold(row) for _, row in sessions)
+    unmatched, unused = columns - folds, folds - columns
+    path, row = next((path, row) for path, row in outcomes if outcome_columns(row) in unmatched)
+    log = next(log for log, session in sessions if session.task_id == row.task_id and session_fold(session) in unused)
+    return (
+        f"{path}: {row.task_id}: the outcome row is not the fold of its session row in {log}; "
+        "--sessions must hold the sessions of the run that wrote --outcomes"
+    )
 
 
 def _read_completions(path: str | Path) -> list[tuple[int, str, str]]:

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .corpus import tokenize_terms
@@ -58,29 +59,35 @@ class TaskOutcome(Record):
             raise ValueError(f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, 1]")
 
 
-def outcome_from_session(session: RepairSession, context_budget: int | None = None) -> TaskOutcome:
-    """Fold a task's session into its outcome row.
-
-    The task compiled when the final verdict is pass or
-    functional_mismatch. An executor_unavailable verdict marks the task
-    unavailable, which excludes it from metric denominators.
-    """
+def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool]:
+    """The columns (task_id, c, c_compile, prompt_tokens, completion_tokens,
+    unavailable) of the outcome row a task's session folds into. The task
+    compiled when the final verdict is pass or functional_mismatch; an
+    executor_unavailable verdict excludes it from metric denominators."""
     status = session.final_status
     prompt_tokens = 0
     completion_tokens = 0
     for attempt in session.attempts:
         prompt_tokens += attempt.prompt_tokens + attempt.explanation_prompt_tokens
         completion_tokens += attempt.completion_tokens + attempt.explanation_completion_tokens
-    return TaskOutcome(
-        task_id=session.task_id,
-        n=1,
-        c=int(status == STATUS_PASS),
-        c_compile=int(status in (STATUS_PASS, STATUS_FUNCTIONAL_MISMATCH)),
-        prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens,
-        unavailable=status == STATUS_EXECUTOR_UNAVAILABLE,
-        context_budget=context_budget,
+    return (
+        session.task_id,
+        int(status == STATUS_PASS),
+        int(status in (STATUS_PASS, STATUS_FUNCTIONAL_MISMATCH)),
+        prompt_tokens,
+        completion_tokens,
+        status == STATUS_EXECUTOR_UNAVAILABLE,
     )
+
+
+# An outcome row's columns, in the order session_fold gives them.
+outcome_columns = attrgetter("task_id", "c", "c_compile", "prompt_tokens", "completion_tokens", "unavailable")
+
+
+def outcome_from_session(session: RepairSession, context_budget: int | None = None) -> TaskOutcome:
+    """Fold a task's session into its outcome row (session_fold)."""
+    task_id, *columns = session_fold(session)
+    return TaskOutcome(task_id, 1, *columns, context_budget=context_budget)
 
 
 def _share(outcomes: Sequence[TaskOutcome], count: str) -> Fraction:

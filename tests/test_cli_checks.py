@@ -28,6 +28,7 @@ CHECKS = [
     "run_config_with_n_samples_exits_2",
     "report_without_sessions_prints_unknown_cost",
     "report_rejects_another_runs_sessions",
+    "report_rejects_the_sessions_of_another_run_over_the_same_tasks",
     "report_rejects_a_session_row_of_sample_5",
     "rows_are_canonical_json",
 ]

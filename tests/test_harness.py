@@ -1304,6 +1304,34 @@ class TestCli:
                 cmd_report(outcomes, sessions)
             assert str(exc.value).startswith(f"{named}: {first}: {n} outcome row(s) but {m} session row(s)")
 
+    @pytest.mark.parametrize("column", ["c", "c_compile", "prompt_tokens", "completion_tokens", "unavailable"])
+    def test_report_rejects_outcome_rows_that_are_not_the_fold_of_the_sessions(self, rar_run, baseline_run, tmp_path, column):
+        """Task ids that pair are not enough: each outcome row must be the
+        fold of a session row. An edit of any one column of one row, or the
+        sessions of another run over the same tasks, exits 2 naming the
+        first outcome row that no session folds into and the files."""
+        rar, base = rar_run[3], baseline_run[3]
+        rows = [json.loads(line) for line in (rar / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+        row = next(r for r in rows[2:] if r["c"] == 0 and r["c_compile"] == 1)
+        row[column] = {"c": 1, "c_compile": 0, "unavailable": True}.get(column, row[column] + 1)
+        edited = tmp_path / "outcomes.jsonl"
+        edited.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        sessions = [base / "sessions.jsonl", rar / "sessions.jsonl"]
+        cases = [
+            ([edited, base / "outcomes.jsonl"], sessions, edited, row["task_id"], rar / "sessions.jsonl"),
+            ([base / "outcomes.jsonl"], [rar / "sessions.jsonl"], base / "outcomes.jsonl", None, rar / "sessions.jsonl"),
+        ]
+        for outcomes, logs, named, task_id, log in cases:
+            if task_id is None:  # the first task the baseline failed, and repair fixed
+                task_id = next(r["task_id"] for r in map(json.loads, named.open(encoding="utf-8")) if not r["c"])
+            with pytest.raises(ConfigError) as exc:
+                cmd_report(outcomes, logs)
+            assert str(exc.value) == (
+                f"{named}: {task_id}: the outcome row is not the fold of its session row in {log}; "
+                "--sessions must hold the sessions of the run that wrote --outcomes"
+            )
+        assert cmd_report([rar / "outcomes.jsonl", base / "outcomes.jsonl"], sessions)["overall"]["tasks"] == 100
+
     @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
     def test_sample_count_flags_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
