@@ -1,6 +1,6 @@
 """One JSON codec for every persisted record, and one JSONL reader and writer.
 
-A record's dataclass fields are its JSON format: `to_json` writes each field
+A record's dataclass fields are its JSON format: `to_line` writes each field
 under its own name and `from_json` reads them back, so a missing key takes
 the field's default, and a missing required key or an unknown key raises
 the constructor's TypeError. Fields that hold records nest as objects,
@@ -20,17 +20,18 @@ A key derived from the other fields (a class's `DERIVED`, each read from
 the property of its name, as the task row's `id`) and a standalone file's
 "schema" are written but ignored on read.
 
-A JSONL row is written by `to_line`, whose bytes are those of
-`json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))` and a
-`\n`. Each class's line writer is generated once, on first use, from the
-same walk over fields and types as its decoder: straight-line code that
-reads each field, derived keys included, in sorted key order and writes its
-JSON text, with no dict tree in between. A string is escaped by json's C
+A JSONL row is written by `to_line`, whose bytes are those of `json.dumps`
+of the record's JSON tree with sorted keys and compact separators, and a
+`\n`; `to_json` is that line parsed, so there is one encoder. Each class's
+line writer is generated once, on first use, from the same walk over
+fields and types as its decoder: straight-line code that reads each field,
+derived keys included, in sorted key order and writes its JSON text, with
+no dict tree in between. A string is escaped by json's C
 `encode_basestring_ascii`; an int, a finite float, a bool and None are
-written as json writes them; a nested record, `X | None` and
-`tuple[X, ...]` are written inline. Any other value, such as a bool in an
-int field, NaN, or a dict field, goes to json's C encoder, so every byte is
-json's.
+written as json writes them; a nested record, `X | None`, `tuple[X, ...]`
+and `dict[str, X]` (in sorted key order) are written inline. Any other
+value, such as a bool in an int field, NaN, or a bare dict field, goes to
+json's C encoder, so every byte is json's.
 
 JSONL text is split at `\n` only and parsed by `parse_jsonl`, once per line:
 a line that holds one value and nothing else is parsed in place by
@@ -102,37 +103,6 @@ def _scalar(tp) -> tuple[tuple[type, ...], str] | None:
         allowed = tuple(t for m in members for t in _SCALARS.get(m, (m,)))
         return allowed, " or ".join("None" if m is type(None) else m.__name__ for m in members)
     return None
-
-
-def _encoder(tp):
-    """The function that turns a field's value into JSON, or None when the
-    value is JSON already."""
-    if isinstance(tp, type) and issubclass(tp, Record):
-        return tp.to_json
-    if _scalar(tp) is not None:
-        return None
-    inner = _optional(tp)
-    if inner is not None:
-        enc = _encoder(inner)
-        return None if enc is None else lambda v: None if v is None else enc(v)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is list or (origin is tuple and len(args) == 2 and args[1] is Ellipsis):
-        enc = _encoder(args[0])
-        if enc is None:
-            return list if origin is tuple else None
-        return lambda v: list(map(enc, v))
-    if origin is dict:
-        enc = _encoder(args[1])
-        return None if enc is None else lambda v: {k: enc(x) for k, x in v.items()}
-    raise TypeError(f"no JSON form for field type {tp!r}")
-
-
-@cache
-def _encoders(cls: type) -> tuple:
-    """Per class, once: (name, encode) for each field that is not plain JSON."""
-    hints = typing.get_type_hints(cls)
-    encoders = ((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(cls))
-    return tuple((name, enc) for name, enc in encoders if enc is not None)
 
 
 # The value `row.get` returns for a key the row does not hold.
@@ -319,15 +289,21 @@ def _write(tp, var: str, env: dict, depth: int) -> str:
             f"('[' + ','.join([{_write(args[0], item, env, depth + 1)} for {item} in {var}]) + ']'"
             f" if type({var}) is {origin.__name__} else _enc({var}))"
         )
-    # Dicts, bare containers and unions of several types: their JSON tree.
-    encode = _encoder(tp)
-    return f"_enc({var})" if encode is None else f"_enc({_bind(env, encode)}({var}))"
+    if origin is dict:  # its items in json's sorted key order; a key that is no str goes to json too
+        key, item = f"k{depth}", f"x{depth}"
+        return (
+            f"('{{' + ','.join([_esc({key}) + ':' + {_write(args[1], item, env, depth + 1)}"
+            f" for {key}, {item} in sorted({var}.items())]) + '}}'"
+            f" if type({var}) is dict and all([type({key}) is str for {key} in {var}]) else _enc({var}))"
+        )
+    # Bare containers and unions of several types: their JSON tree.
+    return f"_enc({var})"
 
 
 @cache
 def _writer(cls: type):
-    """cls's writer of its JSON text, `to_json`'s as json.dumps writes it
-    with sorted keys and compact separators; built once per class, on first
+    """cls's writer of its JSON text, as json.dumps writes the record's
+    tree with sorted keys and compact separators; built once per class, on first
     use, as _decoder is. It reads each field and derived key, in sorted key
     order, and formats their texts into one string."""
     hints = typing.get_type_hints(cls)
@@ -363,21 +339,14 @@ class Record:
     DERIVED: ClassVar[tuple[str, ...]] = ()
 
     def to_json(self) -> dict:
-        # A record's instance dict holds exactly its fields, and copying it
-        # is the fastest way to read them.
-        row = vars(self).copy()
-        for name, enc in _encoders(type(self)):
-            row[name] = enc(row[name])
-        for name in self.DERIVED:
-            row[name] = getattr(self, name)
-        if self.SCHEMA is not None:
-            row["schema"] = self.SCHEMA
-        return row
+        """The JSON object of the record's line (`to_line`), parsed in place
+        as `parse_jsonl` parses a row."""
+        return _raw_decode(self.to_line())[0]
 
     def to_line(self) -> str:
-        """The record's JSONL line: the JSON text of `to_json()` with sorted
-        keys and compact separators, then `\\n`, written by its class's
-        writer (_writer)."""
+        """The record's JSONL line: its JSON text with sorted keys and
+        compact separators, then `\\n`, written by its class's writer
+        (_writer)."""
         return _writer(type(self))(self) + "\n"
 
     @classmethod
