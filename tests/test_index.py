@@ -161,8 +161,9 @@ def test_fixture_sources_index_as_before():
 
 
 def test_bodiless_declarations_index_in_linear_time():
-    # The two sizes are timed in turn, so that a burst of load on the host
-    # slows both alike; each keeps its best of five.
+    # Timed on the calling thread's CPU clock, which load beside the suite
+    # does not add to; the two sizes are timed in turn and each keeps its
+    # best of five.
     sizes = (25_000, 50_000)
     texts = {
         n: "interface I {\n"
@@ -173,9 +174,9 @@ def test_bodiless_declarations_index_in_linear_time():
     best = dict.fromkeys(sizes, float("inf"))
     for _ in range(5):
         for n in sizes:
-            started = time.perf_counter()
+            started = time.thread_time()
             index = SourceIndex(texts[n])
-            best[n] = min(best[n], time.perf_counter() - started)
+            best[n] = min(best[n], time.thread_time() - started)
             assert len(index.functions) == n
     assert best[50_000] < 3 * best[25_000]
 
@@ -206,9 +207,9 @@ def test_verify_runs_in_linear_time_on_long_and_deeply_nested_bodies():
                 for n in sizes:
                     completed = substitute_function(target, bodies[n])
                     backend = ScriptedDifferentialBackend()
-                    started = time.perf_counter()
+                    started = time.thread_time()
                     verdict = backend.verify(index, completed, "f")
-                    best[n] = min(best[n], time.perf_counter() - started)
+                    best[n] = min(best[n], time.thread_time() - started)
                     assert verdict.status in ("pass", "functional_mismatch"), (name, verdict.diagnostics)
         finally:
             gc.enable()
