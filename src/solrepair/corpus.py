@@ -382,19 +382,16 @@ class SourceIndex:
         body: the file-level names and, in a contract, interface or library,
         its members and those its bases pass on. None where they cannot be
         decided: the source imports, or a base is not declared before it."""
-        if self._scopes is None:
-            return None
-        spans, outer = self._scopes
-        return next((names for start, end, names in spans if start <= offset <= end), outer)
+        return next(names for start, end, names in self._scopes if start <= offset <= end)
 
     @cached_property
-    def _scopes(self) -> tuple[list[tuple[int, int, frozenset[str] | None]], frozenset[str]] | None:
+    def _scopes(self) -> list[tuple[int, int, frozenset[str] | None]]:
         """The body span of each contract, interface and library with the
-        names its functions see, and the file-level names; a fold of the
-        table. None when the source imports."""
+        names its functions see, then the whole text's with the file-level
+        names; a fold of the table."""
         scrubbed, closing = self.scrubbed, self.closing
         if re.search(r"\bimport\b", scrubbed):
-            return None
+            return [(0, len(scrubbed), None)]
         # Each contract's span, the names its functions see from it and its
         # bases, and the names it passes on: all but its `private` members.
         contracts: dict[str, tuple] = {}
@@ -413,10 +410,12 @@ class SourceIndex:
                     contracts[decl.name] = (decl.body, end, seen, passed)
             elif passed is not None:
                 seen.add(decl.name)
-                if not re.search(r"\bprivate\b", scrubbed[decl.header : _CHUNK_RE.match(scrubbed, decl.header, end).end()]):
+                header = scrubbed[decl.header : _CHUNK_RE.match(scrubbed, decl.header, end).end()]
+                if not re.search(r"\bprivate\b", header):
                     passed.add(decl.name)
         outer = frozenset(decl.name for decl in self.declarations if decl.contract is None)
-        return [(start, end, None if seen is None else outer | seen) for start, end, seen, _ in contracts.values()], outer
+        spans = [(start, end, None if seen is None else outer | seen) for start, end, seen, _ in contracts.values()]
+        return [*spans, (0, len(scrubbed), outer)]
 
 
 # The earlier name of SourceIndex, kept for callers that still import it.

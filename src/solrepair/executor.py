@@ -795,15 +795,12 @@ class _Expected(NamedTuple):
 class _Oracle:
     """One oracle text as verify sees it: its index, and what verify learns
     about it, once per run: each target's entry (its `_Body`) and each
-    function's expected outputs. Bodies are read through `reads`
-    (_statements) and their statements parsed through `steps` (_steps),
-    which the backend shares between its oracles. Entries are built on the
-    first verify of their target. The names a function sees from outside
-    its body are the index's (`SourceIndex.visible`), read only for a name
-    that a completed body does not declare and that occurs in the oracle's
-    scrubbed text, or in an oracle that imports or inherits. Every entry is
-    a pure function of its key, so threads racing to fill one only repeat
-    work.
+    function's expected outputs, built on the first verify of their target.
+    Bodies are read through `reads` (_statements) and their statements
+    parsed through `steps` (_steps), which the backend shares between its
+    oracles. The index tells what a function sees declared outside its
+    body (`SourceIndex.visible`). Every entry is a pure function of its
+    key, so threads racing to fill one only repeat work.
 
     Raises MalformedSourceError when the index is unbalanced.
     """
@@ -824,7 +821,9 @@ class _Oracle:
         return found
 
     def declares(self, fn: IndexedFunction, name: str) -> bool:
-        """True when fn's body sees name declared outside it, or cannot tell."""
+        """True when fn's body sees name declared outside it, or cannot tell.
+        In a source that neither imports nor inherits, a name its text does
+        not hold is undeclared, and the index's table is not read."""
         index = self.index
         if index.self_contained and name not in index.scrubbed:
             return False
