@@ -141,6 +141,7 @@ _MEMBER_RE = re.compile(
     rf"\s*(?:abstract\s+)?(contract|interface|library|struct|enum|function|modifier|event|error|type)\s+({_NAME})"
 )
 _CONTAINERS = ("contract", "interface", "library")
+_PRIVATE_RE = re.compile(r"\bprivate\b")
 _OPEN_RE = re.compile(r"i(?<!\wi)(?:mport|s)\b")  # `\b(?:import|is)\b`, led by a literal
 
 
@@ -411,7 +412,7 @@ class SourceIndex:
             elif passed is not None:
                 seen.add(decl.name)
                 header = scrubbed[decl.header : _CHUNK_RE.match(scrubbed, decl.header, end).end()]
-                if not re.search(r"\bprivate\b", header):
+                if not _PRIVATE_RE.search(header):
                     passed.add(decl.name)
         outer = frozenset(decl.name for decl in self.declarations if decl.contract is None)
         spans = [(start, end, None if seen is None else outer | seen) for start, end, seen, _ in contracts.values()]

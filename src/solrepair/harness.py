@@ -491,7 +491,8 @@ def cmd_report(
 
     Without session paths the report's cost is unknown (see build_report).
     Raises ConfigError when the outcome rows are not, as a multiset, the
-    fold of the sessions (metrics.session_fold), or when none is usable.
+    fold of the sessions (metrics.session_fold; compared sorted), or when
+    none is usable.
     """
     outcome_files = [(path, read_outcomes(path)) for path in outcome_paths]
     outcomes = [row for _, rows in outcome_files for row in rows]
@@ -499,7 +500,7 @@ def cmd_report(
         raise ConfigError("no outcomes to report on")
     session_files = [(path, read_sessions(path)) for path in session_paths]
     sessions = [row for _, rows in session_files for row in rows]
-    if session_paths and Counter(map(outcome_columns, outcomes)) != Counter(map(session_fold, sessions)):
+    if session_paths and sorted(map(outcome_columns, outcomes)) != sorted(map(session_fold, sessions)):
         raise ConfigError(_unfolded(outcome_files, session_files))
     try:
         report = build_report(outcomes, sessions if session_paths else None, cost_model)

@@ -303,9 +303,9 @@ def _write(tp, var: str, env: dict, depth: int) -> str:
 @cache
 def _writer(cls: type):
     """cls's writer of its JSON text, as json.dumps writes the record's
-    tree with sorted keys and compact separators; built once per class, on first
-    use, as _decoder is. It reads each field and derived key, in sorted key
-    order, and formats their texts into one string."""
+    tree with sorted keys and compact separators; built once per class, on
+    first use, as _decoder is. It reads each field and derived key, in
+    sorted key order, and formats their texts into one string."""
     hints = typing.get_type_hints(cls)
     # Per key, the attribute that holds its value and the value's type.
     keys = {f.name: (f.name, hints[f.name]) for f in dataclasses.fields(cls)}
