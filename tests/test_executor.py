@@ -1752,14 +1752,18 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
 
 
 @contextmanager
-def counted_tables(counting=None):
-    """The builds of every index's declaration table, as the calls of a
-    mock wrapping the builder; or through counting(index) when given."""
+def counted_tables():
+    """The index of each build of a declaration table, in order, whichever
+    thread builds it."""
     table = SourceIndex.__dict__["declarations"]
-    real = table.func
-    with mock.patch.object(table, "func", wraps=real) if counting is None else mock.patch.object(
-        table, "func", lambda index: counting(index, real)
-    ) as built:
+    real, built, lock = table.func, [], threading.Lock()
+
+    def counting(index):
+        with lock:
+            built.append(index)
+        return real(index)
+
+    with mock.patch.object(table, "func", counting):
         yield built
 
 
@@ -1782,7 +1786,7 @@ class TestDeclarationTable:
             statuses = [backend.verify(multi, splice(multi, M_ADD, body), M_ADD.task_id()).status for body in bodies]
         assert statuses == ["pass", "pass", "functional_mismatch", "compile_error"]
         assert executor._blanked(bodies[-1]) is None
-        assert built.call_count == 0
+        assert built == []
         assert "declarations" not in vars(multi)
 
     def test_non_local_identifier_builds_the_table_once_per_oracle(self):
@@ -1801,7 +1805,7 @@ class TestDeclarationTable:
                 assert backend.verify(oracle, splice(oracle, record, body), record.task_id()).status == status
         # `zz` and `helperX` occur nowhere in their oracles: no table is built
         # for them, and no other name sends the multi oracle's to a build.
-        assert [call.args for call in built.call_args_list] == [(file,)]
+        assert built == [file]
 
     @pytest.mark.parametrize("name", ["uniswapV2Router07", "accrueAaveRouter", "zz"])
     @pytest.mark.parametrize("text,record", [(ORACLE, ADD), (MULTI, M_HALF)], ids=["math", "multi"])
@@ -1813,7 +1817,7 @@ class TestDeclarationTable:
         with counted_tables() as built, mock.patch.object(executor, "_free", wraps=executor._free) as walks:
             verdict = backend.verify(source, completed, record.task_id())
         assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", name)
-        assert built.call_count == 0
+        assert built == []
         assert [call.args[0] for call in walks.call_args_list] == [executor.scrub(body)]
 
     def test_tables_under_threads_give_serial_verdicts(self):
@@ -1839,24 +1843,17 @@ class TestDeclarationTable:
         assert len({status for status, _ in expected}) == 4
         backend = ScriptedDifferentialBackend(seed=3)
         oracles = (SourceIndex(ORACLE, "math.sol"), SourceIndex(MULTI, "m.sol"))
-        builds: Counter = Counter()
-        lock = threading.Lock()
-
-        def counting(index, real):
-            with lock:
-                builds[index.text] += 1
-            return real(index)
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with counted_tables(counting):
+            with counted_tables() as built:
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     got = list(pool.map(lambda job: run(backend, oracles, job), jobs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
         # Each oracle's table is built, at most once per racing thread.
+        builds = Counter(index.text for index in built)
         assert set(builds) == {ORACLE, MULTI}
         assert all(1 <= n <= 8 for n in builds.values()), builds
 
