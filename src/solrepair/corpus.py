@@ -232,10 +232,6 @@ class SourceIndex:
     them, or for the declaration table, raises MalformedSourceError naming
     the first unmatched brace.
 
-    The declaration table (`declarations`) and the names each function sees
-    from outside its body (`visible`) are built on first read, from the
-    brace map, once per index.
-
     Every character-level search runs in a `str` method or a regex (scrub,
     declarations); Python steps once per brace and once per declaration.
     """

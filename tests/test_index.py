@@ -379,10 +379,10 @@ def declared_files(draw) -> tuple[str, list[tuple[str, str, str | None, int, boo
         name = containers.pop(0)
         kind = draw(st.sampled_from(sorted(CONTAINER_MEMBERS)))
         before = [f"K{i}" for i in range(int(name[1:]))]
-        heritage = draw(st.sampled_from(["none", "before", "any"]))
-        if heritage == "before" and before:
+        drawn_from = draw(st.sampled_from(["none", "before", "any"]))
+        if drawn_from == "before" and before:
             bases = draw(st.lists(st.sampled_from(before), min_size=1, max_size=2, unique=True))
-        elif heritage == "any":
+        elif drawn_from == "any":
             bases = draw(st.lists(st.sampled_from([f"K{i}" for i in range(5)] + ["Ext"]), min_size=1, max_size=2, unique=True))
         else:
             bases = []
