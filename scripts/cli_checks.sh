@@ -221,20 +221,22 @@ report_rejects_the_sessions_of_another_run_over_the_same_tasks() {
   grep -F "$OUT/baseline/outcomes.jsonl: bank0.sol#L22-25: the outcome row is not the fold of its session row in $OUT/repair/sessions.jsonl" $OUT/err.txt
 }
 
-# A session row holding `"sample":5`, where a task has one session:
-# `report` must exit 2 and name the row's line.
-report_rejects_a_session_row_of_sample_5() {
+# An outcome row of the README quickstart's repair run edited to another
+# context budget: a session row records its budget, so the row is not the
+# fold of its session row, and `report` must exit 2 naming row 3's task and
+# both files.
+report_rejects_an_outcome_row_of_another_budget() {
   FIX=tests/fixtures/e2e
   OUT=$(mktemp -d -p "$ROOT")
   solrepair run --tasks $FIX/tasks.jsonl --source-root $FIX/sources \
     --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
-    --executor mock --budget 2048 --counter bytes4 --out $OUT/run --max-rounds 0
-  sed -i '3s/"sample":0/"sample":5/' $OUT/run/sessions.jsonl
+    --executor mock --budget 2048 --counter bytes4 --out $OUT/repair --max-rounds 1 --retrieval lcs
+  sed -i '3s/"context_budget":2048/"context_budget":4096/' $OUT/repair/outcomes.jsonl
   code=0
-  solrepair report --outcomes $OUT/run/outcomes.jsonl --sessions $OUT/run/sessions.jsonl 2> $OUT/err.txt || code=$?
+  solrepair report --outcomes $OUT/repair/outcomes.jsonl --sessions $OUT/repair/sessions.jsonl 2> $OUT/err.txt || code=$?
   cat $OUT/err.txt
   test "$code" -eq 2
-  grep -F "$OUT/run/sessions.jsonl, line 3: bank0.sol#L22-25: sample=5, but a task has one session (sample=0)" $OUT/err.txt
+  grep -F "$OUT/repair/outcomes.jsonl: bank0.sol#L22-25: the outcome row is not the fold of its session row in $OUT/repair/sessions.jsonl" $OUT/err.txt
 }
 
 # `build` and `run` over the fixture: every row of the task file and of
@@ -266,7 +268,7 @@ for check in \
   report_without_sessions_prints_unknown_cost \
   report_rejects_another_runs_sessions \
   report_rejects_the_sessions_of_another_run_over_the_same_tasks \
-  report_rejects_a_session_row_of_sample_5 \
+  report_rejects_an_outcome_row_of_another_budget \
   rows_are_canonical_json
 do
   echo "== $check"

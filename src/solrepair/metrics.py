@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -59,11 +59,11 @@ class TaskOutcome(Record):
             raise ValueError(f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, 1]")
 
 
-def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool]:
+def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool, int]:
     """The columns (task_id, c, c_compile, prompt_tokens, completion_tokens,
-    unavailable) of the outcome row a task's session folds into. The task
-    compiled when the final verdict is pass or functional_mismatch; an
-    executor_unavailable verdict excludes it from metric denominators."""
+    unavailable, context_budget) of the outcome row a session folds into.
+    The task compiled when the final verdict is pass or functional_mismatch;
+    an executor_unavailable verdict excludes it from metric denominators."""
     status = session.final_status
     prompt_tokens = 0
     completion_tokens = 0
@@ -77,17 +77,18 @@ def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool]
         prompt_tokens,
         completion_tokens,
         status == STATUS_EXECUTOR_UNAVAILABLE,
+        session.context_budget,
     )
 
 
-# An outcome row's columns, in the order session_fold gives them.
-outcome_columns = attrgetter("task_id", "c", "c_compile", "prompt_tokens", "completion_tokens", "unavailable")
+# An outcome row's columns but `n`, in field order: the order session_fold gives them.
+outcome_columns = attrgetter(*(f.name for f in fields(TaskOutcome) if f.name != "n"))
 
 
-def outcome_from_session(session: RepairSession, context_budget: int | None = None) -> TaskOutcome:
+def outcome_from_session(session: RepairSession) -> TaskOutcome:
     """Fold a task's session into its outcome row (session_fold)."""
     task_id, *columns = session_fold(session)
-    return TaskOutcome(task_id, 1, *columns, context_budget=context_budget)
+    return TaskOutcome(task_id, 1, *columns)
 
 
 def _share(outcomes: Sequence[TaskOutcome], count: str) -> Fraction:
@@ -265,20 +266,18 @@ def build_report(
 ) -> dict:
     """Aggregate metrics grouped by context budget, plus a cost point series.
 
-    The point series pairs each group's total cost with its pass@1 so runs
-    can be compared on cost-effectiveness, sorted by cost. Without sessions
-    (None) the cost is unknown: `cost` and each point's `cost_usd` are None,
-    and the points stay in budget order.
+    The point series pairs the cost of each budget's sessions with its pass@1
+    so runs can be compared on cost-effectiveness, sorted by cost. Without
+    sessions (None) the cost is unknown: `cost` and each point's `cost_usd`
+    are None, and the points stay in budget order.
     """
     groups: dict[int | None, list[TaskOutcome]] = {}
     for outcome in outcomes:
         groups.setdefault(outcome.context_budget, []).append(outcome)
 
     budget_sessions: dict[int | None, list[RepairSession]] = {}
-    if sessions:
-        budget_of = {o.task_id: o.context_budget for o in outcomes}
-        for session in sessions:
-            budget_sessions.setdefault(budget_of.get(session.task_id), []).append(session)
+    for session in sessions or ():
+        budget_sessions.setdefault(session.context_budget, []).append(session)
 
     def metrics_for(rows: Sequence[TaskOutcome]) -> dict:
         return {

@@ -343,24 +343,22 @@ class Attempt(Record):
 
 @dataclass(frozen=True)
 class RepairSession(Record):
-    """All attempts for one task, in order; a row adds the derived
-    `final_status`. `sample` is always 0, a column `sessions@1` keeps."""
+    """All attempts for one task, in order, at its context budget: the whole
+    record its outcome row folds from. A row adds the derived `final_status`."""
 
     DERIVED = ("final_status",)
 
     task_id: str
     strategy: str
     max_rounds: int
+    context_budget: int
     attempts: tuple[Attempt, ...]
-    sample: int = 0
 
     def __post_init__(self) -> None:
         if not self.attempts:
             raise ValueError("a session records at least the completion attempt")
         if len(self.attempts) > 1 + self.max_rounds:
             raise ValueError("more attempts than 1 + max_rounds")
-        if self.sample != 0:
-            raise ValueError(f"{self.task_id}: sample={self.sample}, but a task has one session (sample=0)")
 
     @property
     def final_status(self) -> str:
@@ -511,5 +509,6 @@ def run_rar(
         task_id=task.task_id,
         strategy=strategy.kind,
         max_rounds=max_rounds,
+        context_budget=task.context.budget,
         attempts=tuple(attempts),
     )

@@ -29,7 +29,7 @@ CHECKS = [
     "report_without_sessions_prints_unknown_cost",
     "report_rejects_another_runs_sessions",
     "report_rejects_the_sessions_of_another_run_over_the_same_tasks",
-    "report_rejects_a_session_row_of_sample_5",
+    "report_rejects_an_outcome_row_of_another_budget",
     "rows_are_canonical_json",
 ]
 

@@ -1304,7 +1304,9 @@ class TestCli:
                 cmd_report(outcomes, sessions)
             assert str(exc.value).startswith(f"{named}: {first}: {n} outcome row(s) but {m} session row(s)")
 
-    @pytest.mark.parametrize("column", ["c", "c_compile", "prompt_tokens", "completion_tokens", "unavailable"])
+    @pytest.mark.parametrize(
+        "column", ["c", "c_compile", "prompt_tokens", "completion_tokens", "unavailable", "context_budget"]
+    )
     def test_report_rejects_outcome_rows_that_are_not_the_fold_of_the_sessions(self, rar_run, baseline_run, tmp_path, column):
         """Task ids that pair are not enough: each outcome row must be the
         fold of a session row. An edit of any one column of one row, or the
@@ -1331,6 +1333,21 @@ class TestCli:
                 "--sessions must hold the sessions of the run that wrote --outcomes"
             )
         assert cmd_report([rar / "outcomes.jsonl", base / "outcomes.jsonl"], sessions)["overall"]["tasks"] == 100
+
+    def test_report_compares_a_null_budget_as_a_multiset(self, rar_run, tmp_path):
+        """Outcome rows of one task that differ only in a null budget do not
+        order against each other; the fold is compared as a multiset, so
+        they exit 2 rather than end in a TypeError."""
+        rar = rar_run[3]
+        rows = [json.loads(line) for line in (rar / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+        edited = tmp_path / "outcomes.jsonl"
+        edited.write_text("".join(json.dumps({**r, "context_budget": None}) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            cmd_report([rar / "outcomes.jsonl", edited], [rar / "sessions.jsonl"] * 2)
+        assert str(exc.value) == (
+            f"{edited}: {rows[0]['task_id']}: the outcome row is not the fold of its session row in "
+            f"{rar / 'sessions.jsonl'}; --sessions must hold the sessions of the run that wrote --outcomes"
+        )
 
     @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
     def test_sample_count_flags_are_gone(self, capsys, argv):
@@ -1396,7 +1413,6 @@ class TestCli:
             ("sessions", lambda row: json.dumps(row)[:-1], "malformed JSON"),
             ("sessions", lambda row: json.dumps({k: v for k, v in row.items() if k != "strategy"}), "RepairSession.__init__.. missing 1 required positional argument: 'strategy'"),
             ("sessions", lambda row: json.dumps({**row, "sample_index": 0}), "RepairSession.__init__.. got an unexpected keyword argument 'sample_index'"),
-            ("sessions", lambda row: json.dumps({**row, "sample": 5}), r"bank0.sol#L12-15: sample=5, but a task has one session \(sample=0\)"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "extra": 1}]}), "Attempt.__init__.. got an unexpected keyword argument 'extra'"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "verdict": "pass"}]}), "ExecutionVerdict: expected a JSON object, got str"),
             ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "expected list, got int at key 'attempts'"),
@@ -1406,7 +1422,7 @@ class TestCli:
         ids=[
             "outcome-malformed", "outcome-long-int", "outcome-not-an-object", "outcome-bad-count", "outcome-two-sessions",
             "outcome-bad-compile-count", "outcome-missing-key",
-            "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key", "session-sample-5",
+            "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
             "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
             "attempt-str-for-int",
         ],

@@ -131,7 +131,7 @@ class TestOutcomeTypes:
         assert TaskOutcome.from_json(json.loads(json.dumps(o.to_json()))) == o
 
 
-def session_with(final_status: str, *, pt=10, ct=5, ept=0, ect=0, task_id="t", stage2=False):
+def session_with(final_status: str, *, pt=10, ct=5, ept=0, ect=0, task_id="t", stage2=False, budget=2048):
     verdict = {
         "pass": ExecutionVerdict(status="pass"),
         "compile_error": ExecutionVerdict(
@@ -157,7 +157,7 @@ def session_with(final_status: str, *, pt=10, ct=5, ept=0, ect=0, task_id="t", s
             )
         )
     return RepairSession(
-        task_id=task_id, strategy="self_edit", max_rounds=1, attempts=tuple(attempts)
+        task_id=task_id, strategy="self_edit", max_rounds=1, context_budget=budget, attempts=tuple(attempts)
     )
 
 
@@ -167,7 +167,7 @@ class TestOutcomeFromSession:
         [("pass", (1, 1)), ("functional_mismatch", (0, 1)), ("compile_error", (0, 0)), ("executor_unavailable", (0, 0))],
     )
     def test_counts(self, status, counts):
-        o = outcome_from_session(session_with(status, task_id="t7"), context_budget=1024)
+        o = outcome_from_session(session_with(status, task_id="t7", budget=1024))
         assert (o.task_id, o.n, (o.c, o.c_compile)) == ("t7", 1, counts)
         assert o.unavailable is (status == "executor_unavailable")
         assert o.context_budget == 1024
@@ -347,7 +347,10 @@ class TestReport:
 
     def test_points_sorted_by_cost(self):
         # Budget 0's two tasks cost more than budget 2048's four.
-        sessions = [session_with("pass", task_id=t, pt=1000 if t in "ab" else 10) for t in "abcdef"]
+        sessions = [
+            session_with("pass", task_id=t, pt=1000 if t in "ab" else 10, budget=0 if t in "ab" else 2048)
+            for t in "abcdef"
+        ]
         report = build_report(self.rows(), sessions)
         assert [p["context_budget"] for p in report["points"]] == [2048, 0]
         assert [p["cost_usd"] for p in report["points"]] == [

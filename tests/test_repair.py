@@ -468,7 +468,7 @@ class TestRunRar:
         payload = json.loads(json.dumps(session.to_json()))
         assert RepairSession.from_json(payload) == session
         assert payload["final_status"] == "pass"
-        assert payload["sample"] == 0
+        assert payload["context_budget"] == make_task().context.budget
 
 
 class TestSessionValidation:
@@ -484,18 +484,18 @@ class TestSessionValidation:
 
     def test_empty_attempts_rejected(self):
         with pytest.raises(ValueError, match="at least the completion"):
-            RepairSession(task_id="t", strategy="self_edit", max_rounds=1, attempts=())
+            RepairSession(task_id="t", strategy="self_edit", max_rounds=1, context_budget=0, attempts=())
 
     def test_attempt_count_capped(self):
         with pytest.raises(ValueError, match="more attempts"):
             RepairSession(
-                task_id="t", strategy="self_edit", max_rounds=0,
+                task_id="t", strategy="self_edit", max_rounds=0, context_budget=0,
                 attempts=(self.attempt(), self.attempt()),
             )
 
     def test_missing_verdict_reads_as_unavailable(self):
         session = RepairSession(
-            task_id="t", strategy="self_edit", max_rounds=0, attempts=(self.attempt(),)
+            task_id="t", strategy="self_edit", max_rounds=0, context_budget=0, attempts=(self.attempt(),)
         )
         assert session.final_status == "executor_unavailable"
 

@@ -102,6 +102,7 @@ def sessions(draw) -> RepairSession:
         task_id=draw(text),
         strategy=draw(text),
         max_rounds=draw(st.integers(len(tried) - 1, len(tried) + 2)),
+        context_budget=draw(st.integers(0, 2**20)),
         attempts=tried,
     )
 
@@ -291,7 +292,7 @@ def test_wrong_typed_value_is_rejected_naming_its_key(cls):
 )
 def test_nested_wrong_type_names_its_path(edit, complaint):
     verdict = ExecutionVerdict("functional_mismatch")
-    row = json.loads(json.dumps(RepairSession("t", "self_edit", 0, (Attempt("completion", "p", "c", "b", 1, 2, verdict),)).to_json()))
+    row = json.loads(json.dumps(RepairSession("t", "self_edit", 0, 2048, (Attempt("completion", "p", "c", "b", 1, 2, verdict),)).to_json()))
     edit(row)
     with pytest.raises(TypeError) as info:
         RepairSession.from_json(row)
@@ -509,7 +510,7 @@ def test_decoder_matches_the_reference_walk(cls):
 
 
 def test_derived_keys_are_written_and_ignored_on_read():
-    session = RepairSession("t", "self_edit", 0, (Attempt("completion", "p", "c", "{ }", 1, 1),))
+    session = RepairSession("t", "self_edit", 0, 2048, (Attempt("completion", "p", "c", "{ }", 1, 1),))
     row = session.to_json()
     assert row["final_status"] == "executor_unavailable"
     for final_status in ("pass", 5, None, [], {}):
