@@ -371,8 +371,18 @@ class SourceIndex:
 
     @cached_property
     def self_contained(self) -> bool:
-        """True when the source neither imports nor inherits."""
-        return _OPEN_RE.search(self.scrubbed) is None
+        """True when the source neither imports nor has a contract,
+        interface or library that inherits. An `is` in any other
+        declaration, as in `type Price is uint256;`, opens nothing."""
+        scrubbed = self.scrubbed
+        for m in _OPEN_RE.finditer(scrubbed):
+            # An `is` is in the declaration that starts after the last ';',
+            # '{' or '}' before it, as _members reads declarations.
+            start = max(scrubbed.rfind(c, 0, m.start()) for c in ";{}") + 1
+            header = _MEMBER_RE.match(scrubbed, start, m.start())
+            if m[0] == "import" or header and header[1] in _CONTAINERS:
+                return False
+        return True
 
     def visible(self, offset: int) -> frozenset[str] | None:
         """The names a function declared at offset sees from outside its

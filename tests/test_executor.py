@@ -825,6 +825,9 @@ MULTI = """contract M {
 MULTI_FILE = SourceIndex.from_text("m.sol", MULTI)
 M_ADD, M_DIV, M_HALF = extract_functions(MULTI_FILE)
 M_ADD_FN = MULTI_FILE.find(M_ADD.name, *M_ADD.span)
+# MULTI after a user-defined value type, whose `is` inherits nothing.
+PRICED = "type Price is uint256;\n\n" + MULTI
+_, _, P_HALF = extract_functions(SourceIndex.from_text("p.sol", PRICED))
 
 
 # The case generator before it drew 7 random bits itself: the reference its
@@ -1808,7 +1811,9 @@ class TestDeclarationTable:
         assert built == [file]
 
     @pytest.mark.parametrize("name", ["uniswapV2Router07", "accrueAaveRouter", "zz"])
-    @pytest.mark.parametrize("text,record", [(ORACLE, ADD), (MULTI, M_HALF)], ids=["math", "multi"])
+    @pytest.mark.parametrize(
+        "text,record", [(ORACLE, ADD), (MULTI, M_HALF), (PRICED, P_HALF)], ids=["math", "multi", "value-type"]
+    )
     def test_name_absent_from_the_oracle_scans_only_the_new_body(self, text, record, name):
         source = SourceIndex(text)
         body = f"{{ return {name}(a); }}"
