@@ -322,20 +322,22 @@ def cmd_build(source_dir: str | Path, tasks_out: str | Path, stats_out: str | Pa
     return report
 
 
-def _log_rows(path: Path, kind: str) -> list[tuple[str, str]]:
+def _log_rows(path: Path, kind: str, cls: type[Record]) -> list[tuple[str, str]]:
     """(task id, line) for each row of a run log, up to the first row that
     does not parse, as a torn write leaves it: nothing after it was
-    committed. A row that parses but holds no string task_id raises
-    ConfigError naming its line."""
+    committed. A row that parses but is not a row of cls, as a row of an
+    earlier format is not, raises ConfigError naming its line, so a run
+    never appends to a log of another format."""
     if not path.is_file():
         return []
     text = _read_text(path, kind)
     rows = []
     try:
         for lineno, start, end, row in parse_jsonl(text):
-            if not (isinstance(row, dict) and isinstance(row.get("task_id"), str)):
-                raise ConfigError(f"{path}, line {lineno}: expected a JSON object with a string 'task_id'")
-            rows.append((row["task_id"], text[start:end]))
+            try:
+                rows.append((cls.from_json(row).task_id, text[start:end]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
     except UnparsedLine:
         pass
     return rows
@@ -389,7 +391,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
     manifest_path = out / "manifest.json"
 
     started = _now()
-    outcome_rows = _log_rows(outcomes_path, "outcomes")
+    outcome_rows = _log_rows(outcomes_path, "outcomes", TaskOutcome)
     known = {t.task_id for t in tasks}
     unknown = [task_id for task_id, _ in outcome_rows if task_id not in known]
     if unknown:
@@ -399,7 +401,7 @@ def cmd_run(config: RunConfig) -> tuple[RunManifest, int]:
         )
     # A task commits only with its session row: the first that lacks one
     # ends the committed prefix, and the tasks from it on run again.
-    session_rows = _log_rows(sessions_path, "sessions")
+    session_rows = _log_rows(sessions_path, "sessions", RepairSession)
     logged = {task_id for task_id, _ in session_rows}
     committed = list(takewhile(lambda row: row[0] in logged, outcome_rows))
     done = {task_id for task_id, _ in committed}

@@ -66,6 +66,7 @@ from solrepair.metrics import TaskOutcome, build_report, format_report_table
 from solrepair.repair import (
     STRATEGY_KINDS,
     HttpModelClient,
+    RepairSession,
     ScriptedModelClient,
     build_completion_prompt,
     prompt_hash,
@@ -610,7 +611,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         out.mkdir()
         (out / "outcomes.jsonl").write_text(
-            json.dumps({"task_id": "other-suite#L1-2", "n": 1, "c": 1}) + "\n",
+            json.dumps({"task_id": "other-suite#L1-2", "n": 1, "c": 1, "c_compile": 1}) + "\n",
             encoding="utf-8",
         )
         with pytest.raises(ConfigError, match="foreign tasks"):
@@ -1031,12 +1032,21 @@ class TestCli:
         assert str(config_path) in err
 
     @pytest.mark.parametrize(
-        "name,row",
-        [("outcomes.jsonl", "[]"), ("outcomes.jsonl", '{"task_id": ["x"]}'), ("sessions.jsonl", "[]"),
-         ("sessions.jsonl", '{"task_id": {"x": 1}}'), ("outcomes.jsonl", '{"n": 1}')],
+        "name,row,complaint",
+        [
+            ("outcomes.jsonl", "[]", "TaskOutcome: expected a JSON object, got list"),
+            ("outcomes.jsonl", '{"task_id": ["x"]}', "expected str, got list at key 'task_id'"),
+            ("sessions.jsonl", "[]", "RepairSession: expected a JSON object, got list"),
+            ("sessions.jsonl", '{"task_id": {"x": 1}}', "expected str, got dict at key 'task_id'"),
+            (
+                "outcomes.jsonl",
+                '{"n": 1}',
+                "TaskOutcome.__init__() missing 3 required positional arguments: 'task_id', 'c', and 'c_compile'",
+            ),
+        ],
         ids=["outcome-list", "outcome-list-id", "session-list", "session-object-id", "outcome-no-id"],
     )
-    def test_resume_on_a_hostile_row_exits_config(self, e2e_dir, rar_run, tmp_path, capsys, name, row):
+    def test_resume_on_a_hostile_row_exits_config(self, e2e_dir, rar_run, tmp_path, capsys, name, row, complaint):
         _, _, _, reference = rar_run
         out = tmp_path / "out"
         out.mkdir()
@@ -1047,7 +1057,36 @@ class TestCli:
         (out / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         assert main(self.run_flags(e2e_dir, out, "--max-rounds", "1", "--retrieval", "lcs")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"error: {out / name}, line 2: expected a JSON object with a string 'task_id'\n"
+        assert err == f"error: {out / name}, line 2: {complaint}\n"
+
+    @pytest.mark.parametrize(
+        "edit,complaint",
+        [
+            (lambda row: {**row, "sample": 0}, "got an unexpected keyword argument 'sample'"),
+            (
+                lambda row: {k: v for k, v in row.items() if k != "context_budget"},
+                "missing 1 required positional argument: 'context_budget'",
+            ),
+        ],
+        ids=["with-sample", "without-context-budget"],
+    )
+    def test_resume_on_a_session_row_of_an_earlier_format_exits_config(
+        self, e2e_dir, rar_run, tmp_path, capsys, edit, complaint
+    ):
+        """A run never appends to a session log that holds a row of an
+        earlier format: it exits 2 naming the row, before writing anything."""
+        _, _, _, reference = rar_run
+        out = tmp_path / "out"
+        shutil.copytree(reference, out)
+        lines = (out / "sessions.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        (out / "sessions.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(self.run_flags(e2e_dir, out, "--max-rounds", "1", "--retrieval", "lcs")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        named = re.escape(f"error: {out / 'sessions.jsonl'}, line 3: ")
+        assert re.fullmatch(f"{named}RepairSession.__init__.. {complaint}\n", err), err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_on_non_utf8_outcomes_exits_config(self, e2e_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1851,8 +1890,8 @@ def test_logs_and_task_files_are_parsed_without_json_loads(e2e_dir, rar_run, tmp
 
     for tasks, logs in ((e2e_dir / "tasks.jsonl", rar_run[3]), (tmp_path / "tasks.jsonl", tmp_path)):
         with mock.patch.object(json, "loads", wraps=json.loads) as loads:
-            assert len(read_task_file(tasks)) == len(_log_rows(logs / "outcomes.jsonl", "outcomes")) > 0
-            assert _log_rows(logs / "sessions.jsonl", "sessions")
+            assert len(read_task_file(tasks)) == len(_log_rows(logs / "outcomes.jsonl", "outcomes", TaskOutcome)) > 0
+            assert _log_rows(logs / "sessions.jsonl", "sessions", RepairSession)
             report = cmd_report([logs / "outcomes.jsonl"], [logs / "sessions.jsonl"])
         assert loads.call_count == 0, tasks
     assert report["overall"]["pass@1"] == plan["pass_at_1"]
@@ -1862,9 +1901,10 @@ def test_run_logs_skip_whitespace_only_lines(tmp_path):
     from solrepair.harness import _log_rows
 
     path = tmp_path / "outcomes.jsonl"
-    path.write_text('{"task_id": "a"}\n\t\n　\n \x0b\n{"task_id": "b"}\n', encoding="utf-8")
+    a, b = (TaskOutcome(task_id, 1, 0, 0).to_line() for task_id in "ab")
+    path.write_text(f"{a}\t\n　\n \x0b\n{b}", encoding="utf-8")
     # A whitespace line read as a row would end the log there, as a torn one.
-    assert [task_id for task_id, _ in _log_rows(path, "outcomes")] == ["a", "b"]
+    assert [task_id for task_id, _ in _log_rows(path, "outcomes", TaskOutcome)] == ["a", "b"]
 
 
 # Each end-to-end input, by its place in a copy of the fixture, and the
