@@ -446,7 +446,6 @@ class FunctionRecord(Record):
     signature: str
     body: str
     span: tuple[int, ...]
-    contract_type: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.span) != 2:

@@ -38,17 +38,17 @@ class UndefinedCorrelationError(ValueError):
 @dataclass(frozen=True)
 class TaskOutcome(Record):
     """One task's row for pass@1 and compilation@1: whether its session
-    passed (`c`) and compiled (`c_compile`), as 0 or 1. `n`, the number of
-    sessions, is always 1."""
+    passed (`c`) and compiled (`c_compile`), as 0 or 1, at its context
+    budget. `n`, the number of sessions, is always 1."""
 
     task_id: str
     n: int
     c: int
     c_compile: int
+    context_budget: int
     prompt_tokens: int = 0
     completion_tokens: int = 0
     unavailable: bool = False
-    context_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.n != 1:
@@ -59,9 +59,9 @@ class TaskOutcome(Record):
             raise ValueError(f"{self.task_id}: c_compile={self.c_compile} outside [{self.c}, 1]")
 
 
-def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool, int]:
-    """The columns (task_id, c, c_compile, prompt_tokens, completion_tokens,
-    unavailable, context_budget) of the outcome row a session folds into.
+def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, int, bool]:
+    """The columns (task_id, c, c_compile, context_budget, prompt_tokens,
+    completion_tokens, unavailable) of the outcome row a session folds into.
     The task compiled when the final verdict is pass or functional_mismatch;
     an executor_unavailable verdict excludes it from metric denominators."""
     status = session.final_status
@@ -74,10 +74,10 @@ def session_fold(session: RepairSession) -> tuple[str, int, int, int, int, bool,
         session.task_id,
         int(status == STATUS_PASS),
         int(status in (STATUS_PASS, STATUS_FUNCTIONAL_MISMATCH)),
+        session.context_budget,
         prompt_tokens,
         completion_tokens,
         status == STATUS_EXECUTOR_UNAVAILABLE,
-        session.context_budget,
     )
 
 
@@ -271,11 +271,11 @@ def build_report(
     sessions (None) the cost is unknown: `cost` and each point's `cost_usd`
     are None, and the points stay in budget order.
     """
-    groups: dict[int | None, list[TaskOutcome]] = {}
+    groups: dict[int, list[TaskOutcome]] = {}
     for outcome in outcomes:
         groups.setdefault(outcome.context_budget, []).append(outcome)
 
-    budget_sessions: dict[int | None, list[RepairSession]] = {}
+    budget_sessions: dict[int, list[RepairSession]] = {}
     for session in sessions or ():
         budget_sessions.setdefault(session.context_budget, []).append(session)
 
@@ -289,8 +289,8 @@ def build_report(
 
     by_context = {}
     points = []
-    for budget in sorted(groups, key=lambda b: (b is None, b)):
-        entry = by_context["none" if budget is None else str(budget)] = metrics_for(groups[budget])
+    for budget in sorted(groups):
+        entry = by_context[str(budget)] = metrics_for(groups[budget])
         group_cost = (
             None if sessions is None else round(cost_of(budget_sessions.get(budget, []), cost_model).total_usd, 6)
         )

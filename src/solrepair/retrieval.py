@@ -32,6 +32,10 @@ METHODS = ("lcs", "bm25", "tfidf", "jaccard", "dense")
 # A single-character match carries no signal; shorter fragments are noise.
 MIN_LCS_LENGTH = 2
 
+# Okapi BM25's term-frequency saturation and length normalization.
+BM25_K1 = 1.2
+BM25_B = 0.75
+
 
 class RetrievalUnavailableError(RuntimeError):
     """Raised when a retrieval dependency (embedding provider) fails."""
@@ -47,8 +51,6 @@ class RetrievalConfig(Record):
     window_lines: int = 1
     step_lines: int = 1
     max_snippets: int = 2
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
     endpoint: str | None = None
     dimension: int = 16
 
@@ -61,8 +63,6 @@ class RetrievalConfig(Record):
             raise ValueError("max_snippets must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.bm25_k1 < 0 or not 0 <= self.bm25_b <= 1:
-            raise ValueError("bm25_k1 must be >= 0 and bm25_b within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,17 @@ def bm25_retrieve(
         term: max(0.0, math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5)))
         for term in set(query_terms)
     }
-    k1, b = config.bm25_k1, config.bm25_b
     hits: list[RetrievedSnippet] = []
     for idx, tokens, text in docs:
         counts = Counter(tokens)
         dl = len(tokens)
-        norm = 1.0 - b + b * (dl / avgdl) if avgdl > 0 else 1.0
+        norm = 1.0 - BM25_B + BM25_B * (dl / avgdl) if avgdl > 0 else 1.0
         score = 0.0
         for term in query_terms:
             tf = counts.get(term, 0)
             if tf == 0:
                 continue
-            score += idf[term] * tf * (k1 + 1.0) / (tf + k1 * norm)
+            score += idf[term] * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
         if score > 0.0:
             hits.append(RetrievedSnippet(line_index=idx, text=text, score=score))
     return _ranked(hits, config.max_snippets)

@@ -117,12 +117,12 @@ def test_pass_rate_is_the_exact_share_of_passing_tasks(capsys):
     with reported(capsys, "[1/9] pass@1 == passing/usable tasks, exactly (<=8 tasks); n != 1 rejected"):
         for usable in range(1, 9):
             for passed in range(usable + 1):
-                rows = [TaskOutcome(task_id=f"t{i}", n=1, c=int(i < passed), c_compile=1) for i in range(usable)]
-                rows.append(TaskOutcome(task_id="gone", n=1, c=1, c_compile=1, unavailable=True))
+                rows = [TaskOutcome(f"t{i}", n=1, c=int(i < passed), c_compile=1, context_budget=2048) for i in range(usable)]
+                rows.append(TaskOutcome("gone", n=1, c=1, c_compile=1, context_budget=2048, unavailable=True))
                 assert pass_at_1(rows) == 100 * passed / usable, (usable, passed)
                 assert compilation_at_1(rows) == 100.0
         with pytest.raises(ValueError, match="a task has one session"):
-            TaskOutcome(task_id="t", n=2, c=1, c_compile=1)
+            TaskOutcome(task_id="t", n=2, c=1, c_compile=1, context_budget=2048)
 
 
 def lcs_bruteforce(query_text: str, lines: list[str], cap: int):
@@ -323,7 +323,7 @@ def test_metric_relationships(capsys, e2e_dir, tmp_path_factory):
             assert pass_at_1(outcomes) <= compilation_at_1(outcomes)
         for c in range(2):
             for c_compile in range(c, 2):
-                rows = [TaskOutcome(task_id="t", n=1, c=c, c_compile=c_compile)]
+                rows = [TaskOutcome(task_id="t", n=1, c=c, c_compile=c_compile, context_budget=2048)]
                 assert pass_at_1(rows) <= compilation_at_1(rows)
 
         candidate = "the quick brown fox jumps over the lazy dog near the bank"

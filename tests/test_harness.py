@@ -611,7 +611,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         out.mkdir()
         (out / "outcomes.jsonl").write_text(
-            json.dumps({"task_id": "other-suite#L1-2", "n": 1, "c": 1, "c_compile": 1}) + "\n",
+            json.dumps({"task_id": "other-suite#L1-2", "n": 1, "c": 1, "c_compile": 1, "context_budget": 2048}) + "\n",
             encoding="utf-8",
         )
         with pytest.raises(ConfigError, match="foreign tasks"):
@@ -987,7 +987,7 @@ class TestCli:
             ("id", None, "missing key 'id'"),
             ("comment", " \n", "bank0.sol: empty comment block"),
             ("source_path", {"path": "bank0.sol"}, "expected str, got dict at key 'source_path'"),
-            ("contract_type", 0, "expected str or None, got int at key 'contract_type'"),
+            ("contract_type", None, "FunctionRecord.__init__() got an unexpected keyword argument 'contract_type'"),
         ],
         ids=["float-span", "long-span", "short-span", "string-span", "string-span-item", "body", "comment",
              "signature", "id", "missing-id", "empty-comment", "source_path", "contract_type"],
@@ -1041,7 +1041,7 @@ class TestCli:
             (
                 "outcomes.jsonl",
                 '{"n": 1}',
-                "TaskOutcome.__init__() missing 3 required positional arguments: 'task_id', 'c', and 'c_compile'",
+                "TaskOutcome.__init__() missing 4 required positional arguments: 'task_id', 'c', 'c_compile', and 'context_budget'",
             ),
         ],
         ids=["outcome-list", "outcome-list-id", "session-list", "session-object-id", "outcome-no-id"],
@@ -1373,19 +1373,17 @@ class TestCli:
             )
         assert cmd_report([rar / "outcomes.jsonl", base / "outcomes.jsonl"], sessions)["overall"]["tasks"] == 100
 
-    def test_report_compares_a_null_budget_as_a_multiset(self, rar_run, tmp_path):
-        """Outcome rows of one task that differ only in a null budget do not
-        order against each other; the fold is compared as a multiset, so
-        they exit 2 rather than end in a TypeError."""
+    def test_report_rejects_a_null_budget(self, rar_run, tmp_path, capsys):
+        """`run` writes every outcome row's budget as an integer, and a
+        session row's budget is one: a null budget is no outcome row, with
+        or without --sessions."""
         rar = rar_run[3]
-        rows = [json.loads(line) for line in (rar / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+        lines = (rar / "outcomes.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         edited = tmp_path / "outcomes.jsonl"
-        edited.write_text("".join(json.dumps({**r, "context_budget": None}) + "\n" for r in rows), encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            cmd_report([rar / "outcomes.jsonl", edited], [rar / "sessions.jsonl"] * 2)
-        assert str(exc.value) == (
-            f"{edited}: {rows[0]['task_id']}: the outcome row is not the fold of its session row in "
-            f"{rar / 'sessions.jsonl'}; --sessions must hold the sessions of the run that wrote --outcomes"
+        edited.write_text(lines[0].replace('"context_budget":2048', '"context_budget":null') + "".join(lines[1:]), encoding="utf-8")
+        assert main(["report", "--outcomes", str(edited)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {edited}, line 1: expected int, got NoneType at key 'context_budget'\n"
         )
 
     @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
@@ -1698,6 +1696,10 @@ class TestCli:
             ({"retrieval": {"method": "lcs", "max_snippets": True}}, "bad config: expected int, got bool at key 'retrieval.max_snippets'"),
             ({"retrieval": {"method": "lcs", "window_lines": 1.0}}, "bad config: expected int, got float at key 'retrieval.window_lines'"),
             ({"retrieval": {"method": 3}}, "bad config: expected str, got int at key 'retrieval.method'"),
+            (
+                {"retrieval": {"method": "bm25", "bm25_b": 0.75}},
+                "bad config: RetrievalConfig.__init__() got an unexpected keyword argument 'bm25_b' at key 'retrieval'",
+            ),
             ({"workers": True}, "bad config: expected int, got bool at key 'workers'"),
             ({"max_tokens": -5}, "max_tokens must be >= 1"),
             ({"max_tokens": 0}, "max_tokens must be >= 1"),
@@ -1709,7 +1711,7 @@ class TestCli:
         ],
         ids=[
             "float-snippets", "str-dimension", "zero-dimension", "bool-snippets", "float-window", "int-method",
-            "bool-workers", "negative-max-tokens", "zero-max-tokens", "negative-rate-limit", "negative-timeout",
+            "bm25-b", "bool-workers", "negative-max-tokens", "zero-max-tokens", "negative-rate-limit", "negative-timeout",
             "fuzz-zero-timeout", "unknown-executor", "unknown-counter",
         ],
     )
@@ -1841,7 +1843,7 @@ class TestCli:
 
 RETRIEVAL_TYPES = {f.name: typing.get_type_hints(RetrievalConfig)[f.name] for f in dataclasses.fields(RetrievalConfig)}
 # The JSON types each RetrievalConfig field type takes.
-TAKES = {int: (int,), float: (int, float), str: (str,), str | None: (str, type(None))}
+TAKES = {int: (int,), str: (str,), str | None: (str, type(None))}
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -1901,7 +1903,7 @@ def test_run_logs_skip_whitespace_only_lines(tmp_path):
     from solrepair.harness import _log_rows
 
     path = tmp_path / "outcomes.jsonl"
-    a, b = (TaskOutcome(task_id, 1, 0, 0).to_line() for task_id in "ab")
+    a, b = (TaskOutcome(task_id, 1, 0, 0, 2048).to_line() for task_id in "ab")
     path.write_text(f"{a}\t\n　\n \x0b\n{b}", encoding="utf-8")
     # A whitespace line read as a row would end the log there, as a torn one.
     assert [task_id for task_id, _ in _log_rows(path, "outcomes", TaskOutcome)] == ["a", "b"]

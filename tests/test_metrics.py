@@ -34,7 +34,7 @@ from solrepair.metrics import (
 from solrepair.repair import Attempt, RepairSession
 
 
-def outcome(task_id="t", n=1, c=0, c_compile=None, unavailable=False, budget=None, pt=0, ct=0):
+def outcome(task_id="t", n=1, c=0, c_compile=None, unavailable=False, budget=2048, pt=0, ct=0):
     return TaskOutcome(
         task_id=task_id,
         n=n,
@@ -122,9 +122,9 @@ class TestOutcomeTypes:
         with pytest.raises(ValueError, match="outside"):
             outcome(c=2)
         with pytest.raises(ValueError, match="c_compile"):
-            TaskOutcome(task_id="t", n=1, c=1, c_compile=0)
+            TaskOutcome(task_id="t", n=1, c=1, c_compile=0, context_budget=0)
         with pytest.raises(ValueError, match="c_compile"):
-            TaskOutcome(task_id="t", n=1, c=0, c_compile=2)
+            TaskOutcome(task_id="t", n=1, c=0, c_compile=2, context_budget=0)
 
     def test_json_round_trip(self):
         o = outcome("t", c=0, c_compile=1, unavailable=False, budget=2048, pt=10, ct=3)

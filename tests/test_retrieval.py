@@ -99,13 +99,15 @@ class TestConfigAndQuery:
             {"window_lines": 0},
             {"step_lines": 0},
             {"max_snippets": 0},
-            {"bm25_k1": -0.1},
-            {"bm25_b": 1.5},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetrievalConfig(**kwargs)
+
+    def test_bm25_constants_are_no_setting(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bm25_k1'"):
+            RetrievalConfig.from_json({"method": "bm25", "bm25_k1": 1.2})
 
     def test_query_text_nonempty(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -118,7 +118,7 @@ def outcomes(draw) -> TaskOutcome:
         prompt_tokens=draw(counts),
         completion_tokens=draw(counts),
         unavailable=draw(st.booleans()),
-        context_budget=draw(st.none() | counts),
+        context_budget=draw(counts),
     )
 
 
@@ -155,7 +155,6 @@ STRATEGIES = {
         FunctionRecord,
         source_path=text, comment=text.filter(str.strip), signature=text, body=text,
         span=st.tuples(st.integers(1, 10**6), counts).map(lambda s: (s[0], s[0] + s[1])),
-        contract_type=st.none() | text,
     ),
     RunConfig: st.builds(
         RunConfig,
@@ -171,7 +170,7 @@ STRATEGIES = {
         RetrievalConfig,
         method=st.sampled_from(METHODS), window_lines=st.integers(1, 10**6),
         step_lines=st.integers(1, 10**6), max_snippets=st.integers(1, 10**6),
-        bm25_k1=st.floats(0, 1e6), bm25_b=st.floats(0, 1), endpoint=st.none() | text,
+        endpoint=st.none() | text,
         dimension=st.integers(1, 10**6),
     ),
     ClientFixture: st.builds(ClientFixture, completions=st.dictionaries(text, text, max_size=3), strict=st.booleans()),
@@ -533,7 +532,9 @@ def test_derived_keys_are_written_and_ignored_on_read():
 
 
 def test_missing_optional_key_takes_the_default():
-    assert TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0}) == TaskOutcome("t", 1, 0, 0)
+    assert TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0, "context_budget": 0}) == TaskOutcome(
+        "t", 1, 0, 0, 0
+    )
     assert ExecutionVerdict.from_json({"status": "pass"}) == ExecutionVerdict(STATUS_PASS)
 
 
@@ -544,7 +545,7 @@ def test_schema_written_and_ignored_on_read():
     assert FilterReport.from_json(payload) == report
     assert FilterReport.from_json({k: v for k, v in payload.items() if k != "schema"}) == report
     with pytest.raises(TypeError, match="'schema'"):
-        TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0, "schema": "x"})
+        TaskOutcome.from_json({"task_id": "t", "n": 1, "c": 0, "c_compile": 0, "context_budget": 0, "schema": "x"})
 
 
 def test_plain_field_types_pass_through():
