@@ -736,8 +736,16 @@ def _free(text: str, own: frozenset[str]) -> list[_Use]:
     return reader.free
 
 
+# A line comment with the whitespace after it, a block comment or string
+# literal, or a run of whitespace.
+_LAYOUT_RE = re.compile(rf"(//[^\n]*)\s*|({_SCRUB_RE.pattern})|\s+", re.S)
+
+
 def _normalized(body: str) -> str:
-    return " ".join(body.split())
+    """body as the text comparison reads it: each run of whitespace outside
+    comments and strings is one space, or the newline that ends a line
+    comment, and comment and string text is kept verbatim."""
+    return _LAYOUT_RE.sub(lambda m: m[1] + "\n" if m[1] else m[2] or " ", body).strip()
 
 
 class _Body(NamedTuple):
@@ -887,10 +895,11 @@ class ScriptedDifferentialBackend:
     integer and boolean expressions are evaluated on the fixture's
     input/output cases (or deterministic generated inputs); any body outside
     that subset, or reading a name that is neither a parameter nor a local,
-    is compared as whitespace-insensitive text. A name resolver models the
-    compiler's scoping: a name a modified body uses where no declaration is
-    in scope is a compile_error, unless the oracle imports or inherits from
-    a contract it does not declare, where the scope cannot be decided.
+    is compared as text, whitespace collapsed outside comments and strings
+    (_normalized). A name resolver models the compiler's scoping: a name a
+    modified body uses where no declaration is in scope is a compile_error,
+    unless the oracle imports or inherits from a contract it does not
+    declare, where the scope cannot be decided.
 
     Only the completed body is read, at its target's location, so
     overloads never stand in for each other; a body that is not one
@@ -904,7 +913,7 @@ class ScriptedDifferentialBackend:
 
     name = "mock-diff"
     waits = False
-    version = "mock-diff@10"
+    version = "mock-diff@11"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}

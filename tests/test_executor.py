@@ -1050,7 +1050,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@10"
+        assert v.backend_version == "mock-diff@11"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1119,6 +1119,23 @@ class TestScriptedBackend:
         assert v.status == "functional_mismatch"
         assert "cannot be evaluated" in v.diagnostics[0].message
 
+    @pytest.mark.parametrize(
+        "oracle_body,completed_body,returns",
+        [
+            # The `return 2;` now inside the comment.
+            ("{ if (a > 1) { return 1; } // one\n return 2; }", "{ if (a > 1) { return 1; } // one return 2;\n}", "uint256"),
+            ('{ return "x y"; }', '{ return "x  y"; }', "string memory"),
+        ],
+        ids=["line-comment-swallows-a-statement", "string-respaced"],
+    )
+    def test_text_comparison_keeps_comment_and_string_text(self, oracle_body, completed_body, returns):
+        file = SourceIndex.from_text("p.sol", straight_line_source(oracle_body).replace("(uint256) {", f"({returns}) {{"))
+        (record,) = extract_functions(file)
+        v = self.backend().verify(file, splice(file, record, completed_body), record.task_id())
+        assert (v.status, v.diagnostics[0].message) == (
+            "functional_mismatch", "completed body differs from the oracle and cannot be evaluated"
+        )
+
     def test_multiple_modified_functions_rejected(self):
         # A body running on into a second function is not one block.
         completed = completed_with(ADD, "{ return b + a; }\n    function extra() public pure { }")
@@ -1159,6 +1176,59 @@ class TestScriptedBackend:
     def test_foreign_fixture_schema_rejected(self):
         with pytest.raises(ValueError, match="unsupported executor fixture schema"):
             ScriptedDifferentialBackend(fixture={"schema": "mock-executor@9"})
+
+
+# Bodies the evaluator cannot model, since each holds a string, as tokens:
+# the text comparison decides their verdicts.
+STRINGS = st.text(alphabet="xy ", max_size=4).map(lambda text: f'"{text}"')
+LAYOUT_STATEMENTS = st.one_of(
+    st.just(["uint256", "t", "=", "a", "+", "b", ";"]),
+    st.just(["if", "(", "a", ">", "b", ")", "{", "t", "=", "a", ";", "}"]),
+    STRINGS.map(lambda text: ["require", "(", "a", ">", "0", ",", text, ")", ";"]),
+    st.text(alphabet="xy ;", max_size=6).map(lambda text: ["// " + text]),
+    st.text(alphabet="xy ;", max_size=6).map(lambda text: ["/* " + text + " */"]),
+)
+LAYOUT_BODIES = st.tuples(
+    st.lists(LAYOUT_STATEMENTS, max_size=4), STRINGS
+).map(lambda parts: ["{", "uint256", "t", ";", *sum(parts[0], []), "string", "memory", "s", "=", parts[1], ";", "return", "t", ";", "}"])
+LAYOUT_SPACES = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+
+
+def laid_out(tokens: list[str], data) -> str:
+    """tokens joined by drawn runs of whitespace; the run after a line
+    comment starts with the newline that ends it."""
+    text = tokens[0]
+    for before, token in zip(tokens, tokens[1:]):
+        space = data.draw(LAYOUT_SPACES)
+        text += ("\n" + space if before.startswith("//") else space) + token
+    return text
+
+
+def layout_verdict(oracle_body: str, completed_body: str) -> str:
+    file = SourceIndex.from_text("p.sol", straight_line_source(oracle_body))
+    (record,) = extract_functions(file)
+    return ScriptedDifferentialBackend().verify(file, splice(file, record, completed_body), record.task_id()).status
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=LAYOUT_BODIES, data=st.data())
+def test_property_respacing_outside_comments_and_strings_keeps_pass(tokens, data):
+    assert layout_verdict(laid_out(tokens, data), laid_out(tokens, data)) == "pass"
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=LAYOUT_BODIES, data=st.data())
+def test_property_an_edit_inside_a_string_never_passes(tokens, data):
+    # One character inserted into, or deleted from, one string's text.
+    at = data.draw(st.sampled_from([i for i, token in enumerate(tokens) if token.startswith('"')]))
+    text = tokens[at][1:-1]
+    i = data.draw(st.integers(0, len(text)))
+    if text and data.draw(st.booleans()):
+        text = text[:i] + text[i + 1 :] if i < len(text) else text[:-1]
+    else:
+        text = text[:i] + data.draw(st.sampled_from("xy ")) + text[i:]
+    completed = laid_out([*tokens[:at], f'"{text}"', *tokens[at + 1 :]], data)
+    assert layout_verdict(laid_out(tokens, data), completed) == "functional_mismatch"
 
 
 OVERLOADS = """contract O {
