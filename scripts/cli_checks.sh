@@ -239,6 +239,39 @@ report_rejects_an_outcome_row_of_another_budget() {
   grep -F "$OUT/repair/outcomes.jsonl: bank0.sol#L22-25: the outcome row is not the fold of its session row in $OUT/repair/sessions.jsonl" $OUT/err.txt
 }
 
+# An outcome row whose `context_budget` is null, which `run` never writes:
+# `report`, even without `--sessions`, must exit 2 naming line 1 and the
+# key, not print a `none` column.
+report_rejects_a_null_budget() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  solrepair run --tasks $FIX/tasks.jsonl --source-root $FIX/sources \
+    --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
+    --executor mock --budget 2048 --counter bytes4 --out $OUT/baseline --max-rounds 0
+  sed -i 's/"context_budget":2048/"context_budget":null/' $OUT/baseline/outcomes.jsonl
+  code=0
+  solrepair report --outcomes $OUT/baseline/outcomes.jsonl > $OUT/report.txt 2> $OUT/err.txt || code=$?
+  cat $OUT/report.txt $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/baseline/outcomes.jsonl, line 1: expected int, got NoneType at key 'context_budget'" $OUT/err.txt
+}
+
+# A task row holding `"contract_type":null`, a key of `tasks@1`: `run`
+# must exit 2, name the key and leave no output directory.
+run_rejects_a_task_row_with_contract_type() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  sed 's/,"id":/,"contract_type":null,"id":/' $FIX/tasks.jsonl > $OUT/tasks.jsonl
+  code=0
+  solrepair run --tasks $OUT/tasks.jsonl --source-root $FIX/sources \
+    --mock-client $FIX/mock_client.json --mock-executor $FIX/mock_executor.json \
+    --executor mock --out $OUT/run 2> $OUT/err.txt || code=$?
+  cat $OUT/err.txt
+  test "$code" -eq 2
+  grep -F "$OUT/tasks.jsonl, line 1: bad task row: FunctionRecord.__init__() got an unexpected keyword argument 'contract_type'" $OUT/err.txt
+  test ! -e $OUT/run
+}
+
 # `build` and `run` over the fixture: every row of the task file and of
 # both logs must be exactly the bytes json.dumps writes for the row's value
 # with sorted keys and compact separators, then a newline.
@@ -269,6 +302,8 @@ for check in \
   report_rejects_another_runs_sessions \
   report_rejects_the_sessions_of_another_run_over_the_same_tasks \
   report_rejects_an_outcome_row_of_another_budget \
+  report_rejects_a_null_budget \
+  run_rejects_a_task_row_with_contract_type \
   rows_are_canonical_json
 do
   echo "== $check"

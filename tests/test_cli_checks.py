@@ -30,6 +30,8 @@ CHECKS = [
     "report_rejects_another_runs_sessions",
     "report_rejects_the_sessions_of_another_run_over_the_same_tasks",
     "report_rejects_an_outcome_row_of_another_budget",
+    "report_rejects_a_null_budget",
+    "run_rejects_a_task_row_with_contract_type",
     "rows_are_canonical_json",
 ]
 
