@@ -1373,19 +1373,6 @@ class TestCli:
             )
         assert cmd_report([rar / "outcomes.jsonl", base / "outcomes.jsonl"], sessions)["overall"]["tasks"] == 100
 
-    def test_report_rejects_a_null_budget(self, rar_run, tmp_path, capsys):
-        """`run` writes every outcome row's budget as an integer, and a
-        session row's budget is one: a null budget is no outcome row, with
-        or without --sessions."""
-        rar = rar_run[3]
-        lines = (rar / "outcomes.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        edited = tmp_path / "outcomes.jsonl"
-        edited.write_text(lines[0].replace('"context_budget":2048', '"context_budget":null') + "".join(lines[1:]), encoding="utf-8")
-        assert main(["report", "--outcomes", str(edited)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: {edited}, line 1: expected int, got NoneType at key 'context_budget'\n"
-        )
-
     @pytest.mark.parametrize("argv", [["run", "--samples", "2"], ["report", "--outcomes", "o.jsonl", "--k", "1"]])
     def test_sample_count_flags_are_gone(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1454,6 +1441,7 @@ class TestCli:
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "verdict": "pass"}]}), "ExecutionVerdict: expected a JSON object, got str"),
             ("sessions", lambda row: json.dumps({**row, "attempts": 3}), "expected list, got int at key 'attempts'"),
             ("outcomes", lambda row: json.dumps({**row, "unavailable": 0}), "expected bool, got int at key 'unavailable'"),
+            ("outcomes", lambda row: json.dumps({**row, "context_budget": None}), "expected int, got NoneType at key 'context_budget'"),
             ("sessions", lambda row: json.dumps({**row, "attempts": [{**row["attempts"][0], "prompt_tokens": "x"}]}), r"expected int, got str at key 'attempts\[0\]\.prompt_tokens'"),
         ],
         ids=[
@@ -1461,7 +1449,7 @@ class TestCli:
             "outcome-bad-compile-count", "outcome-missing-key",
             "outcome-unknown-key", "session-malformed", "session-missing-key", "session-unknown-key",
             "attempt-unknown-key", "verdict-not-an-object", "attempts-not-a-list", "outcome-int-for-bool",
-            "attempt-str-for-int",
+            "outcome-null-budget", "attempt-str-for-int",
         ],
     )
     def test_report_on_malformed_row_exits_config(self, baseline_run, tmp_path, capsys, kind, edit, complaint):
