@@ -742,10 +742,11 @@ _LAYOUT_RE = re.compile(rf"(//[^\n]*)\s*|({_SCRUB_RE.pattern})|\s+", re.S)
 
 
 def _normalized(body: str) -> str:
-    """body as the text comparison reads it: each run of whitespace outside
-    comments and strings is one space, or the newline that ends a line
-    comment, and comment and string text is kept verbatim."""
-    return _LAYOUT_RE.sub(lambda m: m[1] + "\n" if m[1] else m[2] or " ", body).strip()
+    """body as the text comparison reads it: each CRLF line ending is LF,
+    each run of whitespace outside comments and strings is one space, or the
+    newline that ends a line comment, and comment and string text is kept
+    verbatim."""
+    return _LAYOUT_RE.sub(lambda m: m[1] + "\n" if m[1] else m[2] or " ", body.replace("\r\n", "\n")).strip()
 
 
 class _Body(NamedTuple):

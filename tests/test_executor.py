@@ -1191,16 +1191,17 @@ LAYOUT_STATEMENTS = st.one_of(
 LAYOUT_BODIES = st.tuples(
     st.lists(LAYOUT_STATEMENTS, max_size=4), STRINGS
 ).map(lambda parts: ["{", "uint256", "t", ";", *sum(parts[0], []), "string", "memory", "s", "=", parts[1], ";", "return", "t", ";", "}"])
-LAYOUT_SPACES = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+LINE_ENDINGS = st.sampled_from(["\n", "\r\n"])
+LAYOUT_SPACES = st.lists(st.sampled_from([" ", "\t"]) | LINE_ENDINGS, min_size=1, max_size=3).map("".join)
 
 
 def laid_out(tokens: list[str], data) -> str:
     """tokens joined by drawn runs of whitespace; the run after a line
-    comment starts with the newline that ends it."""
+    comment starts with the line ending that ends it."""
     text = tokens[0]
     for before, token in zip(tokens, tokens[1:]):
         space = data.draw(LAYOUT_SPACES)
-        text += ("\n" + space if before.startswith("//") else space) + token
+        text += (data.draw(LINE_ENDINGS) + space if before.startswith("//") else space) + token
     return text
 
 
