@@ -1223,10 +1223,11 @@ def test_property_an_edit_inside_a_string_never_passes(tokens, data):
     # One character inserted into, or deleted from, one string's text.
     at = data.draw(st.sampled_from([i for i, token in enumerate(tokens) if token.startswith('"')]))
     text = tokens[at][1:-1]
-    i = data.draw(st.integers(0, len(text)))
     if text and data.draw(st.booleans()):
-        text = text[:i] + text[i + 1 :] if i < len(text) else text[:-1]
+        i = data.draw(st.integers(0, len(text) - 1))
+        text = text[:i] + text[i + 1 :]
     else:
+        i = data.draw(st.integers(0, len(text)))
         text = text[:i] + data.draw(st.sampled_from("xy ")) + text[i:]
     completed = laid_out([*tokens[:at], f'"{text}"', *tokens[at + 1 :]], data)
     assert layout_verdict(laid_out(tokens, data), completed) == "functional_mismatch"
