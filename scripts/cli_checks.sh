@@ -286,6 +286,31 @@ rows_are_canonical_json() {
     $OUT/tasks.jsonl $OUT/run/outcomes.jsonl $OUT/run/sessions.jsonl
 }
 
+# A one-function contract whose body divides by zero on every input:
+# `verify` of the body's own steps, laid out otherwise, must pass without
+# evaluating the oracle (exit 0), while a body that needs the oracle's
+# outputs must still exit 3 with the oracle's failure.
+verify_passes_the_oracle_own_steps_without_running_it() {
+  OUT=$(mktemp -d -p "$ROOT")
+  mkdir $OUT/sources
+  printf '%s\n' 'pragma solidity ^0.8.0;' '' 'contract D {' '    /// Divides by a difference.' \
+    '    function div(uint256 a, uint256 b) public pure returns (uint256) {' '        return a / (b - b);' '    }' '}' \
+    > $OUT/sources/d.sol
+  solrepair build --sources $OUT/sources --tasks $OUT/tasks.jsonl --stats $OUT/stats.json
+  for body in '{ return a / (b - b); }=0=pass' '{ return a; }=3=executor_unavailable'; do
+    IFS== read -r text want status <<< "$body"
+    "$PYTHON" -c 'import json, sys; print(json.dumps({"task_id": json.loads(open(sys.argv[1]).readline())["id"], "body": sys.argv[2]}))' \
+      $OUT/tasks.jsonl "$text" > $OUT/completions.jsonl
+    code=0
+    solrepair verify --tasks $OUT/tasks.jsonl --source-root $OUT/sources --executor mock \
+      --completions $OUT/completions.jsonl --verdicts $OUT/verdicts.jsonl || code=$?
+    cat $OUT/verdicts.jsonl
+    test "$code" -eq "$want"
+    grep -F "\"status\":\"$status\"" $OUT/verdicts.jsonl
+  done
+  grep -F '"message":"oracle evaluation failed: division by zero"' $OUT/verdicts.jsonl
+}
+
 for check in \
   readme_quickstart \
   report_names_a_wrongly_typed_session_value \
@@ -304,7 +329,8 @@ for check in \
   report_rejects_an_outcome_row_of_another_budget \
   report_rejects_a_null_budget \
   run_rejects_a_task_row_with_contract_type \
-  rows_are_canonical_json
+  rows_are_canonical_json \
+  verify_passes_the_oracle_own_steps_without_running_it
 do
   echo "== $check"
   $check

@@ -22,6 +22,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import (
@@ -186,10 +187,12 @@ _TOO_DEEP = "expression nested too deeply to evaluate"
 _MAX_NESTING = 128
 _MAX_PARSE_DEPTH = 2 * _MAX_NESTING
 
-# Decimal (no leading zero) and hex literals with `_` between digits, names,
-# operators, and any other single character, which no rule accepts.
+# Hex and decimal literals with `_` between digits, a decimal one (no leading
+# zero) with an optional `e` and decimal exponent, names, operators, and any
+# other single character, which no rule accepts.
+_DECIMAL = r"(?:0|[1-9](?:_?[0-9])*)"
 _TOKEN_RE = re.compile(
-    r"\s*(0x[0-9a-fA-F]+(?:_[0-9a-fA-F]+)*(?![\w$.])|(?:0|[1-9](?:_?[0-9])*)(?![\w$.])"
+    rf"\s*(0x[0-9a-fA-F]+(?:_[0-9a-fA-F]+)*(?![\w$.])|{_DECIMAL}(?:e{_DECIMAL})?(?![\w$.])"
     r"|[A-Za-z_$][A-Za-z0-9_$]*|\*\*|<<|>>|<=|>=|==|!=|&&|\|\||\S)"
 )
 
@@ -263,6 +266,25 @@ def _constant(value: int | bool) -> _Evaluator:
     return lambda env: value
 
 
+def _too_large(env: dict) -> int:
+    raise _EvalError("literal too large to evaluate")
+
+
+def _literal(token: str) -> _Evaluator:
+    """The evaluator of a number token. A decimal one is at least
+    10**(digits - 1 + exponent), so from 10**309 on it is sure to need more
+    than 1024 bits: it fails to evaluate, as such a power does, and its
+    value is never computed."""
+    if token[:2] == "0x":
+        return _constant(int(token, 16))
+    mantissa, _, exponent = token.replace("_", "").partition("e")
+    if mantissa == "0":
+        return _constant(0)
+    if len(exponent) > 3 or len(mantissa) - 1 + int(exponent or 0) >= 309:
+        return _too_large
+    return _constant(int(mantissa) * 10 ** int(exponent or 0))
+
+
 def _parse_expression(text: str) -> tuple[_Evaluator, frozenset[str]] | None:
     """The evaluator of a Solidity expression and the names it reads, or None
     when the mock cannot model it: text outside the grammar, a relational
@@ -285,7 +307,7 @@ def _parse_expression(text: str) -> tuple[_Evaluator, frozenset[str]] | None:
             raise SyntaxError
         token = take()
         if "0" <= token[0] <= "9":
-            left, depth = _constant(int(token, 0)), 1
+            left, depth = _literal(token), 1
         elif token in ("true", "false"):
             left, depth = _constant(token == "true"), 1
         elif token[0].isascii() and (token[0].isalpha() or token[0] in "_$"):
@@ -793,18 +815,31 @@ _NOT_ONE_BLOCK = "completed body is not one balanced {...} block"
 _NO_SEMICOLON = "Expected ';' but got '}'"
 
 
-class _Expected(NamedTuple):
-    """The oracle's side of one function's generated cases."""
+class _Expected:
+    """The oracle's side of one target: `steps`, its body's steps (None when
+    uninterpretable), read but not evaluated, and `run`, the oracle
+    evaluated on the generated cases when a completion first needs that."""
 
-    steps: list[_Step] | None  # the oracle body's steps; None when uninterpretable
-    cases: list[tuple[dict, int | bool | None]]  # generated inputs, the oracle's outputs
-    failure: str | None  # why evaluating the oracle failed, when it did
+    def __init__(self, steps: list[_Step] | None, params: Sequence[str], seed_text: str) -> None:
+        self.steps, self.params, self.seed_text = steps, params, seed_text
+
+    @cached_property
+    def run(self) -> tuple[list[tuple[dict, int | bool | None]], str | None]:
+        """The generated inputs with the oracle's outputs, and None; or no
+        cases and why evaluating the oracle failed."""
+        cases = []
+        for inputs in _generated_cases(self.params, self.seed_text):
+            try:
+                cases.append((inputs, evaluate_body(self.steps, inputs)))
+            except _EvalError as exc:
+                return [], f"oracle evaluation failed: {exc}"
+        return cases, None
 
 
 class _Oracle:
     """One oracle text as verify sees it: its index, and what verify learns
-    about it, once per run: each target's entry (its `_Body`) and each
-    function's expected outputs, built on the first verify of their target.
+    about it, once per run: each target's entry (its `_Body`) and its
+    `_Expected`, each built on the first verify that needs it.
     Bodies are read through `reads` (_statements) and their statements
     parsed through `steps` (_steps), which the backend shares between its
     oracles. The index tells what a function sees declared outside its
@@ -840,25 +875,14 @@ class _Oracle:
         return names is None or name in names
 
     def expected(self, body: _Body, seed: int) -> _Expected:
-        """The oracle function `body` evaluated on its generated cases."""
+        """The entry of the oracle function `body` on its generated cases."""
         key = (body.start, seed)
         found = self._expected.get(key)
         if found is None:
-            found = self._expected.setdefault(key, self._evaluate(body, seed))
+            # An oracle body is one balanced block.
+            steps = _steps(_statements(body.text, _without_assembly(body.scrubbed), self.reads), body.params, self.steps)
+            found = self._expected.setdefault(key, _Expected(steps, body.params, f"{seed}:{body.name}"))
         return found
-
-    def _evaluate(self, body: _Body, seed: int) -> _Expected:
-        # An oracle body is one balanced block.
-        steps = _steps(_statements(body.text, _without_assembly(body.scrubbed), self.reads), body.params, self.steps)
-        if steps is None:
-            return _Expected(None, [], None)
-        cases = []
-        for inputs in _generated_cases(body.params, f"{seed}:{body.name}"):
-            try:
-                cases.append((inputs, evaluate_body(steps, inputs)))
-            except _EvalError as exc:
-                return _Expected(steps, [], f"oracle evaluation failed: {exc}")
-        return _Expected(steps, cases, None)
 
 
 @dataclass(frozen=True)
@@ -907,14 +931,14 @@ class ScriptedDifferentialBackend:
     balanced {...}, or that declares a named function outside `assembly`,
     is a compile_error. The backend prepares each oracle text once, on
     first use, from the index verify is handed, and keeps it for its own
-    lifetime: each function's expected outputs are computed once, and each
-    distinct body and statement, in whichever source, is read and parsed
-    once.
+    lifetime: each function's expected outputs are computed once, when a
+    completion first needs them, and each distinct body and statement, in
+    whichever source, is read and parsed once.
     """
 
     name = "mock-diff"
     waits = False
-    version = "mock-diff@11"
+    version = "mock-diff@12"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -982,60 +1006,32 @@ class ScriptedDifferentialBackend:
         completed_steps = _steps(_statements(text, body, prepared.reads), old.params, prepared.steps)
         oracle_run = None
         if completed_steps is not None and table is None:
-            oracle_run = prepared.expected(old, self.seed)
+            oracle_run = prepared.expected(old, self.seed)  # its steps, not yet evaluated
         if completed_steps is None or (oracle_run is not None and oracle_run.steps is None):
             if _normalized(old.text) == _normalized(text):
                 return self._verdict(t0, STATUS_PASS)
-            return self._verdict(
-                t0,
-                STATUS_FUNCTIONAL_MISMATCH,
-                [
-                    Diagnostic(
-                        "Other",
-                        "completed body differs from the oracle and cannot be evaluated",
-                    )
-                ],
-            )
+            message = "completed body differs from the oracle and cannot be evaluated"
+            return self._verdict(t0, STATUS_FUNCTIONAL_MISMATCH, [Diagnostic("Other", message)])
 
         if table is not None:
             cases = [(case.inputs, case.output) for case in table.cases]
-        elif oracle_run.failure is not None:
-            return self._verdict(
-                t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", oracle_run.failure)]
-            )
         elif completed_steps == oracle_run.steps:
-            # The oracle's own steps, on inputs it evaluated cleanly.
+            # The oracle's own steps agree with it on any input, as two
+            # identical bodies do in a differential run: no case is drawn.
             return self._verdict(t0, STATUS_PASS)
         else:
-            cases = oracle_run.cases
+            cases, failure = oracle_run.run
+            if failure is not None:
+                return self._verdict(t0, STATUS_EXECUTOR_UNAVAILABLE, [Diagnostic("Other", failure)])
         for inputs, expected in cases:
             try:
                 got = evaluate_body(completed_steps, inputs)
             except _EvalError as exc:
-                return self._verdict(
-                    t0,
-                    STATUS_FUNCTIONAL_MISMATCH,
-                    [
-                        Diagnostic(
-                            "Other",
-                            f"evaluation failed for inputs "
-                            f"{_dump_inputs(inputs)}: {exc}",
-                        )
-                    ],
-                )
+                message = f"evaluation failed for inputs {_dump_inputs(inputs)}: {exc}"
+                return self._verdict(t0, STATUS_FUNCTIONAL_MISMATCH, [Diagnostic("Other", message)])
             if got != expected:
-                return self._verdict(
-                    t0,
-                    STATUS_FUNCTIONAL_MISMATCH,
-                    [
-                        Diagnostic(
-                            "Other",
-                            f"output mismatch for inputs "
-                            f"{_dump_inputs(inputs)}: "
-                            f"expected {expected}, got {got}",
-                        )
-                    ],
-                )
+                message = f"output mismatch for inputs {_dump_inputs(inputs)}: expected {expected}, got {got}"
+                return self._verdict(t0, STATUS_FUNCTIONAL_MISMATCH, [Diagnostic("Other", message)])
         return self._verdict(t0, STATUS_PASS)
 
 

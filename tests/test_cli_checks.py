@@ -33,6 +33,7 @@ CHECKS = [
     "report_rejects_a_null_budget",
     "run_rejects_a_task_row_with_contract_type",
     "rows_are_canonical_json",
+    "verify_passes_the_oracle_own_steps_without_running_it",
 ]
 
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

@@ -255,6 +255,27 @@ class TestEvaluator:
         assert evaluate_body(steps, {}) == 31 + 1000 + 255
 
     @pytest.mark.parametrize(
+        "expr,value",
+        [("1e18", 10**18), ("1_000e1_0", 10**13), ("0e5", 0), ("7e0", 7), ("a * 1e3 - 1000", 4000),
+         ("1" + "0" * 308, 10**308), ("17e307", 17 * 10**307), ("0e" + "9" * 5000, 0)],
+        ids=lambda v: (v if len(v) < 20 else f"{len(v)}-chars") if isinstance(v, str) else "",
+    )
+    def test_scientific_literals_evaluate(self, expr, value):
+        assert evaluate_body(interpret_body(f"{{ return {expr}; }}", params=AB), {"a": 5}) == value
+
+    # At least 10**309, so more than 1024 bits, whatever the digits: decided
+    # from the digit counts, so even a literal longer than Python converts
+    # to an int fails to evaluate, not to parse.
+    @pytest.mark.parametrize(
+        "expr",
+        ["1e309", "1_2e345_678", "1" + "0" * 309, "1" * 5000, "1e" + "1" * 5000, "a > 0 ? 1 : 9e999"],
+        ids=lambda v: v if len(v) < 20 else f"{len(v)}-chars",
+    )
+    def test_literal_sure_to_be_too_wide_fails(self, expr):
+        with pytest.raises(_EvalError, match="literal too large to evaluate"):
+            evaluate_body(interpret_body(f"{{ return {expr}; }}", params=AB), {"a": 0})
+
+    @pytest.mark.parametrize(
         "stmt",
         [
             "uint256 x = a +",
@@ -275,7 +296,7 @@ class TestEvaluator:
         "expr",
         [
             "balances[a]", "self.total", "f(a)", "uint8(a)", "a and b", "not a", "a if b else 1", "a // b",
-            "True", "+a", "a < b < 5", "a >= b <= 1", "a > 0 && a < b < 5", "(a < b > 1)", "1e18", "1.5", "007", "1__0", "0x", "a ? b", "a b", "",
+            "True", "+a", "a < b < 5", "a >= b <= 1", "a > 0 && a < b < 5", "(a < b > 1)", "1E18", "2.5e18", "2e-1", "1e05", "1.5", "007", "1__0", "0x", "a ? b", "a b", "",
             "a ++ b", "'s'",
         ],
     )
@@ -366,6 +387,20 @@ class TestEvaluator:
         assert v.status == "functional_mismatch"
         respaced = body.replace(" + ", "  +  ")
         assert differential_verify(oracle, splice(oracle, record, respaced), record.task_id(), backend).status == "pass"
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [("{ return a + b + 1e3 - 1000; }", None),
+         ("{ uint256 k = 1_0e2; return a + b + k - 1e3; }", None),
+         ("{ return a + b + 1e3 - 100; }", "output mismatch"),
+         ("{ return a + b + 1e999 - 1e999; }", "literal too large to evaluate")],
+    )
+    def test_scientific_literals_are_evaluated(self, body, message):
+        file = SourceIndex.from_text("p.sol", straight_line_source("{ return a + b; }"))
+        (record,) = extract_functions(file)
+        v = ScriptedDifferentialBackend().verify(file, splice(file, record, body), record.task_id())
+        assert v.status == ("pass" if message is None else "functional_mismatch")
+        assert message is None or message in v.diagnostics[0].message
 
     def test_each_expression_parsed_once_per_attempt(self):
         completed = completed_with(AVG, "{ uint256 t = b + a; return t / 2; }")
@@ -714,6 +749,55 @@ def test_property_parse_once_verify_matches_per_case_reference(oracle_body, comp
     assert mock_reference.verdict_of(got) == want
 
 
+# Straight-line oracles over a and b as token lists, so that the same tokens
+# can be laid out (laid_out) with other whitespace runs; `(b - b)`, which
+# repeats with `/` to weight them, makes some fail.
+LAZY_OPERANDS = st.sampled_from([["a"], ["b"], ["1"], ["7"], ["(", "b", "-", "b", ")"], ["(", "b", "-", "b", ")"]])
+LAZY_OPERATORS = ["+", "-", "*", "/", "%"]
+LAZY_EXPRS = st.tuples(
+    LAZY_OPERANDS, st.lists(st.tuples(st.sampled_from([*LAZY_OPERATORS, "/"]), LAZY_OPERANDS), max_size=3)
+).map(lambda t: t[0] + [token for op, operand in t[1] for token in [op, *operand]])
+LAZY_ORACLES = st.tuples(st.none() | LAZY_EXPRS, LAZY_EXPRS).map(
+    lambda t: ["{", *(["uint256", "t0", "=", *t[0], ";"] if t[0] else []), "return", *t[1], ";", "}"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tokens=LAZY_ORACLES, at=st.integers(0, 99), swap=st.sampled_from(LAZY_OPERATORS), order=st.permutations(range(3)),
+    data=st.data(),
+)
+def test_property_oracle_outputs_are_computed_only_when_a_verdict_needs_them(tokens, at, swap, order, data):
+    """Against a straight-line oracle, failing or not: the oracle's own steps
+    laid out with other whitespace pass before any case is drawn or any body
+    evaluated; a swapped operator and an undeclared name get the reference's
+    verdicts too; and one backend draws a target's cases at most once."""
+    file = SourceIndex.from_text("p.sol", straight_line_source(laid_out(tokens, data)))
+    (record,) = extract_functions(file)
+    operators = [i for i, token in enumerate(tokens) if token in LAZY_OPERATORS]
+    names = [i for i, token in enumerate(tokens) if token in AB]
+    swapped, undeclared = list(tokens), list(tokens)
+    if operators:
+        i = operators[at % len(operators)]
+        swapped[i] = swap if swap != tokens[i] else "+" if tokens[i] != "+" else "-"
+    if names:
+        undeclared[names[at % len(names)]] = "zz"
+    bodies = [laid_out(body, data) for body in (tokens, swapped, undeclared)]
+    backend = ScriptedDifferentialBackend(seed=7)
+    with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated, mock.patch.object(
+        executor, "evaluate_body", wraps=executor.evaluate_body
+    ) as evaluated:
+        for k in order * 2:
+            completed = splice(file, record, bodies[k])
+            drawn, calls = generated.call_count, evaluated.call_count
+            got = mock_reference.verdict_of(backend.verify(file, completed, record.task_id()))
+            assert got == mock_reference.reference_verify(file, completed, record.task_id(), seed=7), bodies[k]
+            if k == 0:
+                assert got == ("pass", ())
+                assert (generated.call_count, evaluated.call_count) == (drawn, calls)
+        assert generated.call_count <= 1
+
+
 ENVS = st.fixed_dictionaries(
     {"a": st.integers(0, 99), "b": st.integers(0, 99)},
     optional={"t0": st.integers(0, 9) | st.booleans(), "t1": st.integers(0, 9) | st.booleans()},
@@ -922,20 +1006,30 @@ class TestOracleMemo:
         backend = ScriptedDifferentialBackend()
         messages = set()
         with mock.patch.object(executor, "_generated_cases", wraps=executor._generated_cases) as generated:
-            for body in ("{ return a; }", "{ return b; }", "{ return a; }", "{ return a / (b - b); }"):
+            for body in ("{ return a; }", "{ return b; }", "{ return a; }"):
                 v = backend.verify(MULTI_FILE, splice(MULTI_FILE, M_DIV, body), M_DIV.task_id())
                 assert v.status == "executor_unavailable"
                 messages.add(v.diagnostics)
+            # Since mock-diff@12 the oracle's own steps pass, as two identical
+            # bodies do in a differential run, however the oracle fares.
+            own = splice(MULTI_FILE, M_DIV, "{ return a / (b - b); }")
+            assert own.source_in(MULTI_FILE) != MULTI
+            assert backend.verify(MULTI_FILE, own, M_DIV.task_id()).status == "pass"
         assert messages == {(Diagnostic("Other", "oracle evaluation failed: division by zero"),)}
         assert generated.call_count == 1
 
-    def test_oracle_steps_pass_without_a_second_evaluation(self):
+    @pytest.mark.parametrize("record,body", [(M_HALF, "return a / 2;"), (M_DIV, "return a / (b - b);")])
+    def test_oracle_steps_pass_before_any_case_is_drawn(self, record, body):
+        # Laid out otherwise, so the text is not the oracle's; M_DIV's oracle
+        # fails on every input.
         backend = ScriptedDifferentialBackend()
-        completed = splice(MULTI_FILE, M_HALF, "{\n        return a / 2;   }")
+        completed = splice(MULTI_FILE, record, "{\n        " + body + "   }")
         assert completed.source_in(MULTI_FILE) != MULTI
-        backend.verify(MULTI_FILE, completed, M_HALF.task_id())
-        with mock.patch.object(executor, "evaluate_body", side_effect=AssertionError("evaluated")):
-            assert backend.verify(MULTI_FILE, completed, M_HALF.task_id()).status == "pass"
+        with mock.patch.object(executor, "_generated_cases", side_effect=AssertionError("drawn")), mock.patch.object(
+            executor, "evaluate_body", side_effect=AssertionError("evaluated")
+        ):
+            for _ in range(2):
+                assert backend.verify(MULTI_FILE, completed, record.task_id()).status == "pass"
 
     def test_fixture_table_judges_even_the_oracle_own_steps(self):
         # The table disagrees with the oracle: it, not the oracle, decides.
@@ -1050,7 +1144,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@11"
+        assert v.backend_version == "mock-diff@12"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
