@@ -311,6 +311,23 @@ verify_passes_the_oracle_own_steps_without_running_it() {
   grep -F '"message":"oracle evaluation failed: division by zero"' $OUT/verdicts.jsonl
 }
 
+# `verify` on the e2e tasks without the executor table: each task's own
+# body laid out otherwise passes, and the same body with a no-break space
+# leading its second line is a compile_error on that line.
+verify_passes_a_relaid_oracle_body_and_faults_a_no_break_space() {
+  FIX=tests/fixtures/e2e
+  OUT=$(mktemp -d -p "$ROOT")
+  for layout in '\n\t  =pass' '\n\u00a0=compile_error'; do
+    IFS== read -r space status <<< "$layout"
+    "$PYTHON" -c 'import json, sys; space = sys.argv[2].encode().decode("unicode_escape"); [print(json.dumps({"task_id": r["id"], "body": r["body"].replace("\n", space, 1)})) for r in map(json.loads, open(sys.argv[1]))]' \
+      $FIX/tasks.jsonl "$space" > $OUT/completions.jsonl
+    solrepair verify --tasks $FIX/tasks.jsonl --source-root $FIX/sources --executor mock \
+      --completions $OUT/completions.jsonl --verdicts $OUT/verdicts.jsonl
+    test "$(grep -c "\"status\":\"$status\"" $OUT/verdicts.jsonl)" -eq 50
+  done
+  test "$(grep -cF '"line":2,"message":"Invalid character U+00A0 outside a comment or string literal."' $OUT/verdicts.jsonl)" -eq 50
+}
+
 for check in \
   readme_quickstart \
   report_names_a_wrongly_typed_session_value \
@@ -330,7 +347,8 @@ for check in \
   report_rejects_a_null_budget \
   run_rejects_a_task_row_with_contract_type \
   rows_are_canonical_json \
-  verify_passes_the_oracle_own_steps_without_running_it
+  verify_passes_the_oracle_own_steps_without_running_it \
+  verify_passes_a_relaid_oracle_body_and_faults_a_no_break_space
 do
   echo "== $check"
   $check

@@ -771,6 +771,24 @@ def _normalized(body: str) -> str:
     return _LAYOUT_RE.sub(lambda m: m[1] + "\n" if m[1] else m[2] or " ", body.replace("\r\n", "\n")).strip()
 
 
+def _same_tokens(body: str, oracle_body: str) -> bool:
+    """True when body is oracle_body laid out otherwise: one {...} block
+    with the oracle body's tokens, comment and string text included. Their
+    words, split at whitespace, are compared first, so that a body that
+    differs costs no regex pass; equal words are equal tokens unless the
+    oracle body holds a comment or a string, whose whitespace is text: then
+    the two must equal as _normalized, which never removes a whitespace
+    run, so no token is joined or split."""
+    return (
+        body[:1] == "{" and body[-1:] == "}" and body.split() == oracle_body.split()
+        and (_SCRUB_RE.search(oracle_body) is None or _normalized(body) == _normalized(oracle_body))
+    )
+
+
+# A character that solc reads only in a comment or a string.
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+
 class _Body(NamedTuple):
     """One top-level function as verify compares it."""
 
@@ -928,17 +946,20 @@ class ScriptedDifferentialBackend:
 
     Only the completed body is read, at its target's location, so
     overloads never stand in for each other; a body that is not one
-    balanced {...}, or that declares a named function outside `assembly`,
-    is a compile_error. The backend prepares each oracle text once, on
-    first use, from the index verify is handed, and keeps it for its own
-    lifetime: each function's expected outputs are computed once, when a
-    completion first needs them, and each distinct body and statement, in
-    whichever source, is read and parsed once.
+    balanced {...}, that holds a character outside ASCII but in comments and
+    strings, or that declares a named function outside `assembly`, is a
+    compile_error. A body with the oracle body's tokens, laid out otherwise
+    (_same_tokens), passes unread, unless a fixture table judges its target.
+    The backend prepares each oracle text once, on first use, from the index
+    verify is handed, and keeps it for its own lifetime: each function's
+    expected outputs are computed once, when a completion first needs them,
+    and each distinct body and statement, in whichever source, is read and
+    parsed once.
     """
 
     name = "mock-diff"
     waits = False
-    version = "mock-diff@12"
+    version = "mock-diff@13"
 
     def __init__(self, fixture: dict | None = None, seed: int = 0) -> None:
         fixture = fixture or {}
@@ -981,6 +1002,23 @@ class ScriptedDifferentialBackend:
             return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", str(exc))])
         if completed.keeps_body_of(oracle):
             return self._verdict(t0, STATUS_PASS)
+        text = completed.body
+        stray = None if text.isascii() else _NON_ASCII_RE.search(scrub(text))
+        if stray is not None:
+            line = text.count("\n", 0, stray.start()) + 1
+            message = f"Invalid character U+{ord(stray[0]):04X} outside a comment or string literal."
+            return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", message, line)])
+        table, target = self.fixture.functions.get(target_function_id), completed.target
+        if table is None and _same_tokens(text, oracle.text[target.body_start : target.body_end + 1]):
+            return self._verdict(t0, STATUS_PASS)
+        return self._read(t0, prepared, completed, table)
+
+    def _read(
+        self, t0: float, prepared: _Oracle, completed: LocatedCompletion, table: ExecutorTable | None
+    ) -> ExecutionVerdict:
+        """The verdict on completed from reading it: verify's path for a
+        body that is neither the oracle's own text nor its tokens, or that
+        table judges."""
         text, body = completed.body, _blanked(completed.body)
         if body is None:
             return self._verdict(t0, STATUS_COMPILE_ERROR, [Diagnostic("Other", _NOT_ONE_BLOCK)])
@@ -1002,7 +1040,6 @@ class ScriptedDifferentialBackend:
             undeclared = Diagnostic("UndeclaredIdentifier", f'Undeclared identifier "{use.name}".', line, use.name)
             return self._verdict(t0, STATUS_COMPILE_ERROR, [undeclared])
 
-        table = self.fixture.functions.get(target_function_id)
         completed_steps = _steps(_statements(text, body, prepared.reads), old.params, prepared.steps)
         oracle_run = None
         if completed_steps is not None and table is None:

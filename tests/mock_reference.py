@@ -4,9 +4,11 @@ evaluator must agree with.
 
 Each reader read the completed body its own way: a regex token walk for the
 names it uses, a split at ';' with one regex per statement form for the
-evaluator. `reference_verify` is the backend's verify as it was built on
+evaluator. `reference_read` is the backend's reading path as it was built on
 them, with the one later rule that changes which oracles are evaluated
-(mock-diff@12); it shares every other part with `solrepair.executor`.
+(mock-diff@12); `reference_verify` puts before it the two rules that judge a
+body before it is read (mock-diff@13). Both share every other part with
+`solrepair.executor`.
 
 `scopes` is the mock's own reading of what an oracle declares, as it was
 before the source index's declaration table replaced it: the reference that
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from typing import Iterable, Iterator, NamedTuple
 
 from solrepair.corpus import (
@@ -237,15 +240,38 @@ def reference_verify(
     oracle: SourceIndex, completed: LocatedCompletion, task_id: str, fixture: dict | None = None, seed: int = 0
 ) -> tuple[str, tuple]:
     """The status and the diagnostics, each as (kind, message, line,
-    identifier), that verify gave at mock-diff@8, but that a body whose
-    statements are the oracle's passes without the oracle being evaluated,
-    as two identical bodies do in a differential run (mock-diff@12)."""
+    identifier), that verify gives (mock-diff@13): a body that holds a
+    character outside ASCII but in comments and strings is a compile_error
+    at its first such character, and one that is the oracle's body laid out
+    otherwise passes unread where no table judges it; any other body gets
+    reference_read's verdict."""
     try:
         prepared = _Oracle(oracle)
     except MalformedSourceError as exc:
         return "compile_error", _other(str(exc))
     if completed.keeps_body_of(oracle):
         return "pass", ()
+    text = completed.body
+    stray = next((i for i, char in enumerate(scrub(text)) if ord(char) > 127), None)
+    if stray is not None:
+        message = f"Invalid character U+{ord(text[stray]):04X} outside a comment or string literal."
+        return "compile_error", _other(message, text.count("\n", 0, stray) + 1)
+    table = ExecutorFixture.from_json(fixture or {}).functions.get(task_id)
+    old = prepared.body(completed.target).text
+    if table is None and text[:1] == "{" and text[-1:] == "}" and _normalized(text) == _normalized(old):
+        return "pass", ()
+    return reference_read(oracle, completed, task_id, fixture, seed)
+
+
+def reference_read(
+    oracle: SourceIndex, completed: LocatedCompletion, task_id: str, fixture: dict | None = None, seed: int = 0
+) -> tuple[str, tuple]:
+    """The status and the diagnostics that verify gave at mock-diff@8 to a
+    body other than the oracle's own text, but that a body whose statements
+    are the oracle's passes without the oracle being evaluated, as two
+    identical bodies do in a differential run (mock-diff@12): the verdict of
+    verify's reading path, below its identity checks."""
+    prepared = _Oracle(oracle)
     scrubbed = scrub(completed.body)
     if not _is_single_block(scrubbed):
         return "compile_error", _other(_NOT_ONE_BLOCK)
@@ -286,6 +312,14 @@ def reference_verify(
         if got != expected:
             return "functional_mismatch", _other(f"output mismatch for inputs {shown}: expected {expected}, got {got}")
     return "pass", ()
+
+
+def read_verdict(backend, oracle: SourceIndex, completed: LocatedCompletion, task_id: str):
+    """The verdict of backend's verify on completed from its reading path,
+    below the identity checks that pass the oracle's own text and tokens
+    unread."""
+    table = backend.fixture.functions.get(task_id)
+    return backend._read(time.perf_counter(), backend._oracle(oracle), completed, table)
 
 
 def verdict_of(verdict) -> tuple[str, tuple]:

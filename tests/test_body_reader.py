@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mock_reference import reference_verify, verdict_of
+from mock_reference import read_verdict, reference_read, reference_verify, verdict_of
 from solrepair import corpus, executor
 from solrepair.corpus import _SCRUB_RE, SourceIndex, read_task_file
 from solrepair.executor import Diagnostic, ScriptedDifferentialBackend, scrub, substitute_function
@@ -69,10 +69,14 @@ def lacks_its_last_semicolon(body: str) -> bool:
 
 
 def assert_reference_verdict(index: SourceIndex, fn, body: str, fixture: dict | None = None) -> None:
+    """verify's verdict on body, and that of its reading path, which a
+    respaced oracle body reaches only this way, are the reference's."""
     completed = substitute_function(fn, body)
-    got = ScriptedDifferentialBackend(fixture, seed=7).verify(index, completed, fn.name)
+    backend = ScriptedDifferentialBackend(fixture, seed=7)
+    got, read = backend.verify(index, completed, fn.name), read_verdict(backend, index, completed, fn.name)
     if not (evaluated_for_its_comments(body) or braces_in_a_loop_body(body) or lacks_its_last_semicolon(body)):
         assert verdict_of(got) == reference_verify(index, completed, fn.name, fixture, seed=7), body
+        assert verdict_of(read) == reference_read(index, completed, fn.name, fixture, seed=7), body
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -34,6 +34,7 @@ CHECKS = [
     "run_rejects_a_task_row_with_contract_type",
     "rows_are_canonical_json",
     "verify_passes_the_oracle_own_steps_without_running_it",
+    "verify_passes_a_relaid_oracle_body_and_faults_a_no_break_space",
 ]
 
 pytestmark = pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

@@ -1144,7 +1144,7 @@ class TestScriptedBackend:
         assert v.status == "pass"
         assert v.diagnostics == ()
         assert v.backend == "mock-diff"
-        assert v.backend_version == "mock-diff@12"
+        assert v.backend_version == "mock-diff@13"
         assert v.backend_seed == 0
 
     def test_equivalent_rewrite_passes_by_evaluation(self):
@@ -1325,6 +1325,127 @@ def test_property_an_edit_inside_a_string_never_passes(tokens, data):
         text = text[:i] + data.draw(st.sampled_from("xy ")) + text[i:]
     completed = laid_out([*tokens[:at], f'"{text}"', *tokens[at + 1 :]], data)
     assert layout_verdict(laid_out(tokens, data), completed) == "functional_mismatch"
+
+
+# mock-diff@13: a body with the oracle body's tokens passes before it is
+# read; the oracle bodies are straight-line ones, which the evaluator
+# models, and ones with blocks, comments and strings, which it does not.
+ORACLE_TOKENS = st.one_of(LAZY_ORACLES, LAYOUT_BODIES)
+
+
+@contextmanager
+def unread():
+    """Fails on any call to the name resolver or the statement reader."""
+    with mock.patch.object(executor, "_Reader", side_effect=AssertionError("resolved")), mock.patch.object(
+        executor, "_read_statements", side_effect=AssertionError("read")
+    ):
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=ORACLE_TOKENS, data=st.data())
+def test_property_a_relaid_oracle_body_passes_unread(tokens, data):
+    file = SourceIndex.from_text("p.sol", straight_line_source(laid_out(tokens, data)))
+    (record,) = extract_functions(file)
+    backend = ScriptedDifferentialBackend()
+    with unread():
+        for _ in range(2):
+            completed = splice(file, record, laid_out(tokens, data))
+            assert mock_reference.verdict_of(backend.verify(file, completed, record.task_id())) == ("pass", ())
+
+
+OTHER_TOKENS = st.sampled_from(["a", "b", "zz", "1", "7", "+", "-", "*", "(", ")", ";", "{", "}", '"x"', "// z", "/* z */"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=ORACLE_TOKENS, at=st.integers(0, 99), other=OTHER_TOKENS, data=st.data())
+def test_property_a_body_one_token_off_the_oracle_is_read(tokens, at, other, data):
+    file = SourceIndex.from_text("p.sol", straight_line_source(laid_out(tokens, data)))
+    (record,) = extract_functions(file)
+    changed = list(tokens)
+    at %= len(tokens)
+    assume(other != tokens[at])
+    changed[at] = other
+    completed = splice(file, record, laid_out(changed, data))
+    with mock.patch.object(executor, "_blanked", wraps=executor._blanked) as blanked:
+        ScriptedDifferentialBackend(seed=7).verify(file, completed, record.task_id())
+    assert blanked.call_args_list == [mock.call(completed.body)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tokens=LAZY_ORACLES, data=st.data())
+def test_property_a_table_judges_the_relaid_oracle_body(tokens, data):
+    """A table that disagrees with the oracle on its one case fails the
+    oracle's own tokens, laid out otherwise: it reads the body. (The
+    oracle's own text passes unread, table or not.)"""
+    file = SourceIndex.from_text("p.sol", straight_line_source(laid_out(tokens, data)))
+    (record,) = extract_functions(file)
+    inputs = {"a": 3, "b": 4}
+    try:
+        output = mock_reference.evaluate_body(mock_reference.interpret_body(" ".join(tokens), AB), inputs) + 1
+    except _EvalError:
+        output = 0
+    fixture = {"functions": {record.task_id(): {"cases": [{"inputs": inputs, "output": output}]}}}
+    completed = splice(file, record, laid_out(tokens, data))
+    assume(not completed.keeps_body_of(file))
+    with mock.patch.object(executor, "_blanked", wraps=executor._blanked) as blanked:
+        got = ScriptedDifferentialBackend(fixture).verify(file, completed, record.task_id())
+    assert blanked.call_count == 1
+    assert got.status == "functional_mismatch"
+    assert got.diagnostics[0].message.startswith(('output mismatch for inputs {"a": 3, "b": 4}', "evaluation failed"))
+
+
+@pytest.mark.parametrize(
+    "body,line,code",
+    [
+        ("{ return a\xa0+ b; }", 1, "00A0"),
+        ("{\n        return a +\u2003b;\n    }", 2, "2003"),
+        ("{\n        // é\n        return a + b + zé;\n    }", 3, "00E9"),
+    ],
+    ids=["no-break-space", "em-space", "name-after-a-comment"],
+)
+def test_a_non_ascii_character_outside_comments_and_strings_is_a_compile_error(body, line, code):
+    """solc reads a character outside ASCII only in a comment or a string:
+    elsewhere it is a compile_error on its line, before the body is read or
+    compared with the oracle's tokens, which Python's whitespace would make
+    the oracle's."""
+    completed = completed_with(ADD, body)
+    got = mock_reference.verdict_of(ScriptedDifferentialBackend().verify(FILE, completed, ADD.task_id()))
+    message = f"Invalid character U+{code} outside a comment or string literal."
+    assert got == ("compile_error", (("Other", message, line, None),))
+    assert got == mock_reference.reference_verify(FILE, completed, ADD.task_id())
+
+
+@pytest.mark.parametrize(
+    "body,status",
+    [
+        ("{ return a + b; // é\n}", "pass"),
+        ("{ /* – */ return a + b; }", "pass"),
+        ('{ string memory s = unicode"é"; return a + b; }', "functional_mismatch"),
+    ],
+)
+def test_a_non_ascii_character_in_a_comment_or_string_is_read(body, status):
+    assert ScriptedDifferentialBackend().verify(FILE, completed_with(ADD, body), ADD.task_id()).status == status
+
+
+@pytest.mark.parametrize(
+    "body,status",
+    [
+        ("{\r\n        return a   +\tb;\r\n    }", "pass"),
+        ("  {\n        return a + b;\n    }", "compile_error"),
+        ("{\n        return a + b;\n    }\n", "compile_error"),
+        ("{\n        returna + b;\n    }", "compile_error"),
+    ],
+    ids=["relaid", "space-before", "newline-after", "joined-tokens"],
+)
+def test_only_the_oracle_block_relaid_passes_unread(body, status):
+    """Whitespace around the block leaves it not one block, as before, and
+    text equal to the oracle's but for whitespace is read where it joins
+    two tokens (`returna`, an undeclared name)."""
+    completed = completed_with(ADD, body)
+    with mock.patch.object(executor, "_blanked", wraps=executor._blanked) as blanked:
+        got = ScriptedDifferentialBackend().verify(FILE, completed, ADD.task_id())
+    assert (got.status, blanked.called) == (status, status != "pass")
 
 
 OVERLOADS = """contract O {
@@ -1903,7 +2024,8 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
     """A name a fixture function's own body reads is undeclared only when it
     occurs nowhere in the source outside that body: locals, the contract's
     members, in-file bases' and file-level names cover every other use. A
-    respaced copy of the body gets the verdict of that walk."""
+    respaced copy of the body, read, gets the verdict of that walk; verify
+    passes it unread, as the oracle's own tokens."""
     file = SourceIndex.from_text(str(path), path.read_text(encoding="utf-8"))
     oracle = _Oracle(file)
     backend = ScriptedDifferentialBackend()
@@ -1913,7 +2035,9 @@ def test_every_fixture_body_resolves_in_its_own_scope(path):
         undeclared = [u.name for u in uses if u.name not in body.own and not oracle.declares(fn, u.name)]
         outside = file.scrubbed[: fn.body_start] + " " + file.scrubbed[fn.body_end + 1 :]
         assert not [name for name in undeclared if re.search(rf"(?<![\w$]){re.escape(name)}(?![\w$])", outside)]
-        verdict = backend.verify(file, substitute_function(fn, "{ " + body.text[1:]), fn.name)
+        respaced = substitute_function(fn, "{ " + body.text[1:])
+        assert backend.verify(file, respaced, fn.name).status == "pass"
+        verdict = mock_reference.read_verdict(backend, file, respaced, fn.name)
         if undeclared:
             assert (verdict.status, verdict.diagnostics[0].identifier) == ("compile_error", undeclared[0])
         else:
